@@ -10,21 +10,15 @@
 //
 // Both broker control planes run by default so before/after knees land in
 // one file (DESIGN.md §12): "locked" is the classic serial dispatch path,
-// "snapshot" is the epoch-snapshot plane (lock-free readers, batched
-// fan-out, 8 simulated dispatch threads). The snapshot video sweep
+// "snapshot" is the epoch-snapshot plane (batched fan-out, 8 simulated
+// dispatch threads). The snapshot video sweep
 // extends past 600 clients because that is where its knee lives.
 //
 //   --snapshot on|off   restrict to one control plane (default: both)
-//   --workers N         run the simulation on N EventLoop workers
-//                       (default 1); simulated metrics — table values and
-//                       the JSON file — are byte-identical for any N
-//                       (DESIGN.md §9), only the wall column may change
-//   --quick             one small point per sweep, no JSON write; used by
-//                       the TSan CI job to race-test broker fan-out under
-//                       --workers 8 without paying for the full sweep
+//   --quick             one small point per sweep, no JSON write: a smoke
+//                       run of broker fan-out without the full sweep
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,7 +39,6 @@ struct JsonPoint {
 };
 
 std::vector<JsonPoint> g_points;
-int g_workers = 1;
 
 double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -65,7 +58,6 @@ void sweep(gmmcs::core::MediaKind kind, const char* title, const char* key,
     cfg.kind = kind;
     cfg.clients = n;
     cfg.dispatch = dispatch;
-    cfg.workers = g_workers;
     auto t0 = std::chrono::steady_clock::now();
     std::uint64_t cp0 = gmmcs::payload_copy_count();
     std::uint64_t cb0 = gmmcs::payload_bytes_copied();
@@ -115,9 +107,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
-    if (arg == "--workers" && i + 1 < argc) {
-      g_workers = std::atoi(argv[++i]);
-    } else if (arg == "--snapshot" && i + 1 < argc) {
+    if (arg == "--snapshot" && i + 1 < argc) {
       std::string_view v(argv[++i]);
       run_snapshot = v == "on";
       run_locked = v == "off";
@@ -127,8 +117,6 @@ int main(int argc, char** argv) {
   }
   std::printf("=== Broker capacity (claims C1/C2, DESIGN.md section 4) ===\n");
   std::printf("Quality criterion: avg delay < 150 ms and loss < 2%%.\n");
-  std::printf("EventLoop workers: %d (simulated metrics are worker-count invariant).\n",
-              g_workers);
 
   std::vector<int> audio_counts = {200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800};
   std::vector<int> video_counts = {100, 200, 300, 400, 420, 440, 470, 500, 600};

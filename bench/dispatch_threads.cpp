@@ -12,15 +12,12 @@
 // — which is what lets 8 threads keep improving on 4 at 1400+ clients
 // instead of stalling on the NIC wall.
 //
-// Note the two unrelated axes: the *simulated* dispatch-pool size swept
-// across columns (cfg.dispatch.threads, changes the modeled system), and
-// the *real* EventLoop workers from --workers N (changes only how fast the
-// simulation runs — results are byte-identical, see the trailing wall
-// column and DESIGN.md §9). --quick runs one small row per plane and
-// skips the JSON write (used by sanitizer CI).
+// The pool swept across columns is *simulated* (cfg.dispatch.threads, a
+// parameter of the modeled broker); the simulation itself runs serially
+// and the trailing wall column is host time. --quick runs one small row
+// per plane and skips the JSON write.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,8 +75,7 @@ void write_json(const std::vector<Point>& points) {
 }
 
 void plane_sweep(const char* plane_name, broker::DispatchConfig::ControlPlane plane,
-                 const std::vector<int>& client_counts, int workers,
-                 std::vector<Point>& points) {
+                 const std::vector<int>& client_counts, std::vector<Point>& points) {
   std::printf("\n--- %s control plane ---\n", plane_name);
   std::printf("%10s", "clients");
   const int thread_counts[] = {1, 2, 4, 8};
@@ -96,7 +92,6 @@ void plane_sweep(const char* plane_name, broker::DispatchConfig::ControlPlane pl
       cfg.dispatch = broker::DispatchConfig::optimized();
       cfg.dispatch.threads = threads;
       cfg.dispatch.control_plane = plane;
-      cfg.workers = workers;
       core::CapacityPoint p = core::run_capacity(cfg);
       points.push_back({plane_name, clients, threads, p});
       char cell[32];
@@ -113,15 +108,12 @@ void plane_sweep(const char* plane_name, broker::DispatchConfig::ControlPlane pl
 }  // namespace
 
 int main(int argc, char** argv) {
-  int workers = 1;
   bool run_locked = true;
   bool run_snapshot = true;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
-    if (arg == "--workers" && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    } else if (arg == "--snapshot" && i + 1 < argc) {
+    if (arg == "--snapshot" && i + 1 < argc) {
       std::string_view v(argv[++i]);
       run_snapshot = v == "on";
       run_locked = v == "off";
@@ -131,17 +123,15 @@ int main(int argc, char** argv) {
   }
   std::printf("=== Extension A8: dispatch thread-pool scaling ===\n");
   std::printf("600 Kbps video fanout; quality = avg delay < 150 ms, loss < 2%%.\n");
-  std::printf("EventLoop workers: %d (wall column only; metrics are invariant).\n", workers);
   std::vector<int> client_counts = {300, 400, 500, 700, 1000, 1400, 2000};
   if (quick) client_counts = {300};
   std::vector<Point> points;
   if (run_locked) {
-    plane_sweep("locked", broker::DispatchConfig::ControlPlane::kLocked, client_counts, workers,
-                points);
+    plane_sweep("locked", broker::DispatchConfig::ControlPlane::kLocked, client_counts, points);
   }
   if (run_snapshot) {
     plane_sweep("snapshot", broker::DispatchConfig::ControlPlane::kSnapshot, client_counts,
-                workers, points);
+                points);
   }
   if (!quick) write_json(points);
   std::printf("\nReading: capacity scales near-linearly with dispatch workers (knee\n");

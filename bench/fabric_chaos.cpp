@@ -10,7 +10,7 @@
 //   - client reconnect latency (keepalive miss -> backoff -> re-Hello).
 // Writes BENCH_fabric_chaos.json. Fully deterministic per seed.
 //
-// Generated mode (--seed S [--plans N] [--quick] [--workers W]) swaps the
+// Generated mode (--seed S [--plans N] [--quick]) swaps the
 // scripted scenario for a ChaosGen batch: N generated (topology, plan)
 // pairs run through the chaos harness + oracle, with one JSON data point
 // per plan tagged by generator seed and plan hash so any point is
@@ -65,7 +65,7 @@ bool in_fault_window(const sim::FaultPlan& plan, SimTime t) {
   return plan.active_at(t);
 }
 
-int run_generated(std::uint64_t seed, std::uint64_t plans, int workers) {
+int run_generated(std::uint64_t seed, std::uint64_t plans) {
   sim::ChaosGen gen(seed);
   std::uint64_t passed = 0, violations = 0;
   broker::ChaosMetrics total;
@@ -74,14 +74,13 @@ int run_generated(std::uint64_t seed, std::uint64_t plans, int workers) {
     std::fprintf(json, "{\n  \"bench\": \"fabric_chaos_generated\",\n");
     std::fprintf(json, "  \"generator_seed\": %llu,\n  \"plans\": %llu,\n",
                  static_cast<unsigned long long>(seed), static_cast<unsigned long long>(plans));
-    std::fprintf(json, "  \"workers\": %d,\n  \"points\": [\n", workers);
+    std::fprintf(json, "  \"points\": [\n");
   }
-  std::printf("=== Fabric chaos: generated plans (seed %llu, %llu plans, %d workers) ===\n",
-              static_cast<unsigned long long>(seed), static_cast<unsigned long long>(plans),
-              workers);
+  std::printf("=== Fabric chaos: generated plans (seed %llu, %llu plans) ===\n",
+              static_cast<unsigned long long>(seed), static_cast<unsigned long long>(plans));
   for (std::uint64_t i = 0; i < plans; ++i) {
     const sim::ChaosSpec spec = gen.next();
-    const broker::ChaosOutcome out = broker::run_chaos(spec, {.workers = workers});
+    const broker::ChaosOutcome out = broker::run_chaos(spec);
     passed += out.ok() ? 1 : 0;
     violations += out.violations.size();
     const broker::ChaosMetrics& m = out.metrics;
@@ -157,7 +156,6 @@ int run_generated(std::uint64_t seed, std::uint64_t plans, int workers) {
 int main(int argc, char** argv) {
   bool generated = false, quick = false;
   std::uint64_t seed = 20260809, plans = 0;
-  int workers = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       generated = true;
@@ -168,11 +166,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       generated = true;
       quick = true;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--seed S] [--plans N] [--quick] [--workers W]\n"
+                   "usage: %s [--seed S] [--plans N] [--quick]\n"
                    "With no flags, runs the scripted 6-broker scenario.\n",
                    argv[0]);
       return 2;
@@ -180,7 +176,7 @@ int main(int argc, char** argv) {
   }
   if (generated) {
     if (plans == 0) plans = quick ? 5 : 50;
-    return run_generated(seed, plans, workers);
+    return run_generated(seed, plans);
   }
   sim::EventLoop loop;
   sim::Network net(loop, 4242);

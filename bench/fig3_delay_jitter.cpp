@@ -4,13 +4,8 @@
 //
 // Paper reference values: delay  NB 80.76 ms vs JMF 229.23 ms
 //                         jitter NB 13.38 ms vs JMF 15.55 ms
-//
-// --workers N runs on N EventLoop workers; simulated metrics (and the
-// JSON) are byte-identical for any N — only wall-clock changes.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "core/experiments.hpp"
 
@@ -50,30 +45,23 @@ void write_json(const gmmcs::core::Fig3Result& nb, const gmmcs::core::Fig3Result
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace gmmcs::core;
-  int workers = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--workers" && i + 1 < argc) workers = std::atoi(argv[++i]);
-  }
   std::printf("=== Figure 3: NaradaBrokering vs JMF reflector ===\n");
   std::printf("Workload: 1 video sender @600 Kbps, 400 receivers,\n");
   std::printf("12 receivers co-located with the sender are measured.\n");
-  std::printf("EventLoop workers: %d (simulated metrics are worker-count invariant).\n", workers);
 
   auto wall = [](auto t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
   Fig3Config nb_cfg;
   nb_cfg.fanout = Fanout::kBroker;
-  nb_cfg.workers = workers;
   auto t_nb = std::chrono::steady_clock::now();
   Fig3Result nb = run_fig3(nb_cfg);
   double nb_wall = wall(t_nb);
 
   Fig3Config jmf_cfg;
   jmf_cfg.fanout = Fanout::kJmfReflector;
-  jmf_cfg.workers = workers;
   auto t_jmf = std::chrono::steady_clock::now();
   Fig3Result jmf = run_fig3(jmf_cfg);
   double jmf_wall = wall(t_jmf);
@@ -92,8 +80,8 @@ int main(int argc, char** argv) {
               jmf.loss_ratio * 100.0);
   std::printf("%-28s %11.1f kbps %9.1f kbps\n", "stream bandwidth", nb.stream_kbps,
               jmf.stream_kbps);
-  std::printf("%-28s %11.2f s  %11.2f s   (workers=%d, not a simulated metric)\n", "wall clock",
-              nb_wall, jmf_wall, workers);
+  std::printf("%-28s %11.2f s  %11.2f s   (not a simulated metric)\n", "wall clock", nb_wall,
+              jmf_wall);
   write_json(nb, jmf);
   return 0;
 }

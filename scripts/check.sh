@@ -1,16 +1,11 @@
 #!/usr/bin/env bash
-# Sanitized build + full test run: the gate for fabric/self-healing and
-# parallel-dispatch work.
+# Sanitized build + full test run: the gate for fabric/self-healing work.
 #
 # Usage: scripts/check.sh [mode-or-sanitizers]
 #   (none)            address,undefined (the default gate)
 #   asan | address    AddressSanitizer + UndefinedBehaviorSanitizer
-#   thread | tsan     ThreadSanitizer — certifies the parallel dispatch
-#                     executor (worker pool, merge barrier) is race-free;
-#                     each sanitizer gets its own build tree
-#   lint              both linters (determinism + gmmcs-lint, including
-#                     the snapshot-discipline and lifetime passes) and
-#                     the lint fixture selftests; no build tree
+#   lint              both linters (determinism + gmmcs-lint, all seven
+#                     passes) and the lint fixture selftests; no build tree
 #                     required. Budgeted: the whole mode must finish
 #                     inside LINT_BUDGET_S (default 180 s) so the gate
 #                     stays cheap enough to run on every commit
@@ -26,7 +21,8 @@
 #                     family under the no-throw / O(N)-allocation
 #                     invariants. Seed defaults to the commit SHA; any
 #                     violation prints a shrunk hex reproducer to commit.
-#   <list>            any raw comma-separated -fsanitize= list
+#   <list>            any raw comma-separated -fsanitize= list; each
+#                     sanitizer set gets its own build tree
 set -euo pipefail
 
 MODE="${1:-address,undefined}"
@@ -71,8 +67,6 @@ if [[ "$MODE" == "lint" ]]; then
     if [[ -f "$tree/compile_commands.json" ]]; then CCDB="$tree/compile_commands.json"; break; fi
   done
   python3 "$ROOT/tools/lint/tests/test_gmmcs_lint.py"
-  python3 "$ROOT/tools/lint/tests/test_lock_order.py"
-  python3 "$ROOT/tools/lint/tests/test_snapshot.py"
   python3 "$ROOT/tools/lint/tests/test_lifetime.py"
   python3 "$ROOT/tools/lint/tests/test_copy.py"
   python3 "$ROOT/tools/lint/tests/test_wire.py"
@@ -94,7 +88,6 @@ fi
 
 case "$MODE" in
   asan|address) SANITIZE="address,undefined" ;;
-  thread|tsan)  SANITIZE="thread" ;;
   *)            SANITIZE="$MODE" ;;
 esac
 

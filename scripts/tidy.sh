@@ -2,9 +2,8 @@
 # clang-tidy over every translation unit in the build, using .clang-tidy.
 # Usage: scripts/tidy.sh [build-dir]   (default: build-tidy, configured here)
 #
-# Exits 0 with a notice when clang-tidy is not installed — the container
-# toolchain is GCC-only; CI provides clang. Same availability gating as
-# the -Wthread-safety build (see CMakeLists.txt).
+# Exits 0 with a notice when clang-tidy is not installed (GCC-only
+# toolchains); CI provides clang.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

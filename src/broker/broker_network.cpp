@@ -11,7 +11,6 @@ std::string ClusterAddress::to_string() const {
 }
 
 BrokerNetwork::BrokerNetwork(sim::Network& net) : net_(&net) {
-  ctx_.assert_held();
   // Publish the empty epoch so dispatch-path readers never see a null
   // snapshot: pre-finalize queries behave exactly as the locked tables
   // did (next_hop throws "finalize() not called", distance -1, no
@@ -20,43 +19,28 @@ BrokerNetwork::BrokerNetwork(sim::Network& net) : net_(&net) {
 }
 
 BrokerNetwork::~BrokerNetwork() {
-  ctx_.assert_held();
   // A publication event may still be queued (fabric destroyed before the
   // loop drains); cancel it so the event can't run into a dead `this`.
   if (publish_pending_) net_->loop().cancel(publish_task_);
 }
 
 BrokerNode& BrokerNetwork::add_broker(sim::Host& host, BrokerNode::Config cfg) {
-  ctx_.assert_held();
-  // Broker hosts run on ordinary parallel lanes: dispatch paths read the
-  // fabric control plane through the published snapshot (lock-free) and
-  // route every control-plane mutation through the serial post_effect
-  // order, so broker events are host-independent like any other host's.
-  // (Before the epoch-snapshot control plane they were set_exclusive.)
   auto id = static_cast<BrokerId>(brokers_.size());
   brokers_.push_back(std::make_unique<BrokerNode>(host, id, cfg));
   BrokerNode& node = *brokers_.back();
-  node.ctx_.assert_held();  // fabric setup runs in the same serial context
   node.network_ = this;
   adjacency_[id];
   return node;
 }
 
 BrokerNode& BrokerNetwork::broker(BrokerId id) {
-  ctx_.assert_held();
   return *brokers_.at(id);
 }
 
 void BrokerNetwork::link(BrokerId a, BrokerId b) {
-  ctx_.assert_held();
   if (a == b) throw std::invalid_argument("BrokerNetwork::link: self-link");
   BrokerNode& na = broker(a);
   BrokerNode& nb = broker(b);
-  // Fabric -> broker entry (DESIGN.md §11): BrokerNetwork::ctx_ is outer,
-  // BrokerNode::ctx_ inner, so establishing the nodes' contexts here obeys
-  // the canonical lock order.
-  na.ctx_.assert_held();
-  nb.ctx_.assert_held();
   // One stream connection in each direction (send paths are independent).
   auto ab = transport::StreamConnection::connect(na.host(), nb.stream_endpoint());
   auto ba = transport::StreamConnection::connect(nb.host(), na.stream_endpoint());
@@ -67,7 +51,6 @@ void BrokerNetwork::link(BrokerId a, BrokerId b) {
 }
 
 void BrokerNetwork::finalize() {
-  ctx_.assert_held();
   rebuild_routes();
   mark_dirty(/*routes=*/true, /*interest=*/false);
 }
@@ -83,21 +66,15 @@ void BrokerNetwork::mark_dirty(bool routes, bool interest) {
     publish_now();
     return;
   }
-  // Inside a run: defer to a same-timestamp kNoLane event. Serial and
-  // parallel execution schedule it from the same serial-order position
-  // (inline event vs merge-barrier replay), so the epoch flips at an
-  // identical (when, seq) in both modes; events sequenced before it read
-  // the previous epoch either way.
+  // Inside a run: defer to a same-timestamp event, so events already
+  // sequenced at this instant still read the previous epoch and the flip
+  // lands at a fixed (when, seq) position.
   publish_pending_ = true;
-  publish_task_ = loop.schedule_at(
-      loop.now(),
-      [this] {
-        ctx_.assert_held();
-        publish_pending_ = false;
-        publish_task_ = 0;
-        publish_now();
-      },
-      sim::kNoLane);
+  publish_task_ = loop.schedule_at(loop.now(), [this] {
+    publish_pending_ = false;
+    publish_task_ = 0;
+    publish_now();
+  });
 }
 
 void BrokerNetwork::publish_now() {
@@ -113,9 +90,7 @@ void BrokerNetwork::publish_now() {
     pub_interest_ = std::make_shared<const InterestTable>(interest_.flatten());
     interest_dirty_ = false;
   }
-  snapshot_.store(
-      std::make_shared<const ControlSnapshot>(epoch_, pub_routes_, pub_interest_),
-      std::memory_order_release);
+  snapshot_ = std::make_shared<const ControlSnapshot>(epoch_, pub_routes_, pub_interest_);
 }
 
 void BrokerNetwork::rebuild_routes() {
@@ -151,67 +126,54 @@ void BrokerNetwork::rebuild_route_row(BrokerId src) {
 }
 
 void BrokerNetwork::report_link(BrokerId a, BrokerId b, bool up) {
-  // Writer path: detectors fire from broker-lane events, so the table
-  // mutation is staged through post_effect — it runs inline when called
-  // serially, or at the merge barrier (in (when, seq) order of the
-  // reporting events) from a parallel batch. Captures {this, a, b, up}.
-  net_->loop().post_effect([this, a, b, up] {
-    ctx_.assert_held();
-    const auto key = std::minmax(a, b);
-    // Both endpoints' detectors report each transition; only the first
-    // report of a genuine state change fires the repair listener.
-    const bool changed = up ? down_links_.erase(key) > 0 : down_links_.insert(key).second;
-    if (gossip_) {
-      // Gossip mode: the reporting broker updates only its own view (and
-      // row) here; everyone else learns from the flooded advertisement,
-      // paying real propagation latency.
-      auto& view = view_down_[a];
-      const bool view_changed = up ? view.erase(key) > 0 : view.insert(key).second;
-      if (view_changed) {
-        rebuild_route_row(a);
-        ++route_recomputes_;
-        mark_dirty(/*routes=*/true, /*interest=*/false);
-      }
-    } else if (changed) {
-      rebuild_routes();
+  const auto key = std::minmax(a, b);
+  // Both endpoints' detectors report each transition; only the first
+  // report of a genuine state change fires the repair listener.
+  const bool changed = up ? down_links_.erase(key) > 0 : down_links_.insert(key).second;
+  if (gossip_) {
+    // Gossip mode: the reporting broker updates only its own view (and
+    // row) here; everyone else learns from the flooded advertisement,
+    // paying real propagation latency.
+    auto& view = view_down_[a];
+    const bool view_changed = up ? view.erase(key) > 0 : view.insert(key).second;
+    if (view_changed) {
+      rebuild_route_row(a);
       ++route_recomputes_;
       mark_dirty(/*routes=*/true, /*interest=*/false);
     }
-    if (changed && route_listener_) {
-      route_listener_(key.first, key.second, up, net_->loop().now());
-    }
-  });
+  } else if (changed) {
+    rebuild_routes();
+    ++route_recomputes_;
+    mark_dirty(/*routes=*/true, /*interest=*/false);
+  }
+  if (changed && route_listener_) {
+    route_listener_(key.first, key.second, up, net_->loop().now());
+  }
 }
 
 void BrokerNetwork::apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool up) {
-  // Staged like report_link; no repair-listener fire (the transition was
-  // already announced at its origin) and no shared-table touch.
-  net_->loop().post_effect([this, at, a, b, up] {
-    ctx_.assert_held();
-    if (!gossip_) return;
-    const auto key = std::minmax(a, b);
-    auto& view = view_down_[at];
-    const bool changed = up ? view.erase(key) > 0 : view.insert(key).second;
-    if (!changed) return;
-    rebuild_route_row(at);
-    ++route_recomputes_;
-    mark_dirty(/*routes=*/true, /*interest=*/false);
-  });
+  // No repair-listener fire (the transition was already announced at its
+  // origin) and no shared-table touch.
+  if (!gossip_) return;
+  const auto key = std::minmax(a, b);
+  auto& view = view_down_[at];
+  const bool changed = up ? view.erase(key) > 0 : view.insert(key).second;
+  if (!changed) return;
+  rebuild_route_row(at);
+  ++route_recomputes_;
+  mark_dirty(/*routes=*/true, /*interest=*/false);
 }
 
 void BrokerNetwork::set_address(BrokerId id, ClusterAddress addr) {
-  ctx_.assert_held();
   addresses_[id] = addr;
 }
 
 ClusterAddress BrokerNetwork::address(BrokerId id) const {
-  ctx_.assert_held();
   auto it = addresses_.find(id);
   return it == addresses_.end() ? ClusterAddress{} : it->second;
 }
 
 void BrokerNetwork::link_hierarchy() {
-  ctx_.assert_held();
   // Group brokers by (super_cluster, cluster).
   std::map<std::pair<int, int>, std::vector<BrokerId>> clusters;
   std::map<int, std::vector<std::pair<int, BrokerId>>> supers;  // sc -> (cluster, leader)
@@ -245,35 +207,27 @@ void BrokerNetwork::link_hierarchy() {
 }
 
 void BrokerNetwork::advertise(const TopicFilter& filter, BrokerId origin, bool add) {
-  // Writer path, staged like report_link. TopicFilter (~90 bytes) exceeds
-  // the SmallFn inline budget by value, so the closure owns it through a
-  // shared_ptr: {this, shared_ptr, origin, add} = 32 bytes.
-  net_->loop().post_effect(
-      [this, f = std::make_shared<const TopicFilter>(filter), origin, add] {
-        ctx_.assert_held();
-        if (add) {
-          interest_.subscribe(origin, *f);
-        } else {
-          interest_.unsubscribe(origin, *f);
-        }
-        mark_dirty(/*routes=*/false, /*interest=*/true);
-      });
+  if (add) {
+    interest_.subscribe(origin, filter);
+  } else {
+    interest_.unsubscribe(origin, filter);
+  }
+  mark_dirty(/*routes=*/false, /*interest=*/true);
 }
 
 std::vector<BrokerId> BrokerNetwork::interested_brokers(const std::string& topic,
                                                         BrokerId exclude) const {
-  // Lock-free dispatch-path read: one acquire load of the published
-  // snapshot. Result is sorted by broker id like the locked index scan,
-  // so forwarding order is unchanged.
-  return snapshot()->interest().matches(topic, exclude);
+  // Dispatch-path read of the published snapshot. Result is sorted by
+  // broker id like the live index scan, so forwarding order is unchanged.
+  return snapshot_->interest().matches(topic, exclude);
 }
 
 BrokerId BrokerNetwork::next_hop(BrokerId from, BrokerId to) const {
-  return snapshot()->routes().next_hop(from, to);
+  return snapshot_->routes().next_hop(from, to);
 }
 
 int BrokerNetwork::distance(BrokerId from, BrokerId to) const {
-  return snapshot()->routes().distance(from, to);
+  return snapshot_->routes().distance(from, to);
 }
 
 }  // namespace gmmcs::broker

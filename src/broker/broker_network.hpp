@@ -16,7 +16,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -30,7 +29,7 @@
 #include "broker/control_snapshot.hpp"
 #include "broker/subscription_index.hpp"
 #include "broker/topic.hpp"
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "sim/network.hpp"
 
 namespace gmmcs::broker {
@@ -53,10 +52,7 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// Creates a broker on the given host and registers it in the fabric.
   BrokerNode& add_broker(sim::Host& host, BrokerNode::Config cfg = {});
   [[nodiscard]] BrokerNode& broker(BrokerId id);
-  [[nodiscard]] std::size_t broker_count() const {
-    ctx_.assert_held();
-    return brokers_.size();
-  }
+  [[nodiscard]] std::size_t broker_count() const { return brokers_.size(); }
 
   /// Connects two brokers with a bidirectional link (a stream connection
   /// in each direction). Call finalize() after all links are in place.
@@ -73,21 +69,16 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// on_route_repair callback). Link identity is undirected.
   void report_link(BrokerId a, BrokerId b, bool up);
   [[nodiscard]] bool link_considered_up(BrokerId a, BrokerId b) const {
-    ctx_.assert_held();
     return !down_links_.contains(std::minmax(a, b));
   }
   /// Observer for repair instrumentation: (a, b, up, at) on each genuine
   /// link-state transition, after routes have been rebuilt.
   void on_route_repair(
       std::function<void(BrokerId, BrokerId, bool, SimTime)> cb) {
-    ctx_.assert_held();
     route_listener_ = std::move(cb);
   }
   /// Times the routing tables were rebuilt by report_link transitions.
-  [[nodiscard]] std::uint64_t route_recomputes() const {
-    ctx_.assert_held();
-    return route_recomputes_;
-  }
+  [[nodiscard]] std::uint64_t route_recomputes() const { return route_recomputes_; }
 
   // --- Gossiped link-state (DESIGN.md §13) ---
   /// Switches route repair from the instantaneous shared-table shortcut to
@@ -96,15 +87,10 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// (simulated, latency-paying) peer links, and routes its row from that
   /// view. Off by default — fault-free runs carry no gossip traffic and
   /// existing outputs stay byte-identical. Set before the run starts.
-  void set_gossip(bool enabled) {
-    ctx_.assert_held();
-    gossip_ = enabled;
-  }
-  /// Stable after setup (set_gossip is a construction-time switch), so
-  /// broker-lane code may check it without entering the fabric context.
+  void set_gossip(bool enabled) { gossip_ = enabled; }
   [[nodiscard]] bool gossip_enabled() const { return gossip_; }
   /// A broker applying a received link-state advertisement to its own
-  /// routing view (gossip mode only). Staged like report_link.
+  /// routing view (gossip mode only).
   void apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool up);
 
   /// Optional hierarchical address labels; set_address also implies
@@ -118,99 +104,79 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   void link_hierarchy();
 
   // --- Interest control plane ---
-  /// Stages an interest mutation. The table update runs in serial order
-  /// (inline when called serially, at the merge barrier from a parallel
-  /// lane event) and a fresh snapshot epoch is published afterwards; see
-  /// DESIGN.md §12 for the visibility contract.
+  /// Applies an interest mutation; a fresh snapshot epoch is published
+  /// afterwards (DESIGN.md §12 has the visibility contract).
   void advertise(const TopicFilter& filter, BrokerId origin, bool add);
-  /// All brokers (excluding `exclude`) with interest matching `topic`.
-  /// Lock-free: reads the current published snapshot; callable from any
-  /// lane's dispatch path concurrently.
+  /// All brokers (excluding `exclude`) with interest matching `topic`,
+  /// read from the current published snapshot.
   [[nodiscard]] std::vector<BrokerId> interested_brokers(const std::string& topic,
                                                          BrokerId exclude) const;
 
-  // --- Routing queries (lock-free snapshot reads, like interested_brokers) ---
+  // --- Routing queries (snapshot reads, like interested_brokers) ---
   [[nodiscard]] BrokerId next_hop(BrokerId from, BrokerId to) const;
   /// Hop distance; -1 if unreachable.
   [[nodiscard]] int distance(BrokerId from, BrokerId to) const;
 
   /// The current control-plane epoch (routing tables + interest state) as
-  /// one immutable, atomically-published object. Dispatch paths that make
-  /// several related queries (e.g. distance then next_hop per target)
-  /// should load one snapshot and query it, guaranteeing a single
-  /// consistent epoch even while writers republish concurrently.
-  [[nodiscard]] ControlSnapshotPtr snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
-  }
+  /// one immutable object. Dispatch paths that make several related
+  /// queries (e.g. distance then next_hop per target) load one snapshot
+  /// and query it, so they see a single consistent epoch.
+  [[nodiscard]] ControlSnapshotPtr snapshot() const { return snapshot_; }
 
  private:
   /// BFS over adjacency_ minus down_links_; shared by finalize() and
   /// report_link().
-  void rebuild_routes() GMMCS_REQUIRES(ctx_);
+  void rebuild_routes();
   /// Rebuilds one broker's routing row from the down-set it believes in:
   /// the shared down_links_ normally, its gossip view in gossip mode.
-  void rebuild_route_row(BrokerId src) GMMCS_REQUIRES(ctx_);
+  void rebuild_route_row(BrokerId src);
   /// Records which halves of the control plane changed and arranges for a
   /// snapshot publication: synchronous outside event execution (setup and
-  /// tests observe the new epoch immediately), otherwise via a scheduled
-  /// kNoLane event so serial and parallel runs flip epochs at the same
-  /// (when, seq) position.
-  void mark_dirty(bool routes, bool interest) GMMCS_REQUIRES(ctx_);
-  /// Rebuilds the dirty snapshot halves and atomically publishes the next
-  /// epoch. The only writer of snapshot_, always under ctx_ — the lint
-  /// snapshot-discipline pass enforces exactly this.
-  void publish_now() GMMCS_REQUIRES(ctx_);
+  /// tests observe the new epoch immediately), otherwise via a
+  /// same-timestamp scheduled event, so events sequenced before it still
+  /// read the previous epoch.
+  void mark_dirty(bool routes, bool interest);
+  /// Rebuilds the dirty snapshot halves and publishes the next epoch. The
+  /// only writer of snapshot_.
+  void publish_now();
 
   sim::Network* net_;
-  /// Fabric execution context (phantom capability, DESIGN.md §11): the
-  /// authoritative control-plane state below is the *writer side* of the
-  /// epoch-snapshot discipline (DESIGN.md §12) — mutated only in serial
-  /// order (setup code, kNoLane events, the merge barrier). Dispatch-path
-  /// readers never touch it: they read the published snapshot_ lock-free,
-  /// which is why broker hosts run on ordinary parallel lanes and no
-  /// longer need set_exclusive. Outermost in the canonical lock order:
-  /// brokers call in here (advertise/report_link) and we call into brokers
-  /// (link, add_peer_link) within the same serial context.
-  ExecContext ctx_;
-  std::vector<std::unique_ptr<BrokerNode>> brokers_ GMMCS_GUARDED_BY(ctx_);
-  std::map<BrokerId, std::set<BrokerId>> adjacency_ GMMCS_GUARDED_BY(ctx_);
+  std::vector<std::unique_ptr<BrokerNode>> brokers_;
+  std::map<BrokerId, std::set<BrokerId>> adjacency_;
   /// Links currently declared down by some broker's failure detector,
   /// keyed undirected (min id, max id).
-  std::set<std::pair<BrokerId, BrokerId>> down_links_ GMMCS_GUARDED_BY(ctx_);
-  /// Gossip mode: written only during setup, read by broker-lane code via
-  /// gossip_enabled() — stable while events run, so unguarded by design.
+  std::set<std::pair<BrokerId, BrokerId>> down_links_;
   bool gossip_ = false;
   /// Gossip mode: each broker's private view of down links, fed by the
   /// kLinkState advertisements that actually reached it.
-  std::map<BrokerId, std::set<std::pair<BrokerId, BrokerId>>> view_down_ GMMCS_GUARDED_BY(ctx_);
-  std::function<void(BrokerId, BrokerId, bool, SimTime)> route_listener_ GMMCS_GUARDED_BY(ctx_);
-  std::uint64_t route_recomputes_ GMMCS_GUARDED_BY(ctx_) = 0;
+  std::map<BrokerId, std::set<std::pair<BrokerId, BrokerId>>> view_down_;
+  std::function<void(BrokerId, BrokerId, bool, SimTime)> route_listener_;
+  std::uint64_t route_recomputes_ = 0;
   // [from][to] -> next hop.
-  std::map<BrokerId, std::map<BrokerId, BrokerId>> next_hop_ GMMCS_GUARDED_BY(ctx_);
-  std::map<BrokerId, std::map<BrokerId, int>> dist_ GMMCS_GUARDED_BY(ctx_);
+  std::map<BrokerId, std::map<BrokerId, BrokerId>> next_hop_;
+  std::map<BrokerId, std::map<BrokerId, int>> dist_;
   /// Broker interest table (subscriber = BrokerId), sharing the indexed
   /// fast path (exact hash + wildcard list + match cache) with the
   /// per-node client table. Advertisements are refcounted per origin.
-  SubscriptionIndex interest_ GMMCS_GUARDED_BY(ctx_);
-  std::map<BrokerId, ClusterAddress> addresses_ GMMCS_GUARDED_BY(ctx_);
+  SubscriptionIndex interest_;
+  std::map<BrokerId, ClusterAddress> addresses_;
 
   // --- Epoch-snapshot publication state (DESIGN.md §12) ---
-  std::uint64_t epoch_ GMMCS_GUARDED_BY(ctx_) = 0;
+  std::uint64_t epoch_ = 0;
   /// Which snapshot halves are stale relative to the authoritative state.
-  bool routes_dirty_ GMMCS_GUARDED_BY(ctx_) = true;
-  bool interest_dirty_ GMMCS_GUARDED_BY(ctx_) = true;
+  bool routes_dirty_ = true;
+  bool interest_dirty_ = true;
   /// True while a publication event is scheduled (dedups mark_dirty calls
   /// within one timestamp).
-  bool publish_pending_ GMMCS_GUARDED_BY(ctx_) = false;
-  sim::TaskId publish_task_ GMMCS_GUARDED_BY(ctx_) = 0;
+  bool publish_pending_ = false;
+  sim::TaskId publish_task_ = 0;
   /// Previously built halves, reused unchanged when only the other half
   /// was dirtied (two-level sharing keeps republication cheap).
-  std::shared_ptr<const RouteTables> pub_routes_ GMMCS_GUARDED_BY(ctx_);
-  std::shared_ptr<const InterestTable> pub_interest_ GMMCS_GUARDED_BY(ctx_);
-  /// The published snapshot: written only by publish_now() under ctx_,
-  /// loaded lock-free by dispatch-path readers on any lane. Reclamation is
-  /// refcounting — the last reader of a superseded epoch frees it.
-  std::atomic<ControlSnapshotPtr> snapshot_;
+  std::shared_ptr<const RouteTables> pub_routes_;
+  std::shared_ptr<const InterestTable> pub_interest_;
+  /// The published snapshot, written only by publish_now(). A superseded
+  /// epoch is freed when the last dispatch path holding it lets go.
+  ControlSnapshotPtr snapshot_;
 };
 
 }  // namespace gmmcs::broker

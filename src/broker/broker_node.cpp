@@ -55,7 +55,6 @@ BrokerNode::BrokerNode(sim::Host& host, BrokerId id, Config cfg)
 }
 
 std::size_t BrokerNode::subscription_count() const {
-  ctx_.assert_held();
   std::size_t n = 0;
   // det-lint: allow(unordered-iteration) — commutative sum, order-free
   for (const auto& [id, c] : clients_) n += c.filters.size();
@@ -63,7 +62,6 @@ std::size_t BrokerNode::subscription_count() const {
 }
 
 void BrokerNode::accept(transport::StreamConnectionPtr conn) {
-  ctx_.assert_held();
   inbound_.push_back(conn);
   // The connection's client identity is established by its Hello frame.
   auto client_id = std::make_shared<ClientId>(0);
@@ -72,7 +70,6 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
   // without scanning inbound_, and without a conn -> handler -> conn cycle.
   std::weak_ptr<transport::StreamConnection> weak_conn = conn;
   conn->on_message([this, raw, client_id, weak_conn](const Payload& data) {
-    ctx_.assert_held();
     auto frame = decode(data);
     if (!frame.ok()) return;
     Frame f = std::move(frame).value();
@@ -144,7 +141,6 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
     }
   });
   conn->on_close([this, raw, client_id] {
-    ctx_.assert_held();
     auto it = clients_.find(*client_id);
     if (it != clients_.end()) {
       if (network_ != nullptr) {
@@ -207,7 +203,6 @@ void BrokerNode::handle_subscription(ClientRec& c, const SubscribeMessage& m) {
 }
 
 void BrokerNode::handle_datagram(const sim::Datagram& d) {
-  ctx_.assert_held();
   auto frame = decode(d.payload);
   if (!frame.ok()) return;
   Frame f = std::move(frame).value();
@@ -240,7 +235,6 @@ void BrokerNode::ingress_event(Event ev, ClientId publisher, const Payload& fram
                       : std::make_shared<const RoutedEvent>(std::move(ev));
   dispatch_.submit(cfg_.dispatch.route_cost, [this, publisher, routed = std::move(routed),
                                               remote = std::move(remote)] {
-    ctx_.assert_held();
     route_and_deliver(routed, publisher, remote);
   });
 }
@@ -251,7 +245,6 @@ void BrokerNode::ingress_peer_event(PeerEventMessage m) {
   auto routed = std::make_shared<const RoutedEvent>(std::move(m.event));
   dispatch_.submit(cfg_.dispatch.route_cost, [this, routed = std::move(routed),
                                               targets = std::move(m.targets)] {
-    ctx_.assert_held();
     // Deliver locally if we are a target; forward the rest.
     std::vector<BrokerId> rest;
     bool local = false;
@@ -295,7 +288,6 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
     params.nic_cap = nic.queue_bytes;
     params.nic_slack = cfg_.dispatch.nic_slack_bytes;
     dispatch_.submit_batch(batch->cids.size(), params, [this, batch](std::size_t i) {
-      ctx_.assert_held();
       auto it = clients_.find(batch->cids[i]);
       if (it != clients_.end()) deliver_copy(it->second, *batch->ev);
     });
@@ -303,7 +295,6 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
   }
   for (ClientId cid : cids) {
     dispatch_.submit(cost, [this, cid, ev] {
-      ctx_.assert_held();
       auto it = clients_.find(cid);
       if (it != clients_.end()) deliver_copy(it->second, *ev);
     });
@@ -315,9 +306,8 @@ void BrokerNode::route_remote(const RoutedEventPtr& ev, const std::vector<Broker
   // Unreachable brokers (fabric partitions, links not yet finalized) are
   // skipped rather than faulting the dispatch path. by_hop stays an
   // ordered map so forwards are submitted in deterministic hop order.
-  // One snapshot load for the whole grouping: distance and next_hop must
-  // answer from the same routing epoch, or a concurrent route repair
-  // could pass the distance check and then throw in next_hop.
+  // One snapshot load for the whole grouping: distance and next_hop
+  // answer from the same routing epoch.
   const ControlSnapshotPtr snap = network_->snapshot();
   const RouteTables& routes = snap->routes();
   std::map<BrokerId, std::vector<BrokerId>> by_hop;
@@ -336,7 +326,6 @@ void BrokerNode::route_remote(const RoutedEventPtr& ev, const std::vector<Broker
   for (auto& [hop, subset] : by_hop) {
     dispatch_.submit(cfg_.dispatch.copy_cost(ev->event().payload.size()),
                      [this, hop, ev, subset = std::move(subset)] {
-                       ctx_.assert_held();
                        forward_to_peer(hop, *ev, subset);
                      });
   }
@@ -377,7 +366,6 @@ void BrokerNode::forward_to_peer(BrokerId next_hop, const RoutedEvent& ev,
 void BrokerNode::add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn) {
   // Pongs (and future peer-control frames) come back on our outgoing link.
   conn->on_message([this](const Payload& data) {
-    ctx_.assert_held();
     auto frame = decode(data);
     if (!frame.ok() || frame.value().type != MessageType::kPong) return;
     auto it = probes_.find(frame.value().ping.token);
@@ -407,7 +395,6 @@ void BrokerNode::ensure_heartbeat_task() {
 }
 
 void BrokerNode::heartbeat_tick() {
-  ctx_.assert_held();
   const SimTime now = host_->loop().now();
   const SimDuration dead = cfg_.heartbeat.interval * cfg_.heartbeat.miss_threshold;
   const bool gossip = network_ != nullptr && network_->gossip_enabled();
@@ -450,7 +437,6 @@ void BrokerNode::handle_peer_heartbeat(BrokerId peer) {
 }
 
 void BrokerNode::client_keepalive_tick() {
-  ctx_.assert_held();
   const SimTime now = host_->loop().now();
   const SimDuration quiet = cfg_.client_keepalive.interval;
   const SimDuration dead = quiet * cfg_.client_keepalive.miss_threshold;
@@ -521,7 +507,6 @@ void BrokerNode::flood_link_state(const LinkStateMessage& m) {
 }
 
 void BrokerNode::probe_peer(BrokerId peer, std::function<void(SimDuration)> cb) {
-  ctx_.assert_held();
   auto it = peer_links_.find(peer);
   if (it == peer_links_.end()) return;
   PingMessage ping;

@@ -25,9 +25,8 @@
 
 #include "broker/event.hpp"
 #include "broker/subscription_index.hpp"
-#include "common/mutex.hpp"
 #include "broker/topic.hpp"
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/service_center.hpp"
@@ -130,36 +129,18 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   [[nodiscard]] sim::Endpoint dgram_endpoint() const { return dgram_.local(); }
 
   // --- Statistics ---
-  [[nodiscard]] std::uint64_t events_in() const {
-    ctx_.assert_held();
-    return events_in_;
-  }
-  [[nodiscard]] std::uint64_t copies_delivered() const {
-    ctx_.assert_held();
-    return copies_delivered_;
-  }
-  [[nodiscard]] std::uint64_t peer_forwards() const {
-    ctx_.assert_held();
-    return peer_forwards_;
-  }
+  [[nodiscard]] std::uint64_t events_in() const { return events_in_; }
+  [[nodiscard]] std::uint64_t copies_delivered() const { return copies_delivered_; }
+  [[nodiscard]] std::uint64_t peer_forwards() const { return peer_forwards_; }
   [[nodiscard]] std::uint64_t jobs_dropped() const { return dispatch_.rejected(); }
   /// Events addressed to an interested broker we have no route to
   /// (fabric partition); counted per unreachable target.
-  [[nodiscard]] std::uint64_t unroutable_events() const {
-    ctx_.assert_held();
-    return unroutable_events_;
-  }
+  [[nodiscard]] std::uint64_t unroutable_events() const { return unroutable_events_; }
   [[nodiscard]] const sim::ServiceCenter& dispatch() const { return dispatch_; }
-  [[nodiscard]] std::size_t client_count() const {
-    ctx_.assert_held();
-    return clients_.size();
-  }
+  [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
   [[nodiscard]] std::size_t subscription_count() const;
   /// The topic-routing fast path index (exposed for tests and benches).
-  [[nodiscard]] const SubscriptionIndex& subscriptions() const {
-    ctx_.assert_held();
-    return sub_index_;
-  }
+  [[nodiscard]] const SubscriptionIndex& subscriptions() const { return sub_index_; }
 
   // --- Link monitoring (the performance monitoring service) ---
   /// Probes a linked peer; cb receives the RTT. Probes ride the peer's
@@ -167,39 +148,18 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   /// RTT is the real service quality of the link, not just wire latency.
   void probe_peer(BrokerId peer, std::function<void(SimDuration)> cb);
   /// Exponentially-smoothed RTT per peer from past probes.
-  [[nodiscard]] const std::map<BrokerId, SimDuration>& link_rtts() const {
-    ctx_.assert_held();
-    return srtt_;
-  }
+  [[nodiscard]] const std::map<BrokerId, SimDuration>& link_rtts() const { return srtt_; }
 
   // --- Failure detection (see HeartbeatConfig) ---
-  [[nodiscard]] std::uint64_t heartbeats_sent() const {
-    ctx_.assert_held();
-    return heartbeats_sent_;
-  }
+  [[nodiscard]] std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
   /// Peer-link liveness transitions this broker's detector declared.
-  [[nodiscard]] std::uint64_t links_detected_down() const {
-    ctx_.assert_held();
-    return links_detected_down_;
-  }
-  [[nodiscard]] std::uint64_t links_detected_up() const {
-    ctx_.assert_held();
-    return links_detected_up_;
-  }
-  [[nodiscard]] bool peer_considered_down(BrokerId peer) const {
-    ctx_.assert_held();
-    return peer_down_.contains(peer);
-  }
+  [[nodiscard]] std::uint64_t links_detected_down() const { return links_detected_down_; }
+  [[nodiscard]] std::uint64_t links_detected_up() const { return links_detected_up_; }
+  [[nodiscard]] bool peer_considered_down(BrokerId peer) const { return peer_down_.contains(peer); }
   /// Ghost client records reaped by the client-keepalive sweep.
-  [[nodiscard]] std::uint64_t clients_reaped() const {
-    ctx_.assert_held();
-    return clients_reaped_;
-  }
+  [[nodiscard]] std::uint64_t clients_reaped() const { return clients_reaped_; }
   /// kLinkState advertisements this broker originated or forwarded.
-  [[nodiscard]] std::uint64_t link_states_flooded() const {
-    ctx_.assert_held();
-    return link_states_flooded_;
-  }
+  [[nodiscard]] std::uint64_t link_states_flooded() const { return link_states_flooded_; }
 
  private:
   friend class BrokerNetwork;
@@ -219,23 +179,23 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   void accept(transport::StreamConnectionPtr conn);
   void handle_stream_frame(ClientId client, const Payload& data);
   void handle_datagram(const sim::Datagram& d);
-  void handle_subscription(ClientRec& c, const SubscribeMessage& m) GMMCS_REQUIRES(ctx_);
+  void handle_subscription(ClientRec& c, const SubscribeMessage& m);
   /// Drops a client record and its subscriptions/advertisements. Used when
   /// a reconnecting client's fresh Hello supersedes its ghost record.
-  void evict_client(ClientId cid) GMMCS_REQUIRES(ctx_);
-  void handle_peer_heartbeat(BrokerId peer) GMMCS_REQUIRES(ctx_);
+  void evict_client(ClientId cid);
+  void handle_peer_heartbeat(BrokerId peer);
   void heartbeat_tick();
   /// Starts the heartbeat task lazily once the first peer link exists.
-  void ensure_heartbeat_task() GMMCS_REQUIRES(ctx_);
+  void ensure_heartbeat_task();
   /// Client-keepalive sweep: probes quiet client records, reaps dead ones.
   void client_keepalive_tick();
   /// Detector transition in gossip mode: flood a fresh advertisement for
   /// the (id_, peer) link so remote brokers learn at propagation speed.
-  void originate_link_state(BrokerId peer, bool up) GMMCS_REQUIRES(ctx_);
+  void originate_link_state(BrokerId peer, bool up);
   /// A kLinkState frame arriving from a peer: dedup by (origin, link, seq),
   /// apply to our routing view and re-flood once.
-  void handle_link_state(const LinkStateMessage& m) GMMCS_REQUIRES(ctx_);
-  void flood_link_state(const LinkStateMessage& m) GMMCS_REQUIRES(ctx_);
+  void handle_link_state(const LinkStateMessage& m);
+  void flood_link_state(const LinkStateMessage& m);
 
   /// Entry point for a client-published event. `publisher` (0 = unknown)
   /// is excluded from local delivery: a subscriber never hears its own
@@ -244,91 +204,75 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   /// derived one the frame is adopted verbatim as the delivery wire, so
   /// the broker re-encodes nothing and the whole fan-out shares the
   /// publisher's single allocation.
-  void ingress_event(Event ev, ClientId publisher, const Payload& frame) GMMCS_REQUIRES(ctx_);
+  void ingress_event(Event ev, ClientId publisher, const Payload& frame);
   /// Entry point for an event forwarded by a peer broker.
-  void ingress_peer_event(PeerEventMessage m) GMMCS_REQUIRES(ctx_);
+  void ingress_peer_event(PeerEventMessage m);
   /// Routing core: deliver locally and forward the remaining targets.
   /// Fan-out jobs share the RoutedEvent — no per-recipient Event copy and
   /// at most one kEvent encode per event.
   void route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
-                         const std::vector<BrokerId>& remote_targets) GMMCS_REQUIRES(ctx_);
+                         const std::vector<BrokerId>& remote_targets);
   /// Local fan-out of one event to every matching client (minus
   /// `exclude`): per-copy dispatch jobs under ControlPlane::kLocked, one
   /// NIC-gated ServiceCenter batch under kSnapshot.
-  void fan_out_local(const RoutedEventPtr& ev, ClientId exclude) GMMCS_REQUIRES(ctx_);
+  void fan_out_local(const RoutedEventPtr& ev, ClientId exclude);
   /// Forwards an event toward each remaining target broker, one copy per
   /// distinct next hop.
-  void route_remote(const RoutedEventPtr& ev, const std::vector<BrokerId>& targets)
-      GMMCS_REQUIRES(ctx_);
-  void deliver_copy(const ClientRec& c, const RoutedEvent& ev) GMMCS_REQUIRES(ctx_);
+  void route_remote(const RoutedEventPtr& ev, const std::vector<BrokerId>& targets);
+  void deliver_copy(const ClientRec& c, const RoutedEvent& ev);
   void forward_to_peer(BrokerId next_hop, const RoutedEvent& ev,
-                       const std::vector<BrokerId>& targets) GMMCS_REQUIRES(ctx_);
+                       const std::vector<BrokerId>& targets);
   [[nodiscard]] std::vector<ClientId> local_matches(const std::string& topic,
-                                                    ClientId exclude = 0) const
-      GMMCS_REQUIRES(ctx_);
+                                                    ClientId exclude = 0) const;
 
-  /// Outgoing link to a peer broker (created by BrokerNetwork::link, which
-  /// establishes our ctx_ first — see DESIGN.md §11 on the fabric/broker
-  /// mutual-entry pattern).
-  void add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn) GMMCS_REQUIRES(ctx_);
+  /// Outgoing link to a peer broker (created by BrokerNetwork::link).
+  void add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn);
 
   sim::Host* host_;
   BrokerId id_;
   Config cfg_;
-  /// Broker execution context (phantom capability, DESIGN.md §11): the
-  /// state below belongs to this broker's host lane. Broker hosts run on
-  /// ordinary parallel lanes — fabric-shared control-plane state lives in
-  /// BrokerNetwork behind the epoch-snapshot discipline (DESIGN.md §12),
-  /// so a broker's dispatch events only read immutable snapshots plus
-  /// this lane-local state, and cross-broker traffic rides the simulated
-  /// network like any other host's.
-  ExecContext ctx_;
-  BrokerNetwork* network_ GMMCS_GUARDED_BY(ctx_) = nullptr;  // set by BrokerNetwork::add_broker
+  BrokerNetwork* network_ = nullptr;  // set by BrokerNetwork::add_broker
   transport::StreamListener listener_;
   transport::DatagramSocket dgram_;
   sim::ServiceCenter dispatch_;
-  ClientId next_client_id_ GMMCS_GUARDED_BY(ctx_) = 1;
-  std::unordered_map<ClientId, ClientRec> clients_ GMMCS_GUARDED_BY(ctx_);
+  ClientId next_client_id_ = 1;
+  std::unordered_map<ClientId, ClientRec> clients_;
   /// Topic -> subscriber fast path (exact hash index + wildcard list +
   /// per-topic match cache); kept in sync with ClientRec::filters.
-  SubscriptionIndex sub_index_ GMMCS_GUARDED_BY(ctx_);
+  SubscriptionIndex sub_index_;
   /// Reverse index: client's UDP endpoint -> id, to identify publishers of
   /// datagram-path events (hot path: one hash lookup per media packet).
-  std::unordered_map<sim::Endpoint, ClientId, sim::EndpointHash> udp_index_
-      GMMCS_GUARDED_BY(ctx_);
-  std::unordered_map<BrokerId, transport::StreamConnectionPtr> peer_links_
-      GMMCS_GUARDED_BY(ctx_);
+  std::unordered_map<sim::Endpoint, ClientId, sim::EndpointHash> udp_index_;
+  std::unordered_map<BrokerId, transport::StreamConnectionPtr> peer_links_;
   /// Failure-detector state (ordered: heartbeat fan-out order must be
   /// deterministic). last-heard is bumped by every peer heartbeat.
-  std::map<BrokerId, SimTime> peer_last_heard_ GMMCS_GUARDED_BY(ctx_);
-  std::set<BrokerId> peer_down_ GMMCS_GUARDED_BY(ctx_);
-  std::unique_ptr<sim::PeriodicTask> heartbeat_task_ GMMCS_GUARDED_BY(ctx_);
-  std::unique_ptr<sim::PeriodicTask> client_keepalive_task_ GMMCS_GUARDED_BY(ctx_);
-  std::uint64_t heartbeats_sent_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t links_detected_down_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t links_detected_up_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t clients_reaped_ GMMCS_GUARDED_BY(ctx_) = 0;
+  std::map<BrokerId, SimTime> peer_last_heard_;
+  std::set<BrokerId> peer_down_;
+  std::unique_ptr<sim::PeriodicTask> heartbeat_task_;
+  std::unique_ptr<sim::PeriodicTask> client_keepalive_task_;
+  std::uint64_t heartbeats_sent_ = 0;
+  std::uint64_t links_detected_down_ = 0;
+  std::uint64_t links_detected_up_ = 0;
+  std::uint64_t clients_reaped_ = 0;
   /// Gossip state: per-origin flood dedup — highest seq already forwarded
   /// for (origin, link min, link max) — and our own origination counter.
-  std::map<std::tuple<BrokerId, BrokerId, BrokerId>, std::uint32_t> lsa_seen_
-      GMMCS_GUARDED_BY(ctx_);
-  std::uint32_t lsa_next_seq_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t link_states_flooded_ GMMCS_GUARDED_BY(ctx_) = 0;
+  std::map<std::tuple<BrokerId, BrokerId, BrokerId>, std::uint32_t> lsa_seen_;
+  std::uint32_t lsa_next_seq_ = 0;
+  std::uint64_t link_states_flooded_ = 0;
   /// Ticks since the last gossip refresh re-flood (see heartbeat_tick).
-  int gossip_refresh_countdown_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint32_t next_probe_token_ GMMCS_GUARDED_BY(ctx_) = 1;
-  std::map<std::uint32_t, std::pair<BrokerId, std::function<void(SimDuration)>>> probes_
-      GMMCS_GUARDED_BY(ctx_);
-  std::map<BrokerId, SimDuration> srtt_ GMMCS_GUARDED_BY(ctx_);
+  int gossip_refresh_countdown_ = 0;
+  std::uint32_t next_probe_token_ = 1;
+  std::map<std::uint32_t, std::pair<BrokerId, std::function<void(SimDuration)>>> probes_;
+  std::map<BrokerId, SimDuration> srtt_;
   // Inbound connections (from clients and peers) we must keep alive.
-  std::vector<transport::StreamConnectionPtr> inbound_ GMMCS_GUARDED_BY(ctx_);
-  std::uint64_t events_in_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t copies_delivered_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t peer_forwards_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t unroutable_events_ GMMCS_GUARDED_BY(ctx_) = 0;
+  std::vector<transport::StreamConnectionPtr> inbound_;
+  std::uint64_t events_in_ = 0;
+  std::uint64_t copies_delivered_ = 0;
+  std::uint64_t peer_forwards_ = 0;
+  std::uint64_t unroutable_events_ = 0;
   /// Targets we already warned about being unreachable — at media rates an
   /// unconditional per-event warning floods the log during a partition.
-  std::set<BrokerId> warned_unroutable_ GMMCS_GUARDED_BY(ctx_);
+  std::set<BrokerId> warned_unroutable_;
 };
 
 }  // namespace gmmcs::broker

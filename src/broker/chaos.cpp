@@ -69,7 +69,6 @@ std::map<int, std::map<int, int>> reference_distances(const sim::ChaosSpec& spec
 
 ChaosOutcome run_chaos(const sim::ChaosSpec& spec, const ChaosOptions& opts) {
   sim::EventLoop loop;
-  if (opts.workers > 1) loop.set_workers(opts.workers);
   sim::Network net(loop, spec.seed ^ 0x5DEECE66Dull);
 
   // --- Fabric ---

@@ -25,8 +25,6 @@
 namespace gmmcs::broker {
 
 struct ChaosOptions {
-  /// Event-loop workers (1 = serial; the determinism test compares 1 vs 8).
-  int workers = 1;
   /// Broker-side client keepalive (the ghost-record reaper). Turning this
   /// off re-opens the DESIGN.md §8 gap — the property test does exactly
   /// that to prove the generator catches it.
@@ -43,7 +41,7 @@ struct ChaosViolation {
 };
 
 /// Deterministic run fingerprint: equal specs + equal options must yield
-/// equal metrics at any worker count (the workers-1-vs-8 double-run).
+/// equal metrics (the determinism double-run).
 struct ChaosMetrics {
   std::uint64_t reliable_delivered = 0;
   std::uint64_t reliable_recovered = 0;

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "broker/event.hpp"
+#include "common/pinned.hpp"
 #include "common/random.hpp"
-#include "common/thread_annotations.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "transport/datagram_socket.hpp"

@@ -3,19 +3,16 @@
 // The fabric's routing tables and broker interest state are read on every
 // published event (the dispatch hot path) but mutated only by rare control
 // traffic: subscribe/unsubscribe advertisements, link-state reports, route
-// repair. An RCU-style snapshot discipline exploits that asymmetry:
-// writers build a fresh immutable ControlSnapshot under the canonical
-// writer context (BrokerNetwork::ctx_) and publish it through one atomic
-// shared_ptr store; dispatch paths load the current epoch lock-free and
-// read it without any synchronization — which is what lets broker hosts
-// run on ordinary parallel lanes instead of the serial kNoLane barrier.
+// repair. BrokerNetwork owns the mutable tables and publishes them as
+// immutable, numbered epochs; dispatch paths read only the published
+// epoch. A mutation made inside a run is published by a same-timestamp
+// event, so every event sequenced before that event still reads the old
+// epoch — the visibility contract of DESIGN.md §12.
 //
-// Immutability contract (enforced by the gmmcs-lint `snapshot` pass): the
-// types below carry no mutable members and no mutating methods, and code
-// outside the writer context may only hold `const` handles to them.
-// Reclamation is shared_ptr refcounting — an old epoch stays alive exactly
-// as long as some in-flight reader still holds it, and is freed by the
-// last release with no grace-period machinery.
+// The types below carry no mutable members and no mutating methods, and
+// readers only hold `const` handles to them. Reclamation is shared_ptr
+// refcounting: an old epoch stays alive exactly as long as some reader
+// still holds it.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +27,8 @@
 namespace gmmcs::broker {
 
 /// Flattened, immutable broker-interest table: the read-side counterpart
-/// of SubscriptionIndex (which keeps refcounts and a mutable match cache,
-/// both of which would be races under concurrent readers). Built by
+/// of SubscriptionIndex (which keeps refcounts and a mutable match cache
+/// that a published epoch must not share). Built by
 /// SubscriptionIndex::flatten(); subscriber ids are broker ids here.
 struct InterestTable {
   using SubscriberId = std::uint32_t;

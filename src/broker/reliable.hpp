@@ -16,7 +16,7 @@
 #include <string>
 
 #include "broker/client.hpp"
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "transport/stream.hpp"
 
 namespace gmmcs::broker {

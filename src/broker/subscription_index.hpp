@@ -50,8 +50,7 @@ class SubscriptionIndex {
 
   /// Exports the current table as a flat immutable InterestTable for
   /// epoch-snapshot publication (DESIGN.md §12). Pure export: does not
-  /// touch the match cache, so it is safe from the writer context while
-  /// lock-free readers use previously published snapshots.
+  /// touch the match cache.
   [[nodiscard]] InterestTable flatten() const;
 
   /// Sorted, deduplicated ids of every subscriber with a filter matching

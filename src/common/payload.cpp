@@ -3,8 +3,9 @@
 namespace gmmcs {
 
 namespace {
-// Commutative sums; fan-out copy jobs may run on parallel dispatch
-// workers, so the counters are atomic (relaxed: only read between events).
+// Process-wide sums over every simulation in the process. Atomic
+// (relaxed: only the totals matter) so independent simulations may run on
+// separate threads of one bench binary without racing on them.
 std::atomic<std::uint64_t> g_payload_copies{0};
 std::atomic<std::uint64_t> g_payload_bytes_copied{0};
 }  // namespace

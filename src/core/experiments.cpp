@@ -47,7 +47,6 @@ constexpr const char* kFig3Topic = "/xgsp/session/fig3/video";
 
 Fig3Result run_fig3(const Fig3Config& cfg) {
   sim::EventLoop loop;
-  loop.set_workers(cfg.workers);
   sim::Network net(loop, cfg.seed);
   // Gigabit LAN, sub-millisecond propagation, no physical loss — matching
   // the paper's testbed conditions.
@@ -149,7 +148,6 @@ Fig3Result run_fig3(const Fig3Config& cfg) {
 
 CapacityPoint run_capacity(const CapacityConfig& cfg) {
   sim::EventLoop loop;
-  loop.set_workers(cfg.workers);
   sim::Network net(loop, cfg.seed);
   net.set_default_path(sim::PathConfig{.latency = duration_us(200), .loss = 0.0});
   sim::Host& sender_host = net.add_host("sender-machine");

@@ -37,9 +37,6 @@ struct Fig3Config {
   /// Packets per receiver to record (the paper's x-axis runs to 2000).
   int packets = 2000;
   std::uint64_t seed = 2003;
-  /// EventLoop worker threads (1 = serial). Any value yields byte-identical
-  /// results; >1 only changes wall-clock time (DESIGN.md §9).
-  int workers = 1;
 };
 
 struct Fig3Result {
@@ -70,9 +67,6 @@ struct CapacityConfig {
   double seconds = 8.0;
   broker::DispatchConfig dispatch = broker::DispatchConfig::optimized();
   std::uint64_t seed = 2003;
-  /// EventLoop worker threads (1 = serial); results are byte-identical
-  /// regardless (DESIGN.md §9).
-  int workers = 1;
 };
 
 struct CapacityPoint {

@@ -20,7 +20,7 @@
 #include <string>
 
 #include "broker/rtp_proxy.hpp"
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "h323/messages.hpp"
 #include "transport/stream.hpp"
 #include "xgsp/session_server.hpp"

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "h323/messages.hpp"
 #include "transport/datagram_socket.hpp"
 #include "transport/stream.hpp"

@@ -1,57 +1,13 @@
 #include "sim/event_loop.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace gmmcs::sim {
 
-thread_local EventLoop::ExecCtx* EventLoop::tls_ctx_ = nullptr;
-
-EventLoop::~EventLoop() {
-  stop_pool();
-}
-
-Lane EventLoop::current_lane() const {
-  if (ExecCtx* ctx = tls_ctx_; ctx != nullptr && ctx->loop == this) return ctx->lane;
-  return inline_lane_;
-}
-
-bool EventLoop::in_parallel_batch() const {
-  ExecCtx* ctx = tls_ctx_;
-  return ctx != nullptr && ctx->loop == this;
-}
-
 TaskId EventLoop::schedule_at(SimTime when, Callback cb) {
-  return schedule_at(when, std::move(cb), current_lane());
-}
-
-TaskId EventLoop::schedule_at(SimTime when, Callback cb, Lane lane) {
   if (when < now_) when = now_;  // never schedule into the past
-  if (ExecCtx* ctx = tls_ctx_; ctx != nullptr && ctx->loop == this) {
-    // Parallel batch: buffer the request; the real heap entry (and its
-    // tie-breaking seq) is created at the merge barrier in serial order.
-    // The TaskId is pre-assigned from the event's deterministic block so
-    // the caller can cancel it before or after the barrier.
-    assert(ctx->minted + 1 < kIdBlock);
-    TaskId id = ctx->id_base + ctx->minted++;
-    ctx->ops.push_back(PendingOp{PendingOp::Kind::kSchedule, when, lane, id, std::move(cb)});
-    return id;
-  }
-  return schedule_direct(when, std::move(cb), lane);
-}
-
-TaskId EventLoop::schedule_after(SimDuration delay, Callback cb) {
-  return schedule_after(delay, std::move(cb), current_lane());
-}
-
-TaskId EventLoop::schedule_after(SimDuration delay, Callback cb, Lane lane) {
-  if (delay < SimDuration{0}) delay = SimDuration{0};
-  return schedule_at(now_ + delay, std::move(cb), lane);
-}
-
-std::uint32_t EventLoop::acquire_slot(TaskId owner, Callback cb) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -60,56 +16,29 @@ std::uint32_t EventLoop::acquire_slot(TaskId owner, Callback cb) {
     slot = static_cast<std::uint32_t>(cb_slots_.size());
     cb_slots_.emplace_back();
   }
-  cb_slots_[slot].cb = std::move(cb);
-  cb_slots_[slot].owner = owner;
-  ++live_;
-  return slot;
-}
-
-EventLoop::Callback EventLoop::take_callback(const Entry& e) {
-  CbSlot& s = cb_slots_[e.slot];
-  Callback cb = std::move(s.cb);  // move disengages s.cb
-  s.owner = 0;
-  free_slots_.push_back(e.slot);
-  --live_;
-  if ((e.id & kParallelIdBit) != 0) parallel_slots_.erase(e.id);
-  return cb;
-}
-
-TaskId EventLoop::schedule_direct(SimTime when, Callback cb, Lane lane) {
-  std::uint32_t slot = acquire_slot(/*owner=*/0, std::move(cb));
-  // Serial ids encode their slot (see cb_slots_), so cancel() needs no
-  // lookup; slot+1 keeps the id nonzero and below kParallelIdBit.
+  // Ids encode their slot (see cb_slots_), so cancel() needs no lookup;
+  // slot+1 keeps the id nonzero.
   TaskId id = ((TaskId{slot} + 1) << 32) | next_serial_++;
+  cb_slots_[slot].cb = std::move(cb);
   cb_slots_[slot].owner = id;
-  heap_.push_back(Entry{when, next_seq_++, id, slot, lane});
+  ++live_;
+  heap_.push_back(Entry{when, next_seq_++, id, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
-void EventLoop::cancel(TaskId id) {
-  if (ExecCtx* ctx = tls_ctx_; ctx != nullptr && ctx->loop == this) {
-    ctx->ops.push_back(PendingOp{PendingOp::Kind::kCancel, SimTime{}, kNoLane, id, nullptr});
-    return;
-  }
-  cancel_direct(id);
+TaskId EventLoop::schedule_after(SimDuration delay, Callback cb) {
+  if (delay < SimDuration{0}) delay = SimDuration{0};
+  return schedule_at(now_ + delay, std::move(cb));
 }
 
-void EventLoop::cancel_direct(TaskId id) {
-  std::uint32_t slot;
-  if ((id & kParallelIdBit) != 0) {
-    auto it = parallel_slots_.find(id);
-    if (it == parallel_slots_.end()) return;  // already run/cancelled
-    slot = it->second;
-    parallel_slots_.erase(it);
-  } else {
-    TaskId hi = id >> 32;
-    if (hi == 0 || hi > cb_slots_.size()) return;  // id 0 or never minted
-    slot = static_cast<std::uint32_t>(hi - 1);
-  }
+void EventLoop::cancel(TaskId id) {
+  TaskId hi = id >> 32;
+  if (hi == 0 || hi > cb_slots_.size()) return;  // id 0 or never minted
+  auto slot = static_cast<std::uint32_t>(hi - 1);
   CbSlot& s = cb_slots_[slot];
-  if (s.owner != id) return;  // slot already recycled: stale cancel, no-op
-  s.cb.reset();  // destroy captured state eagerly, as the map erase did
+  if (s.owner != id) return;  // already run/cancelled, or slot recycled: no-op
+  s.cb.reset();  // destroy captured state eagerly
   s.owner = 0;
   free_slots_.push_back(slot);
   --live_;
@@ -141,264 +70,37 @@ bool EventLoop::prune_stale_top() {
   return false;
 }
 
-void EventLoop::post_effect(SmallFn fn) {
-  if (ExecCtx* ctx = tls_ctx_; ctx != nullptr && ctx->loop == this) {
-    ctx->ops.push_back(
-        PendingOp{PendingOp::Kind::kEffect, SimTime{}, kNoLane, 0, std::move(fn)});
-    return;
-  }
-  fn();
-}
-
-void EventLoop::execute_inline(Entry e, Callback cb) {
-  now_ = e.when;
-  ++executed_;
-  if (trace_) trace_(e.when, e.seq);
-  Lane prev = inline_lane_;
-  bool prev_exec = executing_;
-  inline_lane_ = e.lane;
-  executing_ = true;
-  cb();
-  executing_ = prev_exec;
-  inline_lane_ = prev;
-}
-
 bool EventLoop::step() {
   if (!prune_stale_top()) return false;
   Entry e = heap_.front();
   pop_top();
-  Callback cb = take_callback(e);
-  execute_inline(std::move(e), std::move(cb));
+  CbSlot& s = cb_slots_[e.slot];
+  Callback cb = std::move(s.cb);  // move disengages s.cb
+  s.owner = 0;
+  free_slots_.push_back(e.slot);
+  --live_;
+
+  now_ = e.when;
+  ++executed_;
+  if (trace_) trace_(e.when, e.seq);
+  bool prev_exec = executing_;
+  executing_ = true;
+  cb();
+  executing_ = prev_exec;
   return true;
 }
 
 void EventLoop::run() {
-  if (workers_ <= 1) {
-    while (step()) {
-    }
-    return;
-  }
-  while (run_batch(SimTime::infinity())) {
+  while (step()) {
   }
 }
 
 void EventLoop::run_until(SimTime deadline) {
-  if (workers_ <= 1) {
-    while (prune_stale_top()) {
-      if (heap_.front().when > deadline) break;
-      step();
-    }
-  } else {
-    while (run_batch(deadline)) {
-    }
+  while (prune_stale_top()) {
+    if (heap_.front().when > deadline) break;
+    step();
   }
   if (now_ < deadline) now_ = deadline;
-}
-
-bool EventLoop::run_batch(SimTime deadline) {
-  if (!prune_stale_top()) return false;
-  SimTime t = heap_.front().when;
-  if (t > deadline) return false;
-
-  // Gather same-timestamp events in (when, seq) order. Events whose lane
-  // is untaken join the batch; events whose lane a batch member already
-  // holds are *deferred* (lane-aware lookahead) so the events behind them
-  // can still widen the batch — they execute inline at the merge barrier
-  // in their exact seq position, which is where serial execution would
-  // have run them. Untagged (kNoLane) events are hard stops: they never
-  // share a batch and never jump the lookahead.
-  batch_.clear();
-  deferred_.clear();
-  while (prune_stale_top() && heap_.front().when == t) {
-    const Entry& top = heap_.front();
-    if (!batch_.empty()) {
-      if (top.lane == kNoLane) break;  // barrier: stays queued for the next batch
-      bool conflict = false;
-      for (const BatchItem& item : batch_) conflict |= item.entry.lane == top.lane;
-      if (conflict) {
-        // Defer: pop the entry but leave its callback parked in cb_slots_
-        // (a commit-time cancel must still be able to kill it).
-        deferred_.push_back(top);
-        pop_top();
-        continue;
-      }
-    }
-    Entry e = top;
-    pop_top();
-    Callback cb = take_callback(e);
-    bool solo = e.lane == kNoLane;
-    batch_.push_back(BatchItem{std::move(e), std::move(cb), ExecCtx{}});
-    if (solo) break;
-  }
-
-  now_ = t;
-  if (batch_.size() == 1) {
-    // Nothing to parallelize: run the head event inline, then any deferred
-    // entries (all same-lane with it, all later in seq order) the same way.
-    BatchItem item = std::move(batch_.front());
-    batch_.clear();
-    execute_inline(std::move(item.entry), std::move(item.cb));
-    for (std::size_t di = 0; di < deferred_.size(); ++di) {
-      Entry e = deferred_[di];
-      if (!is_live(e)) continue;  // cancelled by an earlier inline event
-      Callback cb = take_callback(e);
-      execute_inline(std::move(e), std::move(cb));
-    }
-    deferred_.clear();
-    return true;
-  }
-
-  // Pre-assign each slot its deterministic TaskId block (in seq order) and
-  // hand it last batch's ops arena so buffering doesn't reallocate.
-  if (op_arena_.size() < batch_.size()) op_arena_.resize(batch_.size());
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    BatchItem& item = batch_[i];
-    item.ctx.loop = this;
-    item.ctx.lane = item.entry.lane;
-    item.ctx.id_base = next_block_base_;
-    item.ctx.ops = std::move(op_arena_[i]);
-    next_block_base_ += kIdBlock;
-  }
-
-  // Publish the batch to the pool and help drain it.
-  std::uint64_t gen;
-  {
-    MutexLock lk(pool_mu_);
-    slots_ = batch_.data();
-    batch_size_ = batch_.size();
-    next_slot_ = 0;
-    done_count_ = 0;
-    gen = ++generation_;
-  }
-  work_cv_.notify_all();
-  run_slots(gen);
-  {
-    MutexLock lk(pool_mu_);
-    done_cv_.wait(pool_mu_, [this]() GMMCS_REQUIRES(pool_mu_) {
-      return done_count_ == batch_size_;
-    });
-    // Close the batch: late worker wake-ups must find nothing claimable.
-    batch_size_ = 0;
-    slots_ = nullptr;
-  }
-
-  // Merge barrier: interleave batch commits and deferred inline events in
-  // (when, seq) order — exactly the order serial execution would have
-  // produced. executing_ stays set across the merge so effects that defer
-  // publication (see executing()) behave identically in serial and
-  // parallel runs.
-  bool prev_exec = executing_;
-  executing_ = true;
-  std::size_t bi = 0;
-  std::size_t di = 0;
-  while (bi < batch_.size() || di < deferred_.size()) {
-    bool take_batch = di >= deferred_.size() ||
-                      (bi < batch_.size() && batch_[bi].entry.seq < deferred_[di].seq);
-    if (take_batch) {
-      commit(batch_[bi]);
-      op_arena_[bi] = std::move(batch_[bi].ctx.ops);  // return arena (capacity kept)
-      ++bi;
-    } else {
-      Entry e = deferred_[di++];
-      if (!is_live(e)) continue;  // cancelled by an earlier commit/inline event
-      Callback cb = take_callback(e);
-      execute_inline(std::move(e), std::move(cb));
-    }
-  }
-  executing_ = prev_exec;
-  batch_.clear();
-  deferred_.clear();
-  return true;
-}
-
-void EventLoop::commit(BatchItem& item) {
-  ++executed_;
-  if (trace_) trace_(item.entry.when, item.entry.seq);
-  for (PendingOp& op : item.ctx.ops) {
-    switch (op.kind) {
-      case PendingOp::Kind::kSchedule: {
-        // Parallel-minted ids are pre-assigned block ids and can't encode a
-        // slot, so they get a parallel_slots_ map entry.
-        std::uint32_t slot = acquire_slot(op.id, std::move(op.fn));
-        parallel_slots_.emplace(op.id, slot);
-        heap_.push_back(Entry{op.when, next_seq_++, op.id, slot, op.lane});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-        break;
-      }
-      case PendingOp::Kind::kCancel:
-        cancel_direct(op.id);
-        break;
-      case PendingOp::Kind::kEffect:
-        op.fn();
-        break;
-    }
-  }
-  // Destroy the callback (and anything it captured) before the next
-  // slot's effects apply, matching serial destruction order.
-  item.cb = nullptr;
-  item.ctx.ops.clear();
-}
-
-void EventLoop::run_slots(std::uint64_t gen) {
-  for (;;) {
-    BatchItem* item = nullptr;
-    {
-      MutexLock lk(pool_mu_);
-      // A stale generation means the batch this thread was woken for has
-      // already been fully executed and closed — nothing to claim.
-      if (gen != generation_ || next_slot_ >= batch_size_) return;
-      item = &slots_[next_slot_++];
-    }
-    tls_ctx_ = &item->ctx;
-    item->cb();
-    tls_ctx_ = nullptr;
-    MutexLock lk(pool_mu_);
-    if (++done_count_ == batch_size_) done_cv_.notify_all();
-  }
-}
-
-void EventLoop::worker_main() {
-  std::uint64_t seen_gen = 0;
-  for (;;) {
-    {
-      MutexLock lk(pool_mu_);
-      work_cv_.wait(pool_mu_, [&]() GMMCS_REQUIRES(pool_mu_) {
-        return stopping_ || generation_ != seen_gen;
-      });
-      if (stopping_) return;
-      seen_gen = generation_;
-    }
-    run_slots(seen_gen);
-  }
-}
-
-void EventLoop::set_workers(int n) {
-  if (n < 1) n = 1;
-  if (n == workers_) return;
-  stop_pool();
-  workers_ = n;
-  if (workers_ > 1) start_pool();
-}
-
-void EventLoop::start_pool() {
-  {
-    MutexLock lk(pool_mu_);
-    stopping_ = false;
-  }
-  // The coordinator claims slots too, so n workers = n-1 pool threads.
-  for (int i = 1; i < workers_; ++i) {
-    pool_.emplace_back([this] { worker_main(); });
-  }
-}
-
-void EventLoop::stop_pool() {
-  if (pool_.empty()) return;
-  {
-    MutexLock lk(pool_mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  pool_.clear();  // Thread joins on destruction
 }
 
 PeriodicTask::PeriodicTask(EventLoop& loop, SimDuration period,
@@ -407,13 +109,6 @@ PeriodicTask::PeriodicTask(EventLoop& loop, SimDuration period,
   if (period_ <= SimDuration{0}) {
     throw std::invalid_argument("PeriodicTask: period must be positive");
   }
-}
-
-PeriodicTask::PeriodicTask(EventLoop& loop, SimDuration period,
-                           std::function<void(std::uint64_t)> fn, Lane lane)
-    : PeriodicTask(loop, period, std::move(fn)) {
-  has_lane_ = true;
-  lane_ = lane;
 }
 
 PeriodicTask::~PeriodicTask() {
@@ -431,14 +126,12 @@ void PeriodicTask::start_after(SimDuration initial_delay) {
 }
 
 void PeriodicTask::arm(SimDuration delay) {
-  auto tick = [this] {
+  pending_ = loop_.schedule_after(delay, [this] {
     if (!running_) return;
     std::uint64_t t = tick_++;
     arm(period_);
     fn_(t);
-  };
-  pending_ = has_lane_ ? loop_.schedule_after(delay, std::move(tick), lane_)
-                       : loop_.schedule_after(delay, std::move(tick));
+  });
 }
 
 void PeriodicTask::stop() {

@@ -2,43 +2,22 @@
 //
 // A single EventLoop instance drives an entire Global-MMCS deployment:
 // every host, broker, gateway and media client schedules callbacks on it.
-// Events at equal times run in scheduling order (a monotonic sequence
-// number breaks ties), which keeps runs fully deterministic.
-//
-// Parallel host dispatch (DESIGN.md §9): with set_workers(N > 1), events
-// carrying *distinct lanes* (one lane per independent host) that fall on
-// the same simulated timestamp execute concurrently on a host-CPU worker
-// pool. A lane-tagged callback may only touch that lane's state; every
-// cross-lane side effect — scheduling, cancelling, Network::transmit —
-// is buffered per event while the batch runs and merged at a barrier in
-// (when, seq) order, i.e. exactly the order serial execution would have
-// applied it. Untagged (kNoLane) events are barriers: they run alone.
-// The result is byte-identical to serial mode for any workload that
-// respects lane discipline; scripts/check.sh thread (TSan) and the
-// serial-vs-parallel equivalence tests certify it.
+// Events run one at a time on the calling thread; events at equal times
+// run in scheduling order (a monotonic sequence number breaks ties), which
+// keeps runs fully deterministic.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "common/small_fn.hpp"
-#include "common/thread.hpp"
 #include "common/time.hpp"
 
 namespace gmmcs::sim {
 
 /// Handle for cancelling a scheduled event.
 using TaskId = std::uint64_t;
-
-/// Execution lane for parallel host dispatch. Events on the same lane
-/// never run concurrently (they keep their (when, seq) order); events on
-/// distinct lanes at the same timestamp may. kNoLane events are global
-/// barriers — they always execute alone.
-using Lane = std::uint32_t;
-inline constexpr Lane kNoLane = 0;
 
 class EventLoop {
  public:
@@ -49,43 +28,25 @@ class EventLoop {
   using Callback = SmallFn;
 
   EventLoop() = default;
-  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules a callback at an absolute time (>= now). The event inherits
-  /// the lane of the event currently executing (kNoLane outside events),
-  /// which keeps per-host callback chains on their host's lane.
+  /// Schedules a callback at an absolute time (>= now).
   TaskId schedule_at(SimTime when, Callback cb);
-  /// Schedules with an explicit lane (kNoLane = global barrier event).
-  TaskId schedule_at(SimTime when, Callback cb, Lane lane);
-  /// Schedules a callback after a relative delay (>= 0); lane inherited.
+  /// Schedules a callback after a relative delay (>= 0).
   TaskId schedule_after(SimDuration delay, Callback cb);
-  TaskId schedule_after(SimDuration delay, Callback cb, Lane lane);
   /// Cancels a pending event; cancelling an already-run or unknown id is a no-op.
   void cancel(TaskId id);
 
-  /// Runs `fn` now in serial execution. During a parallel batch the call
-  /// is buffered and replayed at the merge barrier in (when, seq) order of
-  /// the buffering events — the hook Network uses to keep cross-host
-  /// traffic (and its RNG draws) in serial order. `fn` runs on the
-  /// coordinator thread with no lane context.
-  void post_effect(SmallFn fn);
-  /// True while the calling thread is executing an event of a parallel
-  /// batch (i.e. side effects on shared state must go through
-  /// post_effect / the buffered schedule path).
-  [[nodiscard]] bool in_parallel_batch() const;
-  /// True while the loop is inside event execution — an inline event, a
-  /// parallel batch, or the merge barrier replaying buffered effects.
-  /// Deferred-publication logic (BrokerNetwork's snapshot epoch) keys off
-  /// this: mutations from setup/test code publish synchronously, while
-  /// mutations inside a run defer publication to a scheduled event so
-  /// serial and parallel execution see epoch flips at the same (when, seq)
-  /// position.
-  [[nodiscard]] bool executing() const { return executing_ || in_parallel_batch(); }
+  /// True while the loop is inside event execution. Deferred-publication
+  /// logic (BrokerNetwork's snapshot epoch) keys off this: mutations from
+  /// setup/test code publish synchronously, while mutations inside a run
+  /// defer publication to a same-timestamp scheduled event, so events
+  /// sequenced before it still read the previous epoch.
+  [[nodiscard]] bool executing() const { return executing_; }
 
   /// Runs events until the queue is empty.
   void run();
@@ -93,22 +54,11 @@ class EventLoop {
   void run_until(SimTime deadline);
   /// Runs for the given simulated duration from the current time.
   void run_for(SimDuration d) { run_until(now_ + d); }
-  /// Executes at most one event (always inline, even with workers);
-  /// returns false if the queue was empty.
+  /// Executes at most one event; returns false if the queue was empty.
   bool step();
 
-  /// Enables parallel host dispatch on `n` workers (n <= 1 = serial).
-  /// Call outside run(); the pool persists until changed or destroyed.
-  void set_workers(int n);
-  [[nodiscard]] int workers() const { return workers_; }
-
-  /// Lane of the event currently executing on this thread (kNoLane when
-  /// called outside an event). New events inherit this by default.
-  [[nodiscard]] Lane current_lane() const;
-
   /// Execution-trace hook, called once per executed event as (when, seq)
-  /// in commit order. Serial and parallel runs of the same workload must
-  /// produce identical traces — the equivalence tests assert exactly that.
+  /// in execution order.
   void set_trace(std::function<void(SimTime, std::uint64_t)> fn) { trace_ = std::move(fn); }
 
   [[nodiscard]] std::size_t pending() const { return live_; }
@@ -124,9 +74,8 @@ class EventLoop {
     std::uint64_t seq;
     TaskId id;
     std::uint32_t slot;
-    Lane lane;
     // Heap entries are copied around by push_heap/pop_heap; the callback
-    // lives in slots_[slot] (a recycled slot table, the ServiceCenter
+    // lives in cb_slots_[slot] (a recycled slot table, the ServiceCenter
     // technique) so entries stay trivially copyable and scheduling an
     // event allocates nothing once the table is warm.
   };
@@ -145,64 +94,15 @@ class EventLoop {
     TaskId owner = 0;
   };
 
-  /// One buffered side effect of an event running in a parallel batch.
-  struct PendingOp {
-    enum class Kind { kSchedule, kCancel, kEffect };
-    Kind kind;
-    SimTime when;         // kSchedule
-    Lane lane = kNoLane;  // kSchedule
-    TaskId id = 0;        // kSchedule (pre-assigned) / kCancel
-    SmallFn fn;           // kSchedule callback / kEffect closure
-  };
-
-  /// Per-event execution context while a parallel batch is in flight.
-  /// Written only by the one thread running the event; read by the
-  /// coordinator after the barrier (synchronized via pool_mu_).
-  struct ExecCtx {
-    EventLoop* loop = nullptr;
-    Lane lane = kNoLane;
-    TaskId id_base = 0;  // deterministic pre-assigned TaskId block
-    std::uint32_t minted = 0;
-    std::vector<PendingOp> ops;
-  };
-
-  struct BatchItem {
-    Entry entry;
-    Callback cb;
-    ExecCtx ctx;
-  };
-
-  TaskId schedule_direct(SimTime when, Callback cb, Lane lane);
-  void cancel_direct(TaskId id);
-  /// Reserves a slot in slots_ (recycling freed ones) for `owner`'s cb.
-  std::uint32_t acquire_slot(TaskId owner, Callback cb);
   /// True iff the heap entry's slot still belongs to it (not cancelled/run).
   [[nodiscard]] bool is_live(const Entry& e) const {
     return cb_slots_[e.slot].owner == e.id;
   }
-  /// Moves the callback out of a live entry's slot and frees the slot.
-  Callback take_callback(const Entry& e);
   /// Drops stale (cancelled) heap entries once they outnumber live ones.
   void maybe_compact();
   /// Pops cancelled entries off the heap top; false if the heap empties.
   bool prune_stale_top();
   void pop_top();
-  /// Runs one event inline on the calling thread (serial execution path).
-  void execute_inline(Entry e, Callback cb);
-  /// Gathers and executes one same-timestamp batch (parallel mode);
-  /// returns false if no live event has when <= deadline. Lane-aware
-  /// lookahead: same-timestamp entries whose lane is already in the batch
-  /// are deferred past (not barriers), widening the batch; they run inline
-  /// at the merge barrier in exact seq order.
-  bool run_batch(SimTime deadline);
-  /// Applies one event's buffered ops in order (coordinator thread).
-  void commit(BatchItem& item);
-  void start_pool();
-  void stop_pool();
-  void worker_main();
-  /// Claims and runs slots of batch generation `gen` until none are left
-  /// (any pool thread, and the coordinator itself).
-  void run_slots(std::uint64_t gen);
 
   SimTime now_;
   std::uint64_t next_seq_ = 0;
@@ -212,75 +112,26 @@ class EventLoop {
   std::vector<Entry> heap_;
   /// Recycled callback storage; Entry::slot indexes it. Freed slots go on
   /// free_slots_ (LIFO, cache-warm) so steady-state scheduling never
-  /// allocates. Serial TaskIds encode their slot (slot+1 in the top 31
-  /// bits below kParallelIdBit, a serial counter in the low 32), which
-  /// makes cancel() a direct owner-check with no lookup structure at all;
-  /// parallel-minted ids carry a pre-assigned block id instead, so those
-  /// (rare: only brokers schedule from batches today) go through
-  /// parallel_slots_. A stale cancel can only mis-hit a recycled slot if
-  /// the low 32-bit serial wraps *and* collides — 2^32 mints between a
-  /// cancel and its target's reuse, which no simulated workload reaches.
+  /// allocates. TaskIds encode their slot (slot+1 in the high 32 bits, a
+  /// serial counter in the low 32), which makes cancel() a direct
+  /// owner-check with no lookup structure at all. A stale cancel can only
+  /// mis-hit a recycled slot if the low 32-bit serial wraps *and*
+  /// collides — 2^32 mints between a cancel and its target's reuse, which
+  /// no simulated workload reaches.
   std::vector<CbSlot> cb_slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
   std::uint32_t next_serial_ = 1;
-  /// Slot lookup for parallel-minted (kParallelIdBit) TaskIds only.
-  std::unordered_map<TaskId, std::uint32_t> parallel_slots_;
-  /// Lane of the event currently running inline (coordinator thread).
-  Lane inline_lane_ = kNoLane;
-  /// True while an event executes or a batch merge is in progress (see
-  /// executing()).
+  /// True while an event executes (see executing()).
   bool executing_ = false;
   std::function<void(SimTime, std::uint64_t)> trace_;
-
-  // --- Parallel dispatch (all touched by run_batch and the pool) ---
-  int workers_ = 1;
-  /// TaskIds minted inside parallel batches live above this bit so they
-  /// never collide with the serial next_id_ counter.
-  static constexpr TaskId kParallelIdBit = TaskId{1} << 63;
-  /// Each batch slot may mint up to kIdBlock tasks while buffered.
-  static constexpr TaskId kIdBlock = TaskId{1} << 16;
-  TaskId next_block_base_ = kParallelIdBit;
-  std::vector<BatchItem> batch_;
-  /// Same-timestamp entries skipped by the lane-aware lookahead because
-  /// their lane was already taken in batch_. Their callbacks stay parked
-  /// in cb_slots_; the merge barrier executes them inline at their exact
-  /// seq position, interleaved with the batch commits.
-  std::vector<Entry> deferred_;
-  /// Per-slot arenas for buffered PendingOps: batch slot i reuses the ops
-  /// vector (and each op's SmallFn storage is inline anyway) it used last
-  /// batch, so steady-state parallel broker fan-out stops reallocating
-  /// op buffers once warm.
-  std::vector<std::vector<PendingOp>> op_arena_;
-  std::vector<Thread> pool_;
-  Mutex pool_mu_;
-  CondVar work_cv_;  // workers: new batch or shutdown
-  CondVar done_cv_;  // coordinator: batch fully executed
-  /// Bumped once per published batch; a worker only claims slots while
-  /// its observed generation is current, which makes late wake-ups exit
-  /// cleanly instead of touching a batch being rebuilt.
-  std::uint64_t generation_ GMMCS_GUARDED_BY(pool_mu_) = 0;
-  bool stopping_ GMMCS_GUARDED_BY(pool_mu_) = false;
-  /// Snapshot of batch_ for the pool (stable while a batch is in flight).
-  BatchItem* slots_ GMMCS_GUARDED_BY(pool_mu_) = nullptr;
-  std::size_t batch_size_ GMMCS_GUARDED_BY(pool_mu_) = 0;
-  std::size_t next_slot_ GMMCS_GUARDED_BY(pool_mu_) = 0;
-  std::size_t done_count_ GMMCS_GUARDED_BY(pool_mu_) = 0;
-  /// Parallel-batch execution context of the calling thread (see
-  /// ExecCtx); static so the buffered schedule/cancel/post_effect paths
-  /// can find it without plumbing.
-  static thread_local ExecCtx* tls_ctx_;
 };
 
 /// Repeatedly invokes a callback at a fixed period until stopped.
 /// The callback receives the tick index (0, 1, 2, ...).
 class PeriodicTask {
  public:
-  /// Ticks run on `lane` (default: the lane current when the task is
-  /// started — kNoLane when started from setup code).
   PeriodicTask(EventLoop& loop, SimDuration period, std::function<void(std::uint64_t)> fn);
-  PeriodicTask(EventLoop& loop, SimDuration period, std::function<void(std::uint64_t)> fn,
-               Lane lane);
   ~PeriodicTask();
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
@@ -297,8 +148,6 @@ class PeriodicTask {
   EventLoop& loop_;
   SimDuration period_;
   std::function<void(std::uint64_t)> fn_;
-  bool has_lane_ = false;
-  Lane lane_ = kNoLane;
   std::uint64_t tick_ = 0;
   TaskId pending_ = 0;
   bool running_ = false;

@@ -17,7 +17,6 @@ EventLoop& Host::loop() const {
 }
 
 void Host::bind(std::uint16_t port, Handler handler) {
-  ctx_.assert_held();
   if (!up_) {
     throw std::logic_error("Host '" + name_ + "': bind on port " + std::to_string(port) +
                            " while host is down");
@@ -30,7 +29,6 @@ void Host::bind(std::uint16_t port, Handler handler) {
 }
 
 void Host::set_up(bool up) {
-  ctx_.assert_held();
   if (up_ == up) return;
   up_ = up;
   if (!up) {
@@ -45,7 +43,6 @@ void Host::set_up(bool up) {
 }
 
 std::uint16_t Host::bind_ephemeral(Handler handler) {
-  ctx_.assert_held();
   while (ports_.contains(next_ephemeral_)) {
     ++next_ephemeral_;
     if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
@@ -56,17 +53,14 @@ std::uint16_t Host::bind_ephemeral(Handler handler) {
 }
 
 void Host::unbind(std::uint16_t port) {
-  ctx_.assert_held();
   ports_.erase(port);
 }
 
 bool Host::is_bound(std::uint16_t port) const {
-  ctx_.assert_held();
   return ports_.contains(port);
 }
 
 SimDuration Host::nic_backlog_delay() const {
-  ctx_.assert_held();
   SimTime now = loop().now();
   if (nic_free_at_ <= now) return SimDuration{0};
   return nic_free_at_ - now;
@@ -88,14 +82,12 @@ bool Host::egress(std::size_t wire_bytes, SimTime& depart) {
   nic_queued_bytes_ += wire_bytes;
   ++nic_sent_;
   lp.schedule_at(depart, [this, wire_bytes, epoch = nic_epoch_] {
-    ctx_.assert_held();  // queue release runs on this host's lane
     if (epoch == nic_epoch_) nic_queued_bytes_ -= wire_bytes;
   });
   return true;
 }
 
 bool Host::send(Endpoint dst, std::uint16_t src_port, Payload payload, bool reliable) {
-  ctx_.assert_held();
   if (!up_) return false;
   std::size_t wire = payload.size() + nic_.overhead_bytes;
   SimTime depart;
@@ -107,23 +99,11 @@ bool Host::send(Endpoint dst, std::uint16_t src_port, Payload payload, bool reli
   d.sent_at = loop().now();
   d.reliable = reliable;
   if (egress_observer_) egress_observer_(d);
-  EventLoop& lp = loop();
-  if (lp.in_parallel_batch()) {
-    // Cross-host effect: transmit mutates fabric-shared state (the loss
-    // RNG, burst maps, arrival scheduling). Defer it to the merge barrier
-    // so those draws happen in serial (when, seq) order; serial execution
-    // takes the direct call and pays no closure allocation.
-    lp.post_effect([net = net_, self = this, d = std::move(d), depart]() mutable {
-      net->transmit(*self, std::move(d), depart);
-    });
-  } else {
-    net_->transmit(*this, std::move(d), depart);
-  }
+  net_->transmit(*this, std::move(d), depart);
   return true;
 }
 
 void Host::send_multicast(GroupId group, std::uint16_t src_port, Payload payload) {
-  ctx_.assert_held();
   if (!up_) return;
   std::size_t wire = payload.size() + nic_.overhead_bytes;
   SimTime depart;
@@ -133,18 +113,10 @@ void Host::send_multicast(GroupId group, std::uint16_t src_port, Payload payload
   d.payload = std::move(payload);
   d.sent_at = loop().now();
   d.group = group;
-  EventLoop& lp = loop();
-  if (lp.in_parallel_batch()) {
-    lp.post_effect([net = net_, self = this, group, d = std::move(d), depart]() mutable {
-      net->transmit_multicast(*self, group, std::move(d), depart);
-    });
-  } else {
-    net_->transmit_multicast(*this, group, std::move(d), depart);
-  }
+  net_->transmit_multicast(*this, group, std::move(d), depart);
 }
 
 void Host::deliver(Datagram d) {
-  ctx_.assert_held();
   if (!up_) return;
   if (ingress_filter_ && !ingress_filter_(d)) return;
   auto it = ports_.find(d.dst.port);
@@ -155,29 +127,24 @@ void Host::deliver(Datagram d) {
 Network::Network(EventLoop& loop, std::uint64_t seed) : loop_(&loop), rng_(seed) {}
 
 Host& Network::add_host(std::string name, NicConfig cfg) {
-  ctx_.assert_held();
   auto id = static_cast<NodeId>(hosts_.size());
   hosts_.push_back(std::unique_ptr<Host>(new Host(*this, id, std::move(name), cfg)));
   return *hosts_.back();
 }
 
 Host& Network::host(NodeId id) {
-  ctx_.assert_held();
   return *hosts_.at(id);
 }
 
 const Host& Network::host(NodeId id) const {
-  ctx_.assert_held();
   return *hosts_.at(id);
 }
 
 void Network::set_path(NodeId a, NodeId b, PathConfig cfg) {
-  ctx_.assert_held();
   paths_[std::minmax(a, b)] = cfg;
 }
 
 PathConfig Network::path(NodeId a, NodeId b) const {
-  ctx_.assert_held();
   // Effective path: the most recent live override wins over the base model.
   if (!path_overrides_.empty()) {
     auto ov = path_overrides_.find(std::minmax(a, b));
@@ -188,14 +155,12 @@ PathConfig Network::path(NodeId a, NodeId b) const {
 }
 
 Network::OverrideToken Network::push_path_override(NodeId a, NodeId b, PathConfig cfg) {
-  ctx_.assert_held();
   OverrideToken token = next_override_token_++;
   path_overrides_[std::minmax(a, b)].emplace_back(token, cfg);
   return token;
 }
 
 void Network::pop_path_override(NodeId a, NodeId b, OverrideToken token) {
-  ctx_.assert_held();
   auto it = path_overrides_.find(std::minmax(a, b));
   if (it == path_overrides_.end()) return;
   auto& stack = it->second;
@@ -204,14 +169,12 @@ void Network::pop_path_override(NodeId a, NodeId b, OverrideToken token) {
 }
 
 Network::OverrideToken Network::push_host_degrade(NodeId node, double loss, double burst_length) {
-  ctx_.assert_held();
   OverrideToken token = next_override_token_++;
   host_degrade_[node].emplace_back(token, loss, burst_length);
   return token;
 }
 
 void Network::pop_host_degrade(NodeId node, OverrideToken token) {
-  ctx_.assert_held();
   auto it = host_degrade_.find(node);
   if (it == host_degrade_.end()) return;
   auto& stack = it->second;
@@ -225,14 +188,12 @@ void Network::pop_host_degrade(NodeId node, OverrideToken token) {
 }
 
 GroupId Network::create_group() {
-  ctx_.assert_held();
   GroupId g = next_group_++;
   groups_[g];
   return g;
 }
 
 void Network::join_group(GroupId group, Endpoint member) {
-  ctx_.assert_held();
   auto& members = groups_.at(group);
   if (std::find(members.begin(), members.end(), member) == members.end()) {
     members.push_back(member);
@@ -240,19 +201,16 @@ void Network::join_group(GroupId group, Endpoint member) {
 }
 
 void Network::leave_group(GroupId group, Endpoint member) {
-  ctx_.assert_held();
   auto& members = groups_.at(group);
   members.erase(std::remove(members.begin(), members.end(), member), members.end());
 }
 
 std::size_t Network::group_size(GroupId group) const {
-  ctx_.assert_held();
   auto it = groups_.find(group);
   return it == groups_.end() ? 0 : it->second.size();
 }
 
 void Network::set_link_up(NodeId a, NodeId b, bool up) {
-  ctx_.assert_held();
   if (up) {
     down_links_.erase(std::minmax(a, b));
   } else {
@@ -261,7 +219,6 @@ void Network::set_link_up(NodeId a, NodeId b, bool up) {
 }
 
 void Network::set_link_up_oneway(NodeId src, NodeId dst, bool up) {
-  ctx_.assert_held();
   if (up) {
     down_oneway_.erase({src, dst});
   } else {
@@ -300,58 +257,51 @@ bool Network::gray_drop(NodeId src, NodeId dst) {
 }
 
 void Network::transmit(Host& from, Datagram d, SimTime depart) {
-  // Runs in serial order only: direct call in serial mode, or replayed at
-  // the merge barrier via post_effect in parallel mode (see Host::send).
-  ctx_.assert_held();
   // Administratively-cut links (symmetric or one-way) drop everything,
   // reliable traffic included.
   if (!link_up_directed(from.id(), d.dst.node)) {
-    lost_.fetch_add(1, std::memory_order_relaxed);
+    ++lost_;
     return;
   }
   PathConfig p = path(from.id(), d.dst.node);
   if (!d.reliable && roll_loss(p, from.id(), d.dst.node)) {
-    lost_.fetch_add(1, std::memory_order_relaxed);
+    ++lost_;
     return;
   }
   // Gray failure: a degraded host's egress bleeds best-effort traffic while
   // reliable control traffic still flows (detectors keep seeing a healthy
   // peer).
   if (!d.reliable && gray_drop(from.id(), d.dst.node)) {
-    lost_.fetch_add(1, std::memory_order_relaxed);
+    ++lost_;
     return;
   }
   SimTime arrive = depart + p.latency;
   Host* src = &from;
   Host* dst = hosts_.at(d.dst.node).get();
-  // Arrival runs on the destination's lane: it only touches dst state,
-  // the commutative counters, and (read-only; writes happen in solo
-  // kNoLane fault events) the source's power-down timestamp.
   auto arrival = [this, src, dst, depart, d = std::move(d)]() mutable {
     // The source crashing while the datagram sat in its NIC queue wipes it.
     if (src->egress_wiped(d.sent_at, depart)) {
-      lost_.fetch_add(1, std::memory_order_relaxed);
+      ++lost_;
       return;
     }
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    ++delivered_;
     dst->deliver(std::move(d));
   };
-  loop_->schedule_at(arrive, std::move(arrival), dst->lane());
+  loop_->schedule_at(arrive, std::move(arrival));
 }
 
 void Network::transmit_multicast(Host& from, GroupId group, Datagram d, SimTime depart) {
-  ctx_.assert_held();
   auto it = groups_.find(group);
   if (it == groups_.end()) return;
   for (const Endpoint& member : it->second) {
     if (member.node == from.id() && member.port == d.src.port) continue;  // no self-loop
     if (!link_up_directed(from.id(), member.node)) {
-      lost_.fetch_add(1, std::memory_order_relaxed);
+      ++lost_;
       continue;
     }
     PathConfig p = path(from.id(), member.node);
     if (roll_loss(p, from.id(), member.node) || gray_drop(from.id(), member.node)) {
-      lost_.fetch_add(1, std::memory_order_relaxed);
+      ++lost_;
       continue;
     }
     Datagram copy = d;
@@ -361,13 +311,13 @@ void Network::transmit_multicast(Host& from, GroupId group, Datagram d, SimTime 
     Host* dst = hosts_.at(member.node).get();
     auto arrival = [this, src, dst, depart, copy = std::move(copy)]() mutable {
       if (src->egress_wiped(copy.sent_at, depart)) {
-        lost_.fetch_add(1, std::memory_order_relaxed);
+        ++lost_;
         return;
       }
-      delivered_.fetch_add(1, std::memory_order_relaxed);
+      ++delivered_;
       dst->deliver(std::move(copy));
     };
-    loop_->schedule_at(arrive, std::move(arrival), dst->lane());
+    loop_->schedule_at(arrive, std::move(arrival));
   }
 }
 

@@ -15,7 +15,6 @@
 // CPU contention is modeled by the components that need it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -27,10 +26,9 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/mutex.hpp"
 #include "common/payload.hpp"
+#include "common/pinned.hpp"
 #include "common/random.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
 
@@ -122,28 +120,6 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   /// Sends to every member of a multicast group (one NIC serialization).
   void send_multicast(GroupId group, std::uint16_t src_port, Payload payload);
 
-  /// Parallel-dispatch lane of this host's events (DESIGN.md §9): each
-  /// host gets its own lane so same-timestamp events of *different* hosts
-  /// may run concurrently. kNoLane when the host is marked exclusive.
-  [[nodiscard]] Lane lane() const {
-    // Read cross-lane by Network::transmit when scheduling arrivals;
-    // exclusive_ is configured at setup and stable while events run, so
-    // the access is race-free (DESIGN.md §11).
-    ctx_.assert_held();
-    return exclusive_ ? kNoLane : static_cast<Lane>(id_) + 1;
-  }
-  /// Forces this host's events onto the global barrier lane (they then
-  /// never run concurrently with anything). An opt-out for components
-  /// whose handlers touch state shared across hosts without a safe read
-  /// path — where per-host independence, the premise of parallel
-  /// dispatch, does not hold. (BrokerNetwork used this before the
-  /// epoch-snapshot control plane made its dispatch reads lock-free; no
-  /// in-tree component needs it today.)
-  void set_exclusive(bool on) {
-    ctx_.assert_held();
-    exclusive_ = on;
-  }
-
   /// This host's NIC parameters (fixed at construction). Used by the
   /// broker's batched fan-out to expand per-copy completion times — the
   /// same serialization + drop-tail model Host::send applies — without a
@@ -157,37 +133,23 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   /// machine losing power, not a process losing memory. Used by FaultPlan
   /// and failure-injection tests.
   void set_up(bool up);
-  [[nodiscard]] bool up() const {
-    ctx_.assert_held();
-    return up_;
-  }
+  [[nodiscard]] bool up() const { return up_; }
 
   /// Ingress filter: return false to drop an arriving datagram before it
   /// reaches the port handler. Used by the transport-layer firewall model.
   void set_ingress_filter(std::function<bool(const Datagram&)> filter) {
-    ctx_.assert_held();
     ingress_filter_ = std::move(filter);
   }
   /// Egress observer: sees every datagram this host successfully enqueues.
   /// Used for firewall connection tracking and traffic accounting.
   void set_egress_observer(std::function<void(const Datagram&)> observer) {
-    ctx_.assert_held();
     egress_observer_ = std::move(observer);
   }
 
   // NIC statistics.
-  [[nodiscard]] std::uint64_t nic_sent() const {
-    ctx_.assert_held();
-    return nic_sent_;
-  }
-  [[nodiscard]] std::uint64_t nic_dropped() const {
-    ctx_.assert_held();
-    return nic_dropped_;
-  }
-  [[nodiscard]] std::size_t nic_queued_bytes() const {
-    ctx_.assert_held();
-    return nic_queued_bytes_;
-  }
+  [[nodiscard]] std::uint64_t nic_sent() const { return nic_sent_; }
+  [[nodiscard]] std::uint64_t nic_dropped() const { return nic_dropped_; }
+  [[nodiscard]] std::size_t nic_queued_bytes() const { return nic_queued_bytes_; }
   /// Instantaneous NIC queueing delay for a hypothetical new packet.
   [[nodiscard]] SimDuration nic_backlog_delay() const;
 
@@ -196,16 +158,11 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   Host(Network& net, NodeId id, std::string name, NicConfig cfg);
 
   /// Runs the egress pipeline; returns departure time or nullopt on drop.
-  bool egress(std::size_t wire_bytes, SimTime& depart) GMMCS_REQUIRES(ctx_);
+  bool egress(std::size_t wire_bytes, SimTime& depart);
   void deliver(Datagram d);
   /// True if a datagram that entered the NIC at `sent` and would have
   /// departed at `depart` was wiped by a power-down in between.
   [[nodiscard]] bool egress_wiped(SimTime sent, SimTime depart) const {
-    // Evaluated inside the *destination* host's arrival event — a
-    // cross-lane read of this (the source) host's last_down_at_. Safe
-    // because set_up runs only in solo kNoLane fault events, so no write
-    // can be concurrent with any arrival (DESIGN.md §11).
-    ctx_.assert_held();
     return last_down_at_.ns() >= 0 && last_down_at_ >= sent && last_down_at_ < depart;
   }
 
@@ -213,26 +170,21 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   NodeId id_;
   std::string name_;
   NicConfig nic_;
-  /// Lane execution context (phantom capability, DESIGN.md §11): the state
-  /// below is touched only by events on this host's lane — or, for the
-  /// commented exceptions above, by race-free cross-lane reads.
-  ExecContext ctx_;
-  bool up_ GMMCS_GUARDED_BY(ctx_) = true;
-  bool exclusive_ GMMCS_GUARDED_BY(ctx_) = false;
+  bool up_ = true;
   /// Most recent power-down instant (-1 = never). Queued NIC bytes with a
   /// later departure are dropped (see egress_wiped).
-  SimTime last_down_at_ GMMCS_GUARDED_BY(ctx_){-1};
+  SimTime last_down_at_{-1};
   /// Bumped on power-down so pending queue-release callbacks for wiped
   /// bytes become no-ops.
-  std::uint64_t nic_epoch_ GMMCS_GUARDED_BY(ctx_) = 0;
-  SimTime nic_free_at_ GMMCS_GUARDED_BY(ctx_);
-  std::size_t nic_queued_bytes_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t nic_sent_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t nic_dropped_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint16_t next_ephemeral_ GMMCS_GUARDED_BY(ctx_) = 49152;
-  std::unordered_map<std::uint16_t, Handler> ports_ GMMCS_GUARDED_BY(ctx_);
-  std::function<bool(const Datagram&)> ingress_filter_ GMMCS_GUARDED_BY(ctx_);
-  std::function<void(const Datagram&)> egress_observer_ GMMCS_GUARDED_BY(ctx_);
+  std::uint64_t nic_epoch_ = 0;
+  SimTime nic_free_at_;
+  std::size_t nic_queued_bytes_ = 0;
+  std::uint64_t nic_sent_ = 0;
+  std::uint64_t nic_dropped_ = 0;
+  std::uint16_t next_ephemeral_ = 49152;
+  std::unordered_map<std::uint16_t, Handler> ports_;
+  std::function<bool(const Datagram&)> ingress_filter_;
+  std::function<void(const Datagram&)> egress_observer_;
 };
 
 /// The simulated network fabric: owns hosts, paths and multicast groups.
@@ -243,18 +195,12 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   Host& add_host(std::string name, NicConfig cfg = {});
   [[nodiscard]] Host& host(NodeId id);
   [[nodiscard]] const Host& host(NodeId id) const;
-  [[nodiscard]] std::size_t host_count() const {
-    ctx_.assert_held();
-    return hosts_.size();
-  }
+  [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
   /// Sets the (symmetric) path between two hosts.
   void set_path(NodeId a, NodeId b, PathConfig cfg);
   /// Path used when no explicit one was set.
-  void set_default_path(PathConfig cfg) {
-    ctx_.assert_held();
-    default_path_ = cfg;
-  }
+  void set_default_path(PathConfig cfg) { default_path_ = cfg; }
   [[nodiscard]] PathConfig path(NodeId a, NodeId b) const;
 
   /// Administratively cuts (or restores) the path between two hosts; while
@@ -262,7 +208,6 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   /// dropped. Used by FaultPlan link flaps and partitions.
   void set_link_up(NodeId a, NodeId b, bool up);
   [[nodiscard]] bool link_up(NodeId a, NodeId b) const {
-    ctx_.assert_held();
     return down_links_.empty() || !down_links_.contains(std::minmax(a, b));
   }
 
@@ -273,7 +218,6 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   void set_link_up_oneway(NodeId src, NodeId dst, bool up);
   /// Effective directed reachability: symmetric cut AND one-way cut.
   [[nodiscard]] bool link_up_directed(NodeId src, NodeId dst) const {
-    ctx_.assert_held();
     if (!link_up(src, dst)) return false;
     return down_oneway_.empty() || !down_oneway_.contains({src, dst});
   }
@@ -308,10 +252,8 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   [[nodiscard]] EventLoop& loop() const { return *loop_; }
 
   // Fabric-wide statistics.
-  [[nodiscard]] std::uint64_t delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t lost() const { return lost_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+  [[nodiscard]] std::uint64_t lost() const { return lost_; }
 
  private:
   friend class Host;
@@ -319,47 +261,38 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   void transmit_multicast(Host& from, GroupId group, Datagram d, SimTime depart);
   /// Applies the path's loss model (Bernoulli or Gilbert–Elliott);
   /// true = drop. Burst state is kept per directed (src, dst) pair.
-  bool roll_loss(const PathConfig& cfg, NodeId src, NodeId dst) GMMCS_REQUIRES(ctx_);
+  bool roll_loss(const PathConfig& cfg, NodeId src, NodeId dst);
   /// Loss roll against an explicit burst-state map — gray degrades keep a
   /// chain independent of the path's own.
   bool roll_loss_in(std::map<std::pair<NodeId, NodeId>, bool>& state, double loss,
-                    double burst_length, NodeId src, NodeId dst) GMMCS_REQUIRES(ctx_);
+                    double burst_length, NodeId src, NodeId dst);
   /// True when the source host's topmost gray degrade drops this datagram.
-  bool gray_drop(NodeId src, NodeId dst) GMMCS_REQUIRES(ctx_);
+  bool gray_drop(NodeId src, NodeId dst);
 
   EventLoop* loop_;
-  /// Fabric execution context (phantom capability, DESIGN.md §11): the
-  /// state below is shared across all hosts and touched only from setup
-  /// code or serial-order execution — kNoLane events and the post_effect
-  /// merge barrier (Host::send defers transmit there in parallel mode).
-  ExecContext ctx_;
-  Rng rng_ GMMCS_GUARDED_BY(ctx_);
-  std::vector<std::unique_ptr<Host>> hosts_ GMMCS_GUARDED_BY(ctx_);
-  PathConfig default_path_ GMMCS_GUARDED_BY(ctx_);
-  std::map<std::pair<NodeId, NodeId>, PathConfig> paths_ GMMCS_GUARDED_BY(ctx_);
-  GroupId next_group_ GMMCS_GUARDED_BY(ctx_) = 1;
-  std::unordered_map<GroupId, std::vector<Endpoint>> groups_ GMMCS_GUARDED_BY(ctx_);
+  Rng rng_;
+  std::vector<std::unique_ptr<Host>> hosts_;
+  PathConfig default_path_;
+  std::map<std::pair<NodeId, NodeId>, PathConfig> paths_;
+  GroupId next_group_ = 1;
+  std::unordered_map<GroupId, std::vector<Endpoint>> groups_;
   /// Administratively-down host pairs (link flaps, partitions), keyed minmax.
-  std::set<std::pair<NodeId, NodeId>> down_links_ GMMCS_GUARDED_BY(ctx_);
+  std::set<std::pair<NodeId, NodeId>> down_links_;
   /// Directed one-way cuts: (src, dst) pairs whose src → dst direction drops.
-  std::set<std::pair<NodeId, NodeId>> down_oneway_ GMMCS_GUARDED_BY(ctx_);
+  std::set<std::pair<NodeId, NodeId>> down_oneway_;
   /// Stacked path overrides per minmax pair; the back entry is effective.
   std::map<std::pair<NodeId, NodeId>, std::vector<std::pair<OverrideToken, PathConfig>>>
-      path_overrides_ GMMCS_GUARDED_BY(ctx_);
+      path_overrides_;
   /// Stacked gray-failure degrades per host: (token, loss, burst_length).
-  std::map<NodeId, std::vector<std::tuple<OverrideToken, double, double>>> host_degrade_
-      GMMCS_GUARDED_BY(ctx_);
-  OverrideToken next_override_token_ GMMCS_GUARDED_BY(ctx_) = 1;
+  std::map<NodeId, std::vector<std::tuple<OverrideToken, double, double>>> host_degrade_;
+  OverrideToken next_override_token_ = 1;
   /// Gilbert–Elliott "in a loss burst" flag per directed host pair.
-  std::map<std::pair<NodeId, NodeId>, bool> burst_state_ GMMCS_GUARDED_BY(ctx_);
+  std::map<std::pair<NodeId, NodeId>, bool> burst_state_;
   /// Separate burst state for host gray-degrades (an independent loss
   /// process from the path's own Gilbert–Elliott chain).
-  std::map<std::pair<NodeId, NodeId>, bool> gray_burst_state_ GMMCS_GUARDED_BY(ctx_);
-  /// Commutative sums bumped from arrival events, which run concurrently
-  /// on distinct lanes in parallel mode — atomic (relaxed: the value is
-  /// only read between events, order never matters for a sum).
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> lost_{0};
+  std::map<std::pair<NodeId, NodeId>, bool> gray_burst_state_;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t lost_ = 0;
 };
 
 }  // namespace gmmcs::sim

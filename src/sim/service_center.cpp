@@ -13,7 +13,6 @@ ServiceCenter::ServiceCenter(EventLoop& loop, int servers, std::size_t queue_lim
 }
 
 bool ServiceCenter::submit(SimDuration service_time, SmallFn done) {
-  ctx_.assert_held();
   Job job{loop_.now(), service_time, std::move(done)};
   if (busy_ < servers_) {
     start(std::move(job));
@@ -30,7 +29,6 @@ bool ServiceCenter::submit(SimDuration service_time, SmallFn done) {
 
 std::size_t ServiceCenter::submit_batch(std::size_t n, const BatchParams& params,
                                         std::function<void(std::size_t)> done) {
-  ctx_.assert_held();
   if (n == 0) return 0;
   // Admission as if submitted one at a time: free servers take jobs
   // regardless of the limit, the rest queue until the limit fills.
@@ -78,7 +76,6 @@ std::size_t ServiceCenter::submit_batch(std::size_t n, const BatchParams& params
     // releases it. {this, b, i, release} = 33 bytes, inside SmallFn.
     const bool release = i + s >= accepted;
     loop_.schedule_at(c, [this, b, i, release] {
-      ctx_.assert_held();
       if (i + static_cast<std::size_t>(servers_) < b->accepted) --queued_logical_;
       if (release) --busy_;
       ++completed_;
@@ -120,7 +117,6 @@ void ServiceCenter::start(Job job) {
   // callable itself sits in inflight_[slot] (inline in the SmallFn for
   // captures up to 64 bytes).
   loop_.schedule_after(job.service, [this, slot] {
-    ctx_.assert_held();  // completion fires on the owner's lane
     SmallFn done = std::move(inflight_[slot]);
     free_slots_.push_back(slot);  // safe: `done` reentering submit() sees a free slot
     --busy_;
@@ -145,7 +141,6 @@ void ServiceCenter::drain() {
       total_wait_ += loop_.now() - enqueued;
       const SimTime c = gate_completion(loop_.now() + b->params.service, b->params);
       loop_.schedule_at(c, [this, b, i] {
-        ctx_.assert_held();
         --busy_;
         ++completed_;
         if (b->done) b->done(i);
@@ -175,7 +170,6 @@ void ServiceCenter::advance_head() {
 }
 
 SimDuration ServiceCenter::mean_wait() const {
-  ctx_.assert_held();
   std::uint64_t n = completed_ + static_cast<std::uint64_t>(busy_);
   if (n == 0) return SimDuration{0};
   return SimDuration{total_wait_.ns() / static_cast<std::int64_t>(n)};

@@ -13,9 +13,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/mutex.hpp"
+#include "common/pinned.hpp"
 #include "common/small_fn.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
 
@@ -50,37 +49,29 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
   };
 
   /// Submits `n` identical jobs as one batch; `done(i)` runs as job i
-  /// completes (FIFO-equivalent to n submit() calls, in order). Returns
-  /// how many jobs were accepted (the tail past the queue limit is
-  /// rejected). When all servers are idle the batch expands
+  /// completes. Admission is decided once, at submission: the free
+  /// servers plus the queue room left under queue_limit accept a prefix
+  /// of the batch and the tail is rejected; returns how many jobs were
+  /// accepted. When all servers are idle the batch expands
   /// arithmetically — per-server completion ladders computed in one pass,
   /// one scheduled event per job and no queue traffic — which is the
-  /// broker fan-out fast path; otherwise jobs peel off the shared FIFO
-  /// queue one at a time as servers free up.
+  /// broker fan-out fast path; otherwise the batch rides the FIFO queue
+  /// as one job and its items peel off one at a time as servers free up.
+  ///
+  /// This is *not* equivalent to n submit() calls. Routing the per-copy
+  /// broker path through submit_batch (NIC gate off) moved the Figure-3
+  /// broker delay from 86.58 to 89.79 ms and 600-client video loss from
+  /// 1.67% to 0%; the loss shift follows from the one-shot admission
+  /// above, the delay shift is not yet explained (ROADMAP, fan-out merge).
   std::size_t submit_batch(std::size_t n, const BatchParams& params,
                            std::function<void(std::size_t)> done);
 
-  [[nodiscard]] std::size_t queue_length() const {
-    ctx_.assert_held();
-    return queued_logical_;
-  }
-  [[nodiscard]] int busy_servers() const {
-    ctx_.assert_held();
-    return busy_;
-  }
-  [[nodiscard]] std::uint64_t completed() const {
-    ctx_.assert_held();
-    return completed_;
-  }
-  [[nodiscard]] std::uint64_t rejected() const {
-    ctx_.assert_held();
-    return rejected_;
-  }
+  [[nodiscard]] std::size_t queue_length() const { return queued_logical_; }
+  [[nodiscard]] int busy_servers() const { return busy_; }
+  [[nodiscard]] std::uint64_t completed() const { return completed_; }
+  [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
   /// Total time jobs spent waiting in queue (not being served).
-  [[nodiscard]] SimDuration total_wait() const {
-    ctx_.assert_held();
-    return total_wait_;
-  }
+  [[nodiscard]] SimDuration total_wait() const { return total_wait_; }
   /// Mean queueing wait across completed jobs.
   [[nodiscard]] SimDuration mean_wait() const;
 
@@ -102,48 +93,44 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
     std::shared_ptr<BatchCtrl> batch;
   };
 
-  void start(Job job) GMMCS_REQUIRES(ctx_);
-  void drain() GMMCS_REQUIRES(ctx_);
+  void start(Job job);
+  void drain();
   /// Advances q_head_ past the consumed front Job (reset/trim heuristics).
-  void advance_head() GMMCS_REQUIRES(ctx_);
+  void advance_head();
   /// Applies the virtual-NIC admission gate to a job completing its CPU
   /// service at `cpu_done`; returns the (possibly later) gated completion
   /// and accounts the copy's serialization in nic_free_v_.
-  SimTime gate_completion(SimTime cpu_done, const BatchParams& p) GMMCS_REQUIRES(ctx_);
+  SimTime gate_completion(SimTime cpu_done, const BatchParams& p);
 
   EventLoop& loop_;
   int servers_;
   std::size_t queue_limit_;
-  /// Owner execution context (phantom capability, DESIGN.md §11): a
-  /// ServiceCenter models one component's CPU, so submissions and
-  /// completions all run on that component's lane (or serially).
-  ExecContext ctx_;
-  int busy_ GMMCS_GUARDED_BY(ctx_) = 0;
+  int busy_ = 0;
   /// FIFO queue as a vector + head index rather than std::deque: a deque
   /// allocates a fresh block every ~few pushes even at steady state, while
   /// this layout reuses its capacity forever (the consumed prefix is
   /// trimmed whenever the queue drains empty, which it does every time
   /// servers catch up).
-  std::vector<Job> queue_ GMMCS_GUARDED_BY(ctx_);
-  std::size_t q_head_ GMMCS_GUARDED_BY(ctx_) = 0;
+  std::vector<Job> queue_;
+  std::size_t q_head_ = 0;
   /// Logical jobs waiting (each batch item counts one): queue_length() and
   /// the admission check use this, since a batch rides in a single Job and
   /// fast-path batch items wait without touching queue_ at all.
-  std::size_t queued_logical_ GMMCS_GUARDED_BY(ctx_) = 0;
+  std::size_t queued_logical_ = 0;
   /// Per-server completion ladder arena for the batch fast path.
-  std::vector<SimTime> ladder_ GMMCS_GUARDED_BY(ctx_);
+  std::vector<SimTime> ladder_;
   /// Virtual egress-NIC free time (ns, as a double so per-copy
   /// serialization times keep sub-ns precision across thousands of
   /// copies), for gate_completion's admission model.
-  double nic_free_v_ GMMCS_GUARDED_BY(ctx_) = 0;
+  double nic_free_v_ = 0;
   // In-flight completion callables, parked here so the EventLoop closure
   // only captures {this, slot} — small enough for std::function's inline
   // buffer. Freed slots are recycled LIFO.
-  std::vector<SmallFn> inflight_ GMMCS_GUARDED_BY(ctx_);
-  std::vector<std::uint32_t> free_slots_ GMMCS_GUARDED_BY(ctx_);
-  std::uint64_t completed_ GMMCS_GUARDED_BY(ctx_) = 0;
-  std::uint64_t rejected_ GMMCS_GUARDED_BY(ctx_) = 0;
-  SimDuration total_wait_ GMMCS_GUARDED_BY(ctx_){};
+  std::vector<SmallFn> inflight_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t completed_ = 0;
+  std::uint64_t rejected_ = 0;
+  SimDuration total_wait_{};
 };
 
 }  // namespace gmmcs::sim

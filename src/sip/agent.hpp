@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "sim/network.hpp"
 #include "sip/message.hpp"
 #include "transport/stream.hpp"

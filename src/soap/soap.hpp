@@ -14,8 +14,8 @@
 #include <map>
 #include <string>
 
+#include "common/pinned.hpp"
 #include "common/result.hpp"
-#include "common/thread_annotations.hpp"
 #include "sim/network.hpp"
 #include "transport/stream.hpp"
 #include "xml/xml.hpp"

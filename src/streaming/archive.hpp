@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "broker/client.hpp"
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "sim/event_loop.hpp"
 
 namespace gmmcs::streaming {

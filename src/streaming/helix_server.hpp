@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "media/transcoder.hpp"
 #include "streaming/rtsp.hpp"
 #include "transport/datagram_socket.hpp"

@@ -11,7 +11,7 @@
 #include <optional>
 #include <string>
 
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "streaming/rtsp.hpp"
 #include "transport/datagram_socket.hpp"
 #include "transport/stream.hpp"

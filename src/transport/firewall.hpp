@@ -19,7 +19,7 @@
 #include <set>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "sim/network.hpp"
 #include "transport/stream.hpp"
 

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "sim/event_loop.hpp"
 #include "xgsp/session_server.hpp"
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "broker/broker_node.hpp"
@@ -252,6 +253,12 @@ struct QueueCase {
   int servers;
 };
 
+// Printed field by field: gtest's default byte dump would include the
+// struct's uninitialised padding, making the listed test names vary per run.
+void PrintTo(const QueueCase& c, std::ostream* os) {
+  *os << "rho" << c.utilization << "_servers" << c.servers;
+}
+
 class QueueLaw : public ::testing::TestWithParam<QueueCase> {};
 
 TEST_P(QueueLaw, PoissonArrivalsMatchMD1Wait) {
@@ -301,6 +308,10 @@ struct LinkCase {
   double loss;
   int messages;
 };
+
+void PrintTo(const LinkCase& c, std::ostream* os) {
+  *os << "latency" << c.latency_us << "us_loss" << c.loss << "_messages" << c.messages;
+}
 
 class StreamProperty : public ::testing::TestWithParam<LinkCase> {};
 

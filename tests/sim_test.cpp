@@ -83,6 +83,67 @@ TEST(EventLoop, PastSchedulingClampsToNow) {
   EXPECT_EQ(loop.now().ns(), 100);
 }
 
+TEST(EventLoop, SameTimestampEventsTraceInSeqOrder) {
+  EventLoop loop;
+  std::vector<std::uint64_t> seqs;
+  loop.set_trace([&seqs](SimTime, std::uint64_t seq) { seqs.push_back(seq); });
+  std::vector<int> order;
+  const SimTime t{duration_ms(1).ns()};
+  for (int i = 0; i < 8; ++i) {
+    loop.schedule_at(t, [&loop, &order, t, i] {
+      order.push_back(i);
+      // A same-timestamp child queues behind every event already pending.
+      if (i == 0) loop.schedule_at(t, [&order] { order.push_back(8); });
+    });
+  }
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  ASSERT_EQ(seqs.size(), 9u);
+  for (std::size_t i = 1; i < seqs.size(); ++i) EXPECT_LT(seqs[i - 1], seqs[i]);
+}
+
+TEST(EventLoop, CancelFromInsideEvent) {
+  EventLoop loop;
+  bool doomed_ran = false, child_ran = false, kept_ran = false;
+  // A task pending since before the run, and one scheduled by the
+  // cancelling event itself, are both cancelled from inside that event.
+  TaskId doomed = loop.schedule_at(SimTime{duration_ms(5).ns()}, [&] { doomed_ran = true; });
+  const SimTime t{duration_ms(1).ns()};
+  loop.schedule_at(t, [&] {
+    TaskId child = loop.schedule_after(duration_ms(1), [&child_ran] { child_ran = true; });
+    loop.cancel(child);
+    loop.cancel(doomed);
+  });
+  loop.schedule_at(t, [&] { kept_ran = true; });
+  loop.run();
+  EXPECT_FALSE(doomed_ran);
+  EXPECT_FALSE(child_ran);
+  EXPECT_TRUE(kept_ran);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoopCompaction, CancelHeavyChurnKeepsHeapBounded) {
+  EventLoop loop;
+  // Schedule far-future tasks and cancel almost all of them, repeatedly —
+  // the PeriodicTask / heartbeat pattern. Without compaction the heap
+  // grows with every cancel; with it, stale entries stay within 2x live.
+  std::vector<TaskId> ids;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      ids.push_back(loop.schedule_at(SimTime{duration_s(1000).ns()}, [] {}));
+    }
+    for (TaskId id : ids) loop.cancel(id);
+    ids.clear();
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_LT(loop.heap_entries(), 128u);  // 2x live + compaction floor
+  // And the loop still works.
+  bool ran = false;
+  loop.schedule_at(SimTime{duration_s(1).ns()}, [&ran] { ran = true; });
+  loop.run();
+  EXPECT_TRUE(ran);
+}
+
 TEST(PeriodicTask, TicksAtPeriod) {
   EventLoop loop;
   std::vector<std::int64_t> at;

@@ -2,8 +2,7 @@
 """Determinism linter for the Global-MMCS simulation core.
 
 The repo's headline invariant is that a run is a pure function of its
-config + seed: same inputs, byte-identical metrics — serial or parallel
-(DESIGN.md §9). This linter statically rejects the ways C++ code usually
+config + seed: same inputs, byte-identical metrics (DESIGN.md §9). This linter statically rejects the ways C++ code usually
 breaks that, anywhere under src/:
 
   wall-clock           std::chrono / clock_gettime / time(nullptr)...:
@@ -15,10 +14,10 @@ breaks that, anywhere under src/:
                        (src/common/random.*, the one allowed home).
   pointer-format       "%p" / streaming void*: addresses differ run to run
                        (ASLR), so they must never reach logs or metrics.
-  raw-threading        std::mutex / std::thread & friends outside the
-                       annotated wrappers (src/common/mutex.hpp,
-                       src/common/thread.hpp): thread-safety analysis and
-                       the determinism argument only cover the wrappers.
+  raw-threading        std::mutex / std::thread & friends anywhere: the
+                       simulator runs on one serial event loop, so src/
+                       creates no threads and takes no locks. This rule
+                       has no allowed home and ignores suppressions.
   unordered-iteration  range-for over a std::unordered_{map,set} member:
                        hash-order iteration feeding scheduling or output
                        is run-to-run nondeterministic across libstdc++
@@ -27,7 +26,7 @@ breaks that, anywhere under src/:
 
 Suppressions: a line (or the line directly above it) containing
 `det-lint: allow(<rule>)` or `NOLINT` is exempt — used sparingly, with a
-justification, e.g. the sanctioned wrapper internals.
+justification. raw-threading cannot be suppressed.
 
 Usage:
   determinism_lint.py [--compile-commands build/compile_commands.json]
@@ -89,18 +88,16 @@ RULES = {
 # Files where a rule is allowed wholesale: the sanctioned homes.
 ALLOWED_FILES = {
     "ambient-random": {"src/common/random.hpp", "src/common/random.cpp"},
-    "raw-threading": {
-        "src/common/mutex.hpp",
-        "src/common/thread.hpp",
-        "src/common/thread_annotations.hpp",
-    },
 }
+
+# Rules no `det-lint: allow` / NOLINT comment can waive.
+UNSUPPRESSIBLE = {"raw-threading"}
 
 MESSAGES = {
     "wall-clock": "wall-clock time in simulated code (use sim time, common/time.hpp)",
     "ambient-random": "ambient randomness (use the seeded gmmcs::Rng, common/random.hpp)",
     "pointer-format": "formats a pointer value (nondeterministic under ASLR)",
-    "raw-threading": "raw threading primitive (use gmmcs::Mutex/MutexLock/Thread wrappers)",
+    "raw-threading": "threading primitive in src/ (the simulator is serial: no threads, no locks)",
     "unordered-iteration": (
         "range-for over unordered container '%s' (hash order is not deterministic; "
         "suppress only if the loop body is order-independent)"
@@ -155,7 +152,8 @@ def lint_source(src, unordered_names):
             # else matches the comment-stripped code directly.
             for pat in patterns:
                 if pat.search(line):
-                    if not src.suppressed(idx + 1, rule, tool="det-lint"):
+                    if rule in UNSUPPRESSIBLE or \
+                            not src.suppressed(idx + 1, rule, tool="det-lint"):
                         findings.append((idx + 1, rule, MESSAGES[rule]))
                     break
         for m in RANGE_FOR_RE.finditer(line):

@@ -48,22 +48,9 @@ linter) and one suppression syntax:
                    or commented with a reason. A bare `default: break;`
                    silently eats future enumerators.
 
-  lock-order       tree-wide lock-acquisition graph built from the
-                   GMMCS_CAPABILITY annotations: rank inversions against
-                   the canonical LOCK_ORDER, acquisition cycles,
-                   guarded-member access without the capability, condvar
-                   waits without the lock, stale lock-order-calls
-                   annotations (details at the pass, DESIGN.md §11).
-
-  snapshot         epoch-snapshot immutability discipline (DESIGN.md
-                   §12): snapshot types carry no mutable state, code
-                   outside writer scopes holds only const handles to
-                   them, and the atomic snapshot pointer is published
-                   from writer scopes only (details at the pass).
-
   lifetime         deferred-capture escape analysis (DESIGN.md §14):
                    every lambda that flows into a deferred-execution
-                   sink (EventLoop::schedule_*/post_effect,
+                   sink (EventLoop::schedule_*,
                    ServiceCenter::submit/submit_batch, stored callback
                    slots, and anything a may-defer fixpoint proves
                    stores its callable parameter) has each capture
@@ -73,6 +60,16 @@ linter) and one suppression syntax:
                    pinned to the run) or the callable is structurally
                    proven to be cancelled/unbound before the object
                    dies (details at the pass).
+
+  copy             copy discipline over the zero-copy payload plane
+                   (DESIGN.md §15): by-value byte-buffer parameters,
+                   deep copies of shared payloads and allocating reads
+                   that only inspect (details at the pass).
+
+  wire             untrusted-input taint analysis over the decode plane
+                   (DESIGN.md §16): wire-read lengths and counts must be
+                   bounded before they size an allocation, a slice, an
+                   index or a loop (details at the pass).
 
 Suppressions: a line (or the line directly above it) containing
 `gmmcs-lint: allow(<rule>): <reason>` is exempt from <rule>. The reason
@@ -176,12 +173,6 @@ MESSAGES = {
     "unchecked-value": "%s",
     "codec-symmetry": "%s",
     "switch-exhaustive": "%s",
-    "lock-order": "%s",
-    "guarded-by": "%s",
-    "condvar-hold": "%s",
-    "snapshot-type": "%s",
-    "snapshot-mutation": "%s",
-    "snapshot-publication": "%s",
     "lifetime": "%s",
     "copy": "%s",
     "wire": "%s",
@@ -957,86 +948,24 @@ def pass_switch_exhaustiveness(sources, enums=None):
 
 
 # --------------------------------------------------------------------------
-# Pass 5: lock order.
+# Shared C++ structure scanners (lifetime and copy passes).
 # --------------------------------------------------------------------------
-#
-# The tree's concurrency discipline is annotation-driven (common/mutex.hpp):
-# capability classes are declared with GMMCS_CAPABILITY, state carries
-# GMMCS_GUARDED_BY, functions carry GMMCS_REQUIRES, and scopes take
-# capabilities via MutexLock / .lock() / ExecContext::assert_held(). This
-# pass builds the inter-procedural lock-acquisition graph from those
-# annotations and rejects three bug classes clang's per-TU analysis cannot
-# see tree-wide:
-#
-#   lock-order    A *blocking* acquisition (MutexLock scope, `.lock()`,
-#                 a call into a GMMCS_ACQUIRE function) performed while
-#                 another capability is held creates a directed edge
-#                 held -> acquired, including transitively through calls
-#                 (a function's may-acquire set propagates to callers that
-#                 invoke it with something held; callback indirection is
-#                 recorded with `gmmcs-lint: lock-order-calls(F, G)`).
-#                 Any cycle in this graph is a potential deadlock; any
-#                 edge that runs against the canonical LOCK_ORDER below is
-#                 an inversion waiting for a second thread.
-#                 ExecContext::assert_held() is NOT an acquisition (it
-#                 blocks nothing), so mutual entry between two contexts on
-#                 one serial lane — the BrokerNetwork <-> BrokerNode
-#                 pattern — creates no edge and no false cycle.
-#
-#   guarded-by    Reading or writing a GMMCS_GUARDED_BY(cap) member in a
-#                 function that neither holds `cap` at that point (via
-#                 REQUIRES, an enclosing MutexLock/.lock(), or a prior
-#                 assert_held()) nor is the owning class's constructor/
-#                 destructor.
-#
-#   condvar-hold  `cv.wait(cap, ...)` in a scope that does not hold `cap`.
-#
-# Capabilities are matched by base name (`pool_mu_` in `loop.pool_mu_`):
-# loose, but instance names are unique in this tree and the looseness is
-# what lets REQUIRES(ctx_) in a header match `ctx_.assert_held()` in the
-# TU. Lambdas are separate analysis scopes (clang analyzes them that way
-# too): a lambda body holds only what its own head REQUIRES or its own
-# body asserts/locks, and its acquisitions do not leak into the enclosing
-# function's may-acquire set (they run when invoked, not here).
 
-# Canonical tree-wide lock order, outermost first (DESIGN.md §11). Every
-# capability *instance* found in src/ must appear here (completeness is
-# checked, like LAYERS), and every acquisition edge must run left to
-# right. EventLoop::pool_mu_ is the only blocking mutex in the tree and
-# must stay the leaf: nothing may be acquired while it is held.
-LOCK_ORDER = [
-    "BrokerNetwork::ctx_",
-    "BrokerNode::ctx_",
-    "ServiceCenter::ctx_",
-    "Network::ctx_",
-    "Host::ctx_",
-    "EventLoop::pool_mu_",
-]
-
-# Files that *define* the capability primitives; their members (e.g. the
-# pthread handle inside Mutex) are not capability instances to rank.
-LOCK_PRIMITIVE_FILES = {"src/common/mutex.hpp"}
-
-CAPABILITY_CLASS_RE = re.compile(r"\b(?:class|struct)\s+GMMCS_CAPABILITY\s*\(")
 CLASS_HEAD_RE = re.compile(
-    r"\b(?:class|struct)\s+(?:(?:GMMCS_CAPABILITY|GMMCS_PINNED)\s*\([^)]*\)\s+)*"
+    r"\b(?:class|struct)\s+(?:GMMCS_PINNED\s*\([^)]*\)\s+)*"
     r"(?!GMMCS_)(\w+)(?:\s+final)?[^;{}()=]*\{")
-LOCK_CALLS_RE = re.compile(
-    r"gmmcs-lint:\s*lock-order-calls\(\s*([\w:~]+)\s*,\s*([\w:~]+)\s*\)")
 
 
 def _scan_classes(text):
-    """Yields (class_name, body_start, body_end, is_capability) for every
-    class/struct definition (including nested) in `text`."""
+    """Yields (class_name, body_start, body_end) for every class/struct
+    definition (including nested) in `text`."""
     out = []
     for m in CLASS_HEAD_RE.finditer(text):
-        head = m.group(0)
         if re.search(r"\benum\s+(?:class|struct)\b", text[max(0, m.start() - 8):m.end()]):
             continue
         open_idx = m.end() - 1
         end = _skip_braces(text, open_idx)
-        out.append((m.group(1), open_idx + 1, end - 1,
-                    bool(CAPABILITY_CLASS_RE.search(head))))
+        out.append((m.group(1), open_idx + 1, end - 1))
     return out
 
 
@@ -1057,7 +986,7 @@ def _extract_functions_ctx(text, base_offset=0, cls=None):
 
     `params` is the raw parameter-list text; `annos_text` is everything
     between the closing param paren and the opening brace: const,
-    GMMCS_REQUIRES(...), ctor init lists."""
+    noexcept, ctor init lists."""
     funcs = []
     i, n = 0, len(text)
     while i < n:
@@ -1106,7 +1035,7 @@ def _extract_functions_ctx(text, base_offset=0, cls=None):
             i = end
             continue
         if re.search(r"\b(?:struct|class|enum|union)\b[^()]*$", seg):
-            # Non-capability plain aggregate (or enum): no methods inside
+            # Plain aggregate (or enum): no methods inside
             # that we'd mis-parse; still recurse for nested structs with
             # methods — handled by the CLASS_HEAD_RE branch above. Enums
             # have no functions: skip.
@@ -1168,679 +1097,6 @@ def _init_list_split(seg):
     return -1
 
 
-def _enclosing_scope_end(body, pos):
-    """End offset (exclusive) of the innermost `{...}` scope containing
-    `pos` in `body` — the extent of a scoped MutexLock declared at `pos`."""
-    depth = 0
-    for i in range(pos, len(body)):
-        c = body[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            if depth == 0:
-                return i
-            depth -= 1
-    return len(body)
-
-
-LAMBDA_HEAD_RE = re.compile(
-    r"\[[^\[\]]*\]\s*(?:\((?:[^()]|\([^()]*\))*\)\s*)?"
-    r"(?P<annos>(?:mutable|noexcept|constexpr|->\s*[\w:<>]+|"
-    r"GMMCS_\w+\s*\([^()]*\)|\s)*)\{")
-
-
-def _split_lambdas(body, base_offset):
-    """Carves lambda bodies out of `body`. Returns (outer, lambdas) where
-    `outer` is `body` with lambda bodies blanked (length-preserving) and
-    `lambdas` is a list of (annos_text, lambda_body, abs_offset)."""
-    lambdas = []
-    out = list(body)
-    pos = 0
-    while True:
-        m = LAMBDA_HEAD_RE.search("".join(out), pos)
-        if not m:
-            break
-        open_idx = m.end() - 1
-        end = _skip_braces(body, open_idx)
-        inner = body[open_idx + 1:end - 1]
-        sub_outer, sub_lams = _split_lambdas(inner, base_offset + open_idx + 1)
-        lambdas.append((m.group("annos") or "", sub_outer,
-                        base_offset + open_idx + 1))
-        lambdas.extend(sub_lams)
-        for i in range(open_idx + 1, end - 1):
-            if out[i] not in "\n":
-                out[i] = " "
-        pos = end
-    return "".join(out), lambdas
-
-
-def _base_cap(expr):
-    """Base name of a capability expression: `loop.pool_mu_` -> `pool_mu_`,
-    `this->ctx_` -> `ctx_`, `ctx_` -> `ctx_`, `*mu` -> `mu`."""
-    expr = expr.strip().lstrip("*&").strip()
-    expr = re.sub(r"\(\)$", "", expr)
-    for sep in ("->", "."):
-        if sep in expr:
-            expr = expr.rsplit(sep, 1)[1]
-    return expr.strip()
-
-
-REQUIRES_RE = re.compile(r"GMMCS_(?:REQUIRES|ASSERT_CAPABILITY)\s*\(([^()]*)\)")
-ACQUIRE_ANNO_RE = re.compile(r"GMMCS_ACQUIRE\s*\(([^()]*)\)")
-GUARDED_RE = re.compile(
-    r"^[^=/{}()]*[\s&*>](?P<member>\w+)\s*GMMCS_GUARDED_BY\s*\("
-    r"(?P<cap>[^()]*)\)", re.M)
-MUTEXLOCK_RE = re.compile(r"\bMutexLock\s+\w+\s*[({]\s*([^(){}]+?)\s*[)}]\s*;")
-LOCK_CALL_RE = re.compile(r"\b([\w.\->]+?)\s*\.\s*lock\s*\(\s*\)")
-ASSERT_HELD_RE = re.compile(r"\b([\w.\->]+?)\s*\.\s*assert_held\s*\(\s*\)")
-CV_WAIT_RE = re.compile(r"\b[\w.\->]*?(\w+)\s*\.\s*wait\s*\(\s*([^,()]+)")
-DECL_ANNO_RE = re.compile(
-    r"(~?\w+)\s*\(((?:[^();]|\([^()]*\))*)\)\s*(?:const\s*)?"
-    r"((?:GMMCS_\w+\s*\([^()]*\)\s*)+);", re.S)
-
-
-class _LockModel:
-    """Tree-wide model: capability classes, instances, guards, functions."""
-
-    def __init__(self):
-        self.cap_classes = set()       # class names declared GMMCS_CAPABILITY
-        self.instances = {}            # (owner_cls, cap base) -> (rel, lineno)
-        self.guards = {}               # member name -> {owner_cls: cap base}
-        self.decl_requires = {}        # "Cls::fn" / "fn" -> set of cap bases
-        self.decl_acquires = {}        # same, from GMMCS_ACQUIRE on decls
-        self.extra_calls = {}          # fn key -> set of fn keys (lock-order-calls)
-        self.extra_call_sites = []     # (src, lineno, caller, callee) per annotation
-        self.functions = []            # (src, cls, name, params, annos, body, offset)
-        self.classes = set()           # every class/struct name in the tree
-        self.member_types = {}         # cls -> {member: (kind, element class)}
-        self.parametric = {}           # fn key -> [(kind, param idx, param name)]
-
-
-def _param_names(params):
-    """Declared parameter names, in order, from a raw parameter-list
-    string. A nameless parameter contributes None at its index."""
-    names, depth, start, parts = [], 0, 0, []
-    for i, c in enumerate(params):
-        if c in "(<[{":
-            depth += 1
-        elif c in ")>]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(params[start:i])
-            start = i + 1
-    if params[start:].strip():
-        parts.append(params[start:])
-    for p in parts:
-        p = p.split("=", 1)[0].strip()  # drop default argument
-        # The name is the trailing identifier after a type separator; a
-        # lone word (`int`, `Pred`) is an unnamed parameter's type.
-        m = re.search(r"[\s&*>]\s*(\w+)\s*$", p)
-        names.append(m.group(1) if m else None)
-    return names
-
-
-def _parametric_of(params, annos):
-    """[(kind, idx, pname)] for every GMMCS_REQUIRES/GMMCS_ACQUIRE cap in
-    `annos` whose base names a parameter — a parametric capability whose
-    concrete identity is only known at each call site."""
-    pnames = _param_names(params)
-    out = []
-    for kind, rx in (("requires", REQUIRES_RE), ("acquires", ACQUIRE_ANNO_RE)):
-        for anno in rx.findall(annos):
-            for cap in anno.split(","):
-                base = _base_cap(cap)
-                if base and base in pnames:
-                    out.append((kind, pnames.index(base), base))
-    return out
-
-
-def _collect_model(sources, primitive_files):
-    model = _LockModel()
-    # Round 1: capability classes (they can be declared anywhere).
-    for src in sources:
-        for name, b0, b1, is_cap in _scan_classes(src.text):
-            model.classes.add(name)
-            if is_cap:
-                model.cap_classes.add(name)
-    model.member_types = _collect_member_types(sources, _ptr_aliases(sources))
-    cap_alt = "|".join(sorted(model.cap_classes)) or r"(?!x)x"
-    inst_re = re.compile(
-        rf"^\s*(?:mutable\s+)?(?:gmmcs::)?(?:common::)?(?:{cap_alt})\s+"
-        rf"(\w+)\s*(?:=[^;]*|\{{[^;]*\}})?\s*;", re.M)
-    for src in sources:
-        # lock-order-calls annotations live in raw comments.
-        for idx, line in enumerate(src.raw):
-            m = LOCK_CALLS_RE.search(line)
-            if m:
-                model.extra_calls.setdefault(m.group(1), set()).add(m.group(2))
-                model.extra_call_sites.append(
-                    (src, idx + 1, m.group(1), m.group(2)))
-        for cls, b0, b1, is_cap in _scan_classes(src.text):
-            body = src.text[b0:b1]
-            # Capability instances: cap-typed members of non-primitive files.
-            if src.rel not in primitive_files:
-                for im in inst_re.finditer(body):
-                    model.instances[(cls, im.group(1))] = (
-                        src.rel, src.line_of(b0 + im.start(1)))
-            # Guarded members.
-            for gm in GUARDED_RE.finditer(body):
-                model.guards.setdefault(gm.group("member"), {})[cls] = \
-                    _base_cap(gm.group("cap"))
-            # Declaration-only REQUIRES/ACQUIRE (prototypes ending in `;`).
-            for dm in DECL_ANNO_RE.finditer(body):
-                fname, fparams, annos = dm.group(1), dm.group(2), dm.group(3)
-                key = f"{cls}::{fname}"
-                para = _parametric_of(fparams, annos)
-                pnames = {p for _k, _i, p in para}
-                for pk in (key, fname):
-                    if para:
-                        model.parametric.setdefault(pk, para)
-                # Parametric caps are resolved per call site, not here.
-                reqs = {_base_cap(a) for a in REQUIRES_RE.findall(annos)}
-                acqs = {_base_cap(a) for a in ACQUIRE_ANNO_RE.findall(annos)}
-                if reqs - pnames:
-                    model.decl_requires.setdefault(key, set()).update(
-                        reqs - pnames)
-                if acqs - pnames:
-                    model.decl_acquires.setdefault(key, set()).update(
-                        acqs - pnames)
-        for cls, name, params, annos, body, off in \
-                _extract_functions_ctx(src.text):
-            model.functions.append((src, cls, name, params, annos, body, off))
-            para = _parametric_of(params, annos)
-            if para:
-                for pk in _fn_keys(cls, name):
-                    model.parametric.setdefault(pk, para)
-    return model
-
-
-def _fn_keys(cls, name):
-    keys = [name]
-    if "::" in name:
-        keys.append(name.rsplit("::", 1)[1])
-        return [name, name.rsplit("::", 1)[1]]
-    if cls:
-        keys.insert(0, f"{cls}::{name}")
-    return keys
-
-
-def _scope_events(body):
-    """Acquisition/hold events in a (lambda-blanked) function body.
-
-    Returns (holds, acquires, waits, accesses):
-      holds    — list of (cap, start, end) intervals where cap is held
-                 (MutexLock scope, .lock() to end, assert_held to end)
-      acquires — list of (cap, pos, blocking) acquisition events
-      waits    — list of (cv_cap_expr, pos) from CondVar .wait(cap, ...)
-    """
-    holds = []
-    acquires = []
-    waits = []
-    for m in MUTEXLOCK_RE.finditer(body):
-        cap = _base_cap(m.group(1))
-        end = _enclosing_scope_end(body, m.start())
-        holds.append((cap, m.end(), end))
-        acquires.append((cap, m.start(), True))
-    for m in LOCK_CALL_RE.finditer(body):
-        cap = _base_cap(m.group(1))
-        holds.append((cap, m.end(), len(body)))
-        acquires.append((cap, m.start(), True))
-    for m in ASSERT_HELD_RE.finditer(body):
-        cap = _base_cap(m.group(1))
-        holds.append((cap, m.end(), len(body)))
-        # assert_held is NOT an acquisition: it blocks nothing.
-    for m in CV_WAIT_RE.finditer(body):
-        waits.append((_base_cap(m.group(2)), m.start()))
-    return holds, acquires, waits
-
-
-def _call_args(body, open_pos):
-    """Argument texts of the call whose `(` is at `open_pos`, split at
-    top-level commas (nested parens/brackets/braces respected)."""
-    depth, start, args = 0, open_pos + 1, []
-    i, n = open_pos, len(body)
-    while i < n:
-        c = body[i]
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-            if depth == 0:
-                if body[start:i].strip() or args:
-                    args.append(body[start:i].strip())
-                return args
-        elif c == "," and depth == 1:
-            args.append(body[start:i].strip())
-            start = i + 1
-        i += 1
-    return args
-
-
-def _receiver_type(recv, sc, model, pos):
-    """Declared class of receiver identifier `recv` inside scope `sc`:
-    `this`, a data member of the scope's class, a parameter, or a local
-    declaration before `pos`. None when unresolvable (the caller then
-    falls back to the tree-wide-unique-guard rule)."""
-    if recv is None:
-        return None
-    if recv == "this":
-        return sc["cls"]
-    mem = model.member_types.get(sc["cls"], {}).get(recv)
-    if mem and mem[1]:
-        return mem[1]
-    decl_re = re.compile(
-        r"\b([A-Za-z_][\w:]*)\s*(?:<[^<>]*>)?\s*[&*]*\s+"
-        + re.escape(recv) + r"\b")
-    m = decl_re.search(sc["params"] or "")
-    if m is None:
-        last = None
-        for lm in decl_re.finditer(sc["body"][:pos]):
-            last = lm
-        m = last
-    if m is None:
-        return None
-    return m.group(1).rsplit("::", 1)[-1]
-
-
-def pass_lock_order(sources, lock_order=None, primitive_files=None):
-    lock_order = lock_order if lock_order is not None else LOCK_ORDER
-    primitive_files = (primitive_files if primitive_files is not None
-                       else LOCK_PRIMITIVE_FILES)
-    findings = []
-    model = _collect_model(sources, primitive_files)
-
-    rank = {}
-    base_counts = {}
-    for qual in lock_order:
-        base_counts[qual.rsplit("::", 1)[-1]] = \
-            base_counts.get(qual.rsplit("::", 1)[-1], 0) + 1
-    for i, qual in enumerate(lock_order):
-        rank[qual] = i
-        base = qual.rsplit("::", 1)[-1]
-        if base_counts[base] == 1:  # unique base name: allow bare lookup
-            rank.setdefault(base, i)
-
-    # cap base -> owning classes; used to qualify a bare name when the
-    # scope's own class doesn't define it (unique owner) or to leave it
-    # bare (ambiguous — rank lookup then falls back to the base name).
-    owners_of = {}
-    for (owner, cap) in model.instances:
-        owners_of.setdefault(cap, set()).add(owner)
-
-    def qualify(cap, cls):
-        if cls is not None and (cls, cap) in model.instances:
-            return f"{cls}::{cap}"
-        owners = owners_of.get(cap, ())
-        if len(owners) == 1:
-            return f"{next(iter(owners))}::{cap}"
-        return cap
-
-    # Config completeness: every discovered instance must be ranked; every
-    # LOCK_ORDER entry must exist.
-    for (owner, cap), (rel, lineno) in sorted(model.instances.items()):
-        qual = f"{owner}::{cap}"
-        if qual not in rank:
-            findings.append((rel, lineno, "lock-order",
-                             f"capability instance '{qual}' is not in "
-                             f"LOCK_ORDER (add it to gmmcs_lint.py at its "
-                             f"place in the canonical order)"))
-    # (Skipped when the tree declares no GMMCS_CAPABILITY classes at all —
-    # then the annotation system isn't in use and the list is aspirational.)
-    if model.cap_classes:
-        known_quals = {f"{o}::{c}" for (o, c) in model.instances}
-        for qual in lock_order:
-            if qual not in known_quals:
-                findings.append(("tools/lint/gmmcs_lint.py", 1, "lock-order",
-                                 f"LOCK_ORDER entry '{qual}' matches no "
-                                 f"capability instance in the tree (stale?)"))
-
-    # ---- Per-function scope analysis. ----
-    # Scopes: every function body (lambdas blanked) plus every lambda as
-    # its own scope. Each scope gets (src, keys, held-intervals, acquires,
-    # waits, body, base_offset, cls, is_ctor).
-    scopes = []
-    for src, cls, name, params, annos, body, off in model.functions:
-        outer, lambdas = _split_lambdas(body, off)
-        keys = _fn_keys(cls, name)
-        if cls is None and "::" in name:
-            # Out-of-line member definition: recover the owning class so
-            # guarded-member and capability lookups work in the body (and
-            # in its lambdas, which inherit this class).
-            cls = name.rsplit("::", 1)[0].rsplit("::", 1)[-1]
-        reqs = {_base_cap(a) for a in REQUIRES_RE.findall(annos)}
-        for k in keys:
-            reqs |= model.decl_requires.get(k, set())
-        acq_anno = set()
-        for k in keys:
-            acq_anno |= model.decl_acquires.get(k, set())
-        is_ctor = cls is not None and (name == cls or name == f"~{cls}"
-                                       or name.lstrip("~") == cls)
-        if "::" in name:
-            tail = name.rsplit("::", 1)
-            if tail[1].lstrip("~") == tail[0].rsplit("::", 1)[-1]:
-                is_ctor = True
-        scopes.append(dict(src=src, keys=keys, reqs=reqs, acq_anno=acq_anno,
-                           body=outer, off=off, cls=cls, name=name,
-                           is_ctor=is_ctor, annos=annos, params=params))
-        for lam_annos, lam_body, lam_off in lambdas:
-            lreqs = {_base_cap(a) for a in REQUIRES_RE.findall(lam_annos)}
-            scopes.append(dict(src=src, keys=[], reqs=lreqs, acq_anno=set(),
-                               body=lam_body, off=lam_off, cls=cls,
-                               name=f"{name}::<lambda>", is_ctor=False,
-                               annos=lam_annos, params=""))
-
-    # may_acquire fixpoint: which capabilities can a call into fn key end
-    # up blocking-acquiring (directly or transitively)?
-    may_acquire = {}
-    direct_calls = {}  # primary key -> called identifiers
-    call_re = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-    for sc in scopes:
-        holds, acquires, waits = _scope_events(sc["body"])
-        sc["holds"] = holds
-        sc["acquires"] = acquires
-        sc["waits"] = waits
-        if not sc["keys"]:
-            continue  # lambdas don't propagate to callers
-        primary = sc["keys"][0]
-        # Parametric capabilities (GMMCS_ACQUIRE(mu) where `mu` is a
-        # parameter) are bound to a concrete instance per call site, not
-        # here — propagating the bare parameter name would attach one
-        # callee's acquisitions to every caller under a meaningless key.
-        para_names = {p for _k, _i, p in model.parametric.get(primary, ())}
-        acq = {qualify(cap, sc["cls"])
-               for cap, _p, blocking in acquires
-               if blocking and cap not in para_names}
-        acq |= {qualify(cap, sc["cls"]) for cap in sc["acq_anno"]
-                if cap not in para_names}
-        may_acquire.setdefault(primary, set()).update(acq)
-        called = set(call_re.findall(sc["body"])) - FUNC_KEYWORDS
-        for k in sc["keys"]:
-            called |= model.extra_calls.get(k, set())
-        direct_calls[primary] = called
-    # Alias map: short name -> primary keys it may refer to.
-    alias = {}
-    for sc in scopes:
-        for k in sc["keys"]:
-            alias.setdefault(k, set()).add(sc["keys"][0])
-            alias.setdefault(k.rsplit("::", 1)[-1], set()).add(sc["keys"][0])
-    # Stale lock-order-calls annotations: an operand that resolves to no
-    # function definition injects no edges — silently, which is how a
-    # rename at a SmallFn/callback registration site used to disable the
-    # very analysis the annotation exists for. Both operands must resolve.
-    for src, lineno, caller, callee in model.extra_call_sites:
-        for role, ident in (("caller", caller), ("callee", callee)):
-            if ident in alias or src.suppressed(lineno, "lock-order"):
-                continue
-            findings.append(
-                (src.rel, lineno, "lock-order",
-                 f"lock-order-calls {role} '{ident}' matches no function "
-                 f"definition in the tree — the stale annotation silently "
-                 f"drops acquisition-graph edges (rename it to match the "
-                 f"current registration site)"))
-    changed = True
-    while changed:
-        changed = False
-        for fn, called in direct_calls.items():
-            for callee in called:
-                for target in alias.get(callee, ()):
-                    extra = may_acquire.get(target, set()) - may_acquire[fn]
-                    if extra:
-                        may_acquire[fn] |= extra
-                        changed = True
-
-    # ---- Edge construction + rank/cycle checks. ----
-    edges = {}  # (held_qual, acquired_qual) -> (rel, lineno)
-
-    def add_edge(held, acquired, src, pos, cls):
-        held_q, acq_q = qualify(held, cls), qualify(acquired, cls)
-        if held_q == acq_q:
-            return
-        edges.setdefault((held_q, acq_q), (src.rel, src.line_of(pos)))
-
-    for sc in scopes:
-        src = sc["src"]
-        base = sc["off"]
-        # Intervals where each cap is held: REQUIRES covers whole body.
-        held_iv = [(cap, 0, len(sc["body"])) for cap in sc["reqs"]]
-        held_iv += sc["holds"]
-
-        def held_at(pos, held_iv=held_iv):
-            return {cap for cap, s, e in held_iv if s <= pos < e}
-
-        # Direct blocking acquisitions while something is held.
-        for cap, pos, blocking in sc["acquires"]:
-            if not blocking:
-                continue
-            for h in held_at(pos):
-                add_edge(h, cap, src, base + pos, sc["cls"])
-        # Transitive: calls into functions that may blocking-acquire.
-        for m in call_re.finditer(sc["body"]):
-            callee = m.group(1)
-            if callee in FUNC_KEYWORDS:
-                continue
-            targets = alias.get(callee, ())
-            acq = set()
-            for t in targets:
-                acq |= may_acquire.get(t, set())
-            if not acq:
-                continue
-            held_here = held_at(m.start())
-            for h in held_here:
-                for a in acq:
-                    add_edge(h, a, src, base + m.start(), sc["cls"])
-        # Parametric capabilities: a callee annotated GMMCS_REQUIRES(mu)/
-        # GMMCS_ACQUIRE(mu) where `mu` names one of its own parameters
-        # binds to a different concrete instance at every call site, so
-        # rank the substituted actual argument here.  `wait` is skipped:
-        # CondVar::wait is exactly this shape, but the condvar-hold rule
-        # below performs the same substitution with better diagnostics.
-        for m in call_re.finditer(sc["body"]):
-            callee = m.group(1)
-            para = model.parametric.get(callee)
-            if not para or callee == "wait" or callee in FUNC_KEYWORDS:
-                continue
-            args = _call_args(sc["body"], m.end() - 1)
-            held_here = held_at(m.start())
-            for kind, idx, pname in para:
-                if idx >= len(args):
-                    continue
-                subst = _base_cap(args[idx])
-                if not re.fullmatch(r"\w+", subst):
-                    continue
-                subst_q = qualify(subst, sc["cls"])
-                if subst not in owners_of and subst_q not in rank \
-                        and subst not in rank:
-                    continue  # actual argument isn't a known capability
-                if kind == "acquires":
-                    # Calling blocking-acquires the substituted instance.
-                    for h in held_here:
-                        add_edge(h, subst, src, base + m.start(), sc["cls"])
-                else:  # requires: caller must already hold the instance
-                    if subst not in held_here:
-                        lineno = src.line_of(base + m.start())
-                        if not src.suppressed(lineno, "lock-order"):
-                            findings.append(
-                                (src.rel, lineno, "lock-order",
-                                 f"call to '{callee}' substitutes "
-                                 f"'{subst_q}' for its GMMCS_REQUIRES"
-                                 f"({pname}) parameter, but {sc['name']} "
-                                 f"does not hold '{subst_q}' here"))
-                    # The callee runs with the instance held: its further
-                    # acquisitions rank against the substituted cap.
-                    for t in alias.get(callee, ()):
-                        for a in may_acquire.get(t, ()):
-                            add_edge(subst, a, src, base + m.start(),
-                                     sc["cls"])
-        # GMMCS_ACQUIRE-annotated functions: body acquires its annotation
-        # even without a visible MutexLock (wrapper functions).
-        for cap in sc["acq_anno"]:
-            for h in sc["reqs"]:
-                add_edge(h, cap, src, base, sc["cls"])
-
-    # Rank violations.
-    for (held, acquired), (rel, lineno) in sorted(edges.items()):
-        src = next((s for s in sources if s.rel == rel), None)
-        if src is not None and src.suppressed(lineno, "lock-order"):
-            continue
-        rh = rank.get(held, rank.get(_base_cap(held.rsplit("::", 1)[-1])))
-        ra = rank.get(acquired, rank.get(_base_cap(acquired.rsplit("::", 1)[-1])))
-        if rh is None or ra is None:
-            continue  # unknown instance already reported above
-        if rh >= ra:
-            findings.append((rel, lineno, "lock-order",
-                             f"acquisition of '{acquired}' while holding "
-                             f"'{held}' runs against the canonical lock "
-                             f"order ({' -> '.join(lock_order)})"))
-    # Cycles (catches deadlocks even among unranked/parametric caps).
-    graph = {}
-    for (a, b) in edges:
-        graph.setdefault(a, set()).add(b)
-    state, stack = {}, []
-
-    def dfs(node):
-        state[node] = 0
-        stack.append(node)
-        for nxt in sorted(graph.get(node, ())):
-            if state.get(nxt) == 0:
-                cycle = stack[stack.index(nxt):] + [nxt]
-                rel, lineno = edges[(node, nxt)]
-                src = next((s for s in sources if s.rel == rel), None)
-                if not (src and src.suppressed(lineno, "lock-order")):
-                    findings.append((rel, lineno, "lock-order",
-                                     "lock acquisition cycle (potential "
-                                     "deadlock): " + " -> ".join(cycle)))
-            elif nxt not in state:
-                dfs(nxt)
-        stack.pop()
-        state[node] = 1
-
-    for node in sorted(graph):
-        if node not in state:
-            dfs(node)
-
-    # ---- guarded-by: member access without the guard held. ----
-    guard_names = set(model.guards)
-    if guard_names:
-        bare_re = re.compile(
-            r"(?<![\w.>])(" + "|".join(sorted(guard_names)) + r")\b(?!\s*\()")
-        pref_re = re.compile(
-            r"(?:\b(?P<recv>\w+)\s*)?(?:\.|->)\s*(?P<member>"
-            + "|".join(sorted(guard_names)) + r")\b(?!\s*\()")
-        for sc in scopes:
-            src = sc["src"]
-            base = sc["off"]
-            if sc["is_ctor"]:
-                continue
-            held_iv = [(cap, 0, len(sc["body"])) for cap in sc["reqs"]]
-            held_iv += sc["holds"]
-
-            def held_at(pos, held_iv=held_iv):
-                return {cap for cap, s, e in held_iv if s <= pos < e}
-
-            own_cls = sc["cls"]
-            hits = []
-            if own_cls is not None:
-                for m in bare_re.finditer(sc["body"]):
-                    member = m.group(1)
-                    cap = model.guards[member].get(own_cls)
-                    if cap is None:
-                        continue  # same-named member of another class
-                    hits.append((member, cap, m.start()))
-            for m in pref_re.finditer(sc["body"]):
-                member = m.group("member")
-                owners = model.guards[member]
-                rtype = _receiver_type(m.group("recv"), sc, model, m.start())
-                if rtype is not None and rtype in owners:
-                    # Receiver's declared class guards this member: check
-                    # against that owner's capability specifically.
-                    hits.append((member, owners[rtype], m.start("member")))
-                    continue
-                if rtype is not None and rtype in model.classes:
-                    continue  # resolved class doesn't guard this member
-                caps = set(owners.values())
-                if len(caps) != 1:
-                    continue  # type unknown, guard ambiguous: skip
-                hits.append((member, next(iter(caps)), m.start("member")))
-            for member, cap, pos in hits:
-                if cap in held_at(pos):
-                    continue
-                lineno = src.line_of(base + pos)
-                if src.suppressed(lineno, "guarded-by"):
-                    continue
-                findings.append(
-                    (src.rel, lineno, "guarded-by",
-                     f"access to '{member}' (GMMCS_GUARDED_BY({cap})) in "
-                     f"{sc['name']} which neither holds '{cap}' here nor "
-                     f"declares GMMCS_REQUIRES({cap})"))
-
-    # ---- condvar-hold. ----
-    for sc in scopes:
-        src = sc["src"]
-        base = sc["off"]
-        held_iv = [(cap, 0, len(sc["body"])) for cap in sc["reqs"]]
-        held_iv += sc["holds"]
-        for cap, pos in sc["waits"]:
-            if cap in {"", "0"} or not re.match(r"^\w+$", cap):
-                continue
-            if cap not in owners_of and cap not in rank:
-                continue  # .wait() on something that isn't a capability
-            if any(s <= pos < e for c, s, e in held_iv if c == cap):
-                continue
-            lineno = src.line_of(base + pos)
-            if src.suppressed(lineno, "condvar-hold"):
-                continue
-            findings.append(
-                (src.rel, lineno, "condvar-hold",
-                 f"condition-variable wait on '{cap}' in {sc['name']} "
-                 f"without holding '{cap}'"))
-
-    # De-duplicate (same site can be hit via multiple scopes).
-    return sorted(set(findings))
-
-
-# --------------------------------------------------------------------------
-# Pass 6: snapshot discipline.
-# --------------------------------------------------------------------------
-#
-# The epoch-snapshot control plane (DESIGN.md §12) publishes immutable
-# snapshot objects through one atomic shared_ptr; dispatch paths load the
-# current epoch lock-free and read it with no synchronization at all. The
-# scheme is sound only while three invariants hold, and none of them is
-# compiler-enforced once a const_cast or a stray non-const handle slips in:
-#
-#   snapshot-type         snapshot types stay structurally immutable: no
-#                         `mutable` members and no non-const methods
-#                         (constructors/destructors aside). A mutable
-#                         match cache, say, would be a data race under
-#                         concurrent lock-free readers.
-#
-#   snapshot-mutation     outside a writer scope, code holds only const
-#                         handles to snapshot types (`shared_ptr<const T>`,
-#                         `const T&`). A non-const handle — including
-#                         make_shared<T> while a writer builds the next
-#                         epoch — is writer-only, and casting constness
-#                         away from a snapshot type is never legal, in any
-#                         scope.
-#
-#   snapshot-publication  an atomic snapshot-pointer member is written
-#                         (.store / .exchange / assignment) from writer
-#                         scopes only; readers only .load().
-#
-# A scope counts as a *writer* from the point it provably runs under a
-# capability: it declares GMMCS_REQUIRES(...) (on the definition or its
-# header declaration) or has executed `.assert_held()`. That is the same
-# serial-writer-context notion the lock-order pass uses; in this tree every
-# snapshot writer runs under BrokerNetwork::ctx_.
-
-# Class names forming the immutable snapshot surface. Like LOCK_ORDER,
-# edit here when a new snapshot type is introduced.
-SNAPSHOT_TYPES = [
-    "ControlSnapshot",
-    "RouteTables",
-    "InterestTable",
-]
-
-
 def _blank_braced(text):
     """Length-preserving copy of `text` with the interiors of all brace
     groups blanked (newlines kept): leaves only top-level declarations."""
@@ -1856,221 +1112,8 @@ def _blank_braced(text):
     return "".join(out)
 
 
-SNAP_METHOD_DECL_RE = re.compile(
-    r"(~?\w+)\s*\(((?:[^();]|\([^()]*\))*)\)\s*"
-    r"(?P<annos>(?:const|noexcept|final|override|->\s*[\w:<>]+|"
-    r"GMMCS_\w+\s*\([^()]*\)|\s)*);")
-SNAP_MUTABLE_RE = re.compile(r"^[ \t]*mutable\b", re.M)
-
-
-def pass_snapshot(sources, snapshot_types=None, primitive_files=None):
-    snapshot_types = (snapshot_types if snapshot_types is not None
-                      else SNAPSHOT_TYPES)
-    primitive_files = (primitive_files if primitive_files is not None
-                       else LOCK_PRIMITIVE_FILES)
-    findings = []
-    if not snapshot_types:
-        return findings
-    # Cheap prefilter: fixture trees (and most modules) never mention a
-    # snapshot type, so skip the model build entirely.
-    if not any(t in src.text for src in sources for t in snapshot_types):
-        return findings
-
-    def emit(src, lineno, rule, msg):
-        if not src.suppressed(lineno, rule):
-            findings.append((src.rel, lineno, rule, msg))
-
-    type_alt = "|".join(re.escape(t) for t in sorted(snapshot_types))
-    cast_re = re.compile(
-        rf"\b(?:const_cast|const_pointer_cast)\s*<[^<>;]*\b(?:{type_alt})\b")
-    # Non-const handles: owning pointers to a mutable T, or T&/T* not
-    # preceded by const. `shared_ptr<const T>` fails the match by
-    # construction; the ref/pointer alternative checks its prefix below.
-    handle_re = re.compile(
-        rf"\b(?:std::)?(?:make_shared|make_unique|shared_ptr|unique_ptr)"
-        rf"\s*<\s*(?:{type_alt})\s*>"
-        rf"|\b(?:{type_alt})\s*(?:[&*]\s*)+\w")
-    atomic_member_re = re.compile(
-        rf"std::atomic\s*<\s*(?:std::shared_ptr\s*<\s*const\s+(?:{type_alt})"
-        rf"\s*>|(?:{type_alt})Ptr)\s*>\s+(\w+)")
-
-    def nonconst_handle_hits(text):
-        for m in handle_re.finditer(text):
-            if re.search(r"\bconst\s*$", text[:m.start()]):
-                continue  # `const T&` / `const T*`: a reader handle
-            yield m
-
-    # ---- snapshot-type: structural immutability of the types. ----
-    for src in sources:
-        for cls, b0, b1, _cap in _scan_classes(src.text):
-            if cls not in snapshot_types:
-                continue
-            top = _blank_braced(src.text[b0:b1])
-            for m in SNAP_MUTABLE_RE.finditer(top):
-                emit(src, src.line_of(b0 + m.start()), "snapshot-type",
-                     f"snapshot type '{cls}' declares a mutable member — "
-                     f"a data race under concurrent lock-free readers")
-            for m in SNAP_METHOD_DECL_RE.finditer(top):
-                name = m.group(1)
-                if name.lstrip("~") == cls:
-                    continue  # ctor/dtor declaration
-                seg_start = max(top.rfind(";", 0, m.start()),
-                                top.rfind("{", 0, m.start()),
-                                top.rfind("}", 0, m.start())) + 1
-                seg = top[seg_start:m.start()]
-                if re.search(r"\b(?:static|friend|using|typedef)\b", seg):
-                    continue
-                if not re.search(r"[\w>&*\]]\s*$", seg):
-                    continue  # no return type before it: not a declaration
-                if re.search(r"\bconst\b", m.group("annos")):
-                    continue
-                emit(src, src.line_of(b0 + m.start()), "snapshot-type",
-                     f"snapshot type '{cls}' declares non-const method "
-                     f"'{name}' — published epochs must be immutable")
-
-    # ---- Writer-scope analysis over every function body and lambda. ----
-    model = _collect_model(sources, primitive_files)
-
-    def recover_signature(src, name, annos, off):
-        """The signature segment before the body brace, plus the real
-        function name: _extract_functions_ctx reads `Ctor(...) :
-        member(init) {` as a function named `member`, so ctors need their
-        name recovered from the text."""
-        brace = off - 1
-        seg_start = max(src.text.rfind(";", 0, brace),
-                        src.text.rfind("}", 0, brace),
-                        src.text.rfind("{", 0, brace)) + 1
-        raw_seg = src.text[seg_start:brace]
-        seg = re.sub(r"\b(?:public|private|protected)\s*:", " ", raw_seg)
-        colon = _init_list_split(seg)
-        if colon >= 0:
-            m = FUNC_SIG_RE.search(seg[:colon])
-            if m and m.group("name") not in FUNC_KEYWORDS:
-                return m.group("name"), (m.group("annos") or ""), \
-                    seg_start, raw_seg
-        return name, annos, seg_start, raw_seg
-
-    functions = []
-    for src, cls, name, params, annos, fbody, off in model.functions:
-        name, annos, sig_off, sig = recover_signature(src, name, annos, off)
-        functions.append((src, cls, name, annos, fbody, off, sig_off, sig))
-
-    # snapshot-type, definitions: inline and out-of-line method bodies of
-    # snapshot types (the declaration scan above only sees prototypes).
-    for src, cls, name, annos, _fbody, off, _soff, _sig in functions:
-        owner = cls
-        tail = name
-        if "::" in name:
-            owner, tail = name.rsplit("::", 1)
-            owner = owner.rsplit("::", 1)[-1]
-        if owner not in snapshot_types:
-            continue
-        if tail.lstrip("~") == owner:
-            continue  # ctor/dtor
-        if re.search(r"\bconst\b", annos):
-            continue
-        emit(src, src.line_of(off), "snapshot-type",
-             f"snapshot type '{owner}' defines non-const method '{tail}' — "
-             f"published epochs must be immutable")
-
-    atomic_members = set()
-    for src in sources:
-        for m in atomic_member_re.finditer(src.text):
-            atomic_members.add(m.group(1))
-    store_re = None
-    if atomic_members:
-        mem_alt = "|".join(sorted(atomic_members))
-        store_re = re.compile(
-            rf"\b({mem_alt})\s*(?:\.\s*(?:store|exchange)\s*\(|=(?!=))")
-
-    scopes = []
-    for src, cls, name, annos, fbody, off, sig_off, sig in functions:
-        outer, lambdas = _split_lambdas(fbody, off)
-        reqs = set(REQUIRES_RE.findall(annos))
-        for k in _fn_keys(cls, name):
-            reqs |= model.decl_requires.get(k, set())
-        is_snap_method = (cls in snapshot_types
-                          or ("::" in name and
-                              name.rsplit("::", 2)[-2] in snapshot_types))
-        scopes.append((src, name, outer, off, bool(reqs),
-                       is_snap_method, sig_off, sig))
-        for lam_annos, lam_body, lam_off in lambdas:
-            scopes.append((src, f"{name}::<lambda>", lam_body, lam_off,
-                           bool(REQUIRES_RE.findall(lam_annos)),
-                           False, 0, ""))
-
-    for src, name, body, off, writer, is_snap_method, sig_off, sig in scopes:
-        # Writer status begins at the first assert_held() when there is no
-        # REQUIRES: code before the assert is still reader-side.
-        writer_from = 0 if writer else None
-        if writer_from is None:
-            am = ASSERT_HELD_RE.search(body)
-            if am:
-                writer_from = am.end()
-
-        def in_writer(pos, writer_from=writer_from):
-            return writer_from is not None and pos >= writer_from
-
-        # snapshot-mutation: const_cast is never legal, handles only in
-        # writer scopes.
-        for m in cast_re.finditer(body):
-            emit(src, src.line_of(off + m.start()), "snapshot-mutation",
-                 f"casting constness away from a snapshot type in {name} — "
-                 f"published epochs are immutable; build a new one under "
-                 f"the writer context instead")
-        if not is_snap_method:
-            for m in nonconst_handle_hits(body):
-                if in_writer(m.start()):
-                    continue
-                emit(src, src.line_of(off + m.start()), "snapshot-mutation",
-                     f"non-const handle to a snapshot type in {name}, which "
-                     f"is not a writer scope (no GMMCS_REQUIRES, no prior "
-                     f"assert_held) — readers must hold const handles")
-            # The signature too: a non-const snapshot parameter or return
-            # is reader-side mutation access unless the function is a
-            # REQUIRES-annotated writer.
-            if not writer:
-                for m in nonconst_handle_hits(sig):
-                    emit(src, src.line_of(sig_off + m.start()),
-                         "snapshot-mutation",
-                         f"non-const handle to a snapshot type in the "
-                         f"signature of {name}, which is not a writer scope "
-                         f"— take shared_ptr<const T>/const T& instead")
-        # snapshot-publication: atomic snapshot pointer written outside a
-        # writer scope.
-        if store_re is not None:
-            for m in store_re.finditer(body):
-                if in_writer(m.start()):
-                    continue
-                emit(src, src.line_of(off + m.start()),
-                     "snapshot-publication",
-                     f"atomic snapshot pointer '{m.group(1)}' written in "
-                     f"{name}, which is not a writer scope — publication "
-                     f"must happen under the writer context only")
-
-    # Non-const handles in class bodies (member/prototype declarations):
-    # a member that keeps a mutable handle to a snapshot type defeats the
-    # shared_ptr<const> reclamation contract no matter who touches it.
-    for src in sources:
-        for cls, b0, b1, _cap in _scan_classes(src.text):
-            if cls in snapshot_types:
-                continue  # the types' own internals are rule-1 territory
-            top = _blank_braced(src.text[b0:b1])
-            for m in nonconst_handle_hits(top):
-                emit(src, src.line_of(b0 + m.start()), "snapshot-mutation",
-                     f"non-const snapshot handle declared in class '{cls}' "
-                     f"— hold shared_ptr<const T>/const T& instead and "
-                     f"build new epochs from locals in the writer")
-
-    return sorted(set(findings))
-
-
 # --------------------------------------------------------------------------
-# Driver.
-# --------------------------------------------------------------------------
-
-# --------------------------------------------------------------------------
-# Pass 7: deferred-capture lifetime analysis.
+# Pass 5: deferred-capture lifetime analysis.
 # --------------------------------------------------------------------------
 #
 # The broker fabric is a system of deferred work: every event, fan-out
@@ -2085,10 +1128,10 @@ def pass_snapshot(sources, snapshot_types=None, primitive_files=None):
 # statically checked (DESIGN.md §14):
 #
 #   1. Sink inventory. The seed sinks are the deferred-execution entry
-#      points (EventLoop::schedule_at/schedule_after/post_effect,
-#      ServiceCenter::submit/submit_batch). A may-defer fixpoint — the
-#      same shape as the pass-5 may_acquire fixpoint — then grows the
-#      set: a function that stores a callable-typed parameter (SmallFn /
+#      points (EventLoop::schedule_at/schedule_after,
+#      ServiceCenter::submit/submit_batch). A may-defer fixpoint over the
+#      call graph then grows the set: a function that stores a
+#      callable-typed parameter (SmallFn /
 #      Callback / std::function / their aliases) into a member, a
 #      container, or a ctor init list, or forwards it into a known sink,
 #      is itself a sink (on_message, on_accept, bind, on_disconnect,
@@ -2120,15 +1163,14 @@ def pass_snapshot(sources, snapshot_types=None, primitive_files=None):
 #      whose source is a shared_ptr into the weak_ptr + lock + early-
 #      return shape of the PR 7 kPing fix, idempotently.
 
-DEFER_SINKS = {"schedule_at", "schedule_after", "post_effect",
-               "submit", "submit_batch"}
+DEFER_SINKS = {"schedule_at", "schedule_after", "submit", "submit_batch"}
 
 # Sink method names that register a datagram handler in a port table
 # owned by someone else; the release-discipline carve-out applies.
 BIND_SINKS = {"bind", "bind_ephemeral"}
 
 PINNED_CLASS_RE = re.compile(
-    r"\b(?:class|struct)\s+(?:GMMCS_CAPABILITY\s*\([^)]*\)\s+)?"
+    r"\b(?:class|struct)\s+"
     r"GMMCS_PINNED\s*\(\s*(?:\"(?P<reason>[^\"]*)\")?\s*\)\s*"
     r"(?P<name>\w+)")
 
@@ -2284,7 +1326,7 @@ def _collect_member_types(sources, ptr_aliases):
     declarations (top level only; method bodies blanked)."""
     out = {}
     for src in sources:
-        for cls, b0, b1, _cap in _scan_classes(src.text):
+        for cls, b0, b1 in _scan_classes(src.text):
             body = _blank_braced(src.text[b0:b1])
             for m in _MEMBER_DECL_RE.finditer(body):
                 out.setdefault(cls, {})[m.group("name")] = _kind_of_type(
@@ -2802,7 +1844,7 @@ def pass_lifetime(sources, extra_sinks=(), extra_pinned=()):
 
 
 # --------------------------------------------------------------------------
-# Pass 8: copy discipline.
+# Pass 6: copy discipline.
 # --------------------------------------------------------------------------
 #
 # The zero-copy payload plane (DESIGN.md §15): a routed event's bytes
@@ -3080,7 +2122,7 @@ def pass_copy(sources):
 
 
 # --------------------------------------------------------------------------
-# Pass 9: wire — untrusted-input taint analysis (DESIGN.md §16).
+# Pass 7: wire — untrusted-input taint analysis (DESIGN.md §16).
 # --------------------------------------------------------------------------
 #
 # Every broker and gateway decoder is fed bytes it did not produce, so a
@@ -3456,8 +2498,6 @@ PASSES = {
     "result": lambda srcs: pass_result(srcs),
     "codec": lambda srcs: pass_codec_symmetry(srcs),
     "switch": lambda srcs: pass_switch_exhaustiveness(srcs),
-    "lock-order": lambda srcs: pass_lock_order(srcs),
-    "snapshot": lambda srcs: pass_snapshot(srcs),
     "lifetime": lambda srcs: pass_lifetime(srcs),
     "copy": lambda srcs: pass_copy(srcs),
     "wire": lambda srcs: pass_wire(srcs),
