@@ -177,7 +177,6 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   };
 
   void accept(transport::StreamConnectionPtr conn);
-  void handle_stream_frame(ClientId client, const Payload& data);
   void handle_datagram(const sim::Datagram& d);
   void handle_subscription(ClientRec& c, const SubscribeMessage& m);
   /// Drops a client record and its subscriptions/advertisements. Used when

@@ -146,6 +146,16 @@ void BrokerClient::keepalive_tick() {
 }
 
 void BrokerClient::handle_frame(const Payload& data) {
+  // Media hot path: a kEvent frame decodes in place into rx_event_,
+  // reusing its topic capacity; no Frame is built.
+  if (decode_event_into(data, rx_event_)) {
+    last_heard_ = host_->loop().now();
+    ++events_received_;
+    // Last statement: the handler may publish, resubscribe or destroy
+    // this client, so nothing here touches client state after it.
+    if (event_handler_) event_handler_(rx_event_);
+    return;
+  }
   auto frame = decode(data);
   if (!frame.ok()) return;
   Frame f = std::move(frame).value();
@@ -175,18 +185,14 @@ void BrokerClient::handle_frame(const Payload& data) {
       flush_queue();
       if (ready_handler_) ready_handler_();
       break;
-    case MessageType::kEvent:
-      ++events_received_;
-      if (event_handler_) event_handler_(f.event);
-      break;
     case MessageType::kPing:
       // Broker-side client keepalive probe (DESIGN.md §13): answer so the
       // broker can tell a quiet-but-alive client from a ghost record.
       stream_->send(encode(f.ping, /*pong=*/true));
       break;
     default:
-      // Clients only consume kHelloAck/kEvent/kPing (kPong is handled
-      // before the switch); other frames addressed to us are ignored.
+      // Clients only consume kHelloAck/kEvent/kPing (kEvent is handled
+      // above); other frames addressed to us are ignored.
       break;
   }
 }

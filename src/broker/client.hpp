@@ -83,6 +83,9 @@ class GMMCS_PINNED("client endpoints are created at run start and destroyed only
   /// fan-out). Events published before the handshake completes are queued.
   void publish(const std::string& topic, Payload payload, QoS qos = QoS::kBestEffort);
 
+  /// The event passed to the handler is client-owned storage, reused for
+  /// the next event: it is valid until the handler returns or the client
+  /// is destroyed, whichever comes first.
   void on_event(std::function<void(const Event&)> handler);
   /// Fires once the broker has acknowledged the Hello.
   void on_ready(std::function<void()> handler);
@@ -128,6 +131,8 @@ class GMMCS_PINNED("client endpoints are created at run start and destroyed only
   std::uint64_t events_received_ = 0;
   std::uint64_t events_published_ = 0;
   std::deque<Event> pending_;
+  /// Decode target for every received kEvent (see handle_frame).
+  Event rx_event_;
   /// Live subscription set, replayed after every re-handshake.
   std::vector<std::string> filters_;
   // Self-healing state (all inert unless reconnect/keepalive enabled).

@@ -16,22 +16,22 @@ void encode_event_body(ByteWriter& w, const Event& e) {
   w.raw(e.payload);
 }
 
-Event decode_event_body(ByteReader& r, const Payload& frame) {
-  Event e;
+// The one event-body decoder, shared by decode() and decode_event_into().
+// Fills `e` in place: the topic is assigned into its existing capacity.
+void decode_event_body(ByteReader& r, const Payload& frame, Event& e) {
   e.qos = static_cast<QoS>(r.u8());
   e.hops = r.u8();
   e.origin = SimTime{static_cast<std::int64_t>(r.u64())};
   e.seq = r.u32();
   e.publisher = r.u32();
-  e.topic = r.lstr();
+  e.topic.assign(r.lstr_view());
   auto len = r.read_len_bounded(r.remaining());
-  if (!len.ok()) return e;  // reader is poisoned; caller checks r.ok()
+  if (!len.ok()) return;  // reader is poisoned; caller checks r.ok()
   std::size_t at = r.position();
   // Advance through the reader, but take the payload as a zero-copy
   // slice of the frame buffer rather than an owned vector.
   r.skip(len.value());
   e.payload = frame.slice(at, len.value());
-  return e;
 }
 }  // namespace
 
@@ -150,7 +150,7 @@ Result<Frame> decode(const Payload& data) {
       break;
     case MessageType::kEvent:
       f.type = MessageType::kEvent;
-      f.event = decode_event_body(r, data);
+      decode_event_body(r, data, f.event);
       break;
     case MessageType::kPeerEvent: {
       f.type = MessageType::kPeerEvent;
@@ -163,7 +163,7 @@ Result<Frame> decode(const Payload& data) {
       for (std::size_t i = 0; i < n.value(); ++i) {
         f.peer_event.targets.push_back(r.u32());
       }
-      f.peer_event.event = decode_event_body(r, data);
+      decode_event_body(r, data, f.peer_event.event);
       break;
     }
     case MessageType::kPing:
@@ -189,6 +189,14 @@ Result<Frame> decode(const Payload& data) {
   }
   if (!r.ok()) return fail<Frame>("broker: truncated frame");
   return f;
+}
+
+bool decode_event_into(const Payload& data, Event& out) {
+  if (data.empty() || data[0] != static_cast<std::uint8_t>(MessageType::kEvent)) return false;
+  ByteReader r(data);
+  r.skip(1);
+  decode_event_body(r, data, out);
+  return r.ok();
 }
 
 }  // namespace gmmcs::broker

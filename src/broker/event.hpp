@@ -169,4 +169,11 @@ struct Frame {
 /// a zero-copy slice of `data` (it shares the buffer; no bytes move).
 [[nodiscard]] Result<Frame> decode(const Payload& data);
 
+/// In-place kEvent decoder for the receive hot path: fills `out` from a
+/// kEvent frame, assigning the topic into `out`'s existing capacity and
+/// slicing the payload out of `data`, with no Frame built. True exactly
+/// when decode(data) yields a kEvent frame, with identical fields (both
+/// run the same body decoder); on false `out` is unspecified.
+[[nodiscard]] bool decode_event_into(const Payload& data, Event& out);
+
 }  // namespace gmmcs::broker

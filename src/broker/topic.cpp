@@ -1,24 +1,41 @@
 #include "broker/topic.hpp"
 
-#include "common/strings.hpp"
-
 namespace gmmcs::broker {
+
+namespace {
+/// Pops the next non-empty '/'-separated segment off the front of `rest`
+/// into `seg`; false once none is left. Views only: nothing allocates.
+bool next_segment(std::string_view& rest, std::string_view& seg) {
+  while (!rest.empty()) {
+    const std::size_t slash = rest.find('/');
+    seg = rest.substr(0, slash);
+    rest = slash == std::string_view::npos ? std::string_view{} : rest.substr(slash + 1);
+    if (!seg.empty()) return true;
+  }
+  return false;
+}
+}  // namespace
 
 std::string normalize_topic(std::string_view raw) {
   std::string out = "/";
-  for (const auto& seg : split(raw, '/')) {
-    if (seg.empty()) continue;
+  std::string_view seg;
+  while (next_segment(raw, seg)) {
     if (out.size() > 1) out += '/';
     out += seg;
   }
   return out;
 }
 
+bool is_normalized_topic(std::string_view topic) {
+  if (topic.empty() || topic.front() != '/') return false;
+  if (topic.size() > 1 && topic.back() == '/') return false;
+  return topic.find("//") == std::string_view::npos;
+}
+
 std::vector<std::string> topic_segments(std::string_view topic) {
   std::vector<std::string> out;
-  for (const auto& seg : split(topic, '/')) {
-    if (!seg.empty()) out.push_back(seg);
-  }
+  std::string_view seg;
+  while (next_segment(topic, seg)) out.emplace_back(seg);
   return out;
 }
 
@@ -54,17 +71,15 @@ TopicFilter::TopicFilter(std::string_view pattern)
 
 bool TopicFilter::matches(std::string_view topic) const {
   if (!valid_) return false;
-  auto segs = topic_segments(topic);
-  if (trailing_hash_) {
-    if (segs.size() < segments_.size()) return false;
-  } else {
-    if (segs.size() != segments_.size()) return false;
+  std::size_t i = 0;
+  std::string_view seg;
+  while (next_segment(topic, seg)) {
+    // Segments past the filter's end match only under a trailing '#'.
+    if (i == segments_.size()) return trailing_hash_;
+    if (segments_[i] != "*" && segments_[i] != seg) return false;
+    ++i;
   }
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i] == "*") continue;
-    if (segments_[i] != segs[i]) return false;
-  }
-  return true;
+  return i == segments_.size();
 }
 
 }  // namespace gmmcs::broker

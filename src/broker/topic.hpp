@@ -16,6 +16,9 @@ namespace gmmcs::broker {
 /// collapses empty segments. "session//42/" -> "/session/42".
 std::string normalize_topic(std::string_view raw);
 
+/// True if normalize_topic(topic) == topic, checked without allocating.
+bool is_normalized_topic(std::string_view topic);
+
 /// True if `topic` is a well-formed concrete topic (no wildcards).
 bool is_valid_topic(std::string_view topic);
 
@@ -26,6 +29,7 @@ class TopicFilter {
   /// segments (only valid in last position; invalid filters match nothing).
   explicit TopicFilter(std::string_view pattern);
 
+  /// Allocation-free: walks `topic`'s segments as views.
   [[nodiscard]] bool matches(std::string_view topic) const;
   [[nodiscard]] const std::string& pattern() const { return pattern_; }
   [[nodiscard]] bool valid() const { return valid_; }

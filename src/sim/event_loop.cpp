@@ -81,6 +81,7 @@ bool EventLoop::step() {
   --live_;
 
   now_ = e.when;
+  current_seq_ = e.seq;
   ++executed_;
   if (trace_) trace_(e.when, e.seq);
   bool prev_exec = executing_;
@@ -93,6 +94,7 @@ bool EventLoop::step() {
 void EventLoop::run() {
   while (step()) {
   }
+  current_seq_ = next_seq_ - 1;
 }
 
 void EventLoop::run_until(SimTime deadline) {
@@ -100,7 +102,11 @@ void EventLoop::run_until(SimTime deadline) {
     if (heap_.front().when > deadline) break;
     step();
   }
-  if (now_ < deadline) now_ = deadline;
+  if (now_ <= deadline) {
+    // Every event at or before the deadline has run.
+    now_ = deadline;
+    current_seq_ = next_seq_ - 1;
+  }
 }
 
 PeriodicTask::PeriodicTask(EventLoop& loop, SimDuration period,

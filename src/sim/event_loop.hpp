@@ -21,10 +21,10 @@ using TaskId = std::uint64_t;
 
 class EventLoop {
  public:
-  /// Scheduled-event callback. A SmallFn (64-byte inline buffer, move-only
-  /// captures allowed) rather than std::function: Network::transmit
-  /// arrival closures and ServiceCenter completions exceed std::function's
-  /// 16-byte SBO and used to heap-allocate on every schedule.
+  /// Scheduled-event callback: a SmallFn (64-byte inline buffer, move-only
+  /// captures allowed). Captures over 64 bytes still spill to the heap, so
+  /// hot-path schedulers (Network arrivals, ServiceCenter completions)
+  /// park their state in a slot table and capture only {this, slot}.
   using Callback = SmallFn;
 
   EventLoop() = default;
@@ -47,6 +47,18 @@ class EventLoop {
   /// defer publication to a same-timestamp scheduled event, so events
   /// sequenced before it still read the previous epoch.
   [[nodiscard]] bool executing() const { return executing_; }
+
+  /// Sequence number the next schedule_at() will assign. Sequence numbers
+  /// start at 1 and order same-time events.
+  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
+  /// Sequence number of the event executing now (or of the last one run):
+  /// every event at now() with a sequence number up to this one has run.
+  /// Once run()/run_until() has drained now(), this is next_seq() - 1.
+  /// With next_seq() these let a model keep a lazy "event" — the NIC's
+  /// queue release — that a query resolves exactly as if it had been
+  /// scheduled: a release marked with next_seq() at time T has happened
+  /// iff T < now(), or T == now() and the mark is <= current_seq().
+  [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
 
   /// Runs events until the queue is empty.
   void run();
@@ -105,7 +117,8 @@ class EventLoop {
   void pop_top();
 
   SimTime now_;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t current_seq_ = 0;
   std::uint64_t executed_ = 0;
   /// Min-heap over (when, seq) maintained with std::push_heap/pop_heap so
   /// compaction can rebuild it in place after heavy cancel() churn.

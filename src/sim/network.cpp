@@ -33,10 +33,10 @@ void Host::set_up(bool up) {
   up_ = up;
   if (!up) {
     // Power loss wipes the NIC: queued bytes vanish (they must not
-    // serialize when power returns) and pending queue-release callbacks
-    // for them are invalidated via the epoch bump.
+    // serialize when power returns).
     last_down_at_ = loop().now();
-    ++nic_epoch_;
+    nic_fifo_.clear();
+    nic_head_ = 0;
     nic_queued_bytes_ = 0;
     nic_free_at_ = loop().now();
   }
@@ -66,9 +66,40 @@ SimDuration Host::nic_backlog_delay() const {
   return nic_free_at_ - now;
 }
 
+bool Host::departed(const NicDeparture& p) const {
+  const EventLoop& lp = loop();
+  return p.depart < lp.now() || (p.depart == lp.now() && p.mark <= lp.current_seq());
+}
+
+void Host::release_departed() {
+  while (nic_head_ < nic_fifo_.size() && departed(nic_fifo_[nic_head_])) {
+    nic_queued_bytes_ -= nic_fifo_[nic_head_].bytes;
+    ++nic_head_;
+  }
+  if (nic_head_ == nic_fifo_.size()) {
+    nic_fifo_.clear();
+    nic_head_ = 0;
+  } else if (nic_head_ >= 64 && nic_head_ * 2 >= nic_fifo_.size()) {
+    // Sustained backlog: trim the released prefix in place.
+    nic_fifo_.erase(nic_fifo_.begin(), nic_fifo_.begin() + static_cast<std::ptrdiff_t>(nic_head_));
+    nic_head_ = 0;
+  }
+}
+
+std::size_t Host::nic_queued_bytes() const {
+  std::size_t queued = nic_queued_bytes_;
+  for (std::size_t i = nic_head_; i < nic_fifo_.size() && departed(nic_fifo_[i]); ++i) {
+    queued -= nic_fifo_[i].bytes;
+  }
+  return queued;
+}
+
 bool Host::egress(std::size_t wire_bytes, SimTime& depart) {
   // Single-server drop-tail queue modeled in virtual time: the NIC is busy
-  // until nic_free_at_; queued bytes are released when their packet departs.
+  // until nic_free_at_; a packet's bytes count against the queue until it
+  // departs. Departures are in FIFO order, so the departed packets are a
+  // prefix of nic_fifo_, released here rather than by a loop event each.
+  release_departed();
   if (nic_queued_bytes_ + wire_bytes > nic_.queue_bytes) {
     ++nic_dropped_;
     return false;
@@ -80,10 +111,8 @@ bool Host::egress(std::size_t wire_bytes, SimTime& depart) {
   depart = start + ser;
   nic_free_at_ = depart;
   nic_queued_bytes_ += wire_bytes;
+  nic_fifo_.push_back(NicDeparture{depart, lp.next_seq(), wire_bytes});
   ++nic_sent_;
-  lp.schedule_at(depart, [this, wire_bytes, epoch = nic_epoch_] {
-    if (epoch == nic_epoch_) nic_queued_bytes_ -= wire_bytes;
-  });
   return true;
 }
 
@@ -275,19 +304,37 @@ void Network::transmit(Host& from, Datagram d, SimTime depart) {
     ++lost_;
     return;
   }
-  SimTime arrive = depart + p.latency;
-  Host* src = &from;
-  Host* dst = hosts_.at(d.dst.node).get();
-  auto arrival = [this, src, dst, depart, d = std::move(d)]() mutable {
-    // The source crashing while the datagram sat in its NIC queue wipes it.
-    if (src->egress_wiped(d.sent_at, depart)) {
-      ++lost_;
-      return;
-    }
-    ++delivered_;
-    dst->deliver(std::move(d));
-  };
-  loop_->schedule_at(arrive, std::move(arrival));
+  schedule_arrival(std::move(d), depart, depart + p.latency);
+}
+
+void Network::schedule_arrival(Datagram d, SimTime depart, SimTime arrive_at) {
+  if (d.dst.node >= hosts_.size()) {
+    throw std::out_of_range("Network: no host " + std::to_string(d.dst.node));
+  }
+  std::uint32_t slot;
+  if (!free_inflight_.empty()) {
+    slot = free_inflight_.back();
+    free_inflight_.pop_back();
+    inflight_[slot] = InFlight{std::move(d), depart};
+  } else {
+    slot = static_cast<std::uint32_t>(inflight_.size());
+    inflight_.push_back(InFlight{std::move(d), depart});
+  }
+  loop_->schedule_at(arrive_at, [this, slot] { arrive(slot); });
+}
+
+void Network::arrive(std::uint32_t slot) {
+  // Move out before delivering: the handler may send, which reuses slots
+  // and can reallocate the table.
+  InFlight f = std::move(inflight_[slot]);
+  free_inflight_.push_back(slot);
+  // The source crashing while the datagram sat in its NIC queue wipes it.
+  if (hosts_[f.d.src.node]->egress_wiped(f.d.sent_at, f.depart)) {
+    ++lost_;
+    return;
+  }
+  ++delivered_;
+  hosts_[f.d.dst.node]->deliver(std::move(f.d));
 }
 
 void Network::transmit_multicast(Host& from, GroupId group, Datagram d, SimTime depart) {
@@ -306,18 +353,7 @@ void Network::transmit_multicast(Host& from, GroupId group, Datagram d, SimTime 
     }
     Datagram copy = d;
     copy.dst = member;
-    SimTime arrive = depart + p.latency;
-    Host* src = &from;
-    Host* dst = hosts_.at(member.node).get();
-    auto arrival = [this, src, dst, depart, copy = std::move(copy)]() mutable {
-      if (src->egress_wiped(copy.sent_at, depart)) {
-        ++lost_;
-        return;
-      }
-      ++delivered_;
-      dst->deliver(std::move(copy));
-    };
-    loop_->schedule_at(arrive, std::move(arrival));
+    schedule_arrival(std::move(copy), depart, depart + p.latency);
   }
 }
 

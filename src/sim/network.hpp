@@ -149,7 +149,8 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   // NIC statistics.
   [[nodiscard]] std::uint64_t nic_sent() const { return nic_sent_; }
   [[nodiscard]] std::uint64_t nic_dropped() const { return nic_dropped_; }
-  [[nodiscard]] std::size_t nic_queued_bytes() const { return nic_queued_bytes_; }
+  /// Bytes in the egress queue whose packet has not departed yet.
+  [[nodiscard]] std::size_t nic_queued_bytes() const;
   /// Instantaneous NIC queueing delay for a hypothetical new packet.
   [[nodiscard]] SimDuration nic_backlog_delay() const;
 
@@ -157,8 +158,22 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   friend class Network;
   Host(Network& net, NodeId id, std::string name, NicConfig cfg);
 
-  /// Runs the egress pipeline; returns departure time or nullopt on drop.
+  /// A packet in the egress queue. `mark` is the loop's next_seq() when it
+  /// was enqueued: its bytes free at (depart, mark), i.e. before every
+  /// event scheduled after the enqueue and after every event before it.
+  struct NicDeparture {
+    SimTime depart;
+    std::uint64_t mark;
+    std::size_t bytes;
+  };
+
+  /// Runs the egress pipeline; false on a drop-tail drop, else sets the
+  /// departure time.
   bool egress(std::size_t wire_bytes, SimTime& depart);
+  /// True once the loop has passed packet `p`'s departure (see NicDeparture).
+  [[nodiscard]] bool departed(const NicDeparture& p) const;
+  /// Pops departed packets off the egress FIFO, freeing their bytes.
+  void release_departed();
   void deliver(Datagram d);
   /// True if a datagram that entered the NIC at `sent` and would have
   /// departed at `depart` was wiped by a power-down in between.
@@ -174,10 +189,13 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   /// Most recent power-down instant (-1 = never). Queued NIC bytes with a
   /// later departure are dropped (see egress_wiped).
   SimTime last_down_at_{-1};
-  /// Bumped on power-down so pending queue-release callbacks for wiped
-  /// bytes become no-ops.
-  std::uint64_t nic_epoch_ = 0;
   SimTime nic_free_at_;
+  /// Egress FIFO in departure order, as a vector + head index so it reuses
+  /// its capacity. Released lazily by egress() and nic_queued_bytes()
+  /// instead of by one loop event per packet.
+  std::vector<NicDeparture> nic_fifo_;
+  std::size_t nic_head_ = 0;
+  /// Bytes of the packets in nic_fifo_[nic_head_..].
   std::size_t nic_queued_bytes_ = 0;
   std::uint64_t nic_sent_ = 0;
   std::uint64_t nic_dropped_ = 0;
@@ -257,7 +275,18 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
 
  private:
   friend class Host;
+  /// A datagram between NIC departure and arrival.
+  struct InFlight {
+    Datagram d;
+    SimTime depart;
+  };
+
   void transmit(Host& from, Datagram d, SimTime depart);
+  /// Parks `d` in the in-flight table and schedules its arrival.
+  void schedule_arrival(Datagram d, SimTime depart, SimTime arrive_at);
+  /// The arrival event: frees the slot, then delivers unless the source's
+  /// NIC was wiped while the datagram sat in it.
+  void arrive(std::uint32_t slot);
   void transmit_multicast(Host& from, GroupId group, Datagram d, SimTime depart);
   /// Applies the path's loss model (Bernoulli or Gilbert–Elliott);
   /// true = drop. Burst state is kept per directed (src, dst) pair.
@@ -291,6 +320,12 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   /// Separate burst state for host gray-degrades (an independent loss
   /// process from the path's own Gilbert–Elliott chain).
   std::map<std::pair<NodeId, NodeId>, bool> gray_burst_state_;
+  /// In-flight datagrams, parked so each arrival closure captures only
+  /// {this, slot} and stays inside SmallFn's inline buffer (a Datagram
+  /// plus routing state would spill it: one heap cell per packet). Freed
+  /// slots are recycled LIFO, like ServiceCenter's and EventLoop's tables.
+  std::vector<InFlight> inflight_;
+  std::vector<std::uint32_t> free_inflight_;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;
 };

@@ -13,18 +13,30 @@ ServiceCenter::ServiceCenter(EventLoop& loop, int servers, std::size_t queue_lim
 }
 
 bool ServiceCenter::submit(SimDuration service_time, SmallFn done) {
-  Job job{loop_.now(), service_time, std::move(done)};
-  if (busy_ < servers_) {
-    start(std::move(job));
-    return true;
-  }
-  if (queue_limit_ != 0 && queue_length() >= queue_limit_) {
+  const bool idle_server = busy_ < servers_;
+  if (!idle_server && queue_limit_ != 0 && queue_length() >= queue_limit_) {
     ++rejected_;
     return false;
   }
-  queue_.push_back(std::move(job));
-  ++queued_logical_;
+  const Job job{loop_.now(), service_time, park(std::move(done)), nullptr};
+  if (idle_server) {
+    start(job);
+  } else {
+    queue_.push_back(job);
+    ++queued_logical_;
+  }
   return true;
+}
+
+std::uint32_t ServiceCenter::park(SmallFn done) {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    inflight_[slot] = std::move(done);
+    return slot;
+  }
+  inflight_.push_back(std::move(done));
+  return static_cast<std::uint32_t>(inflight_.size() - 1);
 }
 
 std::size_t ServiceCenter::submit_batch(std::size_t n, const BatchParams& params,
@@ -48,7 +60,7 @@ std::size_t ServiceCenter::submit_batch(std::size_t n, const BatchParams& params
     // Servers occupied: ride the FIFO queue as one Job; drain() peels
     // items into servers as they free up, interleaved FIFO with any
     // classic submissions around it.
-    queue_.push_back(Job{loop_.now(), params.service, {}, std::move(b)});
+    queue_.push_back(Job{loop_.now(), params.service, 0, std::move(b)});
     queued_logical_ += accepted;
     drain();
     return accepted;
@@ -100,23 +112,12 @@ SimTime ServiceCenter::gate_completion(SimTime cpu_done, const BatchParams& p) {
   return SimTime{static_cast<std::int64_t>(std::llround(c))};
 }
 
-void ServiceCenter::start(Job job) {
+void ServiceCenter::start(const Job& job) {
   ++busy_;
   total_wait_ += loop_.now() - job.enqueued;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    inflight_[slot] = std::move(job.done);
-  } else {
-    slot = static_cast<std::uint32_t>(inflight_.size());
-    inflight_.push_back(std::move(job.done));
-  }
-  // {this, slot} is 16 trivially-copyable bytes: it fits std::function's
-  // inline buffer, so scheduling the completion allocates nothing. The
-  // callable itself sits in inflight_[slot] (inline in the SmallFn for
-  // captures up to 64 bytes).
-  loop_.schedule_after(job.service, [this, slot] {
+  // The completion captures {this, slot}; the callable itself stays in
+  // inflight_[slot] (inline in its SmallFn for captures up to 64 bytes).
+  loop_.schedule_after(job.service, [this, slot = job.slot] {
     SmallFn done = std::move(inflight_[slot]);
     free_slots_.push_back(slot);  // safe: `done` reentering submit() sees a free slot
     --busy_;
@@ -148,10 +149,10 @@ void ServiceCenter::drain() {
       });
       continue;
     }
-    Job job = std::move(front);
+    const Job job = std::move(front);
     advance_head();
     --queued_logical_;
-    start(std::move(job));
+    start(job);
   }
 }
 

@@ -28,7 +28,9 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
 
   /// Submits a job; `done` runs when its service time has elapsed.
   /// Returns false (and drops the job) if the queue is full. The callable
-  /// rides in a SmallFn: captures up to 64 bytes cost no heap allocation.
+  /// rides in a SmallFn (captures up to 64 bytes cost no heap allocation)
+  /// parked in a slot table until it completes: the queue moves only a
+  /// small record per job.
   bool submit(SimDuration service_time, SmallFn done);
 
   /// Parameters for a batch of identical jobs (broker fan-out: one copy
@@ -85,15 +87,20 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
     std::function<void(std::size_t)> done;
   };
 
+  /// A queued job. A plain job's callable is parked in inflight_[slot]
+  /// at submit() and never moves again; the queue shuffles only these
+  /// small records.
   struct Job {
     SimTime enqueued;
     SimDuration service;
-    SmallFn done;
-    /// Non-null for a queued batch; `done` is empty then.
+    std::uint32_t slot = 0;
+    /// Non-null for a queued batch; `slot` is unused then.
     std::shared_ptr<BatchCtrl> batch;
   };
 
-  void start(Job job);
+  /// Parks a completion callable in a free inflight_ slot.
+  std::uint32_t park(SmallFn done);
+  void start(const Job& job);
   void drain();
   /// Advances q_head_ past the consumed front Job (reset/trim heuristics).
   void advance_head();
@@ -123,9 +130,9 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
   /// serialization times keep sub-ns precision across thousands of
   /// copies), for gate_completion's admission model.
   double nic_free_v_ = 0;
-  // In-flight completion callables, parked here so the EventLoop closure
-  // only captures {this, slot} — small enough for std::function's inline
-  // buffer. Freed slots are recycled LIFO.
+  // Completion callables of queued and running plain jobs, parked here
+  // from submit() on so the EventLoop closure only captures {this, slot}.
+  // Freed slots are recycled LIFO.
   std::vector<SmallFn> inflight_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t completed_ = 0;

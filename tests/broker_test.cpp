@@ -373,6 +373,56 @@ TEST_F(BrokerTest, ClientDisconnectCleansSubscriptions) {
   EXPECT_EQ(broker.subscription_count(), 0u);
 }
 
+// The Event an on_event handler sees is client-owned decode storage, so
+// the client must touch nothing of its own after the handler returns: the
+// handler may publish, change its subscriptions or destroy the client.
+// Runs on both delivery channels (UDP datagram and control stream).
+TEST_F(BrokerTest, EventHandlerMayPublishResubscribeOrDestroyItsClient) {
+  sim::Host& bh = host("broker");
+  BrokerNode broker(bh, 0);
+  BrokerClient pub(host("pub"), broker.stream_endpoint());
+  BrokerClient echo_rx(host("echo-rx"), broker.stream_endpoint());
+  echo_rx.subscribe("/echo");
+  std::vector<std::string> echoed;
+  echo_rx.on_event([&](const Event& e) { echoed.push_back(to_string(e.payload)); });
+
+  std::vector<std::unique_ptr<BrokerClient>> subs;
+  std::vector<std::string> seen;
+  for (bool udp : {true, false}) {
+    const std::string name = udp ? "udp-rx" : "stream-rx";
+    BrokerClient::Config cfg{.name = name, .udp_delivery = udp};
+    subs.push_back(std::make_unique<BrokerClient>(host(name), broker.stream_endpoint(), cfg));
+    BrokerClient* self = subs.back().get();
+    const std::size_t slot = subs.size() - 1;
+    self->subscribe("/t");
+    self->on_event([&, self, slot, name](const Event& e) {
+      const std::string body = to_string(e.payload);
+      seen.push_back(name + ":" + body);
+      if (body == "publish") {
+        self->publish("/echo", to_bytes(name + e.topic));
+      } else if (body == "resubscribe") {
+        self->unsubscribe("/t");
+        self->subscribe("/t");
+      } else if (body == "destroy") {
+        subs[slot].reset();  // last statement: nothing touches `e` or `self` after
+      }
+    });
+  }
+  loop.run();
+  for (const char* body : {"publish", "resubscribe", "after", "destroy", "gone"}) {
+    pub.publish("/t", to_bytes(body));
+    loop.run();
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "udp-rx:publish", "stream-rx:publish", "udp-rx:resubscribe",
+                      "stream-rx:resubscribe", "udp-rx:after", "stream-rx:after",
+                      "udp-rx:destroy", "stream-rx:destroy"}));
+  EXPECT_EQ(echoed, (std::vector<std::string>{"udp-rx/t", "stream-rx/t"}));
+  EXPECT_EQ(subs[0], nullptr);
+  EXPECT_EQ(subs[1], nullptr);
+  EXPECT_EQ(broker.client_count(), 2u);  // the destroyed clients' records are gone
+}
+
 class BrokerNetTest : public ::testing::Test {
  protected:
   sim::EventLoop loop;

@@ -411,24 +411,93 @@ Bytes parse_hex(const std::string& text) {
   return out;
 }
 
-void fuzz_family(const Family& fam) {
-  const std::uint64_t seed = env_u64("GMMCS_FUZZ_SEED", 20260809);
+Bytes read_hex_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  return parse_hex(
+      std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
+}
+
+std::uint64_t fuzz_seed() {
+  return env_u64("GMMCS_FUZZ_SEED", 20260809);
+}
+
+/// Calls fn(i, input) for each of the family's fuzz cases, in order,
+/// until fn returns false.
+template <class Fn>
+void for_each_case(const Family& fam, Fn&& fn) {
   const std::uint64_t iters = env_u64("GMMCS_FUZZ_ITERS", 500);
-  Rng rng(seed ^ std::hash<std::string>{}(fam.name));
+  Rng rng(fuzz_seed() ^ std::hash<std::string>{}(fam.name));
   for (std::uint64_t i = 0; i < iters; ++i) {
-    Bytes input = mutate(rng, fam, fam.seed(rng));
+    if (!fn(i, mutate(rng, fam, fam.seed(rng)))) return;
+  }
+}
+
+void fuzz_family(const Family& fam) {
+  const std::uint64_t seed = fuzz_seed();
+  for_each_case(fam, [&](std::uint64_t i, const Bytes& input) {
     Verdict v = run_decode(fam, input);
-    if (!v.violated(input.size())) continue;
+    if (!v.violated(input.size())) return true;
     const Bytes minimal = shrink(fam, input);
     const Verdict mv = run_decode(fam, minimal);
-    FAIL() << fam.name << " decode invariant violated (seed=" << seed
-           << " iter=" << i << "): "
-           << (mv.threw ? "threw '" + mv.what + "'"
-                        : "allocated " + std::to_string(mv.allocated) + " bytes for a " +
-                              std::to_string(minimal.size()) + "-byte input")
-           << "\nshrunk reproducer (commit as tests/fuzz_seeds/" << fam.name
-           << "-<what>.hex):\n" << hex_dump(minimal);
+    ADD_FAILURE() << fam.name << " decode invariant violated (seed=" << seed << " iter=" << i
+                  << "): "
+                  << (mv.threw ? "threw '" + mv.what + "'"
+                               : "allocated " + std::to_string(mv.allocated) + " bytes for a " +
+                                     std::to_string(minimal.size()) + "-byte input")
+                  << "\nshrunk reproducer (commit as tests/fuzz_seeds/" << fam.name
+                  << "-<what>.hex):\n"
+                  << hex_dump(minimal);
+    return false;
+  });
+}
+
+// --- the in-place kEvent decoder ------------------------------------------
+
+/// Empty when decode_event_into() agrees with decode() on `input`: it
+/// accepts exactly the frames decode() returns as kEvent, with identical
+/// fields. Otherwise, what differed.
+std::string in_place_disagreement(const Bytes& input) {
+  const gmmcs::Payload frame{Bytes(input)};
+  const auto full = gmmcs::broker::decode(frame);
+  const bool want = full.ok() && full.value().type == gmmcs::broker::MessageType::kEvent;
+  gmmcs::broker::Event got;
+  got.topic = "stale topic from an earlier event";
+  got.payload = gmmcs::to_bytes("stale payload");
+  if (gmmcs::broker::decode_event_into(frame, got) != want) {
+    return want ? "in-place decoder rejected a kEvent frame decode() accepts"
+                : "in-place decoder accepted a frame decode() does not return as kEvent";
   }
+  if (!want) return {};
+  const gmmcs::broker::Event& e = full.value().event;
+  if (got.topic != e.topic) return "topic differs";
+  if (gmmcs::to_string(got.payload.view()) != gmmcs::to_string(e.payload.view())) {
+    return "payload differs";
+  }
+  if (got.qos != e.qos || got.origin != e.origin || got.seq != e.seq || got.hops != e.hops ||
+      got.publisher != e.publisher) {
+    return "header field differs";
+  }
+  return {};
+}
+
+/// Empty when every strict prefix of the kEvent frame `input` is rejected
+/// by the in-place decoder. Vacuous unless `input` is exactly a kEvent
+/// frame as encode() writes it: decode() ignores trailing bytes, so a
+/// mutated frame with a tail may legitimately have accepted prefixes.
+std::string accepted_prefix(const Bytes& input) {
+  gmmcs::broker::Event scratch;
+  if (!gmmcs::broker::decode_event_into(gmmcs::Payload{Bytes(input)}, scratch) ||
+      gmmcs::broker::encode(scratch) != input) {
+    return {};
+  }
+  for (std::size_t n = 0; n < input.size(); ++n) {
+    const Bytes prefix(input.begin(), input.begin() + static_cast<std::ptrdiff_t>(n));
+    if (gmmcs::broker::decode_event_into(gmmcs::Payload{Bytes(prefix)}, scratch)) {
+      return "accepted the " + std::to_string(n) + "-byte prefix of a " +
+             std::to_string(input.size()) + "-byte kEvent frame";
+    }
+  }
+  return {};
 }
 
 // --- tests ----------------------------------------------------------------
@@ -449,10 +518,7 @@ TEST(DecodeFuzz, CommittedSeedCorpusReplaysClean) {
       if (fam_name == f.name) fam = &f;
     }
     ASSERT_NE(fam, nullptr) << "unknown family in seed name: " << stem;
-    std::ifstream in(entry.path());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const Bytes input = parse_hex(text);
+    const Bytes input = read_hex_file(entry.path());
     const Verdict v = run_decode(*fam, input);
     EXPECT_FALSE(v.violated(input.size()))
         << stem << ": " << (v.threw ? "threw '" + v.what + "'"
@@ -460,6 +526,42 @@ TEST(DecodeFuzz, CommittedSeedCorpusReplaysClean) {
     ++replayed;
   }
   EXPECT_GE(replayed, 6) << "seed corpus went missing from " << dir;
+}
+
+// The receive hot path's in-place kEvent decoder is a second entry to the
+// broker body decoder: over the committed corpus (every family's inputs,
+// as stray bytes reaching a client) and every Broker-family fuzz case,
+// unmutated or mutated, it must accept exactly what decode() accepts as
+// kEvent, with identical fields, and reject every strict prefix.
+TEST(DecodeFuzz, InPlaceEventDecoderAgreesWithDecode) {
+  int corpus = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(GMMCS_FUZZ_SEED_DIR)) {
+    if (entry.path().extension() != ".hex") continue;
+    const Bytes input = read_hex_file(entry.path());
+    EXPECT_EQ(in_place_disagreement(input), "") << entry.path().stem().string();
+    EXPECT_EQ(accepted_prefix(input), "") << entry.path().stem().string();
+    ++corpus;
+  }
+  EXPECT_GE(corpus, 6);
+
+  const Family& broker = kFamilies[0];
+  const auto kEvent = static_cast<std::uint8_t>(gmmcs::broker::MessageType::kEvent);
+  Rng rng(fuzz_seed());
+  int events = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Bytes input = broker.seed(rng);
+    EXPECT_EQ(in_place_disagreement(input), "") << hex_dump(input);
+    EXPECT_EQ(accepted_prefix(input), "") << hex_dump(input);
+    if (!input.empty() && input[0] == kEvent) ++events;
+  }
+  EXPECT_GT(events, 0) << "no unmutated kEvent frames generated";
+  for_each_case(broker, [&](std::uint64_t i, const Bytes& input) {
+    const std::string diff = in_place_disagreement(input);
+    const std::string prefix = accepted_prefix(input);
+    EXPECT_EQ(diff, "") << "iter " << i << ": " << hex_dump(input);
+    EXPECT_EQ(prefix, "") << "iter " << i << ": " << hex_dump(input);
+    return diff.empty() && prefix.empty();
+  });
 }
 
 TEST(DecodeFuzz, Broker) { fuzz_family(kFamilies[0]); }

@@ -49,6 +49,48 @@ TEST(SimMisc, NicBacklogDelayReflectsQueuedBytes) {
   EXPECT_EQ(a.nic_queued_bytes(), 0u);
 }
 
+// A packet's bytes leave the egress queue at its departure instant, and
+// same-instant events split by when they were scheduled: one scheduled
+// before the packet was enqueued still sees the bytes queued, one
+// scheduled after sees them gone.
+TEST(SimMisc, NicReleaseTiesFollowSchedulingOrder) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 1);
+  sim::Host& a = net.add_host(
+      "a", sim::NicConfig{.egress_bps = 8e6, .queue_bytes = 2000, .overhead_bytes = 0});
+  sim::Host& b = net.add_host("b");
+  const sim::Endpoint dst{b.id(), 1};
+  const SimTime t1{duration_ms(1).ns()};
+  bool early_sent = true;
+  bool late_sent = false;
+  std::size_t early_queued = 0;
+  std::size_t late_queued = 0;
+  // Scheduled before the queue fills.
+  loop.schedule_at(t1, [&] {
+    early_queued = a.nic_queued_bytes();
+    early_sent = a.send(dst, 2, Bytes(1000, 0));
+  });
+  loop.schedule_at(SimTime{0}, [&] {
+    // 2 x 1000 B at 8 Mb/s: the queue is full; they depart at 1 and 2 ms.
+    ASSERT_TRUE(a.send(dst, 2, Bytes(1000, 0)));
+    ASSERT_TRUE(a.send(dst, 2, Bytes(1000, 0)));
+    EXPECT_EQ(a.nic_queued_bytes(), 2000u);
+    // Scheduled after the queue filled.
+    loop.schedule_at(t1, [&] {
+      late_queued = a.nic_queued_bytes();
+      late_sent = a.send(dst, 2, Bytes(1000, 0));
+    });
+  });
+  loop.run();
+  EXPECT_EQ(early_queued, 2000u);
+  EXPECT_FALSE(early_sent);
+  EXPECT_EQ(late_queued, 1000u);
+  EXPECT_TRUE(late_sent);
+  EXPECT_EQ(a.nic_dropped(), 1u);
+  EXPECT_EQ(a.nic_sent(), 3u);
+  EXPECT_EQ(a.nic_queued_bytes(), 0u);
+}
+
 TEST(SimMisc, EventLoopExecutedCounter) {
   sim::EventLoop loop;
   for (int i = 0; i < 5; ++i) loop.schedule_after(duration_ms(i), [] {});

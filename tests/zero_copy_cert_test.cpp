@@ -40,12 +40,14 @@ constexpr std::size_t kLargeAlloc = 4096;
 constexpr std::size_t kPayloadBytes = 8192;
 
 std::atomic<std::uint64_t> g_large_allocs{0};
+std::atomic<std::uint64_t> g_allocs{0};
 
 }  // namespace
 
 // Counting global new/delete: the test binary is single-process and the
-// counter only ever diffed around deterministic single-threaded regions.
+// counters only ever diffed around deterministic single-threaded regions.
 void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (size >= kLargeAlloc) g_large_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
@@ -106,6 +108,57 @@ TEST(ZeroCopyCert, WarmedFanoutTo400SubscribersAllocatesThePayloadOnce) {
   // ...and that serialization is the only payload-sized allocation in
   // the whole process. 400 deliveries cost refcount bumps, not buffers.
   EXPECT_EQ(g_large_allocs.load(std::memory_order_relaxed) - large0, 1u);
+}
+
+// Host cost of one warmed UDP fan-out of a small event to n subscribers:
+// heap allocations and executed loop events across the publish. The topic
+// is longer than std::string's inline buffer, so a receiver that built a
+// fresh topic string per event would show up as an allocation.
+constexpr const char* kLongTopic = "/xgsp/session/42/video";
+
+struct FanoutCost {
+  std::uint64_t allocs = 0;
+  std::uint64_t events = 0;
+};
+
+FanoutCost warmed_fanout_cost(int n) {
+  sim::EventLoop loop;
+  sim::Network net{loop, 21};
+  BrokerNode broker(net.add_host("broker"), 0);
+  BrokerClient pub(net.add_host("pub"), broker.stream_endpoint());
+  std::vector<std::unique_ptr<BrokerClient>> subs;
+  int got = 0;
+  for (int i = 0; i < n; ++i) {
+    subs.push_back(std::make_unique<BrokerClient>(net.add_host("s" + std::to_string(i)),
+                                                  broker.stream_endpoint()));
+    subs.back()->subscribe(kLongTopic);
+    subs.back()->on_event([&](const Event&) { ++got; });
+  }
+  loop.run();
+  for (int round = 0; round < 2; ++round) {
+    pub.publish(kLongTopic, Bytes(256, 0x5a));
+    loop.run();
+  }
+  got = 0;
+  Bytes body(256, 0x5a);
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t events0 = loop.executed();
+  pub.publish(kLongTopic, std::move(body));
+  loop.run();
+  FanoutCost cost{g_allocs.load(std::memory_order_relaxed) - allocs0, loop.executed() - events0};
+  EXPECT_EQ(got, n);
+  return cost;
+}
+
+// The marginal host cost of one more subscriber: its dispatch completion
+// and its datagram's arrival are the only loop events, and neither the
+// broker, the network nor the receiving client allocates for it.
+TEST(ZeroCopyCert, EachAddedSubscriberCostsTwoEventsAndNoAllocation) {
+  const FanoutCost at200 = warmed_fanout_cost(200);
+  const FanoutCost at400 = warmed_fanout_cost(400);
+  EXPECT_EQ(at400.allocs, at200.allocs) << "allocations per added subscriber: "
+                                        << static_cast<double>(at400.allocs - at200.allocs) / 200;
+  EXPECT_EQ(at400.events - at200.events, 2u * 200u);
 }
 
 TEST(ZeroCopyCert, InstrumentationIsLive) {
