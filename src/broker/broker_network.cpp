@@ -1,5 +1,6 @@
 #include "broker/broker_network.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <stdexcept>
 
@@ -80,10 +81,7 @@ void BrokerNetwork::mark_dirty(bool routes, bool interest) {
 void BrokerNetwork::publish_now() {
   ++epoch_;
   if (routes_dirty_ || !pub_routes_) {
-    auto routes = std::make_shared<RouteTables>();
-    routes->next_hop_by = next_hop_;
-    routes->dist_by = dist_;
-    pub_routes_ = std::move(routes);
+    pub_routes_ = std::make_shared<const RouteTables>(routes_);
     routes_dirty_ = false;
   }
   if (interest_dirty_ || !pub_interest_) {
@@ -94,27 +92,47 @@ void BrokerNetwork::publish_now() {
 }
 
 void BrokerNetwork::rebuild_routes() {
-  next_hop_.clear();
-  dist_.clear();
-  for (const auto& [src, _] : adjacency_) rebuild_route_row(src);
+  const auto n = static_cast<std::uint32_t>(brokers_.size());
+  routes_.n = n;
+  routes_.first_hop.assign(std::size_t{n} * n, RouteTables::kNoHop);
+  routes_.hop_count.assign(std::size_t{n} * n, -1);
+  for (BrokerId src = 0; src < n; ++src) rebuild_route_row(src);
+}
+
+void BrokerNetwork::grow_routes() {
+  const auto n = static_cast<std::uint32_t>(brokers_.size());
+  if (routes_.n == n) return;
+  RouteTables grown;
+  grown.n = n;
+  grown.first_hop.assign(std::size_t{n} * n, RouteTables::kNoHop);
+  grown.hop_count.assign(std::size_t{n} * n, -1);
+  for (std::size_t from = 0; from < routes_.n; ++from) {
+    std::copy_n(routes_.first_hop.data() + from * routes_.n, routes_.n,
+                grown.first_hop.data() + from * n);
+    std::copy_n(routes_.hop_count.data() + from * routes_.n, routes_.n,
+                grown.hop_count.data() + from * n);
+  }
+  routes_ = std::move(grown);
 }
 
 void BrokerNetwork::rebuild_route_row(BrokerId src) {
   // BFS from one broker (links are uniform cost), skipping links the
   // broker believes down: the shared detector table normally, its own
   // gossip-fed view in gossip mode.
+  grow_routes();
   const auto& down = gossip_ ? view_down_[src] : down_links_;
-  auto& hops = next_hop_[src];
-  auto& dist = dist_[src];
-  hops.clear();
-  dist.clear();
+  const std::size_t row = std::size_t{src} * routes_.n;
+  std::uint32_t* hops = routes_.first_hop.data() + row;
+  int* dist = routes_.hop_count.data() + row;
+  std::fill_n(hops, routes_.n, RouteTables::kNoHop);
+  std::fill_n(dist, routes_.n, -1);
   dist[src] = 0;
   std::deque<BrokerId> queue{src};
   while (!queue.empty()) {
     BrokerId cur = queue.front();
     queue.pop_front();
     for (BrokerId nb : adjacency_.at(cur)) {
-      if (dist.contains(nb)) continue;
+      if (dist[nb] >= 0) continue;
       if (!down.empty() && down.contains(std::minmax(cur, nb))) continue;
       dist[nb] = dist[cur] + 1;
       // First hop on the path: neighbor itself if cur==src, else

@@ -130,6 +130,9 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// Rebuilds one broker's routing row from the down-set it believes in:
   /// the shared down_links_ normally, its gossip view in gossip mode.
   void rebuild_route_row(BrokerId src);
+  /// Widens routes_ to the current broker count, keeping built rows (a
+  /// broker added after finalize() gets an unbuilt row and column).
+  void grow_routes();
   /// Records which halves of the control plane changed and arranges for a
   /// snapshot publication: synchronous outside event execution (setup and
   /// tests observe the new epoch immediately), otherwise via a
@@ -152,9 +155,9 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   std::map<BrokerId, std::set<std::pair<BrokerId, BrokerId>>> view_down_;
   std::function<void(BrokerId, BrokerId, bool, SimTime)> route_listener_;
   std::uint64_t route_recomputes_ = 0;
-  // [from][to] -> next hop.
-  std::map<BrokerId, std::map<BrokerId, BrokerId>> next_hop_;
-  std::map<BrokerId, std::map<BrokerId, int>> dist_;
+  /// The authoritative routing matrices, mutated in place by the BFS
+  /// rebuilds; publish_now() copies them into the next epoch.
+  RouteTables routes_;
   /// Broker interest table (subscriber = BrokerId), sharing the indexed
   /// fast path (exact hash + wildcard list + match cache) with the
   /// per-node client table. Advertisements are refcounted per origin.

@@ -1,6 +1,7 @@
 #include "broker/broker_node.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "broker/broker_network.hpp"
 #include "common/log.hpp"
@@ -70,15 +71,21 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
   // without scanning inbound_, and without a conn -> handler -> conn cycle.
   std::weak_ptr<transport::StreamConnection> weak_conn = conn;
   conn->on_message([this, raw, client_id, weak_conn](const Payload& data) {
+    // The broker-to-broker hop decodes in place: no Frame, no target
+    // vector; the route job reads the targets straight from `data`.
+    if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent)) {
+      Event ev;
+      PeerTargets targets;
+      if (!decode_peer_event_into(data, ev, targets)) return;
+      note_heard(*client_id);
+      ingress_peer_event(std::move(ev), std::move(targets));
+      return;
+    }
     auto frame = decode(data);
     if (!frame.ok()) return;
     Frame f = std::move(frame).value();
-    // Any frame from an identified client is proof of life for its record
-    // (kPong answers to keepalive probes land here too).
-    if (*client_id != 0) {
-      auto lit = clients_.find(*client_id);
-      if (lit != clients_.end()) lit->second.last_heard = host_->loop().now();
-    }
+    // kPong answers to keepalive probes land here too.
+    note_heard(*client_id);
     switch (f.type) {
       case MessageType::kHello: {
         // A repeat Hello on an already-identified connection would mint a
@@ -115,9 +122,6 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
       case MessageType::kEvent:
         ingress_event(std::move(f.event), *client_id, data);
         break;
-      case MessageType::kPeerEvent:
-        ingress_peer_event(std::move(f.peer_event));
-        break;
       case MessageType::kPing:
         // Probes ride the dispatch pipeline: a loaded broker pongs late.
         // Weak capture: the connection can die before the job runs (client
@@ -136,7 +140,7 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
       default:
         // kHelloAck is a broker-to-client reply; kPong from a client is the
         // answer to our keepalive probe — the proof-of-life bump above is
-        // all it needs to do.
+        // all it needs to do. kPeerEvent never gets here (handled above).
         break;
     }
   });
@@ -161,6 +165,12 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
       return c.get() == raw;
     });
   });
+}
+
+void BrokerNode::note_heard(ClientId cid) {
+  if (cid == 0) return;
+  auto it = clients_.find(cid);
+  if (it != clients_.end()) it->second.last_heard = host_->loop().now();
 }
 
 void BrokerNode::evict_client(ClientId cid) {
@@ -239,24 +249,26 @@ void BrokerNode::ingress_event(Event ev, ClientId publisher, const Payload& fram
   });
 }
 
-void BrokerNode::ingress_peer_event(PeerEventMessage m) {
+void BrokerNode::ingress_peer_event(Event ev, PeerTargets targets) {
   ++events_in_;
-  m.event.hops = static_cast<std::uint8_t>(m.event.hops + 1);
-  auto routed = std::make_shared<const RoutedEvent>(std::move(m.event));
+  ev.hops = static_cast<std::uint8_t>(ev.hops + 1);
+  auto routed = std::make_shared<const RoutedEvent>(std::move(ev));
+  // {this, routed, targets} = 56 bytes: inline in the job's SmallFn.
   dispatch_.submit(cfg_.dispatch.route_cost, [this, routed = std::move(routed),
-                                              targets = std::move(m.targets)] {
+                                              targets = std::move(targets)] {
     // Deliver locally if we are a target; forward the rest.
-    std::vector<BrokerId> rest;
+    peer_rest_.clear();
     bool local = false;
-    for (BrokerId t : targets) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const BrokerId t = targets[i];
       if (t == id_) {
         local = true;
       } else {
-        rest.push_back(t);
+        peer_rest_.push_back(t);
       }
     }
     if (local) fan_out_local(routed, /*exclude=*/0);
-    if (!rest.empty()) route_remote(routed, rest);
+    if (!peer_rest_.empty()) route_remote(routed, peer_rest_);
   });
 }
 
@@ -267,8 +279,11 @@ void BrokerNode::route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
 }
 
 void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
-  std::vector<ClientId> cids = local_matches(ev->event().topic, exclude);
-  if (cids.empty()) return;
+  // The index's cached match line, walked in place; `exclude` is skipped
+  // on the way. Nothing below touches the index, so the line stays valid.
+  const std::vector<ClientId>& line = sub_index_.matches(ev->event().topic);
+  const auto excluded = static_cast<std::size_t>(std::count(line.begin(), line.end(), exclude));
+  if (line.size() == excluded) return;
   const SimDuration cost = cfg_.dispatch.copy_cost(ev->event().payload.size());
   if (cfg_.dispatch.control_plane == DispatchConfig::ControlPlane::kSnapshot) {
     // One ServiceCenter batch for the whole fan-out: per-recipient
@@ -279,6 +294,10 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
       RoutedEventPtr ev;
       std::vector<ClientId> cids;
     };
+    std::vector<ClientId> cids;
+    cids.reserve(line.size() - excluded);
+    std::copy_if(line.begin(), line.end(), std::back_inserter(cids),
+                 [exclude](ClientId cid) { return cid != exclude; });
     auto batch = std::make_shared<const FanoutBatch>(FanoutBatch{ev, std::move(cids)});
     const sim::NicConfig& nic = host_->nic_config();
     sim::ServiceCenter::BatchParams params;
@@ -293,7 +312,8 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
     });
     return;
   }
-  for (ClientId cid : cids) {
+  for (ClientId cid : line) {
+    if (cid == exclude) continue;
     dispatch_.submit(cost, [this, cid, ev] {
       auto it = clients_.find(cid);
       if (it != clients_.end()) deliver_copy(it->second, *ev);
@@ -301,17 +321,17 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
   }
 }
 
-void BrokerNode::route_remote(const RoutedEventPtr& ev, const std::vector<BrokerId>& targets) {
+void BrokerNode::route_remote(const RoutedEventPtr& ev, std::span<const BrokerId> targets) {
   // Group remaining target brokers by next hop; one forwarded copy per hop.
   // Unreachable brokers (fabric partitions, links not yet finalized) are
-  // skipped rather than faulting the dispatch path. by_hop stays an
-  // ordered map so forwards are submitted in deterministic hop order.
-  // One snapshot load for the whole grouping: distance and next_hop
-  // answer from the same routing epoch.
+  // skipped rather than faulting the dispatch path. One snapshot load for
+  // the whole grouping: distance and next_hop answer from the same
+  // routing epoch.
   const ControlSnapshotPtr snap = network_->snapshot();
   const RouteTables& routes = snap->routes();
-  std::map<BrokerId, std::vector<BrokerId>> by_hop;
-  for (BrokerId t : targets) {
+  hop_groups_.clear();
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const BrokerId t = targets[i];
     if (routes.distance(id_, t) < 0) {
       ++unroutable_events_;
       if (warned_unroutable_.insert(t).second) {
@@ -321,19 +341,24 @@ void BrokerNode::route_remote(const RoutedEventPtr& ev, const std::vector<Broker
       }
       continue;
     }
-    by_hop[routes.next_hop(id_, t)].push_back(t);
+    hop_groups_.emplace_back(routes.next_hop(id_, t), static_cast<std::uint32_t>(i));
   }
-  for (auto& [hop, subset] : by_hop) {
-    dispatch_.submit(cfg_.dispatch.copy_cost(ev->event().payload.size()),
-                     [this, hop, ev, subset = std::move(subset)] {
-                       forward_to_peer(hop, *ev, subset);
-                     });
+  // (hop, index) order: forwards go out in ascending hop order, each
+  // hop's targets in arrival order — deterministic.
+  std::sort(hop_groups_.begin(), hop_groups_.end());
+  const SimDuration cost = cfg_.dispatch.copy_cost(ev->event().payload.size());
+  for (std::size_t g = 0; g < hop_groups_.size();) {
+    const BrokerId hop = hop_groups_[g].first;
+    hop_targets_.clear();
+    for (; g < hop_groups_.size() && hop_groups_[g].first == hop; ++g) {
+      hop_targets_.push_back(targets[hop_groups_[g].second]);
+    }
+    // Peer framing embeds the hop's target set, so it cannot reuse the
+    // cached kEvent frame; it is encoded here, once per next hop, straight
+    // from the shared event. {this, hop, frame} = 48 bytes: inline.
+    Payload frame(encode_peer_event(ev->event(), hop_targets_));
+    dispatch_.submit(cost, [this, hop, frame = std::move(frame)] { forward_to_peer(hop, frame); });
   }
-}
-
-std::vector<ClientId> BrokerNode::local_matches(const std::string& topic,
-                                                ClientId exclude) const {
-  return sub_index_.matches(topic, exclude);
 }
 
 void BrokerNode::deliver_copy(const ClientRec& c, const RoutedEvent& ev) {
@@ -349,18 +374,14 @@ void BrokerNode::deliver_copy(const ClientRec& c, const RoutedEvent& ev) {
   }
 }
 
-void BrokerNode::forward_to_peer(BrokerId next_hop, const RoutedEvent& ev,
-                                 const std::vector<BrokerId>& targets) {
+void BrokerNode::forward_to_peer(BrokerId next_hop, const Payload& frame) {
   auto it = peer_links_.find(next_hop);
   if (it == peer_links_.end()) {
     GMMCS_WARN("broker") << "broker " << id_ << " has no link toward " << next_hop;
     return;
   }
   ++peer_forwards_;
-  // Peer framing embeds the (per-hop) target set, so it cannot reuse the
-  // cached kEvent frame; it still encodes straight from the shared event
-  // with no intermediate PeerEventMessage copy.
-  it->second->send(encode_peer_event(ev.event(), targets));
+  it->second->send(frame);
 }
 
 void BrokerNode::add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn) {

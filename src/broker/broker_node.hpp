@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -204,8 +205,9 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   /// the broker re-encodes nothing and the whole fan-out shares the
   /// publisher's single allocation.
   void ingress_event(Event ev, ClientId publisher, const Payload& frame);
-  /// Entry point for an event forwarded by a peer broker.
-  void ingress_peer_event(PeerEventMessage m);
+  /// Entry point for an event forwarded by a peer broker, decoded in place
+  /// from its kPeerEvent frame; `targets` reads the frame's id list.
+  void ingress_peer_event(Event ev, PeerTargets targets);
   /// Routing core: deliver locally and forward the remaining targets.
   /// Fan-out jobs share the RoutedEvent — no per-recipient Event copy and
   /// at most one kEvent encode per event.
@@ -216,13 +218,13 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   /// NIC-gated ServiceCenter batch under kSnapshot.
   void fan_out_local(const RoutedEventPtr& ev, ClientId exclude);
   /// Forwards an event toward each remaining target broker, one copy per
-  /// distinct next hop.
-  void route_remote(const RoutedEventPtr& ev, const std::vector<BrokerId>& targets);
+  /// distinct next hop, submitted in ascending hop order.
+  void route_remote(const RoutedEventPtr& ev, std::span<const BrokerId> targets);
   void deliver_copy(const ClientRec& c, const RoutedEvent& ev);
-  void forward_to_peer(BrokerId next_hop, const RoutedEvent& ev,
-                       const std::vector<BrokerId>& targets);
-  [[nodiscard]] std::vector<ClientId> local_matches(const std::string& topic,
-                                                    ClientId exclude = 0) const;
+  /// Sends one hop's kPeerEvent frame (encoded by route_remote).
+  void forward_to_peer(BrokerId next_hop, const Payload& frame);
+  /// Any frame from an identified client is proof of life for its record.
+  void note_heard(ClientId cid);
 
   /// Outgoing link to a peer broker (created by BrokerNetwork::link).
   void add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn);
@@ -243,6 +245,12 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   /// datagram-path events (hot path: one hash lookup per media packet).
   std::unordered_map<sim::Endpoint, ClientId, sim::EndpointHash> udp_index_;
   std::unordered_map<BrokerId, transport::StreamConnectionPtr> peer_links_;
+  /// Reused peer-path scratch (capacity kept across events): a peer
+  /// event's targets minus this broker, and route_remote's (next hop,
+  /// target index) grouping.
+  std::vector<BrokerId> peer_rest_;
+  std::vector<std::pair<BrokerId, std::uint32_t>> hop_groups_;
+  std::vector<BrokerId> hop_targets_;
   /// Failure-detector state (ordered: heartbeat fan-out order must be
   /// deterministic). last-heard is bumped by every peer heartbeat.
   std::map<BrokerId, SimTime> peer_last_heard_;

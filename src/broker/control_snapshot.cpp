@@ -32,22 +32,13 @@ std::vector<InterestTable::SubscriberId> InterestTable::matches(const std::strin
   return out;
 }
 
-std::uint32_t RouteTables::next_hop(std::uint32_t from, std::uint32_t to) const {
-  auto fit = next_hop_by.find(from);
-  if (fit == next_hop_by.end()) throw std::logic_error("BrokerNetwork: finalize() not called");
-  auto tit = fit->second.find(to);
-  if (tit == fit->second.end()) {
-    throw std::logic_error("BrokerNetwork: no route from " + std::to_string(from) + " to " +
-                           std::to_string(to));
-  }
-  return tit->second;
+void RouteTables::throw_not_finalized() {
+  throw std::logic_error("BrokerNetwork: finalize() not called");
 }
 
-int RouteTables::distance(std::uint32_t from, std::uint32_t to) const {
-  auto fit = dist_by.find(from);
-  if (fit == dist_by.end()) return -1;
-  auto tit = fit->second.find(to);
-  return tit == fit->second.end() ? -1 : tit->second;
+void RouteTables::throw_no_route(std::uint32_t from, std::uint32_t to) {
+  throw std::logic_error("BrokerNetwork: no route from " + std::to_string(from) + " to " +
+                         std::to_string(to));
 }
 
 }  // namespace gmmcs::broker

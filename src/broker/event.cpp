@@ -16,7 +16,8 @@ void encode_event_body(ByteWriter& w, const Event& e) {
   w.raw(e.payload);
 }
 
-// The one event-body decoder, shared by decode() and decode_event_into().
+// The one event-body decoder, shared by decode() and the in-place
+// decode_event_into() / decode_peer_event_into().
 // Fills `e` in place: the topic is assigned into its existing capacity.
 void decode_event_body(ByteReader& r, const Payload& frame, Event& e) {
   e.qos = static_cast<QoS>(r.u8());
@@ -74,7 +75,7 @@ Bytes encode(const Event& e) {
   return w.take();
 }
 
-Bytes encode_peer_event(const Event& e, const std::vector<BrokerId>& targets) {
+Bytes encode_peer_event(const Event& e, std::span<const BrokerId> targets) {
   ByteWriter w(e.payload.size() + e.topic.size() + kEventFixedOverhead +
                2 + 4 * targets.size());
   w.u8(static_cast<std::uint8_t>(MessageType::kPeerEvent));
@@ -195,6 +196,20 @@ bool decode_event_into(const Payload& data, Event& out) {
   if (data.empty() || data[0] != static_cast<std::uint8_t>(MessageType::kEvent)) return false;
   ByteReader r(data);
   r.skip(1);
+  decode_event_body(r, data, out);
+  return r.ok();
+}
+
+bool decode_peer_event_into(const Payload& data, Event& out, PeerTargets& targets) {
+  if (data.empty() || data[0] != static_cast<std::uint8_t>(MessageType::kPeerEvent)) return false;
+  ByteReader r(data);
+  r.skip(1);
+  // The same clamped count read as decode(); the ids stay in the frame.
+  auto n = r.read_count_u16(4);
+  if (!n.ok()) return false;
+  const std::size_t at = r.position();
+  r.skip(4 * n.value());
+  targets = PeerTargets(data.slice(at, 4 * n.value()));
   decode_event_body(r, data, out);
   return r.ok();
 }

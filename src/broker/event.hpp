@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,7 +116,7 @@ Bytes encode(const Event& e);
 Bytes encode(const PeerEventMessage& m);
 /// kPeerEvent framing straight from an Event and a target set, avoiding
 /// the intermediate PeerEventMessage copy of topic + payload.
-Bytes encode_peer_event(const Event& e, const std::vector<BrokerId>& targets);
+Bytes encode_peer_event(const Event& e, std::span<const BrokerId> targets);
 Bytes encode(const PingMessage& m, bool pong);
 Bytes encode(const HeartbeatMessage& m);
 Bytes encode(const LinkStateMessage& m);
@@ -152,6 +153,26 @@ class RoutedEvent {
 
 using RoutedEventPtr = std::shared_ptr<const RoutedEvent>;
 
+/// The target-broker list of a kPeerEvent frame, read in place: a
+/// zero-copy slice of the frame's big-endian u32 ids, so holding it keeps
+/// the frame alive and no id vector is built.
+class PeerTargets {
+ public:
+  PeerTargets() = default;
+  /// `ids` holds the list's bytes: size() whole big-endian u32s.
+  explicit PeerTargets(Payload ids) : ids_(std::move(ids)) {}
+
+  [[nodiscard]] std::size_t size() const { return ids_.size() / 4; }
+  [[nodiscard]] BrokerId operator[](std::size_t i) const {
+    const std::uint8_t* p = ids_.data() + 4 * i;
+    return (static_cast<BrokerId>(p[0]) << 24) | (static_cast<BrokerId>(p[1]) << 16) |
+           (static_cast<BrokerId>(p[2]) << 8) | static_cast<BrokerId>(p[3]);
+  }
+
+ private:
+  Payload ids_;
+};
+
 /// A decoded frame; `type` selects which member is meaningful.
 struct Frame {
   MessageType type;
@@ -175,5 +196,13 @@ struct Frame {
 /// when decode(data) yields a kEvent frame, with identical fields (both
 /// run the same body decoder); on false `out` is unspecified.
 [[nodiscard]] bool decode_event_into(const Payload& data, Event& out);
+
+/// In-place kPeerEvent decoder for the broker-to-broker hop: fills `out`
+/// like decode_event_into and points `targets` at the frame's id list,
+/// with no Frame, PeerEventMessage or target vector built. True exactly
+/// when decode(data) yields a kPeerEvent frame, with identical event
+/// fields and targets (both run the same clamped count read and the one
+/// body decoder); on false `out` and `targets` are unspecified.
+[[nodiscard]] bool decode_peer_event_into(const Payload& data, Event& out, PeerTargets& targets);
 
 }  // namespace gmmcs::broker

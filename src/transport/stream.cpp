@@ -113,11 +113,12 @@ void StreamConnection::handle(const sim::Datagram& d) {
 
 void StreamConnection::deliver_or_buffer(Payload payload) {
   if (message_handler_) {
-    // Invoke a copy: the callback may legitimately replace the handler
-    // (e.g. the proxy swaps in its relay handler after the CONNECT line),
-    // which must not destroy the closure currently executing.
-    auto handler = message_handler_;
-    handler(payload);
+    // Pin the handler: the callback may legitimately replace it (e.g. the
+    // proxy swaps in its relay handler after the CONNECT line), which must
+    // not destroy the closure currently executing. A refcount bump, not a
+    // heap copy of the closure per message.
+    const auto handler = message_handler_;
+    (*handler)(payload);
   } else {
     inbox_.push_back(std::move(payload));
   }
@@ -143,12 +144,18 @@ void StreamConnection::flush_pending() {
 }
 
 void StreamConnection::on_message(std::function<void(const Payload&)> handler) {
-  message_handler_ = std::move(handler);
+  message_handler_ =
+      handler ? std::make_shared<const std::function<void(const Payload&)>>(std::move(handler))
+              : nullptr;
+  if (!message_handler_ || inbox_.empty()) return;
+  // A replayed message's handler may drop the last owner of this
+  // connection; stay alive until the replay loop is done with our members.
+  const StreamConnectionPtr self = weak_from_this().lock();
   while (message_handler_ && !inbox_.empty()) {
     Payload m = std::move(inbox_.front());
     inbox_.pop_front();
-    auto h = message_handler_;  // see deliver_or_buffer
-    h(m);
+    const auto h = message_handler_;  // see deliver_or_buffer
+    (*h)(m);
   }
 }
 
@@ -202,6 +209,7 @@ StreamListener::StreamListener(sim::Host& host, std::uint16_t port)
 StreamListener::~StreamListener() {
   host_->unbind(port_);
   // Detach surviving connections so their close doesn't touch us.
+  // det-lint: allow(unordered-iteration) — independent per-entry detach, order-free
   for (auto& [ep, weak] : conns_) {
     if (auto conn = weak.lock()) conn->owner_ = nullptr;
   }

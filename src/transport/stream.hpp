@@ -16,8 +16,8 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "common/bytes.hpp"
 #include "common/payload.hpp"
@@ -107,7 +107,9 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   /// listener's port and is demultiplexed by the listener.
   bool owns_port_ = false;
   StreamListener* owner_ = nullptr;  // acceptor side: for demux cleanup
-  std::function<void(const Payload&)> message_handler_;
+  /// Shared, not copied, per message: deliver_or_buffer pins the running
+  /// handler with a refcount bump (see there).
+  std::shared_ptr<const std::function<void(const Payload&)>> message_handler_;
   std::function<void()> close_handler_;
   std::function<void()> connect_handler_;
   std::deque<Payload> outbox_;  // buffered until established
@@ -146,7 +148,7 @@ class StreamListener {
   std::uint16_t port_;
   std::function<void(StreamConnectionPtr)> handler_;
   std::uint64_t accepted_ = 0;
-  std::map<sim::Endpoint, std::weak_ptr<StreamConnection>> conns_;
+  std::unordered_map<sim::Endpoint, std::weak_ptr<StreamConnection>, sim::EndpointHash> conns_;
 };
 
 }  // namespace gmmcs::transport

@@ -453,6 +453,19 @@ void fuzz_family(const Family& fam) {
 
 // --- the in-place kEvent decoder ------------------------------------------
 
+/// Empty when the two decoded events carry identical fields.
+std::string event_difference(const gmmcs::broker::Event& got, const gmmcs::broker::Event& e) {
+  if (got.topic != e.topic) return "topic differs";
+  if (gmmcs::to_string(got.payload.view()) != gmmcs::to_string(e.payload.view())) {
+    return "payload differs";
+  }
+  if (got.qos != e.qos || got.origin != e.origin || got.seq != e.seq || got.hops != e.hops ||
+      got.publisher != e.publisher) {
+    return "header field differs";
+  }
+  return {};
+}
+
 /// Empty when decode_event_into() agrees with decode() on `input`: it
 /// accepts exactly the frames decode() returns as kEvent, with identical
 /// fields. Otherwise, what differed.
@@ -468,16 +481,7 @@ std::string in_place_disagreement(const Bytes& input) {
                 : "in-place decoder accepted a frame decode() does not return as kEvent";
   }
   if (!want) return {};
-  const gmmcs::broker::Event& e = full.value().event;
-  if (got.topic != e.topic) return "topic differs";
-  if (gmmcs::to_string(got.payload.view()) != gmmcs::to_string(e.payload.view())) {
-    return "payload differs";
-  }
-  if (got.qos != e.qos || got.origin != e.origin || got.seq != e.seq || got.hops != e.hops ||
-      got.publisher != e.publisher) {
-    return "header field differs";
-  }
-  return {};
+  return event_difference(got, full.value().event);
 }
 
 /// Empty when every strict prefix of the kEvent frame `input` is rejected
@@ -495,6 +499,54 @@ std::string accepted_prefix(const Bytes& input) {
     if (gmmcs::broker::decode_event_into(gmmcs::Payload{Bytes(prefix)}, scratch)) {
       return "accepted the " + std::to_string(n) + "-byte prefix of a " +
              std::to_string(input.size()) + "-byte kEvent frame";
+    }
+  }
+  return {};
+}
+
+// --- the in-place kPeerEvent decoder --------------------------------------
+
+/// Empty when decode_peer_event_into() agrees with decode() on `input`: it
+/// accepts exactly the frames decode() returns as kPeerEvent, with
+/// identical event fields and targets. Otherwise, what differed.
+std::string peer_in_place_disagreement(const Bytes& input) {
+  const gmmcs::Payload frame{Bytes(input)};
+  const auto full = gmmcs::broker::decode(frame);
+  const bool want = full.ok() && full.value().type == gmmcs::broker::MessageType::kPeerEvent;
+  gmmcs::broker::Event got;
+  got.topic = "stale topic from an earlier event";
+  got.payload = gmmcs::to_bytes("stale payload");
+  gmmcs::broker::PeerTargets targets;
+  if (gmmcs::broker::decode_peer_event_into(frame, got, targets) != want) {
+    return want ? "in-place peer decoder rejected a kPeerEvent frame decode() accepts"
+                : "in-place peer decoder accepted a frame decode() does not return as kPeerEvent";
+  }
+  if (!want) return {};
+  const gmmcs::broker::PeerEventMessage& m = full.value().peer_event;
+  std::vector<gmmcs::broker::BrokerId> ids;
+  for (std::size_t i = 0; i < targets.size(); ++i) ids.push_back(targets[i]);
+  if (ids != m.targets) return "targets differ";
+  return event_difference(got, m.event);
+}
+
+/// Empty when every strict prefix of the kPeerEvent frame `input` is
+/// rejected by the in-place peer decoder. Vacuous unless `input` is
+/// exactly a kPeerEvent frame as encode_peer_event() writes it (see
+/// accepted_prefix for why).
+std::string peer_accepted_prefix(const Bytes& input) {
+  gmmcs::broker::Event scratch;
+  gmmcs::broker::PeerTargets targets;
+  if (!gmmcs::broker::decode_peer_event_into(gmmcs::Payload{Bytes(input)}, scratch, targets)) {
+    return {};
+  }
+  std::vector<gmmcs::broker::BrokerId> ids;
+  for (std::size_t i = 0; i < targets.size(); ++i) ids.push_back(targets[i]);
+  if (gmmcs::broker::encode_peer_event(scratch, ids) != input) return {};
+  for (std::size_t n = 0; n < input.size(); ++n) {
+    const Bytes prefix(input.begin(), input.begin() + static_cast<std::ptrdiff_t>(n));
+    if (gmmcs::broker::decode_peer_event_into(gmmcs::Payload{Bytes(prefix)}, scratch, targets)) {
+      return "accepted the " + std::to_string(n) + "-byte prefix of a " +
+             std::to_string(input.size()) + "-byte kPeerEvent frame";
     }
   }
   return {};
@@ -558,6 +610,49 @@ TEST(DecodeFuzz, InPlaceEventDecoderAgreesWithDecode) {
   for_each_case(broker, [&](std::uint64_t i, const Bytes& input) {
     const std::string diff = in_place_disagreement(input);
     const std::string prefix = accepted_prefix(input);
+    EXPECT_EQ(diff, "") << "iter " << i << ": " << hex_dump(input);
+    EXPECT_EQ(prefix, "") << "iter " << i << ": " << hex_dump(input);
+    return diff.empty() && prefix.empty();
+  });
+}
+
+// The broker-to-broker hop's in-place kPeerEvent decoder, held to the same
+// bar over the same inputs: exact agreement with decode() (event fields
+// and targets), every strict prefix rejected.
+TEST(DecodeFuzz, InPlacePeerEventDecoderAgreesWithDecode) {
+  int corpus = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(GMMCS_FUZZ_SEED_DIR)) {
+    if (entry.path().extension() != ".hex") continue;
+    const Bytes input = read_hex_file(entry.path());
+    EXPECT_EQ(peer_in_place_disagreement(input), "") << entry.path().stem().string();
+    EXPECT_EQ(peer_accepted_prefix(input), "") << entry.path().stem().string();
+    ++corpus;
+  }
+  EXPECT_GE(corpus, 6);
+
+  // The count-claim frame of MalformedBroker.PeerEventCountClaimOnTruncatedFrame:
+  // three bytes claiming 65535 targets.
+  const Bytes count_claim = {0x06, 0xFF, 0xFF};
+  gmmcs::broker::Event scratch;
+  gmmcs::broker::PeerTargets targets;
+  EXPECT_FALSE(gmmcs::broker::decode_peer_event_into(gmmcs::Payload{Bytes(count_claim)}, scratch,
+                                                     targets));
+  EXPECT_EQ(peer_in_place_disagreement(count_claim), "");
+
+  const Family& broker = kFamilies[0];
+  const auto kPeerEvent = static_cast<std::uint8_t>(gmmcs::broker::MessageType::kPeerEvent);
+  Rng rng(fuzz_seed());
+  int peer_events = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Bytes input = broker.seed(rng);
+    EXPECT_EQ(peer_in_place_disagreement(input), "") << hex_dump(input);
+    EXPECT_EQ(peer_accepted_prefix(input), "") << hex_dump(input);
+    if (!input.empty() && input[0] == kPeerEvent) ++peer_events;
+  }
+  EXPECT_GT(peer_events, 0) << "no unmutated kPeerEvent frames generated";
+  for_each_case(broker, [&](std::uint64_t i, const Bytes& input) {
+    const std::string diff = peer_in_place_disagreement(input);
+    const std::string prefix = peer_accepted_prefix(input);
     EXPECT_EQ(diff, "") << "iter " << i << ": " << hex_dump(input);
     EXPECT_EQ(prefix, "") << "iter " << i << ": " << hex_dump(input);
     return diff.empty() && prefix.empty();

@@ -1,6 +1,7 @@
 // Tests for the transport layer: datagram sockets, streams, firewall, proxy.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,135 @@ TEST_F(TransportTest, StreamBuffersInboxUntilHandlerSet) {
   sc->on_message([&](const Payload& m) { got.push_back(to_string(m)); });
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], "early1");
+}
+
+// Message-handler safety. The connection pins the running handler and
+// itself, so a callback may replace its own handler, close its connection
+// or drop the connection's last owner, and the closure and connection it
+// runs in stay alive until it returns. Each case touches its captures
+// after the hazardous call; under AddressSanitizer a freed closure or
+// connection would be a use-after-free. The long capture strings keep
+// every closure on the heap.
+
+/// A server whose client has sent `messages` ("m0", "m1", ...) that have
+/// all arrived; with `buffered` they sit in the accepted connection's
+/// inbox (no handler set yet), otherwise `install` runs at accept time.
+struct StreamPair {
+  StreamListener listener;
+  StreamConnectionPtr client;
+  StreamConnectionPtr server;
+
+  StreamPair(sim::Network& net, const std::function<void(StreamPair&)>& install)
+      : listener(net.add_host("server"), 80) {
+    listener.on_accept([this, install](StreamConnectionPtr c) {
+      server = std::move(c);
+      if (install) install(*this);
+    });
+    client = StreamConnection::connect(net.add_host("client"), listener.local());
+  }
+  void send(int messages) {
+    for (int i = 0; i < messages; ++i) client->send("m" + std::to_string(i));
+  }
+};
+
+TEST_F(TransportTest, StreamHandlerMayReplaceItself) {
+  std::vector<std::string> got;
+  StreamPair p(net, [&got](StreamPair& pair) {
+    pair.server->on_message([&got, &pair, tag = std::string(64, 'a')](const Payload& m) {
+      got.push_back(tag.substr(0, 1) + to_string(m));
+      pair.server->on_message([&got, tag2 = std::string(64, 'b')](const Payload& m2) {
+        got.push_back(tag2.substr(0, 1) + to_string(m2));
+      });
+      got.push_back(tag.substr(0, 1) + "!");  // the replaced closure is still alive
+    });
+  });
+  p.send(3);
+  loop.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"am0", "a!", "bm1", "bm2"}));
+}
+
+TEST_F(TransportTest, StreamHandlerMayCloseItsConnection) {
+  std::vector<std::string> got;
+  bool closed_seen = false;
+  StreamPair p(net, [&](StreamPair& pair) {
+    pair.server->on_close([&closed_seen] { closed_seen = true; });
+    pair.server->on_message([&got, &pair, tag = std::string(64, 'c')](const Payload& m) {
+      pair.server->close();
+      got.push_back(tag.substr(0, 1) + to_string(m));
+    });
+  });
+  p.send(3);
+  loop.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"cm0"}));
+  EXPECT_TRUE(closed_seen);
+  EXPECT_TRUE(p.client->closed());
+}
+
+TEST_F(TransportTest, StreamHandlerMayDropItsConnectionsLastOwner) {
+  std::vector<std::string> got;
+  StreamPair p(net, [&got](StreamPair& pair) {
+    pair.server->on_message([&got, &pair, tag = std::string(64, 'd')](const Payload& m) {
+      pair.server.reset();  // the listener only holds a weak_ptr
+      got.push_back(tag.substr(0, 1) + to_string(m));
+    });
+  });
+  p.send(3);
+  loop.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"dm0"}));
+  EXPECT_EQ(p.server, nullptr);
+  EXPECT_TRUE(p.client->closed());  // the dying connection sent its FIN
+}
+
+TEST_F(TransportTest, StreamInboxReplayIsSafeAgainstTheSameHazards) {
+  // The same three hazards, hit while on_message() replays a buffered
+  // inbox instead of from a live arrival.
+  {
+    StreamPair p(net, nullptr);
+    p.send(3);
+    loop.run();
+    ASSERT_NE(p.server, nullptr);
+    std::vector<std::string> got;
+    p.server->on_message([&got, &p, tag = std::string(64, 'a')](const Payload& m) {
+      got.push_back(tag.substr(0, 1) + to_string(m));
+      p.server->on_message([&got, tag2 = std::string(64, 'b')](const Payload& m2) {
+        got.push_back(tag2.substr(0, 1) + to_string(m2));
+      });
+      got.push_back(tag.substr(0, 1) + "!");
+    });
+    // Setting the new handler replays the rest of the inbox to it at once,
+    // inside the old handler's call.
+    EXPECT_EQ(got, (std::vector<std::string>{"am0", "bm1", "bm2", "a!"}));
+  }
+  {
+    StreamPair p(net, nullptr);
+    p.send(3);
+    loop.run();
+    ASSERT_NE(p.server, nullptr);
+    std::vector<std::string> got;
+    p.server->on_message([&got, &p, tag = std::string(64, 'c')](const Payload& m) {
+      p.server->close();
+      got.push_back(tag.substr(0, 1) + to_string(m));
+    });
+    // Messages already received still replay after the close.
+    EXPECT_EQ(got, (std::vector<std::string>{"cm0", "cm1", "cm2"}));
+    EXPECT_TRUE(p.server->closed());
+  }
+  {
+    StreamPair p(net, nullptr);
+    p.send(3);
+    loop.run();
+    ASSERT_NE(p.server, nullptr);
+    std::vector<std::string> got;
+    p.server->on_message([&got, &p, tag = std::string(64, 'd')](const Payload& m) {
+      p.server.reset();
+      got.push_back(tag.substr(0, 1) + to_string(m));
+    });
+    // The replay finishes on the pinned connection, then it dies.
+    EXPECT_EQ(got, (std::vector<std::string>{"dm0", "dm1", "dm2"}));
+    EXPECT_EQ(p.server, nullptr);
+    loop.run();
+    EXPECT_TRUE(p.client->closed());
+  }
 }
 
 TEST_F(TransportTest, FirewallBlocksUnsolicitedDatagrams) {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "broker/broker_network.hpp"
 #include "broker/broker_node.hpp"
 #include "broker/client.hpp"
 #include "broker/event.hpp"
@@ -159,6 +160,89 @@ TEST(ZeroCopyCert, EachAddedSubscriberCostsTwoEventsAndNoAllocation) {
   EXPECT_EQ(at400.allocs, at200.allocs) << "allocations per added subscriber: "
                                         << static_cast<double>(at400.allocs - at200.allocs) / 200;
   EXPECT_EQ(at400.events - at200.events, 2u * 200u);
+}
+
+// Host cost of one warmed publish across a line of `hops` + 1 brokers:
+// the publisher sits at broker 0 and the only subscriber at the last, so
+// every broker in between is a pure peer-forwarding hop.
+FanoutCost warmed_line_cost(int hops) {
+  sim::EventLoop loop;
+  sim::Network net{loop, 21};
+  BrokerNetwork fabric(net);
+  for (int i = 0; i <= hops; ++i) fabric.add_broker(net.add_host("b" + std::to_string(i)));
+  for (int i = 0; i < hops; ++i) {
+    fabric.link(static_cast<BrokerId>(i), static_cast<BrokerId>(i + 1));
+  }
+  fabric.finalize();
+  BrokerClient pub(net.add_host("pub"), fabric.broker(0).stream_endpoint());
+  BrokerClient sub(net.add_host("sub"),
+                   fabric.broker(static_cast<BrokerId>(hops)).stream_endpoint());
+  int got = 0;
+  sub.subscribe(kLongTopic);
+  sub.on_event([&](const Event&) { ++got; });
+  loop.run();
+  for (int round = 0; round < 2; ++round) {
+    pub.publish(kLongTopic, Bytes(256, 0x5a));
+    loop.run();
+  }
+  got = 0;
+  Bytes body(256, 0x5a);
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t events0 = loop.executed();
+  pub.publish(kLongTopic, std::move(body));
+  loop.run();
+  FanoutCost cost{g_allocs.load(std::memory_order_relaxed) - allocs0, loop.executed() - events0};
+  EXPECT_EQ(got, 1) << hops << " hops";
+  return cost;
+}
+
+// The marginal host cost of one more broker-to-broker hop: the route job,
+// the forward job and the peer frame's arrival are its only loop events;
+// its allocations are the hop's kPeerEvent frame and stream segment (each
+// a buffer plus its Payload control block), the arriving event's topic
+// and its shared RoutedEvent — at most 7.
+TEST(ZeroCopyCert, EachAddedPeerHopCostsThreeEventsAndAtMostSevenAllocations) {
+  FanoutCost prev = warmed_line_cost(1);
+  for (int hops = 2; hops <= 4; ++hops) {
+    const FanoutCost cur = warmed_line_cost(hops);
+    EXPECT_EQ(cur.events - prev.events, 3u) << "hop " << hops;
+    EXPECT_LE(cur.allocs - prev.allocs, 7u) << "hop " << hops;
+    prev = cur;
+  }
+}
+
+// route_remote groups targets by next hop and submits one forward per hop
+// in ascending hop order, whatever order the targets arrive in. Star of
+// three next hops where the target order is the reverse of the hop order
+// (target 4 behind hop 3, 5 behind 2, 6 behind 1): with one dispatch
+// thread the forwards complete in submission order, so the subscribers
+// hear the event in hop order 1, 2, 3 — that is, at brokers 6, 5, 4.
+TEST(ZeroCopyCert, ForwardsAreSubmittedInAscendingHopOrder) {
+  sim::EventLoop loop;
+  sim::Network net{loop, 21};
+  BrokerNetwork fabric(net);
+  for (int i = 0; i < 7; ++i) fabric.add_broker(net.add_host("b" + std::to_string(i)));
+  fabric.link(0, 1);
+  fabric.link(0, 2);
+  fabric.link(0, 3);
+  fabric.link(3, 4);
+  fabric.link(2, 5);
+  fabric.link(1, 6);
+  fabric.finalize();
+  BrokerClient pub(net.add_host("pub"), fabric.broker(0).stream_endpoint());
+  std::vector<std::unique_ptr<BrokerClient>> subs;
+  std::vector<BrokerId> heard_at;
+  for (BrokerId b = 4; b <= 6; ++b) {
+    subs.push_back(std::make_unique<BrokerClient>(net.add_host("s" + std::to_string(b)),
+                                                  fabric.broker(b).stream_endpoint()));
+    subs.back()->subscribe(kLongTopic);
+    subs.back()->on_event([&heard_at, b](const Event&) { heard_at.push_back(b); });
+  }
+  loop.run();
+  pub.publish(kLongTopic, Bytes(256, 0x5a));
+  loop.run();
+  EXPECT_EQ(fabric.broker(0).peer_forwards(), 3u);
+  EXPECT_EQ(heard_at, (std::vector<BrokerId>{6, 5, 4}));
 }
 
 TEST(ZeroCopyCert, InstrumentationIsLive) {
