@@ -8,13 +8,12 @@
 // Alongside the table it writes BENCH_broker_capacity.json so the bench
 // trajectory is machine-readable.
 //
-// Both broker control planes run by default so before/after knees land in
-// one file (DESIGN.md §12): "locked" is the classic serial dispatch path,
-// "snapshot" is the epoch-snapshot plane (batched fan-out, 8 simulated
-// dispatch threads). The snapshot video sweep
-// extends past 600 clients because that is where its knee lives.
+// Each claim is swept at two simulated dispatch-pool sizes, tagged
+// "threads" in the JSON: 1 (the paper's single optimized dispatch path,
+// the claims' operating point) and 8 (DispatchConfig::snapshot(), the
+// pool the production broker ran). The 8-thread video sweep extends past
+// 600 clients because that is where its knee lives.
 //
-//   --snapshot on|off   restrict to one control plane (default: both)
 //   --quick             one small point per sweep, no JSON write: a smoke
 //                       run of broker fan-out without the full sweep
 #include <chrono>
@@ -30,7 +29,7 @@ namespace {
 
 struct JsonPoint {
   std::string sweep;
-  std::string plane;
+  int threads = 0;
   gmmcs::core::CapacityPoint p;
   // Copy-discipline counters across the point's run: steady-state broker
   // fan-out must not deep-copy payload bytes, so both stay 0.
@@ -45,11 +44,11 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 void sweep(gmmcs::core::MediaKind kind, const char* title, const char* key,
-           const char* plane_name, const gmmcs::broker::DispatchConfig& dispatch,
-           const std::vector<int>& counts, int paper_claim) {
+           const gmmcs::broker::DispatchConfig& dispatch, const std::vector<int>& counts,
+           int paper_claim) {
   using namespace gmmcs::core;
-  std::printf("\n=== %s [%s control plane] (paper claim: good quality beyond %d clients) ===\n",
-              title, plane_name, paper_claim);
+  std::printf("\n=== %s [%d dispatch threads] (paper claim: good quality beyond %d clients) ===\n",
+              title, dispatch.threads, paper_claim);
   std::printf("%10s %14s %16s %10s %12s %10s %10s\n", "clients", "avg delay", "per-client max",
               "loss", "offered", "quality", "wall");
   int last_good = 0;
@@ -69,7 +68,7 @@ void sweep(gmmcs::core::MediaKind kind, const char* title, const char* key,
                 p.avg_delay_ms, p.p99_delay_ms, p.loss_ratio * 100.0, p.offered_mbps,
                 p.good_quality ? "good" : "DEGRADED", wall_s);
     if (p.good_quality) last_good = n;
-    g_points.push_back({key, plane_name, p, cp, cb});
+    g_points.push_back({key, dispatch.threads, p, cp, cb});
   }
   std::printf("  -> largest good-quality client count in sweep: %d (paper: >%d)\n", last_good,
               paper_claim);
@@ -80,13 +79,13 @@ void write_json() {
   if (json == nullptr) return;
   std::fprintf(json, "{\n  \"bench\": \"broker_capacity\",\n  \"points\": [\n");
   for (std::size_t i = 0; i < g_points.size(); ++i) {
-    const auto& [sweep_key, plane, p, copies, copied_bytes] = g_points[i];
+    const auto& [sweep_key, threads, p, copies, copied_bytes] = g_points[i];
     std::fprintf(json,
-                 "    {\"sweep\": \"%s\", \"control_plane\": \"%s\", \"clients\": %d, "
+                 "    {\"sweep\": \"%s\", \"threads\": %d, \"clients\": %d, "
                  "\"avg_delay_ms\": %.3f, \"p99_delay_ms\": %.3f, \"loss_ratio\": %.5f, "
                  "\"offered_mbps\": %.2f, \"good_quality\": %s, "
                  "\"payload_copy_count\": %llu, \"payload_bytes_copied\": %llu}%s\n",
-                 sweep_key.c_str(), plane.c_str(), p.clients, p.avg_delay_ms, p.p99_delay_ms,
+                 sweep_key.c_str(), threads, p.clients, p.avg_delay_ms, p.p99_delay_ms,
                  p.loss_ratio, p.offered_mbps, p.good_quality ? "true" : "false",
                  static_cast<unsigned long long>(copies),
                  static_cast<unsigned long long>(copied_bytes),
@@ -102,44 +101,29 @@ void write_json() {
 int main(int argc, char** argv) {
   using namespace gmmcs::core;
   using gmmcs::broker::DispatchConfig;
-  bool run_locked = true;
-  bool run_snapshot = true;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--snapshot" && i + 1 < argc) {
-      std::string_view v(argv[++i]);
-      run_snapshot = v == "on";
-      run_locked = v == "off";
-    } else if (arg == "--quick") {
-      quick = true;
-    }
+    if (std::string_view(argv[i]) == "--quick") quick = true;
   }
   std::printf("=== Broker capacity (claims C1/C2, DESIGN.md section 4) ===\n");
   std::printf("Quality criterion: avg delay < 150 ms and loss < 2%%.\n");
 
   std::vector<int> audio_counts = {200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800};
   std::vector<int> video_counts = {100, 200, 300, 400, 420, 440, 470, 500, 600};
-  // The snapshot plane's video knee lives beyond the locked sweep's range.
-  std::vector<int> video_snapshot_counts = {100, 200, 300, 400, 420, 440, 470,
+  // The 8-thread pool's video knee lives beyond the 1-thread sweep's range.
+  std::vector<int> video_8_thread_counts = {100, 200, 300, 400, 420, 440, 470,
                                             500, 600, 800, 1000, 1200};
   if (quick) {
     audio_counts = {200};
     video_counts = {100};
-    video_snapshot_counts = {100};
+    video_8_thread_counts = {100};
   }
 
-  if (run_locked) {
-    sweep(MediaKind::kAudio, "C1: audio clients per broker (64 Kbps G.711)", "audio", "locked",
-          DispatchConfig::optimized(), audio_counts, 1000);
-    sweep(MediaKind::kVideo, "C2: video clients per broker (600 Kbps)", "video", "locked",
-          DispatchConfig::optimized(), video_counts, 400);
-  }
-  if (run_snapshot) {
-    sweep(MediaKind::kAudio, "C1: audio clients per broker (64 Kbps G.711)", "audio", "snapshot",
-          DispatchConfig::snapshot(), audio_counts, 1000);
-    sweep(MediaKind::kVideo, "C2: video clients per broker (600 Kbps)", "video", "snapshot",
-          DispatchConfig::snapshot(), video_snapshot_counts, 400);
+  for (const DispatchConfig& dispatch : {DispatchConfig::optimized(), DispatchConfig::snapshot()}) {
+    sweep(MediaKind::kAudio, "C1: audio clients per broker (64 Kbps G.711)", "audio", dispatch,
+          audio_counts, 1000);
+    sweep(MediaKind::kVideo, "C2: video clients per broker (600 Kbps)", "video", dispatch,
+          dispatch.threads == 8 ? video_8_thread_counts : video_counts, 400);
   }
   if (!quick) write_json();
   return 0;

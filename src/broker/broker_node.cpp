@@ -8,6 +8,11 @@
 
 namespace gmmcs::broker {
 
+namespace {
+/// Egress-queue headroom the fan-out's NIC gate keeps free.
+constexpr std::size_t kNicSlackBytes = 64 * 1024;
+}  // namespace
+
 SimDuration DispatchConfig::copy_cost(std::size_t payload_bytes) const {
   auto size_part = static_cast<std::int64_t>(static_cast<double>(copy_per_kb.ns()) *
                                              static_cast<double>(payload_bytes) / 1024.0);
@@ -32,7 +37,6 @@ DispatchConfig DispatchConfig::unoptimized() {
 DispatchConfig DispatchConfig::snapshot() {
   DispatchConfig cfg;
   cfg.threads = 8;
-  cfg.control_plane = ControlPlane::kSnapshot;
   return cfg;
 }
 
@@ -279,46 +283,49 @@ void BrokerNode::route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
 }
 
 void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
-  // The index's cached match line, walked in place; `exclude` is skipped
-  // on the way. Nothing below touches the index, so the line stays valid.
+  // The index's cached match line, minus `exclude`, copied into a
+  // recycled Fanout slot.
   const std::vector<ClientId>& line = sub_index_.matches(ev->event().topic);
-  const auto excluded = static_cast<std::size_t>(std::count(line.begin(), line.end(), exclude));
-  if (line.size() == excluded) return;
-  const SimDuration cost = cfg_.dispatch.copy_cost(ev->event().payload.size());
-  if (cfg_.dispatch.control_plane == DispatchConfig::ControlPlane::kSnapshot) {
-    // One ServiceCenter batch for the whole fan-out: per-recipient
-    // completion times come out of the arithmetic fast path, and the NIC
-    // parameters let the gate model dispatch threads blocking on a full
-    // egress queue (the copies below all leave through host_'s NIC).
-    struct FanoutBatch {
-      RoutedEventPtr ev;
-      std::vector<ClientId> cids;
-    };
-    std::vector<ClientId> cids;
-    cids.reserve(line.size() - excluded);
-    std::copy_if(line.begin(), line.end(), std::back_inserter(cids),
-                 [exclude](ClientId cid) { return cid != exclude; });
-    auto batch = std::make_shared<const FanoutBatch>(FanoutBatch{ev, std::move(cids)});
-    const sim::NicConfig& nic = host_->nic_config();
-    sim::ServiceCenter::BatchParams params;
-    params.service = cost;
-    params.wire_bytes = ev->wire().size() + nic.overhead_bytes;
-    params.nic_bps = nic.egress_bps;
-    params.nic_cap = nic.queue_bytes;
-    params.nic_slack = cfg_.dispatch.nic_slack_bytes;
-    dispatch_.submit_batch(batch->cids.size(), params, [this, batch](std::size_t i) {
-      auto it = clients_.find(batch->cids[i]);
-      if (it != clients_.end()) deliver_copy(it->second, *batch->ev);
-    });
+  std::uint32_t slot = 0;
+  if (free_fanouts_.empty()) {
+    slot = static_cast<std::uint32_t>(fanouts_.size());
+    fanouts_.emplace_back();
+  } else {
+    slot = free_fanouts_.back();
+    free_fanouts_.pop_back();
+  }
+  Fanout& f = fanouts_[slot];
+  f.cids.clear();
+  std::copy_if(line.begin(), line.end(), std::back_inserter(f.cids),
+               [exclude](ClientId cid) { return cid != exclude; });
+  if (f.cids.empty()) {
+    free_fanouts_.push_back(slot);
     return;
   }
-  for (ClientId cid : line) {
-    if (cid == exclude) continue;
-    dispatch_.submit(cost, [this, cid, ev] {
-      auto it = clients_.find(cid);
-      if (it != clients_.end()) deliver_copy(it->second, *ev);
-    });
-  }
+  f.ev = ev;
+  // The NIC gate lets dispatch threads block on a full egress queue (the
+  // copies below all leave through host_'s NIC); it binds only when that
+  // queue would overflow.
+  const sim::NicConfig& nic = host_->nic_config();
+  sim::NicGate gate;
+  gate.wire_bytes = ev->wire().size() + nic.overhead_bytes;
+  gate.nic_bps = nic.egress_bps;
+  gate.nic_cap = nic.queue_bytes;
+  gate.nic_slack = kNicSlackBytes;
+  auto deliver = [this, slot](std::size_t i) {
+    Fanout& fo = fanouts_[slot];
+    auto it = clients_.find(fo.cids[i]);
+    if (it != clients_.end()) deliver_copy(it->second, *fo.ev);
+    if (--fo.pending == 0) release_fanout(slot);
+  };
+  const SimDuration cost = cfg_.dispatch.copy_cost(ev->event().payload.size());
+  f.pending = dispatch_.submit_batch(f.cids.size(), cost, deliver, gate);
+  if (f.pending == 0) release_fanout(slot);
+}
+
+void BrokerNode::release_fanout(std::uint32_t slot) {
+  fanouts_[slot].ev.reset();
+  free_fanouts_.push_back(slot);
 }
 
 void BrokerNode::route_remote(const RoutedEventPtr& ev, std::span<const BrokerId> targets) {

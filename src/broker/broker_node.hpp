@@ -40,19 +40,6 @@ class BrokerNetwork;
 
 /// Cost model of the broker's event dispatch path.
 struct DispatchConfig {
-  /// How the dispatch path submits fan-out work (DESIGN.md §12).
-  enum class ControlPlane {
-    /// Classic per-copy submission: one ServiceCenter job per recipient,
-    /// no NIC backpressure on dispatch threads. Byte-identical to the
-    /// pre-snapshot tree; the before/after baseline in the benches.
-    kLocked,
-    /// Batched fan-out: one ServiceCenter batch per event (per-recipient
-    /// completions expanded arithmetically) with the virtual-NIC
-    /// admission gate, so dispatch threads block instead of flooding a
-    /// full egress queue.
-    kSnapshot,
-  };
-
   /// Parallel dispatch workers (the "message transmission" thread pool).
   int threads = 1;
   /// Bound on queued dispatch jobs; overflowing jobs are dropped.
@@ -65,10 +52,6 @@ struct DispatchConfig {
   /// so the Figure-3 workload (400 x 600 Kbps) runs at ~93% dispatch
   /// utilization, the regime the paper measured (see DESIGN.md §6).
   SimDuration copy_per_kb = SimDuration{23400};
-  ControlPlane control_plane = ControlPlane::kLocked;
-  /// Egress-queue headroom the batched fan-out's NIC gate keeps free
-  /// (kSnapshot only); see ServiceCenter::BatchParams.
-  std::size_t nic_slack_bytes = 64 * 1024;
 
   [[nodiscard]] SimDuration copy_cost(std::size_t payload_bytes) const;
 
@@ -78,8 +61,7 @@ struct DispatchConfig {
   /// The pre-optimization path (per-recipient buffer copies and
   /// allocation), used by the A1 ablation bench.
   static DispatchConfig unoptimized();
-  /// The epoch-snapshot control plane at full width: optimized costs,
-  /// batched fan-out and an 8-thread transmission pool (the pool size the
+  /// optimized() on an 8-thread transmission pool (the pool size the
   /// paper's broker ran in production).
   static DispatchConfig snapshot();
 };
@@ -214,9 +196,11 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   void route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
                          const std::vector<BrokerId>& remote_targets);
   /// Local fan-out of one event to every matching client (minus
-  /// `exclude`): per-copy dispatch jobs under ControlPlane::kLocked, one
-  /// NIC-gated ServiceCenter batch under kSnapshot.
+  /// `exclude`): one NIC-gated ServiceCenter batch, one copy job per
+  /// recipient.
   void fan_out_local(const RoutedEventPtr& ev, ClientId exclude);
+  /// Returns a Fanout slot to the pool once its last copy has completed.
+  void release_fanout(std::uint32_t slot);
   /// Forwards an event toward each remaining target broker, one copy per
   /// distinct next hop, submitted in ascending hop order.
   void route_remote(const RoutedEventPtr& ev, std::span<const BrokerId> targets);
@@ -245,6 +229,18 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   /// datagram-path events (hot path: one hash lookup per media packet).
   std::unordered_map<sim::Endpoint, ClientId, sim::EndpointHash> udp_index_;
   std::unordered_map<BrokerId, transport::StreamConnectionPtr> peer_links_;
+  /// Local fan-outs with copies still in the dispatch pool: the event and
+  /// its recipients, copied from the match line at routing time (the line
+  /// may change before the last copy leaves). The batch's callback
+  /// captures the slot index; a slot is recycled, capacity kept, once its
+  /// last accepted copy completes, so a warmed fan-out allocates nothing.
+  struct Fanout {
+    RoutedEventPtr ev;
+    std::vector<ClientId> cids;
+    std::size_t pending = 0;
+  };
+  std::vector<Fanout> fanouts_;
+  std::vector<std::uint32_t> free_fanouts_;
   /// Reused peer-path scratch (capacity kept across events): a peer
   /// event's targets minus this broker, and route_remote's (next hop,
   /// target index) grouping.

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/pinned.hpp"
@@ -20,53 +20,52 @@
 
 namespace gmmcs::sim {
 
+/// Virtual egress-NIC admission gate on a job's completion (broker
+/// fan-out: a copy job completes by entering the NIC queue). When set,
+/// the completion is delayed until a virtual drop-tail queue of
+/// `nic_cap` bytes draining at `nic_bps` has at least `nic_slack` +
+/// `wire_bytes` of headroom. A gated completion keeps its server busy —
+/// threads blocked on a full NIC is exactly the optimized
+/// NaradaBrokering behavior — so dispatch throughput degrades to line
+/// rate instead of flooding the queue. The default (all zero) is off.
+struct NicGate {
+  std::size_t wire_bytes = 0;
+  double nic_bps = 0;
+  std::size_t nic_cap = 0;
+  std::size_t nic_slack = 0;
+};
+
 class GMMCS_PINNED("wired into its loop at startup, torn down only after the loop drains") ServiceCenter {
  public:
   /// servers: number of parallel workers; queue_limit: max queued jobs
   /// (0 = unbounded). Jobs arriving at a full queue are rejected.
   ServiceCenter(EventLoop& loop, int servers, std::size_t queue_limit = 0);
 
-  /// Submits a job; `done` runs when its service time has elapsed.
-  /// Returns false (and drops the job) if the queue is full. The callable
-  /// rides in a SmallFn (captures up to 64 bytes cost no heap allocation)
-  /// parked in a slot table until it completes: the queue moves only a
-  /// small record per job.
-  bool submit(SimDuration service_time, SmallFn done);
+  /// Submits a job; `done` runs when its service time (and `gate`) has
+  /// elapsed. A free server takes the job at once, even ahead of queued
+  /// jobs (inside a completion callback the freed server is offered to
+  /// new work before the queue drains). Returns false (and drops the job)
+  /// if no server is free and the queue is full. The callable rides in a
+  /// SmallFn (captures up to 64 bytes cost no heap allocation) parked in
+  /// a slot table until it completes: the queue moves only a small record
+  /// per job.
+  bool submit(SimDuration service_time, SmallFn done, const NicGate& gate = {});
 
-  /// Parameters for a batch of identical jobs (broker fan-out: one copy
-  /// per recipient). `service` is the per-job CPU time; the remaining
-  /// fields, when set, model egress-NIC backpressure: a job's completion
-  /// (= its copy entering the NIC queue) is delayed until a virtual
-  /// drop-tail queue of `nic_cap` bytes draining at `nic_bps` has at least
-  /// `nic_slack` + one copy of headroom. A gated completion keeps its
-  /// server busy — threads blocked on a full NIC is exactly the optimized
-  /// NaradaBrokering behavior — so dispatch throughput degrades to line
-  /// rate instead of flooding the queue.
-  struct BatchParams {
-    SimDuration service;
-    std::size_t wire_bytes = 0;
-    double nic_bps = 0;
-    std::size_t nic_cap = 0;
-    std::size_t nic_slack = 0;
-  };
+  using BatchFn = std::function<void(std::size_t)>;
 
-  /// Submits `n` identical jobs as one batch; `done(i)` runs as job i
-  /// completes. Admission is decided once, at submission: the free
-  /// servers plus the queue room left under queue_limit accept a prefix
-  /// of the batch and the tail is rejected; returns how many jobs were
-  /// accepted. When all servers are idle the batch expands
-  /// arithmetically — per-server completion ladders computed in one pass,
-  /// one scheduled event per job and no queue traffic — which is the
-  /// broker fan-out fast path; otherwise the batch rides the FIFO queue
-  /// as one job and its items peel off one at a time as servers free up.
-  ///
-  /// This is *not* equivalent to n submit() calls. Routing the per-copy
-  /// broker path through submit_batch (NIC gate off) moved the Figure-3
-  /// broker delay from 86.58 to 89.79 ms and 600-client video loss from
-  /// 1.67% to 0%; the loss shift follows from the one-shot admission
-  /// above, the delay shift is not yet explained (ROADMAP, fan-out merge).
-  std::size_t submit_batch(std::size_t n, const BatchParams& params,
-                           std::function<void(std::size_t)> done);
+  /// Submits `n` identical jobs as one batch (broker fan-out: one copy per
+  /// recipient); `done(i)` runs as job i completes. Returns how many jobs
+  /// were accepted. Exactly n submit() calls with the same service time
+  /// and gate: the leading items take every free server, the rest queue
+  /// FIFO behind everything already queued until queue_limit fills, and
+  /// the tail is rejected. Completion order, times, rejections, queue
+  /// length and wait accounting all match (BatchEquivalence in
+  /// tests/property_test.cpp). The batch rides the queue as one record
+  /// whose items peel off one at a time, and its state is recycled, so a
+  /// warmed batch whose `done` fits std::function's inline buffer costs
+  /// no heap allocation.
+  std::size_t submit_batch(std::size_t n, SimDuration service_time, BatchFn done,
+                           const NicGate& gate = {});
 
   [[nodiscard]] std::size_t queue_length() const { return queued_logical_; }
   [[nodiscard]] int busy_servers() const { return busy_; }
@@ -78,36 +77,44 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
   [[nodiscard]] SimDuration mean_wait() const;
 
  private:
-  /// Shared state of one queued batch (slow path): items peel off it one
-  /// at a time; `next` is the first item not yet started.
+  /// Item index a plain submit() job completes with.
+  static constexpr std::size_t kPlainJob = static_cast<std::size_t>(-1);
+
+  /// One batch's completion callable and its accepted items not yet
+  /// completed; recycled through free_batches_ after the last completes.
   struct BatchCtrl {
-    BatchParams params;
-    std::size_t accepted = 0;
-    std::size_t next = 0;
-    std::function<void(std::size_t)> done;
+    BatchFn done;
+    std::size_t outstanding = 0;
   };
 
-  /// A queued job. A plain job's callable is parked in inflight_[slot]
-  /// at submit() and never moves again; the queue shuffles only these
-  /// small records.
+  /// A queued job, or the queued run of one batch's items (`batch`; items
+  /// `next`..`end`-1, peeled off one at a time as servers free up). The
+  /// callable stays parked in inflight_[slot] (plain job) or
+  /// batches_[slot] (batch); the queue shuffles only these records.
   struct Job {
     SimTime enqueued;
     SimDuration service;
+    NicGate gate;
     std::uint32_t slot = 0;
-    /// Non-null for a queued batch; `slot` is unused then.
-    std::shared_ptr<BatchCtrl> batch;
+    bool batch = false;
+    std::size_t next = 0;
+    std::size_t end = 0;
   };
 
   /// Parks a completion callable in a free inflight_ slot.
   std::uint32_t park(SmallFn done);
-  void start(const Job& job);
+  /// Parks a batch's callable in a free batches_ slot.
+  std::uint32_t park_batch(BatchFn done, std::size_t items);
+  /// Starts `job` (item `item` of a batch, or kPlainJob) on a free server.
+  void start(const Job& job, std::size_t item);
+  void complete(std::uint32_t slot, std::size_t item);
   void drain();
   /// Advances q_head_ past the consumed front Job (reset/trim heuristics).
   void advance_head();
   /// Applies the virtual-NIC admission gate to a job completing its CPU
   /// service at `cpu_done`; returns the (possibly later) gated completion
   /// and accounts the copy's serialization in nic_free_v_.
-  SimTime gate_completion(SimTime cpu_done, const BatchParams& p);
+  SimTime gate_completion(SimTime cpu_done, const NicGate& gate);
 
   EventLoop& loop_;
   int servers_;
@@ -121,11 +128,8 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
   std::vector<Job> queue_;
   std::size_t q_head_ = 0;
   /// Logical jobs waiting (each batch item counts one): queue_length() and
-  /// the admission check use this, since a batch rides in a single Job and
-  /// fast-path batch items wait without touching queue_ at all.
+  /// the admission check use this, since a batch's items share one Job.
   std::size_t queued_logical_ = 0;
-  /// Per-server completion ladder arena for the batch fast path.
-  std::vector<SimTime> ladder_;
   /// Virtual egress-NIC free time (ns, as a double so per-copy
   /// serialization times keep sub-ns precision across thousands of
   /// copies), for gate_completion's admission model.
@@ -135,6 +139,10 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
   // Freed slots are recycled LIFO.
   std::vector<SmallFn> inflight_;
   std::vector<std::uint32_t> free_slots_;
+  // Batches with items queued or running. A deque: a completion callable
+  // submitting a new batch must not move the one still executing.
+  std::deque<BatchCtrl> batches_;
+  std::vector<std::uint32_t> free_batches_;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;
   SimDuration total_wait_{};

@@ -3,9 +3,12 @@
 // seeded from the suite parameter, so failures reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <set>
+#include <vector>
 
 #include "broker/broker_node.hpp"
 #include "broker/client.hpp"
@@ -298,6 +301,163 @@ INSTANTIATE_TEST_SUITE_P(Loads, QueueLaw,
                          ::testing::Values(QueueCase{0.3, 1}, QueueCase{0.6, 1},
                                            QueueCase{0.8, 1}, QueueCase{0.9, 1},
                                            QueueCase{0.8, 4}));
+
+// ---------------------------------------------------------------------------
+// ServiceCenter: a batch of n jobs is exactly n submit() calls.
+//
+// Many cheap seeded cases in one test, in the spirit of RapidCheck's
+// RC_GTEST_PROP_WITH_PARAMS (hand-rolled on Rng; no RapidCheck here). Each
+// case is a random script of submissions — some at scheduled instants,
+// some from inside another job's completion callback — run on two twin
+// ServiceCenters: one takes every op as submit_batch(n), the other as n
+// submit() calls. Everything observable must match.
+// ---------------------------------------------------------------------------
+
+struct BatchOp {
+  SimTime at;       // top-level op: submission instant
+  int parent = -1;  // nested op: submitted when this item completes
+  std::size_t n = 1;
+  SimDuration service;
+  sim::NicGate gate;
+};
+
+struct BatchScript {
+  int servers = 1;
+  std::size_t queue_limit = 0;
+  bool gated = false;
+  std::vector<BatchOp> ops;
+};
+
+constexpr int kMaxBatch = 32;
+
+BatchScript random_batch_script(Rng& rng) {
+  BatchScript s;
+  s.servers = static_cast<int>(rng.uniform_int(1, 8));
+  s.queue_limit = rng.chance(0.5) ? 0 : static_cast<std::size_t>(rng.uniform_int(1, 24));
+  // A slow virtual NIC shared by the case's gated ops, so the gate binds.
+  sim::NicGate link;
+  link.nic_bps = rng.uniform(2e6, 5e7);
+  link.nic_cap = static_cast<std::size_t>(rng.uniform_int(2000, 20000));
+  link.nic_slack = static_cast<std::size_t>(rng.uniform_int(0, 1500));
+  const bool gated_case = rng.chance(0.5);
+  const int ops = static_cast<int>(rng.uniform_int(1, 16));
+  for (int k = 0; k < ops; ++k) {
+    BatchOp op;
+    // A coarse 10 µs grid makes same-instant ties common.
+    op.at = SimTime{duration_us(10 * rng.uniform_int(0, 40)).ns()};
+    if (k > 0 && rng.chance(0.4)) {
+      const auto parent_op = static_cast<std::size_t>(rng.uniform_int(0, k - 1));
+      const auto parent_n = static_cast<std::int64_t>(s.ops[parent_op].n);
+      if (parent_n > 0) {
+        const auto item = static_cast<int>(rng.uniform_int(0, parent_n - 1));
+        op.parent = static_cast<int>(parent_op) * kMaxBatch + item;
+      }
+    }
+    op.n = static_cast<std::size_t>(rng.uniform_int(0, kMaxBatch));
+    op.service = duration_us(10 * rng.uniform_int(0, 20));
+    if (gated_case && rng.chance(0.8)) {
+      op.gate = link;
+      op.gate.wire_bytes = static_cast<std::size_t>(rng.uniform_int(64, 1500));
+      s.gated = true;
+    }
+    s.ops.push_back(op);
+  }
+  return s;
+}
+
+struct Observation {
+  SimTime at;
+  int item = 0;  // completed item, or -1 - op for a submission
+  std::size_t queue_length = 0;
+  int busy = 0;
+  bool operator==(const Observation&) const = default;
+};
+
+void PrintTo(const Observation& o, std::ostream* os) {
+  *os << "{t=" << o.at.ns() << " ns, item " << o.item;
+  *os << ", queue " << o.queue_length << ", busy " << o.busy << "}";
+}
+
+struct TwinRun {
+  std::vector<Observation> log;
+  std::vector<std::size_t> accepted;
+  std::uint64_t completed = 0;
+  std::uint64_t rejected = 0;
+  std::size_t queue_length = 0;
+  SimDuration total_wait{};
+  int nested = 0;
+};
+
+TwinRun run_twin(const BatchScript& s, bool batched) {
+  sim::EventLoop loop;
+  sim::ServiceCenter sc(loop, s.servers, s.queue_limit);
+  TwinRun r;
+  r.accepted.assign(s.ops.size(), 0);
+  std::multimap<int, std::size_t> children;
+  for (std::size_t k = 0; k < s.ops.size(); ++k) {
+    if (s.ops[k].parent >= 0) children.emplace(s.ops[k].parent, k);
+  }
+  std::function<void(std::size_t)> submit_op;
+  auto on_done = [&](int item) {
+    r.log.push_back({loop.now(), item, sc.queue_length(), sc.busy_servers()});
+    for (auto [it, end] = children.equal_range(item); it != end; ++it) {
+      ++r.nested;
+      submit_op(it->second);
+    }
+  };
+  submit_op = [&](std::size_t k) {
+    const BatchOp& op = s.ops[k];
+    const int base = static_cast<int>(k) * kMaxBatch;
+    if (batched) {
+      auto done = [&on_done, base](std::size_t i) { on_done(base + static_cast<int>(i)); };
+      r.accepted[k] = sc.submit_batch(op.n, op.service, done, op.gate);
+    } else {
+      for (std::size_t i = 0; i < op.n; ++i) {
+        const int item = base + static_cast<int>(i);
+        if (sc.submit(op.service, [&on_done, item] { on_done(item); }, op.gate)) ++r.accepted[k];
+      }
+    }
+    r.log.push_back({loop.now(), -1 - static_cast<int>(k), sc.queue_length(), sc.busy_servers()});
+  };
+  for (std::size_t k = 0; k < s.ops.size(); ++k) {
+    if (s.ops[k].parent < 0) loop.schedule_at(s.ops[k].at, [&submit_op, k] { submit_op(k); });
+  }
+  loop.run();
+  r.completed = sc.completed();
+  r.rejected = sc.rejected();
+  r.queue_length = sc.queue_length();
+  r.total_wait = sc.total_wait();
+  return r;
+}
+
+TEST(BatchEquivalence, BatchIsExactlyNSubmits) {
+  constexpr std::uint64_t kCases = 2500;
+  int nested = 0;
+  int with_rejections = 0;
+  int gated = 0;
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    Rng rng(seed);
+    const BatchScript script = random_batch_script(rng);
+    const TwinRun batch = run_twin(script, /*batched=*/true);
+    const TwinRun each = run_twin(script, /*batched=*/false);
+    for (std::size_t j = 0; j < std::min(batch.log.size(), each.log.size()); ++j) {
+      ASSERT_EQ(batch.log[j], each.log[j]) << "seed " << seed << ", observation " << j;
+    }
+    ASSERT_EQ(batch.log.size(), each.log.size()) << "seed " << seed;
+    ASSERT_EQ(batch.accepted, each.accepted) << "seed " << seed;
+    ASSERT_EQ(batch.completed, each.completed) << "seed " << seed;
+    ASSERT_EQ(batch.rejected, each.rejected) << "seed " << seed;
+    ASSERT_EQ(batch.queue_length, each.queue_length) << "seed " << seed;
+    ASSERT_EQ(batch.total_wait, each.total_wait) << "seed " << seed;
+    nested += batch.nested > 0 ? 1 : 0;
+    with_rejections += batch.rejected > 0 ? 1 : 0;
+    gated += script.gated ? 1 : 0;
+  }
+  // The generator reaches the corners the property is about.
+  EXPECT_GT(nested, 250);
+  EXPECT_GT(with_rejections, 250);
+  EXPECT_GT(gated, 250);
+}
 
 // ---------------------------------------------------------------------------
 // Stream transport: exactly-once, in-order, any (latency, loss) setting.

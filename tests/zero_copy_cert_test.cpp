@@ -122,10 +122,12 @@ struct FanoutCost {
   std::uint64_t events = 0;
 };
 
-FanoutCost warmed_fanout_cost(int n) {
+FanoutCost warmed_fanout_cost(int n, int threads = 1) {
   sim::EventLoop loop;
   sim::Network net{loop, 21};
-  BrokerNode broker(net.add_host("broker"), 0);
+  BrokerNode::Config cfg;
+  cfg.dispatch.threads = threads;
+  BrokerNode broker(net.add_host("broker"), 0, cfg);
   BrokerClient pub(net.add_host("pub"), broker.stream_endpoint());
   std::vector<std::unique_ptr<BrokerClient>> subs;
   int got = 0;
@@ -160,6 +162,19 @@ TEST(ZeroCopyCert, EachAddedSubscriberCostsTwoEventsAndNoAllocation) {
   EXPECT_EQ(at400.allocs, at200.allocs) << "allocations per added subscriber: "
                                         << static_cast<double>(at400.allocs - at200.allocs) / 200;
   EXPECT_EQ(at400.events - at200.events, 2u * 200u);
+}
+
+// The batched fan-out's own state (recipient list, batch record, slot-
+// indexed completion callable) is recycled: a warmed fan-out to 400 local
+// subscribers costs exactly the allocations of a publish no one
+// subscribes to, i.e. zero per event, whether one dispatch thread serves
+// the batch or eight.
+TEST(ZeroCopyCert, WarmedBatchedFanoutAllocatesNothingAtOneAndEightThreads) {
+  for (int threads : {1, 8}) {
+    const FanoutCost none = warmed_fanout_cost(0, threads);
+    const FanoutCost fan = warmed_fanout_cost(400, threads);
+    EXPECT_EQ(fan.allocs, none.allocs) << threads << " dispatch threads";
+  }
 }
 
 // Host cost of one warmed publish across a line of `hops` + 1 brokers:
