@@ -11,19 +11,7 @@ std::string ClusterAddress::to_string() const {
          std::to_string(node);
 }
 
-BrokerNetwork::BrokerNetwork(sim::Network& net) : net_(&net) {
-  // Publish the empty epoch so dispatch-path readers never see a null
-  // snapshot: pre-finalize queries behave exactly as the locked tables
-  // did (next_hop throws "finalize() not called", distance -1, no
-  // interest matches).
-  publish_now();
-}
-
-BrokerNetwork::~BrokerNetwork() {
-  // A publication event may still be queued (fabric destroyed before the
-  // loop drains); cancel it so the event can't run into a dead `this`.
-  if (publish_pending_) net_->loop().cancel(publish_task_);
-}
+BrokerNetwork::BrokerNetwork(sim::Network& net) : net_(&net) {}
 
 BrokerNode& BrokerNetwork::add_broker(sim::Host& host, BrokerNode::Config cfg) {
   auto id = static_cast<BrokerId>(brokers_.size());
@@ -53,42 +41,7 @@ void BrokerNetwork::link(BrokerId a, BrokerId b) {
 
 void BrokerNetwork::finalize() {
   rebuild_routes();
-  mark_dirty(/*routes=*/true, /*interest=*/false);
-}
-
-void BrokerNetwork::mark_dirty(bool routes, bool interest) {
-  routes_dirty_ |= routes;
-  interest_dirty_ |= interest;
-  if (publish_pending_) return;
-  sim::EventLoop& loop = net_->loop();
-  if (!loop.executing()) {
-    // Setup / test code outside event execution: publish synchronously so
-    // the caller observes the new epoch immediately.
-    publish_now();
-    return;
-  }
-  // Inside a run: defer to a same-timestamp event, so events already
-  // sequenced at this instant still read the previous epoch and the flip
-  // lands at a fixed (when, seq) position.
-  publish_pending_ = true;
-  publish_task_ = loop.schedule_at(loop.now(), [this] {
-    publish_pending_ = false;
-    publish_task_ = 0;
-    publish_now();
-  });
-}
-
-void BrokerNetwork::publish_now() {
   ++epoch_;
-  if (routes_dirty_ || !pub_routes_) {
-    pub_routes_ = std::make_shared<const RouteTables>(routes_);
-    routes_dirty_ = false;
-  }
-  if (interest_dirty_ || !pub_interest_) {
-    pub_interest_ = std::make_shared<const InterestTable>(interest_.flatten());
-    interest_dirty_ = false;
-  }
-  snapshot_ = std::make_shared<const ControlSnapshot>(epoch_, pub_routes_, pub_interest_);
 }
 
 void BrokerNetwork::rebuild_routes() {
@@ -157,12 +110,12 @@ void BrokerNetwork::report_link(BrokerId a, BrokerId b, bool up) {
     if (view_changed) {
       rebuild_route_row(a);
       ++route_recomputes_;
-      mark_dirty(/*routes=*/true, /*interest=*/false);
+      ++epoch_;
     }
   } else if (changed) {
     rebuild_routes();
     ++route_recomputes_;
-    mark_dirty(/*routes=*/true, /*interest=*/false);
+    ++epoch_;
   }
   if (changed && route_listener_) {
     route_listener_(key.first, key.second, up, net_->loop().now());
@@ -179,7 +132,7 @@ void BrokerNetwork::apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool u
   if (!changed) return;
   rebuild_route_row(at);
   ++route_recomputes_;
-  mark_dirty(/*routes=*/true, /*interest=*/false);
+  ++epoch_;
 }
 
 void BrokerNetwork::set_address(BrokerId id, ClusterAddress addr) {
@@ -230,22 +183,16 @@ void BrokerNetwork::advertise(const TopicFilter& filter, BrokerId origin, bool a
   } else {
     interest_.unsubscribe(origin, filter);
   }
-  mark_dirty(/*routes=*/false, /*interest=*/true);
+  ++epoch_;
 }
 
-std::vector<BrokerId> BrokerNetwork::interested_brokers(const std::string& topic,
-                                                        BrokerId exclude) const {
-  // Dispatch-path read of the published snapshot. Result is sorted by
-  // broker id like the live index scan, so forwarding order is unchanged.
-  return snapshot_->interest().matches(topic, exclude);
+void RouteTables::throw_not_finalized() {
+  throw std::logic_error("BrokerNetwork: finalize() not called");
 }
 
-BrokerId BrokerNetwork::next_hop(BrokerId from, BrokerId to) const {
-  return snapshot_->routes().next_hop(from, to);
-}
-
-int BrokerNetwork::distance(BrokerId from, BrokerId to) const {
-  return snapshot_->routes().distance(from, to);
+void RouteTables::throw_no_route(std::uint32_t from, std::uint32_t to) {
+  throw std::logic_error("BrokerNetwork: no route from " + std::to_string(from) + " to " +
+                         std::to_string(to));
 }
 
 }  // namespace gmmcs::broker

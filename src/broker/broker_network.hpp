@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "broker/broker_node.hpp"
-#include "broker/control_snapshot.hpp"
+#include "broker/route_tables.hpp"
 #include "broker/subscription_index.hpp"
 #include "broker/topic.hpp"
 #include "common/pinned.hpp"
@@ -44,10 +44,14 @@ struct ClusterAddress {
   [[nodiscard]] std::string to_string() const;
 };
 
+class BrokerNetwork;
+/// Benchmark-facing only: perfbench names this type for what snapshot()
+/// returns. New code holds the BrokerNetwork and calls its accessors.
+using ControlSnapshotPtr = const BrokerNetwork*;
+
 class GMMCS_PINNED("the cluster control plane is built before the loop starts and outlives its drain") BrokerNetwork {
  public:
   explicit BrokerNetwork(sim::Network& net);
-  ~BrokerNetwork();
 
   /// Creates a broker on the given host and registers it in the fabric.
   BrokerNode& add_broker(sim::Host& host, BrokerNode::Config cfg = {});
@@ -103,25 +107,40 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// form a ring. Then finalizes.
   void link_hierarchy();
 
-  // --- Interest control plane ---
-  /// Applies an interest mutation; a fresh snapshot epoch is published
-  /// afterwards (DESIGN.md §12 has the visibility contract).
+  // --- Interest control plane (DESIGN.md §12) ---
+  /// Applies an interest mutation to the one interest table; the next
+  /// interested_brokers() read sees it.
   void advertise(const TopicFilter& filter, BrokerId origin, bool add);
   /// All brokers (excluding `exclude`) with interest matching `topic`,
-  /// read from the current published snapshot.
+  /// sorted by id, read from the live table: every advertise() made before
+  /// the call is visible.
   [[nodiscard]] std::vector<BrokerId> interested_brokers(const std::string& topic,
-                                                         BrokerId exclude) const;
+                                                         BrokerId exclude) const {
+    return interest_.matches(topic, exclude);
+  }
 
-  // --- Routing queries (snapshot reads, like interested_brokers) ---
-  [[nodiscard]] BrokerId next_hop(BrokerId from, BrokerId to) const;
+  // --- Routing queries ---
+  /// First hop from `from` toward `to`, read from routes_ in place: the
+  /// next query after finalize(), report_link() or apply_link_state() sees
+  /// the rebuilt routes. Throws like RouteTables::next_hop.
+  [[nodiscard]] BrokerId next_hop(BrokerId from, BrokerId to) const {
+    return routes_.next_hop(from, to);
+  }
   /// Hop distance; -1 if unreachable.
-  [[nodiscard]] int distance(BrokerId from, BrokerId to) const;
+  [[nodiscard]] int distance(BrokerId from, BrokerId to) const {
+    return routes_.distance(from, to);
+  }
 
-  /// The current control-plane epoch (routing tables + interest state) as
-  /// one immutable object. Dispatch paths that make several related
-  /// queries (e.g. distance then next_hop per target) load one snapshot
-  /// and query it, so they see a single consistent epoch.
-  [[nodiscard]] ControlSnapshotPtr snapshot() const { return snapshot_; }
+  /// The control tables themselves, for callers that make several related
+  /// queries (route_remote: distance then next_hop per target).
+  [[nodiscard]] const RouteTables& routes() const { return routes_; }
+  [[nodiscard]] const SubscriptionIndex& interest() const { return interest_; }
+  /// Control-plane changes so far: one per finalize(), advertise() and
+  /// routing-table rebuild by report_link() / apply_link_state().
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  /// Benchmark-facing only: perfbench reads the tables through
+  /// `snapshot()->…`. New code calls routes(), interest() and epoch().
+  [[nodiscard]] ControlSnapshotPtr snapshot() const { return this; }
 
  private:
   /// BFS over adjacency_ minus down_links_; shared by finalize() and
@@ -133,15 +152,6 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// Widens routes_ to the current broker count, keeping built rows (a
   /// broker added after finalize() gets an unbuilt row and column).
   void grow_routes();
-  /// Records which halves of the control plane changed and arranges for a
-  /// snapshot publication: synchronous outside event execution (setup and
-  /// tests observe the new epoch immediately), otherwise via a
-  /// same-timestamp scheduled event, so events sequenced before it still
-  /// read the previous epoch.
-  void mark_dirty(bool routes, bool interest);
-  /// Rebuilds the dirty snapshot halves and publishes the next epoch. The
-  /// only writer of snapshot_.
-  void publish_now();
 
   sim::Network* net_;
   std::vector<std::unique_ptr<BrokerNode>> brokers_;
@@ -155,31 +165,15 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   std::map<BrokerId, std::set<std::pair<BrokerId, BrokerId>>> view_down_;
   std::function<void(BrokerId, BrokerId, bool, SimTime)> route_listener_;
   std::uint64_t route_recomputes_ = 0;
-  /// The authoritative routing matrices, mutated in place by the BFS
-  /// rebuilds; publish_now() copies them into the next epoch.
+  /// The routing matrices, rebuilt in place by the BFS and read in place
+  /// by every routing query.
   RouteTables routes_;
   /// Broker interest table (subscriber = BrokerId), sharing the indexed
   /// fast path (exact hash + wildcard list + match cache) with the
   /// per-node client table. Advertisements are refcounted per origin.
   SubscriptionIndex interest_;
   std::map<BrokerId, ClusterAddress> addresses_;
-
-  // --- Epoch-snapshot publication state (DESIGN.md §12) ---
   std::uint64_t epoch_ = 0;
-  /// Which snapshot halves are stale relative to the authoritative state.
-  bool routes_dirty_ = true;
-  bool interest_dirty_ = true;
-  /// True while a publication event is scheduled (dedups mark_dirty calls
-  /// within one timestamp).
-  bool publish_pending_ = false;
-  sim::TaskId publish_task_ = 0;
-  /// Previously built halves, reused unchanged when only the other half
-  /// was dirtied (two-level sharing keeps republication cheap).
-  std::shared_ptr<const RouteTables> pub_routes_;
-  std::shared_ptr<const InterestTable> pub_interest_;
-  /// The published snapshot, written only by publish_now(). A superseded
-  /// epoch is freed when the last dispatch path holding it lets go.
-  ControlSnapshotPtr snapshot_;
 };
 
 }  // namespace gmmcs::broker

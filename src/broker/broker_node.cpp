@@ -331,11 +331,8 @@ void BrokerNode::release_fanout(std::uint32_t slot) {
 void BrokerNode::route_remote(const RoutedEventPtr& ev, std::span<const BrokerId> targets) {
   // Group remaining target brokers by next hop; one forwarded copy per hop.
   // Unreachable brokers (fabric partitions, links not yet finalized) are
-  // skipped rather than faulting the dispatch path. One snapshot load for
-  // the whole grouping: distance and next_hop answer from the same
-  // routing epoch.
-  const ControlSnapshotPtr snap = network_->snapshot();
-  const RouteTables& routes = snap->routes();
+  // skipped rather than faulting the dispatch path.
+  const RouteTables& routes = network_->routes();
   hop_groups_.clear();
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const BrokerId t = targets[i];

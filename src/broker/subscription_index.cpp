@@ -110,27 +110,6 @@ std::vector<SubscriptionIndex::SubscriberId> SubscriptionIndex::matches(
   return out;
 }
 
-InterestTable SubscriptionIndex::flatten() const {
-  InterestTable out;
-  out.exact.reserve(exact_.size());
-  // Keyed copy into another hash map; per-key id vectors come from ordered
-  // RefMaps, so the exported table's contents are iteration-order
-  // independent. det-lint: allow(unordered-iteration)
-  for (const auto& [pattern, refs] : exact_) {
-    std::vector<SubscriberId>& ids = out.exact[pattern];
-    ids.reserve(refs.size());
-    for (const auto& [id, count] : refs) ids.push_back(id);
-  }
-  out.wildcards.reserve(wildcards_.size());
-  for (const WildcardEntry& entry : wildcards_) {
-    InterestTable::WildcardRow row{entry.filter, {}};
-    row.ids.reserve(entry.refs.size());
-    for (const auto& [id, count] : entry.refs) row.ids.push_back(id);
-    out.wildcards.push_back(std::move(row));
-  }
-  return out;
-}
-
 std::size_t SubscriptionIndex::entry_count() const {
   std::size_t n = 0;
   // det-lint: allow(unordered-iteration) — commutative sum, order-free

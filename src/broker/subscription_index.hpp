@@ -30,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "broker/control_snapshot.hpp"
 #include "broker/topic.hpp"
 
 namespace gmmcs::broker {
@@ -47,11 +46,6 @@ class SubscriptionIndex {
   void unsubscribe(SubscriberId id, const TopicFilter& filter);
   /// Drops all of a subscriber's references (client disconnect).
   void remove_subscriber(SubscriberId id);
-
-  /// Exports the current table as a flat immutable InterestTable for
-  /// epoch-snapshot publication (DESIGN.md §12). Pure export: does not
-  /// touch the match cache.
-  [[nodiscard]] InterestTable flatten() const;
 
   /// Sorted, deduplicated ids of every subscriber with a filter matching
   /// `topic`. Cached per topic; valid until the next table mutation.

@@ -84,10 +84,7 @@ bool EventLoop::step() {
   current_seq_ = e.seq;
   ++executed_;
   if (trace_) trace_(e.when, e.seq);
-  bool prev_exec = executing_;
-  executing_ = true;
   cb();
-  executing_ = prev_exec;
   return true;
 }
 

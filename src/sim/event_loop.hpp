@@ -41,13 +41,6 @@ class EventLoop {
   /// Cancels a pending event; cancelling an already-run or unknown id is a no-op.
   void cancel(TaskId id);
 
-  /// True while the loop is inside event execution. Deferred-publication
-  /// logic (BrokerNetwork's snapshot epoch) keys off this: mutations from
-  /// setup/test code publish synchronously, while mutations inside a run
-  /// defer publication to a same-timestamp scheduled event, so events
-  /// sequenced before it still read the previous epoch.
-  [[nodiscard]] bool executing() const { return executing_; }
-
   /// Sequence number the next schedule_at() will assign. Sequence numbers
   /// start at 1 and order same-time events.
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
@@ -135,8 +128,6 @@ class EventLoop {
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
   std::uint32_t next_serial_ = 1;
-  /// True while an event executes (see executing()).
-  bool executing_ = false;
   std::function<void(SimTime, std::uint64_t)> trace_;
 };
 

@@ -120,10 +120,9 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   /// Sends to every member of a multicast group (one NIC serialization).
   void send_multicast(GroupId group, std::uint16_t src_port, Payload payload);
 
-  /// This host's NIC parameters (fixed at construction). Used by the
-  /// broker's batched fan-out to expand per-copy completion times — the
-  /// same serialization + drop-tail model Host::send applies — without a
-  /// ServiceCenter round-trip per copy.
+  /// This host's NIC parameters (fixed at construction). The broker's
+  /// fan_out_local reads them to build the NIC gate (sim::NicGate) its
+  /// copy jobs are admitted through.
   [[nodiscard]] const NicConfig& nic_config() const { return nic_; }
 
   /// Takes the host offline: all traffic to/from it is dropped, anything

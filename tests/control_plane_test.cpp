@@ -1,7 +1,7 @@
-// Epoch-snapshot control plane (DESIGN.md §12): readers holding a stale
-// epoch must see a complete, internally consistent control plane; writers
-// publish each new epoch as one object, deferred to a deterministic
-// (when, seq) position while events execute.
+// The broker control plane (DESIGN.md §12): BrokerNetwork's one set of
+// routing and interest tables, read in place, so a change is visible to the
+// next read; and the dense RouteTables against the map-based BFS they
+// replaced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,8 +16,7 @@
 #include "broker/broker_network.hpp"
 #include "broker/broker_node.hpp"
 #include "broker/client.hpp"
-#include "broker/control_snapshot.hpp"
-#include "broker/subscription_index.hpp"
+#include "broker/route_tables.hpp"
 #include "broker/topic.hpp"
 #include "common/random.hpp"
 #include "sim/event_loop.hpp"
@@ -42,12 +41,10 @@ struct RingFixture {
   }
 };
 
-/// Every reachable pair in the snapshot must be walkable: following
-/// next_hop from `from` reaches `to` in exactly distance(from, to) steps.
-/// A half-built table (cleared but not yet rebuilt, or partially copied)
-/// cannot pass this.
-void expect_routes_complete(const broker::ControlSnapshot& snap, BrokerId n) {
-  const broker::RouteTables& routes = snap.routes();
+/// Every reachable pair must be walkable: following next_hop from `from`
+/// reaches `to` in exactly distance(from, to) steps. A half-built table
+/// (cleared but not yet rebuilt) cannot pass this.
+void expect_routes_complete(const broker::RouteTables& routes, BrokerId n) {
   for (BrokerId from = 0; from < n; ++from) {
     for (BrokerId to = 0; to < n; ++to) {
       if (from == to) continue;
@@ -62,85 +59,63 @@ void expect_routes_complete(const broker::ControlSnapshot& snap, BrokerId n) {
 
 }  // namespace
 
-TEST(ControlSnapshot, EmptyEpochBehavesLikeUnfinalizedTables) {
+TEST(ControlPlane, UnfinalizedFabricHasNoRoutesOrInterest) {
   sim::EventLoop loop;
   sim::Network net(loop);
   broker::BrokerNetwork fabric(net);
-  broker::ControlSnapshotPtr snap = fabric.snapshot();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->routes().distance(0, 1), -1);
-  EXPECT_THROW((void)snap->routes().next_hop(0, 1), std::logic_error);
+  EXPECT_EQ(fabric.epoch(), 0u);
+  EXPECT_EQ(fabric.routes().distance(0, 1), -1);
+  EXPECT_THROW((void)fabric.routes().next_hop(0, 1), std::logic_error);
   EXPECT_TRUE(fabric.interested_brokers("/any/topic", 0).empty());
 }
 
-TEST(ControlSnapshot, StaleReaderSeesCompleteRoutesAcrossRepair) {
+TEST(ControlPlane, RepairRoutesAroundTheDeadLink) {
   RingFixture f;
-  broker::ControlSnapshotPtr before = f.fabric.snapshot();
-  expect_routes_complete(*before, 4);
-  ASSERT_EQ(before->routes().distance(0, 1), 1);
+  const broker::RouteTables& routes = f.fabric.routes();
+  expect_routes_complete(routes, 4);
+  ASSERT_EQ(routes.distance(0, 1), 1);
+  const std::uint64_t epoch0 = f.fabric.epoch();
 
-  // Route repair publishes a new epoch; the held snapshot must be the
-  // unchanged old epoch, complete and consistent.
+  // Route repair rebuilds the one table in place: 0 -> 3 -> 2 -> 1.
   f.fabric.report_link(0, 1, /*up=*/false);
-  broker::ControlSnapshotPtr after = f.fabric.snapshot();
-  ASSERT_NE(before.get(), after.get());
-  EXPECT_GT(after->epoch(), before->epoch());
-  EXPECT_EQ(before->routes().distance(0, 1), 1);
-  EXPECT_EQ(before->routes().next_hop(0, 1), 1u);
-  expect_routes_complete(*before, 4);
-  // The new epoch routes around the dead link: 0 -> 3 -> 2 -> 1.
-  EXPECT_EQ(after->routes().distance(0, 1), 3);
-  EXPECT_EQ(after->routes().next_hop(0, 1), 3u);
-  expect_routes_complete(*after, 4);
+  EXPECT_EQ(f.fabric.epoch(), epoch0 + 1);
+  EXPECT_EQ(routes.distance(0, 1), 3);
+  EXPECT_EQ(routes.next_hop(0, 1), 3u);
+  expect_routes_complete(routes, 4);
+  // A duplicate report from the other end is no change.
+  f.fabric.report_link(1, 0, /*up=*/false);
+  EXPECT_EQ(f.fabric.epoch(), epoch0 + 1);
+
+  f.fabric.report_link(0, 1, /*up=*/true);
+  EXPECT_EQ(routes.distance(0, 1), 1);
+  EXPECT_EQ(routes.next_hop(0, 1), 1u);
+  expect_routes_complete(routes, 4);
 }
 
-TEST(ControlSnapshot, InterestOnlyPublicationSharesRoutesPointer) {
+TEST(ControlPlane, MutationInsideAnEventIsVisibleToTheNextRead) {
   RingFixture f;
-  broker::ControlSnapshotPtr before = f.fabric.snapshot();
-  f.fabric.advertise(broker::TopicFilter("/conf/a"), /*origin=*/2, /*add=*/true);
-  broker::ControlSnapshotPtr after = f.fabric.snapshot();
-  ASSERT_NE(before.get(), after.get());
-  // Two-level sharing: only the interest half was rebuilt.
-  EXPECT_EQ(before->routes_ptr().get(), after->routes_ptr().get());
-  EXPECT_NE(before->interest_ptr().get(), after->interest_ptr().get());
-  EXPECT_TRUE(before->interest().matches("/conf/a", 0).empty());
-  EXPECT_EQ(after->interest().matches("/conf/a", 0), std::vector<std::uint32_t>{2u});
-}
-
-TEST(ControlSnapshot, PublicationDefersToEventBoundaryDuringRun) {
-  RingFixture f;
-  const std::uint64_t epoch0 = f.fabric.snapshot()->epoch();
-  std::uint64_t epoch_between = 0;
   std::vector<BrokerId> seen_same_event;
-  std::vector<BrokerId> seen_between;
-  std::vector<BrokerId> seen_after;
+  std::vector<BrokerId> seen_queued;
+  int distance_same_event = 0;
   const SimTime t = f.loop.now() + duration_ms(1);
   f.loop.schedule_at(t, [&] {
-    // Reader event sequenced after the mutation below but before the
-    // deferred publication: must still see the whole old epoch.
-    f.loop.schedule_at(t, [&] {
-      seen_between = f.fabric.interested_brokers("/conf/x", 0);
-      epoch_between = f.fabric.snapshot()->epoch();
-    });
+    // A reader event queued at this instant before the mutations below.
+    f.loop.schedule_at(t, [&] { seen_queued = f.fabric.interested_brokers("/conf/x", 0); });
     f.fabric.advertise(broker::TopicFilter("/conf/x"), /*origin=*/3, /*add=*/true);
-    // Same event as the mutation: publication has not run yet either.
     seen_same_event = f.fabric.interested_brokers("/conf/x", 0);
-  });
-  f.loop.schedule_at(t + SimDuration{1}, [&] {
-    seen_after = f.fabric.interested_brokers("/conf/x", 0);
+    f.fabric.report_link(0, 1, /*up=*/false);
+    distance_same_event = f.fabric.distance(0, 1);
   });
   f.loop.run();
-  EXPECT_TRUE(seen_same_event.empty());
-  EXPECT_TRUE(seen_between.empty());
-  EXPECT_EQ(epoch_between, epoch0);
-  EXPECT_EQ(seen_after, std::vector<BrokerId>{3u});
-  EXPECT_GT(f.fabric.snapshot()->epoch(), epoch0);
+  EXPECT_EQ(seen_same_event, std::vector<BrokerId>{3u});
+  EXPECT_EQ(seen_queued, std::vector<BrokerId>{3u});
+  EXPECT_EQ(distance_same_event, 3);
 }
 
-TEST(ControlSnapshot, SubscribeDuringFanoutIsPerEventAtomic) {
-  // End-to-end flavor of the visibility contract: a publish event that
-  // enters the broker before a subscription's epoch flips delivers to the
-  // old interest set; the next publish delivers to the new one.
+TEST(ControlPlane, SubscribeDuringFanoutIsPerEventAtomic) {
+  // A publish event that enters the broker before a subscription's
+  // advertisement delivers to the old interest set; the next publish
+  // delivers to the new one.
   RingFixture f;
   const char* topic = "/conf/atomic";
   broker::BrokerClient sub(f.net.add_host("sub"), f.fabric.broker(2).stream_endpoint(),
@@ -151,10 +126,10 @@ TEST(ControlSnapshot, SubscribeDuringFanoutIsPerEventAtomic) {
   sub.on_event([&](const broker::Event&) { ++got; });
   f.loop.run();  // settle hellos
   // Subscribe and publish racing: whether broker 0's routing job reads
-  // interest before or after the advertisement's epoch flip is a fixed,
-  // deterministic outcome — the event sees the subscription entirely or
-  // not at all (0 or 1 copies, never a duplicate from a half-applied
-  // table). A publish after the flip must then deliver exactly one more.
+  // interest before or after the advertisement is a fixed, deterministic
+  // outcome — the event sees the subscription entirely or not at all (0
+  // or 1 copies, never a duplicate from a half-applied table). A later
+  // publish must then deliver exactly one more.
   sub.subscribe(topic);
   pub.publish(topic, Bytes(64, 1));
   f.loop.run();
@@ -163,25 +138,6 @@ TEST(ControlSnapshot, SubscribeDuringFanoutIsPerEventAtomic) {
   pub.publish(topic, Bytes(64, 1));
   f.loop.run();
   EXPECT_EQ(got, first + 1);
-}
-
-TEST(ControlSnapshot, FlattenMatchesLiveIndex) {
-  broker::SubscriptionIndex index;
-  index.subscribe(1, broker::TopicFilter("/conf/a"));
-  index.subscribe(2, broker::TopicFilter("/conf/a"));
-  index.subscribe(2, broker::TopicFilter("/conf/a"));  // refcount 2
-  index.subscribe(3, broker::TopicFilter("/conf/*"));
-  index.subscribe(4, broker::TopicFilter("/conf/#"));
-  index.subscribe(5, broker::TopicFilter("/other/b"));
-  index.unsubscribe(2, broker::TopicFilter("/conf/a"));  // still referenced
-  broker::InterestTable flat = index.flatten();
-  const char* topics[] = {"/conf/a", "/conf/b", "/conf/a/b", "/other/b", "/nope"};
-  for (const char* topic : topics) {
-    for (std::uint32_t exclude = 0; exclude <= 5; ++exclude) {
-      EXPECT_EQ(flat.matches(topic, exclude), index.matches(topic, exclude))
-          << topic << " excl " << exclude;
-    }
-  }
 }
 
 // --- Dense RouteTables against the map-based BFS they replaced -------------
@@ -283,24 +239,24 @@ TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
     std::map<BrokerId, std::set<Link>> shared;
     for (BrokerId i = 0; i < n; ++i) shared[i];
     const std::string where = "trial " + std::to_string(trial);
-    expect_routes_match(fabric.snapshot()->routes(), adj, shared, where);
+    expect_routes_match(fabric.routes(), adj, shared, where);
 
     // Shared-table repair: links go down (and one comes back) one report
-    // at a time; every epoch must match the reference.
+    // at a time; the tables must match the reference after each.
     std::set<Link> down;
     for (const Link& l : links) {
       if (!rng.chance(0.4)) continue;
       fabric.report_link(l.first, l.second, /*up=*/false);
       down.insert(l);
       for (auto& [row, set] : shared) set = down;
-      expect_routes_match(fabric.snapshot()->routes(), adj, shared, where + " down");
+      expect_routes_match(fabric.routes(), adj, shared, where + " down");
     }
     if (!down.empty()) {
       const Link back = *down.begin();
       fabric.report_link(back.first, back.second, /*up=*/true);
       down.erase(back);
       for (auto& [row, set] : shared) set = down;
-      expect_routes_match(fabric.snapshot()->routes(), adj, shared, where + " up");
+      expect_routes_match(fabric.routes(), adj, shared, where + " up");
     }
   }
 }
@@ -359,7 +315,7 @@ TEST(DenseRoutes, MatchMapBfsWithGossipPerBrokerViews) {
       } else {
         views[at].insert(l);
       }
-      expect_routes_match(fabric.snapshot()->routes(), adj, views,
+      expect_routes_match(fabric.routes(), adj, views,
                           where + " step " + std::to_string(step));
     }
   }
@@ -375,12 +331,12 @@ TEST(DenseRoutes, EdgeCasesKeepTheMapTablesBehaviour) {
   unfinalized.link(0, 1);
   // Before finalize(): every next_hop throws "finalize() not called" and
   // every distance is -1.
-  EXPECT_NE(next_hop_error(unfinalized.snapshot()->routes(), 0, 1).find("finalize() not called"),
+  EXPECT_NE(next_hop_error(unfinalized.routes(), 0, 1).find("finalize() not called"),
             std::string::npos);
   EXPECT_EQ(unfinalized.distance(0, 1), -1);
   EXPECT_EQ(unfinalized.distance(0, 0), -1);
 
-  const broker::RouteTables& routes = f.fabric.snapshot()->routes();
+  const broker::RouteTables& routes = f.fabric.routes();
   // Out-of-range ids: -1, and next_hop throws (from: no row; to: no route).
   EXPECT_EQ(routes.distance(0, 4), -1);
   EXPECT_EQ(routes.distance(4, 0), -1);
@@ -395,13 +351,11 @@ TEST(DenseRoutes, EdgeCasesKeepTheMapTablesBehaviour) {
   // until the next rebuild...
   f.fabric.add_broker(f.net.add_host("late"));
   f.fabric.link(3, 4);
-  f.fabric.advertise(broker::TopicFilter("/late"), 4, /*add=*/true);  // republish
-  const broker::RouteTables& stale = f.fabric.snapshot()->routes();
-  EXPECT_EQ(stale.distance(4, 0), -1);
-  EXPECT_EQ(stale.distance(0, 4), -1);
-  EXPECT_EQ(stale.distance(4, 4), -1);
-  EXPECT_NE(next_hop_error(stale, 4, 0).find("finalize() not called"), std::string::npos);
-  EXPECT_NE(next_hop_error(stale, 0, 4).find("no route from 0 to 4"), std::string::npos);
+  EXPECT_EQ(routes.distance(4, 0), -1);
+  EXPECT_EQ(routes.distance(0, 4), -1);
+  EXPECT_EQ(routes.distance(4, 4), -1);
+  EXPECT_NE(next_hop_error(routes, 4, 0).find("finalize() not called"), std::string::npos);
+  EXPECT_NE(next_hop_error(routes, 0, 4).find("no route from 0 to 4"), std::string::npos);
   // ...and finalize() again covers it.
   f.fabric.finalize();
   EXPECT_EQ(f.fabric.distance(0, 4), 2);
@@ -430,6 +384,6 @@ TEST(DenseRoutes, GossipRowRebuildWidensForALateBroker) {
   EXPECT_EQ(fabric.distance(0, 3), -1);  // row 0 untouched: no column yet
   EXPECT_EQ(fabric.distance(0, 2), 2);
   EXPECT_EQ(fabric.distance(3, 2), -1);  // no row for the late broker
-  EXPECT_NE(next_hop_error(fabric.snapshot()->routes(), 3, 2).find("finalize() not called"),
+  EXPECT_NE(next_hop_error(fabric.routes(), 3, 2).find("finalize() not called"),
             std::string::npos);
 }

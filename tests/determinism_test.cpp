@@ -34,7 +34,7 @@ struct ChaosMetrics {
 
 /// A condensed fabric_chaos bench: 4-broker ring under a crash and a link
 /// flap, steady publish stream, two subscribers. Returns every simulated
-/// metric the bench reports. Broker-heavy by design: fan-out, snapshot
+/// metric the bench reports. Broker-heavy by design: fan-out, control-table
 /// reads and control-plane writes under route repair.
 ChaosMetrics run_chaos(std::uint64_t seed) {
   sim::EventLoop loop;

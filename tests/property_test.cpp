@@ -8,11 +8,13 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "broker/broker_node.hpp"
 #include "broker/client.hpp"
 #include "broker/event.hpp"
+#include "broker/subscription_index.hpp"
 #include "broker/topic.hpp"
 #include "common/random.hpp"
 #include "h323/messages.hpp"
@@ -457,6 +459,175 @@ TEST(BatchEquivalence, BatchIsExactlyNSubmits) {
   EXPECT_GT(nested, 250);
   EXPECT_GT(with_rejections, 250);
   EXPECT_GT(gated, 250);
+}
+
+// ---------------------------------------------------------------------------
+// SubscriptionIndex: the cached matcher equals a naive scan.
+//
+// Both the broker's client table and the fabric's interest table read the
+// index on every event, so a match-cache line that outlives a mutation is
+// a routing bug. Each seeded script mixes subscribes (doubled ones too),
+// unsubscribes (of absent entries too), remove_subscriber and reads with a
+// random exclusion, over exact, "*", "#" and invalid filters and
+// un-normalized topic spellings. Some scripts add a flood of distinct
+// topics that overflows the cache. The reference is a list of
+// (id, filter, refcount) entries scanned with TopicFilter::matches.
+// ---------------------------------------------------------------------------
+
+struct NaiveEntry {
+  std::uint32_t id;
+  broker::TopicFilter filter;
+  int refs;
+};
+
+struct NaiveIndex {
+  std::vector<NaiveEntry> entries;
+
+  std::vector<NaiveEntry>::iterator find(std::uint32_t id, const broker::TopicFilter& f) {
+    return std::find_if(entries.begin(), entries.end(),
+                        [&](const NaiveEntry& e) { return e.id == id && e.filter == f; });
+  }
+  void subscribe(std::uint32_t id, const broker::TopicFilter& f) {
+    const auto it = find(id, f);
+    if (it == entries.end()) {
+      entries.push_back({id, f, 1});
+    } else {
+      ++it->refs;
+    }
+  }
+  void unsubscribe(std::uint32_t id, const broker::TopicFilter& f) {
+    const auto it = find(id, f);
+    if (it != entries.end() && --it->refs == 0) entries.erase(it);
+  }
+  void remove_subscriber(std::uint32_t id) {
+    std::erase_if(entries, [&](const NaiveEntry& e) { return e.id == id; });
+  }
+  [[nodiscard]] std::vector<std::uint32_t> matches(const std::string& topic) const {
+    const std::string normalized = broker::normalize_topic(topic);
+    std::set<std::uint32_t> ids;
+    for (const NaiveEntry& e : entries) {
+      if (e.filter.matches(normalized)) ids.insert(e.id);
+    }
+    return {ids.begin(), ids.end()};
+  }
+};
+
+/// A topic of 0-3 segments over {a, b, c}, sometimes spelled un-normalized
+/// ("a//b/", no leading slash, trailing slash).
+std::string random_topic(Rng& rng) {
+  static const char* const kSegs[] = {"a", "b", "c"};
+  const auto n = rng.uniform_int(0, 3);
+  const bool messy = rng.chance(0.3);
+  std::string t = messy && rng.chance(0.5) ? "" : "/";
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (i > 0) t += messy && rng.chance(0.5) ? "//" : "/";
+    t += kSegs[rng.uniform_int(0, 2)];
+  }
+  if (messy && rng.chance(0.5)) t += "/";
+  return t;
+}
+
+/// An exact, "*", "#" or invalid ("/", "#" not last) filter.
+broker::TopicFilter random_filter(Rng& rng) {
+  std::string p = random_topic(rng);
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      break;  // exact (or the invalid empty filter "/")
+    case 1:
+      p += rng.chance(0.5) ? "/*" : "/*/b";
+      break;
+    case 2:
+      p += "/#";
+      break;
+    default:
+      p += "/#/c";  // invalid: '#' must be last
+      break;
+  }
+  return broker::TopicFilter(p);
+}
+
+TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
+  constexpr std::uint64_t kCases = 2000;
+  constexpr int kFloodTopics = 4200;  // > the index's 4,096 cache lines
+  int stale_reads = 0;  // answer changed since the topic's previous read
+  int removes = 0;
+  int drops = 0;  // unsubscribes that dropped an entry's last reference
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    Rng rng(seed);
+    broker::SubscriptionIndex index;
+    NaiveIndex ref;
+    std::map<std::string, std::vector<std::uint32_t>> last_seen;
+    auto random_id = [&] { return static_cast<std::uint32_t>(rng.uniform_int(0, 7)); };
+    auto read = [&](const std::string& topic, int step) {
+      const std::vector<std::uint32_t> want = ref.matches(topic);
+      ASSERT_EQ(index.matches(topic), want) << "seed " << seed << ", step " << step << ", "
+                                            << topic;
+      const auto exclude = random_id();
+      std::vector<std::uint32_t> want_excl = want;
+      std::erase(want_excl, exclude);
+      ASSERT_EQ(index.matches(topic, exclude), want_excl)
+          << "seed " << seed << ", step " << step << ", " << topic << " excl " << exclude;
+      auto [it, fresh] = last_seen.try_emplace(topic, want);
+      if (!fresh && it->second != want) ++stale_reads;
+      it->second = want;
+    };
+    const int steps = static_cast<int>(rng.uniform_int(20, 120));
+    for (int step = 0; step < steps; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.25) {
+        const broker::TopicFilter f = random_filter(rng);
+        const std::uint32_t id = random_id();
+        const int times = rng.chance(0.2) ? 2 : 1;
+        for (int k = 0; k < times; ++k) {
+          index.subscribe(id, f);
+          ref.subscribe(id, f);
+        }
+      } else if (roll < 0.45) {
+        // Usually an entry that is held; otherwise most likely an absent one.
+        const bool held = !ref.entries.empty() && rng.chance(0.7);
+        const NaiveEntry e =
+            held ? ref.entries[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(ref.entries.size()) - 1))]
+                 : NaiveEntry{random_id(), random_filter(rng), 0};
+        const std::size_t before = ref.entries.size();
+        index.unsubscribe(e.id, e.filter);
+        ref.unsubscribe(e.id, e.filter);
+        if (ref.entries.size() < before) ++drops;
+      } else if (roll < 0.52) {
+        const std::uint32_t id = random_id();
+        index.remove_subscriber(id);
+        ref.remove_subscriber(id);
+        ++removes;
+      } else {
+        read(random_topic(rng), step);
+      }
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(index.entry_count(), ref.entries.size()) << "seed " << seed << ", step " << step;
+    }
+    if (seed % 50 != 0) continue;
+    // Distinct topics past the cache cap, under "/a" so "/a/*" and "/a/#"
+    // filters match them, with a mutation every 700 reads.
+    for (int k = 0; k < kFloodTopics; ++k) {
+      if (k % 700 == 350) {
+        const std::uint32_t gone = random_id();
+        index.remove_subscriber(gone);
+        ref.remove_subscriber(gone);
+        const std::uint32_t added = random_id();
+        index.subscribe(added, broker::TopicFilter("/a/*"));
+        ref.subscribe(added, broker::TopicFilter("/a/*"));
+      }
+      read("/a/" + std::to_string(k), steps + k);
+      if (HasFatalFailure()) return;
+    }
+    for (int k = 0; k < 50; ++k) {
+      read(random_topic(rng), steps + kFloodTopics + k);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // The scripts reach the corners the property is about.
+  EXPECT_GT(stale_reads, 5000);
+  EXPECT_GT(removes, 5000);
+  EXPECT_GT(drops, 5000);
 }
 
 // ---------------------------------------------------------------------------
