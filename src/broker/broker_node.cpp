@@ -61,7 +61,7 @@ BrokerNode::BrokerNode(sim::Host& host, BrokerId id, Config cfg)
 
 std::size_t BrokerNode::subscription_count() const {
   std::size_t n = 0;
-  // det-lint: allow(unordered-iteration) — commutative sum, order-free
+  // gmmcs-lint: allow(unordered-iteration): commutative sum, order-free
   for (const auto& [id, c] : clients_) n += c.filters.size();
   return n;
 }
@@ -141,7 +141,9 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
       case MessageType::kLinkState:
         handle_link_state(f.link_state);
         break;
-      default:
+      case MessageType::kHelloAck:
+      case MessageType::kPong:
+      case MessageType::kPeerEvent:
         // kHelloAck is a broker-to-client reply; kPong from a client is the
         // answer to our keepalive probe — the proof-of-life bump above is
         // all it needs to do. kPeerEvent never gets here (handled above).
@@ -470,7 +472,7 @@ void BrokerNode::client_keepalive_tick() {
   // first because evict_client mutates the map.
   std::vector<ClientId> ids;
   ids.reserve(clients_.size());
-  // det-lint: allow(unordered-iteration) — key harvest, sorted before use
+  // gmmcs-lint: allow(unordered-iteration): key harvest, sorted before use
   for (const auto& [cid, rec] : clients_) ids.push_back(cid);
   std::sort(ids.begin(), ids.end());
   for (ClientId cid : ids) {

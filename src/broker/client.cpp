@@ -190,7 +190,14 @@ void BrokerClient::handle_frame(const Payload& data) {
       // broker can tell a quiet-but-alive client from a ghost record.
       stream_->send(encode(f.ping, /*pong=*/true));
       break;
-    default:
+    case MessageType::kHello:
+    case MessageType::kSubscribe:
+    case MessageType::kUnsubscribe:
+    case MessageType::kEvent:
+    case MessageType::kPeerEvent:
+    case MessageType::kPong:
+    case MessageType::kHeartbeat:
+    case MessageType::kLinkState:
       // Clients only consume kHelloAck/kEvent/kPing (kEvent is handled
       // above); other frames addressed to us are ignored.
       break;

@@ -112,9 +112,9 @@ std::vector<SubscriptionIndex::SubscriberId> SubscriptionIndex::matches(
 
 std::size_t SubscriptionIndex::entry_count() const {
   std::size_t n = 0;
-  // det-lint: allow(unordered-iteration) — commutative sum, order-free
+  // gmmcs-lint: allow(unordered-iteration): commutative sum, order-free
   for (const auto& [pattern, refs] : exact_) n += refs.size();
-  // det-lint: allow(unordered-iteration) — commutative sum, order-free
+  // gmmcs-lint: allow(unordered-iteration): commutative sum, order-free
   for (const auto& [pattern, refs] : invalid_) n += refs.size();
   for (const auto& entry : wildcards_) n += entry.refs.size();
   return n;

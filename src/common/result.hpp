@@ -20,7 +20,7 @@ struct Error {
 /// Either a value or an Error. Accessing value() on an error throws
 /// std::logic_error — by that point it *is* a programming mistake.
 template <class T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : v_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
   Result(Error err) : v_(std::move(err)) {}  // NOLINT(google-explicit-constructor)

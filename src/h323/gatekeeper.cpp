@@ -71,7 +71,15 @@ void Gatekeeper::handle(const sim::Datagram& d) {
       resp.type = RasType::kDisengageConfirm;
       break;
     }
-    default:
+    case RasType::kGatekeeperConfirm:
+    case RasType::kGatekeeperReject:
+    case RasType::kRegistrationConfirm:
+    case RasType::kRegistrationReject:
+    case RasType::kAdmissionConfirm:
+    case RasType::kAdmissionReject:
+    case RasType::kDisengageConfirm:
+    case RasType::kBandwidthConfirm:
+    case RasType::kBandwidthReject:
       return;  // confirms/rejects are never addressed to us
   }
   socket_.send_to(d.src, resp.encode());

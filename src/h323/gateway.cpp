@@ -46,7 +46,9 @@ void H323Gateway::accept_q931(transport::StreamConnectionPtr conn) {
           teardown(id, /*send_release=*/false);
         }
         break;
-      default:
+      case Q931Type::kCallProceeding:
+      case Q931Type::kAlerting:
+      case Q931Type::kConnect:
         break;  // we never receive proceeding/alerting/connect as callee
     }
   });
@@ -182,7 +184,11 @@ void H323Gateway::handle_h245(Call& call, const H245Message& m) {
     case H245Type::kEndSession:
       teardown(call.id, /*send_release=*/true);
       break;
-    default:
+    case H245Type::kTerminalCapabilitySetAck:
+    case H245Type::kMasterSlaveAck:
+    case H245Type::kOpenLogicalChannelAck:
+    case H245Type::kOpenLogicalChannelReject:
+    case H245Type::kCloseLogicalChannelAck:
       // Acks/rejects of our own outbound H.245 requests need no reaction:
       // channels open optimistically and teardown is driven by kEndSession.
       break;

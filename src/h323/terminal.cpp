@@ -84,8 +84,10 @@ void H323Terminal::start_signaling(sim::Endpoint call_signal, std::vector<MediaP
         last_reject_ = m.release_reason;
         finish_call(false);
         break;
-      default:
-        break;  // CallProceeding / Alerting are progress indications
+      case Q931Type::kCallProceeding:
+      case Q931Type::kAlerting:
+      case Q931Type::kSetup:
+        break;  // progress indications; a terminal never answers a Setup
     }
   });
   // The called_party alias selects the conference; calling_party is the
@@ -143,8 +145,14 @@ void H323Terminal::handle_h245(const H245Message& m) {
       last_reject_ = m.reject_reason;
       finish_call(false);
       break;
-    default:
-      break;  // TCS-Ack, MSD-Ack
+    case H245Type::kTerminalCapabilitySetAck:
+    case H245Type::kMasterSlaveAck:
+    case H245Type::kMasterSlaveDetermination:
+    case H245Type::kOpenLogicalChannel:
+    case H245Type::kCloseLogicalChannel:
+    case H245Type::kCloseLogicalChannelAck:
+    case H245Type::kEndSession:
+      break;  // TCS-Ack, MSD-Ack; the gateway sends the terminal no other request
   }
 }
 

@@ -209,7 +209,7 @@ StreamListener::StreamListener(sim::Host& host, std::uint16_t port)
 StreamListener::~StreamListener() {
   host_->unbind(port_);
   // Detach surviving connections so their close doesn't touch us.
-  // det-lint: allow(unordered-iteration) — independent per-entry detach, order-free
+  // gmmcs-lint: allow(unordered-iteration): independent per-entry detach, order-free
   for (auto& [ep, weak] : conns_) {
     if (auto conn = weak.lock()) conn->owner_ = nullptr;
   }

@@ -35,9 +35,15 @@ Message SessionServer::handle(const Message& request) {
     case MsgType::kListSessions: return do_list(request);
     case MsgType::kFloorRequest:
     case MsgType::kFloorRelease: return do_floor(request);
-    default:
-      return Message::error("xgsp: not a request: " + std::string(to_string(request.type)));
+    case MsgType::kSessionInfo:
+    case MsgType::kJoinAck:
+    case MsgType::kAck:
+    case MsgType::kSessionList:
+    case MsgType::kFloorStatus:
+    case MsgType::kError:
+      break;
   }
+  return Message::error("xgsp: not a request: " + std::string(to_string(request.type)));
 }
 
 Message SessionServer::do_create(const Message& req) {

@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
-"""Shared lint frontend for the Global-MMCS tree.
+"""Lint frontend for the Global-MMCS tree.
 
-Both linters (determinism_lint.py and gmmcs_lint.py) scan the same
-surface: every src/ header plus every src/ translation unit the build
-actually compiles, read through the build tree's compilation database so
-the scan matches exactly what ships. That discovery/parsing logic used
-to be duplicated in each tool (and a third time in scripts/check.sh's
-build-tree search); it lives here now.
+gmmcs_lint.py scans every src/ header plus every src/ translation unit
+the build actually compiles, read through the build tree's compilation
+database so the scan matches exactly what ships.
 
 Provides:
   discover_compile_commands(root)   first build*/compile_commands.json
-  collect_files(root, ccdb, tool)   headers + DB-listed TUs (walk fallback)
+  collect_files(root, ccdb)         headers + DB-listed TUs (walk fallback)
   strip_comments(lines)             //- and /* */-comments blanked
+  SUPPRESS_RE                       the one suppression syntax
   SourceFile                        raw + comment-stripped view of a file
   load_sources(root, files, jobs)   parse files, optionally in parallel
 
@@ -26,13 +24,10 @@ import re
 import sys
 from pathlib import Path
 
-# Matches both linters' suppression comments so SourceFile.suppressed can
-# serve either tool; each linter still applies its own prefix.
-_SUPPRESS_RES = {
-    "gmmcs-lint": re.compile(
-        r"gmmcs-lint:\s*allow\(([a-z-]+)\)(?::?\s*(.*?))?\s*(?:\*/)?\s*$"),
-    "det-lint": re.compile(r"det-lint:\s*allow\(([a-z-]+)\)|NOLINT"),
-}
+# `gmmcs-lint: allow(<rule>): <reason>`; group 1 is the rule, group 2 the
+# reason. No other comment (a clang-tidy NOLINT included) suppresses.
+SUPPRESS_RE = re.compile(
+    r"gmmcs-lint:\s*allow\(([a-z-]+)\)(?::?\s*(.*?))?\s*(?:\*/)?\s*$")
 
 
 def discover_compile_commands(root):
@@ -48,7 +43,7 @@ def discover_compile_commands(root):
     return None
 
 
-def collect_files(root, compile_commands, tool="lint"):
+def collect_files(root, compile_commands):
     """src/ headers plus every src/ TU the build compiles (falls back to a
     directory walk when no database is available)."""
     src = root / "src"
@@ -66,7 +61,7 @@ def collect_files(root, compile_commands, tool="lint"):
                     files.add(f)
                     used_db = True
         except (json.JSONDecodeError, KeyError, OSError) as e:
-            print(f"{tool}: warning: bad compilation database: {e}",
+            print(f"gmmcs-lint: warning: bad compilation database: {e}",
                   file=sys.stderr)
     if not used_db:
         files |= set(src.rglob("*.cpp"))
@@ -124,15 +119,13 @@ class SourceFile:
                 hi = mid - 1
         return lo + 1  # 1-based
 
-    def suppressed(self, lineno, rule, tool="gmmcs-lint"):
+    def suppressed(self, lineno, rule):
         """True if 1-based `lineno` (or the line above) allows `rule`."""
-        pat = _SUPPRESS_RES[tool]
         for look in (lineno - 1, lineno - 2):
             if look < 0 or look >= len(self.raw):
                 continue
-            m = pat.search(self.raw[look])
-            if m and (m.group(0) == "NOLINT"
-                      or m.group(1) in (rule, "all")):
+            m = SUPPRESS_RE.search(self.raw[look])
+            if m and m.group(1) in (rule, "all"):
                 return True
         return False
 

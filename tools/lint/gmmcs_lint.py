@@ -2,14 +2,13 @@
 """gmmcs-lint: multi-pass conformance analyzer for the Global-MMCS tree.
 
 Global-MMCS is a bundle of protocol stacks (XGSP, H.323, SIP, broker
-events, RTP, SOAP, RTSP) that interoperate through layered translation.
-Three classes of latent cross-protocol bugs survive unit tests in such a
-codebase: a silent layering violation (a lower layer reaching up), a
-dropped Result from a wire-data parse, and an encode/decode asymmetry
-that only bites when the *other* stack parses the bytes. This linter
-makes all three machine-checked. Seven passes share one compilation-
-database loader (tools/lint/frontend.py, shared with the determinism
-linter) and one suppression syntax:
+events, RTP, SOAP, RTSP) that interoperate through layered translation,
+all running on one deterministic simulation. Seven passes share one
+compilation-database loader (tools/lint/frontend.py) and one suppression
+syntax. Two conformance rules live in the compiler, not here (DESIGN.md
+§10.5): `class [[nodiscard]] Result` with -Werror=unused-result rejects a
+discarded Result, and -Werror=switch-enum rejects a switch over an enum
+that does not name every enumerator.
 
   layering         every `#include "mod/..."` edge is checked against the
                    declared layer DAG
@@ -24,13 +23,10 @@ linter) and one suppression syntax:
                    long as they stay acyclic). New top-level src/ dirs
                    must be added to LAYERS or they are errors too.
 
-  result-discipline  (1) every function returning Result<T> must be
-                   declared [[nodiscard]]; (2) a call to a known
-                   Result-returning parser/decoder must not be discarded
-                   as an expression statement; (3) `.value()` needs a
-                   dominating ok()-style check earlier in the same
-                   function (conservative text dominance — suppress the
-                   rare false positive with a reason).
+  result           `.value()` needs a dominating ok()-style check
+                   earlier in the same function (conservative text
+                   dominance — suppress the rare false positive with a
+                   reason).
 
   codec-symmetry   for each wire-message family the encode body's write
                    sequence (ByteWriter ops, helpers spliced, loops kept
@@ -41,12 +37,12 @@ linter) and one suppression syntax:
                    struct members written by serialize and members
                    assigned by parse must be the same set.
 
-  switch-exhaustiveness  a switch over a message-kind enum (MessageType,
-                   RasType, Q931Type, H245Type, MsgType) must either
-                   cover every enumerator or carry a default that is
-                   substantive (handles the rest, e.g. returns an error)
-                   or commented with a reason. A bare `default: break;`
-                   silently eats future enumerators.
+  determinism      a run is a pure function of config + seed (DESIGN.md
+                   §9), so src/ may not read the wall clock, draw ambient
+                   randomness outside common/random.*, format a pointer,
+                   touch a threading primitive (this rule ignores
+                   suppressions) or range-for over an unordered container
+                   (details at the pass).
 
   lifetime         deferred-capture escape analysis (DESIGN.md §14):
                    every lambda that flows into a deferred-execution
@@ -74,7 +70,8 @@ linter) and one suppression syntax:
 Suppressions: a line (or the line directly above it) containing
 `gmmcs-lint: allow(<rule>): <reason>` is exempt from <rule>. The reason
 text is mandatory; an empty reason is itself reported (rule
-`suppression-reason`). `allow(all)` exists for generated code only.
+`suppression-reason`). `allow(all)` exists for generated code only. No
+other comment suppresses: a clang-tidy `NOLINT` waives nothing here.
 
 Usage:
   gmmcs_lint.py [--compile-commands build/compile_commands.json]
@@ -90,8 +87,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-import frontend
-from frontend import SourceFile, strip_comments, discover_compile_commands
+from frontend import (SUPPRESS_RE, add_frontend_args,  # noqa: E402
+                      collect_files, discover_compile_commands, load_sources)
 
 # --------------------------------------------------------------------------
 # Configuration (edit here when the tree grows).
@@ -115,19 +112,6 @@ LAYERS = {
     "admire": 3,
     "baseline": 3,
     "core": 4,
-}
-
-# Message-kind enums whose switches must be exhaustive (or carry a
-# justified default). Keyed by enumerator spelling, values are collected
-# from the enum definitions found in src/.
-MESSAGE_ENUMS = {"MessageType", "RasType", "Q931Type", "H245Type", "MsgType"}
-
-# Function base names that (in this tree) only ever name Result-returning
-# wire parsers: a discarded expression-statement call to one of these is
-# always a bug.
-RESULT_CALL_NAMES = {
-    "decode", "parse", "from_xml", "parse_rtcp", "parse_envelope",
-    "parse_contact", "parse_http_request", "parse_http_response",
 }
 
 # Binary codec families: files whose ByteWriter/ByteReader functions are
@@ -165,27 +149,12 @@ TEXT_CODEC_FAMILIES = [
          ignore=set()),
 ]
 
-MESSAGES = {
-    "layering": "%s",
-    "layering-cycle": "%s",
-    "nodiscard": "Result-returning declaration '%s' is missing [[nodiscard]]",
-    "discarded-result": "call to Result-returning '%s' discards its result",
-    "unchecked-value": "%s",
-    "codec-symmetry": "%s",
-    "switch-exhaustive": "%s",
-    "lifetime": "%s",
-    "copy": "%s",
-    "wire": "%s",
-    "suppression-reason": "gmmcs-lint suppression without a reason "
-                          "(write `gmmcs-lint: allow(rule): why`)",
-}
+SUPPRESSION_REASON_MSG = ("gmmcs-lint suppression without a reason "
+                          "(write `gmmcs-lint: allow(rule): why`)")
 
 # --------------------------------------------------------------------------
 # Shared infrastructure.
 # --------------------------------------------------------------------------
-
-SUPPRESS_RE = re.compile(r"gmmcs-lint:\s*allow\(([a-z-]+)\)(?::?\s*(.*?))?\s*(?:\*/)?\s*$")
-
 
 def check_suppression_reasons(src):
     """The meta-rule: every suppression must carry a reason."""
@@ -194,16 +163,8 @@ def check_suppression_reasons(src):
         m = SUPPRESS_RE.search(line)
         if m and not (m.group(2) or "").strip():
             findings.append((src.rel, idx + 1, "suppression-reason",
-                             MESSAGES["suppression-reason"]))
+                             SUPPRESSION_REASON_MSG))
     return findings
-
-
-def collect_files(root, compile_commands):
-    return frontend.collect_files(root, compile_commands, tool="gmmcs-lint")
-
-
-def load_sources(root, files, jobs=1):
-    return frontend.load_sources(root, files, jobs=jobs)
 
 
 # --------------------------------------------------------------------------
@@ -277,82 +238,7 @@ def pass_layering(sources, layers=None):
 # Pass 2: result discipline.
 # --------------------------------------------------------------------------
 
-RESULT_DECL_RE = re.compile(
-    r"^\s*(?P<nd>\[\[nodiscard\]\]\s+)?(?:static\s+)?(?:gmmcs::)?Result<")
-DECL_NAME_RE = re.compile(r">\s*&?\s*(?P<name>[\w:]+)\s*\(")
 VALUE_USE_RE = re.compile(r"\.\s*value\s*\(\s*\)")
-
-
-def _decl_name(line):
-    """Function name of a `Result<...> name(...)` line, or None."""
-    # Find the matching '>' of the Result template argument list.
-    start = line.find("Result<")
-    depth = 0
-    i = start + len("Result<") - 1
-    while i < len(line):
-        if line[i] == "<":
-            depth += 1
-        elif line[i] == ">":
-            depth -= 1
-            if depth == 0:
-                break
-        i += 1
-    m = DECL_NAME_RE.match(line, i)
-    return m.group("name") if m else None
-
-
-def pass_result(sources, call_names=None):
-    call_names = call_names if call_names is not None else RESULT_CALL_NAMES
-    findings = []
-
-    # Names declared Result-returning in headers: their .cpp definitions
-    # need no repeated attribute (it lives on the first declaration).
-    header_declared = set()
-    for src in sources:
-        if not src.rel.endswith((".hpp", ".h")):
-            continue
-        for line in src.code:
-            if RESULT_DECL_RE.match(line):
-                name = _decl_name(line)
-                if name:
-                    header_declared.add(name.split("::")[-1])
-
-    for src in sources:
-        is_header = src.rel.endswith((".hpp", ".h"))
-        for idx, line in enumerate(src.code):
-            m = RESULT_DECL_RE.match(line)
-            if not m:
-                continue
-            name = _decl_name(line)
-            if name is None:
-                continue
-            if not is_header:
-                if "::" in name:
-                    continue  # out-of-line member def; attribute is on the decl
-                if name in header_declared:
-                    continue  # free-function def; attribute is on the decl
-            has_nd = bool(m.group("nd")) or "[[nodiscard]]" in src.code[idx - 1:idx]
-            if not has_nd and not src.suppressed(idx + 1, "nodiscard"):
-                findings.append((src.rel, idx + 1, "nodiscard",
-                                 MESSAGES["nodiscard"] % name))
-
-        # (2) discarded expression-statement calls to known parser names.
-        discard_re = re.compile(
-            r"^\s*(?:[A-Za-z_]\w*(?:::|\.|->))*(?P<name>"
-            + "|".join(sorted(call_names)) + r")\s*\(")
-        prev_code = ""
-        for idx, line in enumerate(src.code):
-            stripped = line.strip()
-            if stripped:
-                dm = discard_re.match(line)
-                starts_statement = prev_code == "" or prev_code[-1] in ";{}:"
-                if dm and starts_statement and not src.suppressed(idx + 1, "discarded-result"):
-                    findings.append((src.rel, idx + 1, "discarded-result",
-                                     MESSAGES["discarded-result"] % dm.group("name")))
-                prev_code = stripped
-        # (3) .value() without a dominating ok() check.
-        findings.extend(_check_value_calls(src))
-    return findings
 
 
 def _function_span_start(src, lineno):
@@ -397,32 +283,34 @@ def _value_receiver(code_line, col):
     return ("var", name) if name else ("chain", "<expr>")
 
 
-def _check_value_calls(src):
+def pass_result(sources):
+    """`.value()` needs a dominating ok()-style check in its function."""
     findings = []
-    for idx, line in enumerate(src.code):
-        for m in VALUE_USE_RE.finditer(line):
-            lineno = idx + 1
-            if src.suppressed(lineno, "unchecked-value"):
-                continue
-            kind, name = _value_receiver(line, m.start())
-            if kind == "var" and name:
-                start = _function_span_start(src, idx)
-                span = "\n".join(src.code[start:idx + 1])
-                guard = re.compile(
-                    rf"\b{re.escape(name)}\s*\.\s*ok\s*\(\s*\)"
-                    rf"|!\s*{re.escape(name)}\b"
-                    rf"|(?:if|while)\s*\(\s*{re.escape(name)}\s*\)"
-                    rf"|\(\s*{re.escape(name)}\s*&&|&&\s*{re.escape(name)}\b"
-                    rf"|\b{re.escape(name)}\s*\?")
-                if guard.search(span):
+    for src in sources:
+        for idx, line in enumerate(src.code):
+            for m in VALUE_USE_RE.finditer(line):
+                lineno = idx + 1
+                if src.suppressed(lineno, "unchecked-value"):
                     continue
-                findings.append((src.rel, lineno, "unchecked-value",
-                                 f"'{name}.value()' has no dominating "
-                                 f"'{name}.ok()'-style check in this function"))
-            else:
-                findings.append((src.rel, lineno, "unchecked-value",
-                                 f".value() chained directly onto '{name}(...)' "
-                                 f"— bind the Result and check ok() first"))
+                kind, name = _value_receiver(line, m.start())
+                if kind == "var" and name:
+                    start = _function_span_start(src, idx)
+                    span = "\n".join(src.code[start:idx + 1])
+                    guard = re.compile(
+                        rf"\b{re.escape(name)}\s*\.\s*ok\s*\(\s*\)"
+                        rf"|!\s*{re.escape(name)}\b"
+                        rf"|(?:if|while)\s*\(\s*{re.escape(name)}\s*\)"
+                        rf"|\(\s*{re.escape(name)}\s*&&|&&\s*{re.escape(name)}\b"
+                        rf"|\b{re.escape(name)}\s*\?")
+                    if guard.search(span):
+                        continue
+                    findings.append((src.rel, lineno, "unchecked-value",
+                                     f"'{name}.value()' has no dominating "
+                                     f"'{name}.ok()'-style check in this function"))
+                else:
+                    findings.append((src.rel, lineno, "unchecked-value",
+                                     f".value() chained directly onto '{name}(...)' "
+                                     f"— bind the Result and check ok() first"))
     return findings
 
 
@@ -859,91 +747,131 @@ def _check_text_codec(by_rel, fam):
 
 
 # --------------------------------------------------------------------------
-# Pass 4: switch exhaustiveness.
+# Pass 4: determinism (DESIGN.md §9).
 # --------------------------------------------------------------------------
+#
+# A run must be a pure function of its config and seed. The rules below
+# reject the ways C++ code usually breaks that:
+#
+#   wall-clock           std::chrono, clock_gettime, time(nullptr)...:
+#                        simulated code uses sim time (common/time.hpp).
+#                        Benches may read the wall clock; they live outside
+#                        src/ and are not scanned.
+#   ambient-random       std::rand, std::random_device, mt19937...: all
+#                        randomness flows through the seeded gmmcs::Rng
+#                        (src/common/random.*, the one allowed home).
+#   pointer-format       "%p" or streaming a void*: addresses differ run to
+#                        run (ASLR), so they never reach logs or metrics.
+#   raw-threading        std::mutex, std::thread and friends: the simulator
+#                        is one serial event loop, so src/ creates no threads
+#                        and takes no locks. No allowed home, and no
+#                        suppression waives it.
+#   unordered-iteration  range-for over a std::unordered_{map,set}: hash
+#                        order differs across libstdc++ versions. An
+#                        order-independent loop (a sum, a key harvest that
+#                        is sorted next) carries a suppression with that
+#                        reason.
 
-ENUM_DEF_RE = re.compile(r"\benum\s+class\s+(\w+)[^{;]*\{")
-ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*(?:=[^,}]*)?[,}]?", re.M)
+DETERMINISM_RULES = {
+    "wall-clock": [
+        r"std::chrono",
+        r"#\s*include\s*<chrono>",
+        r"\bgettimeofday\b",
+        r"\bclock_gettime\b",
+        r"\btimespec_get\b",
+        r"\b(steady|system|high_resolution)_clock\b",
+        r"\btime\s*\(\s*(NULL|nullptr|0)\s*\)",
+        r"\bclock\s*\(\s*\)",
+    ],
+    "ambient-random": [
+        r"\bstd::rand\b",
+        r"\bsrand\s*\(",
+        r"\brand\s*\(\s*\)",
+        r"\brandom_device\b",
+        r"\bmt19937(_64)?\b",
+        r"\bminstd_rand",
+        r"\barc4random",
+        r"\bdrand48\b",
+        r"#\s*include\s*<random>",
+    ],
+    "pointer-format": [
+        r'"[^"\n]*%p',
+        r"<<\s*static_cast<\s*(const\s+)?void\s*\*\s*>",
+    ],
+    "raw-threading": [
+        r"\bstd::(mutex|recursive_mutex|shared_mutex|timed_mutex)\b",
+        r"\bstd::condition_variable\b",
+        r"\bstd::(thread|jthread)\b",
+        r"\bstd::(lock_guard|scoped_lock|unique_lock|shared_lock)\b",
+        r"\bstd::(async|promise|packaged_task)\b",
+        r"\bpthread_[a-z_]+\s*\(",
+        r"#\s*include\s*<(thread|mutex|shared_mutex|condition_variable|future)>",
+    ],
+}
+DETERMINISM_RES = {rule: re.compile("|".join(pats))
+                   for rule, pats in DETERMINISM_RULES.items()}
+
+# Files where a rule is allowed wholesale: the sanctioned homes.
+DETERMINISM_HOMES = {
+    "ambient-random": {"src/common/random.hpp", "src/common/random.cpp"},
+}
+
+DETERMINISM_MESSAGES = {
+    "wall-clock": "wall-clock time in simulated code (use sim time, common/time.hpp)",
+    "ambient-random": "ambient randomness (use the seeded gmmcs::Rng, common/random.hpp)",
+    "pointer-format": "formats a pointer value (nondeterministic under ASLR)",
+    "raw-threading": "threading primitive in src/ (the simulator is serial: no threads, no locks)",
+    "unordered-iteration": (
+        "range-for over unordered container '%s' (hash order is not deterministic; "
+        "suppress only if the loop body is order-independent)"
+    ),
+}
+
+UNORDERED_DECL_RE = re.compile(
+    r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<.*>\s+([A-Za-z_]\w*)\s*[;{=]"
+)
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(.*:\s*(?:\w+(?:->|\.))?([A-Za-z_]\w*)\s*\)")
 
 
-def collect_enums(sources, wanted=None):
-    wanted = wanted if wanted is not None else MESSAGE_ENUMS
-    enums = {}
+def _unordered_names(sources):
+    """Per-file sets of identifiers declared as unordered containers, in
+    the file itself or in src/ headers it directly includes (the class
+    header of a .cpp). Scoped per file so a std::map member that happens
+    to share a name with another class's unordered member elsewhere does
+    not false-positive."""
+    own = {}
+    includes = {}
     for src in sources:
-        for m in ENUM_DEF_RE.finditer(src.text):
-            name = m.group(1)
-            if name not in wanted:
-                continue
-            end = _skip_braces(src.text, src.text.index("{", m.start()))
-            body = src.text[src.text.index("{", m.start()) + 1:end - 1]
-            vals = []
-            for line in body.splitlines():
-                em = ENUMERATOR_RE.match(line)
-                if em:
-                    vals.append(em.group(1))
-            if vals:
-                enums[name] = vals
-    return enums
+        own[src.rel] = {m.group(1) for line in src.code
+                        for m in UNORDERED_DECL_RE.finditer(line)}
+        includes[src.rel] = ["src/" + m.group(1) for line in src.code
+                             for m in INCLUDE_RE.finditer(line)]
+    return {rel: names.union(*(own.get(inc, set()) for inc in includes[rel]))
+            for rel, names in own.items()}
 
 
-def pass_switch_exhaustiveness(sources, enums=None):
-    if enums is None:
-        enums = collect_enums(sources)
+def pass_determinism(sources):
     findings = []
+    scoped_names = _unordered_names(sources)
     for src in sources:
-        for m in re.finditer(r"\bswitch\s*\(", src.text):
-            close = _matching_paren(src.text, src.text.index("(", m.start()))
-            j = src.text.find("{", close)
-            if j < 0:
-                continue
-            end = _skip_braces(src.text, j)
-            body = src.text[j + 1:end - 1]
-            labels = set(CASE_RE.findall(body))
-            if not labels:
-                continue
-            # Which configured enum is this switch over? The one whose
-            # enumerator set contains every label.
-            owner = None
-            for ename, vals in enums.items():
-                if labels <= set(vals):
-                    owner = ename
-                    break
-            if owner is None:
-                continue
-            lineno = src.line_of(m.start())
-            if src.suppressed(lineno, "switch-exhaustive"):
-                continue
-            missing = [v for v in enums[owner] if v not in labels]
-            if not missing:
-                continue
-            dm = re.search(r"\bdefault\s*:", body)
-            if not dm:
-                findings.append(
-                    (src.rel, lineno, "switch-exhaustive",
-                     f"switch over {owner} misses enumerators "
-                     f"{', '.join(missing)} and has no default"))
-                continue
-            # Default present: it must be substantive (more than `break;`)
-            # or carry a comment explaining why the rest is ignorable.
-            default_body = body[dm.end():]
-            nxt = CASE_RE.search(default_body)
-            if nxt:
-                default_body = default_body[:nxt.start()]
-            code_only = strip_comments(default_body.splitlines())
-            substance = "".join(code_only).replace("break;", "").strip(" \n\t}")
-            # Raw text (with comments) for the reason check: find the raw
-            # region via line numbers.
-            start_line = src.line_of(j + 1 + dm.start())
-            end_line = min(start_line + len(default_body.splitlines()) + 1,
-                           len(src.raw))
-            raw_region = "\n".join(src.raw[start_line - 1:end_line])
-            has_comment = "//" in raw_region or "/*" in raw_region
-            if not substance and not has_comment:
-                findings.append(
-                    (src.rel, lineno, "switch-exhaustive",
-                     f"switch over {owner} misses {', '.join(missing)} behind a "
-                     f"bare `default: break;` — handle them or comment why "
-                     f"they are ignorable"))
+        names = scoped_names[src.rel]
+        for idx, line in enumerate(src.code):
+            lineno = idx + 1
+            for rule, pat in DETERMINISM_RES.items():
+                if src.rel in DETERMINISM_HOMES.get(rule, ()):
+                    continue
+                if pat.search(line) and (
+                        rule == "raw-threading"
+                        or not src.suppressed(lineno, rule)):
+                    findings.append((src.rel, lineno, rule,
+                                     DETERMINISM_MESSAGES[rule]))
+            for m in RANGE_FOR_RE.finditer(line):
+                if m.group(1) in names and \
+                        not src.suppressed(lineno, "unordered-iteration"):
+                    findings.append(
+                        (src.rel, lineno, "unordered-iteration",
+                         DETERMINISM_MESSAGES["unordered-iteration"]
+                         % m.group(1)))
     return findings
 
 
@@ -2497,7 +2425,7 @@ PASSES = {
     "layering": lambda srcs: pass_layering(srcs),
     "result": lambda srcs: pass_result(srcs),
     "codec": lambda srcs: pass_codec_symmetry(srcs),
-    "switch": lambda srcs: pass_switch_exhaustiveness(srcs),
+    "determinism": lambda srcs: pass_determinism(srcs),
     "lifetime": lambda srcs: pass_lifetime(srcs),
     "copy": lambda srcs: pass_copy(srcs),
     "wire": lambda srcs: pass_wire(srcs),
@@ -2543,15 +2471,14 @@ def _apply_copy_fix(text, rec):
     return text[:at] + rec["new"] + text[at + len(rec["old"]):]
 
 
-def apply_fixes(root, findings):
-    """Applies the mechanical fixes: inserting [[nodiscard]] on Result<T>
-    declarations flagged by the result pass, rewriting raw captures
-    flagged by the lifetime pass into the weak_ptr + lock + early-return
-    shape (when the pointer's source is a shared_ptr in scope), and the
-    copy pass's rewrites (by-value Bytes params to const Bytes&,
-    inspect-only allocating reads to their view siblings). Returns the
-    number of edits made. Idempotent by construction: a fixed site no
-    longer produces the finding that drives the edit."""
+def apply_fixes(root):
+    """Applies the mechanical fixes the last lifetime and copy passes
+    recorded: raw captures rewritten into the weak_ptr + lock +
+    early-return shape (when the pointer's source is a shared_ptr in
+    scope), by-value Bytes params to const Bytes&, and inspect-only
+    allocating reads to their view siblings. Returns the number of edits
+    made. Idempotent by construction: a fixed site no longer produces the
+    finding that drives the edit."""
     edits = 0
     # Copy-discipline rewrites (text edits; bottom-up per file).
     by_file = {}
@@ -2580,21 +2507,6 @@ def apply_fixes(root, findings):
                 text = new_text
                 edits += 1
         path.write_text(text)
-    # [[nodiscard]] insertions.
-    by_file = {}
-    for rel, lineno, rule, _msg in findings:
-        if rule == "nodiscard":
-            by_file.setdefault(rel, set()).add(lineno)
-    for rel, linenos in sorted(by_file.items()):
-        path = root / rel
-        raw = path.read_text().splitlines(keepends=True)
-        for lineno in sorted(linenos):
-            line = raw[lineno - 1]
-            stripped = line.lstrip()
-            indent = line[:len(line) - len(stripped)]
-            raw[lineno - 1] = indent + "[[nodiscard]] " + stripped
-            edits += 1
-        path.write_text("".join(raw))
     return edits
 
 
@@ -2612,15 +2524,14 @@ def run(root, compile_commands=None, passes=None, jobs=1):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    frontend.add_frontend_args(ap)
+    add_frontend_args(ap)
     ap.add_argument("--passes", default=None,
                     help="comma-separated subset of: " + ",".join(PASSES))
     ap.add_argument("--fix", action="store_true",
-                    help="auto-insert missing [[nodiscard]], rewrite "
-                         "raw deferred captures to the weak_ptr shape, "
-                         "and apply the copy pass's mechanical rewrites "
-                         "(const Bytes& params, view() reads), then "
-                         "re-lint")
+                    help="rewrite raw deferred captures to the weak_ptr "
+                         "shape and apply the copy pass's mechanical "
+                         "rewrites (const Bytes& params, view() reads), "
+                         "then re-lint")
     args = ap.parse_args()
 
     root = args.root.resolve()
@@ -2639,7 +2550,7 @@ def main():
 
     findings, nfiles = run(root, ccdb, passes, jobs=args.jobs)
     if args.fix:
-        fixed = apply_fixes(root, findings)
+        fixed = apply_fixes(root)
         if fixed:
             print(f"gmmcs-lint: --fix rewrote {fixed} site(s)")
             findings, nfiles = run(root, ccdb, passes, jobs=args.jobs)

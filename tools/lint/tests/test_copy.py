@@ -113,12 +113,11 @@ struct Relay {
 """)
         findings = self.lint()
         self.assertEqual(self.rules(findings), ["copy"])
-        edits = gmmcs_lint.apply_fixes(self.tree.root, findings)
+        edits = gmmcs_lint.apply_fixes(self.tree.root)
         self.assertEqual(edits, 1)
         self.assertIn("void send(const Bytes& payload)", path.read_text())
         self.assert_clean()  # idempotent: fixed site no longer fires
-        self.assertEqual(gmmcs_lint.apply_fixes(self.tree.root,
-                                                self.lint()), 0)
+        self.assertEqual(gmmcs_lint.apply_fixes(self.tree.root), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ inline bool check(const Payload& data) {
 """)
         findings = self.lint()
         self.assertEqual(self.rules(findings), ["copy"])
-        edits = gmmcs_lint.apply_fixes(self.tree.root, findings)
+        edits = gmmcs_lint.apply_fixes(self.tree.root)
         self.assertEqual(edits, 1)
         self.assertIn("auto magic = r.view(4);", path.read_text())
         self.assert_clean()
@@ -327,8 +326,8 @@ inline bool is_envelope(const Payload& data) {
   return r.lstr() == "Envelope";
 }
 """)
-        findings = self.lint()
-        edits = gmmcs_lint.apply_fixes(self.tree.root, findings)
+        self.lint()
+        edits = gmmcs_lint.apply_fixes(self.tree.root)
         self.assertEqual(edits, 1)
         self.assertIn('r.lstr_view() == "Envelope"', path.read_text())
         self.assert_clean()
