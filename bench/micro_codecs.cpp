@@ -5,8 +5,11 @@
 // and the discrete-event core itself.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "broker/event.hpp"
 #include "broker/topic.hpp"
+#include "common/random.hpp"
 #include "rtp/packet.hpp"
 #include "sim/event_loop.hpp"
 #include "sip/message.hpp"
@@ -118,6 +121,36 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_EventLoopScheduleRun);
+
+// The loop's steady state: N events stay pending, and each one schedules
+// one successor a seeded delay later, so every iteration is one pop, one
+// callback run in place and one push at depth N. The depths are the
+// traced sim.loop.pending_peak of the perfbench workloads fig3_video
+// (24), fabric_audio_churn (108) and batched_video_1200 (5,600).
+struct SteadyChain {
+  sim::EventLoop* loop;
+  const std::vector<std::int64_t>* delays;
+  std::size_t* next;
+  void operator()() const {
+    const std::int64_t d = (*delays)[(*next)++ % delays->size()];
+    loop->schedule_after(SimDuration{d}, *this);
+  }
+};
+
+void BM_EventLoopSteadyState(benchmark::State& state) {
+  sim::EventLoop loop;
+  Rng rng(2003);
+  std::vector<std::int64_t> delays(4096);
+  for (std::int64_t& d : delays) d = rng.uniform_int(1, 2'000'000);  // 1 ns .. 2 ms
+  std::size_t next = 0;
+  const SteadyChain chain{&loop, &delays, &next};
+  for (std::int64_t i = 0; i < state.range(0); ++i) chain();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.step());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventLoopSteadyState)->Arg(24)->Arg(108)->Arg(5600);
 
 }  // namespace
 

@@ -21,6 +21,13 @@
 #                     family under the no-throw / O(N)-allocation
 #                     invariants. Seed defaults to the commit SHA; any
 #                     violation prints a shrunk hex reproducer to commit.
+#   simsig            sim-clock parity of the perfbench workloads: runs
+#                     each workload named in scripts/sim_signatures.txt
+#                     (--seed 2003 --seconds 1 --trace 0) and diffs the
+#                     "sim n=... mean=... p50=..." signature line it
+#                     prints on stderr against that file. A change that
+#                     moves a sim result regenerates the file and
+#                     explains the move in EXPERIMENTS.md
 #   <list>            any raw comma-separated -fsanitize= list; each
 #                     sanitizer set gets its own build tree
 set -euo pipefail
@@ -54,6 +61,21 @@ if [[ "$MODE" == "fuzz" ]]; then
   fi
   ITERS="${3:-500}"
   exec "$ROOT/tools/fuzz/run_fuzz.sh" --seed "$SEED" --iters "$ITERS"
+fi
+
+if [[ "$MODE" == "simsig" ]]; then
+  ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+  EXPECTED="$ROOT/scripts/sim_signatures.txt"
+  ACTUAL="$(mktemp)"
+  trap 'rm -f "$ACTUAL"' EXIT
+  for w in $(awk '{print $2}' "$EXPECTED"); do
+    # The signature goes to stderr; stdout (the result JSON) is dropped.
+    python3 "$ROOT/perfbench/run.py" --workload "$w" --seed 2003 --seconds 1 --trace 0 \
+      2>&1 >/dev/null | grep ' sim n=' >>"$ACTUAL"
+  done
+  diff -u "$EXPECTED" "$ACTUAL"
+  echo "check.sh simsig: $(wc -l <"$EXPECTED") perfbench sim signatures identical"
+  exit 0
 fi
 
 if [[ "$MODE" == "lint" ]]; then

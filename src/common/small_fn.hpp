@@ -29,13 +29,7 @@ class SmallFn {
             class = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
                                      std::is_invocable_r_v<void, D&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      vt_ = &kInlineVTable<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      vt_ = &kHeapVTable<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   SmallFn(SmallFn&& other) noexcept { steal(other); }
@@ -49,6 +43,18 @@ class SmallFn {
   SmallFn(const SmallFn&) = delete;
   SmallFn& operator=(const SmallFn&) = delete;
   ~SmallFn() { reset(); }
+
+  /// Builds a callable straight into this SmallFn, with no temporary to
+  /// relocate: the EventLoop constructs each callback in its parked slot
+  /// this way. An engaged callable is destroyed first, so `f` must not
+  /// refer into it. If constructing `f` throws, this SmallFn is left empty.
+  template <class F, class D = std::decay_t<F>,
+            class = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
+                                     std::is_invocable_r_v<void, D&>>>
+  void emplace(F&& f) {
+    reset();
+    construct<D>(std::forward<F>(f));
+  }
 
   void operator()() { vt_->invoke(buf_); }
   explicit operator bool() const noexcept { return vt_ != nullptr; }
@@ -105,6 +111,17 @@ class SmallFn {
   template <class D>
   static constexpr VTable kHeapVTable{&HeapOps<D>::invoke, &HeapOps<D>::relocate,
                                       &HeapOps<D>::destroy, /*inline_stored=*/false};
+
+  template <class D, class F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      vt_ = &kInlineVTable<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      vt_ = &kHeapVTable<D>;
+    }
+  }
 
   void steal(SmallFn& other) noexcept {
     if (other.vt_ != nullptr) {

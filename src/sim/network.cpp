@@ -142,10 +142,10 @@ void Host::send_multicast(GroupId group, std::uint16_t src_port, Payload payload
   d.payload = std::move(payload);
   d.sent_at = loop().now();
   d.group = group;
-  net_->transmit_multicast(*this, group, std::move(d), depart);
+  net_->transmit_multicast(*this, group, d, depart);
 }
 
-void Host::deliver(Datagram d) {
+void Host::deliver(const Datagram& d) {
   if (!up_) return;
   if (ingress_filter_ && !ingress_filter_(d)) return;
   auto it = ports_.find(d.dst.port);
@@ -285,7 +285,7 @@ bool Network::gray_drop(NodeId src, NodeId dst) {
   return roll_loss_in(gray_burst_state_, loss, burst, src, dst);
 }
 
-void Network::transmit(Host& from, Datagram d, SimTime depart) {
+void Network::transmit(Host& from, Datagram&& d, SimTime depart) {
   // Administratively-cut links (symmetric or one-way) drop everything,
   // reliable traffic included.
   if (!link_up_directed(from.id(), d.dst.node)) {
@@ -307,37 +307,35 @@ void Network::transmit(Host& from, Datagram d, SimTime depart) {
   schedule_arrival(std::move(d), depart, depart + p.latency);
 }
 
-void Network::schedule_arrival(Datagram d, SimTime depart, SimTime arrive_at) {
+void Network::schedule_arrival(Datagram&& d, SimTime depart, SimTime arrive_at) {
   if (d.dst.node >= hosts_.size()) {
     throw std::out_of_range("Network: no host " + std::to_string(d.dst.node));
   }
-  std::uint32_t slot;
-  if (!free_inflight_.empty()) {
-    slot = free_inflight_.back();
-    free_inflight_.pop_back();
-    inflight_[slot] = InFlight{std::move(d), depart};
-  } else {
-    slot = static_cast<std::uint32_t>(inflight_.size());
-    inflight_.push_back(InFlight{std::move(d), depart});
-  }
+  const std::uint32_t slot = inflight_.acquire();
+  InFlight& f = inflight_[slot];
+  f.d = std::move(d);
+  f.depart = depart;
   loop_->schedule_at(arrive_at, [this, slot] { arrive(slot); });
 }
 
 void Network::arrive(std::uint32_t slot) {
-  // Move out before delivering: the handler may send, which reuses slots
-  // and can reallocate the table.
-  InFlight f = std::move(inflight_[slot]);
-  free_inflight_.push_back(slot);
+  // The handler reads the datagram where it is parked. It may send, which
+  // parks more datagrams; the pool never moves a slot, and this one is
+  // released only after the handler returns.
+  InFlight& f = inflight_[slot];
   // The source crashing while the datagram sat in its NIC queue wipes it.
   if (hosts_[f.d.src.node]->egress_wiped(f.d.sent_at, f.depart)) {
     ++lost_;
-    return;
+  } else {
+    ++delivered_;
+    hosts_[f.d.dst.node]->deliver(f.d);
   }
-  ++delivered_;
-  hosts_[f.d.dst.node]->deliver(std::move(f.d));
+  f.d.payload = Payload{};  // drop the buffer reference before the slot idles
+  inflight_.release(slot);
 }
 
-void Network::transmit_multicast(Host& from, GroupId group, Datagram d, SimTime depart) {
+void Network::transmit_multicast(Host& from, GroupId group, const Datagram& d,
+                                 SimTime depart) {
   auto it = groups_.find(group);
   if (it == groups_.end()) return;
   for (const Endpoint& member : it->second) {

@@ -31,6 +31,7 @@
 #include "common/random.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/slot_pool.hpp"
 
 namespace gmmcs::sim {
 
@@ -173,7 +174,9 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   [[nodiscard]] bool departed(const NicDeparture& p) const;
   /// Pops departed packets off the egress FIFO, freeing their bytes.
   void release_departed();
-  void deliver(Datagram d);
+  /// Hands an arrived datagram to its port handler. `d` is the copy
+  /// parked in Network's in-flight pool, valid until the handler returns.
+  void deliver(const Datagram& d);
   /// True if a datagram that entered the NIC at `sent` and would have
   /// departed at `depart` was wiped by a power-down in between.
   [[nodiscard]] bool egress_wiped(SimTime sent, SimTime depart) const {
@@ -280,13 +283,13 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
     SimTime depart;
   };
 
-  void transmit(Host& from, Datagram d, SimTime depart);
+  void transmit(Host& from, Datagram&& d, SimTime depart);
   /// Parks `d` in the in-flight table and schedules its arrival.
-  void schedule_arrival(Datagram d, SimTime depart, SimTime arrive_at);
-  /// The arrival event: frees the slot, then delivers unless the source's
-  /// NIC was wiped while the datagram sat in it.
+  void schedule_arrival(Datagram&& d, SimTime depart, SimTime arrive_at);
+  /// The arrival event: delivers the parked datagram in place unless the
+  /// source's NIC was wiped while it sat there, then frees the slot.
   void arrive(std::uint32_t slot);
-  void transmit_multicast(Host& from, GroupId group, Datagram d, SimTime depart);
+  void transmit_multicast(Host& from, GroupId group, const Datagram& d, SimTime depart);
   /// Applies the path's loss model (Bernoulli or Gilbert–Elliott);
   /// true = drop. Burst state is kept per directed (src, dst) pair.
   bool roll_loss(const PathConfig& cfg, NodeId src, NodeId dst);
@@ -321,10 +324,10 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   std::map<std::pair<NodeId, NodeId>, bool> gray_burst_state_;
   /// In-flight datagrams, parked so each arrival closure captures only
   /// {this, slot} and stays inside SmallFn's inline buffer (a Datagram
-  /// plus routing state would spill it: one heap cell per packet). Freed
-  /// slots are recycled LIFO, like ServiceCenter's and EventLoop's tables.
-  std::vector<InFlight> inflight_;
-  std::vector<std::uint32_t> free_inflight_;
+  /// plus routing state would spill it: one heap cell per packet). The
+  /// pool's slots never move, so arrive() delivers a datagram by
+  /// reference from its slot.
+  SlotPool<InFlight> inflight_;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;
 };

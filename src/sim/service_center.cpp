@@ -29,25 +29,13 @@ bool ServiceCenter::submit(SimDuration service_time, SmallFn done, const NicGate
 }
 
 std::uint32_t ServiceCenter::park(SmallFn done) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    inflight_[slot] = std::move(done);
-    return slot;
-  }
-  inflight_.push_back(std::move(done));
-  return static_cast<std::uint32_t>(inflight_.size() - 1);
+  const std::uint32_t slot = inflight_.acquire();
+  inflight_[slot] = std::move(done);
+  return slot;
 }
 
 std::uint32_t ServiceCenter::park_batch(BatchFn done, std::size_t items) {
-  std::uint32_t slot = 0;
-  if (free_batches_.empty()) {
-    slot = static_cast<std::uint32_t>(batches_.size());
-    batches_.emplace_back();
-  } else {
-    slot = free_batches_.back();
-    free_batches_.pop_back();
-  }
+  const std::uint32_t slot = batches_.acquire();
   batches_[slot].done = std::move(done);
   batches_[slot].outstanding = items;
   return slot;
@@ -105,18 +93,20 @@ void ServiceCenter::start(const Job& job, std::size_t item) {
 void ServiceCenter::complete(std::uint32_t slot, std::size_t item) {
   --busy_;
   ++completed_;
+  // Both callables run in place. Their slot stays taken while they run, so
+  // a job or batch they submit parks elsewhere, and the pools never move
+  // a slot.
   if (item == kPlainJob) {
-    SmallFn done = std::move(inflight_[slot]);
-    free_slots_.push_back(slot);  // safe: `done` reentering submit() sees a free slot
+    SmallFn& done = inflight_[slot];
     if (done) done();
+    done.reset();
+    inflight_.release(slot);
   } else {
     BatchCtrl& b = batches_[slot];
     if (b.done) b.done(item);
-    // The slot stays taken while `done` runs, so a batch it submits
-    // cannot overwrite the callable mid-call.
     if (--b.outstanding == 0) {
       b.done = nullptr;
-      free_batches_.push_back(slot);
+      batches_.release(slot);
     }
   }
   drain();

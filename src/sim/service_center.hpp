@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "common/small_fn.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/slot_pool.hpp"
 
 namespace gmmcs::sim {
 
@@ -135,14 +135,11 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
   /// copies), for gate_completion's admission model.
   double nic_free_v_ = 0;
   // Completion callables of queued and running plain jobs, parked here
-  // from submit() on so the EventLoop closure only captures {this, slot}.
-  // Freed slots are recycled LIFO.
-  std::vector<SmallFn> inflight_;
-  std::vector<std::uint32_t> free_slots_;
-  // Batches with items queued or running. A deque: a completion callable
-  // submitting a new batch must not move the one still executing.
-  std::deque<BatchCtrl> batches_;
-  std::vector<std::uint32_t> free_batches_;
+  // from submit() on so the EventLoop closure only captures {this, slot},
+  // and run in place by complete().
+  SlotPool<SmallFn> inflight_;
+  // Batches with items queued or running.
+  SlotPool<BatchCtrl> batches_;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;
   SimDuration total_wait_{};

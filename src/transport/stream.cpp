@@ -130,16 +130,22 @@ void StreamConnection::send(Payload message) {
     outbox_.push_back(std::move(message));
     return;
   }
+  send_segment(message);
+}
+
+void StreamConnection::send_segment(const Payload& message) {
   ++sent_;
-  host_->send(remote_, local_.port, data_segment(message), /*reliable=*/true);
+  // Nothing retransmits yet: a segment the NIC drops is lost, so count it.
+  if (!host_->send(remote_, local_.port, data_segment(message), /*reliable=*/true)) {
+    ++segments_dropped_;
+  }
 }
 
 void StreamConnection::flush_pending() {
   while (!outbox_.empty()) {
     Payload m = std::move(outbox_.front());
     outbox_.pop_front();
-    ++sent_;
-    host_->send(remote_, local_.port, data_segment(m), /*reliable=*/true);
+    send_segment(m);
   }
 }
 

@@ -76,6 +76,10 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   [[nodiscard]] sim::Endpoint remote() const { return remote_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t messages_received() const { return received_; }
+  /// Data segments this end sent that its host refused (a full NIC queue,
+  /// or the host down). Each one is a message lost: there is no
+  /// retransmission yet.
+  [[nodiscard]] std::uint64_t segments_dropped() const { return segments_dropped_; }
 
   /// Initiates a connection to a listener at `to`. The returned connection
   /// buffers sends until established; use on_connect() to sequence logic.
@@ -95,6 +99,8 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   void handle(const sim::Datagram& d);
   void deliver_or_buffer(Payload payload);
   void flush_pending();
+  /// Sends one kData segment, counting it in segments_dropped_ if refused.
+  void send_segment(const Payload& message);
   void do_close(bool notify_peer);
   void arm_syn_timer();
   void cancel_syn_timer();
@@ -116,6 +122,7 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   std::deque<Payload> inbox_;   // buffered until a handler is set
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
+  std::uint64_t segments_dropped_ = 0;
   ConnectOptions opts_;
   sim::TaskId syn_timer_ = 0;
   int syn_attempts_ = 0;

@@ -462,6 +462,249 @@ TEST(BatchEquivalence, BatchIsExactlyNSubmits) {
 }
 
 // ---------------------------------------------------------------------------
+// EventLoop: execution follows (when, seq) order, exactly.
+//
+// The loop's heap layout, slot storage and cancel bookkeeping are host-
+// side machinery; the one thing every sim result depends on is that
+// events run in (when, seq) order with seq assigned at scheduling. Each
+// seeded case drives the real loop and a reference (a (when, seq)-sorted
+// std::map) through the same script: schedules at past, equal and future
+// times; schedule_after with negative delays; cancels of pending, already
+// run and never-minted ids, from outside and from inside callbacks (a
+// callback may cancel its own id); events scheduled from callbacks;
+// run_until with deadlines before and after now(); single steps; and
+// cancel storms that trigger the loop's compaction. The executed
+// (when, seq, tag) sequence and pending/executed/current_seq/now after
+// every top-level op must match.
+// ---------------------------------------------------------------------------
+
+/// The reference loop: pending events in a map ordered by (when, seq).
+struct RefLoop {
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  SimTime now_{};
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t current_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::map<Key, int> pending_events;
+  std::map<int, Key> key_of;
+  std::function<void(int)> on_run;
+  std::size_t compactions = 0;  // the reference never compacts
+
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return pending_events.size(); }
+  [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
+  [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  void schedule_at(SimTime when, int tag) {
+    const Key key{std::max(when, now_).ns(), next_seq_++};
+    pending_events.emplace(key, tag);
+    key_of.emplace(tag, key);
+  }
+  void schedule_after(SimDuration d, int tag) {
+    schedule_at(now_ + std::max(d, SimDuration{0}), tag);
+  }
+  void cancel(int tag) {
+    const auto it = key_of.find(tag);
+    if (it == key_of.end()) return;
+    pending_events.erase(it->second);
+    key_of.erase(it);
+  }
+  void cancel_unknown(std::uint64_t /*id*/) {}
+  bool step() {
+    if (pending_events.empty()) return false;
+    const auto [key, tag] = *pending_events.begin();
+    pending_events.erase(pending_events.begin());
+    key_of.erase(tag);
+    now_ = SimTime{key.first};
+    current_seq_ = key.second;
+    ++executed_;
+    on_run(tag);
+    return true;
+  }
+  void run() {
+    while (step()) {
+    }
+    current_seq_ = next_seq_ - 1;
+  }
+  void run_until(SimTime deadline) {
+    while (!pending_events.empty() && pending_events.begin()->first.first <= deadline.ns()) step();
+    if (now_ <= deadline) {
+      now_ = deadline;
+      current_seq_ = next_seq_ - 1;
+    }
+  }
+};
+
+/// The real loop behind the same interface; tags map to TaskIds.
+struct RealLoop {
+  sim::EventLoop loop;
+  std::map<int, sim::TaskId> ids;
+  std::function<void(int)> on_run;
+  std::size_t compactions = 0;
+
+  [[nodiscard]] SimTime now() const { return loop.now(); }
+  [[nodiscard]] std::size_t pending() const { return loop.pending(); }
+  [[nodiscard]] std::uint64_t current_seq() const { return loop.current_seq(); }
+  [[nodiscard]] std::uint64_t executed() const { return loop.executed(); }
+  void schedule_at(SimTime when, int tag) {
+    ids[tag] = loop.schedule_at(when, [this, tag] { on_run(tag); });
+  }
+  void schedule_after(SimDuration d, int tag) {
+    ids[tag] = loop.schedule_after(d, [this, tag] { on_run(tag); });
+  }
+  void cancel(int tag) {
+    const std::size_t before = loop.heap_entries();
+    loop.cancel(ids.at(tag));
+    if (loop.heap_entries() + 1 < before) ++compactions;
+  }
+  void cancel_unknown(std::uint64_t id) { loop.cancel(id); }
+  bool step() { return loop.step(); }
+  void run() { loop.run(); }
+  void run_until(SimTime deadline) { loop.run_until(deadline); }
+};
+
+/// One observation: an executed event (tag >= 0) or the loop's state after
+/// a top-level op (tag = -1, seq = current_seq, extra = pending/executed).
+struct OrderObs {
+  std::int64_t when = 0;
+  std::uint64_t seq = 0;
+  int tag = 0;
+  std::uint64_t pending = 0;
+  std::uint64_t executed = 0;
+  bool operator==(const OrderObs&) const = default;
+};
+
+void PrintTo(const OrderObs& o, std::ostream* os) {
+  *os << "{t=" << o.when << ", seq " << o.seq << ", tag " << o.tag << ", pending " << o.pending
+      << ", executed " << o.executed << "}";
+}
+
+struct OrderRun {
+  std::vector<OrderObs> log;
+  std::size_t compactions = 0;
+  int nested = 0;
+  int self_cancels = 0;
+};
+
+/// Runs one seeded script on `L`. Every decision draws from one Rng in
+/// execution order, so both loops see the same script as long as their
+/// orders agree; the first disagreement shows up in the log.
+template <class L>
+OrderRun run_order_script(std::uint64_t seed) {
+  Rng rng(seed);
+  L l;
+  OrderRun out;
+  int next_tag = 0;
+  int depth_budget = 400;  // bounds the events callbacks spawn
+  const auto unit = [](std::int64_t k) { return duration_us(10 * k); };  // ties are common
+  const auto random_time = [&] {
+    return SimTime{l.now().ns() + unit(rng.uniform_int(-3, 30)).ns()};
+  };
+  const auto schedule_one = [&] {
+    const int tag = next_tag++;
+    if (rng.chance(0.5)) {
+      l.schedule_at(random_time(), tag);
+    } else {
+      l.schedule_after(unit(rng.uniform_int(-3, 30)), tag);
+    }
+  };
+  const auto cancel_one = [&](int self) {
+    const double r = rng.uniform();
+    if (r < 0.15) {
+      // Never minted: id 0, a slot far past any the loop hands out, or a
+      // minted slot with a serial no case reaches.
+      const std::uint64_t ids[] = {0,
+                                   (std::uint64_t{1} << 63) |
+                                       static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)),
+                                   (static_cast<std::uint64_t>(rng.uniform_int(1, 64)) << 32) |
+                                       0xFFFF'FFFFu};
+      l.cancel_unknown(ids[rng.uniform_int(0, 2)]);
+    } else if (self >= 0 && r < 0.3) {
+      l.cancel(self);
+      ++out.self_cancels;
+    } else if (next_tag > 0) {
+      l.cancel(static_cast<int>(rng.uniform_int(0, next_tag - 1)));  // pending or already run
+    }
+  };
+  const auto storm = [&] {
+    // Far-future events, almost all cancelled: the heap fills with stale
+    // entries until the loop compacts it.
+    const int n = static_cast<int>(rng.uniform_int(70, 160));
+    const int first = next_tag;
+    for (int i = 0; i < n; ++i) {
+      l.schedule_at(SimTime{l.now().ns() + unit(rng.uniform_int(100, 400)).ns()}, next_tag++);
+    }
+    for (int i = 0; i < n; ++i) {
+      if (!rng.chance(0.05)) l.cancel(first + i);
+    }
+  };
+  l.on_run = [&](int tag) {
+    out.log.push_back({l.now().ns(), l.current_seq(), tag, 0, 0});
+    const int actions = static_cast<int>(rng.uniform_int(0, 3));
+    for (int a = 0; a < actions; ++a) {
+      const double r = rng.uniform();
+      if (r < 0.45 && depth_budget > 0) {
+        --depth_budget;
+        ++out.nested;
+        schedule_one();
+      } else if (r < 0.9) {
+        cancel_one(tag);
+      } else if (r < 0.92 && depth_budget > 0) {
+        depth_budget -= 40;
+        storm();
+      }
+    }
+  };
+  const auto observe = [&] {
+    out.log.push_back({l.now().ns(), l.current_seq(), -1,
+                       static_cast<std::uint64_t>(l.pending()), l.executed()});
+  };
+  const int ops = static_cast<int>(rng.uniform_int(5, 40));
+  for (int k = 0; k < ops; ++k) {
+    const double r = rng.uniform();
+    if (r < 0.4) {
+      schedule_one();
+    } else if (r < 0.6) {
+      cancel_one(-1);
+    } else if (r < 0.75) {
+      l.run_until(random_time());
+    } else if (r < 0.85) {
+      l.step();
+    } else if (r < 0.95) {
+      storm();
+    } else {
+      l.run();
+    }
+    observe();
+  }
+  l.run();
+  observe();
+  out.compactions = l.compactions;
+  return out;
+}
+
+TEST(EventLoopOrder, MatchesSortedReference) {
+  constexpr std::uint64_t kCases = 2000;
+  int compacted = 0;
+  int nested = 0;
+  int self_cancels = 0;
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    const OrderRun real = run_order_script<RealLoop>(seed);
+    const OrderRun ref = run_order_script<RefLoop>(seed);
+    for (std::size_t j = 0; j < std::min(real.log.size(), ref.log.size()); ++j) {
+      ASSERT_EQ(real.log[j], ref.log[j]) << "seed " << seed << ", observation " << j;
+    }
+    ASSERT_EQ(real.log.size(), ref.log.size()) << "seed " << seed;
+    compacted += real.compactions > 0 ? 1 : 0;
+    nested += real.nested > 0 ? 1 : 0;
+    self_cancels += real.self_cancels > 0 ? 1 : 0;
+  }
+  // The generator reaches the corners the property is about.
+  EXPECT_GT(compacted, 500);
+  EXPECT_GT(nested, 1000);
+  EXPECT_GT(self_cancels, 500);
+}
+
+// ---------------------------------------------------------------------------
 // SubscriptionIndex: the cached matcher equals a naive scan.
 //
 // Both the broker's client table and the fabric's interest table read the

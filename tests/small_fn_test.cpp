@@ -10,6 +10,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
@@ -128,11 +132,68 @@ TEST(SmallFn, HeapFallbackReleasesOnDestruction) {
   EXPECT_EQ(watch.use_count(), 0);
 }
 
+TEST(SmallFn, EmplaceDestroysTheEngagedCallableFirst) {
+  std::vector<std::string> events;
+  struct Old {
+    std::vector<std::string>* ev;
+    Old(Old&& o) noexcept : ev(std::exchange(o.ev, nullptr)) {}
+    explicit Old(std::vector<std::string>* e) : ev(e) {}
+    ~Old() {
+      if (ev != nullptr) ev->push_back("old destroyed");
+    }
+    void operator()() const {}
+  };
+  struct New {
+    std::vector<std::string>* ev;
+    explicit New(std::vector<std::string>* e) : ev(e) {}
+    New(New&& o) noexcept : ev(o.ev) { ev->push_back("new moved in"); }
+    void operator()() const { ev->push_back("new called"); }
+  };
+  SmallFn fn(Old{&events});
+  ASSERT_TRUE(events.empty());
+  fn.emplace(New(&events));
+  fn();
+  EXPECT_EQ(events, (std::vector<std::string>{"old destroyed", "new moved in", "new called"}));
+
+  // Over an engaged heap cell, and into an empty SmallFn.
+  auto owner = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = owner;
+  struct Big {
+    std::shared_ptr<int> keep;
+    std::uint64_t pad[9];
+    void operator()() const {}
+  };
+  fn.emplace(Big{std::move(owner), {}});
+  EXPECT_FALSE(fn.is_inline());
+  int hits = 0;
+  fn.emplace([&hits] { ++hits; });
+  EXPECT_TRUE(watch.expired());
+  fn();
+  SmallFn empty;
+  empty.emplace([&hits] { hits += 10; });
+  empty();
+  EXPECT_EQ(hits, 11);
+}
+
+TEST(SmallFn, EmplaceThatThrowsLeavesItEmpty) {
+  struct Throws {
+    Throws() = default;
+    Throws(Throws&&) { throw std::runtime_error("no"); }  // throwing is the point
+    void operator()() const {}
+  };
+  auto owner = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = owner;
+  SmallFn fn([owner = std::move(owner)] {});
+  EXPECT_THROW(fn.emplace(Throws{}), std::runtime_error);
+  EXPECT_FALSE(static_cast<bool>(fn));
+  EXPECT_TRUE(watch.expired());
+}
+
 // The end-to-end property: after warm-up (ServiceCenter slot table,
 // EventLoop callback slot table, event heap and queue at steady-state
 // capacity), a copy job with a realistic capture (shared_ptr + ids,
 // > std::function's 16-byte SBO) costs ZERO heap allocations end to end.
-// EventLoop scheduling recycles a cb_slots_ entry (no map node) and
+// EventLoop scheduling recycles a callback slot (no map node) and
 // Callback is a SmallFn (64-byte inline buffer), so neither the EventLoop
 // bookkeeping nor the completion closure allocates. Before the slot table
 // + SmallFn migration the same job cost >= 3 allocations (callbacks_ map

@@ -127,6 +127,39 @@ TEST_F(TransportTest, StreamSurvivesLossyPath) {
   EXPECT_EQ(got, 20);  // reliable: loss model does not apply
 }
 
+// A reliable segment the sender's NIC drops is lost (nothing retransmits
+// yet), so it must at least be counted. Both send paths are covered:
+// messages buffered before the handshake (flushed at SYN-ACK) and
+// messages sent on the open connection.
+TEST_F(TransportTest, StreamCountsSegmentsDroppedAtAFullNic) {
+  sim::Host& server = net.add_host("server");
+  sim::Host& client =
+      net.add_host("client", sim::NicConfig{.egress_bps = 1e6, .queue_bytes = 4000});
+  StreamListener listener(server, 80);
+  std::uint64_t got = 0;
+  StreamConnectionPtr sc;
+  listener.on_accept([&](StreamConnectionPtr c) {
+    sc = c;
+    c->on_message([&](const Payload&) { ++got; });
+  });
+  const std::string message(1000, 'm');
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  const std::uint64_t dropped_before = client.nic_dropped();
+  for (int i = 0; i < 10; ++i) conn->send(message);  // buffered until SYN-ACK
+  loop.run();
+  ASSERT_TRUE(conn->established());
+  const std::uint64_t flushed_drops = conn->segments_dropped();
+  EXPECT_GT(flushed_drops, 0u);
+  EXPECT_EQ(flushed_drops, client.nic_dropped() - dropped_before);
+
+  for (int i = 0; i < 10; ++i) conn->send(message);
+  loop.run();
+  EXPECT_GT(conn->segments_dropped(), flushed_drops);
+  EXPECT_EQ(conn->segments_dropped(), client.nic_dropped() - dropped_before);
+  EXPECT_EQ(conn->messages_sent(), 20u);
+  EXPECT_EQ(got, conn->messages_sent() - conn->segments_dropped());
+}
+
 TEST_F(TransportTest, StreamCloseNotifiesPeer) {
   sim::Host& server = net.add_host("server");
   sim::Host& client = net.add_host("client");
