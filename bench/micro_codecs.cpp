@@ -12,6 +12,7 @@
 #include "common/random.hpp"
 #include "rtp/packet.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/network.hpp"
 #include "sip/message.hpp"
 #include "xgsp/messages.hpp"
 #include "xml/xml.hpp"
@@ -126,7 +127,9 @@ BENCHMARK(BM_EventLoopScheduleRun);
 // one successor a seeded delay later, so every iteration is one pop, one
 // callback run in place and one push at depth N. The depths are the
 // traced sim.loop.pending_peak of the perfbench workloads fig3_video
-// (24), fabric_audio_churn (108) and batched_video_1200 (5,600).
+// (24), fabric_audio_churn (108) and batched_video_1200 (5,600) while
+// every datagram in flight was its own loop event (5, 82 and 22 since
+// link arrivals became lazy).
 struct SteadyChain {
   sim::EventLoop* loop;
   const std::vector<std::int64_t>* delays;
@@ -151,6 +154,37 @@ void BM_EventLoopSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventLoopSteadyState)->Arg(24)->Arg(108)->Arg(5600);
+
+// The wire's steady state: one sender keeps N datagrams between
+// Host::send and delivery, round-robin to 12 receivers, and each delivery
+// sends the next one. Every iteration is one arrival run to delivery plus
+// one Host::send (NIC egress, path, arrival scheduling) at a fixed depth
+// N; at N = 5,600 almost all of them wait in the sender's NIC backlog.
+// The depths are the pending_peak values above for fig3_video (24) and
+// batched_video_1200 (5,600).
+void BM_NetworkBacklog(benchmark::State& state) {
+  constexpr int kReceivers = 12;
+  sim::EventLoop loop;
+  sim::Network net(loop, 2003);
+  net.set_default_path(sim::PathConfig{.latency = duration_us(200)});
+  sim::Host& tx = net.add_host("tx");
+  const Payload frame{Bytes(100, 0xAB)};
+  int next = 0;
+  std::vector<sim::Endpoint> to;
+  for (int i = 0; i < kReceivers; ++i) {
+    sim::Host& rx = net.add_host("rx" + std::to_string(i));
+    rx.bind(5004, [&](const sim::Datagram&) {
+      tx.send(to[next++ % kReceivers], 5004, frame);
+    });
+    to.push_back(sim::Endpoint{rx.id(), 5004});
+  }
+  for (std::int64_t i = 0; i < state.range(0); ++i) tx.send(to[next++ % kReceivers], 5004, frame);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.step());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NetworkBacklog)->Arg(24)->Arg(5600);
 
 }  // namespace
 

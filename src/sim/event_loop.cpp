@@ -11,7 +11,10 @@ constexpr std::size_t kArity = 4;
 
 TaskId EventLoop::enqueue(SimTime when, std::uint32_t slot, CbSlot& s) {
   if (when < now_) when = now_;  // never schedule into the past
-  const std::uint64_t seq = next_seq_++;
+  return push(when, next_seq_++, slot, s);
+}
+
+TaskId EventLoop::push(SimTime when, std::uint64_t seq, std::uint32_t slot, CbSlot& s) {
   s.seq = seq;
   ++live_;
   heap_.push_back(Entry{when, seq, slot});

@@ -3,13 +3,15 @@
 // A single EventLoop instance drives an entire Global-MMCS deployment:
 // every host, broker, gateway and media client schedules callbacks on it.
 // Events run one at a time on the calling thread; events at equal times
-// run in scheduling order (a monotonic sequence number breaks ties), which
-// keeps runs fully deterministic.
+// run in scheduling order (a monotonic sequence number, taken at
+// schedule_at or reserve_seq, breaks ties), which keeps runs fully
+// deterministic.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -44,19 +46,27 @@ class EventLoop {
   /// a time before now() is clamped to now().
   template <class F>
   TaskId schedule_at(SimTime when, F&& fn) {
-    const std::uint32_t slot = slots_.acquire();
-    CbSlot& s = slots_[slot];
-    try {
-      if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-        s.cb = std::forward<F>(fn);
-      } else {
-        s.cb.emplace(std::forward<F>(fn));
-      }
-    } catch (...) {
-      slots_.release(slot);
-      throw;
-    }
+    std::uint32_t slot = 0;
+    CbSlot& s = park(std::forward<F>(fn), slot);
     return enqueue(when, slot, s);
+  }
+  /// Takes the sequence number the next schedule_at() would have taken,
+  /// without scheduling anything: the caller keeps the key (when, seq)
+  /// and schedules it later with schedule_reserved(). The event then runs
+  /// exactly where a schedule_at() at the reservation would have put it.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+  /// Schedules a callable under a key whose seq came from reserve_seq()
+  /// and was not scheduled before. The key must not have passed (see
+  /// passed()); throws std::logic_error otherwise (or for a seq never
+  /// reserved).
+  template <class F>
+  TaskId schedule_reserved(SimTime when, std::uint64_t seq, F&& fn) {
+    if (seq >= next_seq_ || passed(when, seq)) {
+      throw std::logic_error("EventLoop: reserved key already passed or never reserved");
+    }
+    std::uint32_t slot = 0;
+    CbSlot& s = park(std::forward<F>(fn), slot);
+    return push(when, seq, slot, s);
   }
   /// Schedules a callable after a relative delay (a negative one counts as 0).
   template <class F>
@@ -67,17 +77,22 @@ class EventLoop {
   /// unknown id is a no-op.
   void cancel(TaskId id);
 
-  /// Sequence number the next schedule_at() will assign. Sequence numbers
-  /// start at 1 and order same-time events.
+  /// Sequence number the next schedule_at() or reserve_seq() will take.
+  /// Sequence numbers start at 1 and order same-time events.
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
   /// Sequence number of the event executing now (or of the last one run):
   /// every event at now() with a sequence number up to this one has run.
   /// Once run()/run_until() has drained now(), this is next_seq() - 1.
-  /// With next_seq() these let a model keep a lazy "event" — the NIC's
-  /// queue release — that a query resolves exactly as if it had been
-  /// scheduled: a release marked with next_seq() at time T has happened
-  /// iff T < now(), or T == now() and the mark is <= current_seq().
   [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
+  /// True once the loop is at or past the key (when, seq): an event
+  /// under it has run or is running, and one scheduled under it now
+  /// would run out of order. With next_seq() this lets a model keep a
+  /// lazy "event" — the NIC's queue release, a link FIFO's last arrival —
+  /// that a query resolves exactly as if it had been scheduled: a release
+  /// marked with next_seq() at time T has happened iff passed(T, mark).
+  [[nodiscard]] bool passed(SimTime when, std::uint64_t seq) const {
+    return when < now_ || (when == now_ && seq <= current_seq_);
+  }
 
   /// Runs events until the queue is empty.
   void run();
@@ -92,6 +107,10 @@ class EventLoop {
   /// in execution order.
   void set_trace(std::function<void(SimTime, std::uint64_t)> fn) { trace_ = std::move(fn); }
 
+  /// Events scheduled and not yet run or cancelled. A reserved key is
+  /// not an event until schedule_reserved() schedules it, so a datagram
+  /// waiting in Network's link FIFO behind its link's head arrival does
+  /// not count: only the head is a loop event.
   [[nodiscard]] std::size_t pending() const { return live_; }
   /// Total events executed since construction (useful in tests).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -137,8 +156,29 @@ class EventLoop {
     return ((TaskId{slot} + 1) << 32) | (seq & 0xFFFF'FFFFu);
   }
 
-  /// Pushes the event parked in `slot` (`s`) onto the heap; returns its id.
+  /// Builds the callable into a fresh slot; returns it and its index.
+  template <class F>
+  CbSlot& park(F&& fn, std::uint32_t& slot) {
+    slot = slots_.acquire();
+    CbSlot& s = slots_[slot];
+    try {
+      if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+        s.cb = std::forward<F>(fn);
+      } else {
+        s.cb.emplace(std::forward<F>(fn));
+      }
+    } catch (...) {
+      slots_.release(slot);
+      throw;
+    }
+    return s;
+  }
+  /// Schedules the event parked in `slot` (`s`) at `when` (clamped to
+  /// now()) under the next seq; returns its id.
   TaskId enqueue(SimTime when, std::uint32_t slot, CbSlot& s);
+  /// Pushes the event parked in `slot` (`s`) onto the heap under
+  /// (when, seq); returns its id.
+  TaskId push(SimTime when, std::uint64_t seq, std::uint32_t slot, CbSlot& s);
   /// True iff the heap entry's slot still serves it (not cancelled/run).
   [[nodiscard]] bool is_live(const Entry& e) const { return slots_[e.slot].seq == e.seq; }
   /// Drops stale (cancelled) heap entries once they outnumber live ones.

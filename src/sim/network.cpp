@@ -67,8 +67,7 @@ SimDuration Host::nic_backlog_delay() const {
 }
 
 bool Host::departed(const NicDeparture& p) const {
-  const EventLoop& lp = loop();
-  return p.depart < lp.now() || (p.depart == lp.now() && p.mark <= lp.current_seq());
+  return loop().passed(p.depart, p.mark);
 }
 
 void Host::release_departed() {
@@ -117,6 +116,7 @@ bool Host::egress(std::size_t wire_bytes, SimTime& depart) {
 }
 
 bool Host::send(Endpoint dst, std::uint16_t src_port, Payload payload, bool reliable) {
+  net_->require_host(dst.node);
   if (!up_) return false;
   std::size_t wire = payload.size() + nic_.overhead_bytes;
   SimTime depart;
@@ -169,8 +169,15 @@ const Host& Network::host(NodeId id) const {
   return *hosts_.at(id);
 }
 
+void Network::require_host(NodeId node) const {
+  if (node >= hosts_.size()) {
+    throw std::out_of_range("Network: no host " + std::to_string(node));
+  }
+}
+
 void Network::set_path(NodeId a, NodeId b, PathConfig cfg) {
   paths_[std::minmax(a, b)] = cfg;
+  ++path_gen_;
 }
 
 PathConfig Network::path(NodeId a, NodeId b) const {
@@ -186,6 +193,7 @@ PathConfig Network::path(NodeId a, NodeId b) const {
 Network::OverrideToken Network::push_path_override(NodeId a, NodeId b, PathConfig cfg) {
   OverrideToken token = next_override_token_++;
   path_overrides_[std::minmax(a, b)].emplace_back(token, cfg);
+  ++path_gen_;
   return token;
 }
 
@@ -195,6 +203,7 @@ void Network::pop_path_override(NodeId a, NodeId b, OverrideToken token) {
   auto& stack = it->second;
   std::erase_if(stack, [token](const auto& e) { return e.first == token; });
   if (stack.empty()) path_overrides_.erase(it);
+  ++path_gen_;
 }
 
 Network::OverrideToken Network::push_host_degrade(NodeId node, double loss, double burst_length) {
@@ -211,8 +220,9 @@ void Network::pop_host_degrade(NodeId node, OverrideToken token) {
   if (stack.empty()) {
     host_degrade_.erase(it);
     // Restore a clean NIC: forget the gray burst chain for this source.
-    std::erase_if(gray_burst_state_,
-                  [node](const auto& e) { return e.first.first == node; });
+    for (Link& l : links_) {
+      if (l.src == node) l.gray_in_burst = false;
+    }
   }
 }
 
@@ -223,6 +233,7 @@ GroupId Network::create_group() {
 }
 
 void Network::join_group(GroupId group, Endpoint member) {
+  require_host(member.node);
   auto& members = groups_.at(group);
   if (std::find(members.begin(), members.end(), member) == members.end()) {
     members.push_back(member);
@@ -255,19 +266,49 @@ void Network::set_link_up_oneway(NodeId src, NodeId dst, bool up) {
   }
 }
 
-bool Network::roll_loss(const PathConfig& cfg, NodeId src, NodeId dst) {
-  return roll_loss_in(burst_state_, cfg.loss, cfg.burst_length, src, dst);
+std::size_t Network::link_slot(NodeId src, NodeId dst) const {
+  // Fibonacci hashing of the packed pair, then linear probing.
+  const std::uint64_t key = (std::uint64_t{src} << 32) | dst;
+  const std::size_t mask = link_index_.size() - 1;
+  std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+  for (std::uint32_t id = link_index_[i]; id != kNone; id = link_index_[i]) {
+    if (links_[id].src == src && links_[id].dst == dst) break;
+    i = (i + 1) & mask;
+  }
+  return i;
 }
 
-bool Network::roll_loss_in(std::map<std::pair<NodeId, NodeId>, bool>& state, double loss,
-                           double burst_length, NodeId src, NodeId dst) {
+std::uint32_t Network::link_id(NodeId src, NodeId dst) {
+  std::size_t i = link_slot(src, dst);
+  if (link_index_[i] != kNone) return link_index_[i];
+  // First datagram on this pair: add its record, keeping the index at
+  // most half full.
+  const auto id = static_cast<std::uint32_t>(links_.size());
+  links_.push_back(Link{.src = src, .dst = dst});
+  if (2 * links_.size() > link_index_.size()) {
+    link_index_.assign(2 * link_index_.size(), kNone);
+    for (std::uint32_t k = 0; k < id; ++k) link_index_[link_slot(links_[k].src, links_[k].dst)] = k;
+    i = link_slot(src, dst);
+  }
+  link_index_[i] = id;
+  return id;
+}
+
+const PathConfig& Network::path_of(Link& l) {
+  if (l.path_gen != path_gen_) {
+    l.path = path(l.src, l.dst);
+    l.path_gen = path_gen_;
+  }
+  return l.path;
+}
+
+bool Network::roll_loss(double loss, double burst_length, bool& in_burst) {
   if (loss <= 0.0) return false;
   if (burst_length <= 1.0) return rng_.chance(loss);
   // Gilbert–Elliott: leave a burst with rate r = 1/L; enter one with
   // p = r * loss / (1 - loss), giving stationary loss p/(p+r) = loss.
   double r = 1.0 / burst_length;
   double p = r * loss / (1.0 - loss);
-  bool& in_burst = state[{src, dst}];
   if (in_burst) {
     if (rng_.chance(r)) in_burst = false;
   } else {
@@ -276,13 +317,13 @@ bool Network::roll_loss_in(std::map<std::pair<NodeId, NodeId>, bool>& state, dou
   return in_burst;
 }
 
-bool Network::gray_drop(NodeId src, NodeId dst) {
+bool Network::gray_drop(Link& l) {
   if (host_degrade_.empty()) return false;
-  auto it = host_degrade_.find(src);
+  auto it = host_degrade_.find(l.src);
   if (it == host_degrade_.end() || it->second.empty()) return false;
   const auto& [token, loss, burst] = it->second.back();
   (void)token;
-  return roll_loss_in(gray_burst_state_, loss, burst, src, dst);
+  return roll_loss(loss, burst, l.gray_in_burst);
 }
 
 void Network::transmit(Host& from, Datagram&& d, SimTime depart) {
@@ -292,30 +333,58 @@ void Network::transmit(Host& from, Datagram&& d, SimTime depart) {
     ++lost_;
     return;
   }
-  PathConfig p = path(from.id(), d.dst.node);
-  if (!d.reliable && roll_loss(p, from.id(), d.dst.node)) {
+  const std::uint32_t id = link_id(from.id(), d.dst.node);
+  Link& l = links_[id];
+  const PathConfig& p = path_of(l);
+  if (!d.reliable && roll_loss(p.loss, p.burst_length, l.in_burst)) {
     ++lost_;
     return;
   }
   // Gray failure: a degraded host's egress bleeds best-effort traffic while
   // reliable control traffic still flows (detectors keep seeing a healthy
   // peer).
-  if (!d.reliable && gray_drop(from.id(), d.dst.node)) {
+  if (!d.reliable && gray_drop(l)) {
     ++lost_;
     return;
   }
-  schedule_arrival(std::move(d), depart, depart + p.latency);
+  schedule_arrival(id, std::move(d), depart, depart + p.latency);
 }
 
-void Network::schedule_arrival(Datagram&& d, SimTime depart, SimTime arrive_at) {
-  if (d.dst.node >= hosts_.size()) {
-    throw std::out_of_range("Network: no host " + std::to_string(d.dst.node));
-  }
+void Network::schedule_arrival(std::uint32_t link, Datagram&& d, SimTime depart,
+                               SimTime arrive_at) {
+  // The key is taken here, where a schedule_at of the arrival would take
+  // it, so every sequence number, NIC mark and same-time tie is the one a
+  // per-datagram arrival event would have had.
+  const std::uint64_t seq = loop_->reserve_seq();
   const std::uint32_t slot = inflight_.acquire();
   InFlight& f = inflight_[slot];
   f.d = std::move(d);
   f.depart = depart;
-  loop_->schedule_at(arrive_at, [this, slot] { arrive(slot); });
+  f.when = std::max(arrive_at, loop_->now());
+  f.seq = seq;
+  f.next = kNone;
+  Link& l = links_[link];
+  // The FIFO is empty once its tail's arrival has run (or is running: it
+  // read its `next` before delivering), by the same tie rule as the NIC's
+  // lazy release.
+  const bool queued = !loop_->passed(l.tail_when, l.tail_seq);
+  if (queued && f.when < l.tail_when) {
+    // Overtakes the FIFO's tail (the path's latency fell, or a crash reset
+    // the source's NIC, since the tail left): a FIFO must stay in key
+    // order, so this one is its own loop event.
+    post(slot);
+    return;
+  }
+  if (queued) inflight_[l.tail].next = slot;
+  l.tail = slot;
+  l.tail_when = f.when;
+  l.tail_seq = seq;
+  if (!queued) post(slot);
+}
+
+void Network::post(std::uint32_t slot) {
+  const InFlight& f = inflight_[slot];
+  loop_->schedule_reserved(f.when, f.seq, [this, slot] { arrive(slot); });
 }
 
 void Network::arrive(std::uint32_t slot) {
@@ -323,6 +392,10 @@ void Network::arrive(std::uint32_t slot) {
   // parks more datagrams; the pool never moves a slot, and this one is
   // released only after the handler returns.
   InFlight& f = inflight_[slot];
+  // Hand the link on before the handler runs: the handler may send on
+  // this link, and must then find this arrival done and its FIFO empty
+  // or headed by the arrival posted here.
+  if (f.next != kNone) post(f.next);
   // The source crashing while the datagram sat in its NIC queue wipes it.
   if (hosts_[f.d.src.node]->egress_wiped(f.d.sent_at, f.depart)) {
     ++lost_;
@@ -344,14 +417,16 @@ void Network::transmit_multicast(Host& from, GroupId group, const Datagram& d,
       ++lost_;
       continue;
     }
-    PathConfig p = path(from.id(), member.node);
-    if (roll_loss(p, from.id(), member.node) || gray_drop(from.id(), member.node)) {
+    const std::uint32_t id = link_id(from.id(), member.node);
+    Link& l = links_[id];
+    const PathConfig& p = path_of(l);
+    if (roll_loss(p.loss, p.burst_length, l.in_burst) || gray_drop(l)) {
       ++lost_;
       continue;
     }
     Datagram copy = d;
     copy.dst = member;
-    schedule_arrival(std::move(copy), depart, depart + p.latency);
+    schedule_arrival(id, std::move(copy), depart, depart + p.latency);
   }
 }
 

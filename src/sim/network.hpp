@@ -116,7 +116,8 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
 
   /// Sends a datagram; returns false if the NIC queue dropped it. The
   /// payload handle is shared, not copied: pass a fresh frame (`Bytes&&`
-  /// adopts) or another Payload's handle (refcount bump).
+  /// adopts) or another Payload's handle (refcount bump). Throws
+  /// std::out_of_range, before the NIC sees it, if `dst.node` is no host.
   bool send(Endpoint dst, std::uint16_t src_port, Payload payload, bool reliable = false);
   /// Sends to every member of a multicast group (one NIC serialization).
   void send_multicast(GroupId group, std::uint16_t src_port, Payload payload);
@@ -220,7 +221,10 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   /// Sets the (symmetric) path between two hosts.
   void set_path(NodeId a, NodeId b, PathConfig cfg);
   /// Path used when no explicit one was set.
-  void set_default_path(PathConfig cfg) { default_path_ = cfg; }
+  void set_default_path(PathConfig cfg) {
+    default_path_ = cfg;
+    ++path_gen_;
+  }
   [[nodiscard]] PathConfig path(NodeId a, NodeId b) const;
 
   /// Administratively cuts (or restores) the path between two hosts; while
@@ -265,6 +269,7 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   void pop_host_degrade(NodeId node, OverrideToken token);
 
   GroupId create_group();
+  /// Adds a member; throws std::out_of_range if `member.node` is no host.
   void join_group(GroupId group, Endpoint member);
   void leave_group(GroupId group, Endpoint member);
   [[nodiscard]] std::size_t group_size(GroupId group) const;
@@ -277,34 +282,82 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
 
  private:
   friend class Host;
-  /// A datagram between NIC departure and arrival.
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// A datagram between NIC departure and arrival, with the loop key its
+  /// send reserved. `next` is the in-flight slot of the arrival behind it
+  /// in its link's FIFO.
   struct InFlight {
     Datagram d;
     SimTime depart;
+    SimTime when;
+    std::uint64_t seq = 0;
+    std::uint32_t next = kNone;
   };
 
+  /// A directed host pair that has carried traffic: its arrival FIFO, its
+  /// effective path and its loss-burst state. Arrivals on a link come in
+  /// (when, seq) order — departures are FIFO and the latency is fixed —
+  /// so only the FIFO's first arrival needs a loop event; it schedules
+  /// the next one under that one's reserved key when it fires.
+  struct Link {
+    NodeId src = 0;
+    NodeId dst = 0;
+    /// In-flight slot and reserved key of the FIFO's last arrival; the
+    /// FIFO is empty once the loop has passed that key.
+    std::uint32_t tail = kNone;
+    SimTime tail_when{-1};
+    std::uint64_t tail_seq = 0;
+    /// path(src, dst), valid while path_gen == Network::path_gen_.
+    std::uint64_t path_gen = 0;
+    PathConfig path{};
+    /// Gilbert–Elliott "in a loss burst" flags: the path's own chain and
+    /// the source's gray degrade's independent one.
+    bool in_burst = false;
+    bool gray_in_burst = false;
+  };
+
+  /// Throws std::out_of_range unless `node` is a host.
+  void require_host(NodeId node) const;
+  /// Position of the src → dst link in link_index_, or of the empty
+  /// entry where it belongs.
+  [[nodiscard]] std::size_t link_slot(NodeId src, NodeId dst) const;
+  /// Index of the src → dst link record, made on first use.
+  std::uint32_t link_id(NodeId src, NodeId dst);
+  /// The link's effective path, recomputed after a path change.
+  const PathConfig& path_of(Link& l);
   void transmit(Host& from, Datagram&& d, SimTime depart);
-  /// Parks `d` in the in-flight table and schedules its arrival.
-  void schedule_arrival(Datagram&& d, SimTime depart, SimTime arrive_at);
-  /// The arrival event: delivers the parked datagram in place unless the
-  /// source's NIC was wiped while it sat there, then frees the slot.
+  /// Parks `d` in the in-flight table under a freshly reserved loop key
+  /// and queues it on its link, or schedules it if it heads the FIFO or
+  /// overtakes it.
+  void schedule_arrival(std::uint32_t link, Datagram&& d, SimTime depart, SimTime arrive_at);
+  /// Schedules the arrival parked in `slot` under its reserved key.
+  void post(std::uint32_t slot);
+  /// The arrival event: schedules the next arrival on its link, then
+  /// delivers the parked datagram in place unless the source's NIC was
+  /// wiped while it sat there, then frees the slot.
   void arrive(std::uint32_t slot);
   void transmit_multicast(Host& from, GroupId group, const Datagram& d, SimTime depart);
-  /// Applies the path's loss model (Bernoulli or Gilbert–Elliott);
-  /// true = drop. Burst state is kept per directed (src, dst) pair.
-  bool roll_loss(const PathConfig& cfg, NodeId src, NodeId dst);
-  /// Loss roll against an explicit burst-state map — gray degrades keep a
-  /// chain independent of the path's own.
-  bool roll_loss_in(std::map<std::pair<NodeId, NodeId>, bool>& state, double loss,
-                    double burst_length, NodeId src, NodeId dst);
-  /// True when the source host's topmost gray degrade drops this datagram.
-  bool gray_drop(NodeId src, NodeId dst);
+  /// Applies a loss model (Bernoulli, or Gilbert–Elliott on `in_burst`);
+  /// true = drop.
+  bool roll_loss(double loss, double burst_length, bool& in_burst);
+  /// True when the link source's topmost gray degrade drops this datagram.
+  bool gray_drop(Link& l);
 
   EventLoop* loop_;
   Rng rng_;
   std::vector<std::unique_ptr<Host>> hosts_;
   PathConfig default_path_;
   std::map<std::pair<NodeId, NodeId>, PathConfig> paths_;
+  /// Bumped by every change to an effective path (set_path,
+  /// set_default_path, override push/pop); a Link's cached path is stale
+  /// once its path_gen differs.
+  std::uint64_t path_gen_ = 1;
+  /// Link records, one per directed pair that carried traffic, and an
+  /// open-addressing index over them (a power-of-two table of link ids,
+  /// kNone = empty, kept at most half full).
+  std::vector<Link> links_;
+  std::vector<std::uint32_t> link_index_ = std::vector<std::uint32_t>(16, kNone);
   GroupId next_group_ = 1;
   std::unordered_map<GroupId, std::vector<Endpoint>> groups_;
   /// Administratively-down host pairs (link flaps, partitions), keyed minmax.
@@ -317,11 +370,6 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   /// Stacked gray-failure degrades per host: (token, loss, burst_length).
   std::map<NodeId, std::vector<std::tuple<OverrideToken, double, double>>> host_degrade_;
   OverrideToken next_override_token_ = 1;
-  /// Gilbert–Elliott "in a loss burst" flag per directed host pair.
-  std::map<std::pair<NodeId, NodeId>, bool> burst_state_;
-  /// Separate burst state for host gray-degrades (an independent loss
-  /// process from the path's own Gilbert–Elliott chain).
-  std::map<std::pair<NodeId, NodeId>, bool> gray_burst_state_;
   /// In-flight datagrams, parked so each arrival closure captures only
   /// {this, slot} and stays inside SmallFn's inline buffer (a Datagram
   /// plus routing state would spill it: one heap cell per packet). The

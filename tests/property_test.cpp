@@ -466,16 +466,19 @@ TEST(BatchEquivalence, BatchIsExactlyNSubmits) {
 //
 // The loop's heap layout, slot storage and cancel bookkeeping are host-
 // side machinery; the one thing every sim result depends on is that
-// events run in (when, seq) order with seq assigned at scheduling. Each
-// seeded case drives the real loop and a reference (a (when, seq)-sorted
-// std::map) through the same script: schedules at past, equal and future
-// times; schedule_after with negative delays; cancels of pending, already
-// run and never-minted ids, from outside and from inside callbacks (a
-// callback may cancel its own id); events scheduled from callbacks;
-// run_until with deadlines before and after now(); single steps; and
-// cancel storms that trigger the loop's compaction. The executed
-// (when, seq, tag) sequence and pending/executed/current_seq/now after
-// every top-level op must match.
+// events run in (when, seq) order with seq assigned at scheduling or
+// reservation. Each seeded case drives the real loop and a reference (a
+// (when, seq)-sorted std::map) through the same script: schedules at
+// past, equal and future times; schedule_after with negative delays;
+// cancels of pending, already run and never-minted ids, from outside and
+// from inside callbacks (a callback may cancel its own id); events
+// scheduled from callbacks; keys reserved with reserve_seq() and
+// scheduled later, often from a later callback, or refused once their
+// key has passed; run_until with deadlines before and after now(); single
+// steps; and cancel storms that trigger the loop's compaction. The
+// executed (when, seq, tag) sequence, every reserved schedule's outcome
+// and pending/executed/current_seq/now after every top-level op must
+// match.
 // ---------------------------------------------------------------------------
 
 /// The reference loop: pending events in a map ordered by (when, seq).
@@ -501,6 +504,16 @@ struct RefLoop {
   }
   void schedule_after(SimDuration d, int tag) {
     schedule_at(now_ + std::max(d, SimDuration{0}), tag);
+  }
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  /// False (and nothing scheduled) once the key is behind the last run
+  /// event.
+  bool schedule_reserved(SimTime when, std::uint64_t seq, int tag) {
+    if (when < now_ || (when == now_ && seq <= current_seq_)) return false;
+    const Key key{when.ns(), seq};
+    pending_events.emplace(key, tag);
+    key_of.emplace(tag, key);
+    return true;
   }
   void cancel(int tag) {
     const auto it = key_of.find(tag);
@@ -551,6 +564,16 @@ struct RealLoop {
   void schedule_after(SimDuration d, int tag) {
     ids[tag] = loop.schedule_after(d, [this, tag] { on_run(tag); });
   }
+  std::uint64_t reserve_seq() { return loop.reserve_seq(); }
+  bool schedule_reserved(SimTime when, std::uint64_t seq, int tag) {
+    try {
+      ids[tag] = loop.schedule_reserved(when, seq, [this, tag] { on_run(tag); });
+    } catch (const std::logic_error&) {
+      ids[tag] = 0;  // never minted: cancelling the tag is a no-op
+      return false;
+    }
+    return true;
+  }
   void cancel(int tag) {
     const std::size_t before = loop.heap_entries();
     loop.cancel(ids.at(tag));
@@ -583,6 +606,8 @@ struct OrderRun {
   std::size_t compactions = 0;
   int nested = 0;
   int self_cancels = 0;
+  int reserved_across_events = 0;  // reserved in one event, scheduled in a later one
+  int reservations_passed = 0;     // scheduled too late, and refused
 };
 
 /// Runs one seeded script on `L`. Every decision draws from one Rng in
@@ -637,15 +662,45 @@ OrderRun run_order_script(std::uint64_t seed) {
       if (!rng.chance(0.05)) l.cancel(first + i);
     }
   };
+  // Reserved keys not scheduled yet, with the executed() count at their
+  // reservation.
+  struct Reservation {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint64_t reserved_at;
+  };
+  std::vector<Reservation> reservations;
+  const auto reserve_one = [&] {
+    const SimTime when = std::max(random_time(), l.now());
+    reservations.push_back({when, l.reserve_seq(), l.executed()});
+  };
+  const auto schedule_reservation = [&](bool in_event) {
+    if (reservations.empty()) return;
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(reservations.size()) - 1));
+    const Reservation res = reservations[k];
+    reservations[k] = reservations.back();
+    reservations.pop_back();
+    const int tag = next_tag++;
+    const bool ok = l.schedule_reserved(res.when, res.seq, tag);
+    out.log.push_back({res.when.ns(), res.seq, ok ? -2 : -3, 0, 0});
+    if (!ok) ++out.reservations_passed;
+    if (ok && in_event && l.executed() != res.reserved_at) ++out.reserved_across_events;
+  };
   l.on_run = [&](int tag) {
     out.log.push_back({l.now().ns(), l.current_seq(), tag, 0, 0});
     const int actions = static_cast<int>(rng.uniform_int(0, 3));
     for (int a = 0; a < actions; ++a) {
       const double r = rng.uniform();
-      if (r < 0.45 && depth_budget > 0) {
+      if (r < 0.4 && depth_budget > 0) {
         --depth_budget;
         ++out.nested;
         schedule_one();
+      } else if (r < 0.48 && depth_budget > 0) {
+        --depth_budget;
+        reserve_one();
+      } else if (r < 0.56) {
+        schedule_reservation(true);
       } else if (r < 0.9) {
         cancel_one(tag);
       } else if (r < 0.92 && depth_budget > 0) {
@@ -661,8 +716,12 @@ OrderRun run_order_script(std::uint64_t seed) {
   const int ops = static_cast<int>(rng.uniform_int(5, 40));
   for (int k = 0; k < ops; ++k) {
     const double r = rng.uniform();
-    if (r < 0.4) {
+    if (r < 0.35) {
       schedule_one();
+    } else if (r < 0.4) {
+      reserve_one();
+    } else if (r < 0.45) {
+      schedule_reservation(false);
     } else if (r < 0.6) {
       cancel_one(-1);
     } else if (r < 0.75) {
@@ -687,6 +746,8 @@ TEST(EventLoopOrder, MatchesSortedReference) {
   int compacted = 0;
   int nested = 0;
   int self_cancels = 0;
+  int across = 0;
+  int passed = 0;
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     const OrderRun real = run_order_script<RealLoop>(seed);
     const OrderRun ref = run_order_script<RefLoop>(seed);
@@ -697,11 +758,222 @@ TEST(EventLoopOrder, MatchesSortedReference) {
     compacted += real.compactions > 0 ? 1 : 0;
     nested += real.nested > 0 ? 1 : 0;
     self_cancels += real.self_cancels > 0 ? 1 : 0;
+    across += real.reserved_across_events > 0 ? 1 : 0;
+    passed += real.reservations_passed > 0 ? 1 : 0;
   }
   // The generator reaches the corners the property is about.
   EXPECT_GT(compacted, 500);
   EXPECT_GT(nested, 1000);
   EXPECT_GT(self_cancels, 500);
+  EXPECT_GT(across, 500);
+  EXPECT_GT(passed, 800);
+}
+
+// ---------------------------------------------------------------------------
+// Network: lazy link arrivals run at the keys their sends reserved.
+//
+// A send reserves its arrival's loop key (when, seq) where a per-datagram
+// arrival event would have taken it, but only the first arrival queued
+// on a link is a loop event; it schedules the next one when it fires.
+// Each seeded script builds 3-6 hosts with random NIC rates and
+// latencies and drives sends from script events and from handlers:
+// unicast, loopback and multicast. Path changes in flight (set_path,
+// override push/pop) make later datagrams overtake earlier ones on the
+// same link, host crashes wipe queued NIC bytes (and reset the NIC, so
+// a later datagram departs before a wiped one), and run_until splits
+// the run. The test computes each arrival's key at its send: seq is
+// next_seq() before the send, when is the NIC departure plus the path
+// latency. The loop's trace must rise strictly in (when, seq); every
+// reserved key must run; and each delivery must run at its own key.
+// ---------------------------------------------------------------------------
+
+struct ArrivalCoverage {
+  int queued = 0;      // joined a link that already had arrivals pending
+  int overtakes = 0;   // due before an arrival pending on its link
+  int loopbacks = 0;
+  int multicasts = 0;
+  int crashes_in_flight = 0;
+};
+
+void run_arrival_script(std::uint64_t seed, ArrivalCoverage& cov) {
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  using Pair = std::pair<sim::NodeId, sim::NodeId>;
+  constexpr std::uint16_t kPort = 1;
+  Rng rng(seed);
+  sim::EventLoop loop;
+  sim::Network net(loop, seed);
+  const double rates[] = {1e6, 8e6, 1e8};
+  std::vector<sim::Host*> hosts;
+  const auto n = static_cast<sim::NodeId>(rng.uniform_int(3, 6));
+  for (sim::NodeId i = 0; i < n; ++i) {
+    hosts.push_back(&net.add_host(
+        "h" + std::to_string(i),
+        sim::NicConfig{.egress_bps = rates[rng.uniform_int(0, 2)], .queue_bytes = 48 * 1024,
+                       .overhead_bytes = 0}));
+  }
+  const auto random_latency = [&] { return duration_us(rng.uniform_int(0, 4000)); };
+  net.set_default_path(sim::PathConfig{.latency = random_latency()});
+  for (sim::NodeId a = 0; a < n; ++a) {
+    for (sim::NodeId b = a; b < n; ++b) {
+      if (rng.chance(0.5)) net.set_path(a, b, sim::PathConfig{.latency = random_latency()});
+    }
+  }
+  const sim::GroupId group = net.create_group();
+  std::vector<sim::NodeId> members;
+  for (sim::NodeId h = 0; h < n; ++h) {
+    if (rng.chance(0.6)) {
+      net.join_group(group, sim::Endpoint{h, kPort});
+      members.push_back(h);
+    }
+  }
+
+  // Expected key per (message id, destination), and per-link bookkeeping
+  // of reserved arrivals that have not run yet (count, latest when).
+  std::map<std::pair<std::uint32_t, sim::NodeId>, Key> expected;
+  std::map<std::uint64_t, Pair> link_of_seq;
+  std::map<Pair, std::pair<int, std::int64_t>> in_flight;
+  std::set<Key> ran;
+  Key last{-1, 0};
+  loop.set_trace([&](SimTime t, std::uint64_t seq) {
+    const Key k{t.ns(), seq};
+    ASSERT_LT(last, k) << "trace out of (when, seq) order";
+    last = k;
+    ran.insert(k);
+    const auto it = link_of_seq.find(seq);
+    if (it != link_of_seq.end()) --in_flight[it->second].first;
+  });
+  const auto note = [&](std::uint32_t id, sim::NodeId src, sim::NodeId dst, Key key) {
+    expected[{id, dst}] = key;
+    link_of_seq[key.second] = {src, dst};
+    auto& [count, latest] = in_flight[{src, dst}];
+    if (count > 0 && key.first < latest) ++cov.overtakes;
+    if (count > 0 && key.first >= latest) ++cov.queued;
+    latest = count > 0 ? std::max(latest, key.first) : key.first;
+    ++count;
+  };
+
+  std::uint32_t next_id = 0;
+  int budget = static_cast<int>(rng.uniform_int(40, 160));
+  const auto frame = [&](std::uint32_t id) {
+    Bytes body(static_cast<std::size_t>(rng.uniform_int(4, 1400)), 0);
+    for (int b = 0; b < 4; ++b) body[b] = static_cast<std::uint8_t>(id >> (8 * b));
+    return body;
+  };
+  const auto unicast = [&](sim::NodeId src, sim::NodeId dst) {
+    if (budget-- <= 0) return;
+    const std::uint32_t id = next_id++;
+    const std::uint64_t seq = loop.next_seq();
+    const SimDuration latency = net.path(src, dst).latency;
+    hosts[src]->send(sim::Endpoint{dst, kPort}, kPort, frame(id));
+    if (loop.next_seq() == seq) return;  // refused: the host is down or its NIC is full
+    ASSERT_EQ(loop.next_seq(), seq + 1);
+    const SimTime depart = loop.now() + hosts[src]->nic_backlog_delay();
+    note(id, src, dst, {(depart + latency).ns(), seq});
+    if (src == dst) ++cov.loopbacks;
+  };
+  const auto multicast = [&](sim::NodeId src) {
+    if (budget-- <= 0) return;
+    const std::uint32_t id = next_id++;
+    const std::uint64_t seq = loop.next_seq();
+    std::vector<std::pair<sim::NodeId, SimDuration>> to;  // in join order, no self-loop
+    for (sim::NodeId m : members) {
+      if (m != src) to.emplace_back(m, net.path(src, m).latency);
+    }
+    hosts[src]->send_multicast(group, kPort, frame(id));
+    if (loop.next_seq() == seq) return;
+    ASSERT_EQ(loop.next_seq(), seq + to.size());
+    const SimTime depart = loop.now() + hosts[src]->nic_backlog_delay();
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      note(id, src, to[i].first, {(depart + to[i].second).ns(), seq + i});
+    }
+    ++cov.multicasts;
+  };
+  const auto random_send = [&](sim::NodeId src) {
+    if (rng.chance(0.15)) {
+      multicast(src);
+    } else {
+      unicast(src, rng.chance(0.2) ? src : static_cast<sim::NodeId>(rng.uniform_int(0, n - 1)));
+    }
+  };
+
+  for (sim::NodeId h = 0; h < n; ++h) {
+    hosts[h]->bind(kPort, [&, h](const sim::Datagram& d) {
+      std::uint32_t id = 0;
+      for (int b = 0; b < 4; ++b) id |= std::uint32_t{d.payload[b]} << (8 * b);
+      const auto it = expected.find({id, h});
+      ASSERT_NE(it, expected.end()) << "delivered a datagram no send reserved";
+      ASSERT_EQ(loop.now().ns(), it->second.first) << "message " << id << " at host " << h;
+      ASSERT_EQ(loop.current_seq(), it->second.second) << "message " << id << " at host " << h;
+      const auto replies = rng.uniform_int(0, 2);
+      for (std::int64_t r = 0; r < replies; ++r) random_send(h);
+    });
+  }
+
+  const auto random_host = [&] { return static_cast<sim::NodeId>(rng.uniform_int(0, n - 1)); };
+  const auto at = [&] { return SimTime{duration_us(rng.uniform_int(0, 30'000)).ns()}; };
+  const int events = static_cast<int>(rng.uniform_int(10, 40));
+  for (int e = 0; e < events; ++e) {
+    const double r = rng.uniform();
+    if (r < 0.5) {
+      loop.schedule_at(at(), [&] {
+        const auto burst = rng.uniform_int(1, 6);
+        const sim::NodeId src = random_host();
+        for (std::int64_t k = 0; k < burst; ++k) random_send(src);
+      });
+    } else if (r < 0.7) {
+      loop.schedule_at(at(), [&] {
+        net.set_path(random_host(), random_host(), sim::PathConfig{.latency = random_latency()});
+      });
+    } else if (r < 0.85) {
+      loop.schedule_at(at(), [&] {
+        const sim::NodeId a = random_host();
+        const sim::NodeId b = random_host();
+        const auto token = net.push_path_override(a, b, sim::PathConfig{.latency = random_latency()});
+        loop.schedule_after(duration_us(rng.uniform_int(0, 8000)),
+                            [&net, a, b, token] { net.pop_path_override(a, b, token); });
+      });
+    } else {
+      loop.schedule_at(at(), [&] {
+        sim::Host& h = *hosts[random_host()];
+        if (!h.up()) return;
+        if (h.nic_queued_bytes() > 0) ++cov.crashes_in_flight;
+        h.set_up(false);
+        loop.schedule_after(duration_us(rng.uniform_int(0, 3000)), [&h] { h.set_up(true); });
+      });
+    }
+  }
+  const auto splits = rng.uniform_int(0, 4);
+  for (std::int64_t k = 0; k < splits; ++k) loop.run_until(at());
+  loop.run();
+
+  EXPECT_EQ(loop.pending(), 0u);
+  for (const auto& [msg, key] : expected) {
+    ASSERT_TRUE(ran.contains(key)) << "message " << msg.first << " to host " << msg.second
+                                   << " never arrived at its reserved key (" << key.first
+                                   << ", " << key.second << ")";
+  }
+}
+
+TEST(NetworkArrivalOrder, LinkFifoKeepsReservedOrder) {
+  constexpr std::uint64_t kScripts = 1200;
+  ArrivalCoverage total;
+  std::map<std::string, int> scripts_with;
+  for (std::uint64_t seed = 1; seed <= kScripts; ++seed) {
+    ArrivalCoverage cov;
+    run_arrival_script(seed, cov);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    scripts_with["queued"] += cov.queued > 0 ? 1 : 0;
+    scripts_with["overtakes"] += cov.overtakes > 0 ? 1 : 0;
+    scripts_with["loopbacks"] += cov.loopbacks > 0 ? 1 : 0;
+    scripts_with["multicasts"] += cov.multicasts > 0 ? 1 : 0;
+    scripts_with["crashes_in_flight"] += cov.crashes_in_flight > 0 ? 1 : 0;
+  }
+  // The generator reaches the corners the property is about.
+  EXPECT_GT(scripts_with["queued"], 1000);
+  EXPECT_GT(scripts_with["overtakes"], 300);
+  EXPECT_GT(scripts_with["loopbacks"], 1000);
+  EXPECT_GT(scripts_with["multicasts"], 900);
+  EXPECT_GT(scripts_with["crashes_in_flight"], 500);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,6 +125,56 @@ TEST(EventLoop, CancelFromInsideEvent) {
   EXPECT_FALSE(doomed_ran);
   EXPECT_FALSE(child_ran);
   EXPECT_TRUE(kept_ran);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+// reserve_seq() takes the number the next schedule_at() would have
+// taken, and an event scheduled later under that key runs exactly where
+// a schedule_at() at the reservation would have put it.
+TEST(EventLoop, ReserveSeqConsumesTheNumberScheduleAtWould) {
+  const SimTime t{duration_ms(1).ns()};
+  std::vector<std::pair<int, std::uint64_t>> eager;  // (tag, seq)
+  std::vector<std::pair<int, std::uint64_t>> lazy;
+  {
+    EventLoop loop;
+    loop.schedule_at(t, [&] { eager.emplace_back(0, loop.current_seq()); });
+    loop.schedule_at(t, [&] { eager.emplace_back(1, loop.current_seq()); });
+    loop.schedule_at(t, [&] { eager.emplace_back(2, loop.current_seq()); });
+    loop.run();
+  }
+  {
+    EventLoop loop;
+    loop.schedule_at(t, [&] { lazy.emplace_back(0, loop.current_seq()); });
+    const std::uint64_t before = loop.next_seq();
+    const std::uint64_t seq = loop.reserve_seq();
+    EXPECT_EQ(seq, before);
+    EXPECT_EQ(loop.next_seq(), before + 1);
+    EXPECT_EQ(loop.pending(), 1u);  // a reservation is not an event
+    loop.schedule_at(t, [&] { lazy.emplace_back(2, loop.current_seq()); });
+    loop.schedule_reserved(t, seq, [&] { lazy.emplace_back(1, loop.current_seq()); });
+    EXPECT_EQ(loop.pending(), 3u);
+    loop.run();
+  }
+  EXPECT_EQ(lazy, eager);
+}
+
+TEST(EventLoop, ScheduleReservedRejectsPassedOrUnreservedKeys) {
+  EventLoop loop;
+  const std::uint64_t early = loop.reserve_seq();
+  const std::uint64_t late = loop.reserve_seq();
+  bool ran = false;
+  loop.schedule_at(SimTime{10}, [&] {
+    // (10, early) and (5, late) are behind the running event (10, 3);
+    // (10, late) is not, nor is any later time.
+    EXPECT_THROW(loop.schedule_reserved(SimTime{10}, early, [] {}), std::logic_error);
+    EXPECT_THROW(loop.schedule_reserved(SimTime{5}, late, [] {}), std::logic_error);
+    loop.schedule_reserved(SimTime{20}, early, [&] { ran = true; });
+  });
+  EXPECT_THROW(loop.schedule_reserved(SimTime{10}, loop.next_seq(), [] {}), std::logic_error);
+  loop.run();
+  EXPECT_TRUE(ran);
+  // Drained up to now(): every key at now() has passed.
+  EXPECT_THROW(loop.schedule_reserved(loop.now(), late, [] {}), std::logic_error);
   EXPECT_EQ(loop.pending(), 0u);
 }
 
@@ -482,6 +533,38 @@ TEST_F(NetworkTest, UnboundPortDiscardsSilently) {
   a.send(Endpoint{b.id(), 999}, 1, Bytes(10, 0));
   loop.run();  // no crash, nothing delivered
   SUCCEED();
+}
+
+// A send to a host that does not exist is a caller error: it throws
+// before the NIC queues it, and before a loss roll or a cut path could
+// count it as lost.
+TEST_F(NetworkTest, SendToUnknownHostThrowsWithoutTouchingTheNic) {
+  Host& a = net.add_host("a");
+  Host& b = net.add_host("b");
+  const NodeId ghost = 7;
+  const std::uint64_t seq = loop.next_seq();
+  EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
+  net.set_path(a.id(), ghost, PathConfig{.loss = 1.0});
+  EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
+  net.set_link_up(a.id(), ghost, false);
+  EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
+  EXPECT_EQ(a.nic_sent(), 0u);
+  EXPECT_EQ(a.nic_queued_bytes(), 0u);
+  EXPECT_EQ(a.nic_backlog_delay().ns(), 0);
+  EXPECT_EQ(net.lost(), 0u);
+  EXPECT_EQ(loop.next_seq(), seq);
+  // A group member must be a host, so a multicast never meets one that
+  // is not.
+  const GroupId g = net.create_group();
+  EXPECT_THROW(net.join_group(g, Endpoint{ghost, 1}), std::out_of_range);
+  EXPECT_EQ(net.group_size(g), 0u);
+  // The NIC is untouched: a real send still departs at once.
+  int received = 0;
+  b.bind(1, [&](const Datagram&) { ++received; });
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(100, 0)));
+  loop.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(a.nic_sent(), 1u);
 }
 
 TEST_F(NetworkTest, EphemeralPortsAreDistinct) {
