@@ -29,7 +29,6 @@
 #include "broker/route_tables.hpp"
 #include "broker/subscription_index.hpp"
 #include "broker/topic.hpp"
-#include "common/pinned.hpp"
 #include "sim/network.hpp"
 
 namespace gmmcs::broker {
@@ -49,7 +48,7 @@ class BrokerNetwork;
 /// returns. New code holds the BrokerNetwork and calls its accessors.
 using ControlSnapshotPtr = const BrokerNetwork*;
 
-class GMMCS_PINNED("the cluster control plane is built before the loop starts and outlives its drain") BrokerNetwork {
+class BrokerNetwork {
  public:
   explicit BrokerNetwork(sim::Network& net);
 

@@ -27,7 +27,6 @@
 #include "broker/event.hpp"
 #include "broker/subscription_index.hpp"
 #include "broker/topic.hpp"
-#include "common/pinned.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/service_center.hpp"
@@ -92,7 +91,7 @@ struct ClientKeepaliveConfig {
   int miss_threshold = 3;
 };
 
-class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, never broker nodes") BrokerNode {
+class BrokerNode {
  public:
   struct Config {
     std::uint16_t stream_port = 9000;

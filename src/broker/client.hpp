@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "broker/event.hpp"
-#include "common/pinned.hpp"
 #include "common/random.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
@@ -49,7 +48,7 @@ struct ReconnectPolicy {
   int syn_retries = 3;
 };
 
-class GMMCS_PINNED("client endpoints are created at run start and destroyed only after the loop drains") BrokerClient {
+class BrokerClient {
  public:
   struct Config {
     std::string name = "client";

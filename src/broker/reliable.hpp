@@ -16,7 +16,6 @@
 #include <string>
 
 #include "broker/client.hpp"
-#include "common/pinned.hpp"
 #include "transport/stream.hpp"
 
 namespace gmmcs::broker {
@@ -28,7 +27,7 @@ namespace gmmcs::broker {
 /// the same stream. A "SYNC" request is answered with one text line
 /// "SYNC <publisher> <max_seq>" per known publisher, letting subscribers
 /// detect *tail* loss (a gap no later event would ever reveal).
-class GMMCS_PINNED("runs beside its broker for the whole run") RecoveryService {
+class RecoveryService {
  public:
   RecoveryService(sim::Host& host, sim::Endpoint broker_stream, std::string topic,
                   std::size_t buffer_limit = 4096);
@@ -59,7 +58,7 @@ class GMMCS_PINNED("runs beside its broker for the whole run") RecoveryService {
 /// events are slotted back in order. Events unrecoverable within the
 /// buffer window are skipped after `give_up` (delivery resumes past the
 /// hole, counted in events_lost()).
-class GMMCS_PINNED("reliable subscribers live for the whole run; give-up cancels timers, not the object") ReliableSubscriber {
+class ReliableSubscriber {
  public:
   ReliableSubscriber(sim::Host& host, sim::Endpoint broker_stream, std::string topic,
                      sim::Endpoint recovery, SimDuration give_up = duration_ms(200),

@@ -11,8 +11,7 @@
 //  * construction from `Bytes&&` ADOPTS the vector — a move, never a copy.
 //    There is deliberately no construction from `const Bytes&`: turning a
 //    borrowed buffer into a Payload is a deep copy and must be spelled
-//    `Payload::copy_of(...)`, which the copy counters record and the
-//    gmmcs-lint "copy" pass audits.
+//    `Payload::copy_of(...)`, which the copy counters record.
 //  * `slice()` is O(1) and shares the buffer; a slice keeps the whole
 //    underlying allocation alive (fine here: frames are short-lived and a
 //    payload dominates its frame's size).

@@ -29,8 +29,7 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Non-throwing bounded numeric parses for wire-derived text — the
 /// sanctioned alternative to std::sto*/atoi/strtol, which either throw on
-/// hostile input or silently accept garbage prefixes. gmmcs-lint pass
-/// "wire" rejects the throwing forms in protocol modules. The whole input
+/// hostile input or silently accept garbage prefixes. The whole input
 /// must be digits (leading whitespace is not skipped — trim() first);
 /// empty input, stray characters, and overflow past `max` all yield
 /// nullopt.

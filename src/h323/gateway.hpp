@@ -20,14 +20,13 @@
 #include <string>
 
 #include "broker/rtp_proxy.hpp"
-#include "common/pinned.hpp"
 #include "h323/messages.hpp"
 #include "transport/stream.hpp"
 #include "xgsp/session_server.hpp"
 
 namespace gmmcs::h323 {
 
-class GMMCS_PINNED("the gateway serves for the whole run; calls die mid-run, the gateway does not") H323Gateway {
+class H323Gateway {
  public:
   static constexpr std::uint16_t kCallSignalPort = 1720;
 

@@ -14,14 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "common/pinned.hpp"
 #include "h323/messages.hpp"
 #include "transport/datagram_socket.hpp"
 #include "transport/stream.hpp"
 
 namespace gmmcs::h323 {
 
-class GMMCS_PINNED("H.323 terminals are run-long endpoints; their call state dies first") H323Terminal {
+class H323Terminal {
  public:
   H323Terminal(sim::Host& host, std::string alias, sim::Endpoint gatekeeper_ras);
 

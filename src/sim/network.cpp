@@ -176,6 +176,8 @@ void Network::require_host(NodeId node) const {
 }
 
 void Network::set_path(NodeId a, NodeId b, PathConfig cfg) {
+  require_host(a);
+  require_host(b);
   paths_[std::minmax(a, b)] = cfg;
   ++path_gen_;
 }
@@ -191,6 +193,8 @@ PathConfig Network::path(NodeId a, NodeId b) const {
 }
 
 Network::OverrideToken Network::push_path_override(NodeId a, NodeId b, PathConfig cfg) {
+  require_host(a);
+  require_host(b);
   OverrideToken token = next_override_token_++;
   path_overrides_[std::minmax(a, b)].emplace_back(token, cfg);
   ++path_gen_;
@@ -207,6 +211,7 @@ void Network::pop_path_override(NodeId a, NodeId b, OverrideToken token) {
 }
 
 Network::OverrideToken Network::push_host_degrade(NodeId node, double loss, double burst_length) {
+  require_host(node);
   OverrideToken token = next_override_token_++;
   host_degrade_[node].emplace_back(token, loss, burst_length);
   return token;
@@ -251,6 +256,8 @@ std::size_t Network::group_size(GroupId group) const {
 }
 
 void Network::set_link_up(NodeId a, NodeId b, bool up) {
+  require_host(a);
+  require_host(b);
   if (up) {
     down_links_.erase(std::minmax(a, b));
   } else {
@@ -259,6 +266,8 @@ void Network::set_link_up(NodeId a, NodeId b, bool up) {
 }
 
 void Network::set_link_up_oneway(NodeId src, NodeId dst, bool up) {
+  require_host(src);
+  require_host(dst);
   if (up) {
     down_oneway_.erase({src, dst});
   } else {

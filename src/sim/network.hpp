@@ -27,7 +27,6 @@
 
 #include "common/bytes.hpp"
 #include "common/payload.hpp"
-#include "common/pinned.hpp"
 #include "common/random.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
@@ -98,7 +97,7 @@ class Network;
 
 /// A machine in the simulation. Obtained from Network::add_host; stable
 /// address (hosts are stored as unique_ptrs).
-class GMMCS_PINNED("sim hosts are built with the topology and outlive the event loop drain") Host {
+class Host {
  public:
   using Handler = std::function<void(const Datagram&)>;
 
@@ -209,7 +208,7 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
 };
 
 /// The simulated network fabric: owns hosts, paths and multicast groups.
-class GMMCS_PINNED("one Network owns the topology for the whole run and dies after the loop drains") Network {
+class Network {
  public:
   Network(EventLoop& loop, std::uint64_t seed = 1);
 
@@ -218,7 +217,9 @@ class GMMCS_PINNED("one Network owns the topology for the whole run and dies aft
   [[nodiscard]] const Host& host(NodeId id) const;
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
-  /// Sets the (symmetric) path between two hosts.
+  /// Sets the (symmetric) path between two hosts. This and the other
+  /// per-host setters (set_link_up*, push_path_override, push_host_degrade)
+  /// throw std::out_of_range, storing nothing, if an id is no host.
   void set_path(NodeId a, NodeId b, PathConfig cfg);
   /// Path used when no explicit one was set.
   void set_default_path(PathConfig cfg) {

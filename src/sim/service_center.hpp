@@ -12,7 +12,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/pinned.hpp"
 #include "common/small_fn.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
@@ -35,7 +34,7 @@ struct NicGate {
   std::size_t nic_slack = 0;
 };
 
-class GMMCS_PINNED("wired into its loop at startup, torn down only after the loop drains") ServiceCenter {
+class ServiceCenter {
  public:
   /// servers: number of parallel workers; queue_limit: max queued jobs
   /// (0 = unbounded). Jobs arriving at a full queue are rejected.

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/pinned.hpp"
 #include "sim/network.hpp"
 #include "sip/message.hpp"
 #include "transport/stream.hpp"
@@ -25,7 +24,7 @@ namespace gmmcs::sip {
 std::string make_contact(sim::Endpoint ep);
 [[nodiscard]] Result<sim::Endpoint> parse_contact(const std::string& contact);
 
-class GMMCS_PINNED("SIP agents are run-long endpoints; their transports die first") SipAgent {
+class SipAgent {
  public:
   static constexpr std::uint16_t kSipPort = 5060;
 

@@ -14,7 +14,6 @@
 #include <map>
 #include <string>
 
-#include "common/pinned.hpp"
 #include "common/result.hpp"
 #include "sim/network.hpp"
 #include "transport/stream.hpp"
@@ -49,7 +48,7 @@ std::string serialize(const HttpResponse& r);
 
 /// A SOAP RPC endpoint: dispatches by the local name of the body's first
 /// child element ("CreateSession", "GetRendezvous", ...).
-class GMMCS_PINNED("SOAP services are registered at startup and serve until the loop drains") SoapServer {
+class SoapServer {
  public:
   /// Handler receives the request element, returns the response element
   /// (wrapped for you) or an Error (returned as a SOAP fault).
@@ -75,7 +74,7 @@ class GMMCS_PINNED("SOAP services are registered at startup and serve until the 
 
 /// A SOAP RPC client: sends requests over one persistent connection and
 /// correlates responses in order (HTTP/1.1 pipelining semantics).
-class GMMCS_PINNED("SOAP clients outlive their in-flight calls; the loop drains before teardown") SoapClient {
+class SoapClient {
  public:
   using Callback = std::function<void(Result<xml::Element>)>;
 

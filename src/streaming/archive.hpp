@@ -15,12 +15,11 @@
 #include <vector>
 
 #include "broker/client.hpp"
-#include "common/pinned.hpp"
 #include "sim/event_loop.hpp"
 
 namespace gmmcs::streaming {
 
-class GMMCS_PINNED("the archive service records and replays for the whole run") ConferenceArchive {
+class ConferenceArchive {
  public:
   ConferenceArchive(sim::Host& host, sim::Endpoint broker_stream);
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/pinned.hpp"
 #include "media/transcoder.hpp"
 #include "streaming/rtsp.hpp"
 #include "transport/datagram_socket.hpp"
@@ -25,7 +24,7 @@
 
 namespace gmmcs::streaming {
 
-class GMMCS_PINNED("the streaming server lives for the whole run; sessions come and go") HelixServer {
+class HelixServer {
  public:
   static constexpr std::uint16_t kRtspPort = 554;
 

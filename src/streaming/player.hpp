@@ -11,14 +11,13 @@
 #include <optional>
 #include <string>
 
-#include "common/pinned.hpp"
 #include "streaming/rtsp.hpp"
 #include "transport/datagram_socket.hpp"
 #include "transport/stream.hpp"
 
 namespace gmmcs::streaming {
 
-class GMMCS_PINNED("player app objects live for the experiment run; their RTSP connection dies first") StreamingPlayer {
+class StreamingPlayer {
  public:
   struct Config {
     /// Playout buffering: a block with timestamp t plays at

@@ -19,7 +19,6 @@
 #include <set>
 #include <vector>
 
-#include "common/pinned.hpp"
 #include "sim/network.hpp"
 #include "transport/stream.hpp"
 
@@ -34,7 +33,7 @@ struct FirewallRules {
 
 /// Installs a stateful packet filter on a host. Lives as long as the
 /// firewall should be active; removes its hooks on destruction.
-class GMMCS_PINNED("a firewall is installed on a host for the host's whole lifetime") Firewall {
+class Firewall {
  public:
   Firewall(sim::Host& host, FirewallRules rules);
   ~Firewall();
@@ -59,7 +58,7 @@ class GMMCS_PINNED("a firewall is installed on a host for the host's whole lifet
 /// "CONNECT <node>:<port>" and pipes all further messages to/from the
 /// target. Because streams are ordered, clients may start sending payload
 /// immediately after the CONNECT line.
-class GMMCS_PINNED("the proxy lives for the run and owns both legs of every tunnel in pairs_") ProxyServer {
+class ProxyServer {
  public:
   static constexpr std::uint16_t kDefaultPort = 3128;
 

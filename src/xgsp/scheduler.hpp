@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/pinned.hpp"
 #include "sim/event_loop.hpp"
 #include "xgsp/session_server.hpp"
 
@@ -38,7 +37,7 @@ struct Reservation {
   bool finished = false;
 };
 
-class GMMCS_PINNED("a run-long service; its timers fire or the run ends first") MeetingScheduler {
+class MeetingScheduler {
  public:
   MeetingScheduler(sim::EventLoop& loop, SessionServer& sessions);
 

@@ -11,9 +11,9 @@
 //      documented as best-effort), never propagate.
 //   2. O(N) allocation. Decoding an N-byte frame allocates at most
 //      kAllocFactor * N + kAllocSlack bytes, certified by a counting
-//      global operator new. This is the dynamic twin of the wire taint
-//      pass: a count or length claimed by the frame but not backed by
-//      its bytes must be rejected before it sizes an allocation.
+//      global operator new: a count or length claimed by the frame but
+//      not backed by its bytes must be rejected before it sizes an
+//      allocation.
 //
 // Failures shrink greedily to a minimal reproducer, printed as hex to
 // commit under tests/fuzz_seeds/ (replayed by the first test here; the

@@ -1,4 +1,4 @@
-// Runtime twin of the gmmcs-lint `lifetime` pass (DESIGN.md §14).
+// Deferred-capture lifetime regression (DESIGN.md §14).
 //
 // Reconstructs the PR 7 deferred-kPing use-after-free in a minimal
 // harness: BrokerNode's ping handler (broker_node.cpp, kPing case)
@@ -17,11 +17,11 @@
 // below for `raw = conn.get()` and ASan reports heap-use-after-free in
 // DeferredPongAfterEvictionIsDropped.
 //
-// The static-analysis twin is tools/lint/tests/test_lifetime.py
-// (TestKpingRegression): gmmcs-lint pass 7 flags the raw-capture form
-// of this code and `--fix` rewrites it into the weak_ptr shape asserted
-// here, so the bug class is fenced from both sides — the linter stops
-// it at review time, this test stops it at runtime.
+// On the real broker, the chaos seed corpus under ASan is what catches
+// the bug class: put the raw capture (or `raw = weak_conn.lock().get()`)
+// back into BrokerNode's kPing handler and ChaosProperty.SeedCorpusReplays
+// reports the heap-use-after-free under scripts/check.sh asan. This file
+// pins the same interleaving in a minimal harness.
 #include <gtest/gtest.h>
 
 #include <map>

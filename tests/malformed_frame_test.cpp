@@ -1,5 +1,5 @@
-// Targeted regressions for every decode-plane hardening fix that landed
-// with the wire taint pass (DESIGN.md §16). Each test replays the exact
+// Targeted regressions for every decode-plane hardening fix (DESIGN.md
+// §16). Each test replays the exact
 // hostile input the pre-fix code mishandled — counts and lengths claimed
 // by the frame that the bytes on hand cannot back, numeric text fields
 // that used to throw, and nesting that used to convert wire bytes into

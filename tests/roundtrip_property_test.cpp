@@ -1,7 +1,7 @@
 // Seeded-random encode -> decode -> re-encode byte-identity properties for
-// every wire family the gmmcs-lint codec-symmetry pass covers. The static
-// pass proves the op sequences line up; these tests are the dynamic
-// witness that the bytes (or text) survive a full round trip unchanged.
+// every wire family (DESIGN.md §10.2). They are what checks that every
+// decoder mirrors its encoder: a field the decoder drops or reads at the
+// wrong width changes the re-encoded bytes (or text).
 //
 // Identity is checked on the *wire image*: re-encoding the decoded value
 // must reproduce the original encoding bit-for-bit. That is stronger than

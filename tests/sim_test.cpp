@@ -544,9 +544,9 @@ TEST_F(NetworkTest, SendToUnknownHostThrowsWithoutTouchingTheNic) {
   const NodeId ghost = 7;
   const std::uint64_t seq = loop.next_seq();
   EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
-  net.set_path(a.id(), ghost, PathConfig{.loss = 1.0});
+  EXPECT_THROW(net.set_path(a.id(), ghost, PathConfig{.loss = 1.0}), std::out_of_range);
   EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
-  net.set_link_up(a.id(), ghost, false);
+  EXPECT_THROW(net.set_link_up(a.id(), ghost, false), std::out_of_range);
   EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
   EXPECT_EQ(a.nic_sent(), 0u);
   EXPECT_EQ(a.nic_queued_bytes(), 0u);
@@ -565,6 +565,38 @@ TEST_F(NetworkTest, SendToUnknownHostThrowsWithoutTouchingTheNic) {
   loop.run();
   EXPECT_EQ(received, 1);
   EXPECT_EQ(a.nic_sent(), 1u);
+}
+
+// Path, link and degrade setters take only host ids, so a mistyped id
+// leaves no state behind for a host added later under that id.
+TEST_F(NetworkTest, ConfiguringANonHostThrowsAndStoresNothing) {
+  Host& a = net.add_host("a");
+  const NodeId ghost = 3;
+  const PathConfig cut{.loss = 1.0};
+  EXPECT_THROW(net.set_path(a.id(), ghost, cut), std::out_of_range);
+  EXPECT_THROW(net.push_path_override(ghost, a.id(), cut), std::out_of_range);
+  EXPECT_THROW(net.set_link_up(a.id(), ghost, false), std::out_of_range);
+  EXPECT_THROW(net.set_link_up_oneway(a.id(), ghost, false), std::out_of_range);
+  EXPECT_THROW(net.push_host_degrade(ghost, 1.0), std::out_of_range);
+  // A host that later takes the id finds the default model, not the
+  // refused state: both directions are up and lossless.
+  while (net.host_count() <= ghost) net.add_host("h" + std::to_string(net.host_count()));
+  Host& g = net.host(ghost);
+  EXPECT_TRUE(net.link_up_directed(a.id(), ghost));
+  EXPECT_TRUE(net.link_up_directed(ghost, a.id()));
+  EXPECT_EQ(net.path(a.id(), ghost).loss, 0.0);
+  int at_a = 0;
+  int at_g = 0;
+  a.bind(1, [&](const Datagram&) { ++at_a; });
+  g.bind(1, [&](const Datagram&) { ++at_g; });
+  EXPECT_TRUE(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)));
+  EXPECT_TRUE(g.send(Endpoint{a.id(), 1}, 2, Bytes(100, 0)));
+  loop.run();
+  EXPECT_EQ(at_a, 1);
+  EXPECT_EQ(at_g, 1);
+  EXPECT_EQ(net.lost(), 0u);
+  // The refused override spent no token.
+  EXPECT_EQ(net.push_path_override(a.id(), ghost, cut), Network::OverrideToken{1});
 }
 
 TEST_F(NetworkTest, EphemeralPortsAreDistinct) {

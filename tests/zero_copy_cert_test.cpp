@@ -1,7 +1,6 @@
 // Zero-copy certification for the routed-event payload plane (DESIGN.md §15).
 //
-// The claim the copy-discipline lint pass (gmmcs-lint pass 8) exists to
-// protect: a routed event's bytes are allocated exactly once — the wire
+// The claim: a routed event's bytes are allocated exactly once — the wire
 // frame built at the publishing client — and every hop from there to the
 // last of 400 subscribers shares that buffer by refcount. Three
 // independent instruments certify it on a warmed broker:
@@ -31,6 +30,7 @@
 #include "common/payload.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
+#include "transport/stream.hpp"
 
 namespace {
 
@@ -109,6 +109,48 @@ TEST(ZeroCopyCert, WarmedFanoutTo400SubscribersAllocatesThePayloadOnce) {
   // ...and that serialization is the only payload-sized allocation in
   // the whole process. 400 deliveries cost refcount bumps, not buffers.
   EXPECT_EQ(g_large_allocs.load(std::memory_order_relaxed) - large0, 1u);
+}
+
+// The reliable stream path under every broker link, SIP, SOAP and RTSP
+// session: each message sent over a StreamConnection costs one payload-
+// sized allocation, the kData segment framed at egress. Delivery hands
+// the receiver a slice of the arriving segment, so no second buffer is
+// allocated on the receiving side.
+TEST(ZeroCopyCert, StreamMessagesCostOnlyTheirSegmentFrame) {
+  sim::EventLoop loop;
+  sim::Network net{loop, 21};
+  sim::Host& a = net.add_host("a");
+  transport::StreamListener listener(net.add_host("b"), 9000);
+  transport::StreamConnectionPtr accepted;
+  int got = 0;
+  listener.on_accept([&](transport::StreamConnectionPtr c) {
+    accepted = std::move(c);
+    accepted->on_message([&](const Payload& m) {
+      if (m.size() == kPayloadBytes) ++got;
+    });
+  });
+  auto conn = transport::StreamConnection::connect(a, listener.local());
+  loop.run();
+  ASSERT_TRUE(conn->established());
+
+  constexpr int kMessages = 16;
+  // Warm round: grow the NIC queue, the in-flight slots and the link FIFO.
+  for (int i = 0; i < kMessages; ++i) conn->send(Payload(Bytes(kPayloadBytes, 0x5a)));
+  loop.run();
+  got = 0;
+
+  std::vector<Payload> messages;
+  for (int i = 0; i < kMessages; ++i) messages.emplace_back(Bytes(kPayloadBytes, 0x5a));
+  const std::uint64_t copies0 = payload_copy_count();
+  const std::uint64_t large0 = g_large_allocs.load(std::memory_order_relaxed);
+  for (Payload& m : messages) conn->send(std::move(m));
+  loop.run();
+
+  EXPECT_EQ(got, kMessages);
+  EXPECT_EQ(conn->segments_dropped(), 0u);
+  EXPECT_EQ(payload_copy_count() - copies0, 0u);
+  EXPECT_EQ(g_large_allocs.load(std::memory_order_relaxed) - large0,
+            static_cast<std::uint64_t>(kMessages));
 }
 
 // Host cost of one warmed UDP fan-out of a small event to n subscribers:

@@ -10,12 +10,12 @@ Provides:
   collect_files(root, ccdb)         headers + DB-listed TUs (walk fallback)
   strip_comments(lines)             //- and /* */-comments blanked
   SUPPRESS_RE                       the one suppression syntax
-  SourceFile                        raw + comment-stripped view of a file
+  SourceFile                        raw + comment-stripped lines of a file
   load_sources(root, files, jobs)   parse files, optionally in parallel
 
 `jobs > 1` parses translation units on a process pool — parsing
-(read + comment strip + line index) is the per-file frontend cost shared
-by all seven gmmcs-lint passes, so it is the part worth parallelising;
+(read + comment strip) is the per-file frontend cost shared
+by every gmmcs-lint pass, so it is the part worth parallelising;
 the passes themselves run on the already-parsed sources.
 """
 
@@ -96,28 +96,12 @@ def strip_comments(lines):
 
 
 class SourceFile:
-    """A parsed source file: raw lines, comment-stripped lines and text."""
+    """A parsed source file: raw lines and comment-stripped lines."""
 
     def __init__(self, path, rel):
-        self.path = path
         self.rel = rel
         self.raw = path.read_text().splitlines()
         self.code = strip_comments(self.raw)
-        self.text = "\n".join(self.code)
-        # Offsets of line starts in `text`, for offset -> line mapping.
-        self.line_starts = [0]
-        for line in self.code:
-            self.line_starts.append(self.line_starts[-1] + len(line) + 1)
-
-    def line_of(self, offset):
-        lo, hi = 0, len(self.line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1  # 1-based
 
     def suppressed(self, lineno, rule):
         """True if 1-based `lineno` (or the line above) allows `rule`."""

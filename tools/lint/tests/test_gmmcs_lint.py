@@ -150,173 +150,7 @@ class TestResultDiscipline(LintCase):
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: codec symmetry.
-# ---------------------------------------------------------------------------
-
-CODEC = "src/broker/wire.cpp"
-
-
-class TestCodecSymmetry(LintCase):
-    def check(self, text):
-        self.tree.write(CODEC, text)
-        return gmmcs_lint.pass_codec_symmetry(
-            self.tree.sources(), codec_files=[CODEC], text_families=[])
-
-    def test_symmetric_method_pair_is_clean(self):
-        self.assertEqual(self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u8(1);\n  w.u32(seq);\n  w.lstr(body);\n"
-            "  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  r.u8();\n  m.seq = r.u32();\n  m.body = r.lstr();\n"
-            "  return m;\n}\n"), [])
-
-    def test_width_drift_is_flagged(self):
-        findings = self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u8(1);\n  w.u32(seq);\n  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  r.u8();\n  m.seq = r.u16();\n  return m;\n}\n")
-        self.assertEqual(self.rules(findings), ["codec-symmetry"])
-        self.assertIn("u32", findings[0][3])
-
-    def test_missing_field_in_decode_is_flagged(self):
-        findings = self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u8(1);\n  w.u32(seq);\n  w.lstr(body);\n"
-            "  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  r.u8();\n  m.seq = r.u32();\n  return m;\n}\n")
-        self.assertEqual(self.rules(findings), ["codec-symmetry"])
-
-    def test_loop_groups_must_match(self):
-        findings = self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u16(n);\n"
-            "  for (auto v : vals) w.u32(v);\n"
-            "  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  auto n = r.u16();\n"
-            "  for (std::uint16_t i = 0; i < n; ++i) m.vals.push_back(r.u16());\n"
-            "  return m;\n}\n")
-        self.assertEqual(self.rules(findings), ["codec-symmetry"])
-
-    def test_matching_flag_guarded_fields_are_clean(self):
-        # Conditionally encoded/decoded fields: same flag constant guards
-        # the same ops on both sides, even with different spellings of the
-        # flags expression.
-        self.assertEqual(self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u8(flags);\n"
-            "  if (flags & kHasExt) w.u32(ext);\n"
-            "  w.lstr(body);\n  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  m.flags = r.u8();\n"
-            "  if (m.flags & kHasExt) m.ext = r.u32();\n"
-            "  m.body = r.lstr();\n  return m;\n}\n"), [])
-
-    def test_conditional_field_missing_on_decode_is_flagged(self):
-        findings = self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u8(flags);\n"
-            "  if (flags & kHasExt) w.u32(ext);\n"
-            "  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  m.flags = r.u8();\n  return m;\n}\n")
-        self.assertEqual(self.rules(findings), ["codec-symmetry"])
-        self.assertIn("kHasExt", findings[0][3])
-
-    def test_different_guard_flags_are_flagged(self):
-        # Both sides conditionally handle a u32, but under different flag
-        # bits: the wire disagrees whenever the two bits differ.
-        findings = self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u8(flags);\n"
-            "  if (flags & kHasExt) w.u32(ext);\n"
-            "  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  m.flags = r.u8();\n"
-            "  if (m.flags & kHasAux) m.ext = r.u32();\n  return m;\n}\n")
-        self.assertEqual(self.rules(findings), ["codec-symmetry"])
-
-    def test_tag_check_in_if_condition_stays_flat(self):
-        # An op inside the `if` condition itself always executes: it must
-        # not be grouped away (`if (r.u8() != kTag) return ...`).
-        self.assertEqual(self.check(
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  w.u8(kTag);\n  w.u32(seq);\n"
-            "  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  if (r.u8() != kTag) return Error::kBadTag;\n"
-            "  m.seq = r.u32();\n  return m;\n}\n"), [])
-
-    def test_helper_splicing_matches_inline_ops(self):
-        # encode uses a write_hdr helper; decode reads the same ops inline.
-        self.assertEqual(self.check(
-            "void write_hdr(ByteWriter& w, int t) {\n  w.u8(t);\n  w.u16(0);\n}\n"
-            "Bytes Msg::encode() const {\n"
-            "  ByteWriter w;\n  write_hdr(w, 3);\n  w.u32(seq);\n"
-            "  return w.take();\n}\n"
-            "Result<Msg> Msg::decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Msg m;\n"
-            "  r.u8();\n  r.u16();\n  m.seq = r.u32();\n  return m;\n}\n"), [])
-
-    def test_dispatch_decoder_checks_each_tag_case(self):
-        findings = self.check(
-            "Bytes encode(const Ping& p) {\n"
-            "  ByteWriter w;\n  w.u8(kPing);\n  w.u64(p.sent);\n"
-            "  return w.take();\n}\n"
-            "Bytes encode(const Data& d) {\n"
-            "  ByteWriter w;\n  w.u8(kData);\n  w.lstr(d.body);\n"
-            "  return w.take();\n}\n"
-            "Result<Frame> decode(const Bytes& data) {\n"
-            "  ByteReader r(data);\n  Frame f;\n"
-            "  auto type = r.u8();\n"
-            "  switch (type) {\n"
-            "    case kPing:\n      f.sent = r.u64();\n      break;\n"
-            "    case kData:\n      f.body = r.raw(r.u16());\n      break;\n"
-            "  }\n  return f;\n}\n")
-        # Ping matches (u8 u64); Data drifts: lstr vs u16+raw is the same
-        # wire bytes but lstr normalizes as one token — the pass flags it,
-        # which is exactly the drift style the rule exists to catch.
-        self.assertEqual(self.rules(findings), ["codec-symmetry"])
-        self.assertIn("kData", findings[0][3])
-
-    def test_text_codec_field_coverage(self):
-        self.tree.write("src/sip/thing.hpp",
-                        "struct Thing {\n"
-                        "  std::string name;\n"
-                        "  int port = 0;\n"
-                        "  std::vector<std::string> tags;\n"
-                        "};\n")
-        self.tree.write("src/sip/thing.cpp",
-                        "std::string Thing::serialize() const {\n"
-                        "  return name + join(tags);\n}\n"
-                        "Result<Thing> Thing::parse(const std::string& s) {\n"
-                        "  Thing t;\n  t.name = s;\n  t.port = 5060;\n"
-                        "  return t;\n}\n")
-        fam = dict(name="thing", impl="src/sip/thing.cpp",
-                   structs=[("src/sip/thing.hpp", "Thing")],
-                   encode=["Thing::serialize"], decode=["Thing::parse"],
-                   ignore=set())
-        findings = gmmcs_lint.pass_codec_symmetry(
-            self.tree.sources(), codec_files=[], text_families=[fam])
-        msgs = " | ".join(f[3] for f in findings)
-        self.assertIn("'tags' is serialized", msgs)   # never parsed
-        self.assertIn("'port' is parsed", msgs)       # never serialized
-        self.assertEqual(len(findings), 2)
-
-
-# ---------------------------------------------------------------------------
-# Pass 4: determinism.
+# Pass 3: determinism.
 # ---------------------------------------------------------------------------
 
 class TestDeterminism(LintCase):
