@@ -5,6 +5,7 @@
 // and the discrete-event core itself.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "broker/event.hpp"
@@ -14,6 +15,7 @@
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sip/message.hpp"
+#include "transport/datagram_socket.hpp"
 #include "xgsp/messages.hpp"
 #include "xml/xml.hpp"
 
@@ -185,6 +187,44 @@ void BM_NetworkBacklog(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NetworkBacklog)->Arg(24)->Arg(5600);
+
+// The receive path: N DatagramSockets on one host, each iteration one
+// datagram delivered to the next of them, round-robin. Each delivery's
+// handler sends the following datagram, so every iteration is one
+// arrival (port lookup, socket handler) plus one Host::send. A handler
+// captures one pointer, as a socket's owner binds `this`. N = 2 is a
+// host with a couple of ports; N = 1,024 spreads the lookups over a
+// table ten times the 100 sockets a batched_video_1200 receiver host
+// holds.
+struct RoundRobin {
+  sim::Host* tx = nullptr;
+  std::vector<sim::Endpoint> to;
+  std::size_t next = 0;
+  Payload frame{Bytes(100, 0xAB)};
+
+  void send_next() { tx->send(to[next++ % to.size()], 5004, frame); }
+};
+
+void BM_HostDeliver(benchmark::State& state) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 2003);
+  net.set_default_path(sim::PathConfig{.latency = duration_us(200)});
+  RoundRobin rr;
+  rr.tx = &net.add_host("tx");
+  sim::Host& rx = net.add_host("rx");
+  std::vector<std::unique_ptr<transport::DatagramSocket>> sockets;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sockets.push_back(std::make_unique<transport::DatagramSocket>(rx));
+    sockets.back()->on_receive([&rr](const sim::Datagram&) { rr.send_next(); });
+    rr.to.push_back(sockets.back()->local());
+  }
+  rr.send_next();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.step());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HostDeliver)->Arg(2)->Arg(1024);
 
 }  // namespace
 

@@ -61,9 +61,39 @@ BrokerNode::BrokerNode(sim::Host& host, BrokerId id, Config cfg)
 
 std::size_t BrokerNode::subscription_count() const {
   std::size_t n = 0;
-  // gmmcs-lint: allow(unordered-iteration): commutative sum, order-free
-  for (const auto& [id, c] : clients_) n += c.filters.size();
+  for (const std::uint32_t slot : client_slot_) {
+    if (slot != kNoClient) n += client_recs_[slot].filters.size();
+  }
   return n;
+}
+
+BrokerNode::ClientRec& BrokerNode::add_client() {
+  const std::uint32_t slot = client_recs_.acquire();
+  ClientRec& rec = client_recs_[slot];
+  rec.id = static_cast<ClientId>(client_slot_.size());
+  client_slot_.push_back(slot);
+  ++client_count_;
+  return rec;
+}
+
+transport::StreamConnectionPtr BrokerNode::drop_client(ClientRec& rec) {
+  if (network_ != nullptr) {
+    for (const auto& filter : rec.filters) network_->advertise(filter, id_, /*add=*/false);
+  }
+  sub_index_.remove_subscriber(rec.id);
+  if (rec.has_udp) {
+    // Ownership check: a reconnected client may have re-claimed this
+    // endpoint, in which case the index entry is no longer ours.
+    auto uit = udp_index_.find(rec.udp);
+    if (uit != udp_index_.end() && uit->second == rec.id) udp_index_.erase(uit);
+  }
+  const std::uint32_t slot = client_slot_[rec.id];
+  client_slot_[rec.id] = kNoClient;
+  --client_count_;
+  transport::StreamConnectionPtr stream = std::move(rec.stream);
+  rec = ClientRec{};
+  client_recs_.release(slot);
+  return stream;
 }
 
 void BrokerNode::accept(transport::StreamConnectionPtr conn) {
@@ -96,10 +126,9 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
         // second ClientRec and leak the first (and its udp_index_ entry);
         // the connection keeps its original identity instead.
         if (*client_id != 0) break;
-        ClientId cid = next_client_id_++;
+        ClientRec& rec = add_client();
+        const ClientId cid = rec.id;
         *client_id = cid;
-        ClientRec rec;
-        rec.id = cid;
         rec.name = f.hello.client_name;
         rec.stream = weak_conn.lock();
         rec.last_heard = host_->loop().now();
@@ -113,14 +142,12 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
           if (ghost != udp_index_.end() && ghost->second != cid) evict_client(ghost->second);
           udp_index_[rec.udp] = cid;
         }
-        clients_.emplace(cid, std::move(rec));
         raw->send(encode(HelloAckMessage{cid, cfg_.dgram_port}));
         break;
       }
       case MessageType::kSubscribe:
       case MessageType::kUnsubscribe: {
-        auto it = clients_.find(*client_id);
-        if (it != clients_.end()) handle_subscription(it->second, f.subscribe);
+        if (ClientRec* rec = find_client(*client_id)) handle_subscription(*rec, f.subscribe);
         break;
       }
       case MessageType::kEvent:
@@ -151,22 +178,7 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
     }
   });
   conn->on_close([this, raw, client_id] {
-    auto it = clients_.find(*client_id);
-    if (it != clients_.end()) {
-      if (network_ != nullptr) {
-        for (const auto& filter : it->second.filters) {
-          network_->advertise(filter, id_, /*add=*/false);
-        }
-      }
-      sub_index_.remove_subscriber(*client_id);
-      if (it->second.has_udp) {
-        // Ownership check: a reconnected client may have re-claimed this
-        // endpoint, in which case the index entry is no longer ours.
-        auto uit = udp_index_.find(it->second.udp);
-        if (uit != udp_index_.end() && uit->second == *client_id) udp_index_.erase(uit);
-      }
-      clients_.erase(it);
-    }
+    if (ClientRec* rec = find_client(*client_id)) drop_client(*rec);
     std::erase_if(inbound_, [raw](const transport::StreamConnectionPtr& c) {
       return c.get() == raw;
     });
@@ -174,29 +186,15 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
 }
 
 void BrokerNode::note_heard(ClientId cid) {
-  if (cid == 0) return;
-  auto it = clients_.find(cid);
-  if (it != clients_.end()) it->second.last_heard = host_->loop().now();
+  if (ClientRec* rec = find_client(cid)) rec->last_heard = host_->loop().now();
 }
 
 void BrokerNode::evict_client(ClientId cid) {
-  auto it = clients_.find(cid);
-  if (it == clients_.end()) return;
-  if (network_ != nullptr) {
-    for (const auto& filter : it->second.filters) {
-      network_->advertise(filter, id_, /*add=*/false);
-    }
-  }
-  sub_index_.remove_subscriber(cid);
-  if (it->second.has_udp) {
-    auto uit = udp_index_.find(it->second.udp);
-    if (uit != udp_index_.end() && uit->second == cid) udp_index_.erase(uit);
-  }
-  auto stream = it->second.stream;
-  clients_.erase(it);
+  ClientRec* rec = find_client(cid);
+  if (rec == nullptr) return;
   // Closing the ghost's stream fires its on_close, which finds no client
-  // record (already erased) and just drops the connection from inbound_.
-  if (stream) stream->close();
+  // record (already dropped) and just drops the connection from inbound_.
+  if (auto stream = drop_client(*rec)) stream->close();
 }
 
 void BrokerNode::handle_subscription(ClientRec& c, const SubscribeMessage& m) {
@@ -225,11 +223,8 @@ void BrokerNode::handle_datagram(const sim::Datagram& d) {
   if (f.type != MessageType::kEvent) return;
   auto it = udp_index_.find(d.src);
   ClientId publisher = it == udp_index_.end() ? 0 : it->second;
-  if (publisher != 0) {
-    // Datagram-path publishers prove life without touching their stream.
-    auto cit = clients_.find(publisher);
-    if (cit != clients_.end()) cit->second.last_heard = host_->loop().now();
-  }
+  // Datagram-path publishers prove life without touching their stream.
+  note_heard(publisher);
   ingress_event(std::move(f.event), publisher, d.payload);
 }
 
@@ -316,8 +311,7 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
   gate.nic_slack = kNicSlackBytes;
   auto deliver = [this, slot](std::size_t i) {
     Fanout& fo = fanouts_[slot];
-    auto it = clients_.find(fo.cids[i]);
-    if (it != clients_.end()) deliver_copy(it->second, *fo.ev);
+    if (const ClientRec* c = find_client(fo.cids[i])) deliver_copy(*c, *fo.ev);
     if (--fo.pending == 0) release_fanout(slot);
   };
   const SimDuration cost = cfg_.dispatch.copy_cost(ev->event().payload.size());
@@ -467,18 +461,13 @@ void BrokerNode::client_keepalive_tick() {
   const SimTime now = host_->loop().now();
   const SimDuration quiet = cfg_.client_keepalive.interval;
   const SimDuration dead = quiet * cfg_.client_keepalive.miss_threshold;
-  // Sweep in client-id order (clients_ hashes; eviction emits
-  // advertisements whose serial order must be reproducible), collecting
-  // first because evict_client mutates the map.
-  std::vector<ClientId> ids;
-  ids.reserve(clients_.size());
-  // gmmcs-lint: allow(unordered-iteration): key harvest, sorted before use
-  for (const auto& [cid, rec] : clients_) ids.push_back(cid);
-  std::sort(ids.begin(), ids.end());
-  for (ClientId cid : ids) {
-    auto it = clients_.find(cid);
-    if (it == clients_.end()) continue;
-    ClientRec& rec = it->second;
+  // Sweep in client-id order (eviction emits advertisements whose serial
+  // order must be reproducible). Eviction drops records as the sweep
+  // goes; the table never moves one, so the sweep just skips the gaps.
+  for (ClientId cid = 1; cid < client_slot_.size(); ++cid) {
+    ClientRec* found = find_client(cid);
+    if (found == nullptr) continue;
+    ClientRec& rec = *found;
     const SimDuration silent = now - rec.last_heard;
     if (silent > dead) {
       // A live client would have answered the probes below; this record is

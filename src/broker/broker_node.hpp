@@ -30,6 +30,7 @@
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/service_center.hpp"
+#include "sim/slot_pool.hpp"
 #include "transport/datagram_socket.hpp"
 #include "transport/stream.hpp"
 
@@ -119,7 +120,7 @@ class BrokerNode {
   /// (fabric partition); counted per unreachable target.
   [[nodiscard]] std::uint64_t unroutable_events() const { return unroutable_events_; }
   [[nodiscard]] const sim::ServiceCenter& dispatch() const { return dispatch_; }
-  [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
+  [[nodiscard]] std::size_t client_count() const { return client_count_; }
   [[nodiscard]] std::size_t subscription_count() const;
   /// The topic-routing fast path index (exposed for tests and benches).
   [[nodiscard]] const SubscriptionIndex& subscriptions() const { return sub_index_; }
@@ -157,6 +158,17 @@ class BrokerNode {
     /// the client-keepalive sweep probes and reaps on this.
     SimTime last_heard{};
   };
+
+  /// The live record of `cid`, or nullptr (never minted, or dropped).
+  ClientRec* find_client(ClientId cid) {
+    const std::uint32_t slot = cid < client_slot_.size() ? client_slot_[cid] : kNoClient;
+    return slot == kNoClient ? nullptr : &client_recs_[slot];
+  }
+  /// Mints the next client id and its record.
+  ClientRec& add_client();
+  /// Drops `rec`'s record and its subscriptions, advertisements and UDP
+  /// index entry; returns its stream. Its slot is recycled.
+  transport::StreamConnectionPtr drop_client(ClientRec& rec);
 
   void accept(transport::StreamConnectionPtr conn);
   void handle_datagram(const sim::Datagram& d);
@@ -219,8 +231,16 @@ class BrokerNode {
   transport::StreamListener listener_;
   transport::DatagramSocket dgram_;
   sim::ServiceCenter dispatch_;
-  ClientId next_client_id_ = 1;
-  std::unordered_map<ClientId, ClientRec> clients_;
+  static constexpr std::uint32_t kNoClient = UINT32_MAX;
+  /// The client table, indexed by ClientId: client_slot_[cid] is the
+  /// slot of cid's record in client_recs_, or kNoClient once it is gone
+  /// (id 0 is never minted). Ids are minted in order, so this vector's
+  /// size is the next id, iterating it walks the clients in id order,
+  /// and a dead id costs one entry. Records sit in never-moving slots:
+  /// a reference held across a send or an advertisement stays valid.
+  std::vector<std::uint32_t> client_slot_ = std::vector<std::uint32_t>(1, kNoClient);
+  sim::SlotPool<ClientRec> client_recs_;
+  std::size_t client_count_ = 0;
   /// Topic -> subscriber fast path (exact hash index + wildcard list +
   /// per-topic match cache); kept in sync with ClientRec::filters.
   SubscriptionIndex sub_index_;

@@ -32,43 +32,6 @@ void ByteWriter::lstr(std::string_view s) {
   str(s);
 }
 
-bool ByteReader::need(std::size_t n) {
-  if (pos_ + n > data_.size()) {
-    ok_ = false;
-    pos_ = data_.size();
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t ByteReader::u8() {
-  if (!need(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  if (!need(2)) return 0;
-  auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  if (!need(4)) return 0;
-  std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                    static_cast<std::uint32_t>(data_[pos_ + 3]);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  std::uint64_t hi = u32();
-  std::uint64_t lo = u32();
-  return (hi << 32) | lo;
-}
-
 Bytes ByteReader::raw(std::size_t n) {
   if (!need(n)) return {};
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -52,10 +52,32 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
   explicit ByteReader(const Bytes& data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  // The fixed-width reads are inline: a decode makes a dozen of them per
+  // frame on the per-copy path.
+  std::uint8_t u8() {
+    if (!need(1)) return 0;
+    return data_[pos_++];
+  }
+  std::uint16_t u16() {
+    if (!need(2)) return 0;
+    const auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+  std::uint32_t u32() {
+    if (!need(4)) return 0;
+    const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
+                            static_cast<std::uint32_t>(data_[pos_ + 3]);
+    pos_ += 4;
+    return v;
+  }
+  std::uint64_t u64() {
+    const std::uint64_t hi = u32();
+    const std::uint64_t lo = u32();
+    return (hi << 32) | lo;
+  }
   /// Reads exactly n bytes; returns an empty vector (and flags error) if short.
   /// Allocates an owned copy — decode paths that only inspect use view().
   Bytes raw(std::size_t n);
@@ -93,7 +115,16 @@ class ByteReader {
   [[nodiscard]] std::size_t position() const { return pos_; }
 
  private:
-  [[nodiscard]] bool need(std::size_t n);
+  /// True if n more bytes are left; else poisons the reader (error flag
+  /// set, position at the end) and returns false.
+  [[nodiscard]] bool need(std::size_t n) {
+    if (pos_ + n > data_.size()) {
+      ok_ = false;
+      pos_ = data_.size();
+      return false;
+    }
+    return true;
+  }
   [[nodiscard]] Result<std::size_t> check_count(std::uint64_t count, std::size_t elem_size);
 
   std::span<const std::uint8_t> data_;

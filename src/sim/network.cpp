@@ -5,6 +5,14 @@
 
 namespace gmmcs::sim {
 
+namespace {
+/// Home position of `port` in a port index of size mask + 1: Fibonacci
+/// hashing, as for links.
+std::size_t port_home(std::uint16_t port, std::size_t mask) {
+  return static_cast<std::size_t>((port * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+}
+}  // namespace
+
 std::string Endpoint::to_string() const {
   return "host" + std::to_string(node) + ":" + std::to_string(port);
 }
@@ -21,11 +29,24 @@ void Host::bind(std::uint16_t port, Handler handler) {
     throw std::logic_error("Host '" + name_ + "': bind on port " + std::to_string(port) +
                            " while host is down");
   }
-  auto [it, inserted] = ports_.emplace(port, std::move(handler));
-  if (!inserted) {
+  std::size_t i = port_pos(port);
+  if (port_index_[i].slot != kNoSlot) {
     throw std::logic_error("Host '" + name_ + "': port " + std::to_string(port) +
                            " already bound");
   }
+  const std::uint32_t slot = handlers_.acquire();
+  handlers_[slot] = std::move(handler);
+  if (2 * (ports_bound_ + 1) > port_index_.size()) {
+    // Keep the index at most half full: rehash into twice the size.
+    std::vector<PortEntry> old(2 * port_index_.size());
+    old.swap(port_index_);
+    for (const PortEntry& e : old) {
+      if (e.slot != kNoSlot) port_index_[port_pos(e.port)] = e;
+    }
+    i = port_pos(port);
+  }
+  port_index_[i] = PortEntry{port, slot};
+  ++ports_bound_;
 }
 
 void Host::set_up(bool up) {
@@ -43,21 +64,72 @@ void Host::set_up(bool up) {
 }
 
 std::uint16_t Host::bind_ephemeral(Handler handler) {
-  while (ports_.contains(next_ephemeral_)) {
-    ++next_ephemeral_;
-    if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
+  constexpr unsigned kEphemeralCount = 65536 - kEphemeralFirst;
+  for (unsigned tried = 0; tried < kEphemeralCount; ++tried) {
+    const std::uint16_t port = next_ephemeral_;
+    next_ephemeral_ = port == 65535 ? kEphemeralFirst : static_cast<std::uint16_t>(port + 1);
+    if (!is_bound(port)) {
+      bind(port, std::move(handler));
+      return port;
+    }
   }
-  std::uint16_t port = next_ephemeral_++;
-  bind(port, std::move(handler));
-  return port;
+  throw std::runtime_error("Host '" + name_ + "': all ephemeral ports are bound");
+}
+
+void Host::rebind(std::uint16_t port, Handler handler) {
+  PortEntry& e = port_index_[port_pos(port)];
+  if (e.slot == kNoSlot) {
+    throw std::logic_error("Host '" + name_ + "': rebind of unbound port " + std::to_string(port));
+  }
+  if (e.slot != running_) {
+    handlers_[e.slot] = std::move(handler);
+    return;
+  }
+  // The running handler must outlive its call: the port moves to a fresh
+  // slot and the old one is freed once the call returns.
+  const std::uint32_t fresh = handlers_.acquire();
+  handlers_[fresh] = std::move(handler);
+  retire(e.slot);
+  e.slot = fresh;
 }
 
 void Host::unbind(std::uint16_t port) {
-  ports_.erase(port);
+  const std::size_t i = port_pos(port);
+  const std::uint32_t slot = port_index_[i].slot;
+  if (slot == kNoSlot) return;
+  erase_port(i);
+  retire(slot);
 }
 
-bool Host::is_bound(std::uint16_t port) const {
-  return ports_.contains(port);
+void Host::retire(std::uint32_t slot) {
+  if (slot == running_) {
+    running_ = kNoSlot;  // deliver() frees it after the call
+    return;
+  }
+  handlers_[slot] = nullptr;
+  handlers_.release(slot);
+}
+
+std::size_t Host::port_pos(std::uint16_t port) const {
+  const std::size_t mask = port_index_.size() - 1;
+  std::size_t i = port_home(port, mask);
+  while (port_index_[i].slot != kNoSlot && port_index_[i].port != port) i = (i + 1) & mask;
+  return i;
+}
+
+void Host::erase_port(std::size_t i) {
+  const std::size_t mask = port_index_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; port_index_[j].slot != kNoSlot; j = (j + 1) & mask) {
+    // The entry at j may fill the hole at i unless its home lies
+    // cyclically in (i, j].
+    const std::size_t home = port_home(port_index_[j].port, mask);
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      port_index_[i] = port_index_[j];
+      i = j;
+    }
+  }
+  port_index_[i] = PortEntry{};
+  --ports_bound_;
 }
 
 SimDuration Host::nic_backlog_delay() const {
@@ -148,9 +220,18 @@ void Host::send_multicast(GroupId group, std::uint16_t src_port, Payload payload
 void Host::deliver(const Datagram& d) {
   if (!up_) return;
   if (ingress_filter_ && !ingress_filter_(d)) return;
-  auto it = ports_.find(d.dst.port);
-  if (it == ports_.end()) return;  // no listener: silently dropped, like UDP
-  it->second(d);
+  const std::uint32_t slot = port_index_[port_pos(d.dst.port)].slot;
+  if (slot == kNoSlot) return;  // no listener: silently dropped, like UDP
+  Handler& handler = handlers_[slot];
+  if (!handler) return;
+  running_ = slot;
+  handler(d);
+  if (running_ == kNoSlot) {
+    // The handler unbound or rebound its own port: free its slot now.
+    handler = nullptr;
+    handlers_.release(slot);
+  }
+  running_ = kNoSlot;
 }
 
 Network::Network(EventLoop& loop, std::uint64_t seed) : loop_(&loop), rng_(seed) {}

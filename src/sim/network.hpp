@@ -106,12 +106,19 @@ class Host {
   [[nodiscard]] Network& network() const { return *net_; }
   EventLoop& loop() const;
 
-  /// Binds a handler to a specific port; throws if already bound.
+  /// Binds a handler to a specific port; throws if already bound. An
+  /// empty handler keeps the port bound but drops what arrives there.
   void bind(std::uint16_t port, Handler handler);
-  /// Binds to a fresh ephemeral port and returns it.
+  /// Binds the next free port of the ephemeral range 49152–65535 (the
+  /// search wraps inside it) and returns it; throws std::runtime_error
+  /// if every ephemeral port is bound.
   std::uint16_t bind_ephemeral(Handler handler);
+  /// Replaces the handler bound to `port`; throws if it is not bound.
+  void rebind(std::uint16_t port, Handler handler);
   void unbind(std::uint16_t port);
-  [[nodiscard]] bool is_bound(std::uint16_t port) const;
+  [[nodiscard]] bool is_bound(std::uint16_t port) const {
+    return port_index_[port_pos(port)].slot != kNoSlot;
+  }
 
   /// Sends a datagram; returns false if the NIC queue dropped it. The
   /// payload handle is shared, not copied: pass a fresh frame (`Bytes&&`
@@ -156,6 +163,9 @@ class Host {
 
  private:
   friend class Network;
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint16_t kEphemeralFirst = 49152;
+
   Host(Network& net, NodeId id, std::string name, NicConfig cfg);
 
   /// A packet in the egress queue. `mark` is the loop's next_seq() when it
@@ -177,6 +187,15 @@ class Host {
   /// Hands an arrived datagram to its port handler. `d` is the copy
   /// parked in Network's in-flight pool, valid until the handler returns.
   void deliver(const Datagram& d);
+  /// Position of `port` in port_index_, or of the empty entry where it
+  /// belongs.
+  [[nodiscard]] std::size_t port_pos(std::uint16_t port) const;
+  /// Removes the index entry at position `i`, shifting its probe chain
+  /// back so no tombstone is left.
+  void erase_port(std::size_t i);
+  /// Frees a handler slot that no port points to any more. The running
+  /// handler's slot is freed by deliver() once the handler returns.
+  void retire(std::uint32_t slot);
   /// True if a datagram that entered the NIC at `sent` and would have
   /// departed at `depart` was wiped by a power-down in between.
   [[nodiscard]] bool egress_wiped(SimTime sent, SimTime depart) const {
@@ -201,8 +220,24 @@ class Host {
   std::size_t nic_queued_bytes_ = 0;
   std::uint64_t nic_sent_ = 0;
   std::uint64_t nic_dropped_ = 0;
-  std::uint16_t next_ephemeral_ = 49152;
-  std::unordered_map<std::uint16_t, Handler> ports_;
+  std::uint16_t next_ephemeral_ = kEphemeralFirst;
+  /// The port table: an open-addressing index (a power-of-two table kept
+  /// at most half full, linear probing, kNoSlot = empty) from each bound
+  /// port to its handler's slot in handlers_. The index and the pool grow
+  /// with the most ports bound at once, not with the port numbers handed
+  /// out. A delivery is one probe into the index plus one call of a
+  /// handler that never moves: a handler may bind ports (growing both)
+  /// and unbind or rebind its own port while it runs.
+  struct PortEntry {
+    std::uint16_t port = 0;
+    std::uint32_t slot = kNoSlot;
+  };
+  std::vector<PortEntry> port_index_ = std::vector<PortEntry>(16);
+  std::size_t ports_bound_ = 0;
+  SlotPool<Handler> handlers_;
+  /// Slot of the handler deliver() is running (deliveries never nest:
+  /// each is its own loop event); kNoSlot once retire() has claimed it.
+  std::uint32_t running_ = kNoSlot;
   std::function<bool(const Datagram&)> ingress_filter_;
   std::function<void(const Datagram&)> egress_observer_;
 };

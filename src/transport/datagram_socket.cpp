@@ -2,24 +2,15 @@
 
 namespace gmmcs::transport {
 
-DatagramSocket::DatagramSocket(sim::Host& host) : host_(&host) {
-  port_ = host_->bind_ephemeral([this](const sim::Datagram& d) {
-    if (handler_) handler_(d);
-  });
-}
+DatagramSocket::DatagramSocket(sim::Host& host)
+    : host_(&host), port_(host.bind_ephemeral(nullptr)) {}
 
 DatagramSocket::DatagramSocket(sim::Host& host, std::uint16_t port) : host_(&host), port_(port) {
-  host_->bind(port_, [this](const sim::Datagram& d) {
-    if (handler_) handler_(d);
-  });
+  host_->bind(port_, nullptr);
 }
 
 DatagramSocket::~DatagramSocket() {
   host_->unbind(port_);
-}
-
-void DatagramSocket::on_receive(std::function<void(const sim::Datagram&)> handler) {
-  handler_ = std::move(handler);
 }
 
 bool DatagramSocket::send_to(sim::Endpoint dst, Payload payload) {

@@ -1,10 +1,10 @@
 // UDP-like socket over the simulated network.
 //
 // RTP media, broker UDP client profiles and the Access Grid tools all use
-// this. It is a thin RAII wrapper over sim::Host port binding.
+// this. It is a thin RAII wrapper over sim::Host port binding: the
+// receive callback is bound in the host's port table itself, so an
+// arriving datagram reaches it in one call.
 #pragma once
-
-#include <functional>
 
 #include "common/bytes.hpp"
 #include "sim/network.hpp"
@@ -21,8 +21,9 @@ class DatagramSocket {
   DatagramSocket(const DatagramSocket&) = delete;
   DatagramSocket& operator=(const DatagramSocket&) = delete;
 
-  /// Sets the receive callback (replaces any previous one).
-  void on_receive(std::function<void(const sim::Datagram&)> handler);
+  /// Sets the receive callback (replaces any previous one). Until one is
+  /// set, arriving datagrams are dropped.
+  void on_receive(sim::Host::Handler handler) { host_->rebind(port_, std::move(handler)); }
 
   /// Sends a datagram; returns false if dropped at the local NIC.
   bool send_to(sim::Endpoint dst, Payload payload);
@@ -38,7 +39,6 @@ class DatagramSocket {
  private:
   sim::Host* host_;
   std::uint16_t port_;
-  std::function<void(const sim::Datagram&)> handler_;
 };
 
 }  // namespace gmmcs::transport

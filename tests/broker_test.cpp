@@ -2,6 +2,7 @@
 // single-broker pub/sub, multi-broker routing, RTP proxy, firewall clients.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -371,6 +372,44 @@ TEST_F(BrokerTest, ClientDisconnectCleansSubscriptions) {
   loop.run();
   EXPECT_EQ(broker.client_count(), 0u);
   EXPECT_EQ(broker.subscription_count(), 0u);
+}
+
+// Client ids are minted in order and never reused; a departed client's
+// record slot is. A copy still queued for a departed client is dropped,
+// not handed to the newcomer whose record took that slot.
+TEST_F(BrokerTest, DepartedClientsQueuedCopyIsDroppedNotRedirected) {
+  sim::Host& bh = host("broker");
+  BrokerNode::Config cfg;
+  cfg.dispatch.copy_fixed = duration_ms(20);  // copies wait long enough to race
+  BrokerNode broker(bh, 0, cfg);
+  BrokerClient pub(host("pub"), broker.stream_endpoint(), {.name = "pub"});
+  std::vector<std::unique_ptr<BrokerClient>> subs;
+  std::vector<std::string> got;
+  auto add_sub = [&](const std::string& name) {
+    subs.push_back(std::make_unique<BrokerClient>(host(name), broker.stream_endpoint(),
+                                                  BrokerClient::Config{.name = name}));
+    subs.back()->subscribe("/t");
+    subs.back()->on_event([&got, name](const Event&) { got.push_back(name); });
+  };
+  add_sub("a");
+  add_sub("b");
+  add_sub("c");
+  loop.run();
+  const ClientId c_id = subs[2]->id();
+  pub.publish("/t", to_bytes("x"));
+  // One dispatch thread: the copies to a, b and c finish ~20, 40 and 60
+  // ms after the event arrives. b leaves while its copy is queued, and
+  // d connects (taking b's record slot) before that copy comes up.
+  loop.run_until(loop.now() + duration_ms(5));
+  subs[1].reset();
+  add_sub("d");
+  loop.run_until(loop.now() + duration_ms(10));
+  EXPECT_EQ(subs[3]->id(), c_id + 1);
+  EXPECT_EQ(broker.client_count(), 4u);  // pub, a, c, d
+  loop.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(broker.subscription_count(), 3u);
+  EXPECT_EQ(broker.copies_delivered(), 2u);
 }
 
 // The Event an on_event handler sees is client-owned decode storage, so

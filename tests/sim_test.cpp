@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/random.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
@@ -1031,6 +1034,261 @@ TEST_F(NetworkTest, FaultPlanDeterministicAcrossRuns) {
   int first = run_once(99);
   EXPECT_EQ(first, run_once(99));
   EXPECT_LT(first, 200);  // the plan really dropped something
+}
+
+// ---------------------------------------------------------------------------
+// Host port table: an open-addressing index from port to a never-moving
+// handler slot. A handler may bind, unbind and rebind ports, its own
+// included, while it runs; the ones below read their captures after
+// doing so, which the sanitized build checks for use-after-free.
+// ---------------------------------------------------------------------------
+
+constexpr unsigned kEphemeralPorts = 65536 - 49152;
+
+class HostPorts : public ::testing::Test {
+ protected:
+  /// Sends one datagram from `tx` to `dst` and runs it to delivery.
+  void deliver(Endpoint dst) {
+    tx.send(dst, 7, Bytes(4, 0));
+    loop.run();
+  }
+
+  EventLoop loop;
+  Network net{loop, 5};
+  Host& tx = net.add_host("tx");
+  Host& rx = net.add_host("rx");
+};
+
+TEST_F(HostPorts, EphemeralWrapsInsideRange) {
+  for (unsigned i = 0; i < kEphemeralPorts; ++i) {
+    ASSERT_EQ(rx.bind_ephemeral([](const Datagram&) {}), 49152 + i);
+  }
+  rx.unbind(50000);
+  EXPECT_EQ(rx.bind_ephemeral([](const Datagram&) {}), 50000);
+  // The search goes on from 50001, reaches the top and wraps to 49152.
+  rx.unbind(65535);
+  rx.unbind(49152);
+  EXPECT_EQ(rx.bind_ephemeral([](const Datagram&) {}), 65535);
+  EXPECT_EQ(rx.bind_ephemeral([](const Datagram&) {}), 49152);
+  EXPECT_FALSE(rx.is_bound(0));
+}
+
+TEST_F(HostPorts, EphemeralExhaustionThrows) {
+  for (unsigned i = 0; i < kEphemeralPorts; ++i) rx.bind_ephemeral([](const Datagram&) {});
+  EXPECT_THROW(rx.bind_ephemeral([](const Datagram&) {}), std::runtime_error);
+  EXPECT_FALSE(rx.is_bound(0));
+  // Fixed ports are outside the range and still free.
+  rx.bind(5060, [](const Datagram&) {});
+  rx.unbind(60000);
+  EXPECT_EQ(rx.bind_ephemeral([](const Datagram&) {}), 60000);
+}
+
+TEST_F(HostPorts, HandlerBindsManyPortsWhileRunning) {
+  const std::string tag(64, 'g');  // heap-allocated: ASan sees a moved or freed handler
+  int hits = 0;
+  std::string seen;
+  rx.bind(9, [&, tag](const Datagram& d) {
+    for (std::uint16_t p = 1000; p < 2000; ++p) rx.bind(p, [&](const Datagram&) { ++hits; });
+    seen = tag + to_string(d.payload);
+  });
+  tx.send(Endpoint{rx.id(), 9}, 7, to_bytes("!"));
+  loop.run();
+  EXPECT_EQ(seen, tag + "!");
+  for (std::uint16_t p = 1000; p < 2000; ++p) ASSERT_TRUE(rx.is_bound(p)) << p;
+  deliver(Endpoint{rx.id(), 1000});
+  deliver(Endpoint{rx.id(), 1999});
+  EXPECT_EQ(hits, 2);
+}
+
+TEST_F(HostPorts, HandlerUnbindsItsOwnPort) {
+  const std::string tag(64, 'u');
+  std::string seen;
+  int replaced = 0;
+  rx.bind(9, [&, tag](const Datagram&) {
+    rx.unbind(9);
+    // Its slot is freed only after this call returns, so binding again
+    // here cannot land on it.
+    rx.bind(10, [&](const Datagram&) { ++replaced; });
+    seen = tag;
+  });
+  deliver(Endpoint{rx.id(), 9});
+  EXPECT_EQ(seen, tag);
+  EXPECT_FALSE(rx.is_bound(9));
+  deliver(Endpoint{rx.id(), 9});  // dropped: nothing bound there any more
+  deliver(Endpoint{rx.id(), 10});
+  // Port 9's slot is free again, and the next bind may take it.
+  int reused = 0;
+  rx.bind(11, [&](const Datagram&) { ++reused; });
+  deliver(Endpoint{rx.id(), 11});
+  EXPECT_EQ(replaced, 1);
+  EXPECT_EQ(reused, 1);
+}
+
+TEST_F(HostPorts, RebindReplacesALiveHandler) {
+  std::vector<char> log;
+  rx.bind(9, [&](const Datagram&) { log.push_back('a'); });
+  rx.rebind(9, [&](const Datagram&) { log.push_back('b'); });
+  deliver(Endpoint{rx.id(), 9});
+  // A handler replacing itself finishes its own call first.
+  const std::string tag(64, 'r');
+  rx.rebind(9, [&, tag](const Datagram&) {
+    rx.rebind(9, [&](const Datagram&) { log.push_back('d'); });
+    log.push_back(tag.back());
+  });
+  deliver(Endpoint{rx.id(), 9});
+  deliver(Endpoint{rx.id(), 9});
+  EXPECT_EQ(std::string(log.begin(), log.end()), "brd");
+  EXPECT_THROW(rx.rebind(10, [](const Datagram&) {}), std::logic_error);
+  EXPECT_FALSE(rx.is_bound(10));
+}
+
+TEST_F(HostPorts, DeliveryToAnUnboundPortIsDropped) {
+  int hits = 0;
+  // Enough neighbours that the unbound port's probe runs through entries.
+  for (std::uint16_t p = 100; p < 200; ++p) rx.bind(p, [&](const Datagram&) { ++hits; });
+  rx.bind(300, nullptr);  // bound without a handler: also dropped
+  const std::uint16_t unbound[] = {99, 200, 300, 65535, 0};
+  for (std::uint16_t p : unbound) deliver(Endpoint{rx.id(), p});
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(net.delivered(), 5u);
+}
+
+// Random bind / bind_ephemeral / unbind / rebind / deliver scripts against
+// a std::map reference, including handlers that change the table while
+// they run. Ports come mostly from a narrow band, so probe chains collide
+// and the backward-shift erase moves entries; the table rehashes as the
+// live count climbs and falls.
+TEST(HostPortsProperty, MatchesMapReference) {
+  constexpr std::uint64_t kCases = 150;
+  constexpr int kOps = 400;
+  int self_unbinds = 0;
+  int self_rebinds = 0;
+  int nested_binds = 0;
+  std::size_t peak_live = 0;
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    Rng rng(seed);
+    EventLoop loop;
+    Network net(loop, seed);
+    Host& tx = net.add_host("tx");
+    Host& rx = net.add_host("rx");
+    std::map<std::uint16_t, int> ref;  // port -> handler token
+    std::uint16_t ref_next_ephemeral = 49152;
+    int next_token = 1;
+    std::vector<std::pair<std::uint16_t, int>> runs;  // (port, token) per call
+    // What the next running handler does to the table: 0 nothing, 1 unbind
+    // its own port, 2 rebind it, 3 bind a few fresh ports.
+    int action = 0;
+
+    const auto random_port = [&]() -> std::uint16_t {
+      if (rng.chance(0.7)) return static_cast<std::uint16_t>(rng.uniform_int(0, 95));
+      return static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+    };
+    std::function<Host::Handler(int)> make_handler;
+    make_handler = [&](int token) -> Host::Handler {
+      const std::string tag(40, static_cast<char>('a' + token % 26));
+      return [&, token, tag](const Datagram& d) {
+        const std::uint16_t port = d.dst.port;
+        const int act = std::exchange(action, 0);
+        if (act == 1) {
+          rx.unbind(port);
+          ref.erase(port);
+          ++self_unbinds;
+        } else if (act == 2) {
+          const int t = next_token++;
+          rx.rebind(port, make_handler(t));
+          ref[port] = t;
+          ++self_rebinds;
+        } else if (act == 3) {
+          for (int k = 0; k < 5; ++k) {
+            const std::uint16_t p = random_port();
+            if (ref.contains(p)) continue;
+            const int t = next_token++;
+            rx.bind(p, make_handler(t));
+            ref[p] = t;
+            ++nested_binds;
+          }
+        }
+        // Read the captures after the table changed under this call.
+        ASSERT_EQ(tag, std::string(40, static_cast<char>('a' + token % 26)));
+        runs.emplace_back(port, token);
+      };
+    };
+
+    for (int op = 0; op < kOps; ++op) {
+      const double r = rng.uniform();
+      if (r < 0.30) {
+        const std::uint16_t p = random_port();
+        const int t = next_token++;
+        if (ref.contains(p)) {
+          ASSERT_THROW(rx.bind(p, make_handler(t)), std::logic_error) << "seed " << seed;
+        } else {
+          rx.bind(p, make_handler(t));
+          ref[p] = t;
+        }
+      } else if (r < 0.38) {
+        const auto after = [](std::uint16_t p) {
+          return p == 65535 ? std::uint16_t{49152} : static_cast<std::uint16_t>(p + 1);
+        };
+        std::uint16_t want = ref_next_ephemeral;
+        while (ref.contains(want)) want = after(want);
+        ref_next_ephemeral = after(want);
+        const int t = next_token++;
+        ASSERT_EQ(rx.bind_ephemeral(make_handler(t)), want) << "seed " << seed;
+        ref[want] = t;
+      } else if (r < 0.60) {
+        // Unbind a live port most of the time, a free one sometimes.
+        std::uint16_t p = random_port();
+        if (!ref.empty() && rng.chance(0.8)) {
+          auto it = ref.begin();
+          std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(ref.size()) - 1));
+          p = it->first;
+        }
+        rx.unbind(p);
+        ref.erase(p);
+      } else if (r < 0.68) {
+        const std::uint16_t p = random_port();
+        const int t = next_token++;
+        if (ref.contains(p)) {
+          rx.rebind(p, make_handler(t));
+          ref[p] = t;
+        } else {
+          ASSERT_THROW(rx.rebind(p, make_handler(t)), std::logic_error) << "seed " << seed;
+        }
+      } else {
+        std::uint16_t p = random_port();
+        if (!ref.empty() && rng.chance(0.7)) {
+          auto it = ref.begin();
+          std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(ref.size()) - 1));
+          p = it->first;
+        }
+        const auto bound = ref.find(p);
+        const int expect = bound == ref.end() ? 0 : bound->second;
+        if (expect != 0) action = static_cast<int>(rng.uniform_int(0, 3));
+        runs.clear();
+        tx.send(Endpoint{rx.id(), p}, 1, Bytes(2, 0));
+        loop.run();
+        action = 0;
+        if (expect == 0) {
+          ASSERT_TRUE(runs.empty()) << "seed " << seed << ", port " << p;
+        } else {
+          ASSERT_EQ(runs.size(), 1u) << "seed " << seed << ", port " << p;
+          ASSERT_EQ(runs[0], std::make_pair(p, expect)) << "seed " << seed;
+        }
+      }
+      peak_live = std::max(peak_live, ref.size());
+      const std::uint16_t probe = random_port();
+      ASSERT_EQ(rx.is_bound(probe), ref.contains(probe)) << "seed " << seed << ", op " << op;
+    }
+    for (std::uint32_t p = 0; p < 65536; ++p) {
+      const auto port = static_cast<std::uint16_t>(p);
+      ASSERT_EQ(rx.is_bound(port), ref.contains(port)) << "seed " << seed << ", port " << port;
+    }
+  }
+  // The generator reaches the corners the property is about.
+  EXPECT_GT(self_unbinds, 300);
+  EXPECT_GT(self_rebinds, 300);
+  EXPECT_GT(nested_binds, 300);
+  EXPECT_GT(peak_live, 64u);
 }
 
 }  // namespace
