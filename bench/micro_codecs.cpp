@@ -2,12 +2,21 @@
 // and matching paths, via google-benchmark. These are the per-message
 // costs every experiment above pays millions of times: RTP and broker
 // event serialization, SIP/RTSP/XML text parsing, topic filter matching,
-// and the discrete-event core itself.
+// and the discrete-event core itself; plus what one broker receiver
+// costs to set up and to keep.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <string>
 #include <vector>
 
+#include "broker/broker_node.hpp"
+#include "broker/client.hpp"
 #include "broker/event.hpp"
 #include "broker/topic.hpp"
 #include "common/random.hpp"
@@ -20,6 +29,30 @@
 #include "xml/xml.hpp"
 
 using namespace gmmcs;
+
+namespace {
+// Live heap bytes, for BM_ReceiverFootprint: each block carries its
+// requested size in a header, so delete subtracts what new added. Every
+// other benchmark here pays one relaxed atomic add per allocation.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+std::atomic<std::int64_t> g_live_bytes{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  void* base = std::malloc(size + kHeader);
+  if (base == nullptr) throw std::bad_alloc{};
+  *static_cast<std::size_t*>(base) = size;
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
+  return static_cast<std::byte*>(base) + kHeader;
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  void* base = static_cast<std::byte*>(p) - kHeader;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(*static_cast<std::size_t*>(base)),
+                         std::memory_order_relaxed);
+  std::free(base);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace {
 
@@ -225,6 +258,61 @@ void BM_HostDeliver(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HostDeliver)->Arg(2)->Arg(1024);
+
+// One receiver's cost, in batched_video_1200's shape: one broker on 8
+// dispatch threads, 100 receivers per host, every receiver a BrokerClient
+// subscribed to one 4-segment topic. An iteration builds N receivers and
+// runs the loop until every handshake and subscription has settled; the
+// teardown is not timed. Counters: heap_B_per_rx, the live heap the
+// fleet added per receiver (the same count as tests/footprint_test.cpp),
+// and setup_us_per_rx, the timed work per receiver.
+struct ReceiverFleet {
+  sim::EventLoop loop;
+  sim::Network net{loop, 2003};
+  broker::BrokerNode broker{net.add_host("server-machine"), 0,
+                            broker::BrokerNode::Config{
+                                .dispatch = broker::DispatchConfig::snapshot()}};
+  std::vector<std::unique_ptr<broker::BrokerClient>> rx;
+
+  void add_receivers(int n) {
+    sim::Host* host = nullptr;
+    for (int i = 0; i < n; ++i) {
+      if (i % 100 == 0) host = &net.add_host("rx-machine-" + std::to_string(i / 100));
+      rx.push_back(std::make_unique<broker::BrokerClient>(
+          *host, broker.stream_endpoint(),
+          broker::BrokerClient::Config{.name = "rx-" + std::to_string(i)}));
+      rx.back()->subscribe("/xgsp/session/lecture/video");
+    }
+    loop.run();
+  }
+};
+
+void BM_ReceiverFootprint(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  double setup_s = 0;
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fleet = std::make_unique<ReceiverFleet>();
+    fleet->rx.reserve(static_cast<std::size_t>(n));
+    const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    fleet->add_receivers(n);
+    setup_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    state.PauseTiming();
+    bytes = g_live_bytes.load(std::memory_order_relaxed) - before;
+    if (fleet->broker.client_count() != static_cast<std::size_t>(n)) {
+      state.SkipWithError("not every receiver completed its handshake");
+    }
+    fleet.reset();
+    state.ResumeTiming();
+  }
+  state.counters["heap_B_per_rx"] = static_cast<double>(bytes) / n;
+  state.counters["setup_us_per_rx"] =
+      setup_s * 1e6 / static_cast<double>(state.iterations()) / n;
+}
+BENCHMARK(BM_ReceiverFootprint)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -97,92 +97,100 @@ transport::StreamConnectionPtr BrokerNode::drop_client(ClientRec& rec) {
 }
 
 void BrokerNode::accept(transport::StreamConnectionPtr conn) {
-  inbound_.push_back(conn);
+  const std::uint32_t slot = inbound_.acquire();
+  inbound_[slot].conn = conn;
   // The connection's client identity is established by its Hello frame.
-  auto client_id = std::make_shared<ClientId>(0);
-  auto* raw = conn.get();
-  // Weak self-reference: lets the Hello handler recover the shared_ptr
-  // without scanning inbound_, and without a conn -> handler -> conn cycle.
-  std::weak_ptr<transport::StreamConnection> weak_conn = conn;
-  conn->on_message([this, raw, client_id, weak_conn](const Payload& data) {
-    // The broker-to-broker hop decodes in place: no Frame, no target
-    // vector; the route job reads the targets straight from `data`.
-    if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent)) {
-      Event ev;
-      PeerTargets targets;
-      if (!decode_peer_event_into(data, ev, targets)) return;
-      note_heard(*client_id);
-      ingress_peer_event(std::move(ev), std::move(targets));
-      return;
-    }
-    auto frame = decode(data);
-    if (!frame.ok()) return;
-    Frame f = std::move(frame).value();
-    // kPong answers to keepalive probes land here too.
-    note_heard(*client_id);
-    switch (f.type) {
-      case MessageType::kHello: {
-        // A repeat Hello on an already-identified connection would mint a
-        // second ClientRec and leak the first (and its udp_index_ entry);
-        // the connection keeps its original identity instead.
-        if (*client_id != 0) break;
-        ClientRec& rec = add_client();
-        const ClientId cid = rec.id;
-        *client_id = cid;
-        rec.name = f.hello.client_name;
-        rec.stream = weak_conn.lock();
-        rec.last_heard = host_->loop().now();
-        if (f.hello.udp_port != 0) {
-          rec.udp = sim::Endpoint{rec.stream->remote().node, f.hello.udp_port};
-          rec.has_udp = true;
-          // A fresh Hello claiming an endpoint another record holds means
-          // that record is a ghost of a crashed-and-reconnected client;
-          // evict it or both records would receive every matching event.
-          auto ghost = udp_index_.find(rec.udp);
-          if (ghost != udp_index_.end() && ghost->second != cid) evict_client(ghost->second);
-          udp_index_[rec.udp] = cid;
-        }
-        raw->send(encode(HelloAckMessage{cid, cfg_.dgram_port}));
-        break;
+  conn->on_message([this, slot](const Payload& data) { handle_stream_frame(slot, data); });
+  conn->on_close([this, slot] { close_inbound(slot); });
+}
+
+void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
+  // The slot stays ours while this runs: a stream's handler never runs
+  // after its close, and no frame closes its own stream.
+  Inbound& in = inbound_[slot];
+  // The broker-to-broker hop decodes in place: no Frame, no target
+  // vector; the route job reads the targets straight from `data`.
+  if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent)) {
+    Event ev;
+    PeerTargets targets;
+    if (!decode_peer_event_into(data, ev, targets)) return;
+    note_heard(in.client);
+    ingress_peer_event(std::move(ev), std::move(targets));
+    return;
+  }
+  auto frame = decode(data);
+  if (!frame.ok()) return;
+  Frame f = std::move(frame).value();
+  // kPong answers to keepalive probes land here too.
+  note_heard(in.client);
+  switch (f.type) {
+    case MessageType::kHello: {
+      // A repeat Hello on an already-identified connection would mint a
+      // second ClientRec and leak the first (and its udp_index_ entry);
+      // the connection keeps its original identity instead.
+      if (in.client != 0) break;
+      ClientRec& rec = add_client();
+      const ClientId cid = rec.id;
+      in.client = cid;
+      rec.name = f.hello.client_name;
+      rec.stream = in.conn;
+      rec.last_heard = host_->loop().now();
+      if (f.hello.udp_port != 0) {
+        rec.udp = sim::Endpoint{rec.stream->remote().node, f.hello.udp_port};
+        rec.has_udp = true;
+        // A fresh Hello claiming an endpoint another record holds means
+        // that record is a ghost of a crashed-and-reconnected client;
+        // evict it or both records would receive every matching event.
+        auto ghost = udp_index_.find(rec.udp);
+        if (ghost != udp_index_.end() && ghost->second != cid) evict_client(ghost->second);
+        udp_index_[rec.udp] = cid;
       }
-      case MessageType::kSubscribe:
-      case MessageType::kUnsubscribe: {
-        if (ClientRec* rec = find_client(*client_id)) handle_subscription(*rec, f.subscribe);
-        break;
-      }
-      case MessageType::kEvent:
-        ingress_event(std::move(f.event), *client_id, data);
-        break;
-      case MessageType::kPing:
-        // Probes ride the dispatch pipeline: a loaded broker pongs late.
-        // Weak capture: the connection can die before the job runs (client
-        // crash, ghost eviction by a reconnect Hello); the pong to a dead
-        // stream is simply dropped, like a write to a closed socket.
-        dispatch_.submit(cfg_.dispatch.route_cost, [weak_conn, ping = f.ping] {
-          if (auto conn = weak_conn.lock()) conn->send(encode(ping, /*pong=*/true));
-        });
-        break;
-      case MessageType::kHeartbeat:
-        handle_peer_heartbeat(f.heartbeat.from);
-        break;
-      case MessageType::kLinkState:
-        handle_link_state(f.link_state);
-        break;
-      case MessageType::kHelloAck:
-      case MessageType::kPong:
-      case MessageType::kPeerEvent:
-        // kHelloAck is a broker-to-client reply; kPong from a client is the
-        // answer to our keepalive probe — the proof-of-life bump above is
-        // all it needs to do. kPeerEvent never gets here (handled above).
-        break;
+      in.conn->send(encode(HelloAckMessage{cid, cfg_.dgram_port}));
+      break;
     }
-  });
-  conn->on_close([this, raw, client_id] {
-    if (ClientRec* rec = find_client(*client_id)) drop_client(*rec);
-    std::erase_if(inbound_, [raw](const transport::StreamConnectionPtr& c) {
-      return c.get() == raw;
-    });
-  });
+    case MessageType::kSubscribe:
+    case MessageType::kUnsubscribe: {
+      if (ClientRec* rec = find_client(in.client)) handle_subscription(*rec, f.subscribe);
+      break;
+    }
+    case MessageType::kEvent:
+      ingress_event(std::move(f.event), in.client, data);
+      break;
+    case MessageType::kPing:
+      // Probes ride the dispatch pipeline: a loaded broker pongs late.
+      // Weak capture: the connection can die before the job runs (client
+      // crash, ghost eviction by a reconnect Hello), and its slot may hold
+      // another stream by then; the pong to a dead stream is simply
+      // dropped, like a write to a closed socket.
+      dispatch_.submit(cfg_.dispatch.route_cost,
+                       [weak_conn = std::weak_ptr<transport::StreamConnection>(in.conn),
+                        ping = f.ping] {
+                         if (auto conn = weak_conn.lock()) conn->send(encode(ping, /*pong=*/true));
+                       });
+      break;
+    case MessageType::kHeartbeat:
+      handle_peer_heartbeat(f.heartbeat.from);
+      break;
+    case MessageType::kLinkState:
+      handle_link_state(f.link_state);
+      break;
+    case MessageType::kHelloAck:
+    case MessageType::kPong:
+    case MessageType::kPeerEvent:
+      // kHelloAck is a broker-to-client reply; kPong from a client is the
+      // answer to our keepalive probe — the proof-of-life bump above is
+      // all it needs to do. kPeerEvent never gets here (handled above).
+      break;
+  }
+}
+
+void BrokerNode::close_inbound(std::uint32_t slot) {
+  Inbound& in = inbound_[slot];
+  if (ClientRec* rec = find_client(in.client)) drop_client(*rec);
+  in.client = 0;
+  // Released last: this may be the stream's last owner.
+  const transport::StreamConnectionPtr conn = std::move(in.conn);
+  inbound_.release(slot);
 }
 
 void BrokerNode::note_heard(ClientId cid) {
@@ -193,7 +201,7 @@ void BrokerNode::evict_client(ClientId cid) {
   ClientRec* rec = find_client(cid);
   if (rec == nullptr) return;
   // Closing the ghost's stream fires its on_close, which finds no client
-  // record (already dropped) and just drops the connection from inbound_.
+  // record (already dropped) and just frees the connection's inbound_ slot.
   if (auto stream = drop_client(*rec)) stream->close();
 }
 

@@ -171,6 +171,11 @@ class BrokerNode {
   transport::StreamConnectionPtr drop_client(ClientRec& rec);
 
   void accept(transport::StreamConnectionPtr conn);
+  /// A frame on the inbound stream in `slot` (from a client or a peer).
+  void handle_stream_frame(std::uint32_t slot, const Payload& data);
+  /// The inbound stream in `slot` closed: drops its client record, if it
+  /// minted one, and frees the slot.
+  void close_inbound(std::uint32_t slot);
   void handle_datagram(const sim::Datagram& d);
   void handle_subscription(ClientRec& c, const SubscribeMessage& m);
   /// Drops a client record and its subscriptions/advertisements. Used when
@@ -286,8 +291,15 @@ class BrokerNode {
   std::uint32_t next_probe_token_ = 1;
   std::map<std::uint32_t, std::pair<BrokerId, std::function<void(SimDuration)>>> probes_;
   std::map<BrokerId, SimDuration> srtt_;
-  // Inbound connections (from clients and peers) we must keep alive.
-  std::vector<transport::StreamConnectionPtr> inbound_;
+  /// An accepted stream (from a client or a peer broker), kept alive
+  /// here, and the client id its Hello minted (0 until then, and for
+  /// peers). The stream's handlers capture only {this, slot}, which
+  /// std::function stores inline, and its close frees the slot in O(1).
+  struct Inbound {
+    transport::StreamConnectionPtr conn;
+    ClientId client = 0;
+  };
+  sim::SlotPool<Inbound> inbound_;
   std::uint64_t events_in_ = 0;
   std::uint64_t copies_delivered_ = 0;
   std::uint64_t peer_forwards_ = 0;

@@ -224,7 +224,7 @@ void BrokerClient::publish(const std::string& topic, Payload payload, QoS qos) {
   ev.origin = host_->loop().now();
   ev.seq = next_seq_++;
   if (!ready_) {
-    pending_.push_back(std::move(ev));
+    pending_.push(std::move(ev));
     return;
   }
   // Self-stamp the broker-assigned id: the published frame is then
@@ -241,8 +241,7 @@ void BrokerClient::publish(const std::string& topic, Payload payload, QoS qos) {
 
 void BrokerClient::flush_queue() {
   while (!pending_.empty()) {
-    Event ev = std::move(pending_.front());
-    pending_.pop_front();
+    Event ev = pending_.pop();
     ev.publisher = client_id_;  // see publish(): enables broker frame adoption
     ++events_published_;
     if (udp_ && cfg_.udp_publish && ev.qos == QoS::kBestEffort) {

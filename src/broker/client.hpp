@@ -6,7 +6,6 @@
 // HTTP proxy for clients behind firewalls.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "broker/event.hpp"
+#include "common/fifo.hpp"
 #include "common/random.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
@@ -129,7 +129,7 @@ class BrokerClient {
   std::uint32_t next_seq_ = 0;
   std::uint64_t events_received_ = 0;
   std::uint64_t events_published_ = 0;
-  std::deque<Event> pending_;
+  Fifo<Event> pending_;
   /// Decode target for every received kEvent (see handle_frame).
   Event rx_event_;
   /// Live subscription set, replayed after every re-handshake.

@@ -12,10 +12,11 @@ constexpr std::size_t kMaxCacheLines = 4096;
 }  // namespace
 
 void SubscriptionIndex::subscribe(SubscriberId id, const TopicFilter& filter) {
+  // A refcount that becomes 1 is a new (subscriber, filter) entry.
   if (!filter.valid()) {
-    ++invalid_[filter.pattern()][id];
+    if (++invalid_[filter.pattern()][id] == 1) ++entries_;
   } else if (filter.exact()) {
-    ++exact_[filter.pattern()][id];
+    if (++exact_[filter.pattern()][id] == 1) ++entries_;
   } else {
     auto it = std::find_if(wildcards_.begin(), wildcards_.end(),
                            [&](const WildcardEntry& e) { return e.filter == filter; });
@@ -23,7 +24,7 @@ void SubscriptionIndex::subscribe(SubscriberId id, const TopicFilter& filter) {
       wildcards_.push_back(WildcardEntry{filter, {}});
       it = std::prev(wildcards_.end());
     }
-    ++it->refs[id];
+    if (++it->refs[id] == 1) ++entries_;
   }
   bump_generation();
 }
@@ -34,7 +35,10 @@ void SubscriptionIndex::unsubscribe(SubscriberId id, const TopicFilter& filter) 
     if (it == table.end()) return;
     auto rit = it->second.find(id);
     if (rit == it->second.end()) return;
-    if (--rit->second <= 0) it->second.erase(rit);
+    if (--rit->second <= 0) {
+      it->second.erase(rit);
+      --entries_;
+    }
     if (it->second.empty()) table.erase(it);
     bump_generation();
   };
@@ -48,27 +52,30 @@ void SubscriptionIndex::unsubscribe(SubscriberId id, const TopicFilter& filter) 
     if (it == wildcards_.end()) return;
     auto rit = it->refs.find(id);
     if (rit == it->refs.end()) return;
-    if (--rit->second <= 0) it->refs.erase(rit);
+    if (--rit->second <= 0) {
+      it->refs.erase(rit);
+      --entries_;
+    }
     if (it->refs.empty()) wildcards_.erase(it);
     bump_generation();
   }
 }
 
 void SubscriptionIndex::remove_subscriber(SubscriberId id) {
-  bool changed = false;
+  const std::size_t before = entries_;
   auto sweep = [&](auto& table) {
     for (auto it = table.begin(); it != table.end();) {
-      changed |= it->second.erase(id) > 0;
+      entries_ -= it->second.erase(id);
       it = it->second.empty() ? table.erase(it) : std::next(it);
     }
   };
   sweep(exact_);
   sweep(invalid_);
   for (auto it = wildcards_.begin(); it != wildcards_.end();) {
-    changed |= it->refs.erase(id) > 0;
+    entries_ -= it->refs.erase(id);
     it = it->refs.empty() ? wildcards_.erase(it) : std::next(it);
   }
-  if (changed) bump_generation();
+  if (entries_ != before) bump_generation();
 }
 
 const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
@@ -108,16 +115,6 @@ std::vector<SubscriptionIndex::SubscriberId> SubscriptionIndex::matches(
     if (id != exclude) out.push_back(id);
   }
   return out;
-}
-
-std::size_t SubscriptionIndex::entry_count() const {
-  std::size_t n = 0;
-  // gmmcs-lint: allow(unordered-iteration): commutative sum, order-free
-  for (const auto& [pattern, refs] : exact_) n += refs.size();
-  // gmmcs-lint: allow(unordered-iteration): commutative sum, order-free
-  for (const auto& [pattern, refs] : invalid_) n += refs.size();
-  for (const auto& entry : wildcards_) n += entry.refs.size();
-  return n;
 }
 
 void SubscriptionIndex::bump_generation() {

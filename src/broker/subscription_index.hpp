@@ -56,7 +56,7 @@ class SubscriptionIndex {
 
   /// Total (subscriber, filter) entries, counting each once regardless of
   /// refcount.
-  [[nodiscard]] std::size_t entry_count() const;
+  [[nodiscard]] std::size_t entry_count() const { return entries_; }
   [[nodiscard]] std::size_t exact_topic_count() const { return exact_.size(); }
   [[nodiscard]] std::size_t wildcard_filter_count() const { return wildcards_.size(); }
   /// Bumped by every table mutation; cached match lines from older
@@ -88,6 +88,9 @@ class SubscriptionIndex {
   std::vector<WildcardEntry> wildcards_;
   /// Invalid filters, kept purely so unsubscribe refcounts balance.
   std::unordered_map<std::string, RefMap> invalid_;
+  /// Entries across exact_, wildcards_ and invalid_, kept by every
+  /// mutation (see entry_count()).
+  std::size_t entries_ = 0;
   std::uint64_t generation_ = 1;
 
   /// topic (as published) -> match result; lazily invalidated by

@@ -49,37 +49,50 @@ bool is_valid_topic(std::string_view topic) {
   return true;
 }
 
-TopicFilter::TopicFilter(std::string_view pattern)
-    : pattern_(normalize_topic(pattern)), segments_(topic_segments(pattern_)) {
-  if (segments_.empty()) {
+TopicFilter::TopicFilter(std::string_view pattern) : pattern_(normalize_topic(pattern)) {
+  std::string_view rest = pattern_;
+  std::string_view seg;
+  if (!next_segment(rest, seg)) {
     valid_ = false;
     return;
   }
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i] == "*") has_star_ = true;
-    if (segments_[i] == "#") {
-      if (i + 1 != segments_.size()) {
-        valid_ = false;  // '#' only allowed as the last segment
-        return;
-      }
-      trailing_hash_ = true;
-      segments_.pop_back();
-      break;
+  do {
+    if (seg == "*") has_star_ = true;
+    if (seg == "#") {
+      trailing_hash_ = rest.empty();
+      valid_ = trailing_hash_;  // '#' only allowed as the last segment
+      return;
     }
-  }
+  } while (next_segment(rest, seg));
 }
 
 bool TopicFilter::matches(std::string_view topic) const {
   if (!valid_) return false;
-  std::size_t i = 0;
-  std::string_view seg;
-  while (next_segment(topic, seg)) {
-    // Segments past the filter's end match only under a trailing '#'.
-    if (i == segments_.size()) return trailing_hash_;
-    if (segments_[i] != "*" && segments_[i] != seg) return false;
-    ++i;
+  // One pass over both strings. pattern_ is normalized: one '/' before
+  // each segment. The topic need not be, so runs of '/' are skipped.
+  const std::string_view pat = pattern_;
+  const std::size_t n = pat.size();
+  const std::size_t m = topic.size();
+  std::size_t i = 1;  // start of the pattern's next segment; n once none is left
+  std::size_t j = 0;
+  for (;;) {
+    while (j < m && topic[j] == '/') ++j;
+    // A '#' segment (valid, so the last) matches the rest, even nothing.
+    const bool hash = i + 1 == n && pat[i] == '#';
+    if (j == m) return i == n || hash;
+    if (i == n) return false;  // the topic has more segments than the filter
+    if (hash) return true;
+    if (pat[i] == '*' && (i + 1 == n || pat[i + 1] == '/')) {
+      ++i;
+      while (j < m && topic[j] != '/') ++j;
+    } else {
+      for (; i < n && pat[i] != '/'; ++i, ++j) {
+        if (j == m || topic[j] != pat[i]) return false;
+      }
+      if (j < m && topic[j] != '/') return false;
+    }
+    if (i < n) ++i;  // past the '/'
   }
-  return i == segments_.size();
 }
 
 }  // namespace gmmcs::broker

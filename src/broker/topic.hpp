@@ -29,7 +29,7 @@ class TopicFilter {
   /// segments (only valid in last position; invalid filters match nothing).
   explicit TopicFilter(std::string_view pattern);
 
-  /// Allocation-free: walks `topic`'s segments as views.
+  /// Allocation-free: walks `topic`'s and the pattern's segments as views.
   [[nodiscard]] bool matches(std::string_view topic) const;
   [[nodiscard]] const std::string& pattern() const { return pattern_; }
   [[nodiscard]] bool valid() const { return valid_; }
@@ -41,8 +41,8 @@ class TopicFilter {
   bool operator==(const TopicFilter& o) const { return pattern_ == o.pattern_; }
 
  private:
+  /// Normalized; the only copy of the filter's segments.
   std::string pattern_;
-  std::vector<std::string> segments_;
   bool trailing_hash_ = false;
   bool has_star_ = false;
   bool valid_ = true;

@@ -111,23 +111,29 @@ void StreamConnection::handle(const sim::Datagram& d) {
   }
 }
 
+void StreamConnection::dispatch(const Payload& m) {
+  ++handler_depth_;
+  current_handler()(m);
+  // Once no handler is running, the newest parked replacement moves in
+  // and the handlers it displaced die.
+  if (--handler_depth_ == 0 && parked_) {
+    message_handler_ = std::move(parked_->fn);
+    parked_.reset();
+  }
+}
+
 void StreamConnection::deliver_or_buffer(Payload payload) {
-  if (message_handler_) {
-    // Pin the handler: the callback may legitimately replace it (e.g. the
-    // proxy swaps in its relay handler after the CONNECT line), which must
-    // not destroy the closure currently executing. A refcount bump, not a
-    // heap copy of the closure per message.
-    const auto handler = message_handler_;
-    (*handler)(payload);
+  if (current_handler()) {
+    dispatch(payload);
   } else {
-    inbox_.push_back(std::move(payload));
+    inbox_.push(std::move(payload));
   }
 }
 
 void StreamConnection::send(Payload message) {
   if (state_ == State::kClosed) return;
   if (state_ == State::kConnecting) {
-    outbox_.push_back(std::move(message));
+    outbox_.push(std::move(message));
     return;
   }
   send_segment(message);
@@ -142,27 +148,23 @@ void StreamConnection::send_segment(const Payload& message) {
 }
 
 void StreamConnection::flush_pending() {
-  while (!outbox_.empty()) {
-    Payload m = std::move(outbox_.front());
-    outbox_.pop_front();
-    send_segment(m);
-  }
+  while (!outbox_.empty()) send_segment(outbox_.pop());
 }
 
-void StreamConnection::on_message(std::function<void(const Payload&)> handler) {
-  message_handler_ =
-      handler ? std::make_shared<const std::function<void(const Payload&)>>(std::move(handler))
-              : nullptr;
-  if (!message_handler_ || inbox_.empty()) return;
+void StreamConnection::on_message(MessageHandler handler) {
+  if (handler_depth_ == 0) {
+    message_handler_ = std::move(handler);
+  } else {
+    // A handler is running (the proxy swaps in its relay handler after
+    // the CONNECT line, say): it must stay where it is until it returns.
+    parked_ = std::make_unique<ParkedHandler>(
+        ParkedHandler{std::move(handler), std::move(parked_)});
+  }
+  if (!current_handler() || inbox_.empty()) return;
   // A replayed message's handler may drop the last owner of this
   // connection; stay alive until the replay loop is done with our members.
   const StreamConnectionPtr self = weak_from_this().lock();
-  while (message_handler_ && !inbox_.empty()) {
-    Payload m = std::move(inbox_.front());
-    inbox_.pop_front();
-    const auto h = message_handler_;  // see deliver_or_buffer
-    (*h)(m);
-  }
+  while (current_handler() && !inbox_.empty()) dispatch(inbox_.pop());
 }
 
 void StreamConnection::on_close(std::function<void()> handler) {
@@ -215,7 +217,6 @@ StreamListener::StreamListener(sim::Host& host, std::uint16_t port)
 StreamListener::~StreamListener() {
   host_->unbind(port_);
   // Detach surviving connections so their close doesn't touch us.
-  // gmmcs-lint: allow(unordered-iteration): independent per-entry detach, order-free
   for (auto& [ep, weak] : conns_) {
     if (auto conn = weak.lock()) conn->owner_ = nullptr;
   }

@@ -14,12 +14,12 @@
 // traffic exactly like a real firewall admits established TCP flows.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/fifo.hpp"
 #include "common/payload.hpp"
 #include "sim/network.hpp"
 
@@ -58,10 +58,13 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   void send(Payload message);
   void send(std::string_view text) { send(Payload(to_bytes(text))); }
 
+  using MessageHandler = std::function<void(const Payload&)>;
+
   /// Receive callback; replaces any previous one. Messages that arrived
   /// before a handler was set are replayed to the new handler. The message
-  /// is a zero-copy slice of the arriving segment.
-  void on_message(std::function<void(const Payload&)> handler);
+  /// is a zero-copy slice of the arriving segment. A handler may replace
+  /// itself: it keeps running, intact, until it returns.
+  void on_message(MessageHandler handler);
   /// Called once when the peer closes or the connection fails.
   void on_close(std::function<void()> handler);
   /// Called once when the handshake completes (connector side; acceptor
@@ -96,6 +99,18 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
 
   StreamConnection(sim::Host& host, State state);
 
+  /// A handler set while another one runs, parked on the heap until no
+  /// handler is running (see on_message). `older` keeps the handlers it
+  /// displaced alive: one of them may still be on the stack.
+  struct ParkedHandler {
+    MessageHandler fn;
+    std::unique_ptr<ParkedHandler> older;
+  };
+
+  /// The handler a message goes to now: the newest parked one, if any.
+  MessageHandler& current_handler() { return parked_ ? parked_->fn : message_handler_; }
+  /// Runs the current handler on `m`, pinned (see on_message).
+  void dispatch(const Payload& m);
   void handle(const sim::Datagram& d);
   void deliver_or_buffer(Payload payload);
   void flush_pending();
@@ -107,19 +122,25 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
 
   sim::Host* host_;
   State state_;
+  /// Message handlers running on the stack (nested only by an inbox
+  /// replay inside a handler).
+  std::uint32_t handler_depth_ = 0;
   sim::Endpoint local_{};
   sim::Endpoint remote_{};
   /// Connector side owns an ephemeral port; acceptor side shares the
   /// listener's port and is demultiplexed by the listener.
   bool owns_port_ = false;
   StreamListener* owner_ = nullptr;  // acceptor side: for demux cleanup
-  /// Shared, not copied, per message: deliver_or_buffer pins the running
-  /// handler with a refcount bump (see there).
-  std::shared_ptr<const std::function<void(const Payload&)>> message_handler_;
+  /// Held by value. It is never moved or destroyed while it runs: a
+  /// replacement set meanwhile is parked in parked_ and moved in here
+  /// once no handler is running, the way Host::deliver frees a running
+  /// port slot only after its handler returns.
+  MessageHandler message_handler_;
+  std::unique_ptr<ParkedHandler> parked_;
   std::function<void()> close_handler_;
   std::function<void()> connect_handler_;
-  std::deque<Payload> outbox_;  // buffered until established
-  std::deque<Payload> inbox_;   // buffered until a handler is set
+  Fifo<Payload> outbox_;  // buffered until established
+  Fifo<Payload> inbox_;   // buffered until a handler is set
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t segments_dropped_ = 0;
@@ -155,7 +176,12 @@ class StreamListener {
   std::uint16_t port_;
   std::function<void(StreamConnectionPtr)> handler_;
   std::uint64_t accepted_ = 0;
-  std::unordered_map<sim::Endpoint, std::weak_ptr<StreamConnection>, sim::EndpointHash> conns_;
+  /// Ordered by client endpoint: the destructor walks it to detach the
+  /// survivors, and an ordered walk needs no argument that its order
+  /// cannot matter. Per connection it costs 8 B more than a hash map with
+  /// its bucket array, the same as a liveness token each connection would
+  /// check (DESIGN.md "Endpoint footprint").
+  std::map<sim::Endpoint, std::weak_ptr<StreamConnection>> conns_;
 };
 
 }  // namespace gmmcs::transport

@@ -11,6 +11,7 @@
 #include "broker/client.hpp"
 #include "broker/rtp_proxy.hpp"
 #include "broker/topic.hpp"
+#include "common/random.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "transport/stream.hpp"
@@ -372,6 +373,53 @@ TEST_F(BrokerTest, ClientDisconnectCleansSubscriptions) {
   loop.run();
   EXPECT_EQ(broker.client_count(), 0u);
   EXPECT_EQ(broker.subscription_count(), 0u);
+}
+
+// Closing a client frees its inbound stream in O(1), whatever order the
+// clients leave in. 1,000 clients leave in a seeded shuffled order, 100 at
+// a time; after each batch the broker's tables hold exactly the survivors
+// and every survivor still receives a published event.
+TEST_F(BrokerTest, ThousandClientsLeavingInShuffledOrderLeaveExactlyTheSurvivors) {
+  constexpr int kClients = 1000;
+  constexpr int kPerHost = 100;
+  constexpr int kBatch = 100;
+  BrokerNode broker(host("broker"), 0);
+  BrokerClient pub(host("pub"), broker.stream_endpoint(), {.name = "pub"});
+  std::vector<std::unique_ptr<BrokerClient>> subs;
+  std::vector<int> got(kClients, 0);
+  sim::Host* h = nullptr;
+  for (int i = 0; i < kClients; ++i) {
+    if (i % kPerHost == 0) h = &host("rx-" + std::to_string(i / kPerHost));
+    subs.push_back(std::make_unique<BrokerClient>(
+        *h, broker.stream_endpoint(), BrokerClient::Config{.name = "s" + std::to_string(i)}));
+    subs.back()->subscribe("/t");
+    subs.back()->on_event([&got, i](const Event&) { ++got[static_cast<std::size_t>(i)]; });
+  }
+  loop.run();
+  std::vector<int> order(kClients);
+  for (int i = 0; i < kClients; ++i) order[static_cast<std::size_t>(i)] = i;
+  Rng rng(2026);
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[static_cast<std::size_t>(
+                            rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+  int published = 0;
+  for (int closed = 0; closed < kClients;) {
+    for (int k = 0; k < kBatch; ++k) subs[static_cast<std::size_t>(order[closed++])].reset();
+    loop.run();
+    const auto survivors = static_cast<std::size_t>(kClients - closed);
+    ASSERT_EQ(broker.client_count(), survivors + 1) << "after " << closed << " closes";
+    ASSERT_EQ(broker.subscription_count(), survivors);
+    pub.publish("/t", to_bytes("x"));
+    ++published;
+    loop.run();
+    for (int i = 0; i < kClients; ++i) {
+      if (subs[static_cast<std::size_t>(i)]) {
+        ASSERT_EQ(got[static_cast<std::size_t>(i)], published) << "survivor " << i;
+      }
+    }
+  }
+  EXPECT_EQ(broker.client_count(), 1u);
 }
 
 // Client ids are minted in order and never reused; a departed client's

@@ -247,6 +247,72 @@ TEST_P(TopicProperty, NormalizationIsIdempotent) {
   }
 }
 
+/// The filter semantics spelled over segment lists: what TopicFilter did
+/// when it stored its segments, before it walked its pattern as views.
+bool reference_match(const std::string& filter, const std::string& topic) {
+  std::vector<std::string> want = broker::topic_segments(filter);
+  if (want.empty()) return false;
+  const auto hash = std::find(want.begin(), want.end(), "#");
+  if (hash != want.end() && hash + 1 != want.end()) return false;  // '#' not last: invalid
+  const bool trailing_hash = hash != want.end();
+  if (trailing_hash) want.pop_back();
+  const std::vector<std::string> got = broker::topic_segments(topic);
+  if (trailing_hash ? got.size() < want.size() : got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (want[i] != "*" && want[i] != got[i]) return false;
+  }
+  return true;
+}
+
+TEST_P(TopicProperty, MatchesSegmentListReference) {
+  // Spellings of up to 5 segments from a tiny alphabet, so that filters
+  // and topics collide often. An empty segment makes a "//"; a path may
+  // drop its leading '/' or keep a trailing one (un-normalized); a topic
+  // may carry a literal "*" or "#".
+  auto spell = [this](const std::vector<std::string>& alphabet) {
+    std::string out = rng.chance(0.8) ? "/" : "";
+    for (int n = static_cast<int>(rng.uniform_int(0, 5)); n > 0; --n) {
+      out += alphabet[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+      out += '/';
+    }
+    if (rng.chance(0.7) && out.size() > 1) out.pop_back();
+    return out;
+  };
+  const std::vector<std::string> filter_alphabet = {"a", "b", "c", "*", "*", "#", ""};
+  const std::vector<std::string> topic_alphabet = {"a", "b", "c", "a", "b", "", "*", "#"};
+  int matched = 0;
+  int trailing_hash = 0;
+  int middle_hash = 0;
+  int star = 0;
+  int shorter = 0;
+  int longer = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string pattern = spell(filter_alphabet);
+    const std::string topic = spell(topic_alphabet);
+    const broker::TopicFilter f(pattern);
+    const bool expected = reference_match(pattern, topic);
+    ASSERT_EQ(f.matches(topic), expected) << "filter '" << pattern << "' topic '" << topic << "'";
+    // And the pattern-independent view of the same filter agrees.
+    ASSERT_EQ(broker::TopicFilter(f.pattern()).matches(topic), expected) << pattern;
+    const auto want = broker::topic_segments(pattern);
+    const auto got = broker::topic_segments(topic);
+    matched += expected ? 1 : 0;
+    const auto hash = std::find(want.begin(), want.end(), "#");
+    if (hash != want.end()) ++(hash + 1 == want.end() ? trailing_hash : middle_hash);
+    if (std::find(want.begin(), want.end(), "*") != want.end()) ++star;
+    shorter += got.size() < want.size() ? 1 : 0;
+    longer += got.size() > want.size() ? 1 : 0;
+  }
+  // The generator reaches every case the matcher distinguishes.
+  EXPECT_GT(matched, 100);
+  EXPECT_GT(trailing_hash, 100);
+  EXPECT_GT(middle_hash, 100);
+  EXPECT_GT(star, 100);
+  EXPECT_GT(shorter, 100);
+  EXPECT_GT(longer, 100);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, TopicProperty, ::testing::Values(11, 12, 13));
 
 // ---------------------------------------------------------------------------

@@ -241,6 +241,42 @@ TEST_F(TransportTest, StreamHandlerMayReplaceItself) {
   EXPECT_EQ(got, (std::vector<std::string>{"am0", "a!", "bm1", "bm2"}));
 }
 
+TEST_F(TransportTest, StreamHandlerMayReplaceItselfWithInlineClosures) {
+  // The connection holds its handler by value, and std::function keeps a
+  // closure of at most two pointers inline, inside the connection. A
+  // replacement written over the running closure would swap its captures
+  // under it, which no sanitizer reports; here the old handler's "!"
+  // would land in the new handler's log.
+  std::vector<std::string> logs[2];
+  auto install = [&logs](StreamConnection& conn) {
+    conn.on_message([log = &logs[0], c = &conn](const Payload& m) {
+      log->push_back(to_string(m));
+      c->on_message([next = log + 1](const Payload& m2) { next->push_back(to_string(m2)); });
+      log->push_back("!");
+    });
+  };
+  {
+    StreamPair p(net, [&install](StreamPair& pair) { install(*pair.server); });
+    p.send(3);
+    loop.run();
+  }
+  EXPECT_EQ(logs[0], (std::vector<std::string>{"m0", "!"}));
+  EXPECT_EQ(logs[1], (std::vector<std::string>{"m1", "m2"}));
+  logs[0].clear();
+  logs[1].clear();
+  {
+    // The same, replayed from the inbox: the new handler takes the rest
+    // of it at once, inside the old handler's call.
+    StreamPair p(net, nullptr);
+    p.send(3);
+    loop.run();
+    ASSERT_NE(p.server, nullptr);
+    install(*p.server);
+  }
+  EXPECT_EQ(logs[0], (std::vector<std::string>{"m0", "!"}));
+  EXPECT_EQ(logs[1], (std::vector<std::string>{"m1", "m2"}));
+}
+
 TEST_F(TransportTest, StreamHandlerMayCloseItsConnection) {
   std::vector<std::string> got;
   bool closed_seen = false;
