@@ -49,7 +49,7 @@ void sweep(gmmcs::core::MediaKind kind, const char* title, const char* key,
   using namespace gmmcs::core;
   std::printf("\n=== %s [%d dispatch threads] (paper claim: good quality beyond %d clients) ===\n",
               title, dispatch.threads, paper_claim);
-  std::printf("%10s %14s %16s %10s %12s %10s %10s\n", "clients", "avg delay", "per-client max",
+  std::printf("%10s %14s %16s %10s %12s %10s %10s\n", "clients", "avg delay", "mean max delay",
               "loss", "offered", "quality", "wall");
   int last_good = 0;
   for (int n : counts) {
@@ -65,7 +65,7 @@ void sweep(gmmcs::core::MediaKind kind, const char* title, const char* key,
     std::uint64_t cb = gmmcs::payload_bytes_copied() - cb0;
     double wall_s = wall_seconds_since(t0);
     std::printf("%10d %11.2f ms %13.2f ms %9.3f%% %9.1f Mbps %10s %8.2f s\n", p.clients,
-                p.avg_delay_ms, p.p99_delay_ms, p.loss_ratio * 100.0, p.offered_mbps,
+                p.avg_delay_ms, p.mean_max_delay_ms, p.loss_ratio * 100.0, p.offered_mbps,
                 p.good_quality ? "good" : "DEGRADED", wall_s);
     if (p.good_quality) last_good = n;
     g_points.push_back({key, dispatch.threads, p, cp, cb});
@@ -82,10 +82,10 @@ void write_json() {
     const auto& [sweep_key, threads, p, copies, copied_bytes] = g_points[i];
     std::fprintf(json,
                  "    {\"sweep\": \"%s\", \"threads\": %d, \"clients\": %d, "
-                 "\"avg_delay_ms\": %.3f, \"p99_delay_ms\": %.3f, \"loss_ratio\": %.5f, "
+                 "\"avg_delay_ms\": %.3f, \"mean_max_delay_ms\": %.3f, \"loss_ratio\": %.5f, "
                  "\"offered_mbps\": %.2f, \"good_quality\": %s, "
                  "\"payload_copy_count\": %llu, \"payload_bytes_copied\": %llu}%s\n",
-                 sweep_key.c_str(), threads, p.clients, p.avg_delay_ms, p.p99_delay_ms,
+                 sweep_key.c_str(), threads, p.clients, p.avg_delay_ms, p.mean_max_delay_ms,
                  p.loss_ratio, p.offered_mbps, p.good_quality ? "true" : "false",
                  static_cast<unsigned long long>(copies),
                  static_cast<unsigned long long>(copied_bytes),

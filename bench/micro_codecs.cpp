@@ -314,6 +314,42 @@ void BM_ReceiverFootprint(benchmark::State& state) {
 }
 BENCHMARK(BM_ReceiverFootprint)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
+// One client's departure from a broker whose subscription table holds N
+// exact topics (a standing client subscribes to all of them). Each
+// iteration connects 100 clients, each on one of those topics, untimed,
+// then times their disconnects: the client drops its stream and the loop
+// runs the broker's close path. A departure unsubscribes the client's own
+// filters, so the cost per disconnect stays flat in N.
+void BM_ClientDisconnect(benchmark::State& state) {
+  constexpr int kLeaving = 100;
+  const auto topics = static_cast<int>(state.range(0));
+  sim::EventLoop loop;
+  sim::Network net{loop, 2003};
+  broker::BrokerNode broker{net.add_host("server-machine"), 0};
+  sim::Host& rx_host = net.add_host("rx-machine");
+  broker::BrokerClient standing(rx_host, broker.stream_endpoint(), {.name = "standing"});
+  for (int t = 0; t < topics; ++t) standing.subscribe("/xgsp/session/" + std::to_string(t));
+  loop.run();
+  std::vector<std::unique_ptr<broker::BrokerClient>> leaving;
+  int next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int i = 0; i < kLeaving; ++i, ++next) {
+      leaving.push_back(std::make_unique<broker::BrokerClient>(
+          rx_host, broker.stream_endpoint(),
+          broker::BrokerClient::Config{.name = "rx-" + std::to_string(next)}));
+      leaving.back()->subscribe("/xgsp/session/" + std::to_string(next % topics));
+    }
+    loop.run();
+    state.ResumeTiming();
+    leaving.clear();
+    loop.run();
+  }
+  if (broker.client_count() != 1) state.SkipWithError("a departed client kept its record");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kLeaving);
+}
+BENCHMARK(BM_ClientDisconnect)->Arg(10)->Arg(10000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

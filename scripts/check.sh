@@ -28,6 +28,18 @@
 #                     prints on stderr against that file. A change that
 #                     moves a sim result regenerates the file and
 #                     explains the move in EXPERIMENTS.md
+#   profile <workload> [seconds]
+#                     unbiased line-level host profile of a perfbench
+#                     workload (default 10 s of media): builds perfbench's
+#                     own CMake project into .bench_build/profile with -g
+#                     and `-pg -static` at link only (no mcount calls, so
+#                     small hot functions are not inflated, and a static
+#                     libc is sampled too), runs it untraced, and maps the
+#                     gmon.out PC histogram to source lines with
+#                     addr2line -i (tools/profile/gmon_lines.py): the top
+#                     lines and each layer's share (src/sim, src/broker,
+#                     src/transport, src/common, libc malloc/free, libc
+#                     memcpy, perfbench)
 #   <list>            any raw comma-separated -fsanitize= list; each
 #                     sanitizer set gets its own build tree
 set -euo pipefail
@@ -75,6 +87,23 @@ if [[ "$MODE" == "simsig" ]]; then
   done
   diff -u "$EXPECTED" "$ACTUAL"
   echo "check.sh simsig: $(wc -l <"$EXPECTED") perfbench sim signatures identical"
+  exit 0
+fi
+
+if [[ "$MODE" == "profile" ]]; then
+  ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+  WORKLOAD="${2:?usage: check.sh profile <workload> [seconds]}"
+  PROFILE_SECONDS="${3:-10}"
+  BUILD="$ROOT/.bench_build/profile"
+  cmake -S "$ROOT/perfbench" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-g \
+    "-DCMAKE_EXE_LINKER_FLAGS=-pg -static" >/dev/null
+  cmake --build "$BUILD" --target perfbench -j "$(nproc)" >/dev/null
+  RUN="$(mktemp -d)"
+  trap 'rm -rf "$RUN"' EXIT
+  # gmon.out lands in the working directory when the binary exits.
+  (cd "$RUN" && "$BUILD/perfbench" --workload "$WORKLOAD" --seed 2003 \
+    --seconds "$PROFILE_SECONDS" --trace 0 >/dev/null)
+  python3 "$ROOT/tools/profile/gmon_lines.py" "$BUILD/perfbench" "$RUN/gmon.out" "$ROOT"
   exit 0
 fi
 

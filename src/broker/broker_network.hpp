@@ -112,9 +112,10 @@ class BrokerNetwork {
   void advertise(const TopicFilter& filter, BrokerId origin, bool add);
   /// All brokers (excluding `exclude`) with interest matching `topic`,
   /// sorted by id, read from the live table: every advertise() made before
-  /// the call is visible.
-  [[nodiscard]] std::vector<BrokerId> interested_brokers(const std::string& topic,
-                                                         BrokerId exclude) const {
+  /// the call is visible. Written into a buffer the interest table reuses:
+  /// valid until the next interest query, and allocation-free once warmed.
+  [[nodiscard]] const std::vector<BrokerId>& interested_brokers(std::string_view topic,
+                                                                BrokerId exclude) const {
     return interest_.matches(topic, exclude);
   }
 

@@ -77,10 +77,12 @@ BrokerNode::ClientRec& BrokerNode::add_client() {
 }
 
 transport::StreamConnectionPtr BrokerNode::drop_client(ClientRec& rec) {
-  if (network_ != nullptr) {
-    for (const auto& filter : rec.filters) network_->advertise(filter, id_, /*add=*/false);
+  // Each filter holds one reference (handle_subscription dedups), so
+  // unsubscribing them leaves no entry of this client behind.
+  for (const auto& filter : rec.filters) {
+    if (network_ != nullptr) network_->advertise(filter, id_, /*add=*/false);
+    sub_index_.unsubscribe(rec.id, filter);
   }
-  sub_index_.remove_subscriber(rec.id);
   if (rec.has_udp) {
     // Ownership check: a reconnected client may have re-claimed this
     // endpoint, in which case the index entry is no longer ours.
@@ -108,14 +110,21 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
   // The slot stays ours while this runs: a stream's handler never runs
   // after its close, and no frame closes its own stream.
   Inbound& in = inbound_[slot];
-  // The broker-to-broker hop decodes in place: no Frame, no target
-  // vector; the route job reads the targets straight from `data`.
+  // The broker-to-broker hop and client events decode in place into a
+  // recycled RoutedEvent: no Frame, no topic string, no target vector;
+  // the route job reads a hop's targets straight from `data`.
   if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent)) {
-    Event ev;
+    RoutedRef routed = acquire_routed();
+    Event& ev = routed.entry().ev.refill();
     PeerTargets targets;
     if (!decode_peer_event_into(data, ev, targets)) return;
+    ev.hops = static_cast<std::uint8_t>(ev.hops + 1);
     note_heard(in.client);
-    ingress_peer_event(std::move(ev), std::move(targets));
+    ingress_peer_event(std::move(routed), std::move(targets));
+    return;
+  }
+  if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kEvent)) {
+    if (ingress_event(data, in.client)) note_heard(in.client);
     return;
   }
   auto frame = decode(data);
@@ -153,9 +162,6 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
       if (ClientRec* rec = find_client(in.client)) handle_subscription(*rec, f.subscribe);
       break;
     }
-    case MessageType::kEvent:
-      ingress_event(std::move(f.event), in.client, data);
-      break;
     case MessageType::kPing:
       // Probes ride the dispatch pipeline: a loaded broker pongs late.
       // Weak capture: the connection can die before the job runs (client
@@ -176,10 +182,12 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
       break;
     case MessageType::kHelloAck:
     case MessageType::kPong:
+    case MessageType::kEvent:
     case MessageType::kPeerEvent:
       // kHelloAck is a broker-to-client reply; kPong from a client is the
       // answer to our keepalive probe — the proof-of-life bump above is
-      // all it needs to do. kPeerEvent never gets here (handled above).
+      // all it needs to do. kEvent and kPeerEvent never get here (handled
+      // above).
       break;
   }
 }
@@ -225,44 +233,60 @@ void BrokerNode::handle_subscription(ClientRec& c, const SubscribeMessage& m) {
 }
 
 void BrokerNode::handle_datagram(const sim::Datagram& d) {
-  auto frame = decode(d.payload);
-  if (!frame.ok()) return;
-  Frame f = std::move(frame).value();
-  if (f.type != MessageType::kEvent) return;
+  // Only kEvent frames are taken on the datagram channel.
+  if (d.payload.empty() || d.payload[0] != static_cast<std::uint8_t>(MessageType::kEvent)) return;
   auto it = udp_index_.find(d.src);
   ClientId publisher = it == udp_index_.end() ? 0 : it->second;
   // Datagram-path publishers prove life without touching their stream.
-  note_heard(publisher);
-  ingress_event(std::move(f.event), publisher, d.payload);
+  if (ingress_event(d.payload, publisher)) note_heard(publisher);
 }
 
-void BrokerNode::ingress_event(Event ev, ClientId publisher, const Payload& frame) {
+BrokerNode::RoutedRef BrokerNode::acquire_routed() {
+  const std::uint32_t slot = routed_.acquire();
+  Routed& r = routed_[slot];
+  r.node = this;
+  r.slot = slot;
+  return RoutedRef(&r);
+}
+
+void BrokerNode::recycle(Routed& r) {
+  r.ev.clear();
+  routed_.release(r.slot);
+}
+
+bool BrokerNode::ingress_event(const Payload& frame, ClientId publisher) {
+  RoutedRef routed = acquire_routed();
+  Routed& r = routed.entry();
+  Event& ev = r.ev.refill();
+  if (!decode_event_into(frame, ev)) return false;
   ++events_in_;
   // Frame adoption: clients stamp their own id at publish, so a
   // well-behaved event's arrival frame is byte-for-byte the frame every
   // recipient should receive — adopt it and encode nothing. A mismatched
   // claim (publisher spoofing, pre-Hello traffic) is overridden with the
   // transport-derived identity and re-encoded lazily as before.
-  const bool adopt = ev.publisher == publisher;
+  if (ev.publisher == publisher) r.ev.adopt_wire(frame);
   ev.publisher = publisher;
-  std::vector<BrokerId> remote =
-      network_ != nullptr ? network_->interested_brokers(ev.topic, id_) : std::vector<BrokerId>{};
+  // The interest table as it reads now, copied into the recycled list.
+  r.remote.clear();
+  if (network_ != nullptr) {
+    const std::vector<BrokerId>& remote = network_->interested_brokers(ev.topic, id_);
+    r.remote.assign(remote.begin(), remote.end());
+  }
   // One shared RoutedEvent for the whole fan-out: every copy job holds the
   // same payload buffer and the kEvent frame is adopted or encoded at most
   // once.
-  auto routed = adopt ? std::make_shared<const RoutedEvent>(std::move(ev), frame)
-                      : std::make_shared<const RoutedEvent>(std::move(ev));
-  dispatch_.submit(cfg_.dispatch.route_cost, [this, publisher, routed = std::move(routed),
-                                              remote = std::move(remote)] {
-    route_and_deliver(routed, publisher, remote);
+  dispatch_.submit(cfg_.dispatch.route_cost, [this, publisher, routed = std::move(routed)] {
+    fan_out_local(routed, publisher);
+    const Routed& r = routed.entry();
+    if (!r.remote.empty()) route_remote(r.ev, r.remote);
   });
+  return true;
 }
 
-void BrokerNode::ingress_peer_event(Event ev, PeerTargets targets) {
+void BrokerNode::ingress_peer_event(RoutedRef routed, PeerTargets targets) {
   ++events_in_;
-  ev.hops = static_cast<std::uint8_t>(ev.hops + 1);
-  auto routed = std::make_shared<const RoutedEvent>(std::move(ev));
-  // {this, routed, targets} = 56 bytes: inline in the job's SmallFn.
+  // {this, routed, targets} = 40 bytes: inline in the job's SmallFn.
   dispatch_.submit(cfg_.dispatch.route_cost, [this, routed = std::move(routed),
                                               targets = std::move(targets)] {
     // Deliver locally if we are a target; forward the rest.
@@ -277,17 +301,11 @@ void BrokerNode::ingress_peer_event(Event ev, PeerTargets targets) {
       }
     }
     if (local) fan_out_local(routed, /*exclude=*/0);
-    if (!peer_rest_.empty()) route_remote(routed, peer_rest_);
+    if (!peer_rest_.empty()) route_remote(*routed, peer_rest_);
   });
 }
 
-void BrokerNode::route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
-                                   const std::vector<BrokerId>& remote_targets) {
-  fan_out_local(ev, exclude);
-  if (!remote_targets.empty()) route_remote(ev, remote_targets);
-}
-
-void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
+void BrokerNode::fan_out_local(const RoutedRef& ev, ClientId exclude) {
   // The index's cached match line, minus `exclude`, copied into a
   // recycled Fanout slot.
   const std::vector<ClientId>& line = sub_index_.matches(ev->event().topic);
@@ -328,11 +346,11 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
 }
 
 void BrokerNode::release_fanout(std::uint32_t slot) {
-  fanouts_[slot].ev.reset();
+  fanouts_[slot].ev = RoutedRef();
   free_fanouts_.push_back(slot);
 }
 
-void BrokerNode::route_remote(const RoutedEventPtr& ev, std::span<const BrokerId> targets) {
+void BrokerNode::route_remote(const RoutedEvent& ev, std::span<const BrokerId> targets) {
   // Group remaining target brokers by next hop; one forwarded copy per hop.
   // Unreachable brokers (fabric partitions, links not yet finalized) are
   // skipped rather than faulting the dispatch path.
@@ -354,7 +372,7 @@ void BrokerNode::route_remote(const RoutedEventPtr& ev, std::span<const BrokerId
   // (hop, index) order: forwards go out in ascending hop order, each
   // hop's targets in arrival order — deterministic.
   std::sort(hop_groups_.begin(), hop_groups_.end());
-  const SimDuration cost = cfg_.dispatch.copy_cost(ev->event().payload.size());
+  const SimDuration cost = cfg_.dispatch.copy_cost(ev.event().payload.size());
   for (std::size_t g = 0; g < hop_groups_.size();) {
     const BrokerId hop = hop_groups_[g].first;
     hop_targets_.clear();
@@ -363,8 +381,9 @@ void BrokerNode::route_remote(const RoutedEventPtr& ev, std::span<const BrokerId
     }
     // Peer framing embeds the hop's target set, so it cannot reuse the
     // cached kEvent frame; it is encoded here, once per next hop, straight
-    // from the shared event. {this, hop, frame} = 48 bytes: inline.
-    Payload frame(encode_peer_event(ev->event(), hop_targets_));
+    // from the shared event into one block whose headroom the stream's
+    // kData byte takes. {this, hop, frame} = 40 bytes: inline.
+    Payload frame = encode_peer_event(ev.event(), hop_targets_);
     dispatch_.submit(cost, [this, hop, frame = std::move(frame)] { forward_to_peer(hop, frame); });
   }
 }
@@ -383,13 +402,13 @@ void BrokerNode::deliver_copy(const ClientRec& c, const RoutedEvent& ev) {
 }
 
 void BrokerNode::forward_to_peer(BrokerId next_hop, const Payload& frame) {
-  auto it = peer_links_.find(next_hop);
-  if (it == peer_links_.end()) {
+  transport::StreamConnection* link = peer_link(next_hop);
+  if (link == nullptr) {
     GMMCS_WARN("broker") << "broker " << id_ << " has no link toward " << next_hop;
     return;
   }
   ++peer_forwards_;
-  it->second->send(frame);
+  link->send(frame);
 }
 
 void BrokerNode::add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn) {
@@ -411,6 +430,7 @@ void BrokerNode::add_peer_link(BrokerId peer, transport::StreamConnectionPtr con
     }
     if (cb) cb(rtt);
   });
+  if (peer >= peer_links_.size()) peer_links_.resize(peer + 1);
   peer_links_[peer] = std::move(conn);
   peer_last_heard_[peer] = host_->loop().now();
   ensure_heartbeat_task();
@@ -437,9 +457,8 @@ void BrokerNode::heartbeat_tick() {
   // peer_last_heard_ is ordered by BrokerId, so beacon fan-out and
   // detection order are deterministic across runs.
   for (auto& [peer, last] : peer_last_heard_) {
-    auto lit = peer_links_.find(peer);
-    if (lit != peer_links_.end()) {
-      lit->second->send(encode(HeartbeatMessage{id_}));
+    if (transport::StreamConnection* link = peer_link(peer)) {
+      link->send(encode(HeartbeatMessage{id_}));
       ++heartbeats_sent_;
     }
     if (now - last > dead && peer_down_.insert(peer).second) {
@@ -523,21 +542,21 @@ void BrokerNode::flood_link_state(const LinkStateMessage& m) {
   const Payload wire = encode(m);
   // peer_last_heard_ is ordered by BrokerId: deterministic flood order.
   for (const auto& [peer, last] : peer_last_heard_) {
-    auto it = peer_links_.find(peer);
-    if (it == peer_links_.end()) continue;
-    it->second->send(wire);
+    transport::StreamConnection* link = peer_link(peer);
+    if (link == nullptr) continue;
+    link->send(wire);
     ++link_states_flooded_;
   }
 }
 
 void BrokerNode::probe_peer(BrokerId peer, std::function<void(SimDuration)> cb) {
-  auto it = peer_links_.find(peer);
-  if (it == peer_links_.end()) return;
+  transport::StreamConnection* link = peer_link(peer);
+  if (link == nullptr) return;
   PingMessage ping;
   ping.token = next_probe_token_++;
   ping.sent = host_->loop().now();
   probes_[ping.token] = {peer, std::move(cb)};
-  it->second->send(encode(ping, /*pong=*/false));
+  link->send(encode(ping, /*pong=*/false));
 }
 
 }  // namespace gmmcs::broker

@@ -22,6 +22,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "broker/event.hpp"
@@ -167,8 +168,50 @@ class BrokerNode {
   /// Mints the next client id and its record.
   ClientRec& add_client();
   /// Drops `rec`'s record and its subscriptions, advertisements and UDP
-  /// index entry; returns its stream. Its slot is recycled.
+  /// index entry; returns its stream. Its slot is recycled. Costs one
+  /// unsubscribe per filter the client holds, whatever the table's size.
   transport::StreamConnectionPtr drop_client(ClientRec& rec);
+
+  /// A recycled RoutedEvent and the fabric targets its ingress read. Its
+  /// route job and its local fan-out share it through RoutedRef; when the
+  /// last reference goes, it drops its frame handles and its slot returns
+  /// to routed_, the topic's and the target list's capacity kept. A warmed
+  /// broker takes neither from the heap per event.
+  struct Routed {
+    RoutedEvent ev;
+    std::vector<BrokerId> remote;
+    BrokerNode* node = nullptr;
+    std::uint32_t slot = 0;
+    std::uint32_t refs = 0;
+  };
+  /// A counted handle to a Routed. The count is a plain integer: a
+  /// broker's events stay on its simulation's thread, like Payload.
+  class RoutedRef {
+   public:
+    RoutedRef() = default;
+    explicit RoutedRef(Routed* r) : r_(r) { ++r_->refs; }
+    RoutedRef(const RoutedRef& other) : r_(other.r_) {
+      if (r_ != nullptr) ++r_->refs;
+    }
+    RoutedRef(RoutedRef&& other) noexcept : r_(std::exchange(other.r_, nullptr)) {}
+    RoutedRef& operator=(RoutedRef other) noexcept {
+      std::swap(r_, other.r_);
+      return *this;
+    }
+    ~RoutedRef() {
+      if (r_ != nullptr && --r_->refs == 0) r_->node->recycle(*r_);
+    }
+    [[nodiscard]] Routed& entry() const { return *r_; }
+    [[nodiscard]] const RoutedEvent& operator*() const { return r_->ev; }
+    [[nodiscard]] const RoutedEvent* operator->() const { return &r_->ev; }
+
+   private:
+    Routed* r_ = nullptr;
+  };
+  /// A fresh Routed from the pool, its event ready to refill().
+  RoutedRef acquire_routed();
+  /// Returns a Routed whose last reference went to the pool.
+  void recycle(Routed& r);
 
   void accept(transport::StreamConnectionPtr conn);
   /// A frame on the inbound stream in `slot` (from a client or a peer).
@@ -195,31 +238,28 @@ class BrokerNode {
   void handle_link_state(const LinkStateMessage& m);
   void flood_link_state(const LinkStateMessage& m);
 
-  /// Entry point for a client-published event. `publisher` (0 = unknown)
-  /// is excluded from local delivery: a subscriber never hears its own
-  /// publications back, matching media-bridge semantics. `frame` is the
-  /// arrival frame: when the decoded publisher matches the transport-
-  /// derived one the frame is adopted verbatim as the delivery wire, so
-  /// the broker re-encodes nothing and the whole fan-out shares the
-  /// publisher's single allocation.
-  void ingress_event(Event ev, ClientId publisher, const Payload& frame);
+  /// Entry point for a client-published kEvent `frame`, decoded in place
+  /// into a recycled RoutedEvent; false (and nothing routed) if it is
+  /// malformed. `publisher` (0 = unknown) is excluded from local
+  /// delivery: a subscriber never hears its own publications back,
+  /// matching media-bridge semantics. When the decoded publisher matches
+  /// the transport-derived one the frame is adopted verbatim as the
+  /// delivery wire, so the broker re-encodes nothing and the whole
+  /// fan-out shares the publisher's single allocation.
+  bool ingress_event(const Payload& frame, ClientId publisher);
   /// Entry point for an event forwarded by a peer broker, decoded in place
   /// from its kPeerEvent frame; `targets` reads the frame's id list.
-  void ingress_peer_event(Event ev, PeerTargets targets);
-  /// Routing core: deliver locally and forward the remaining targets.
-  /// Fan-out jobs share the RoutedEvent — no per-recipient Event copy and
-  /// at most one kEvent encode per event.
-  void route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
-                         const std::vector<BrokerId>& remote_targets);
+  void ingress_peer_event(RoutedRef routed, PeerTargets targets);
   /// Local fan-out of one event to every matching client (minus
   /// `exclude`): one NIC-gated ServiceCenter batch, one copy job per
-  /// recipient.
-  void fan_out_local(const RoutedEventPtr& ev, ClientId exclude);
+  /// recipient. Fan-out jobs share the RoutedEvent — no per-recipient
+  /// Event copy and at most one kEvent encode per event.
+  void fan_out_local(const RoutedRef& ev, ClientId exclude);
   /// Returns a Fanout slot to the pool once its last copy has completed.
   void release_fanout(std::uint32_t slot);
   /// Forwards an event toward each remaining target broker, one copy per
   /// distinct next hop, submitted in ascending hop order.
-  void route_remote(const RoutedEventPtr& ev, std::span<const BrokerId> targets);
+  void route_remote(const RoutedEvent& ev, std::span<const BrokerId> targets);
   void deliver_copy(const ClientRec& c, const RoutedEvent& ev);
   /// Sends one hop's kPeerEvent frame (encoded by route_remote).
   void forward_to_peer(BrokerId next_hop, const Payload& frame);
@@ -228,6 +268,10 @@ class BrokerNode {
 
   /// Outgoing link to a peer broker (created by BrokerNetwork::link).
   void add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn);
+  /// The outgoing link to `peer`, or nullptr.
+  [[nodiscard]] transport::StreamConnection* peer_link(BrokerId peer) const {
+    return peer < peer_links_.size() ? peer_links_[peer].get() : nullptr;
+  }
 
   sim::Host* host_;
   BrokerId id_;
@@ -235,6 +279,9 @@ class BrokerNode {
   BrokerNetwork* network_ = nullptr;  // set by BrokerNetwork::add_broker
   transport::StreamListener listener_;
   transport::DatagramSocket dgram_;
+  /// Declared before dispatch_ and fanouts_, whose jobs and slots hold
+  /// RoutedRefs: it is destroyed after them.
+  sim::SlotPool<Routed> routed_;
   sim::ServiceCenter dispatch_;
   static constexpr std::uint32_t kNoClient = UINT32_MAX;
   /// The client table, indexed by ClientId: client_slot_[cid] is the
@@ -252,14 +299,15 @@ class BrokerNode {
   /// Reverse index: client's UDP endpoint -> id, to identify publishers of
   /// datagram-path events (hot path: one hash lookup per media packet).
   std::unordered_map<sim::Endpoint, ClientId, sim::EndpointHash> udp_index_;
-  std::unordered_map<BrokerId, transport::StreamConnectionPtr> peer_links_;
+  /// Outgoing peer links, indexed by BrokerId (null: no link).
+  std::vector<transport::StreamConnectionPtr> peer_links_;
   /// Local fan-outs with copies still in the dispatch pool: the event and
   /// its recipients, copied from the match line at routing time (the line
   /// may change before the last copy leaves). The batch's callback
   /// captures the slot index; a slot is recycled, capacity kept, once its
   /// last accepted copy completes, so a warmed fan-out allocates nothing.
   struct Fanout {
-    RoutedEventPtr ev;
+    RoutedRef ev;
     std::vector<ClientId> cids;
     std::size_t pending = 0;
   };

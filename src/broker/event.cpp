@@ -5,7 +5,7 @@ namespace gmmcs::broker {
 namespace {
 std::uint64_t g_event_encodes = 0;
 
-void encode_event_body(ByteWriter& w, const Event& e) {
+void encode_event_body(FrameWriter& w, const Event& e) {
   w.u8(static_cast<std::uint8_t>(e.qos));
   w.u8(e.hops);
   w.u64(static_cast<std::uint64_t>(e.origin.ns()));
@@ -36,24 +36,24 @@ void decode_event_body(ByteReader& r, const Payload& frame, Event& e) {
 }
 }  // namespace
 
-Bytes encode(const HelloMessage& m) {
-  ByteWriter w;
+Payload encode(const HelloMessage& m) {
+  FrameWriter w(1 + 2 + m.client_name.size() + 2);
   w.u8(static_cast<std::uint8_t>(MessageType::kHello));
   w.lstr(m.client_name);
   w.u16(m.udp_port);
   return w.take();
 }
 
-Bytes encode(const HelloAckMessage& m) {
-  ByteWriter w;
+Payload encode(const HelloAckMessage& m) {
+  FrameWriter w(1 + 4 + 2);
   w.u8(static_cast<std::uint8_t>(MessageType::kHelloAck));
   w.u32(m.client_id);
   w.u16(m.broker_udp_port);
   return w.take();
 }
 
-Bytes encode(const SubscribeMessage& m) {
-  ByteWriter w;
+Payload encode(const SubscribeMessage& m) {
+  FrameWriter w(1 + 2 + m.filter.size());
   w.u8(static_cast<std::uint8_t>(m.subscribe ? MessageType::kSubscribe
                                              : MessageType::kUnsubscribe));
   w.lstr(m.filter);
@@ -62,22 +62,21 @@ Bytes encode(const SubscribeMessage& m) {
 
 // Fixed kEvent overhead: type + qos + hops (3×u8) + origin (u64) +
 // seq + publisher + payload length (3×u32) + the topic's lstr prefix
-// (u16) = 25 bytes. The reserve must not undershoot: the zero-copy
-// certification (tests/zero_copy_cert_test.cpp) pins the frame to a
-// single allocation, and a short reserve silently re-copies it.
+// (u16) = 25 bytes. FrameWriter sizes the frame exactly, so a miscount
+// throws rather than re-copying the frame.
 constexpr std::size_t kEventFixedOverhead = 25;
 
-Bytes encode(const Event& e) {
+Payload encode(const Event& e) {
   ++g_event_encodes;
-  ByteWriter w(e.payload.size() + e.topic.size() + kEventFixedOverhead);
+  FrameWriter w(e.payload.size() + e.topic.size() + kEventFixedOverhead);
   w.u8(static_cast<std::uint8_t>(MessageType::kEvent));
   encode_event_body(w, e);
   return w.take();
 }
 
-Bytes encode_peer_event(const Event& e, std::span<const BrokerId> targets) {
-  ByteWriter w(e.payload.size() + e.topic.size() + kEventFixedOverhead +
-               2 + 4 * targets.size());
+Payload encode_peer_event(const Event& e, std::span<const BrokerId> targets) {
+  FrameWriter w(e.payload.size() + e.topic.size() + kEventFixedOverhead + 2 +
+                4 * targets.size());
   w.u8(static_cast<std::uint8_t>(MessageType::kPeerEvent));
   w.u16(static_cast<std::uint16_t>(targets.size()));
   for (BrokerId id : targets) w.u32(id);
@@ -85,7 +84,7 @@ Bytes encode_peer_event(const Event& e, std::span<const BrokerId> targets) {
   return w.take();
 }
 
-Bytes encode(const PeerEventMessage& m) {
+Payload encode(const PeerEventMessage& m) {
   return encode_peer_event(m.event, m.targets);
 }
 
@@ -101,23 +100,23 @@ const Payload& RoutedEvent::wire() const {
   return wire_;
 }
 
-Bytes encode(const PingMessage& m, bool pong) {
-  ByteWriter w;
+Payload encode(const PingMessage& m, bool pong) {
+  FrameWriter w(1 + 4 + 8);
   w.u8(static_cast<std::uint8_t>(pong ? MessageType::kPong : MessageType::kPing));
   w.u32(m.token);
   w.u64(static_cast<std::uint64_t>(m.sent.ns()));
   return w.take();
 }
 
-Bytes encode(const HeartbeatMessage& m) {
-  ByteWriter w;
+Payload encode(const HeartbeatMessage& m) {
+  FrameWriter w(1 + 4);
   w.u8(static_cast<std::uint8_t>(MessageType::kHeartbeat));
   w.u32(m.from);
   return w.take();
 }
 
-Bytes encode(const LinkStateMessage& m) {
-  ByteWriter w;
+Payload encode(const LinkStateMessage& m) {
+  FrameWriter w(1 + 4 * 4 + 1);
   w.u8(static_cast<std::uint8_t>(MessageType::kLinkState));
   w.u32(m.origin);
   w.u32(m.seq);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -109,17 +108,20 @@ struct LinkStateMessage {
   bool up = false;
 };
 
-Bytes encode(const HelloMessage& m);
-Bytes encode(const HelloAckMessage& m);
-Bytes encode(const SubscribeMessage& m);
-Bytes encode(const Event& e);
-Bytes encode(const PeerEventMessage& m);
+// Every encoder writes its frame straight into one Payload block sized
+// exactly, with the headroom a stream's kData byte needs (FrameWriter):
+// a frame costs one allocation and is never copied on its way out.
+Payload encode(const HelloMessage& m);
+Payload encode(const HelloAckMessage& m);
+Payload encode(const SubscribeMessage& m);
+Payload encode(const Event& e);
+Payload encode(const PeerEventMessage& m);
 /// kPeerEvent framing straight from an Event and a target set, avoiding
 /// the intermediate PeerEventMessage copy of topic + payload.
-Bytes encode_peer_event(const Event& e, std::span<const BrokerId> targets);
-Bytes encode(const PingMessage& m, bool pong);
-Bytes encode(const HeartbeatMessage& m);
-Bytes encode(const LinkStateMessage& m);
+Payload encode_peer_event(const Event& e, std::span<const BrokerId> targets);
+Payload encode(const PingMessage& m, bool pong);
+Payload encode(const HeartbeatMessage& m);
+Payload encode(const LinkStateMessage& m);
 
 /// Process-wide count of kEvent encodes (encode(Event) calls). Host-side
 /// instrumentation for the encode-once fan-out path; tests and benches
@@ -127,31 +129,50 @@ Bytes encode(const LinkStateMessage& m);
 /// per event regardless of recipient count. Not part of the cost model.
 std::uint64_t event_encode_count();
 
-/// An event in flight through the routing fast path: one shared Event plus
-/// its lazily-encoded kEvent wire frame. Fan-out jobs capture the
-/// shared_ptr, so a 400-recipient delivery holds one payload buffer and
-/// encodes one frame instead of copying and re-encoding per recipient —
-/// the transmission-path optimization behind the paper's Figure-3 gap.
+/// An event in flight through the routing fast path: one Event plus its
+/// lazily-encoded kEvent wire frame. Fan-out jobs share one RoutedEvent,
+/// so a 400-recipient delivery holds one payload buffer and encodes one
+/// frame instead of copying and re-encoding per recipient — the
+/// transmission-path optimization behind the paper's Figure-3 gap.
+/// BrokerNode recycles them (refill()), so a warmed broker decodes each
+/// arriving event into one whose topic string already has the capacity.
 class RoutedEvent {
  public:
+  RoutedEvent() = default;
   explicit RoutedEvent(Event ev) : event_(std::move(ev)) {}
-  /// Frame adoption: when the decoded event is forwarded verbatim, the
-  /// arrival frame IS the delivery frame — the broker re-encodes nothing
-  /// and every recipient shares the publisher's one allocation.
-  RoutedEvent(Event ev, Payload frame) : event_(std::move(ev)), wire_(std::move(frame)), encoded_(true) {}
 
   [[nodiscard]] const Event& event() const { return event_; }
   /// The cached kEvent frame; adopted at ingress or encoded on first use,
   /// shared afterwards.
   [[nodiscard]] const Payload& wire() const;
 
+  /// The event to decode a fresh arrival into, in place: the cached frame
+  /// is dropped and the topic keeps its capacity.
+  Event& refill() {
+    wire_ = Payload{};
+    encoded_ = false;
+    return event_;
+  }
+  /// Frame adoption: when the decoded event is forwarded verbatim, the
+  /// arrival frame IS the delivery frame — the broker re-encodes nothing
+  /// and every recipient shares the publisher's one allocation.
+  void adopt_wire(Payload frame) {
+    wire_ = std::move(frame);
+    encoded_ = true;
+  }
+  /// Drops the payload and frame handles (their blocks may be freed),
+  /// keeping the topic's capacity for the next refill().
+  void clear() {
+    event_.payload = Payload{};
+    wire_ = Payload{};
+    encoded_ = false;
+  }
+
  private:
   Event event_;
   mutable Payload wire_;
   mutable bool encoded_ = false;
 };
-
-using RoutedEventPtr = std::shared_ptr<const RoutedEvent>;
 
 /// The target-broker list of a kPeerEvent frame, read in place: a
 /// zero-copy slice of the frame's big-endian u32 ids, so holding it keeps

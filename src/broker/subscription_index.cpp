@@ -61,29 +61,24 @@ void SubscriptionIndex::unsubscribe(SubscriberId id, const TopicFilter& filter) 
   }
 }
 
-void SubscriptionIndex::remove_subscriber(SubscriberId id) {
-  const std::size_t before = entries_;
-  auto sweep = [&](auto& table) {
-    for (auto it = table.begin(); it != table.end();) {
-      entries_ -= it->second.erase(id);
-      it = it->second.empty() ? table.erase(it) : std::next(it);
-    }
-  };
-  sweep(exact_);
-  sweep(invalid_);
-  for (auto it = wildcards_.begin(); it != wildcards_.end();) {
-    entries_ -= it->refs.erase(id);
-    it = it->refs.empty() ? wildcards_.erase(it) : std::next(it);
-  }
-  if (entries_ != before) bump_generation();
-}
-
 const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
-    const std::string& topic) const {
-  if (cache_.size() > kMaxCacheLines) cache_.clear();
-  CacheLine& line = cache_[topic];
-  // generation_ starts at 1, so a default-constructed line (generation 0)
-  // can never masquerade as current.
+    std::string_view topic) const {
+  if (cache_.size() > kMaxCacheLines) {
+    cache_.clear();
+    lines_used_ = 0;
+  }
+  const std::uint64_t hash = std::hash<std::string_view>{}(topic);
+  std::uint32_t at = cache_.find(hash, [&](std::uint32_t l) { return lines_[l]->topic == topic; });
+  if (at == OpenIndex::kNone) {
+    at = static_cast<std::uint32_t>(lines_used_++);
+    if (at == lines_.size()) lines_.push_back(std::make_unique<CacheLine>());
+    lines_[at]->topic.assign(topic);
+    // generation_ starts at 1, so a fresh line (generation 0) can never
+    // masquerade as current.
+    lines_[at]->generation = 0;
+    cache_.insert(hash, at);
+  }
+  CacheLine& line = *lines_[at];
   if (line.generation == generation_) {
     ++cache_hits_;
     return line.ids;
@@ -91,7 +86,11 @@ const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
   ++cache_misses_;
   line.generation = generation_;
   line.ids.clear();
-  std::string normalized = normalize_topic(topic);
+  // Publishers normalize their topics, so a miss reads the topic as it
+  // came and allocates only to respell a stray spelling.
+  std::string respelled;
+  const std::string_view normalized =
+      is_normalized_topic(topic) ? topic : std::string_view(respelled = normalize_topic(topic));
   if (auto it = exact_.find(normalized); it != exact_.end()) {
     for (const auto& [id, refs] : it->second) line.ids.push_back(id);
   }
@@ -106,15 +105,14 @@ const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
   return line.ids;
 }
 
-std::vector<SubscriptionIndex::SubscriberId> SubscriptionIndex::matches(
-    const std::string& topic, SubscriberId exclude) const {
+const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
+    std::string_view topic, SubscriberId exclude) const {
   const std::vector<SubscriberId>& all = matches(topic);
-  std::vector<SubscriberId> out;
-  out.reserve(all.size());
+  excluded_.clear();
   for (SubscriberId id : all) {
-    if (id != exclude) out.push_back(id);
+    if (id != exclude) excluded_.push_back(id);
   }
-  return out;
+  return excluded_;
 }
 
 void SubscriptionIndex::bump_generation() {

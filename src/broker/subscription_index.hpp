@@ -25,12 +25,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "broker/topic.hpp"
+#include "common/open_index.hpp"
 
 namespace gmmcs::broker {
 
@@ -43,16 +47,17 @@ class SubscriptionIndex {
   /// stored for refcounting symmetry but never match anything.
   void subscribe(SubscriberId id, const TopicFilter& filter);
   /// Drops one reference; the entry disappears when its count reaches 0.
+  /// A departing subscriber drops each of its filters this way: the cost
+  /// is its own entries, not the table's.
   void unsubscribe(SubscriberId id, const TopicFilter& filter);
-  /// Drops all of a subscriber's references (client disconnect).
-  void remove_subscriber(SubscriberId id);
 
   /// Sorted, deduplicated ids of every subscriber with a filter matching
   /// `topic`. Cached per topic; valid until the next table mutation.
-  const std::vector<SubscriberId>& matches(const std::string& topic) const;
-  /// Same, minus `exclude` (publisher / origin-broker exclusion).
-  [[nodiscard]] std::vector<SubscriberId> matches(const std::string& topic,
-                                                  SubscriberId exclude) const;
+  const std::vector<SubscriberId>& matches(std::string_view topic) const;
+  /// Same, minus `exclude` (publisher / origin-broker exclusion), written
+  /// into a buffer the index reuses: valid until the next call of either
+  /// form, and allocation-free once warmed.
+  const std::vector<SubscriberId>& matches(std::string_view topic, SubscriberId exclude) const;
 
   /// Total (subscriber, filter) entries, counting each once regardless of
   /// refcount.
@@ -75,27 +80,42 @@ class SubscriptionIndex {
   };
 
   struct CacheLine {
+    std::string topic;
     std::uint64_t generation = 0;
     std::vector<SubscriberId> ids;
   };
 
   void bump_generation();
 
+  /// Lets the pattern tables be probed with a topic's view.
+  struct PatternHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  using PatternMap = std::unordered_map<std::string, RefMap, PatternHash, std::equal_to<>>;
+
   /// Concrete filter pattern -> subscriber refcounts (one hash probe per
   /// published topic).
-  std::unordered_map<std::string, RefMap> exact_;
+  PatternMap exact_;
   /// Filters containing '*' or a trailing '#' (scanned per cache miss).
   std::vector<WildcardEntry> wildcards_;
   /// Invalid filters, kept purely so unsubscribe refcounts balance.
-  std::unordered_map<std::string, RefMap> invalid_;
+  PatternMap invalid_;
   /// Entries across exact_, wildcards_ and invalid_, kept by every
   /// mutation (see entry_count()).
   std::size_t entries_ = 0;
   std::uint64_t generation_ = 1;
 
-  /// topic (as published) -> match result; lazily invalidated by
-  /// generation mismatch, fully reset if it ever grows past the cap.
-  mutable std::unordered_map<std::string, CacheLine> cache_;
+  /// topic (as published) -> match result: an OpenIndex from the topic's
+  /// hash to its line, so a hit hashes the topic's view and compares it
+  /// once. Lines are lazily invalidated by generation mismatch; the cache
+  /// is reset if it ever grows past the cap, and a reset reuses the lines
+  /// (a line never moves, so a returned reference outlives a reset).
+  mutable std::vector<std::unique_ptr<CacheLine>> lines_;
+  mutable std::size_t lines_used_ = 0;
+  mutable OpenIndex cache_;
+  /// matches(topic, exclude)'s reused result.
+  mutable std::vector<SubscriberId> excluded_;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 };

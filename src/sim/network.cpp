@@ -5,14 +5,6 @@
 
 namespace gmmcs::sim {
 
-namespace {
-/// Home position of `port` in a port index of size mask + 1: Fibonacci
-/// hashing, as for links.
-std::size_t port_home(std::uint16_t port, std::size_t mask) {
-  return static_cast<std::size_t>((port * 0x9E3779B97F4A7C15ull) >> 32) & mask;
-}
-}  // namespace
-
 std::string Endpoint::to_string() const {
   return "host" + std::to_string(node) + ":" + std::to_string(port);
 }
@@ -29,24 +21,13 @@ void Host::bind(std::uint16_t port, Handler handler) {
     throw std::logic_error("Host '" + name_ + "': bind on port " + std::to_string(port) +
                            " while host is down");
   }
-  std::size_t i = port_pos(port);
-  if (port_index_[i].slot != kNoSlot) {
+  if (is_bound(port)) {
     throw std::logic_error("Host '" + name_ + "': port " + std::to_string(port) +
                            " already bound");
   }
   const std::uint32_t slot = handlers_.acquire();
   handlers_[slot] = std::move(handler);
-  if (2 * (ports_bound_ + 1) > port_index_.size()) {
-    // Keep the index at most half full: rehash into twice the size.
-    std::vector<PortEntry> old(2 * port_index_.size());
-    old.swap(port_index_);
-    for (const PortEntry& e : old) {
-      if (e.slot != kNoSlot) port_index_[port_pos(e.port)] = e;
-    }
-    i = port_pos(port);
-  }
-  port_index_[i] = PortEntry{port, slot};
-  ++ports_bound_;
+  ports_.insert(port, slot);
 }
 
 void Host::set_up(bool up) {
@@ -77,27 +58,26 @@ std::uint16_t Host::bind_ephemeral(Handler handler) {
 }
 
 void Host::rebind(std::uint16_t port, Handler handler) {
-  PortEntry& e = port_index_[port_pos(port)];
-  if (e.slot == kNoSlot) {
+  std::uint32_t* slot = ports_.lookup(port);
+  if (slot == nullptr) {
     throw std::logic_error("Host '" + name_ + "': rebind of unbound port " + std::to_string(port));
   }
-  if (e.slot != running_) {
-    handlers_[e.slot] = std::move(handler);
+  if (*slot != running_) {
+    handlers_[*slot] = std::move(handler);
     return;
   }
   // The running handler must outlive its call: the port moves to a fresh
   // slot and the old one is freed once the call returns.
   const std::uint32_t fresh = handlers_.acquire();
   handlers_[fresh] = std::move(handler);
-  retire(e.slot);
-  e.slot = fresh;
+  retire(*slot);
+  *slot = fresh;
 }
 
 void Host::unbind(std::uint16_t port) {
-  const std::size_t i = port_pos(port);
-  const std::uint32_t slot = port_index_[i].slot;
+  const std::uint32_t slot = ports_.find(port);
   if (slot == kNoSlot) return;
-  erase_port(i);
+  ports_.erase(port, slot);
   retire(slot);
 }
 
@@ -108,28 +88,6 @@ void Host::retire(std::uint32_t slot) {
   }
   handlers_[slot] = nullptr;
   handlers_.release(slot);
-}
-
-std::size_t Host::port_pos(std::uint16_t port) const {
-  const std::size_t mask = port_index_.size() - 1;
-  std::size_t i = port_home(port, mask);
-  while (port_index_[i].slot != kNoSlot && port_index_[i].port != port) i = (i + 1) & mask;
-  return i;
-}
-
-void Host::erase_port(std::size_t i) {
-  const std::size_t mask = port_index_.size() - 1;
-  for (std::size_t j = (i + 1) & mask; port_index_[j].slot != kNoSlot; j = (j + 1) & mask) {
-    // The entry at j may fill the hole at i unless its home lies
-    // cyclically in (i, j].
-    const std::size_t home = port_home(port_index_[j].port, mask);
-    if (((j - home) & mask) >= ((j - i) & mask)) {
-      port_index_[i] = port_index_[j];
-      i = j;
-    }
-  }
-  port_index_[i] = PortEntry{};
-  --ports_bound_;
 }
 
 SimDuration Host::nic_backlog_delay() const {
@@ -220,7 +178,7 @@ void Host::send_multicast(GroupId group, std::uint16_t src_port, Payload payload
 void Host::deliver(const Datagram& d) {
   if (!up_) return;
   if (ingress_filter_ && !ingress_filter_(d)) return;
-  const std::uint32_t slot = port_index_[port_pos(d.dst.port)].slot;
+  const std::uint32_t slot = ports_.find(d.dst.port);
   if (slot == kNoSlot) return;  // no listener: silently dropped, like UDP
   Handler& handler = handlers_[slot];
   if (!handler) return;
@@ -356,31 +314,16 @@ void Network::set_link_up_oneway(NodeId src, NodeId dst, bool up) {
   }
 }
 
-std::size_t Network::link_slot(NodeId src, NodeId dst) const {
-  // Fibonacci hashing of the packed pair, then linear probing.
-  const std::uint64_t key = (std::uint64_t{src} << 32) | dst;
-  const std::size_t mask = link_index_.size() - 1;
-  std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
-  for (std::uint32_t id = link_index_[i]; id != kNone; id = link_index_[i]) {
-    if (links_[id].src == src && links_[id].dst == dst) break;
-    i = (i + 1) & mask;
-  }
-  return i;
-}
-
 std::uint32_t Network::link_id(NodeId src, NodeId dst) {
-  std::size_t i = link_slot(src, dst);
-  if (link_index_[i] != kNone) return link_index_[i];
-  // First datagram on this pair: add its record, keeping the index at
-  // most half full.
+  const std::uint64_t key = (std::uint64_t{src} << 32) | dst;
+  const auto same = [&](std::uint32_t id) {
+    return links_[id].src == src && links_[id].dst == dst;
+  };
+  if (const std::uint32_t id = link_index_.find(key, same); id != kNone) return id;
+  // First datagram on this pair: add its record.
   const auto id = static_cast<std::uint32_t>(links_.size());
   links_.push_back(Link{.src = src, .dst = dst});
-  if (2 * links_.size() > link_index_.size()) {
-    link_index_.assign(2 * link_index_.size(), kNone);
-    for (std::uint32_t k = 0; k < id; ++k) link_index_[link_slot(links_[k].src, links_[k].dst)] = k;
-    i = link_slot(src, dst);
-  }
-  link_index_[i] = id;
+  link_index_.insert(key, id);
   return id;
 }
 

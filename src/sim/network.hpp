@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/open_index.hpp"
 #include "common/payload.hpp"
 #include "common/random.hpp"
 #include "common/time.hpp"
@@ -117,7 +118,7 @@ class Host {
   void rebind(std::uint16_t port, Handler handler);
   void unbind(std::uint16_t port);
   [[nodiscard]] bool is_bound(std::uint16_t port) const {
-    return port_index_[port_pos(port)].slot != kNoSlot;
+    return ports_.find(port) != kNoSlot;
   }
 
   /// Sends a datagram; returns false if the NIC queue dropped it. The
@@ -163,7 +164,7 @@ class Host {
 
  private:
   friend class Network;
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint32_t kNoSlot = OpenIndex::kNone;
   static constexpr std::uint16_t kEphemeralFirst = 49152;
 
   Host(Network& net, NodeId id, std::string name, NicConfig cfg);
@@ -187,12 +188,6 @@ class Host {
   /// Hands an arrived datagram to its port handler. `d` is the copy
   /// parked in Network's in-flight pool, valid until the handler returns.
   void deliver(const Datagram& d);
-  /// Position of `port` in port_index_, or of the empty entry where it
-  /// belongs.
-  [[nodiscard]] std::size_t port_pos(std::uint16_t port) const;
-  /// Removes the index entry at position `i`, shifting its probe chain
-  /// back so no tombstone is left.
-  void erase_port(std::size_t i);
   /// Frees a handler slot that no port points to any more. The running
   /// handler's slot is freed by deliver() once the handler returns.
   void retire(std::uint32_t slot);
@@ -221,19 +216,13 @@ class Host {
   std::uint64_t nic_sent_ = 0;
   std::uint64_t nic_dropped_ = 0;
   std::uint16_t next_ephemeral_ = kEphemeralFirst;
-  /// The port table: an open-addressing index (a power-of-two table kept
-  /// at most half full, linear probing, kNoSlot = empty) from each bound
-  /// port to its handler's slot in handlers_. The index and the pool grow
-  /// with the most ports bound at once, not with the port numbers handed
-  /// out. A delivery is one probe into the index plus one call of a
-  /// handler that never moves: a handler may bind ports (growing both)
-  /// and unbind or rebind its own port while it runs.
-  struct PortEntry {
-    std::uint16_t port = 0;
-    std::uint32_t slot = kNoSlot;
-  };
-  std::vector<PortEntry> port_index_ = std::vector<PortEntry>(16);
-  std::size_t ports_bound_ = 0;
+  /// The port table: an OpenIndex from each bound port to its handler's
+  /// slot in handlers_. The index and the pool grow with the most ports
+  /// bound at once, not with the port numbers handed out. A delivery is
+  /// one probe into the index plus one call of a handler that never
+  /// moves: a handler may bind ports (growing both) and unbind or rebind
+  /// its own port while it runs.
+  OpenIndex ports_;
   SlotPool<Handler> handlers_;
   /// Slot of the handler deliver() is running (deliveries never nest:
   /// each is its own loop event); kNoSlot once retire() has claimed it.
@@ -355,9 +344,6 @@ class Network {
 
   /// Throws std::out_of_range unless `node` is a host.
   void require_host(NodeId node) const;
-  /// Position of the src → dst link in link_index_, or of the empty
-  /// entry where it belongs.
-  [[nodiscard]] std::size_t link_slot(NodeId src, NodeId dst) const;
   /// Index of the src → dst link record, made on first use.
   std::uint32_t link_id(NodeId src, NodeId dst);
   /// The link's effective path, recomputed after a path change.
@@ -390,10 +376,9 @@ class Network {
   /// once its path_gen differs.
   std::uint64_t path_gen_ = 1;
   /// Link records, one per directed pair that carried traffic, and an
-  /// open-addressing index over them (a power-of-two table of link ids,
-  /// kNone = empty, kept at most half full).
+  /// OpenIndex from the packed (src, dst) pair to each record's id.
   std::vector<Link> links_;
-  std::vector<std::uint32_t> link_index_ = std::vector<std::uint32_t>(16, kNone);
+  OpenIndex link_index_;
   GroupId next_group_ = 1;
   std::unordered_map<GroupId, std::vector<Endpoint>> groups_;
   /// Administratively-down host pairs (link flaps, partitions), keyed minmax.

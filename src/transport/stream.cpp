@@ -14,22 +14,26 @@ constexpr std::uint8_t kFin = 4;
 Bytes control_segment(std::uint8_t type) {
   return Bytes{type};
 }
-
-// The one residual byte copy on the stream path: a kData segment prepends
-// its type byte, so the message is framed into a fresh buffer at egress.
-// The receive side undoes it for free (a slice); the best-effort media
-// fan-out never comes through here.
-Bytes data_segment(const Payload& message) {
-  Bytes out;
-  out.reserve(message.size() + 1);
-  out.push_back(kData);
-  out.insert(out.end(), message.data(), message.data() + message.size());
-  return out;
-}
 }  // namespace
 
 StreamConnection::StreamConnection(sim::Host& host, State state)
     : host_(&host), state_(state) {}
+
+StreamConnectionPtr StreamConnection::make(sim::Host& host, State state) {
+  return StreamConnectionPtr(new StreamConnection(host, state), Release{});
+}
+
+void StreamConnection::Release::operator()(StreamConnection* conn) const {
+  if (conn->pins_ > 0) {
+    conn->orphaned_ = true;
+  } else {
+    delete conn;
+  }
+}
+
+void StreamConnection::unpin() {
+  if (--pins_ == 0 && orphaned_) delete this;
+}
 
 StreamConnection::~StreamConnection() {
   close_handler_ = nullptr;  // never call back out into user code from a destructor
@@ -38,7 +42,7 @@ StreamConnection::~StreamConnection() {
 
 StreamConnectionPtr StreamConnection::connect(sim::Host& from, sim::Endpoint to,
                                               ConnectOptions opts) {
-  auto conn = StreamConnectionPtr(new StreamConnection(from, State::kConnecting));
+  auto conn = make(from, State::kConnecting);
   conn->remote_ = to;
   conn->owns_port_ = true;
   conn->opts_ = opts;
@@ -75,7 +79,13 @@ void StreamConnection::cancel_syn_timer() {
 }
 
 void StreamConnection::handle(const sim::Datagram& d) {
-  auto self = shared_from_this();  // keep alive through user callbacks
+  // Pinned through the callbacks below, which may drop our last owner.
+  ++pins_;
+  handle_segment(d);
+  unpin();
+}
+
+void StreamConnection::handle_segment(const sim::Datagram& d) {
   if (d.payload.empty() || d.src != remote_) return;
   switch (d.payload[0]) {
     case kSynAck:
@@ -100,7 +110,7 @@ void StreamConnection::handle(const sim::Datagram& d) {
       if (state_ == State::kClosed) break;
       ++received_;
       // Zero-copy: the delivered message is a slice of the arriving
-      // segment, sharing the sender's buffer.
+      // segment, sharing the sender's block.
       deliver_or_buffer(d.payload.slice(1));
       break;
     case kFin:
@@ -139,10 +149,18 @@ void StreamConnection::send(Payload message) {
   send_segment(message);
 }
 
+void StreamConnection::send(std::string_view text) {
+  FrameWriter w(text.size());
+  w.str(text);
+  send(w.take());
+}
+
 void StreamConnection::send_segment(const Payload& message) {
   ++sent_;
-  // Nothing retransmits yet: a segment the NIC drops is lost, so count it.
-  if (!host_->send(remote_, local_.port, data_segment(message), /*reliable=*/true)) {
+  // The kData byte lands in the frame's headroom: the segment shares the
+  // message's block. Nothing retransmits yet: a segment the NIC drops is
+  // lost, so count it.
+  if (!host_->send(remote_, local_.port, message.prepend(kData), /*reliable=*/true)) {
     ++segments_dropped_;
   }
 }
@@ -163,8 +181,9 @@ void StreamConnection::on_message(MessageHandler handler) {
   if (!current_handler() || inbox_.empty()) return;
   // A replayed message's handler may drop the last owner of this
   // connection; stay alive until the replay loop is done with our members.
-  const StreamConnectionPtr self = weak_from_this().lock();
+  ++pins_;
   while (current_handler() && !inbox_.empty()) dispatch(inbox_.pop());
+  unpin();
 }
 
 void StreamConnection::on_close(std::function<void()> handler) {
@@ -190,7 +209,7 @@ void StreamConnection::do_close(bool notify_peer) {
   }
   if (owns_port_) host_->unbind(local_.port);
   if (owner_ != nullptr) {
-    owner_->forget(remote_);
+    owner_->forget(remote_, owner_slot_);
     owner_ = nullptr;
   }
   if (close_handler_) {
@@ -217,9 +236,15 @@ StreamListener::StreamListener(sim::Host& host, std::uint16_t port)
 StreamListener::~StreamListener() {
   host_->unbind(port_);
   // Detach surviving connections so their close doesn't touch us.
-  for (auto& [ep, weak] : conns_) {
-    if (auto conn = weak.lock()) conn->owner_ = nullptr;
+  for (std::uint32_t slot = 0; slot < conns_.size(); ++slot) {
+    if (StreamConnection* conn = conns_[slot]) conn->owner_ = nullptr;
   }
+}
+
+void StreamListener::forget(sim::Endpoint client, std::uint32_t slot) {
+  index_.erase(key(client), slot);
+  conns_[slot] = nullptr;
+  conns_.release(slot);
 }
 
 void StreamListener::on_accept(std::function<void(StreamConnectionPtr)> handler) {
@@ -228,20 +253,19 @@ void StreamListener::on_accept(std::function<void(StreamConnectionPtr)> handler)
 
 void StreamListener::handle(const sim::Datagram& d) {
   // Existing connection? Demultiplex by client endpoint.
-  if (auto it = conns_.find(d.src); it != conns_.end()) {
-    if (auto conn = it->second.lock()) {
-      conn->handle(d);
-    } else {
-      conns_.erase(it);
-    }
+  const auto same = [&](std::uint32_t slot) { return conns_[slot]->remote_ == d.src; };
+  if (const std::uint32_t slot = index_.find(key(d.src), same); slot != OpenIndex::kNone) {
+    conns_[slot]->handle(d);
     return;
   }
   if (d.payload.empty() || d.payload[0] != kSyn) return;
-  auto conn = StreamConnectionPtr(new StreamConnection(*host_, StreamConnection::State::kOpen));
+  auto conn = StreamConnection::make(*host_, StreamConnection::State::kOpen);
   conn->remote_ = d.src;
   conn->local_ = local();
   conn->owner_ = this;
-  conns_[d.src] = conn;
+  conn->owner_slot_ = conns_.acquire();
+  conns_[conn->owner_slot_] = conn.get();
+  index_.insert(key(d.src), conn->owner_slot_);
   host_->send(d.src, port_, control_segment(kSynAck), /*reliable=*/true);
   ++accepted_;
   if (handler_) handler_(std::move(conn));

@@ -15,13 +15,14 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 
 #include "common/bytes.hpp"
 #include "common/fifo.hpp"
+#include "common/open_index.hpp"
 #include "common/payload.hpp"
 #include "sim/network.hpp"
+#include "sim/slot_pool.hpp"
 
 namespace gmmcs::transport {
 
@@ -45,7 +46,7 @@ struct ConnectOptions {
 /// One end of an established (or connecting) stream. Hold the shared_ptr
 /// for as long as the connection should live; dropping the last reference
 /// closes it.
-class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
+class StreamConnection {
  public:
   ~StreamConnection();
   StreamConnection(const StreamConnection&) = delete;
@@ -53,10 +54,13 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
 
   /// Queues a message; delivered reliably and in order. Messages sent
   /// before the handshake completes are buffered. The payload handle is
-  /// shared (a fresh frame adopts, another Payload refcounts); the only
-  /// byte copy on the path is the kData segment framing at egress.
+  /// shared, never copied: the kData segment byte goes into the headroom
+  /// of a FrameWriter-built frame. A message without free headroom (an
+  /// adopted vector, a slice from inside a frame) is framed by a counted
+  /// copy (Payload::prepend).
   void send(Payload message);
-  void send(std::string_view text) { send(Payload(to_bytes(text))); }
+  /// Sends the text as one FrameWriter-built frame.
+  void send(std::string_view text);
 
   using MessageHandler = std::function<void(const Payload&)>;
 
@@ -98,6 +102,20 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   enum class State { kConnecting, kOpen, kClosed };
 
   StreamConnection(sim::Host& host, State state);
+  /// The deleter of every StreamConnectionPtr (an empty type, so the
+  /// control block stays 24 B). A connection whose last owner lets go
+  /// while handle() or an inbox replay is on the stack (a callback dropped
+  /// it) is only marked orphaned, and unpin() destroys it once that frame
+  /// returns. This pins the connection through its callbacks without a
+  /// shared_ptr copy, whose count is atomic.
+  struct Release {
+    void operator()(StreamConnection* conn) const;
+  };
+  /// A new connection in its StreamConnectionPtr.
+  static StreamConnectionPtr make(sim::Host& host, State state);
+  /// Ends a frame that pinned the connection with ++pins_, destroying the
+  /// connection if its last owner let go meanwhile. Touch no member after.
+  void unpin();
 
   /// A handler set while another one runs, parked on the heap until no
   /// handler is running (see on_message). `older` keeps the handlers it
@@ -112,6 +130,7 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   /// Runs the current handler on `m`, pinned (see on_message).
   void dispatch(const Payload& m);
   void handle(const sim::Datagram& d);
+  void handle_segment(const sim::Datagram& d);
   void deliver_or_buffer(Payload payload);
   void flush_pending();
   /// Sends one kData segment, counting it in segments_dropped_ if refused.
@@ -127,9 +146,13 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   std::uint32_t handler_depth_ = 0;
   sim::Endpoint local_{};
   sim::Endpoint remote_{};
+  // The small fields below fill padding: a receiver holds two of these.
   /// Connector side owns an ephemeral port; acceptor side shares the
   /// listener's port and is demultiplexed by the listener.
   bool owns_port_ = false;
+  bool orphaned_ = false;
+  /// Frames on the stack that pin this connection (see Release).
+  std::uint32_t pins_ = 0;
   StreamListener* owner_ = nullptr;  // acceptor side: for demux cleanup
   /// Held by value. It is never moved or destroyed while it runs: a
   /// replacement set meanwhile is parked in parked_ and moved in here
@@ -147,6 +170,7 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   ConnectOptions opts_;
   sim::TaskId syn_timer_ = 0;
   int syn_attempts_ = 0;
+  std::uint32_t owner_slot_ = 0;  // acceptor side: our slot in owner_
 };
 
 /// Accepts incoming stream connections on a fixed port and demultiplexes
@@ -165,23 +189,29 @@ class StreamListener {
 
   [[nodiscard]] sim::Endpoint local() const { return {host_->id(), port_}; }
   [[nodiscard]] std::uint64_t accepted() const { return accepted_; }
-  [[nodiscard]] std::size_t active() const { return conns_.size(); }
+  [[nodiscard]] std::size_t active() const { return index_.size(); }
 
  private:
   friend class StreamConnection;
   void handle(const sim::Datagram& d);
-  void forget(sim::Endpoint client) { conns_.erase(client); }
+  /// Drops the closed connection in `slot` (its client is `client`).
+  void forget(sim::Endpoint client, std::uint32_t slot);
+
+  static std::uint64_t key(sim::Endpoint ep) {
+    return (std::uint64_t{ep.node} << 16) | ep.port;
+  }
 
   sim::Host* host_;
   std::uint16_t port_;
   std::function<void(StreamConnectionPtr)> handler_;
   std::uint64_t accepted_ = 0;
-  /// Ordered by client endpoint: the destructor walks it to detach the
-  /// survivors, and an ordered walk needs no argument that its order
-  /// cannot matter. Per connection it costs 8 B more than a hash map with
-  /// its bucket array, the same as a liveness token each connection would
-  /// check (DESIGN.md "Endpoint footprint").
-  std::map<sim::Endpoint, std::weak_ptr<StreamConnection>> conns_;
+  /// The accepted connections still open, each in a slot, and an index
+  /// from client endpoint to slot: a segment costs one probe. A closing
+  /// connection forgets its slot (the slot is nulled), so every pointer
+  /// here is live; the destructor walks the slots in order to detach the
+  /// survivors.
+  sim::SlotPool<StreamConnection*> conns_;
+  OpenIndex index_;
 };
 
 }  // namespace gmmcs::transport

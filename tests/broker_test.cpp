@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -420,6 +421,84 @@ TEST_F(BrokerTest, ThousandClientsLeavingInShuffledOrderLeaveExactlyTheSurvivors
     }
   }
   EXPECT_EQ(broker.client_count(), 1u);
+}
+
+// A departure unsubscribes exactly the client's own filters, whatever the
+// table holds: 1,000 clients over 500 exact topics plus two wildcard
+// filters leave in a seeded shuffled order, and after each batch the
+// index holds exactly the survivors' entries and one publish per sampled
+// topic reaches exactly the survivors whose filters match it.
+TEST_F(BrokerTest, ClientsLeavingAcrossManyTopicsLeaveExactlyTheSurvivors) {
+  constexpr int kClients = 1000;
+  constexpr int kTopics = 500;
+  constexpr int kPerHost = 100;
+  constexpr int kBatch = 125;
+  BrokerNode broker(host("broker"), 0);
+  BrokerClient pub(host("pub"), broker.stream_endpoint(), {.name = "pub"});
+  auto topic = [](int t) { return "/t/" + std::to_string(t); };
+  // Client i holds its exact topic; a few also hold "/t/*" or "/t/#".
+  auto star = [](int i) { return i % 250 == 3; };
+  auto hash = [](int i) { return i % 250 == 100; };
+  std::vector<std::unique_ptr<BrokerClient>> subs;
+  std::vector<int> got(kClients, 0);
+  sim::Host* h = nullptr;
+  for (int i = 0; i < kClients; ++i) {
+    if (i % kPerHost == 0) h = &host("rx-" + std::to_string(i / kPerHost));
+    subs.push_back(std::make_unique<BrokerClient>(
+        *h, broker.stream_endpoint(), BrokerClient::Config{.name = "s" + std::to_string(i)}));
+    subs.back()->subscribe(topic(i % kTopics));
+    if (star(i)) subs.back()->subscribe("/t/*");
+    if (hash(i)) subs.back()->subscribe("/t/#");
+    subs.back()->on_event([&got, i](const Event&) { ++got[static_cast<std::size_t>(i)]; });
+  }
+  loop.run();
+  ASSERT_EQ(broker.subscriptions().exact_topic_count(), static_cast<std::size_t>(kTopics));
+  ASSERT_EQ(broker.subscriptions().wildcard_filter_count(), 2u);
+  std::vector<int> order(kClients);
+  for (int i = 0; i < kClients; ++i) order[static_cast<std::size_t>(i)] = i;
+  Rng rng(2024);
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[static_cast<std::size_t>(
+                            rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+  const std::vector<int> sampled = {0, 3, 100, 257, 499};
+  std::vector<int> expected(kClients, 0);
+  for (int closed = 0; closed < kClients;) {
+    for (int k = 0; k < kBatch; ++k) subs[static_cast<std::size_t>(order[closed++])].reset();
+    loop.run();
+    std::size_t entries = 0;
+    std::set<int> live_topics;
+    bool any_star = false;
+    bool any_hash = false;
+    for (int i = 0; i < kClients; ++i) {
+      if (!subs[static_cast<std::size_t>(i)]) continue;
+      live_topics.insert(i % kTopics);
+      entries += 1 + (star(i) ? 1 : 0) + (hash(i) ? 1 : 0);
+      any_star = any_star || star(i);
+      any_hash = any_hash || hash(i);
+    }
+    ASSERT_EQ(broker.subscription_count(), entries) << "after " << closed << " closes";
+    ASSERT_EQ(broker.subscriptions().entry_count(), entries);
+    ASSERT_EQ(broker.subscriptions().exact_topic_count(), live_topics.size());
+    ASSERT_EQ(broker.subscriptions().wildcard_filter_count(),
+              static_cast<std::size_t>(any_star) + static_cast<std::size_t>(any_hash));
+    for (const int t : sampled) {
+      pub.publish(topic(t), to_bytes("x"));
+      for (int i = 0; i < kClients; ++i) {
+        if (i % kTopics == t || star(i) || hash(i)) ++expected[static_cast<std::size_t>(i)];
+      }
+    }
+    loop.run();
+    for (int i = 0; i < kClients; ++i) {
+      if (subs[static_cast<std::size_t>(i)]) {
+        ASSERT_EQ(got[static_cast<std::size_t>(i)], expected[static_cast<std::size_t>(i)])
+            << "survivor " << i << " after " << closed << " closes";
+      }
+    }
+  }
+  EXPECT_EQ(broker.subscriptions().entry_count(), 0u);
+  EXPECT_EQ(broker.subscriptions().exact_topic_count(), 0u);
+  EXPECT_EQ(broker.subscriptions().wildcard_filter_count(), 0u);
 }
 
 // Client ids are minted in order and never reused; a departed client's

@@ -113,7 +113,7 @@ Bytes rand_payload(Rng& rng, std::size_t max_len = 32) {
   return b;
 }
 
-Bytes seed_broker(Rng& rng) {
+gmmcs::Payload seed_broker_frame(Rng& rng) {
   gmmcs::broker::Event ev;
   ev.topic = rand_token(rng);
   ev.payload = rand_payload(rng);
@@ -142,6 +142,11 @@ Bytes seed_broker(Rng& rng) {
           static_cast<std::uint32_t>(rng.next()), static_cast<std::uint32_t>(rng.next()),
           rng.chance(0.5)});
   }
+}
+
+/// A broker frame as mutable bytes (the encoders build Payload frames).
+Bytes seed_broker(Rng& rng) {
+  return seed_broker_frame(rng).to_bytes();
 }
 
 Bytes seed_ras(Rng& rng) {

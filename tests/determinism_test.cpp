@@ -141,7 +141,7 @@ TEST(Determinism, CapacityDoubleRunByteIdentical) {
   core::CapacityPoint a = run_capacity(cfg);
   core::CapacityPoint b = run_capacity(cfg);
   EXPECT_EQ(a.avg_delay_ms, b.avg_delay_ms);
-  EXPECT_EQ(a.p99_delay_ms, b.p99_delay_ms);
+  EXPECT_EQ(a.mean_max_delay_ms, b.mean_max_delay_ms);
   EXPECT_EQ(a.loss_ratio, b.loss_ratio);
   EXPECT_EQ(a.offered_mbps, b.offered_mbps);
 }

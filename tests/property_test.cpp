@@ -1048,7 +1048,8 @@ TEST(NetworkArrivalOrder, LinkFifoKeepsReservedOrder) {
 // Both the broker's client table and the fabric's interest table read the
 // index on every event, so a match-cache line that outlives a mutation is
 // a routing bug. Each seeded script mixes subscribes (doubled ones too),
-// unsubscribes (of absent entries too), remove_subscriber and reads with a
+// unsubscribes (of absent entries too), a subscriber's departure (every
+// reference it holds dropped, filter by filter) and reads with a
 // random exclusion, over exact, "*", "#" and invalid filters and
 // un-normalized topic spellings. Some scripts add a flood of distinct
 // topics that overflows the cache. The reference is a list of
@@ -1080,7 +1081,13 @@ struct NaiveIndex {
     const auto it = find(id, f);
     if (it != entries.end() && --it->refs == 0) entries.erase(it);
   }
-  void remove_subscriber(std::uint32_t id) {
+  /// A departure: drops every reference `id` holds from `index` one
+  /// unsubscribe at a time, as BrokerNode::drop_client does, and here.
+  void remove_subscriber(std::uint32_t id, broker::SubscriptionIndex& index) {
+    for (const NaiveEntry& e : entries) {
+      if (e.id != id) continue;
+      for (int r = 0; r < e.refs; ++r) index.unsubscribe(id, e.filter);
+    }
     std::erase_if(entries, [&](const NaiveEntry& e) { return e.id == id; });
   }
   [[nodiscard]] std::vector<std::uint32_t> matches(const std::string& topic) const {
@@ -1175,9 +1182,7 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
         ref.unsubscribe(e.id, e.filter);
         if (ref.entries.size() < before) ++drops;
       } else if (roll < 0.52) {
-        const std::uint32_t id = random_id();
-        index.remove_subscriber(id);
-        ref.remove_subscriber(id);
+        ref.remove_subscriber(random_id(), index);
         ++removes;
       } else {
         read(random_topic(rng), step);
@@ -1190,9 +1195,7 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
     // filters match them, with a mutation every 700 reads.
     for (int k = 0; k < kFloodTopics; ++k) {
       if (k % 700 == 350) {
-        const std::uint32_t gone = random_id();
-        index.remove_subscriber(gone);
-        ref.remove_subscriber(gone);
+        ref.remove_subscriber(random_id(), index);
         const std::uint32_t added = random_id();
         index.subscribe(added, broker::TopicFilter("/a/*"));
         ref.subscribe(added, broker::TopicFilter("/a/*"));

@@ -76,7 +76,7 @@ gmmcs::broker::Event rand_event(Rng& rng) {
   return ev;
 }
 
-Bytes reencode(const gmmcs::broker::Frame& f) {
+gmmcs::Payload reencode(const gmmcs::broker::Frame& f) {
   using gmmcs::broker::MessageType;
   switch (f.type) {
     case MessageType::kHello:
@@ -102,15 +102,12 @@ Bytes reencode(const gmmcs::broker::Frame& f) {
   return {};
 }
 
-void expect_broker_roundtrip(Bytes wire) {
-  // Decode through a Payload-backed frame (the shape every arrival takes
-  // since the zero-copy plane landed); re-encoding must reproduce the
-  // plain-Bytes wire image bit-for-bit.
-  const Bytes reference = wire;
-  const gmmcs::Payload frame{std::move(wire)};
+void expect_broker_roundtrip(const gmmcs::Payload& frame) {
+  // Decode the encoder's own frame (the shape every arrival takes);
+  // re-encoding must reproduce the wire image bit-for-bit.
   auto decoded = gmmcs::broker::decode(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.error().message;
-  EXPECT_EQ(reencode(decoded.value()), reference);
+  EXPECT_EQ(reencode(decoded.value()), frame);
 }
 
 TEST(RoundtripBroker, AllFrameTypesSurviveReencoding) {
@@ -159,12 +156,12 @@ TEST(RoundtripBroker, PayloadBackedEventDecodeIsZeroCopyAndByteIdentical) {
   Rng rng(0xFACEull);
   for (int i = 0; i < kRounds; ++i) {
     auto ev = rand_event(rng);
-    const Bytes reference = encode(ev);
-    const gmmcs::Payload frame{encode(ev)};
+    const gmmcs::Payload reference = encode(ev);
+    const gmmcs::Payload frame = encode(ev);
     auto back = gmmcs::broker::decode(frame);
     ASSERT_TRUE(back.ok()) << back.error().message;
     const gmmcs::broker::Event& decoded = back.value().event;
-    // A Payload-backed decode re-encodes to the identical Bytes image.
+    // A Payload-backed decode re-encodes to the identical wire image.
     EXPECT_EQ(encode(decoded), reference);
     // And its payload is a slice of the arrival frame, not a fresh buffer.
     if (!decoded.payload.empty()) {
@@ -182,7 +179,7 @@ TEST(RoundtripBroker, EveryStrictPrefixOfEveryFrameKindIsRejected) {
   // payload is the trailing byte run, so prefixes are legitimate
   // shorter packets.)
   Rng rng(0x7E1Full);
-  std::vector<Bytes> wires;
+  std::vector<gmmcs::Payload> wires;
   wires.push_back(encode(gmmcs::broker::HelloMessage{rand_token(rng), rand_u16(rng)}));
   wires.push_back(encode(gmmcs::broker::HelloAckMessage{rand_u32(rng), rand_u16(rng)}));
   wires.push_back(encode(gmmcs::broker::SubscribeMessage{rand_token(rng), true}));
@@ -202,10 +199,10 @@ TEST(RoundtripBroker, EveryStrictPrefixOfEveryFrameKindIsRejected) {
   wires.push_back(encode(gmmcs::broker::HeartbeatMessage{rand_u32(rng)}));
   wires.push_back(encode(gmmcs::broker::LinkStateMessage{
       rand_u32(rng), rand_u32(rng), rand_u32(rng), rand_u32(rng), true}));
-  for (const Bytes& wire : wires) {
-    ASSERT_TRUE(gmmcs::broker::decode(gmmcs::Payload{Bytes(wire)}).ok());
+  for (const gmmcs::Payload& wire : wires) {
+    ASSERT_TRUE(gmmcs::broker::decode(wire).ok());
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-      const gmmcs::Payload prefix{Bytes(wire.begin(), wire.begin() + cut)};
+      const gmmcs::Payload prefix = wire.slice(0, cut);
       auto decoded = gmmcs::broker::decode(prefix);
       EXPECT_FALSE(decoded.ok())
           << cut << "-byte prefix of a " << wire.size() << "-byte frame "

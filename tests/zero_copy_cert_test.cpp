@@ -112,10 +112,18 @@ TEST(ZeroCopyCert, WarmedFanoutTo400SubscribersAllocatesThePayloadOnce) {
 }
 
 // The reliable stream path under every broker link, SIP, SOAP and RTSP
-// session: each message sent over a StreamConnection costs one payload-
-// sized allocation, the kData segment framed at egress. Delivery hands
-// the receiver a slice of the arriving segment, so no second buffer is
-// allocated on the receiving side.
+// session: a message costs only its segment frame. A FrameWriter-built
+// message (every broker frame) IS its segment: the kData byte goes into
+// its headroom, so sending it allocates nothing and copies nothing. A
+// message without headroom (an adopted vector) is framed by one counted
+// copy. Delivery hands the receiver a slice of the arriving segment, so
+// no second buffer is allocated on the receiving side.
+gmmcs::Payload written_frame() {
+  FrameWriter w(kPayloadBytes);
+  w.raw(Bytes(kPayloadBytes, 0x5a));
+  return w.take();
+}
+
 TEST(ZeroCopyCert, StreamMessagesCostOnlyTheirSegmentFrame) {
   sim::EventLoop loop;
   sim::Network net{loop, 21};
@@ -135,20 +143,32 @@ TEST(ZeroCopyCert, StreamMessagesCostOnlyTheirSegmentFrame) {
 
   constexpr int kMessages = 16;
   // Warm round: grow the NIC queue, the in-flight slots and the link FIFO.
-  for (int i = 0; i < kMessages; ++i) conn->send(Payload(Bytes(kPayloadBytes, 0x5a)));
+  for (int i = 0; i < kMessages; ++i) conn->send(written_frame());
   loop.run();
   got = 0;
 
-  std::vector<Payload> messages;
-  for (int i = 0; i < kMessages; ++i) messages.emplace_back(Bytes(kPayloadBytes, 0x5a));
-  const std::uint64_t copies0 = payload_copy_count();
-  const std::uint64_t large0 = g_large_allocs.load(std::memory_order_relaxed);
-  for (Payload& m : messages) conn->send(std::move(m));
+  std::vector<Payload> frames;
+  for (int i = 0; i < kMessages; ++i) frames.push_back(written_frame());
+  std::uint64_t copies0 = payload_copy_count();
+  std::uint64_t large0 = g_large_allocs.load(std::memory_order_relaxed);
+  for (Payload& m : frames) conn->send(std::move(m));
   loop.run();
+  EXPECT_EQ(got, kMessages);
+  EXPECT_EQ(payload_copy_count() - copies0, 0u);
+  EXPECT_EQ(g_large_allocs.load(std::memory_order_relaxed) - large0, 0u);
 
+  got = 0;
+  std::vector<Payload> adopted;
+  for (int i = 0; i < kMessages; ++i) adopted.emplace_back(Bytes(kPayloadBytes, 0x5a));
+  copies0 = payload_copy_count();
+  const std::uint64_t bytes0 = payload_bytes_copied();
+  large0 = g_large_allocs.load(std::memory_order_relaxed);
+  for (Payload& m : adopted) conn->send(std::move(m));
+  loop.run();
   EXPECT_EQ(got, kMessages);
   EXPECT_EQ(conn->segments_dropped(), 0u);
-  EXPECT_EQ(payload_copy_count() - copies0, 0u);
+  EXPECT_EQ(payload_copy_count() - copies0, static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(payload_bytes_copied() - bytes0, kMessages * kPayloadBytes);
   EXPECT_EQ(g_large_allocs.load(std::memory_order_relaxed) - large0,
             static_cast<std::uint64_t>(kMessages));
 }
@@ -219,10 +239,18 @@ TEST(ZeroCopyCert, WarmedBatchedFanoutAllocatesNothingAtOneAndEightThreads) {
   }
 }
 
-// Host cost of one warmed publish across a line of `hops` + 1 brokers:
-// the publisher sits at broker 0 and the only subscriber at the last, so
-// every broker in between is a pure peer-forwarding hop.
-FanoutCost warmed_line_cost(int hops) {
+// Host cost of one warmed publish of a `body`-byte event across a line of
+// `hops` + 1 brokers: the publisher sits at broker 0 and the only
+// subscriber at the last, so every broker in between is a pure
+// peer-forwarding hop.
+struct LineCost {
+  std::uint64_t allocs = 0;
+  std::uint64_t large_allocs = 0;
+  std::uint64_t events = 0;
+  std::uint64_t copies = 0;
+};
+
+LineCost warmed_line_cost(int hops, std::size_t body = 256) {
   sim::EventLoop loop;
   sim::Network net{loop, 21};
   BrokerNetwork fabric(net);
@@ -239,31 +267,53 @@ FanoutCost warmed_line_cost(int hops) {
   sub.on_event([&](const Event&) { ++got; });
   loop.run();
   for (int round = 0; round < 2; ++round) {
-    pub.publish(kLongTopic, Bytes(256, 0x5a));
+    pub.publish(kLongTopic, Bytes(body, 0x5a));
     loop.run();
   }
   got = 0;
-  Bytes body(256, 0x5a);
+  Bytes payload(body, 0x5a);
   const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t large0 = g_large_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t copies0 = payload_copy_count();
   const std::uint64_t events0 = loop.executed();
-  pub.publish(kLongTopic, std::move(body));
+  pub.publish(kLongTopic, std::move(payload));
   loop.run();
-  FanoutCost cost{g_allocs.load(std::memory_order_relaxed) - allocs0, loop.executed() - events0};
+  LineCost cost{g_allocs.load(std::memory_order_relaxed) - allocs0,
+                g_large_allocs.load(std::memory_order_relaxed) - large0,
+                loop.executed() - events0, payload_copy_count() - copies0};
   EXPECT_EQ(got, 1) << hops << " hops";
   return cost;
 }
 
 // The marginal host cost of one more broker-to-broker hop: the route job,
-// the forward job and the peer frame's arrival are its only loop events;
-// its allocations are the hop's kPeerEvent frame and stream segment (each
-// a buffer plus its Payload control block), the arriving event's topic
-// and its shared RoutedEvent — at most 7.
-TEST(ZeroCopyCert, EachAddedPeerHopCostsThreeEventsAndAtMostSevenAllocations) {
-  FanoutCost prev = warmed_line_cost(1);
+// the forward job and the peer frame's arrival are its only loop events,
+// and its one allocation is the hop's kPeerEvent frame. The stream's kData
+// byte goes into that frame's headroom, and the receiving broker decodes
+// into a recycled RoutedEvent whose topic keeps its capacity.
+TEST(ZeroCopyCert, EachAddedPeerHopCostsThreeEventsAndAtMostOneAllocation) {
+  LineCost prev = warmed_line_cost(1);
   for (int hops = 2; hops <= 4; ++hops) {
-    const FanoutCost cur = warmed_line_cost(hops);
+    const LineCost cur = warmed_line_cost(hops);
     EXPECT_EQ(cur.events - prev.events, 3u) << "hop " << hops;
-    EXPECT_LE(cur.allocs - prev.allocs, 7u) << "hop " << hops;
+    EXPECT_LE(cur.allocs - prev.allocs, 1u) << "hop " << hops;
+    prev = cur;
+  }
+}
+
+// The fabric zero-copy certificate: across a line of brokers an event's
+// body is copied only into each hop's kPeerEvent frame. Per added hop that
+// is exactly one payload-sized allocation and no counted copy. A hop that
+// framed its stream segment by copying the frame (a raw insert or memcpy
+// of the body, or a Payload::copy_of) adds a second payload-sized
+// allocation per hop, and a copy through the counted paths also moves
+// payload_copy_count().
+TEST(ZeroCopyCert, FabricHopsCopyTheBodyOnlyIntoTheirPeerFrame) {
+  LineCost prev = warmed_line_cost(1, kPayloadBytes);
+  EXPECT_EQ(prev.copies, 0u);
+  for (int hops = 2; hops <= 4; ++hops) {
+    const LineCost cur = warmed_line_cost(hops, kPayloadBytes);
+    EXPECT_EQ(cur.copies, 0u) << "hop " << hops;
+    EXPECT_EQ(cur.large_allocs - prev.large_allocs, 1u) << "hop " << hops;
     prev = cur;
   }
 }
