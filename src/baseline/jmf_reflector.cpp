@@ -38,7 +38,9 @@ void JmfReflector::handle(const sim::Datagram& d) {
       if (dst == src) continue;  // don't reflect back to the sender
       dispatch_.submit(copy_cost(payload.size()), [this, dst, payload] {
         ++copies_out_;
-        host_->send(dst, cfg_.rtp_port, payload);
+        // Best effort, as JMF's RTP sends were: a copy the NIC refuses is
+        // lost.
+        if (!host_->send(dst, cfg_.rtp_port, payload)) ++copies_nic_dropped_;
       });
     }
   });

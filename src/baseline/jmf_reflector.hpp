@@ -45,6 +45,8 @@ class JmfReflector {
   [[nodiscard]] std::size_t receiver_count() const { return receivers_.size(); }
   [[nodiscard]] std::uint64_t packets_in() const { return packets_in_; }
   [[nodiscard]] std::uint64_t copies_out() const { return copies_out_; }
+  /// Copies (counted in copies_out) that the reflector host's NIC refused.
+  [[nodiscard]] std::uint64_t copies_nic_dropped() const { return copies_nic_dropped_; }
   [[nodiscard]] std::uint64_t jobs_dropped() const { return dispatch_.rejected(); }
   [[nodiscard]] const sim::ServiceCenter& dispatch() const { return dispatch_; }
 
@@ -59,6 +61,7 @@ class JmfReflector {
   std::vector<sim::Endpoint> receivers_;
   std::uint64_t packets_in_ = 0;
   std::uint64_t copies_out_ = 0;
+  std::uint64_t copies_nic_dropped_ = 0;
 };
 
 }  // namespace gmmcs::baseline

@@ -83,12 +83,7 @@ transport::StreamConnectionPtr BrokerNode::drop_client(ClientRec& rec) {
     if (network_ != nullptr) network_->advertise(filter, id_, /*add=*/false);
     sub_index_.unsubscribe(rec.id, filter);
   }
-  if (rec.has_udp) {
-    // Ownership check: a reconnected client may have re-claimed this
-    // endpoint, in which case the index entry is no longer ours.
-    auto uit = udp_index_.find(rec.udp);
-    if (uit != udp_index_.end() && uit->second == rec.id) udp_index_.erase(uit);
-  }
+  if (rec.has_udp) udp_index_.erase(rec.udp.packed(), rec.id);
   const std::uint32_t slot = client_slot_[rec.id];
   client_slot_[rec.id] = kNoClient;
   --client_count_;
@@ -150,9 +145,8 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
         // A fresh Hello claiming an endpoint another record holds means
         // that record is a ghost of a crashed-and-reconnected client;
         // evict it or both records would receive every matching event.
-        auto ghost = udp_index_.find(rec.udp);
-        if (ghost != udp_index_.end() && ghost->second != cid) evict_client(ghost->second);
-        udp_index_[rec.udp] = cid;
+        if (const ClientId ghost = udp_client(rec.udp); ghost != 0) evict_client(ghost);
+        udp_index_.insert(rec.udp.packed(), cid);
       }
       in.conn->send(encode(HelloAckMessage{cid, cfg_.dgram_port}));
       break;
@@ -235,8 +229,7 @@ void BrokerNode::handle_subscription(ClientRec& c, const SubscribeMessage& m) {
 void BrokerNode::handle_datagram(const sim::Datagram& d) {
   // Only kEvent frames are taken on the datagram channel.
   if (d.payload.empty() || d.payload[0] != static_cast<std::uint8_t>(MessageType::kEvent)) return;
-  auto it = udp_index_.find(d.src);
-  ClientId publisher = it == udp_index_.end() ? 0 : it->second;
+  const ClientId publisher = udp_client(d.src);
   // Datagram-path publishers prove life without touching their stream.
   if (ingress_event(d.payload, publisher)) note_heard(publisher);
 }
@@ -395,7 +388,11 @@ void BrokerNode::deliver_copy(const ClientRec& c, const RoutedEvent& ev) {
   // payload_copy_count() proves no bytes move here.
   const Payload& wire = ev.wire();
   if (c.has_udp && ev.event().qos == QoS::kBestEffort) {
-    host_->send(c.udp, cfg_.dgram_port, wire);
+    // Best effort: a copy the NIC refuses is lost, like a UDP send into a
+    // full socket buffer. The fan-out's NIC gate keeps headroom, so this
+    // counts only what slips past it (a host down, a queue shared with
+    // other senders).
+    if (!host_->send(c.udp, cfg_.dgram_port, wire)) ++copies_nic_dropped_;
   } else if (c.stream) {
     c.stream->send(wire);
   }

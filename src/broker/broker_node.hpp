@@ -21,13 +21,13 @@
 #include <span>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "broker/event.hpp"
 #include "broker/subscription_index.hpp"
 #include "broker/topic.hpp"
+#include "common/open_index.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/service_center.hpp"
@@ -115,6 +115,10 @@ class BrokerNode {
   // --- Statistics ---
   [[nodiscard]] std::uint64_t events_in() const { return events_in_; }
   [[nodiscard]] std::uint64_t copies_delivered() const { return copies_delivered_; }
+  /// Best-effort copies (counted in copies_delivered) that the broker
+  /// host's NIC refused; stream copies count in their stream's
+  /// segments_dropped().
+  [[nodiscard]] std::uint64_t copies_nic_dropped() const { return copies_nic_dropped_; }
   [[nodiscard]] std::uint64_t peer_forwards() const { return peer_forwards_; }
   [[nodiscard]] std::uint64_t jobs_dropped() const { return dispatch_.rejected(); }
   /// Events addressed to an interested broker we have no route to
@@ -164,6 +168,14 @@ class BrokerNode {
   ClientRec* find_client(ClientId cid) {
     const std::uint32_t slot = cid < client_slot_.size() ? client_slot_[cid] : kNoClient;
     return slot == kNoClient ? nullptr : &client_recs_[slot];
+  }
+  /// The client whose UDP channel is `ep`, or 0.
+  ClientId udp_client(sim::Endpoint ep) {
+    const std::uint32_t cid = udp_index_.find(ep.packed(), [&](std::uint32_t c) {
+      const ClientRec* rec = find_client(c);
+      return rec != nullptr && rec->has_udp && rec->udp == ep;
+    });
+    return cid == OpenIndex::kNone ? 0 : cid;
   }
   /// Mints the next client id and its record.
   ClientRec& add_client();
@@ -297,8 +309,11 @@ class BrokerNode {
   /// per-topic match cache); kept in sync with ClientRec::filters.
   SubscriptionIndex sub_index_;
   /// Reverse index: client's UDP endpoint -> id, to identify publishers of
-  /// datagram-path events (hot path: one hash lookup per media packet).
-  std::unordered_map<sim::Endpoint, ClientId, sim::EndpointHash> udp_index_;
+  /// datagram-path events (hot path: one probe per media packet). An
+  /// entry is confirmed against the record's own `udp`; each record with
+  /// a UDP channel has one, and no two records share an endpoint (a
+  /// Hello evicts the ghost that held it).
+  OpenIndex udp_index_;
   /// Outgoing peer links, indexed by BrokerId (null: no link).
   std::vector<transport::StreamConnectionPtr> peer_links_;
   /// Local fan-outs with copies still in the dispatch pool: the event and
@@ -350,6 +365,7 @@ class BrokerNode {
   sim::SlotPool<Inbound> inbound_;
   std::uint64_t events_in_ = 0;
   std::uint64_t copies_delivered_ = 0;
+  std::uint64_t copies_nic_dropped_ = 0;
   std::uint64_t peer_forwards_ = 0;
   std::uint64_t unroutable_events_ = 0;
   /// Targets we already warned about being unreachable — at media rates an

@@ -24,38 +24,52 @@ BrokerClient::BrokerClient(sim::Host& host, sim::Endpoint broker_stream)
 
 BrokerClient::BrokerClient(sim::Host& host, sim::Endpoint broker_stream, Config cfg)
     : host_(&host),
-      cfg_(cfg),
       broker_stream_(broker_stream),
-      jitter_rng_(jitter_seed(host, cfg.name)) {
+      udp_delivery_(cfg.udp_delivery),
+      udp_publish_(cfg.udp_publish),
+      via_proxy_(cfg.via_proxy),
+      name_(std::move(cfg.name)) {
+  if (cfg.reconnect.enabled || cfg.keepalive_interval.ns() > 0) {
+    Cold& c = cold();
+    c.keepalive_interval = cfg.keepalive_interval;
+    c.keepalive_miss = cfg.keepalive_miss;
+    c.reconnect = cfg.reconnect;
+  }
   open_stream();
 }
 
 BrokerClient::~BrokerClient() {
   // Timers and handlers capture `this`; disarm them all before the members
   // they reach into are torn down.
-  if (retry_timer_ != 0) host_->loop().cancel(retry_timer_);
-  cancel_connect_timer();
-  keepalive_task_.reset();
+  if (cold_) {
+    if (cold_->retry_timer != 0) host_->loop().cancel(cold_->retry_timer);
+    cancel_connect_timer();
+    cold_->keepalive_task.reset();
+  }
   if (stream_) stream_->on_close(nullptr);
 }
 
+BrokerClient::Cold& BrokerClient::cold() {
+  if (!cold_) cold_.reset(new Cold{.jitter_rng = Rng(jitter_seed(*host_, name_))});
+  return *cold_;
+}
+
 void BrokerClient::open_stream() {
-  ++conn_generation_;
-  bool tunneled = cfg_.via_proxy.has_value();
+  const bool tunneled = via_proxy_.has_value();
   if (tunneled) {
-    stream_ = transport::connect_via_proxy(*host_, *cfg_.via_proxy, broker_stream_);
+    stream_ = transport::connect_via_proxy(*host_, *via_proxy_, broker_stream_);
   } else {
     transport::ConnectOptions opts;
-    if (cfg_.reconnect.enabled) {
+    if (reconnect_enabled()) {
       // SYN-level retransmission under the connect_timeout watchdog: a lost
       // handshake segment recovers in one syn_retry instead of a full
       // teardown + backoff + re-Hello round.
-      opts.syn_retry = cfg_.reconnect.syn_retry;
-      opts.max_syn_retries = cfg_.reconnect.syn_retries;
+      opts.syn_retry = cold_->reconnect.syn_retry;
+      opts.max_syn_retries = cold_->reconnect.syn_retries;
     }
     stream_ = transport::StreamConnection::connect(*host_, broker_stream_, opts);
   }
-  if (!tunneled && (cfg_.udp_delivery || cfg_.udp_publish) && !udp_) {
+  if (!tunneled && (udp_delivery_ || udp_publish_) && !udp_) {
     // The UDP socket outlives reconnects: keeping its port stable is what
     // lets the broker recognize a returning client's Hello and evict the
     // ghost record of the crashed incarnation.
@@ -63,75 +77,80 @@ void BrokerClient::open_stream() {
     udp_->on_receive([this](const sim::Datagram& d) { handle_frame(d.payload); });
   }
   HelloMessage hello;
-  hello.client_name = cfg_.name;
-  if (udp_ && cfg_.udp_delivery) hello.udp_port = udp_->local().port;
+  hello.client_name = name_;
+  if (udp_ && udp_delivery_) hello.udp_port = udp_->local().port;
   stream_->send(encode(hello));
   stream_->on_message([this](const Payload& data) { handle_frame(data); });
-  last_heard_ = host_->loop().now();
-  if (cfg_.reconnect.enabled) {
+  if (!cold_) return;
+  Cold& c = *cold_;
+  ++c.conn_generation;
+  c.last_heard = host_->loop().now();
+  if (c.reconnect.enabled) {
     stream_->on_close([this] { stream_down(); });
     // Connect-timeout watchdog, generation-guarded so a late firing after
     // this attempt was superseded is a no-op. Armed only when reconnect is
     // opted into: a pending timer would extend loop.run() horizons and
     // shift fault-free bench timestamps.
-    connect_timer_ = host_->loop().schedule_after(
-        cfg_.reconnect.connect_timeout, [this, gen = conn_generation_] {
-          connect_timer_ = 0;
-          if (gen == conn_generation_ && !ready_) stream_down();
+    c.connect_timer = host_->loop().schedule_after(
+        c.reconnect.connect_timeout, [this, gen = c.conn_generation] {
+          cold_->connect_timer = 0;
+          if (gen == cold_->conn_generation && !ready_) stream_down();
         });
   }
 }
 
 void BrokerClient::stream_down() {
-  if (retry_pending_) return;
+  // Only the keepalive and reconnect machinery call this: the block exists.
+  Cold& c = *cold_;
+  if (c.retry_pending) return;
   cancel_connect_timer();
   ready_ = false;
-  ++disconnects_;
+  ++c.disconnects;
   if (stream_) {
     // Disarm first: close() below must not re-enter stream_down().
     stream_->on_close(nullptr);
     stream_->close();
   }
-  if (disconnect_handler_) disconnect_handler_();
-  if (cfg_.reconnect.enabled) schedule_retry();
+  if (c.disconnect_handler) c.disconnect_handler();
+  if (c.reconnect.enabled) schedule_retry();
 }
 
 void BrokerClient::schedule_retry() {
+  Cold& c = *cold_;
   // Exponential backoff with jitter: base * 2^attempts, capped, then
   // spread by a uniform +-jitter fraction.
-  std::int64_t delay_ns = cfg_.reconnect.backoff_base.ns();
-  for (int i = 0; i < attempt_ && delay_ns < cfg_.reconnect.backoff_max.ns(); ++i) {
+  std::int64_t delay_ns = c.reconnect.backoff_base.ns();
+  for (int i = 0; i < c.attempt && delay_ns < c.reconnect.backoff_max.ns(); ++i) {
     delay_ns *= 2;
   }
-  delay_ns = std::min(delay_ns, cfg_.reconnect.backoff_max.ns());
-  if (cfg_.reconnect.jitter > 0) {
-    double factor = jitter_rng_.uniform(1.0 - cfg_.reconnect.jitter, 1.0 + cfg_.reconnect.jitter);
+  delay_ns = std::min(delay_ns, c.reconnect.backoff_max.ns());
+  if (c.reconnect.jitter > 0) {
+    double factor = c.jitter_rng.uniform(1.0 - c.reconnect.jitter, 1.0 + c.reconnect.jitter);
     delay_ns = std::max<std::int64_t>(1, static_cast<std::int64_t>(
                                              static_cast<double>(delay_ns) * factor));
   }
-  retry_pending_ = true;
-  retry_timer_ = host_->loop().schedule_after(SimDuration{delay_ns}, [this] {
-    retry_timer_ = 0;
-    retry_pending_ = false;
+  c.retry_pending = true;
+  c.retry_timer = host_->loop().schedule_after(SimDuration{delay_ns}, [this] {
+    cold_->retry_timer = 0;
+    cold_->retry_pending = false;
     attempt_connect();
   });
 }
 
 void BrokerClient::attempt_connect() {
+  ++cold_->attempt;
   if (!host_->up()) {
     // Our own host is still down (bind would refuse); keep backing off.
-    ++attempt_;
     schedule_retry();
     return;
   }
-  ++attempt_;
   open_stream();
 }
 
 void BrokerClient::cancel_connect_timer() {
-  if (connect_timer_ != 0) {
-    host_->loop().cancel(connect_timer_);
-    connect_timer_ = 0;
+  if (cold_ && cold_->connect_timer != 0) {
+    host_->loop().cancel(cold_->connect_timer);
+    cold_->connect_timer = 0;
   }
 }
 
@@ -140,7 +159,8 @@ void BrokerClient::keepalive_tick() {
   PingMessage ping;
   ping.sent = host_->loop().now();
   stream_->send(encode(ping, /*pong=*/false));
-  if (host_->loop().now() - last_heard_ > cfg_.keepalive_interval * cfg_.keepalive_miss) {
+  const Cold& c = *cold_;
+  if (host_->loop().now() - c.last_heard > c.keepalive_interval * c.keepalive_miss) {
     stream_down();
   }
 }
@@ -149,7 +169,7 @@ void BrokerClient::handle_frame(const Payload& data) {
   // Media hot path: a kEvent frame decodes in place into rx_event_,
   // reusing its topic capacity; no Frame is built.
   if (decode_event_into(data, rx_event_)) {
-    last_heard_ = host_->loop().now();
+    if (cold_) cold_->last_heard = host_->loop().now();
     ++events_received_;
     // Last statement: the handler may publish, resubscribe or destroy
     // this client, so nothing here touches client state after it.
@@ -159,31 +179,33 @@ void BrokerClient::handle_frame(const Payload& data) {
   auto frame = decode(data);
   if (!frame.ok()) return;
   Frame f = std::move(frame).value();
-  last_heard_ = host_->loop().now();
+  if (cold_) cold_->last_heard = host_->loop().now();
   switch (f.type) {
     case MessageType::kHelloAck:
       client_id_ = f.hello_ack.client_id;
       broker_udp_ = sim::Endpoint{stream_->remote().node, f.hello_ack.broker_udp_port};
       ready_ = true;
-      attempt_ = 0;
       cancel_connect_timer();
-      if (hello_acks_++ > 0) {
+      if (cold_) cold_->attempt = 0;
+      if (acked_) {
         // Re-handshake: the broker minted a fresh (empty) client record, so
         // replay the whole subscription set. The first HelloAck must NOT
         // replay — subscribe() already sent those frames.
-        ++reconnects_;
-        for (const auto& filter : filters_) {
+        Cold& c = cold();
+        ++c.reconnects;
+        for (const auto& filter : c.filters) {
           stream_->send(encode(SubscribeMessage{filter, true}));
         }
-        if (reconnect_handler_) reconnect_handler_();
+        if (c.reconnect_handler) c.reconnect_handler();
       }
-      if (cfg_.keepalive_interval.ns() > 0 && !keepalive_task_) {
-        keepalive_task_ = std::make_unique<sim::PeriodicTask>(
-            host_->loop(), cfg_.keepalive_interval, [this](std::uint64_t) { keepalive_tick(); });
-        keepalive_task_->start();
+      acked_ = true;
+      if (cold_ && cold_->keepalive_interval.ns() > 0 && !cold_->keepalive_task) {
+        cold_->keepalive_task = std::make_unique<sim::PeriodicTask>(
+            host_->loop(), cold_->keepalive_interval, [this](std::uint64_t) { keepalive_tick(); });
+        cold_->keepalive_task->start();
       }
       flush_queue();
-      if (ready_handler_) ready_handler_();
+      if (cold_ && cold_->ready_handler) cold_->ready_handler();
       break;
     case MessageType::kPing:
       // Broker-side client keepalive probe (DESIGN.md §13): answer so the
@@ -205,14 +227,17 @@ void BrokerClient::handle_frame(const Payload& data) {
 }
 
 void BrokerClient::subscribe(const std::string& filter) {
-  if (std::find(filters_.begin(), filters_.end(), filter) == filters_.end()) {
-    filters_.push_back(filter);
+  if (reconnect_enabled()) {
+    std::vector<std::string>& filters = cold_->filters;
+    if (std::find(filters.begin(), filters.end(), filter) == filters.end()) {
+      filters.push_back(filter);
+    }
   }
   stream_->send(encode(SubscribeMessage{filter, true}));
 }
 
 void BrokerClient::unsubscribe(const std::string& filter) {
-  std::erase(filters_, filter);
+  if (cold_) std::erase(cold_->filters, filter);
   stream_->send(encode(SubscribeMessage{filter, false}));
 }
 
@@ -232,7 +257,7 @@ void BrokerClient::publish(const std::string& topic, Payload payload, QoS qos) {
   // instead of re-encoding (encode-once across the whole tree).
   ev.publisher = client_id_;
   ++events_published_;
-  if (udp_ && cfg_.udp_publish && qos == QoS::kBestEffort) {
+  if (udp_ && udp_publish_ && qos == QoS::kBestEffort) {
     udp_->send_to(broker_udp_, encode(ev));
   } else {
     stream_->send(encode(ev));
@@ -244,7 +269,7 @@ void BrokerClient::flush_queue() {
     Event ev = pending_.pop();
     ev.publisher = client_id_;  // see publish(): enables broker frame adoption
     ++events_published_;
-    if (udp_ && cfg_.udp_publish && ev.qos == QoS::kBestEffort) {
+    if (udp_ && udp_publish_ && ev.qos == QoS::kBestEffort) {
       udp_->send_to(broker_udp_, encode(ev));
     } else {
       stream_->send(encode(ev));
@@ -257,16 +282,17 @@ void BrokerClient::on_event(std::function<void(const Event&)> handler) {
 }
 
 void BrokerClient::on_ready(std::function<void()> handler) {
-  ready_handler_ = std::move(handler);
-  if (ready_ && ready_handler_) ready_handler_();
+  Cold& c = cold();
+  c.ready_handler = std::move(handler);
+  if (ready_ && c.ready_handler) c.ready_handler();
 }
 
 void BrokerClient::on_disconnect(std::function<void()> handler) {
-  disconnect_handler_ = std::move(handler);
+  cold().disconnect_handler = std::move(handler);
 }
 
 void BrokerClient::on_reconnect(std::function<void()> handler) {
-  reconnect_handler_ = std::move(handler);
+  cold().reconnect_handler = std::move(handler);
 }
 
 }  // namespace gmmcs::broker

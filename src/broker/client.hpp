@@ -98,14 +98,47 @@ class BrokerClient {
   [[nodiscard]] std::uint64_t events_received() const { return events_received_; }
   [[nodiscard]] std::uint64_t events_published() const { return events_published_; }
   /// Times the control stream was declared dead / successfully re-established.
-  [[nodiscard]] std::uint64_t disconnects() const { return disconnects_; }
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
+  [[nodiscard]] std::uint64_t disconnects() const { return cold_ ? cold_->disconnects : 0; }
+  [[nodiscard]] std::uint64_t reconnects() const { return cold_ ? cold_->reconnects : 0; }
   /// Publishes still queued behind an incomplete handshake (0 once ready;
   /// the chaos oracle's stuck-stream check).
   [[nodiscard]] std::size_t pending_publishes() const { return pending_.size(); }
   [[nodiscard]] sim::Host& host() const { return *host_; }
+  /// True once the client holds its cold block (see Cold): from
+  /// construction with reconnect or keepalive on, else from the first
+  /// lifecycle handler. Tells footprint tests what a receiver costs.
+  [[nodiscard]] bool holds_cold_state() const { return cold_ != nullptr; }
 
  private:
+  /// State only a self-healing or observed client needs: the reconnect
+  /// and keepalive machinery, the subscription set it replays, and the
+  /// lifecycle handlers. Made by the constructor when reconnect or
+  /// keepalive is enabled, or by the first on_ready/on_disconnect/
+  /// on_reconnect; a plain media receiver never holds one.
+  struct Cold {
+    SimDuration keepalive_interval{0};
+    int keepalive_miss = 3;
+    ReconnectPolicy reconnect;
+    /// Live subscription set, replayed after every re-handshake; kept
+    /// only when reconnect is enabled (nothing else reads it).
+    std::vector<std::string> filters;
+    std::uint64_t disconnects = 0;
+    std::uint64_t reconnects = 0;
+    int attempt = 0;             // consecutive failed connect attempts
+    bool retry_pending = false;  // a backoff timer is armed
+    std::uint64_t conn_generation = 0;
+    sim::TaskId retry_timer = 0;
+    sim::TaskId connect_timer = 0;
+    std::unique_ptr<sim::PeriodicTask> keepalive_task;
+    SimTime last_heard{};
+    Rng jitter_rng;
+    std::function<void()> ready_handler;
+    std::function<void()> disconnect_handler;
+    std::function<void()> reconnect_handler;
+  };
+
+  /// The cold block, made on first use.
+  Cold& cold();
   void handle_frame(const Payload& data);
   void flush_queue();
   /// (Re)opens the control stream and sends Hello.
@@ -117,39 +150,29 @@ class BrokerClient {
   void attempt_connect();
   void keepalive_tick();
   void cancel_connect_timer();
+  [[nodiscard]] bool reconnect_enabled() const { return cold_ && cold_->reconnect.enabled; }
 
   sim::Host* host_;
-  Config cfg_;
-  sim::Endpoint broker_stream_{};
   transport::StreamConnectionPtr stream_;
   std::optional<transport::DatagramSocket> udp_;
+  sim::Endpoint broker_stream_{};
   sim::Endpoint broker_udp_{};
   ClientId client_id_ = 0;
-  bool ready_ = false;
   std::uint32_t next_seq_ = 0;
+  bool ready_ = false;
+  /// A HelloAck has arrived before: the next one is a re-handshake.
+  bool acked_ = false;
+  bool udp_delivery_;
+  bool udp_publish_;
+  std::optional<sim::Endpoint> via_proxy_;
   std::uint64_t events_received_ = 0;
   std::uint64_t events_published_ = 0;
+  std::string name_;
   Fifo<Event> pending_;
   /// Decode target for every received kEvent (see handle_frame).
   Event rx_event_;
-  /// Live subscription set, replayed after every re-handshake.
-  std::vector<std::string> filters_;
-  // Self-healing state (all inert unless reconnect/keepalive enabled).
-  std::uint64_t hello_acks_ = 0;
-  std::uint64_t disconnects_ = 0;
-  std::uint64_t reconnects_ = 0;
-  int attempt_ = 0;             // consecutive failed connect attempts
-  bool retry_pending_ = false;  // a backoff timer is armed
-  std::uint64_t conn_generation_ = 0;
-  sim::TaskId retry_timer_ = 0;
-  sim::TaskId connect_timer_ = 0;
-  std::unique_ptr<sim::PeriodicTask> keepalive_task_;
-  SimTime last_heard_{};
-  Rng jitter_rng_;
   std::function<void(const Event&)> event_handler_;
-  std::function<void()> ready_handler_;
-  std::function<void()> disconnect_handler_;
-  std::function<void()> reconnect_handler_;
+  std::unique_ptr<Cold> cold_;
 };
 
 }  // namespace gmmcs::broker

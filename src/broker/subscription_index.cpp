@@ -9,14 +9,41 @@ namespace {
 /// publish on a bounded set of session topics, so this is never hit in
 /// practice; it only bounds memory against adversarial topic churn.
 constexpr std::size_t kMaxCacheLines = 4096;
+
+/// `id`'s entry in `refs`, or where it would go.
+template <class Refs>
+auto find_ref(Refs& refs, std::uint32_t id) {
+  return std::lower_bound(refs.begin(), refs.end(), id,
+                          [](const auto& entry, std::uint32_t v) { return entry.first < v; });
+}
+
+/// Adds one reference to `id`; true if that made a new entry.
+template <class Refs>
+bool add_ref(Refs& refs, std::uint32_t id) {
+  auto it = find_ref(refs, id);
+  if (it != refs.end() && it->first == id) return ++it->second == 1;
+  refs.insert(it, {id, 1});
+  return true;
+}
+
+/// Drops one reference to `id`: 0 if it held none, else 1, or 2 if that
+/// removed its entry.
+template <class Refs>
+int drop_ref(Refs& refs, std::uint32_t id) {
+  auto it = find_ref(refs, id);
+  if (it == refs.end() || it->first != id) return 0;
+  if (--it->second > 0) return 1;
+  refs.erase(it);
+  return 2;
+}
 }  // namespace
 
 void SubscriptionIndex::subscribe(SubscriberId id, const TopicFilter& filter) {
   // A refcount that becomes 1 is a new (subscriber, filter) entry.
   if (!filter.valid()) {
-    if (++invalid_[filter.pattern()][id] == 1) ++entries_;
+    if (add_ref(invalid_[filter.pattern()], id)) ++entries_;
   } else if (filter.exact()) {
-    if (++exact_[filter.pattern()][id] == 1) ++entries_;
+    if (add_ref(exact_[filter.pattern()], id)) ++entries_;
   } else {
     auto it = std::find_if(wildcards_.begin(), wildcards_.end(),
                            [&](const WildcardEntry& e) { return e.filter == filter; });
@@ -24,7 +51,7 @@ void SubscriptionIndex::subscribe(SubscriberId id, const TopicFilter& filter) {
       wildcards_.push_back(WildcardEntry{filter, {}});
       it = std::prev(wildcards_.end());
     }
-    if (++it->refs[id] == 1) ++entries_;
+    if (add_ref(it->refs, id)) ++entries_;
   }
   bump_generation();
 }
@@ -33,12 +60,9 @@ void SubscriptionIndex::unsubscribe(SubscriberId id, const TopicFilter& filter) 
   auto drop_from = [&](auto& table) {
     auto it = table.find(filter.pattern());
     if (it == table.end()) return;
-    auto rit = it->second.find(id);
-    if (rit == it->second.end()) return;
-    if (--rit->second <= 0) {
-      it->second.erase(rit);
-      --entries_;
-    }
+    const int dropped = drop_ref(it->second, id);
+    if (dropped == 0) return;
+    if (dropped == 2) --entries_;
     if (it->second.empty()) table.erase(it);
     bump_generation();
   };
@@ -50,12 +74,9 @@ void SubscriptionIndex::unsubscribe(SubscriberId id, const TopicFilter& filter) 
     auto it = std::find_if(wildcards_.begin(), wildcards_.end(),
                            [&](const WildcardEntry& e) { return e.filter == filter; });
     if (it == wildcards_.end()) return;
-    auto rit = it->refs.find(id);
-    if (rit == it->refs.end()) return;
-    if (--rit->second <= 0) {
-      it->refs.erase(rit);
-      --entries_;
-    }
+    const int dropped = drop_ref(it->refs, id);
+    if (dropped == 0) return;
+    if (dropped == 2) --entries_;
     if (it->refs.empty()) wildcards_.erase(it);
     bump_generation();
   }

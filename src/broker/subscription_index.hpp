@@ -26,11 +26,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "broker/topic.hpp"
@@ -71,8 +71,11 @@ class SubscriptionIndex {
   [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
 
  private:
-  /// Refcounts ordered by subscriber id so match results come out sorted.
-  using RefMap = std::map<SubscriberId, int>;
+  /// (subscriber, refcount) pairs in ascending subscriber id, so match
+  /// results come out sorted: that order is the fan-out order. A flat
+  /// vector, 8 B per entry rather than a tree node; ids are minted in
+  /// ascending order, so a new subscriber is usually appended.
+  using RefMap = std::vector<std::pair<SubscriberId, std::int32_t>>;
 
   struct WildcardEntry {
     TopicFilter filter;

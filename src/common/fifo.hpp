@@ -10,6 +10,9 @@
 // pop() is O(1), and the buffer is freed the moment the last item is
 // popped. Items are moved out by value, so a consumer may push, pop or
 // drain the same Fifo re-entrantly while it handles the item it got.
+//
+// A queue that fills and drains all run long is a Ring instead
+// (common/ring.hpp), which keeps its buffer.
 #pragma once
 
 #include <cstddef>

@@ -17,8 +17,16 @@ TaskId EventLoop::enqueue(SimTime when, std::uint32_t slot, CbSlot& s) {
 TaskId EventLoop::push(SimTime when, std::uint64_t seq, std::uint32_t slot, CbSlot& s) {
   s.seq = seq;
   ++live_;
-  heap_.push_back(Entry{when, seq, slot});
-  sift_up(heap_.size() - 1);
+  const Entry e{when, seq, slot};
+  if (hole_) {
+    // The running event's entry still holds the root: the first event its
+    // callback schedules takes that place, a pop and a push in one descent.
+    hole_ = false;
+    sink_from_root(e);
+  } else {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1);
+  }
   return make_id(slot, seq);
 }
 
@@ -58,17 +66,22 @@ void EventLoop::maybe_compact() {
   if (heap_.size() < kCompactMin || heap_.size() <= 2 * live_) return;
   std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
   std::sort(heap_.begin(), heap_.end());
+  hole_ = false;  // a running event's entry is not live: it went too
 }
 
 void EventLoop::pop_top() {
+  hole_ = false;
   const Entry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sink_from_root(last);
+}
+
+void EventLoop::sink_from_root(const Entry& e) {
+  // Floyd's descent: walk the root's hole down to a leaf along the
+  // smallest children, then sift `e` up from there. It is usually among
+  // the latest entries, so it rarely climbs, and the descent skips a
+  // comparison per level.
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  // Floyd's pop: walk the root's hole down to a leaf along the smallest
-  // children, then sift the former last entry up from there. It is
-  // usually among the latest, so it rarely climbs, and the descent skips
-  // a comparison per level.
   std::size_t i = 0;
   for (;;) {
     const std::size_t first = i * kArity + 1;
@@ -84,7 +97,7 @@ void EventLoop::pop_top() {
     heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = last;
+  heap_[i] = e;
   sift_up(i);
 }
 
@@ -99,7 +112,9 @@ EventLoop::CbSlot* EventLoop::live_top() {
 
 void EventLoop::run_top(CbSlot& s) {
   const Entry e = heap_.front();
-  pop_top();
+  // The entry stays at the root while the callback runs: the first push
+  // takes its place (see push), and if nothing does it is popped below.
+  hole_ = true;
   s.seq = 0;  // no longer pending: cancelling its own id is a no-op
   --live_;
 
@@ -113,6 +128,7 @@ void EventLoop::run_top(CbSlot& s) {
   s.cb();
   s.cb.reset();
   slots_.release(e.slot);
+  if (hole_) pop_top();
 }
 
 bool EventLoop::step() {

@@ -186,9 +186,12 @@ class EventLoop {
   /// Pops cancelled entries off the heap top; returns the live top's
   /// slot, or nullptr once the heap is empty.
   CbSlot* live_top();
-  /// Pops the live top entry and runs its callback, `s`, in place.
+  /// Runs the live top entry's callback, `s`, in place, and pops the
+  /// entry unless a push during the callback took its place.
   void run_top(CbSlot& s);
   void pop_top();
+  /// Places `e` in the hole at the root of heap_.
+  void sink_from_root(const Entry& e);
   void sift_up(std::size_t i);
 
   SimTime now_;
@@ -200,6 +203,10 @@ class EventLoop {
   /// or two. (when, seq) is a strict total order, so the pop order is
   /// the sorted order whatever the heap's shape.
   std::vector<Entry> heap_;
+  /// True while the root is the running event's spent entry, a hole the
+  /// next push fills. Cleared by that push, by a pop of the root and by
+  /// compaction, which drops the entry as not live.
+  bool hole_ = false;
   /// Parked callbacks; Entry::slot indexes it. Slots never move, so a
   /// callback is built and run in place, and a warm loop schedules
   /// without allocating.

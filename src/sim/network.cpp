@@ -38,7 +38,6 @@ void Host::set_up(bool up) {
     // serialize when power returns).
     last_down_at_ = loop().now();
     nic_fifo_.clear();
-    nic_head_ = 0;
     nic_queued_bytes_ = 0;
     nic_free_at_ = loop().now();
   }
@@ -101,23 +100,15 @@ bool Host::departed(const NicDeparture& p) const {
 }
 
 void Host::release_departed() {
-  while (nic_head_ < nic_fifo_.size() && departed(nic_fifo_[nic_head_])) {
-    nic_queued_bytes_ -= nic_fifo_[nic_head_].bytes;
-    ++nic_head_;
-  }
-  if (nic_head_ == nic_fifo_.size()) {
-    nic_fifo_.clear();
-    nic_head_ = 0;
-  } else if (nic_head_ >= 64 && nic_head_ * 2 >= nic_fifo_.size()) {
-    // Sustained backlog: trim the released prefix in place.
-    nic_fifo_.erase(nic_fifo_.begin(), nic_fifo_.begin() + static_cast<std::ptrdiff_t>(nic_head_));
-    nic_head_ = 0;
+  while (!nic_fifo_.empty() && departed(nic_fifo_.front())) {
+    nic_queued_bytes_ -= nic_fifo_.front().bytes;
+    nic_fifo_.pop_front();
   }
 }
 
 std::size_t Host::nic_queued_bytes() const {
   std::size_t queued = nic_queued_bytes_;
-  for (std::size_t i = nic_head_; i < nic_fifo_.size() && departed(nic_fifo_[i]); ++i) {
+  for (std::size_t i = 0; i < nic_fifo_.size() && departed(nic_fifo_[i]); ++i) {
     queued -= nic_fifo_[i].bytes;
   }
   return queued;

@@ -29,6 +29,7 @@
 #include "common/open_index.hpp"
 #include "common/payload.hpp"
 #include "common/random.hpp"
+#include "common/ring.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/slot_pool.hpp"
@@ -45,15 +46,9 @@ struct Endpoint {
 
   auto operator<=>(const Endpoint&) const = default;
   [[nodiscard]] std::string to_string() const;
-};
-
-/// Hash for unordered containers keyed by Endpoint (hot-path reverse
-/// indexes like the broker's UDP publisher lookup). (node, port) packs
-/// into 48 bits, so one integer hash covers the pair collision-free.
-struct EndpointHash {
-  std::size_t operator()(const Endpoint& e) const noexcept {
-    return std::hash<std::uint64_t>{}((static_cast<std::uint64_t>(e.node) << 16) | e.port);
-  }
+  /// (node, port) packed into 48 bits: the key of an OpenIndex by
+  /// endpoint (the broker's UDP publisher lookup, a listener's demux).
+  [[nodiscard]] std::uint64_t packed() const { return (std::uint64_t{node} << 16) | port; }
 };
 
 /// A datagram in flight. `sent_at` is stamped at send time so receivers can
@@ -121,11 +116,14 @@ class Host {
     return ports_.find(port) != kNoSlot;
   }
 
-  /// Sends a datagram; returns false if the NIC queue dropped it. The
-  /// payload handle is shared, not copied: pass a fresh frame (`Bytes&&`
-  /// adopts) or another Payload's handle (refcount bump). Throws
-  /// std::out_of_range, before the NIC sees it, if `dst.node` is no host.
-  bool send(Endpoint dst, std::uint16_t src_port, Payload payload, bool reliable = false);
+  /// Sends a datagram; returns false if the NIC queue dropped it (or the
+  /// host is down). Every caller decides what that means and counts it.
+  /// The payload handle is shared, not copied: pass a fresh frame
+  /// (`Bytes&&` adopts) or another Payload's handle (refcount bump).
+  /// Throws std::out_of_range, before the NIC sees it, if `dst.node` is
+  /// no host.
+  [[nodiscard]] bool send(Endpoint dst, std::uint16_t src_port, Payload payload,
+                          bool reliable = false);
   /// Sends to every member of a multicast group (one NIC serialization).
   void send_multicast(GroupId group, std::uint16_t src_port, Payload payload);
 
@@ -206,12 +204,11 @@ class Host {
   /// later departure are dropped (see egress_wiped).
   SimTime last_down_at_{-1};
   SimTime nic_free_at_;
-  /// Egress FIFO in departure order, as a vector + head index so it reuses
-  /// its capacity. Released lazily by egress() and nic_queued_bytes()
-  /// instead of by one loop event per packet.
-  std::vector<NicDeparture> nic_fifo_;
-  std::size_t nic_head_ = 0;
-  /// Bytes of the packets in nic_fifo_[nic_head_..].
+  /// Egress FIFO in departure order, a Ring that keeps its capacity.
+  /// Released lazily by egress() and nic_queued_bytes() instead of by one
+  /// loop event per packet.
+  Ring<NicDeparture> nic_fifo_;
+  /// Bytes of the packets in nic_fifo_.
   std::size_t nic_queued_bytes_ = 0;
   std::uint64_t nic_sent_ = 0;
   std::uint64_t nic_dropped_ = 0;

@@ -113,28 +113,14 @@ void ServiceCenter::complete(std::uint32_t slot, std::size_t item) {
 }
 
 void ServiceCenter::drain() {
-  while (busy_ < servers_ && q_head_ < queue_.size()) {
-    Job& front = queue_[q_head_];
+  while (busy_ < servers_ && !queue_.empty()) {
+    Job& front = queue_.front();
     const Job job = front;
     const std::size_t item = job.batch ? front.next++ : kPlainJob;
     // A batch's Job stays at the queue front until its last item starts.
-    if (!job.batch || front.next == front.end) advance_head();
+    if (!job.batch || front.next == front.end) queue_.pop_front();
     --queued_logical_;
     start(job, item);
-  }
-}
-
-void ServiceCenter::advance_head() {
-  ++q_head_;
-  if (q_head_ == queue_.size()) {
-    // Drained empty: reset in place, keeping the vector's capacity.
-    queue_.clear();
-    q_head_ = 0;
-  } else if (q_head_ >= 64 && q_head_ * 2 >= queue_.size()) {
-    // Sustained backlog: trim the consumed prefix so the vector doesn't
-    // grow without bound while the queue never fully empties.
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(q_head_));
-    q_head_ = 0;
   }
 }
 

@@ -10,8 +10,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "common/ring.hpp"
 #include "common/small_fn.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
@@ -108,8 +108,6 @@ class ServiceCenter {
   void start(const Job& job, std::size_t item);
   void complete(std::uint32_t slot, std::size_t item);
   void drain();
-  /// Advances q_head_ past the consumed front Job (reset/trim heuristics).
-  void advance_head();
   /// Applies the virtual-NIC admission gate to a job completing its CPU
   /// service at `cpu_done`; returns the (possibly later) gated completion
   /// and accounts the copy's serialization in nic_free_v_.
@@ -119,13 +117,10 @@ class ServiceCenter {
   int servers_;
   std::size_t queue_limit_;
   int busy_ = 0;
-  /// FIFO queue as a vector + head index rather than std::deque: a deque
-  /// allocates a fresh block every ~few pushes even at steady state, while
-  /// this layout reuses its capacity forever (the consumed prefix is
-  /// trimmed whenever the queue drains empty, which it does every time
-  /// servers catch up).
-  std::vector<Job> queue_;
-  std::size_t q_head_ = 0;
+  /// FIFO job queue: a Ring, not a std::deque, which allocates a fresh
+  /// block every few pushes even at steady state. A queued batch's Job is
+  /// updated in place at the front as its items peel off.
+  Ring<Job> queue_;
   /// Logical jobs waiting (each batch item counts one): queue_length() and
   /// the admission check use this, since a batch's items share one Job.
   std::size_t queued_logical_ = 0;

@@ -10,10 +10,6 @@ constexpr std::uint8_t kSyn = 1;
 constexpr std::uint8_t kSynAck = 2;
 constexpr std::uint8_t kData = 3;
 constexpr std::uint8_t kFin = 4;
-
-Bytes control_segment(std::uint8_t type) {
-  return Bytes{type};
-}
 }  // namespace
 
 StreamConnection::StreamConnection(sim::Host& host, State state)
@@ -45,36 +41,38 @@ StreamConnectionPtr StreamConnection::connect(sim::Host& from, sim::Endpoint to,
   auto conn = make(from, State::kConnecting);
   conn->remote_ = to;
   conn->owns_port_ = true;
-  conn->opts_ = opts;
+  conn->connecting_ = std::make_unique<Connecting>();
+  conn->connecting_->opts = opts;
   std::uint16_t port = from.bind_ephemeral(
       [raw = conn.get()](const sim::Datagram& d) { raw->handle(d); });
   conn->local_ = sim::Endpoint{from.id(), port};
-  from.send(to, port, control_segment(kSyn), /*reliable=*/true);
+  conn->send_control(kSyn);
   conn->arm_syn_timer();
   return conn;
 }
 
 void StreamConnection::arm_syn_timer() {
-  if (opts_.syn_retry.ns() <= 0) return;
-  // The raw `this` capture is safe: every path that destroys or closes the
-  // connection goes through do_close(), which cancels the timer.
-  syn_timer_ = host_->loop().schedule_after(opts_.syn_retry, [this] {
-    syn_timer_ = 0;
-    if (state_ != State::kConnecting) return;
-    if (syn_attempts_ >= opts_.max_syn_retries) {
+  Connecting& c = *connecting_;
+  if (c.opts.syn_retry.ns() <= 0) return;
+  // The raw `this` capture is safe: every path that destroys, opens or
+  // closes the connection cancels the timer first.
+  c.syn_timer = host_->loop().schedule_after(c.opts.syn_retry, [this] {
+    Connecting& c = *connecting_;
+    c.syn_timer = 0;
+    if (c.syn_attempts >= c.opts.max_syn_retries) {
       do_close(/*notify_peer=*/false);  // handshake gave up: surface on_close
       return;
     }
-    ++syn_attempts_;
-    host_->send(remote_, local_.port, control_segment(kSyn), /*reliable=*/true);
+    ++c.syn_attempts;
+    send_control(kSyn);
     arm_syn_timer();
   });
 }
 
 void StreamConnection::cancel_syn_timer() {
-  if (syn_timer_ != 0) {
-    host_->loop().cancel(syn_timer_);
-    syn_timer_ = 0;
+  if (connecting_ && connecting_->syn_timer != 0) {
+    host_->loop().cancel(connecting_->syn_timer);
+    connecting_->syn_timer = 0;
   }
 }
 
@@ -92,19 +90,17 @@ void StreamConnection::handle_segment(const sim::Datagram& d) {
       if (state_ == State::kConnecting) {
         state_ = State::kOpen;
         cancel_syn_timer();
-        flush_pending();
-        if (connect_handler_) {
-          auto h = connect_handler_;
-          h();
-        }
+        // The block goes here, before the handler runs: a connection
+        // opens once, and the handler may close it.
+        const std::unique_ptr<Connecting> c = std::move(connecting_);
+        while (!c->outbox.empty()) send_segment(c->outbox.pop());
+        if (c->connect_handler) c->connect_handler();
       }
       break;
     case kSyn:
       // Acceptor side: our SYN-ACK was lost (or is still in flight) and the
       // connector retransmitted. Re-acknowledge so the handshake completes.
-      if (state_ == State::kOpen && !owns_port_) {
-        host_->send(remote_, local_.port, control_segment(kSynAck), /*reliable=*/true);
-      }
+      if (state_ == State::kOpen && !owns_port_) send_control(kSynAck);
       break;
     case kData:
       if (state_ == State::kClosed) break;
@@ -143,7 +139,7 @@ void StreamConnection::deliver_or_buffer(Payload payload) {
 void StreamConnection::send(Payload message) {
   if (state_ == State::kClosed) return;
   if (state_ == State::kConnecting) {
-    outbox_.push(std::move(message));
+    connecting_->outbox.push(std::move(message));
     return;
   }
   send_segment(message);
@@ -155,6 +151,16 @@ void StreamConnection::send(std::string_view text) {
   send(w.take());
 }
 
+void StreamConnection::send_control(std::uint8_t type) {
+  // Nothing here retransmits a refused control segment: a SYN is retried
+  // by the SYN timer if one is armed, a SYN-ACK answers the connector's
+  // retried SYN, and a lost FIN leaves the peer to its own liveness
+  // check. Count it.
+  if (!host_->send(remote_, local_.port, Bytes{type}, /*reliable=*/true)) {
+    ++control_dropped_;
+  }
+}
+
 void StreamConnection::send_segment(const Payload& message) {
   ++sent_;
   // The kData byte lands in the frame's headroom: the segment shares the
@@ -163,10 +169,6 @@ void StreamConnection::send_segment(const Payload& message) {
   if (!host_->send(remote_, local_.port, message.prepend(kData), /*reliable=*/true)) {
     ++segments_dropped_;
   }
-}
-
-void StreamConnection::flush_pending() {
-  while (!outbox_.empty()) send_segment(outbox_.pop());
 }
 
 void StreamConnection::on_message(MessageHandler handler) {
@@ -192,8 +194,11 @@ void StreamConnection::on_close(std::function<void()> handler) {
 }
 
 void StreamConnection::on_connect(std::function<void()> handler) {
-  connect_handler_ = std::move(handler);
-  if (state_ == State::kOpen && connect_handler_) connect_handler_();
+  if (connecting_) {
+    connecting_->connect_handler = std::move(handler);
+  } else if (state_ == State::kOpen && handler) {
+    handler();
+  }
 }
 
 void StreamConnection::close() {
@@ -204,9 +209,8 @@ void StreamConnection::do_close(bool notify_peer) {
   State prev = state_;
   state_ = State::kClosed;
   cancel_syn_timer();
-  if (notify_peer && prev == State::kOpen) {
-    host_->send(remote_, local_.port, control_segment(kFin), /*reliable=*/true);
-  }
+  connecting_.reset();  // a handshake that never completed: drop its sends
+  if (notify_peer && prev == State::kOpen) send_control(kFin);
   if (owns_port_) host_->unbind(local_.port);
   if (owner_ != nullptr) {
     owner_->forget(remote_, owner_slot_);
@@ -242,7 +246,7 @@ StreamListener::~StreamListener() {
 }
 
 void StreamListener::forget(sim::Endpoint client, std::uint32_t slot) {
-  index_.erase(key(client), slot);
+  index_.erase(client.packed(), slot);
   conns_[slot] = nullptr;
   conns_.release(slot);
 }
@@ -254,7 +258,7 @@ void StreamListener::on_accept(std::function<void(StreamConnectionPtr)> handler)
 void StreamListener::handle(const sim::Datagram& d) {
   // Existing connection? Demultiplex by client endpoint.
   const auto same = [&](std::uint32_t slot) { return conns_[slot]->remote_ == d.src; };
-  if (const std::uint32_t slot = index_.find(key(d.src), same); slot != OpenIndex::kNone) {
+  if (const std::uint32_t slot = index_.find(d.src.packed(), same); slot != OpenIndex::kNone) {
     conns_[slot]->handle(d);
     return;
   }
@@ -265,8 +269,8 @@ void StreamListener::handle(const sim::Datagram& d) {
   conn->owner_ = this;
   conn->owner_slot_ = conns_.acquire();
   conns_[conn->owner_slot_] = conn.get();
-  index_.insert(key(d.src), conn->owner_slot_);
-  host_->send(d.src, port_, control_segment(kSynAck), /*reliable=*/true);
+  index_.insert(d.src.packed(), conn->owner_slot_);
+  conn->send_control(kSynAck);
   ++accepted_;
   if (handler_) handler_(std::move(conn));
 }

@@ -87,6 +87,9 @@ class StreamConnection {
   /// or the host down). Each one is a message lost: there is no
   /// retransmission yet.
   [[nodiscard]] std::uint64_t segments_dropped() const { return segments_dropped_; }
+  /// SYN, SYN-ACK and FIN segments this end's host refused (see
+  /// send_control).
+  [[nodiscard]] std::uint64_t control_segments_dropped() const { return control_dropped_; }
 
   /// Initiates a connection to a listener at `to`. The returned connection
   /// buffers sends until established; use on_connect() to sequence logic.
@@ -132,12 +135,26 @@ class StreamConnection {
   void handle(const sim::Datagram& d);
   void handle_segment(const sim::Datagram& d);
   void deliver_or_buffer(Payload payload);
-  void flush_pending();
   /// Sends one kData segment, counting it in segments_dropped_ if refused.
   void send_segment(const Payload& message);
+  /// Sends a one-byte control segment, counting it in control_dropped_ if
+  /// refused.
+  void send_control(std::uint8_t type);
   void do_close(bool notify_peer);
   void arm_syn_timer();
   void cancel_syn_timer();
+
+  /// What only a connector end needs until its handshake completes: the
+  /// SYN retransmission state, the connect handler and the sends made
+  /// meanwhile. Made by connect() and freed once the connection opens or
+  /// closes; an acceptor end is born established and never has one.
+  struct Connecting {
+    ConnectOptions opts;
+    sim::TaskId syn_timer = 0;
+    int syn_attempts = 0;
+    std::function<void()> connect_handler;
+    Fifo<Payload> outbox;  // buffered until established
+  };
 
   sim::Host* host_;
   State state_;
@@ -161,16 +178,13 @@ class StreamConnection {
   MessageHandler message_handler_;
   std::unique_ptr<ParkedHandler> parked_;
   std::function<void()> close_handler_;
-  std::function<void()> connect_handler_;
-  Fifo<Payload> outbox_;  // buffered until established
-  Fifo<Payload> inbox_;   // buffered until a handler is set
+  std::unique_ptr<Connecting> connecting_;
+  Fifo<Payload> inbox_;  // buffered until a handler is set
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t segments_dropped_ = 0;
-  ConnectOptions opts_;
-  sim::TaskId syn_timer_ = 0;
-  int syn_attempts_ = 0;
   std::uint32_t owner_slot_ = 0;  // acceptor side: our slot in owner_
+  std::uint32_t control_dropped_ = 0;
 };
 
 /// Accepts incoming stream connections on a fixed port and demultiplexes
@@ -196,10 +210,6 @@ class StreamListener {
   void handle(const sim::Datagram& d);
   /// Drops the closed connection in `slot` (its client is `client`).
   void forget(sim::Endpoint client, std::uint32_t slot);
-
-  static std::uint64_t key(sim::Endpoint ep) {
-    return (std::uint64_t{ep.node} << 16) | ep.port;
-  }
 
   sim::Host* host_;
   std::uint16_t port_;

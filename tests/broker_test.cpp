@@ -589,6 +589,79 @@ TEST_F(BrokerTest, EventHandlerMayPublishResubscribeOrDestroyItsClient) {
   EXPECT_EQ(broker.client_count(), 2u);  // the destroyed clients' records are gone
 }
 
+// A BrokerClient keeps its reconnect, keepalive and lifecycle-handler
+// state in a block made only when something needs it: a media receiver
+// with the default config never holds one.
+TEST_F(BrokerTest, DefaultClientHoldsNoColdStateUntilAHandlerNeedsIt) {
+  sim::Host& bh = host("broker");
+  BrokerNode broker(bh, 0);
+  BrokerClient plain(host("plain"), broker.stream_endpoint(), {.name = "plain"});
+  plain.subscribe("/t");
+  plain.on_event([](const Event&) {});
+  BrokerClient healing(host("healing"), broker.stream_endpoint(),
+                       {.name = "healing", .reconnect = {.enabled = true}});
+  BrokerClient pinging(host("pinging"), broker.stream_endpoint(),
+                       {.name = "pinging", .keepalive_interval = duration_ms(100)});
+  loop.run_for(duration_ms(50));
+  ASSERT_TRUE(plain.ready());
+  EXPECT_FALSE(plain.holds_cold_state());
+  EXPECT_TRUE(healing.holds_cold_state());
+  EXPECT_TRUE(pinging.holds_cold_state());
+  EXPECT_EQ(plain.disconnects(), 0u);
+  EXPECT_EQ(plain.reconnects(), 0u);
+
+  // A handler set after the handshake makes the block; on_ready still
+  // fires at once on a ready client.
+  int readies = 0;
+  plain.on_ready([&] { ++readies; });
+  EXPECT_TRUE(plain.holds_cold_state());
+  EXPECT_EQ(readies, 1);
+}
+
+// A broker process restart: the old node's streams close (FIN), and a
+// new node binds the same ports. A client with reconnect enabled backs
+// off, re-handshakes and replays its subscriptions; handlers set after
+// the first handshake fire.
+TEST_F(BrokerTest, ReconnectingClientReplaysSubscriptionsAfterBrokerRestart) {
+  sim::Host& bh = host("broker");
+  auto broker = std::make_unique<BrokerNode>(bh, 0);
+  const sim::Endpoint ep = broker->stream_endpoint();
+  const BrokerClient::Config healing{
+      .name = "sub", .reconnect = {.enabled = true, .backoff_base = duration_ms(20)}};
+  BrokerClient sub(host("sub"), ep, healing);
+  sub.subscribe("/t");
+  sub.subscribe("/u");
+  sub.unsubscribe("/u");
+  std::vector<std::string> got;
+  sub.on_event([&](const Event& e) { got.push_back(to_string(e.payload)); });
+  BrokerClient pub(host("pub"), ep, {.name = "pub", .reconnect = {.enabled = true}});
+  loop.run_for(duration_ms(50));
+  ASSERT_TRUE(sub.ready());
+
+  int disconnects = 0;
+  int reconnects = 0;
+  sub.on_disconnect([&] { ++disconnects; });
+  sub.on_reconnect([&] { ++reconnects; });
+  pub.publish("/t", to_bytes("before"));
+  loop.run_for(duration_ms(50));
+
+  broker.reset();
+  broker = std::make_unique<BrokerNode>(bh, 0);
+  loop.run_for(duration_ms(500));
+  ASSERT_TRUE(sub.ready());
+  ASSERT_TRUE(pub.ready());
+  EXPECT_EQ(disconnects, 1);
+  EXPECT_EQ(reconnects, 1);
+  EXPECT_EQ(sub.disconnects(), 1u);
+  EXPECT_EQ(sub.reconnects(), 1u);
+  // The new node learned "/t" from the replay alone, and not "/u".
+  EXPECT_EQ(broker->subscription_count(), 1u);
+  pub.publish("/t", to_bytes("after"));
+  pub.publish("/u", to_bytes("unsubscribed"));
+  loop.run_for(duration_ms(50));
+  EXPECT_EQ(got, (std::vector<std::string>{"before", "after"}));
+}
+
 class BrokerNetTest : public ::testing::Test {
  protected:
   sim::EventLoop loop;

@@ -1,10 +1,15 @@
-// Tests for the common substrate: bytes, time, rng, stats, strings, ids.
+// Tests for the common substrate: bytes, time, rng, stats, strings, ids,
+// the ring queue.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <deque>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "common/random.hpp"
 #include "common/result.hpp"
+#include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/time.hpp"
@@ -136,6 +141,75 @@ TEST(Rng, ForkIndependence) {
   Rng a(99);
   Rng b = a.fork();
   EXPECT_NE(a.next(), b.next());
+}
+
+// Ring against a std::deque. Seeded scripts of pushes, pops, in-place
+// edits of the front record (a queued dispatch batch peels its items off
+// the front that way) and clears, in phases that swing the length, so
+// the ring grows and is cleared while its contents wrap round the end of
+// its buffer.
+TEST(RingProperty, MatchesDequeReference) {
+  struct Rec {
+    std::uint64_t id;
+    std::uint32_t items;  // pops it takes to leave the front
+  };
+  int wrapped_growths = 0;
+  int wrapped_clears = 0;
+  int front_edits = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    Ring<Rec> ring;
+    std::deque<Rec> ref;
+    std::uint64_t next = 0;
+    // Where the ring's front sits in its buffer: tracked only to count
+    // how often the script reaches a wrapped ring.
+    std::size_t head = 0;
+    for (int phase = 0; phase < 8; ++phase) {
+      const double push_share = phase % 2 == 0 ? 0.7 : 0.3;
+      const auto ops = rng.uniform_int(10, 150);
+      for (std::int64_t k = 0; k < ops; ++k) {
+        const double r = rng.uniform();
+        const std::size_t cap = ring.capacity();
+        if (r < push_share) {
+          if (ring.size() == cap) {
+            if (head != 0) ++wrapped_growths;
+            head = 0;
+          }
+          const Rec rec{next++, static_cast<std::uint32_t>(rng.uniform_int(1, 3))};
+          ring.push_back(rec);
+          ref.push_back(rec);
+        } else if (r < 0.98) {
+          if (ref.empty()) continue;
+          if (--ring.front().items > 0) {
+            --ref.front().items;
+            ++front_edits;
+          } else {
+            ring.pop_front();
+            ref.pop_front();
+            head = (head + 1) % cap;
+          }
+        } else {
+          if (head + ring.size() > cap) ++wrapped_clears;
+          ring.clear();
+          ref.clear();
+          head = 0;
+          ASSERT_EQ(ring.capacity(), cap) << "seed " << seed;  // keeps its buffer
+        }
+        ASSERT_EQ(ring.size(), ref.size()) << "seed " << seed;
+        ASSERT_EQ(ring.empty(), ref.empty());
+        ASSERT_GE(ring.capacity(), cap);  // never shrinks
+        ASSERT_EQ(ring.capacity() & (ring.capacity() - 1), 0u);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(ring[i].id, ref[i].id) << "seed " << seed << ", index " << i;
+          ASSERT_EQ(ring[i].items, ref[i].items);
+        }
+      }
+    }
+  }
+  // The scripts reach the corners the property is about.
+  EXPECT_GT(wrapped_growths, 100);
+  EXPECT_GT(wrapped_clears, 50);
+  EXPECT_GT(front_edits, 5000);
 }
 
 TEST(Stats, RunningStatsBasics) {

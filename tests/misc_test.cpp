@@ -41,7 +41,7 @@ TEST(SimMisc, NicBacklogDelayReflectsQueuedBytes) {
   sim::Host& a = net.add_host("a", sim::NicConfig{.egress_bps = 8e6, .overhead_bytes = 0});
   sim::Host& b = net.add_host("b");
   EXPECT_EQ(a.nic_backlog_delay().ns(), 0);
-  for (int i = 0; i < 4; ++i) a.send(sim::Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
+  for (int i = 0; i < 4; ++i) (void)a.send(sim::Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
   // 4 x 1ms serialization queued.
   EXPECT_EQ(a.nic_backlog_delay().ms(), 4);
   loop.run();

@@ -930,7 +930,7 @@ void run_arrival_script(std::uint64_t seed, ArrivalCoverage& cov) {
     const std::uint32_t id = next_id++;
     const std::uint64_t seq = loop.next_seq();
     const SimDuration latency = net.path(src, dst).latency;
-    hosts[src]->send(sim::Endpoint{dst, kPort}, kPort, frame(id));
+    (void)hosts[src]->send(sim::Endpoint{dst, kPort}, kPort, frame(id));
     if (loop.next_seq() == seq) return;  // refused: the host is down or its NIC is full
     ASSERT_EQ(loop.next_seq(), seq + 1);
     const SimTime depart = loop.now() + hosts[src]->nic_backlog_delay();

@@ -350,11 +350,11 @@ TEST(NetworkInPlace, HandlerReadsItsDatagramAfterSendingMore) {
   b.bind(100, [&](const Datagram& d) {
     if (!first.empty()) return;
     // Park 500 more datagrams while this one is delivered from its slot.
-    for (int i = 0; i < 500; ++i) b.send(Endpoint{a.id(), 9}, 100, Bytes(10, 0x01));
+    for (int i = 0; i < 500; ++i) (void)b.send(Endpoint{a.id(), 9}, 100, Bytes(10, 0x01));
     first = to_string(d.payload);
     EXPECT_EQ(d.src, (Endpoint{a.id(), 50}));
   });
-  a.send(Endpoint{b.id(), 100}, 50, to_bytes("hello"));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 100}, 50, to_bytes("hello")));
   loop.run();
   EXPECT_EQ(first, "hello");
   EXPECT_EQ(echoes, 500);
@@ -458,7 +458,7 @@ TEST_F(NetworkTest, DeliversWithLatencyAndSerialization) {
     EXPECT_EQ(d.payload.size(), 1000u);
     EXPECT_EQ(d.src.node, 0u);
   });
-  a.send(Endpoint{b.id(), 100}, 50, Bytes(1000, 0xFF));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 100}, 50, Bytes(1000, 0xFF)));
   loop.run();
   // 1000 bytes at 8 Mbps = 1ms serialization + 3ms latency.
   EXPECT_EQ(arrival.ns(), duration_ms(4).ns());
@@ -470,7 +470,7 @@ TEST_F(NetworkTest, NicQueueAddsDelayForBackToBackPackets) {
   net.set_path(a.id(), b.id(), PathConfig{.latency = SimDuration{0}});
   std::vector<std::int64_t> arrivals;
   b.bind(1, [&](const Datagram&) { arrivals.push_back(loop.now().ns()); });
-  for (int i = 0; i < 3; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
+  for (int i = 0; i < 3; ++i) (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
   loop.run();
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], duration_ms(1).ns());
@@ -500,11 +500,44 @@ TEST_F(NetworkTest, QueueDrainsAndAcceptsAgain) {
   Host& b = net.add_host("b");
   int received = 0;
   b.bind(1, [&](const Datagram&) { ++received; });
-  a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0)));
   loop.run();  // fully drains
   EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0)));
   loop.run();
   EXPECT_EQ(received, 2);
+}
+
+// The egress queue is a ring of departure records. Here its contents
+// wrap round the end of its 16-record buffer when the host powers down:
+// the wipe must drop every queued packet, and the NIC must come back
+// empty.
+TEST_F(NetworkTest, PowerDownClearsAWrappedNicQueue) {
+  // 1000 B at 8 Mbps: a packet departs every millisecond.
+  Host& a = net.add_host("a", NicConfig{.egress_bps = 8e6, .overhead_bytes = 0});
+  Host& b = net.add_host("b");
+  net.set_path(a.id(), b.id(), PathConfig{.latency = SimDuration{0}});
+  std::vector<std::int64_t> arrivals;
+  b.bind(1, [&](const Datagram&) { arrivals.push_back(loop.now().ns()); });
+  for (int i = 0; i < 12; ++i) EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0)));
+  loop.run_until(SimTime{duration_ms(10).ns()});
+  ASSERT_EQ(arrivals.size(), 10u);
+  // Ten records released, two queued; twelve more wrap past the end.
+  for (int i = 0; i < 12; ++i) EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0)));
+  EXPECT_EQ(a.nic_queued_bytes(), 14000u);
+  a.set_up(false);
+  EXPECT_EQ(a.nic_queued_bytes(), 0u);
+  EXPECT_EQ(a.nic_backlog_delay(), SimDuration{0});
+  loop.run_until(SimTime{duration_ms(40).ns()});
+  EXPECT_EQ(arrivals.size(), 10u);  // every queued packet was wiped
+  a.set_up(true);
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0)));
+  EXPECT_EQ(a.nic_queued_bytes(), 20000u);
+  loop.run();
+  ASSERT_EQ(arrivals.size(), 30u);
+  // The first packet after power-up leaves an empty NIC.
+  EXPECT_EQ(arrivals[10], duration_ms(41).ns());
+  EXPECT_EQ(arrivals[29], duration_ms(60).ns());
+  EXPECT_EQ(a.nic_queued_bytes(), 0u);
 }
 
 TEST_F(NetworkTest, RandomLossDropsExpectedFraction) {
@@ -514,7 +547,7 @@ TEST_F(NetworkTest, RandomLossDropsExpectedFraction) {
   int received = 0;
   b.bind(1, [&](const Datagram&) { ++received; });
   const int n = 5000;
-  for (int i = 0; i < n; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(100, 0));
+  for (int i = 0; i < n; ++i) (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(100, 0));
   loop.run();
   EXPECT_NEAR(static_cast<double>(received) / n, 0.7, 0.03);
 }
@@ -525,7 +558,9 @@ TEST_F(NetworkTest, ReliableTrafficExemptFromLoss) {
   net.set_path(a.id(), b.id(), PathConfig{.latency = duration_us(10), .loss = 1.0});
   int received = 0;
   b.bind(1, [&](const Datagram&) { ++received; });
-  for (int i = 0; i < 10; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(100, 0), /*reliable=*/true);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(100, 0), /*reliable=*/true));
+  }
   loop.run();
   EXPECT_EQ(received, 10);
 }
@@ -533,7 +568,7 @@ TEST_F(NetworkTest, ReliableTrafficExemptFromLoss) {
 TEST_F(NetworkTest, UnboundPortDiscardsSilently) {
   Host& a = net.add_host("a");
   Host& b = net.add_host("b");
-  a.send(Endpoint{b.id(), 999}, 1, Bytes(10, 0));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 999}, 1, Bytes(10, 0)));
   loop.run();  // no crash, nothing delivered
   SUCCEED();
 }
@@ -546,11 +581,11 @@ TEST_F(NetworkTest, SendToUnknownHostThrowsWithoutTouchingTheNic) {
   Host& b = net.add_host("b");
   const NodeId ghost = 7;
   const std::uint64_t seq = loop.next_seq();
-  EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
+  EXPECT_THROW((void)a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
   EXPECT_THROW(net.set_path(a.id(), ghost, PathConfig{.loss = 1.0}), std::out_of_range);
-  EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
+  EXPECT_THROW((void)a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
   EXPECT_THROW(net.set_link_up(a.id(), ghost, false), std::out_of_range);
-  EXPECT_THROW(a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
+  EXPECT_THROW((void)a.send(Endpoint{ghost, 1}, 2, Bytes(100, 0)), std::out_of_range);
   EXPECT_EQ(a.nic_sent(), 0u);
   EXPECT_EQ(a.nic_queued_bytes(), 0u);
   EXPECT_EQ(a.nic_backlog_delay().ns(), 0);
@@ -664,11 +699,11 @@ TEST_F(NetworkTest, DownHostDropsTraffic) {
   int received = 0;
   b.bind(1, [&](const Datagram&) { ++received; });
   b.set_up(false);
-  a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)));
   loop.run();
   EXPECT_EQ(received, 0);
   b.set_up(true);
-  a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)));
   loop.run();
   EXPECT_EQ(received, 1);
 }
@@ -679,7 +714,7 @@ TEST_F(NetworkTest, DefaultPathApplies) {
   Host& b = net.add_host("b");
   SimTime arrival;
   b.bind(1, [&](const Datagram&) { arrival = loop.now(); });
-  a.send(Endpoint{b.id(), 1}, 2, Bytes(1, 0));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(1, 0)));
   loop.run();
   EXPECT_GE((arrival - SimTime::zero()).ms(), 50);
 }
@@ -692,7 +727,7 @@ TEST_F(NetworkTest, GilbertLossMatchesStationaryRate) {
   int received = 0;
   b.bind(1, [&](const Datagram&) { ++received; });
   const int n = 20000;
-  for (int i = 0; i < n; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
+  for (int i = 0; i < n; ++i) (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
   loop.run();
   // Correlated losses, but the long-run rate matches the configured 20%.
   EXPECT_NEAR(static_cast<double>(n - received) / n, 0.2, 0.02);
@@ -716,7 +751,7 @@ TEST_F(NetworkTest, GilbertLossesComeInBursts) {
     for (int i = 0; i < n; ++i) {
       ByteWriter w;
       w.u32(static_cast<std::uint32_t>(i));
-      a.send(Endpoint{b.id(), 1}, 2, w.take());
+      EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, w.take()));
     }
     loop2.run();
     // Mean length of gaps in the received sequence.
@@ -746,7 +781,7 @@ TEST_F(NetworkTest, DeterministicAcrossRuns) {
     net2.set_path(a.id(), b.id(), PathConfig{.latency = duration_us(100), .loss = 0.5});
     int received = 0;
     b.bind(1, [&](const Datagram&) { ++received; });
-    for (int i = 0; i < 100; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
+    for (int i = 0; i < 100; ++i) (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
     loop2.run();
     return received;
   };
@@ -763,7 +798,7 @@ TEST_F(NetworkTest, DownedHostDropsQueuedEgress) {
   net.set_path(a.id(), b.id(), PathConfig{.latency = duration_us(10)});
   int received = 0;
   b.bind(1, [&](const Datagram&) { ++received; });
-  for (int i = 0; i < 5; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
+  for (int i = 0; i < 5; ++i) (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
   loop.schedule_at(SimTime{duration_ms(20).ns()}, [&] { a.set_up(false); });
   loop.run();
   EXPECT_EQ(received, 2);
@@ -776,13 +811,13 @@ TEST_F(NetworkTest, RestartedHostStartsWithEmptyNicQueue) {
   net.set_path(a.id(), b.id(), PathConfig{.latency = duration_us(10)});
   std::vector<std::int64_t> arrivals;
   b.bind(1, [&](const Datagram&) { arrivals.push_back(loop.now().ns()); });
-  for (int i = 0; i < 5; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
+  for (int i = 0; i < 5; ++i) (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
   loop.schedule_at(SimTime{duration_ms(1).ns()}, [&] { a.set_up(false); });
   loop.schedule_at(SimTime{duration_ms(50).ns()}, [&] {
     a.set_up(true);
     // The pre-crash queue was wiped, so this send serializes immediately
     // (8 ms) instead of behind 5 queued packets.
-    a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
+    EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0)));
   });
   loop.run();
   ASSERT_EQ(arrivals.size(), 1u);
@@ -806,14 +841,14 @@ TEST_F(NetworkTest, AdministrativeLinkDownBlocksBothDirections) {
   net.set_link_up(a.id(), b.id(), false);
   EXPECT_FALSE(net.link_up(a.id(), b.id()));
   EXPECT_FALSE(net.link_up(b.id(), a.id()));
-  a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
-  b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)));
+  EXPECT_TRUE(b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0)));
   loop.run();
   EXPECT_EQ(at_a, 0);
   EXPECT_EQ(at_b, 0);
   net.set_link_up(a.id(), b.id(), true);
-  a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
-  b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0));
+  EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)));
+  EXPECT_TRUE(b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0)));
   loop.run();
   EXPECT_EQ(at_a, 1);
   EXPECT_EQ(at_b, 1);
@@ -833,7 +868,7 @@ TEST_F(NetworkTest, FaultPlanSchedulesCrashWindow) {
   // One packet before, one during, one after the outage window.
   for (std::int64_t ms : {5, 15, 25}) {
     loop.schedule_at(SimTime{duration_ms(ms).ns()},
-                     [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                     [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
   }
   loop.run();
   EXPECT_EQ(received, 2);
@@ -851,8 +886,8 @@ TEST_F(NetworkTest, FaultPlanPartitionBlocksCrossTraffic) {
                  SimTime{duration_ms(20).ns()});
   plan.install(net);
   auto send_both = [&] {
-    a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));
-    b.send(Endpoint{c.id(), 1}, 2, Bytes(10, 0));  // same side: unaffected
+    EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)));
+    EXPECT_TRUE(b.send(Endpoint{c.id(), 1}, 2, Bytes(10, 0)));  // same side: unaffected
   };
   loop.schedule_at(SimTime{duration_ms(15).ns()}, send_both);
   loop.schedule_at(SimTime{duration_ms(25).ns()}, send_both);
@@ -874,7 +909,7 @@ TEST_F(NetworkTest, FaultPlanOverlappingCrashesRestoreAtLatestUntil) {
   plan.install(net);
   for (std::int64_t ms : {5, 25, 35, 45, 55}) {
     loop.schedule_at(SimTime{duration_ms(ms).ns()},
-                     [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                     [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
   }
   loop.run();
   EXPECT_EQ(received, 2);  // only the 5ms and 55ms packets
@@ -893,7 +928,7 @@ TEST_F(NetworkTest, FaultPlanPermanentCrashPinsHostDown) {
   plan.install(net);
   for (std::int64_t ms : {5, 35, 100}) {
     loop.schedule_at(SimTime{duration_ms(ms).ns()},
-                     [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                     [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
   }
   loop.run();
   EXPECT_EQ(received, 1);
@@ -914,7 +949,7 @@ TEST_F(NetworkTest, FaultPlanFlapInsidePartitionStaysCut) {
   plan.install(net);
   for (std::int64_t ms : {5, 25, 35, 45}) {
     loop.schedule_at(SimTime{duration_ms(ms).ns()},
-                     [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                     [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
   }
   loop.run();
   EXPECT_EQ(received, 2);  // 5ms and 45ms
@@ -937,7 +972,7 @@ TEST_F(NetworkTest, FaultPlanOverlappingBurstsRestoreOriginalPath) {
   plan.install(net);
   for (std::int64_t ms : {5, 25, 35, 45, 55, 60}) {
     loop.schedule_at(SimTime{duration_ms(ms).ns()},
-                     [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                     [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
   }
   loop.run();
   EXPECT_EQ(received, 3);  // 5ms, then 55ms and 60ms after full restore
@@ -954,8 +989,8 @@ TEST_F(NetworkTest, FaultPlanOneWayCutIsDirectional) {
   plan.cut_oneway(a.id(), b.id(), SimTime{duration_ms(10).ns()}, SimTime{duration_ms(30).ns()});
   plan.install(net);
   auto send_both = [&] {
-    a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0), /*reliable=*/true);
-    b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0), /*reliable=*/true);
+    EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0), /*reliable=*/true));
+    EXPECT_TRUE(b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0), /*reliable=*/true));
   };
   loop.schedule_at(SimTime{duration_ms(20).ns()}, send_both);
   loop.schedule_at(SimTime{duration_ms(35).ns()}, send_both);
@@ -976,12 +1011,14 @@ TEST_F(NetworkTest, FaultPlanGrayHostDropsBestEffortEgressOnly) {
   plan.gray_host(a.id(), SimTime{duration_ms(10).ns()}, SimTime{duration_ms(30).ns()}, 1.0);
   plan.install(net);
   loop.schedule_at(SimTime{duration_ms(20).ns()}, [&] {
-    a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0));                    // dropped (gray egress)
-    a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0), /*reliable=*/true); // control survives
-    b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0));                    // ingress unaffected
+    // The NIC takes all three. The gray egress drops the first in flight;
+    // the control segment survives, and b's traffic is unaffected.
+    EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)));
+    EXPECT_TRUE(a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0), /*reliable=*/true));
+    EXPECT_TRUE(b.send(Endpoint{a.id(), 1}, 2, Bytes(10, 0)));
   });
   loop.schedule_at(SimTime{duration_ms(35).ns()},
-                   [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                   [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
   loop.run();
   EXPECT_EQ(at_b, 2);  // the reliable packet and the post-restore one
   EXPECT_EQ(at_a, 1);
@@ -1000,7 +1037,7 @@ TEST_F(NetworkTest, FaultPlanStackedGrayDegradesRestoreCleanly) {
   plan.install(net);
   for (std::int64_t ms : {5, 25, 35, 45, 55}) {
     loop.schedule_at(SimTime{duration_ms(ms).ns()},
-                     [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                     [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
   }
   loop.run();
   EXPECT_EQ(received, 2);  // 5ms and 55ms
@@ -1026,7 +1063,7 @@ TEST_F(NetworkTest, FaultPlanDeterministicAcrossRuns) {
     b.bind(1, [&](const Datagram&) { ++received; });
     for (int i = 0; i < 200; ++i) {
       loop2.schedule_at(SimTime{duration_ms(i).ns()},
-                        [&] { a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
+                        [&] { (void)a.send(Endpoint{b.id(), 1}, 2, Bytes(10, 0)); });
     }
     loop2.run();
     return received;
@@ -1049,7 +1086,7 @@ class HostPorts : public ::testing::Test {
  protected:
   /// Sends one datagram from `tx` to `dst` and runs it to delivery.
   void deliver(Endpoint dst) {
-    tx.send(dst, 7, Bytes(4, 0));
+    EXPECT_TRUE(tx.send(dst, 7, Bytes(4, 0)));
     loop.run();
   }
 
@@ -1091,7 +1128,7 @@ TEST_F(HostPorts, HandlerBindsManyPortsWhileRunning) {
     for (std::uint16_t p = 1000; p < 2000; ++p) rx.bind(p, [&](const Datagram&) { ++hits; });
     seen = tag + to_string(d.payload);
   });
-  tx.send(Endpoint{rx.id(), 9}, 7, to_bytes("!"));
+  EXPECT_TRUE(tx.send(Endpoint{rx.id(), 9}, 7, to_bytes("!")));
   loop.run();
   EXPECT_EQ(seen, tag + "!");
   for (std::uint16_t p = 1000; p < 2000; ++p) ASSERT_TRUE(rx.is_bound(p)) << p;
@@ -1265,7 +1302,7 @@ TEST(HostPortsProperty, MatchesMapReference) {
         const int expect = bound == ref.end() ? 0 : bound->second;
         if (expect != 0) action = static_cast<int>(rng.uniform_int(0, 3));
         runs.clear();
-        tx.send(Endpoint{rx.id(), p}, 1, Bytes(2, 0));
+        EXPECT_TRUE(tx.send(Endpoint{rx.id(), p}, 1, Bytes(2, 0)));
         loop.run();
         action = 0;
         if (expect == 0) {
