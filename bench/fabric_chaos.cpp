@@ -6,8 +6,8 @@
 // reliable subscriber. Measured:
 //   - best-effort delivery ratio while faults are active vs overall,
 //   - eventual delivery ratio of the reliable (NAK-repair) profile,
-//   - route-repair detection latency (heartbeat miss -> routes rebuilt),
-//   - client reconnect latency (keepalive miss -> backoff -> re-Hello).
+//   - route-repair detection latency (idle-detector miss -> routes rebuilt),
+//   - client reconnect latency (idle-detector miss -> backoff -> re-Hello).
 // Writes BENCH_fabric_chaos.json. Fully deterministic per seed.
 //
 // Generated mode (--seed S [--plans N] [--quick]) swaps the
@@ -91,6 +91,7 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
     total.copies_delivered += m.copies_delivered;
     total.route_recomputes += m.route_recomputes;
     total.clients_reaped += m.clients_reaped;
+    total.client_reconnects += m.client_reconnects;
     total.link_states_flooded += m.link_states_flooded;
     if (json != nullptr) {
       std::fprintf(json,
@@ -125,7 +126,7 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
                  "  \"totals\": {\"reliable_delivered\": %llu, \"reliable_recovered\": %llu, "
                  "\"reliable_lost\": %llu, \"events_in\": %llu, \"copies_delivered\": %llu, "
                  "\"route_recomputes\": %llu, \"clients_reaped\": %llu, "
-                 "\"link_states_flooded\": %llu}\n}\n",
+                 "\"client_reconnects\": %llu, \"link_states_flooded\": %llu}\n}\n",
                  static_cast<unsigned long long>(total.reliable_delivered),
                  static_cast<unsigned long long>(total.reliable_recovered),
                  static_cast<unsigned long long>(total.reliable_lost),
@@ -133,6 +134,7 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
                  static_cast<unsigned long long>(total.copies_delivered),
                  static_cast<unsigned long long>(total.route_recomputes),
                  static_cast<unsigned long long>(total.clients_reaped),
+                 static_cast<unsigned long long>(total.client_reconnects),
                  static_cast<unsigned long long>(total.link_states_flooded));
     std::fclose(json);
   }
@@ -140,12 +142,14 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
               static_cast<unsigned long long>(passed), static_cast<unsigned long long>(plans),
               static_cast<unsigned long long>(violations));
   std::printf("totals: reliable %llu delivered / %llu recovered / %llu lost, "
-              "%llu route recomputes, %llu clients reaped, %llu LSAs\n",
+              "%llu route recomputes, %llu clients reaped, %llu client reconnects, "
+              "%llu LSAs\n",
               static_cast<unsigned long long>(total.reliable_delivered),
               static_cast<unsigned long long>(total.reliable_recovered),
               static_cast<unsigned long long>(total.reliable_lost),
               static_cast<unsigned long long>(total.route_recomputes),
               static_cast<unsigned long long>(total.clients_reaped),
+              static_cast<unsigned long long>(total.client_reconnects),
               static_cast<unsigned long long>(total.link_states_flooded));
   if (json != nullptr) std::printf("wrote BENCH_fabric_chaos_generated.json\n");
   return passed == plans ? 0 : 1;
@@ -183,8 +187,7 @@ int main(int argc, char** argv) {
 
   broker::BrokerNetwork fabric(net);
   broker::BrokerNode::Config bcfg;
-  bcfg.heartbeat.interval = duration_ms(50);
-  bcfg.heartbeat.miss_threshold = 3;
+  bcfg.idle = {duration_ms(50), 3};
   std::vector<sim::Host*> broker_hosts;
   for (int i = 0; i < 6; ++i) {
     sim::Host& h = net.add_host("b" + std::to_string(i));
@@ -203,10 +206,9 @@ int main(int argc, char** argv) {
                             {.name = "sub2"});
   broker::BrokerClient::Config s5cfg;
   s5cfg.name = "sub5";
-  s5cfg.keepalive_interval = duration_ms(100);
   s5cfg.reconnect.enabled = true;
   s5cfg.reconnect.backoff_base = duration_ms(100);
-  s5cfg.reconnect.connect_timeout = duration_ms(300);
+  s5cfg.reconnect.idle = {duration_ms(100), 3};
   broker::BrokerClient sub5(net.add_host("sub5"), fabric.broker(5).stream_endpoint(), s5cfg);
 
   sim::Host& rsub_host = net.add_host("rsub");
@@ -285,7 +287,7 @@ int main(int argc, char** argv) {
   Pcts reconnect = percentiles(reconnect_lat);
 
   std::printf("=== Fabric chaos: self-healing under injected faults ===\n");
-  std::printf("6-broker ring, heartbeat 50 ms x3, %d events @50/s, seed 4242\n\n", n_events);
+  std::printf("6-broker ring, idle detector 50 ms x3, %d events @50/s, seed 4242\n\n", n_events);
   std::printf("%-34s %10s %10s\n", "best-effort delivery ratio", "in-fault", "calm");
   std::printf("%-34s %9.1f%% %9.1f%%\n", "  sub on rerouted broker (b2)", sub2_fault * 100,
               sub2_calm * 100);

@@ -306,7 +306,11 @@ void BM_ReceiverFootprint(benchmark::State& state) {
     state.PauseTiming();
     bytes = g_live_bytes.load(std::memory_order_relaxed) - before;
     if (fleet->broker.client_count() != static_cast<std::size_t>(n)) {
+      // Timing stays paused: ResumeTiming() after SkipWithError fails
+      // google-benchmark's own check.
       state.SkipWithError("not every receiver completed its handshake");
+      fleet.reset();
+      break;
     }
     fleet.reset();
     state.ResumeTiming();

@@ -51,12 +51,6 @@ BrokerNode::BrokerNode(sim::Host& host, BrokerId id, Config cfg)
       dispatch_(host.loop(), cfg.dispatch.threads, cfg.dispatch.queue_limit) {
   listener_.on_accept([this](transport::StreamConnectionPtr conn) { accept(std::move(conn)); });
   dgram_.on_receive([this](const sim::Datagram& d) { handle_datagram(d); });
-  if (cfg_.client_keepalive.interval.ns() > 0) {
-    client_keepalive_task_ = std::make_unique<sim::PeriodicTask>(
-        host.loop(), cfg_.client_keepalive.interval,
-        [this](std::uint64_t) { client_keepalive_tick(); });
-    client_keepalive_task_->start();
-  }
 }
 
 std::size_t BrokerNode::subscription_count() const {
@@ -114,19 +108,16 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
     PeerTargets targets;
     if (!decode_peer_event_into(data, ev, targets)) return;
     ev.hops = static_cast<std::uint8_t>(ev.hops + 1);
-    note_heard(in.client);
     ingress_peer_event(std::move(routed), std::move(targets));
     return;
   }
   if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kEvent)) {
-    if (ingress_event(data, in.client)) note_heard(in.client);
+    ingress_event(data, in.client);
     return;
   }
   auto frame = decode(data);
   if (!frame.ok()) return;
   Frame f = std::move(frame).value();
-  // kPong answers to keepalive probes land here too.
-  note_heard(in.client);
   switch (f.type) {
     case MessageType::kHello: {
       // A repeat Hello on an already-identified connection would mint a
@@ -138,7 +129,14 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
       in.client = cid;
       rec.name = f.hello.client_name;
       rec.stream = in.conn;
-      rec.last_heard = host_->loop().now();
+      // Only an identified client's stream is watched: a peer's inbound
+      // stream never is, since closing it would end that peer's outgoing
+      // link for good.
+      in.conn->watch(cfg_.client_idle, [this, slot](bool alive) {
+        if (alive) return;
+        ++clients_reaped_;
+        evict_client(inbound_[slot].client);
+      });
       if (f.hello.udp_port != 0) {
         rec.udp = sim::Endpoint{rec.stream->remote().node, f.hello.udp_port};
         rec.has_udp = true;
@@ -168,9 +166,6 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
                          if (auto conn = weak_conn.lock()) conn->send(encode(ping, /*pong=*/true));
                        });
       break;
-    case MessageType::kHeartbeat:
-      handle_peer_heartbeat(f.heartbeat.from);
-      break;
     case MessageType::kLinkState:
       handle_link_state(f.link_state);
       break;
@@ -178,10 +173,8 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
     case MessageType::kPong:
     case MessageType::kEvent:
     case MessageType::kPeerEvent:
-      // kHelloAck is a broker-to-client reply; kPong from a client is the
-      // answer to our keepalive probe — the proof-of-life bump above is
-      // all it needs to do. kEvent and kPeerEvent never get here (handled
-      // above).
+      // kHelloAck and kPong are replies this broker never asks an inbound
+      // stream for. kEvent and kPeerEvent never get here (handled above).
       break;
   }
 }
@@ -193,10 +186,6 @@ void BrokerNode::close_inbound(std::uint32_t slot) {
   // Released last: this may be the stream's last owner.
   const transport::StreamConnectionPtr conn = std::move(in.conn);
   inbound_.release(slot);
-}
-
-void BrokerNode::note_heard(ClientId cid) {
-  if (ClientRec* rec = find_client(cid)) rec->last_heard = host_->loop().now();
 }
 
 void BrokerNode::evict_client(ClientId cid) {
@@ -229,9 +218,7 @@ void BrokerNode::handle_subscription(ClientRec& c, const SubscribeMessage& m) {
 void BrokerNode::handle_datagram(const sim::Datagram& d) {
   // Only kEvent frames are taken on the datagram channel.
   if (d.payload.empty() || d.payload[0] != static_cast<std::uint8_t>(MessageType::kEvent)) return;
-  const ClientId publisher = udp_client(d.src);
-  // Datagram-path publishers prove life without touching their stream.
-  if (ingress_event(d.payload, publisher)) note_heard(publisher);
+  ingress_event(d.payload, udp_client(d.src));
 }
 
 BrokerNode::RoutedRef BrokerNode::acquire_routed() {
@@ -427,84 +414,33 @@ void BrokerNode::add_peer_link(BrokerId peer, transport::StreamConnectionPtr con
     }
     if (cb) cb(rtt);
   });
+  conn->watch(cfg_.idle, [this, peer](bool alive) { peer_liveness(peer, alive); });
   if (peer >= peer_links_.size()) peer_links_.resize(peer + 1);
   peer_links_[peer] = std::move(conn);
-  peer_last_heard_[peer] = host_->loop().now();
-  ensure_heartbeat_task();
-}
-
-void BrokerNode::ensure_heartbeat_task() {
-  if (heartbeat_task_ || cfg_.heartbeat.interval.ns() <= 0) return;
-  heartbeat_task_ = std::make_unique<sim::PeriodicTask>(
-      host_->loop(), cfg_.heartbeat.interval, [this](std::uint64_t) { heartbeat_tick(); });
-  heartbeat_task_->start();
-}
-
-void BrokerNode::heartbeat_tick() {
-  const SimTime now = host_->loop().now();
-  const SimDuration dead = cfg_.heartbeat.interval * cfg_.heartbeat.miss_threshold;
-  const bool gossip = network_ != nullptr && network_->gossip_enabled();
-  // Gossip refresh: every miss_threshold ticks, re-advertise the current
-  // state of our adjacent links with a fresh sequence number. Event-driven
-  // floods alone leave brokers that were partitioned *during* a transition
-  // with a permanently stale view; the periodic re-flood converges them
-  // once connectivity returns (classic link-state protocol refresh).
-  const bool refresh = gossip && --gossip_refresh_countdown_ <= 0;
-  if (refresh) gossip_refresh_countdown_ = cfg_.heartbeat.miss_threshold;
-  // peer_last_heard_ is ordered by BrokerId, so beacon fan-out and
-  // detection order are deterministic across runs.
-  for (auto& [peer, last] : peer_last_heard_) {
-    if (transport::StreamConnection* link = peer_link(peer)) {
-      link->send(encode(HeartbeatMessage{id_}));
-      ++heartbeats_sent_;
-    }
-    if (now - last > dead && peer_down_.insert(peer).second) {
-      ++links_detected_down_;
-      if (network_ != nullptr) {
-        network_->report_link(id_, peer, /*up=*/false);
-        if (gossip) originate_link_state(peer, /*up=*/false);
-        continue;  // the fresh transition already flooded
-      }
-    }
-    if (refresh) originate_link_state(peer, !peer_down_.contains(peer));
+  if (!gossip_refresh_task_ && cfg_.idle.interval.ns() > 0) {
+    // First refresh one interval in, then every misses x interval.
+    gossip_refresh_task_ = std::make_unique<sim::PeriodicTask>(
+        host_->loop(), cfg_.idle.interval * cfg_.idle.misses,
+        [this](std::uint64_t) { gossip_refresh(); });
+    gossip_refresh_task_->start_after(cfg_.idle.interval);
   }
 }
 
-void BrokerNode::handle_peer_heartbeat(BrokerId peer) {
-  peer_last_heard_[peer] = host_->loop().now();
-  if (peer_down_.erase(peer) > 0) {
-    ++links_detected_up_;
-    if (network_ != nullptr) {
-      network_->report_link(id_, peer, /*up=*/true);
-      if (network_->gossip_enabled()) originate_link_state(peer, /*up=*/true);
-    }
+void BrokerNode::peer_liveness(BrokerId peer, bool alive) {
+  if (alive) {
+    peer_down_.erase(peer);
+  } else {
+    peer_down_.insert(peer);
   }
+  if (network_ == nullptr) return;
+  network_->report_link(id_, peer, alive);
+  if (network_->gossip_enabled()) originate_link_state(peer, alive);
 }
 
-void BrokerNode::client_keepalive_tick() {
-  const SimTime now = host_->loop().now();
-  const SimDuration quiet = cfg_.client_keepalive.interval;
-  const SimDuration dead = quiet * cfg_.client_keepalive.miss_threshold;
-  // Sweep in client-id order (eviction emits advertisements whose serial
-  // order must be reproducible). Eviction drops records as the sweep
-  // goes; the table never moves one, so the sweep just skips the gaps.
-  for (ClientId cid = 1; cid < client_slot_.size(); ++cid) {
-    ClientRec* found = find_client(cid);
-    if (found == nullptr) continue;
-    ClientRec& rec = *found;
-    const SimDuration silent = now - rec.last_heard;
-    if (silent > dead) {
-      // A live client would have answered the probes below; this record is
-      // a ghost (its owner crashed, or reconnected as a fresh identity).
-      ++clients_reaped_;
-      evict_client(cid);
-    } else if (silent > quiet && rec.stream) {
-      // Quiet but not yet condemned: probe. Any answered frame bumps
-      // last_heard; a ghost's stream leads nowhere and stays silent.
-      PingMessage probe;
-      probe.sent = now;
-      rec.stream->send(encode(probe, /*pong=*/false));
-    }
+void BrokerNode::gossip_refresh() {
+  if (network_ == nullptr || !network_->gossip_enabled()) return;
+  for (BrokerId peer = 0; peer < peer_links_.size(); ++peer) {
+    if (peer_links_[peer]) originate_link_state(peer, !peer_down_.contains(peer));
   }
 }
 
@@ -537,9 +473,8 @@ void BrokerNode::handle_link_state(const LinkStateMessage& m) {
 void BrokerNode::flood_link_state(const LinkStateMessage& m) {
   // One encode, shared by every peer link (refcounted handle per send).
   const Payload wire = encode(m);
-  // peer_last_heard_ is ordered by BrokerId: deterministic flood order.
-  for (const auto& [peer, last] : peer_last_heard_) {
-    transport::StreamConnection* link = peer_link(peer);
+  // peer_links_ is indexed by BrokerId: deterministic flood order.
+  for (const transport::StreamConnectionPtr& link : peer_links_) {
     if (link == nullptr) continue;
     link->send(wire);
     ++link_states_flooded_;

@@ -67,40 +67,25 @@ struct DispatchConfig {
   static DispatchConfig snapshot();
 };
 
-/// Peer-link failure detection (the self-healing fabric's sensor layer):
-/// every broker beats a kHeartbeat frame on each peer link per interval
-/// and declares a peer link down after miss_threshold silent intervals;
-/// any later heartbeat from that peer declares it back up. Transitions
-/// are reported to BrokerNetwork, which repairs the routing tables.
-/// Disabled by default (zero interval): a fault-free run carries no
-/// heartbeat traffic, keeping existing bench outputs byte-identical.
-struct HeartbeatConfig {
-  SimDuration interval{0};
-  int miss_threshold = 3;
-};
-
-/// Broker-side client liveness (DESIGN.md §13): a client record silent for
-/// one interval is probed with a kPing on its stream (live clients answer
-/// kPong; any frame counts as life); a record still silent after
-/// miss_threshold intervals is reaped. This is what clears the *ghost*
-/// records a crashed-and-restarted broker keeps for stream-only clients —
-/// their reconnect mints a fresh record and the Hello-time UDP-endpoint
-/// eviction never fires because there is no UDP endpoint to collide on.
-/// Disabled by default (zero interval): fault-free runs carry no probe
-/// traffic or timers.
-struct ClientKeepaliveConfig {
-  SimDuration interval{0};
-  int miss_threshold = 3;
-};
-
 class BrokerNode {
  public:
   struct Config {
     std::uint16_t stream_port = 9000;
     std::uint16_t dgram_port = 9001;
     DispatchConfig dispatch = DispatchConfig::optimized();
-    HeartbeatConfig heartbeat;
-    ClientKeepaliveConfig client_keepalive;
+    /// The idle detector on each outgoing peer link (the self-healing
+    /// fabric's sensor): dead reports the link down to the BrokerNetwork,
+    /// which repairs the routing tables, and the next answer reports it
+    /// up; the link itself is never closed. In gossip mode the broker
+    /// also re-floods its links' state every misses x interval. Off by
+    /// default: a fault-free run carries no probes.
+    transport::IdleConfig idle;
+    /// The idle detector on each identified client's stream: dead evicts
+    /// the record (counted in clients_reaped), and closing the stream
+    /// sends the client a FIN if the path allows. This is what clears the
+    /// ghost records of crashed clients and of clients that reconnected
+    /// as a fresh identity. Off by default.
+    transport::IdleConfig client_idle;
   };
 
   BrokerNode(sim::Host& host, BrokerId id, Config cfg);
@@ -138,13 +123,9 @@ class BrokerNode {
   /// Exponentially-smoothed RTT per peer from past probes.
   [[nodiscard]] const std::map<BrokerId, SimDuration>& link_rtts() const { return srtt_; }
 
-  // --- Failure detection (see HeartbeatConfig) ---
-  [[nodiscard]] std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
-  /// Peer-link liveness transitions this broker's detector declared.
-  [[nodiscard]] std::uint64_t links_detected_down() const { return links_detected_down_; }
-  [[nodiscard]] std::uint64_t links_detected_up() const { return links_detected_up_; }
+  // --- Failure detection (see Config::idle and client_idle) ---
   [[nodiscard]] bool peer_considered_down(BrokerId peer) const { return peer_down_.contains(peer); }
-  /// Ghost client records reaped by the client-keepalive sweep.
+  /// Client records evicted by their stream's idle detector.
   [[nodiscard]] std::uint64_t clients_reaped() const { return clients_reaped_; }
   /// kLinkState advertisements this broker originated or forwarded.
   [[nodiscard]] std::uint64_t link_states_flooded() const { return link_states_flooded_; }
@@ -159,9 +140,6 @@ class BrokerNode {
     sim::Endpoint udp{};
     bool has_udp = false;
     std::vector<TopicFilter> filters;
-    /// Last instant any frame (stream or UDP) arrived from this client;
-    /// the client-keepalive sweep probes and reaps on this.
-    SimTime last_heard{};
   };
 
   /// The live record of `cid`, or nullptr (never minted, or dropped).
@@ -236,12 +214,14 @@ class BrokerNode {
   /// Drops a client record and its subscriptions/advertisements. Used when
   /// a reconnecting client's fresh Hello supersedes its ghost record.
   void evict_client(ClientId cid);
-  void handle_peer_heartbeat(BrokerId peer);
-  void heartbeat_tick();
-  /// Starts the heartbeat task lazily once the first peer link exists.
-  void ensure_heartbeat_task();
-  /// Client-keepalive sweep: probes quiet client records, reaps dead ones.
-  void client_keepalive_tick();
+  /// The idle detector on the link to `peer` changed its verdict.
+  void peer_liveness(BrokerId peer, bool alive);
+  /// Gossip refresh: re-advertises the current state of every adjacent
+  /// link with a fresh sequence number. Event-driven floods alone leave
+  /// brokers that were partitioned *during* a transition with a stale
+  /// view; the periodic re-flood converges them once connectivity returns
+  /// (classic link-state protocol refresh).
+  void gossip_refresh();
   /// Detector transition in gossip mode: flood a fresh advertisement for
   /// the (id_, peer) link so remote brokers learn at propagation speed.
   void originate_link_state(BrokerId peer, bool up);
@@ -275,8 +255,6 @@ class BrokerNode {
   void deliver_copy(const ClientRec& c, const RoutedEvent& ev);
   /// Sends one hop's kPeerEvent frame (encoded by route_remote).
   void forward_to_peer(BrokerId next_hop, const Payload& frame);
-  /// Any frame from an identified client is proof of life for its record.
-  void note_heard(ClientId cid);
 
   /// Outgoing link to a peer broker (created by BrokerNetwork::link).
   void add_peer_link(BrokerId peer, transport::StreamConnectionPtr conn);
@@ -334,23 +312,15 @@ class BrokerNode {
   std::vector<BrokerId> peer_rest_;
   std::vector<std::pair<BrokerId, std::uint32_t>> hop_groups_;
   std::vector<BrokerId> hop_targets_;
-  /// Failure-detector state (ordered: heartbeat fan-out order must be
-  /// deterministic). last-heard is bumped by every peer heartbeat.
-  std::map<BrokerId, SimTime> peer_last_heard_;
+  /// Peers whose link's idle detector last reported dead.
   std::set<BrokerId> peer_down_;
-  std::unique_ptr<sim::PeriodicTask> heartbeat_task_;
-  std::unique_ptr<sim::PeriodicTask> client_keepalive_task_;
-  std::uint64_t heartbeats_sent_ = 0;
-  std::uint64_t links_detected_down_ = 0;
-  std::uint64_t links_detected_up_ = 0;
+  std::unique_ptr<sim::PeriodicTask> gossip_refresh_task_;
   std::uint64_t clients_reaped_ = 0;
   /// Gossip state: per-origin flood dedup — highest seq already forwarded
   /// for (origin, link min, link max) — and our own origination counter.
   std::map<std::tuple<BrokerId, BrokerId, BrokerId>, std::uint32_t> lsa_seen_;
   std::uint32_t lsa_next_seq_ = 0;
   std::uint64_t link_states_flooded_ = 0;
-  /// Ticks since the last gossip refresh re-flood (see heartbeat_tick).
-  int gossip_refresh_countdown_ = 0;
   std::uint32_t next_probe_token_ = 1;
   std::map<std::uint32_t, std::pair<BrokerId, std::function<void(SimDuration)>>> probes_;
   std::map<BrokerId, SimDuration> srtt_;

@@ -74,14 +74,13 @@ ChaosOutcome run_chaos(const sim::ChaosSpec& spec, const ChaosOptions& opts) {
   // --- Fabric ---
   BrokerNetwork fabric(net);
   BrokerNode::Config bcfg;
-  bcfg.heartbeat.interval = duration_ms(50);
-  bcfg.heartbeat.miss_threshold = 3;
+  bcfg.idle = {duration_ms(50), 3};
   if (opts.ghost_reap) {
-    // Reap after 2 s of silence: the threshold must exceed the longest
-    // one-way outage the generator can produce (1.2 s), because a silent
-    // receiver behind an asymmetric cut answers no probes yet is alive.
-    bcfg.client_keepalive.interval = duration_ms(250);
-    bcfg.client_keepalive.miss_threshold = 8;
+    // Kept apart from the peer links' setting, and longer than the
+    // longest one-way outage the generator produces (1.2 s): the
+    // reliable pipeline's clients run no detector of their own, so a
+    // record the broker reaped behind a cut would never come back.
+    bcfg.client_idle = {duration_ms(250), 8};
   }
   std::vector<sim::Host*> broker_hosts;
   for (int i = 0; i < spec.brokers; ++i) {
@@ -119,16 +118,11 @@ ChaosOutcome run_chaos(const sim::ChaosSpec& spec, const ChaosOptions& opts) {
     cfg.name = "c" + std::to_string(i);
     cfg.udp_delivery = !cc.stream_only;
     cfg.udp_publish = !cc.stream_only;
-    cfg.keepalive_interval = duration_ms(200);
-    cfg.keepalive_miss = 3;
     cfg.reconnect.enabled = true;
     cfg.reconnect.backoff_base = duration_ms(100);
     cfg.reconnect.backoff_max = duration_ms(500);
-    cfg.reconnect.connect_timeout = duration_ms(300);
-    if (opts.syn_retry) {
-      cfg.reconnect.syn_retry = duration_ms(100);
-      cfg.reconnect.syn_retries = 3;
-    }
+    // A SYN every 100 ms and a 300 ms handshake guard.
+    cfg.reconnect.idle = {duration_ms(100), 3};
     auto& client = clients.emplace_back(std::make_unique<BrokerClient>(
         h, fabric.broker(cc.broker).stream_endpoint(), cfg));
     client->subscribe(topic_name(cc.topic));
@@ -268,7 +262,10 @@ ChaosOutcome run_chaos(const sim::ChaosSpec& spec, const ChaosOptions& opts) {
     out.metrics.link_states_flooded += b.link_states_flooded();
   }
   out.metrics.route_recomputes = fabric.route_recomputes();
-  for (const auto& c : clients) out.metrics.client_events_received += c->events_received();
+  for (const auto& c : clients) {
+    out.metrics.client_events_received += c->events_received();
+    out.metrics.client_reconnects += c->reconnects();
+  }
   out.metrics.net_delivered = net.delivered();
   out.metrics.net_lost = net.lost();
   return out;

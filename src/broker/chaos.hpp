@@ -25,13 +25,10 @@
 namespace gmmcs::broker {
 
 struct ChaosOptions {
-  /// Broker-side client keepalive (the ghost-record reaper). Turning this
-  /// off re-opens the DESIGN.md §8 gap — the property test does exactly
-  /// that to prove the generator catches it.
+  /// The brokers' idle detector on client streams (the ghost-record
+  /// reaper). Turning this off re-opens the DESIGN.md §8 gap — the
+  /// property test does exactly that to prove the generator catches it.
   bool ghost_reap = true;
-  /// Client SYN retransmission during connect (transport-level handshake
-  /// recovery under one-way cuts).
-  bool syn_retry = true;
 };
 
 struct ChaosViolation {
@@ -53,6 +50,8 @@ struct ChaosMetrics {
   std::uint64_t clients_reaped = 0;
   std::uint64_t link_states_flooded = 0;
   std::uint64_t client_events_received = 0;
+  /// Re-handshakes of the generated clients (BrokerClient::reconnects).
+  std::uint64_t client_reconnects = 0;
   std::uint64_t net_delivered = 0;
   std::uint64_t net_lost = 0;
 

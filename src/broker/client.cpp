@@ -29,23 +29,14 @@ BrokerClient::BrokerClient(sim::Host& host, sim::Endpoint broker_stream, Config 
       udp_publish_(cfg.udp_publish),
       via_proxy_(cfg.via_proxy),
       name_(std::move(cfg.name)) {
-  if (cfg.reconnect.enabled || cfg.keepalive_interval.ns() > 0) {
-    Cold& c = cold();
-    c.keepalive_interval = cfg.keepalive_interval;
-    c.keepalive_miss = cfg.keepalive_miss;
-    c.reconnect = cfg.reconnect;
-  }
+  if (cfg.reconnect.enabled) cold().reconnect = cfg.reconnect;
   open_stream();
 }
 
 BrokerClient::~BrokerClient() {
   // Timers and handlers capture `this`; disarm them all before the members
   // they reach into are torn down.
-  if (cold_) {
-    if (cold_->retry_timer != 0) host_->loop().cancel(cold_->retry_timer);
-    cancel_connect_timer();
-    cold_->keepalive_task.reset();
-  }
+  if (cold_ && cold_->retry_timer != 0) host_->loop().cancel(cold_->retry_timer);
   if (stream_) stream_->on_close(nullptr);
 }
 
@@ -56,19 +47,8 @@ BrokerClient::Cold& BrokerClient::cold() {
 
 void BrokerClient::open_stream() {
   const bool tunneled = via_proxy_.has_value();
-  if (tunneled) {
-    stream_ = transport::connect_via_proxy(*host_, *via_proxy_, broker_stream_);
-  } else {
-    transport::ConnectOptions opts;
-    if (reconnect_enabled()) {
-      // SYN-level retransmission under the connect_timeout watchdog: a lost
-      // handshake segment recovers in one syn_retry instead of a full
-      // teardown + backoff + re-Hello round.
-      opts.syn_retry = cold_->reconnect.syn_retry;
-      opts.max_syn_retries = cold_->reconnect.syn_retries;
-    }
-    stream_ = transport::StreamConnection::connect(*host_, broker_stream_, opts);
-  }
+  stream_ = tunneled ? transport::connect_via_proxy(*host_, *via_proxy_, broker_stream_)
+                     : transport::StreamConnection::connect(*host_, broker_stream_);
   if (!tunneled && (udp_delivery_ || udp_publish_) && !udp_) {
     // The UDP socket outlives reconnects: keeping its port stable is what
     // lets the broker recognize a returning client's Hello and evict the
@@ -81,36 +61,25 @@ void BrokerClient::open_stream() {
   if (udp_ && udp_delivery_) hello.udp_port = udp_->local().port;
   stream_->send(encode(hello));
   stream_->on_message([this](const Payload& data) { handle_frame(data); });
-  if (!cold_) return;
-  Cold& c = *cold_;
-  ++c.conn_generation;
-  c.last_heard = host_->loop().now();
-  if (c.reconnect.enabled) {
-    stream_->on_close([this] { stream_down(); });
-    // Connect-timeout watchdog, generation-guarded so a late firing after
-    // this attempt was superseded is a no-op. Armed only when reconnect is
-    // opted into: a pending timer would extend loop.run() horizons and
-    // shift fault-free bench timestamps.
-    c.connect_timer = host_->loop().schedule_after(
-        c.reconnect.connect_timeout, [this, gen = c.conn_generation] {
-          cold_->connect_timer = 0;
-          if (gen == cold_->conn_generation && !ready_) stream_down();
-        });
+  stream_->on_close([this] { stream_down(); });
+  // The detector covers the handshake too (its probe is the SYN), so an
+  // attempt nobody answers fails and re-enters backoff.
+  if (reconnect_enabled()) {
+    stream_->watch(cold_->reconnect.idle, [this](bool alive) {
+      if (!alive) stream_down();
+    });
   }
 }
 
 void BrokerClient::stream_down() {
-  // Only the keepalive and reconnect machinery call this: the block exists.
-  Cold& c = *cold_;
-  if (c.retry_pending) return;
-  cancel_connect_timer();
+  if (cold_ && cold_->retry_pending) return;
   ready_ = false;
+  // Disarm first: close() below must not re-enter stream_down().
+  stream_->on_close(nullptr);
+  stream_->close();
+  if (!cold_) return;
+  Cold& c = *cold_;
   ++c.disconnects;
-  if (stream_) {
-    // Disarm first: close() below must not re-enter stream_down().
-    stream_->on_close(nullptr);
-    stream_->close();
-  }
   if (c.disconnect_handler) c.disconnect_handler();
   if (c.reconnect.enabled) schedule_retry();
 }
@@ -147,29 +116,10 @@ void BrokerClient::attempt_connect() {
   open_stream();
 }
 
-void BrokerClient::cancel_connect_timer() {
-  if (cold_ && cold_->connect_timer != 0) {
-    host_->loop().cancel(cold_->connect_timer);
-    cold_->connect_timer = 0;
-  }
-}
-
-void BrokerClient::keepalive_tick() {
-  if (!ready_) return;  // during an outage the backoff machinery owns liveness
-  PingMessage ping;
-  ping.sent = host_->loop().now();
-  stream_->send(encode(ping, /*pong=*/false));
-  const Cold& c = *cold_;
-  if (host_->loop().now() - c.last_heard > c.keepalive_interval * c.keepalive_miss) {
-    stream_down();
-  }
-}
-
 void BrokerClient::handle_frame(const Payload& data) {
   // Media hot path: a kEvent frame decodes in place into rx_event_,
   // reusing its topic capacity; no Frame is built.
   if (decode_event_into(data, rx_event_)) {
-    if (cold_) cold_->last_heard = host_->loop().now();
     ++events_received_;
     // Last statement: the handler may publish, resubscribe or destroy
     // this client, so nothing here touches client state after it.
@@ -179,13 +129,11 @@ void BrokerClient::handle_frame(const Payload& data) {
   auto frame = decode(data);
   if (!frame.ok()) return;
   Frame f = std::move(frame).value();
-  if (cold_) cold_->last_heard = host_->loop().now();
   switch (f.type) {
     case MessageType::kHelloAck:
       client_id_ = f.hello_ack.client_id;
       broker_udp_ = sim::Endpoint{stream_->remote().node, f.hello_ack.broker_udp_port};
       ready_ = true;
-      cancel_connect_timer();
       if (cold_) cold_->attempt = 0;
       if (acked_) {
         // Re-handshake: the broker minted a fresh (empty) client record, so
@@ -199,29 +147,19 @@ void BrokerClient::handle_frame(const Payload& data) {
         if (c.reconnect_handler) c.reconnect_handler();
       }
       acked_ = true;
-      if (cold_ && cold_->keepalive_interval.ns() > 0 && !cold_->keepalive_task) {
-        cold_->keepalive_task = std::make_unique<sim::PeriodicTask>(
-            host_->loop(), cold_->keepalive_interval, [this](std::uint64_t) { keepalive_tick(); });
-        cold_->keepalive_task->start();
-      }
       flush_queue();
       if (cold_ && cold_->ready_handler) cold_->ready_handler();
-      break;
-    case MessageType::kPing:
-      // Broker-side client keepalive probe (DESIGN.md §13): answer so the
-      // broker can tell a quiet-but-alive client from a ghost record.
-      stream_->send(encode(f.ping, /*pong=*/true));
       break;
     case MessageType::kHello:
     case MessageType::kSubscribe:
     case MessageType::kUnsubscribe:
     case MessageType::kEvent:
     case MessageType::kPeerEvent:
+    case MessageType::kPing:
     case MessageType::kPong:
-    case MessageType::kHeartbeat:
     case MessageType::kLinkState:
-      // Clients only consume kHelloAck/kEvent/kPing (kEvent is handled
-      // above); other frames addressed to us are ignored.
+      // Clients only consume kHelloAck and kEvent (handled above); other
+      // frames addressed to us are ignored.
       break;
   }
 }
@@ -249,6 +187,11 @@ void BrokerClient::publish(const std::string& topic, Payload payload, QoS qos) {
   ev.origin = host_->loop().now();
   ev.seq = next_seq_++;
   if (!ready_) {
+    // A stream closed for good never flushes the queue: drop, counted.
+    if (stream_->closed() && !reconnect_enabled()) {
+      ++cold().publishes_dropped;
+      return;
+    }
     pending_.push(std::move(ev));
     return;
   }

@@ -24,10 +24,10 @@
 namespace gmmcs::broker {
 
 /// Client self-healing policy: when the control stream dies (broker crash,
-/// keepalive miss, connect timeout) the client retries with exponential
-/// backoff plus jitter, re-sends its Hello and replays its subscription
-/// set. Disabled by default — a fault-free run schedules no extra events,
-/// keeping existing bench outputs byte-identical.
+/// a cut path, a handshake nobody answers) the client retries with
+/// exponential backoff plus jitter, re-sends its Hello and replays its
+/// subscription set. Disabled by default — a fault-free run schedules no
+/// extra events, keeping existing bench outputs byte-identical.
 struct ReconnectPolicy {
   bool enabled = false;
   /// First retry delay; doubles per consecutive failure up to backoff_max.
@@ -36,16 +36,11 @@ struct ReconnectPolicy {
   /// Uniform +-fraction applied to each delay (decorrelates clients that
   /// lost the same broker).
   double jitter = 0.25;
-  /// A connect attempt not established within this window counts as
-  /// failed and re-enters backoff.
-  SimDuration connect_timeout = duration_ms(500);
-  /// Stream-level SYN retransmission interval while connecting (see
-  /// transport::ConnectOptions): recovers a handshake whose SYN or SYN-ACK
-  /// was eaten by a one-way cut or a briefly-dead broker host without
-  /// waiting out the full connect_timeout + backoff round trip. 0 keeps
-  /// the historical behavior (the watchdog alone owns the handshake).
-  SimDuration syn_retry{0};
-  int syn_retries = 3;
+  /// The control stream's idle detector, run exactly when reconnect is
+  /// enabled: the stream is declared dead after `misses` unanswered
+  /// probes. While connecting the probe is the SYN, so the defaults give a
+  /// handshake 500 ms (a SYN every 100 ms) before it counts as failed.
+  transport::IdleConfig idle{duration_ms(100), 5};
 };
 
 class BrokerClient {
@@ -60,11 +55,6 @@ class BrokerClient {
     /// Tunnel the control stream through an HTTP proxy (firewalled
     /// clients). UDP channels are disabled in that case.
     std::optional<sim::Endpoint> via_proxy;
-    /// Keepalive pings on the control stream every interval; the broker is
-    /// declared dead after keepalive_miss silent intervals. 0 disables
-    /// (the default: no extra frames or timers in fault-free runs).
-    SimDuration keepalive_interval{0};
-    int keepalive_miss = 3;
     ReconnectPolicy reconnect;
   };
 
@@ -88,7 +78,8 @@ class BrokerClient {
   void on_event(std::function<void(const Event&)> handler);
   /// Fires once the broker has acknowledged the Hello.
   void on_ready(std::function<void()> handler);
-  /// Fires when the control stream is declared dead (before backoff).
+  /// Fires when the control stream closes or is declared dead (before
+  /// backoff), with or without reconnect.
   void on_disconnect(std::function<void()> handler);
   /// Fires after a successful re-handshake (subscriptions replayed).
   void on_reconnect(std::function<void()> handler);
@@ -97,40 +88,42 @@ class BrokerClient {
   [[nodiscard]] ClientId id() const { return client_id_; }
   [[nodiscard]] std::uint64_t events_received() const { return events_received_; }
   [[nodiscard]] std::uint64_t events_published() const { return events_published_; }
-  /// Times the control stream was declared dead / successfully re-established.
+  /// Times the control stream was lost / successfully re-established
+  /// (counted once the cold block exists).
   [[nodiscard]] std::uint64_t disconnects() const { return cold_ ? cold_->disconnects : 0; }
   [[nodiscard]] std::uint64_t reconnects() const { return cold_ ? cold_->reconnects : 0; }
+  /// Publishes dropped because the control stream closed for good
+  /// (reconnect off): they are not queued, so nothing grows.
+  [[nodiscard]] std::uint64_t publishes_dropped() const {
+    return cold_ ? cold_->publishes_dropped : 0;
+  }
   /// Publishes still queued behind an incomplete handshake (0 once ready;
   /// the chaos oracle's stuck-stream check).
   [[nodiscard]] std::size_t pending_publishes() const { return pending_.size(); }
   [[nodiscard]] sim::Host& host() const { return *host_; }
   /// True once the client holds its cold block (see Cold): from
-  /// construction with reconnect or keepalive on, else from the first
-  /// lifecycle handler. Tells footprint tests what a receiver costs.
+  /// construction with reconnect on, else from the first lifecycle
+  /// handler or dropped publish. Tells footprint tests what a receiver
+  /// costs.
   [[nodiscard]] bool holds_cold_state() const { return cold_ != nullptr; }
 
  private:
   /// State only a self-healing or observed client needs: the reconnect
-  /// and keepalive machinery, the subscription set it replays, and the
-  /// lifecycle handlers. Made by the constructor when reconnect or
-  /// keepalive is enabled, or by the first on_ready/on_disconnect/
-  /// on_reconnect; a plain media receiver never holds one.
+  /// machinery, the subscription set it replays, and the lifecycle
+  /// handlers. Made by the constructor when reconnect is enabled, or by
+  /// the first on_ready/on_disconnect/on_reconnect or dropped publish; a
+  /// plain media receiver never holds one.
   struct Cold {
-    SimDuration keepalive_interval{0};
-    int keepalive_miss = 3;
     ReconnectPolicy reconnect;
     /// Live subscription set, replayed after every re-handshake; kept
     /// only when reconnect is enabled (nothing else reads it).
     std::vector<std::string> filters;
     std::uint64_t disconnects = 0;
     std::uint64_t reconnects = 0;
+    std::uint64_t publishes_dropped = 0;
     int attempt = 0;             // consecutive failed connect attempts
     bool retry_pending = false;  // a backoff timer is armed
-    std::uint64_t conn_generation = 0;
     sim::TaskId retry_timer = 0;
-    sim::TaskId connect_timer = 0;
-    std::unique_ptr<sim::PeriodicTask> keepalive_task;
-    SimTime last_heard{};
     Rng jitter_rng;
     std::function<void()> ready_handler;
     std::function<void()> disconnect_handler;
@@ -143,13 +136,12 @@ class BrokerClient {
   void flush_queue();
   /// (Re)opens the control stream and sends Hello.
   void open_stream();
-  /// Declares the control stream dead and enters backoff (idempotent
-  /// while a retry is already pending).
+  /// The control stream closed or its idle detector declared it dead:
+  /// closes it and, with reconnect on, enters backoff (idempotent while a
+  /// retry is already pending).
   void stream_down();
   void schedule_retry();
   void attempt_connect();
-  void keepalive_tick();
-  void cancel_connect_timer();
   [[nodiscard]] bool reconnect_enabled() const { return cold_ && cold_->reconnect.enabled; }
 
   sim::Host* host_;

@@ -108,13 +108,6 @@ Payload encode(const PingMessage& m, bool pong) {
   return w.take();
 }
 
-Payload encode(const HeartbeatMessage& m) {
-  FrameWriter w(1 + 4);
-  w.u8(static_cast<std::uint8_t>(MessageType::kHeartbeat));
-  w.u32(m.from);
-  return w.take();
-}
-
 Payload encode(const LinkStateMessage& m) {
   FrameWriter w(1 + 4 * 4 + 1);
   w.u8(static_cast<std::uint8_t>(MessageType::kLinkState));
@@ -171,10 +164,6 @@ Result<Frame> decode(const Payload& data) {
       f.type = static_cast<MessageType>(type);
       f.ping.token = r.u32();
       f.ping.sent = SimTime{static_cast<std::int64_t>(r.u64())};
-      break;
-    case MessageType::kHeartbeat:
-      f.type = MessageType::kHeartbeat;
-      f.heartbeat.from = r.u32();
       break;
     case MessageType::kLinkState:
       f.type = MessageType::kLinkState;

@@ -58,7 +58,7 @@ enum class MessageType : std::uint8_t {
   kPeerEvent = 6,   // broker -> broker: event + remaining target brokers
   kPing = 7,        // link performance probe (monitoring service)
   kPong = 8,        // probe reply, echoing token and send time
-  kHeartbeat = 9,   // broker -> broker: periodic liveness beacon (sender id)
+  // 9 is retired (it was a peer heartbeat): an old frame must not decode.
   kLinkState = 10,  // broker -> broker: gossiped link up/down advertisement
 };
 
@@ -90,12 +90,6 @@ struct PingMessage {
   SimTime sent;
 };
 
-/// Peer-link keepalive carrying the sending broker's id; silence past the
-/// configured miss threshold is how a broker detects a dead peer/link.
-struct HeartbeatMessage {
-  BrokerId from = 0;
-};
-
 /// Gossiped link-state advertisement (gossip routing mode, DESIGN.md §13):
 /// `origin` observed link (a, b) transition to `up` and floods the news
 /// over its peer links; `seq` is a per-origin sequence number brokers use
@@ -120,7 +114,6 @@ Payload encode(const PeerEventMessage& m);
 /// the intermediate PeerEventMessage copy of topic + payload.
 Payload encode_peer_event(const Event& e, std::span<const BrokerId> targets);
 Payload encode(const PingMessage& m, bool pong);
-Payload encode(const HeartbeatMessage& m);
 Payload encode(const LinkStateMessage& m);
 
 /// Process-wide count of kEvent encodes (encode(Event) calls). Host-side
@@ -203,7 +196,6 @@ struct Frame {
   Event event;
   PeerEventMessage peer_event;
   PingMessage ping;
-  HeartbeatMessage heartbeat;
   LinkStateMessage link_state;
 };
 

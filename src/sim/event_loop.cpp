@@ -59,8 +59,8 @@ void EventLoop::sift_up(std::size_t i) {
 
 void EventLoop::maybe_compact() {
   // Lazy compaction: cancelled ids leave dead Entry records behind; once
-  // they outnumber live ones (PeriodicTask-heavy fabrics churn cancels
-  // every heartbeat), rebuild the heap from the live entries. A sorted
+  // they outnumber live ones (timer-heavy fabrics cancel an idle
+  // detector's tick on every close), rebuild the heap from the live entries. A sorted
   // array is a valid heap of any arity.
   constexpr std::size_t kCompactMin = 64;
   if (heap_.size() < kCompactMin || heap_.size() <= 2 * live_) return;

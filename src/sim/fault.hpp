@@ -44,8 +44,8 @@ class FaultPlan {
   /// like crash windows.
   FaultPlan& flap_link(NodeId a, NodeId b, SimTime from, SimTime until = SimTime::infinity());
   /// Asymmetric cut: only the src → dst direction drops (reliable traffic
-  /// included); dst → src keeps flowing. The failure detector on the deaf
-  /// side sees the link die while the other side still hears heartbeats.
+  /// included); dst → src keeps flowing. A stream's idle detector sees it
+  /// from both ends: one end's probes are lost, the other's answers.
   FaultPlan& cut_oneway(NodeId src, NodeId dst, SimTime from,
                         SimTime until = SimTime::infinity());
   /// Temporarily overrides the (a, b) path's loss model (Gilbert–Elliott

@@ -284,7 +284,7 @@ class Network {
 
   /// Pushes a "gray failure" on a host: its egress silently drops
   /// non-reliable datagrams with the given loss model while the host stays
-  /// up, links stay up, and reliable control traffic (heartbeats, streams)
+  /// up, links stay up, and reliable control traffic (stream probes and data)
   /// still flows — the failure detectors see a healthy peer while the data
   /// plane bleeds. Stacks like path overrides; most recent wins.
   OverrideToken push_host_degrade(NodeId node, double loss, double burst_length = 1.0);

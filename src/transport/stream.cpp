@@ -10,6 +10,8 @@ constexpr std::uint8_t kSyn = 1;
 constexpr std::uint8_t kSynAck = 2;
 constexpr std::uint8_t kData = 3;
 constexpr std::uint8_t kFin = 4;
+constexpr std::uint8_t kProbe = 5;     // idle detector: "are you there?"
+constexpr std::uint8_t kProbeAck = 6;  // the far end's transport answers
 }  // namespace
 
 StreamConnection::StreamConnection(sim::Host& host, State state)
@@ -36,43 +38,72 @@ StreamConnection::~StreamConnection() {
   if (state_ != State::kClosed) do_close(/*notify_peer=*/true);
 }
 
-StreamConnectionPtr StreamConnection::connect(sim::Host& from, sim::Endpoint to,
-                                              ConnectOptions opts) {
+StreamConnectionPtr StreamConnection::connect(sim::Host& from, sim::Endpoint to) {
   auto conn = make(from, State::kConnecting);
   conn->remote_ = to;
   conn->owns_port_ = true;
   conn->connecting_ = std::make_unique<Connecting>();
-  conn->connecting_->opts = opts;
   std::uint16_t port = from.bind_ephemeral(
       [raw = conn.get()](const sim::Datagram& d) { raw->handle(d); });
   conn->local_ = sim::Endpoint{from.id(), port};
   conn->send_control(kSyn);
-  conn->arm_syn_timer();
   return conn;
 }
 
-void StreamConnection::arm_syn_timer() {
-  Connecting& c = *connecting_;
-  if (c.opts.syn_retry.ns() <= 0) return;
-  // The raw `this` capture is safe: every path that destroys, opens or
-  // closes the connection cancels the timer first.
-  c.syn_timer = host_->loop().schedule_after(c.opts.syn_retry, [this] {
-    Connecting& c = *connecting_;
-    c.syn_timer = 0;
-    if (c.syn_attempts >= c.opts.max_syn_retries) {
-      do_close(/*notify_peer=*/false);  // handshake gave up: surface on_close
-      return;
-    }
-    ++c.syn_attempts;
-    send_control(kSyn);
-    arm_syn_timer();
-  });
+void StreamConnection::watch(IdleConfig cfg, LivenessHandler handler) {
+  if (cfg.interval.ns() <= 0 || state_ == State::kClosed) return;
+  if (idle_ == nullptr) {
+    idle_ = std::make_unique<Idle>();
+  } else if (idle_->timer != 0) {
+    host_->loop().cancel(idle_->timer);
+  }
+  Idle& w = *idle_;
+  w.cfg = cfg;
+  w.handler = std::move(handler);
+  w.seen = received_;
+  // A connector's SYN is already out: it is the first probe.
+  w.missed = state_ == State::kConnecting ? 1 : 0;
+  w.dead = false;
+  arm_idle();
 }
 
-void StreamConnection::cancel_syn_timer() {
-  if (connecting_ && connecting_->syn_timer != 0) {
-    host_->loop().cancel(connecting_->syn_timer);
-    connecting_->syn_timer = 0;
+void StreamConnection::arm_idle() {
+  // The raw `this` capture is safe: closing (and so destroying) the
+  // connection cancels the timer.
+  idle_->timer = host_->loop().schedule_after(idle_->cfg.interval, [this] { idle_tick(); });
+}
+
+void StreamConnection::idle_tick() {
+  Idle& w = *idle_;
+  w.timer = 0;
+  // Data that arrived this interval is proof of life, and costs the
+  // receive path nothing: the tick compares counts.
+  if (received_ != w.seen) {
+    w.seen = received_;
+    w.missed = 0;
+  } else {
+    if (w.missed >= w.cfg.misses && !w.dead) {
+      w.dead = true;
+      // Pinned: the handler may close this connection or drop its last
+      // owner.
+      ++pins_;
+      w.handler(/*alive=*/false);
+      const bool done = state_ == State::kClosed || orphaned_;
+      unpin();
+      if (done) return;
+    }
+    send_control(state_ == State::kConnecting ? kSyn : kProbe);
+    ++w.missed;
+  }
+  arm_idle();
+}
+
+void StreamConnection::heard() {
+  if (idle_ == nullptr || state_ == State::kClosed) return;
+  idle_->missed = 0;
+  if (idle_->dead) {
+    idle_->dead = false;
+    idle_->handler(/*alive=*/true);
   }
 }
 
@@ -87,9 +118,9 @@ void StreamConnection::handle_segment(const sim::Datagram& d) {
   if (d.payload.empty() || d.src != remote_) return;
   switch (d.payload[0]) {
     case kSynAck:
+      heard();
       if (state_ == State::kConnecting) {
         state_ = State::kOpen;
-        cancel_syn_timer();
         // The block goes here, before the handler runs: a connection
         // opens once, and the handler may close it.
         const std::unique_ptr<Connecting> c = std::move(connecting_);
@@ -102,9 +133,19 @@ void StreamConnection::handle_segment(const sim::Datagram& d) {
       // connector retransmitted. Re-acknowledge so the handshake completes.
       if (state_ == State::kOpen && !owns_port_) send_control(kSynAck);
       break;
+    case kProbe:
+      // Answered by the transport, whatever the application is doing. A
+      // probe is not proof of life here: a one-way cut must look dead
+      // from the end whose answers are lost too.
+      if (state_ == State::kOpen) send_control(kProbeAck);
+      break;
+    case kProbeAck:
+      heard();
+      break;
     case kData:
       if (state_ == State::kClosed) break;
       ++received_;
+      if (idle_ != nullptr && idle_->dead) heard();
       // Zero-copy: the delivered message is a slice of the arriving
       // segment, sharing the sender's block.
       deliver_or_buffer(d.payload.slice(1));
@@ -152,10 +193,10 @@ void StreamConnection::send(std::string_view text) {
 }
 
 void StreamConnection::send_control(std::uint8_t type) {
-  // Nothing here retransmits a refused control segment: a SYN is retried
-  // by the SYN timer if one is armed, a SYN-ACK answers the connector's
-  // retried SYN, and a lost FIN leaves the peer to its own liveness
-  // check. Count it.
+  // Nothing here retransmits a refused control segment: a watched
+  // connector retries its SYN and probes, a SYN-ACK or probe answer is
+  // sent again for the next SYN or probe, and a lost FIN leaves the peer
+  // to its own idle detector. Count it.
   if (!host_->send(remote_, local_.port, Bytes{type}, /*reliable=*/true)) {
     ++control_dropped_;
   }
@@ -208,7 +249,10 @@ void StreamConnection::close() {
 void StreamConnection::do_close(bool notify_peer) {
   State prev = state_;
   state_ = State::kClosed;
-  cancel_syn_timer();
+  if (idle_ != nullptr && idle_->timer != 0) {
+    host_->loop().cancel(idle_->timer);
+    idle_->timer = 0;
+  }
   connecting_.reset();  // a handshake that never completed: drop its sends
   if (notify_peer && prev == State::kOpen) send_control(kFin);
   if (owns_port_) host_->unbind(local_.port);
@@ -262,6 +306,8 @@ void StreamListener::handle(const sim::Datagram& d) {
     conns_[slot]->handle(d);
     return;
   }
+  // Only a SYN opens a connection: a probe from an end this listener has
+  // forgotten goes unanswered, and so that end learns it is dead.
   if (d.payload.empty() || d.payload[0] != kSyn) return;
   auto conn = StreamConnection::make(*host_, StreamConnection::State::kOpen);
   conn->remote_ = d.src;

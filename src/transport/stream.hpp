@@ -30,17 +30,15 @@ class StreamConnection;
 class StreamListener;
 using StreamConnectionPtr = std::shared_ptr<StreamConnection>;
 
-/// Handshake behavior for StreamConnection::connect.
-struct ConnectOptions {
-  /// SYN retransmission interval while the handshake is outstanding.
-  /// Zero disables the timer entirely (the historical behavior: a SYN
-  /// into a dead host parks the connection until the caller's own
-  /// watchdog gives up on it).
-  SimDuration syn_retry{0};
-  /// Retransmissions after the initial SYN before the connection gives up
-  /// and closes itself (firing on_close, so reconnect policies see a
-  /// normal failure).
-  int max_syn_retries = 5;
+/// Settings of a connection's idle detector (see StreamConnection::watch).
+/// A zero interval, the default, is off: the connection schedules nothing.
+struct IdleConfig {
+  /// Silence after which the connection probes its far end, and the time
+  /// each probe is given to be answered.
+  SimDuration interval{0};
+  /// Unanswered probes in a row after which the connection reports itself
+  /// dead.
+  int misses = 3;
 };
 
 /// One end of an established (or connecting) stream. Hold the shared_ptr
@@ -75,6 +73,18 @@ class StreamConnection {
   /// connections are born established).
   void on_connect(std::function<void()> handler);
 
+  /// Called with false when a watched connection goes dead, and with true
+  /// when it hears its far end again.
+  using LivenessHandler = std::function<void(bool alive)>;
+  /// Starts the idle detector; a no-op when cfg.interval is zero. After
+  /// an interval in which no data arrived, the connection sends a probe
+  /// segment that the far end's transport answers (while still
+  /// connecting, the probe is the SYN). Once cfg.misses probes in a row go
+  /// unanswered it reports itself dead, and it keeps probing: the next
+  /// answer or data segment reports it alive. The handler may close the
+  /// connection. Closing stops the detector.
+  void watch(IdleConfig cfg, LivenessHandler handler);
+
   void close();
 
   [[nodiscard]] bool established() const { return state_ == State::kOpen; }
@@ -93,16 +103,12 @@ class StreamConnection {
 
   /// Initiates a connection to a listener at `to`. The returned connection
   /// buffers sends until established; use on_connect() to sequence logic.
-  /// With opts.syn_retry > 0 the SYN is retransmitted until answered —
-  /// covering a lost SYN or SYN-ACK, and a listener host that restarts
-  /// while the handshake is in flight — and the connection closes itself
-  /// after max_syn_retries unanswered attempts.
-  static StreamConnectionPtr connect(sim::Host& from, sim::Endpoint to,
-                                     ConnectOptions opts = {});
+  /// Only a watched connection (see watch) retransmits its SYN.
+  static StreamConnectionPtr connect(sim::Host& from, sim::Endpoint to);
 
  private:
   friend class StreamListener;
-  enum class State { kConnecting, kOpen, kClosed };
+  enum class State : std::uint8_t { kConnecting, kOpen, kClosed };
 
   StreamConnection(sim::Host& host, State state);
   /// The deleter of every StreamConnectionPtr (an empty type, so the
@@ -141,35 +147,46 @@ class StreamConnection {
   /// refused.
   void send_control(std::uint8_t type);
   void do_close(bool notify_peer);
-  void arm_syn_timer();
-  void cancel_syn_timer();
+  void arm_idle();
+  /// One detector interval elapsed: probe, or report the connection dead.
+  void idle_tick();
+  /// The far end answered a probe or the SYN, or sent data while the
+  /// connection was dead.
+  void heard();
 
   /// What only a connector end needs until its handshake completes: the
-  /// SYN retransmission state, the connect handler and the sends made
-  /// meanwhile. Made by connect() and freed once the connection opens or
-  /// closes; an acceptor end is born established and never has one.
+  /// connect handler and the sends made meanwhile. Made by connect() and
+  /// freed once the connection opens or closes; an acceptor end is born
+  /// established and never has one.
   struct Connecting {
-    ConnectOptions opts;
-    sim::TaskId syn_timer = 0;
-    int syn_attempts = 0;
     std::function<void()> connect_handler;
     Fifo<Payload> outbox;  // buffered until established
   };
+  /// The idle detector's state, made by watch(): an unwatched connection
+  /// never holds one.
+  struct Idle {
+    IdleConfig cfg;
+    LivenessHandler handler;
+    sim::TaskId timer = 0;
+    std::uint64_t seen = 0;  // received_ at the last tick
+    int missed = 0;          // probes sent since the far end was last heard
+    bool dead = false;
+  };
 
   sim::Host* host_;
-  State state_;
-  /// Message handlers running on the stack (nested only by an inbox
-  /// replay inside a handler).
-  std::uint32_t handler_depth_ = 0;
-  sim::Endpoint local_{};
-  sim::Endpoint remote_{};
   // The small fields below fill padding: a receiver holds two of these.
+  State state_;
   /// Connector side owns an ephemeral port; acceptor side shares the
   /// listener's port and is demultiplexed by the listener.
   bool owns_port_ = false;
   bool orphaned_ = false;
+  /// Message handlers running on the stack (nested only by an inbox
+  /// replay inside a handler).
+  std::uint16_t handler_depth_ = 0;
   /// Frames on the stack that pin this connection (see Release).
-  std::uint32_t pins_ = 0;
+  std::uint16_t pins_ = 0;
+  sim::Endpoint local_{};
+  sim::Endpoint remote_{};
   StreamListener* owner_ = nullptr;  // acceptor side: for demux cleanup
   /// Held by value. It is never moved or destroyed while it runs: a
   /// replacement set meanwhile is parked in parked_ and moved in here
@@ -179,6 +196,7 @@ class StreamConnection {
   std::unique_ptr<ParkedHandler> parked_;
   std::function<void()> close_handler_;
   std::unique_ptr<Connecting> connecting_;
+  std::unique_ptr<Idle> idle_;
   Fifo<Payload> inbox_;  // buffered until a handler is set
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;

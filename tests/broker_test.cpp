@@ -589,9 +589,9 @@ TEST_F(BrokerTest, EventHandlerMayPublishResubscribeOrDestroyItsClient) {
   EXPECT_EQ(broker.client_count(), 2u);  // the destroyed clients' records are gone
 }
 
-// A BrokerClient keeps its reconnect, keepalive and lifecycle-handler
-// state in a block made only when something needs it: a media receiver
-// with the default config never holds one.
+// A BrokerClient keeps its reconnect and lifecycle-handler state in a
+// block made only when something needs it: a media receiver with the
+// default config never holds one.
 TEST_F(BrokerTest, DefaultClientHoldsNoColdStateUntilAHandlerNeedsIt) {
   sim::Host& bh = host("broker");
   BrokerNode broker(bh, 0);
@@ -600,13 +600,10 @@ TEST_F(BrokerTest, DefaultClientHoldsNoColdStateUntilAHandlerNeedsIt) {
   plain.on_event([](const Event&) {});
   BrokerClient healing(host("healing"), broker.stream_endpoint(),
                        {.name = "healing", .reconnect = {.enabled = true}});
-  BrokerClient pinging(host("pinging"), broker.stream_endpoint(),
-                       {.name = "pinging", .keepalive_interval = duration_ms(100)});
   loop.run_for(duration_ms(50));
   ASSERT_TRUE(plain.ready());
   EXPECT_FALSE(plain.holds_cold_state());
   EXPECT_TRUE(healing.holds_cold_state());
-  EXPECT_TRUE(pinging.holds_cold_state());
   EXPECT_EQ(plain.disconnects(), 0u);
   EXPECT_EQ(plain.reconnects(), 0u);
 
@@ -616,6 +613,29 @@ TEST_F(BrokerTest, DefaultClientHoldsNoColdStateUntilAHandlerNeedsIt) {
   plain.on_ready([&] { ++readies; });
   EXPECT_TRUE(plain.holds_cold_state());
   EXPECT_EQ(readies, 1);
+}
+
+// A default client (no reconnect, so no detector) still hears its
+// stream close: when its broker goes away it stops reading ready, fires
+// on_disconnect and counts the loss. Its later publishes are dropped and
+// counted, not queued behind a handshake that will never come.
+TEST_F(BrokerTest, DefaultClientLearnsItsBrokerIsGone) {
+  auto broker = std::make_unique<BrokerNode>(host("broker"), 0);
+  BrokerClient client(host("client"), broker->stream_endpoint());
+  int fired = 0;
+  client.on_disconnect([&] { ++fired; });
+  loop.run();
+  ASSERT_TRUE(client.ready());
+  broker.reset();
+  loop.run();
+  EXPECT_FALSE(client.ready());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(client.disconnects(), 1u);
+  client.publish("/t", to_bytes("late"));
+  client.publish("/t", to_bytes("later"));
+  EXPECT_EQ(client.pending_publishes(), 0u);
+  EXPECT_EQ(client.publishes_dropped(), 2u);
+  EXPECT_EQ(client.events_published(), 0u);
 }
 
 // A broker process restart: the old node's streams close (FIN), and a

@@ -103,7 +103,7 @@ TEST(ChaosProperty, GeneratedPlanDoubleRunIdentical) {
   EXPECT_TRUE(first.metrics == again.metrics) << "double-run diverged";
 }
 
-// The re-break demonstration: disable the broker-side client keepalive
+// The re-break demonstration: disable the brokers' client-stream detector
 // (reverting the DESIGN.md §8 ghost-record fix) and the generator finds a
 // violating plan, which shrinks to a <= 3-fault minimal reproducer that
 // passes again with the fix on.
@@ -128,7 +128,7 @@ TEST(ChaosProperty, RevertedGhostReapIsCaughtAndShrinks) {
     EXPECT_FALSE(broker::run_chaos(shrunk, broken).ok())
         << "shrunk spec must still fail without the reaper";
     const broker::ChaosOutcome fixed = broker::run_chaos(shrunk);
-    EXPECT_TRUE(fixed.ok()) << "keepalive reaper should heal the reproducer:\n"
+    EXPECT_TRUE(fixed.ok()) << "the client-stream detector should heal the reproducer:\n"
                             << describe(fixed) << shrunk.serialize();
   }
   EXPECT_TRUE(found) << "no generated plan exposed the reverted ghost-record reap";

@@ -43,8 +43,7 @@ ChaosMetrics run_chaos(std::uint64_t seed) {
   net.set_default_path(sim::PathConfig{.latency = duration_us(200), .loss = 0.05});
   broker::BrokerNetwork fabric(net);
   broker::BrokerNode::Config bcfg;
-  bcfg.heartbeat.interval = duration_ms(50);
-  bcfg.heartbeat.miss_threshold = 3;
+  bcfg.idle = {duration_ms(50), 3};
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < 4; ++i) {
     sim::Host& h = net.add_host("b" + std::to_string(i));

@@ -184,18 +184,17 @@ TEST_F(FailureTest, DispatchOverloadShedsAndRecovers) {
   EXPECT_EQ(got, after_burst + 1);
 }
 
-// NOTE for the self-healing tests below: heartbeats and reconnect retries
-// are periodic, so the event queue never drains — always settle with
+// NOTE for the self-healing tests below: idle-detector probes and
+// reconnect retries are periodic, so the event queue never drains — always settle with
 // run_for()/run_until(), never loop.run().
 
 TEST_F(FailureTest, BrokerCrashMidStreamReroutesAroundDeadNode) {
   // 4-broker ring 0-1-2-3-0; the 0->2 route initially relays via broker 1.
-  // Crashing broker 1 mid-stream must be detected by heartbeats and
+  // Crashing broker 1 mid-stream must be detected by the idle detector and
   // repaired to the 0->3->2 path without any manual finalize().
   broker::BrokerNetwork fabric(net);
   broker::BrokerNode::Config bcfg;
-  bcfg.heartbeat.interval = duration_ms(50);
-  bcfg.heartbeat.miss_threshold = 3;
+  bcfg.idle = {duration_ms(50), 3};
   sim::Host& b1 = net.add_host("b1");
   fabric.add_broker(net.add_host("b0"), bcfg);
   fabric.add_broker(b1, bcfg);
@@ -221,7 +220,7 @@ TEST_F(FailureTest, BrokerCrashMidStreamReroutesAroundDeadNode) {
   sim::FaultPlan plan;
   plan.crash_host(b1.id(), loop.now());  // permanent crash
   plan.install(net);
-  // 3 missed 50 ms heartbeats ≈ 150 ms to detection; give it 400 ms.
+  // 3 unanswered 50 ms probes ≈ 200 ms to detection; give it 400 ms.
   loop.run_for(duration_ms(400));
   EXPECT_GE(fabric.route_recomputes(), 1u);
   EXPECT_FALSE(fabric.link_considered_up(0, 1));
@@ -235,11 +234,11 @@ TEST_F(FailureTest, BrokerCrashMidStreamReroutesAroundDeadNode) {
 TEST_F(FailureTest, PartitionHealsAndSubscriptionsResume) {
   // Chain 0-1-2 with the network partitioned between brokers 1 and 2 for
   // a while. During the partition events to the far side are unroutable;
-  // after healing, heartbeats re-declare the link and the far subscriber
+  // after healing, answered probes re-declare the link and the far subscriber
   // resumes receiving without resubscribing.
   broker::BrokerNetwork fabric(net);
   broker::BrokerNode::Config bcfg;
-  bcfg.heartbeat.interval = duration_ms(50);
+  bcfg.idle.interval = duration_ms(50);
   sim::Host& b1 = net.add_host("b1");
   sim::Host& b2 = net.add_host("b2");
   fabric.add_broker(net.add_host("b0"), bcfg);
@@ -268,7 +267,7 @@ TEST_F(FailureTest, PartitionHealsAndSubscriptionsResume) {
   EXPECT_EQ(far_got, 0);  // partitioned: counted unroutable, not delivered
   EXPECT_GT(fabric.broker(0).unroutable_events(), 0u);
 
-  // Heal; heartbeats resume and routes come back within a beat or two.
+  // Heal; probes are answered again and routes come back within a beat or two.
   loop.run_until(SimTime{duration_ms(2500).ns()});
   EXPECT_TRUE(fabric.link_considered_up(1, 2));
   EXPECT_EQ(fabric.distance(0, 2), 2);
@@ -282,10 +281,9 @@ TEST_F(FailureTest, ClientOutlivesBrokerRestartViaBackoffReconnect) {
   sim::Host& bh = net.add_host("broker");
   broker::BrokerNode node(bh, 0);
   broker::BrokerClient::Config ccfg;
-  ccfg.keepalive_interval = duration_ms(100);
   ccfg.reconnect.enabled = true;
   ccfg.reconnect.backoff_base = duration_ms(100);
-  ccfg.reconnect.connect_timeout = duration_ms(300);
+  ccfg.reconnect.idle = {duration_ms(100), 3};
   ccfg.name = "pub";
   broker::BrokerClient pub(net.add_host("pub"), node.stream_endpoint(), ccfg);
   ccfg.name = "sub";
@@ -301,7 +299,7 @@ TEST_F(FailureTest, ClientOutlivesBrokerRestartViaBackoffReconnect) {
   sim::FaultPlan plan;
   plan.crash_host(bh.id(), SimTime{duration_s(1).ns()}, SimTime{duration_s(2).ns()});
   plan.install(net);
-  // Mid-outage: keepalives have missed and both clients are in backoff.
+  // Mid-outage: the idle detectors have missed and both clients are in backoff.
   loop.run_until(SimTime{duration_ms(1800).ns()});
   EXPECT_FALSE(sub.ready());
   EXPECT_GE(sub.disconnects(), 1u);

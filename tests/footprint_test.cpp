@@ -57,8 +57,9 @@ namespace {
 constexpr int kReceivers = 1200;
 constexpr int kPerHost = 100;
 constexpr const char* kTopic = "/xgsp/session/lecture/video";
-/// Live heap bytes one receiver may hold: this shape reads 1,459 B. It
-/// read 2,013 B while the client and each stream end held their
+/// Live heap bytes one receiver may hold: this shape reads 1,445 B, and
+/// read 1,459 B while the broker's client record kept a last-heard stamp
+/// for its keepalive sweep. It read 2,013 B while the client and each stream end held their
 /// reconnect, keepalive and connect-only state inline and the broker
 /// kept a tree node per subscription, and 5,436 B while they also kept
 /// empty std::deques, a heap-held handler and per-filter segment strings

@@ -17,11 +17,11 @@
 // below for `raw = conn.get()` and ASan reports heap-use-after-free in
 // DeferredPongAfterEvictionIsDropped.
 //
-// On the real broker, the chaos seed corpus under ASan is what catches
-// the bug class: put the raw capture (or `raw = weak_conn.lock().get()`)
-// back into BrokerNode's kPing handler and ChaosProperty.SeedCorpusReplays
-// reports the heap-use-after-free under scripts/check.sh asan. This file
-// pins the same interleaving in a minimal harness.
+// On the real broker, MonitorTest.PongForAStreamThatClosedMeanwhileIsDropped
+// is what catches the bug class: put the raw capture back into
+// BrokerNode's kPing handler and it reports the heap-use-after-free under
+// scripts/check.sh asan. This file pins the same interleaving in a
+// minimal harness.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -89,5 +89,23 @@ TEST_F(MonitorTest, ProbeToUnlinkedPeerIsNoop) {
   EXPECT_FALSE(called);
 }
 
+// A kPing's pong is deferred to a dispatch job. If the stream it came on
+// closes meanwhile, the job must drop the pong: it must not reach the
+// freed connection (ASan reports the raw-capture form of the handler
+// here).
+TEST_F(MonitorTest, PongForAStreamThatClosedMeanwhileIsDropped) {
+  auto conn = transport::StreamConnection::connect(net.add_host("prober"),
+                                                   b1->stream_endpoint());
+  loop.run();
+  ASSERT_TRUE(conn->established());
+  const std::uint64_t jobs = b1->dispatch().completed();
+  conn->send(encode(PingMessage{7, loop.now()}, /*pong=*/false));
+  // The FIN follows the kPing and closes the broker's end before the
+  // pong job has run, dropping the stream's last owner.
+  conn.reset();
+  loop.run();
+  EXPECT_EQ(b1->dispatch().completed(), jobs + 1);
+}
+
 }  // namespace
 }  // namespace gmmcs::broker

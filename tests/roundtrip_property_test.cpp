@@ -94,8 +94,6 @@ gmmcs::Payload reencode(const gmmcs::broker::Frame& f) {
       return encode(f.ping, /*pong=*/false);
     case MessageType::kPong:
       return encode(f.ping, /*pong=*/true);
-    case MessageType::kHeartbeat:
-      return encode(f.heartbeat);
     case MessageType::kLinkState:
       return encode(f.link_state);
   }
@@ -139,10 +137,6 @@ TEST(RoundtripBroker, AllFrameTypesSurviveReencoding) {
       gmmcs::broker::PingMessage m{rand_u32(rng), SimTime{rng.uniform_int(0, 1'000'000'000)}};
       expect_broker_roundtrip(encode(m, /*pong=*/false));
       expect_broker_roundtrip(encode(m, /*pong=*/true));
-    }
-    {
-      gmmcs::broker::HeartbeatMessage m{rand_u32(rng)};
-      expect_broker_roundtrip(encode(m));
     }
     {
       gmmcs::broker::LinkStateMessage m{rand_u32(rng), rand_u32(rng), rand_u32(rng),
@@ -196,7 +190,6 @@ TEST(RoundtripBroker, EveryStrictPrefixOfEveryFrameKindIsRejected) {
     wires.push_back(encode(m, /*pong=*/false));
     wires.push_back(encode(m, /*pong=*/true));
   }
-  wires.push_back(encode(gmmcs::broker::HeartbeatMessage{rand_u32(rng)}));
   wires.push_back(encode(gmmcs::broker::LinkStateMessage{
       rand_u32(rng), rand_u32(rng), rand_u32(rng), rand_u32(rng), true}));
   for (const gmmcs::Payload& wire : wires) {

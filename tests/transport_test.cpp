@@ -179,6 +179,178 @@ TEST_F(TransportTest, StreamCloseNotifiesPeer) {
   EXPECT_TRUE(conn->closed());
 }
 
+// --- The idle detector (StreamConnection::watch) ---
+
+TEST_F(TransportTest, UnwatchedStreamSchedulesNothingAndItsLoopDrains) {
+  sim::Host& server = net.add_host("server");
+  sim::Host& client = net.add_host("client");
+  StreamListener listener(server, 80);
+  StreamConnectionPtr sc;
+  listener.on_accept([&](StreamConnectionPtr c) { sc = std::move(c); });
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  // A zero interval (the default config) is off.
+  conn->watch({}, [](bool) { FAIL() << "an unwatched stream reported liveness"; });
+  loop.run();
+  ASSERT_TRUE(conn->established());
+  EXPECT_EQ(loop.pending(), 0u);
+  conn->send("x");
+  loop.run();
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(sc->messages_received(), 1u);
+}
+
+TEST_F(TransportTest, WatchedStreamThatHearsDataEveryIntervalSendsNoProbe) {
+  sim::Host& server = net.add_host("server");
+  sim::Host& client = net.add_host("client");
+  StreamListener listener(server, 80);
+  StreamConnectionPtr sc;
+  listener.on_accept([&](StreamConnectionPtr c) { sc = std::move(c); });
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  int reports = 0;
+  conn->watch({duration_ms(50), 3}, [&](bool) { ++reports; });
+  loop.run_for(duration_ms(10));
+  ASSERT_TRUE(conn->established());
+  const std::uint64_t sent_after_handshake = client.nic_sent();
+  // The server talks every 25 ms for 1 s: the client's end hears data in
+  // every interval, so it never probes and sends nothing at all.
+  sim::PeriodicTask talk(loop, duration_ms(25), [&](std::uint64_t) { sc->send("media"); });
+  talk.start();
+  loop.run_for(duration_s(1));
+  EXPECT_GE(conn->messages_received(), 39u);
+  EXPECT_EQ(client.nic_sent(), sent_after_handshake);
+  EXPECT_EQ(reports, 0);
+  // Once the server falls silent, the client's transport probes and the
+  // server's answers, so the connection stays alive.
+  talk.stop();
+  loop.run_for(duration_s(1));
+  EXPECT_GT(client.nic_sent(), sent_after_handshake);
+  EXPECT_EQ(reports, 0);
+  EXPECT_TRUE(conn->established());
+}
+
+TEST_F(TransportTest, OneWayCutLooksDeadFromBothEndsAndAliveAfterTheHeal) {
+  const SimDuration latency = duration_ms(5);
+  net.set_default_path(sim::PathConfig{.latency = latency});
+  sim::Host& server = net.add_host("server");
+  sim::Host& client = net.add_host("client");
+  StreamListener listener(server, 80);
+  const IdleConfig idle{duration_ms(50), 3};
+  StreamConnectionPtr sc;
+  std::vector<std::pair<bool, SimTime>> server_reports, client_reports;
+  listener.on_accept([&](StreamConnectionPtr c) {
+    sc = std::move(c);
+    sc->watch(idle, [&](bool alive) { server_reports.emplace_back(alive, loop.now()); });
+  });
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  conn->watch(idle, [&](bool alive) { client_reports.emplace_back(alive, loop.now()); });
+  loop.run_for(duration_ms(500));
+  ASSERT_TRUE(conn->established());
+  ASSERT_TRUE(server_reports.empty());
+  ASSERT_TRUE(client_reports.empty());
+
+  // Cut client -> server only. The client's probes are lost, and so are
+  // its answers to the server's probes: both ends go dead, each within
+  // (misses + 1) intervals of the cut plus one round trip.
+  const SimTime cut = loop.now();
+  net.set_link_up_oneway(client.id(), server.id(), false);
+  loop.run_for(duration_ms(500));
+  // One round trip: two latencies, plus a little for serialization.
+  const SimDuration rtt = latency * 2 + duration_ms(1);
+  const SimDuration bound = idle.interval * (idle.misses + 1) + rtt;
+  ASSERT_EQ(client_reports.size(), 1u);
+  ASSERT_EQ(server_reports.size(), 1u);
+  EXPECT_FALSE(client_reports[0].first);
+  EXPECT_FALSE(server_reports[0].first);
+  EXPECT_LE(client_reports[0].second - cut, bound);
+  EXPECT_LE(server_reports[0].second - cut, bound);
+  // Dead is reported, not acted on: both ends stay open and keep probing.
+  EXPECT_TRUE(conn->established());
+  EXPECT_TRUE(sc->established());
+
+  const SimTime heal = loop.now();
+  net.set_link_up_oneway(client.id(), server.id(), true);
+  loop.run_for(duration_ms(500));
+  ASSERT_EQ(client_reports.size(), 2u);
+  ASSERT_EQ(server_reports.size(), 2u);
+  EXPECT_TRUE(client_reports[1].first);
+  EXPECT_TRUE(server_reports[1].first);
+  EXPECT_LE(client_reports[1].second - heal, idle.interval + rtt);
+  EXPECT_LE(server_reports[1].second - heal, idle.interval + rtt);
+}
+
+TEST_F(TransportTest, WatchedConnectRetriesALostSynAndOpensOnceThePathHeals) {
+  sim::Host& server = net.add_host("server");
+  sim::Host& client = net.add_host("client");
+  StreamListener listener(server, 80);
+  net.set_link_up_oneway(client.id(), server.id(), false);
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  bool dead = false;
+  conn->watch({duration_ms(50), 10}, [&](bool alive) { dead = !alive; });
+  bool opened = false;
+  conn->on_connect([&] { opened = true; });
+  conn->send("queued before the handshake");
+  loop.run_for(duration_ms(120));
+  EXPECT_FALSE(opened);
+  EXPECT_EQ(listener.accepted(), 0u);
+  net.set_link_up_oneway(client.id(), server.id(), true);
+  StreamConnectionPtr sc;
+  std::string got;
+  listener.on_accept([&](StreamConnectionPtr c) {
+    sc = std::move(c);
+    sc->on_message([&](const Payload& m) { got = to_string(m); });
+  });
+  loop.run_for(duration_ms(100));
+  EXPECT_TRUE(opened);
+  EXPECT_FALSE(dead);
+  EXPECT_EQ(listener.accepted(), 1u);
+  EXPECT_EQ(got, "queued before the handshake");
+
+  // Without the detector the first lost SYN is the last: the connection
+  // waits forever and the loop drains.
+  net.set_link_up_oneway(client.id(), server.id(), false);
+  auto unwatched = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  net.set_link_up_oneway(client.id(), server.id(), true);
+  sc.reset();
+  conn.reset();
+  loop.run();
+  EXPECT_FALSE(unwatched->established());
+  EXPECT_EQ(listener.accepted(), 1u);
+}
+
+TEST_F(TransportTest, ListenerNeverAcceptsAProbeAndItsSenderGoesDead) {
+  sim::Host& server = net.add_host("server");
+  sim::Host& client = net.add_host("client");
+  auto listener = std::make_unique<StreamListener>(server, 80);
+  StreamConnectionPtr sc;
+  listener->on_accept([&](StreamConnectionPtr c) { sc = std::move(c); });
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  int dead = 0;
+  conn->watch({duration_ms(50), 3}, [&](bool alive) {
+    if (!alive) {
+      ++dead;
+      conn->close();
+    }
+  });
+  loop.run_for(duration_ms(100));
+  ASSERT_TRUE(conn->established());
+  // The server process restarts: its connection state is gone, but a new
+  // listener binds the same port. The client's probes reach it and are
+  // neither accepted nor answered.
+  // The old server end's FIN is lost on the way, so only the detector
+  // can tell.
+  net.set_link_up_oneway(server.id(), client.id(), false);
+  sc.reset();
+  listener.reset();
+  listener = std::make_unique<StreamListener>(server, 80);
+  loop.run_for(duration_ms(20));
+  net.set_link_up_oneway(server.id(), client.id(), true);
+  loop.run_for(duration_ms(500));
+  EXPECT_EQ(listener->accepted(), 0u);
+  EXPECT_EQ(listener->active(), 0u);
+  EXPECT_EQ(dead, 1);
+  EXPECT_TRUE(conn->closed());
+}
+
 TEST_F(TransportTest, StreamBuffersInboxUntilHandlerSet) {
   sim::Host& server = net.add_host("server");
   sim::Host& client = net.add_host("client");
