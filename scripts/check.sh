@@ -15,12 +15,14 @@
 #                     defaults to the current commit SHA so every commit
 #                     explores fresh plans while staying reproducible —
 #                     any violation prints a replayable chaos-spec.
-#   fuzz [seed [n]]   sanitized (asan,ubsan) decoder fuzzing: replays the
-#                     committed shrunk corpus (tests/fuzz_seeds/), then
-#                     runs n seeded mutations (default 500) per decoder
-#                     family under the no-throw / O(N)-allocation
-#                     invariants. Seed defaults to the commit SHA; any
-#                     violation prints a shrunk hex reproducer to commit.
+#   props [seed [scale]]
+#                     sanitized (asan,ubsan) deep run of every seeded
+#                     property (tests/property.hpp), the decoder fuzzer
+#                     and its corpus replay included: each property binary
+#                     runs with GMMCS_PROP_SEED=seed and GMMCS_PROP_SCALE=
+#                     scale (default 40). Seed defaults to the commit SHA;
+#                     a failing case prints the one line that replays it
+#                     alone
 #   simsig            sim-clock parity of the perfbench workloads: runs
 #                     each workload named in scripts/sim_signatures.txt
 #                     (--seed 2003 --seconds 1 --trace 0) and diffs the
@@ -65,14 +67,22 @@ if [[ "$MODE" == "chaos" ]]; then
   exit 0
 fi
 
-if [[ "$MODE" == "fuzz" ]]; then
+if [[ "$MODE" == "props" ]]; then
   ROOT="$(cd "$(dirname "$0")/.." && pwd)"
   SEED="${2:-}"
   if [[ -z "$SEED" ]]; then
     SEED="$((16#$(git -C "$ROOT" rev-parse --short=12 HEAD)))"
   fi
-  ITERS="${3:-500}"
-  exec "$ROOT/tools/fuzz/run_fuzz.sh" --seed "$SEED" --iters "$ITERS"
+  SCALE="${3:-40}"
+  PROPS=(test_property test_sim test_common test_payload test_control_plane
+         test_roundtrip_property test_chaos test_decode_fuzz)
+  BUILD="$ROOT/build-sanitize-address-undefined"
+  cmake -B "$BUILD" -S "$ROOT" -DGMMCS_SANITIZE="address,undefined" >/dev/null
+  cmake --build "$BUILD" -j "$(nproc)" --target "${PROPS[@]}"
+  export GMMCS_PROP_SEED="$SEED" GMMCS_PROP_SCALE="$SCALE"
+  for t in "${PROPS[@]}"; do "$BUILD/tests/$t" --gtest_brief=1; done
+  echo "check.sh props: every property clean at scale $SCALE (GMMCS_PROP_SEED=$SEED)"
+  exit 0
 fi
 
 if [[ "$MODE" == "simsig" ]]; then

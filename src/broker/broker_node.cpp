@@ -281,7 +281,9 @@ void BrokerNode::ingress_peer_event(RoutedRef routed, PeerTargets targets) {
       }
     }
     if (local) fan_out_local(routed, /*exclude=*/0);
-    if (!peer_rest_.empty()) route_remote(*routed, peer_rest_);
+    // A standalone broker has no fabric to forward into; only a hostile or
+    // broken sender names other brokers to it.
+    if (!peer_rest_.empty() && network_ != nullptr) route_remote(*routed, peer_rest_);
   });
 }
 

@@ -2,29 +2,20 @@
 // fault plans must satisfy the self-healing invariants; failing specs
 // shrink to minimal replayable reproducers; the committed seed corpus
 // replays as a regression suite; and a generated run is deterministic.
-//
-// GMMCS_CHAOS_SEED / GMMCS_CHAOS_PLANS override the generated batch (CI
-// derives the seed from the commit SHA so every push explores new plans
-// while any failure stays reproducible from the logged spec).
+// The generated batch takes its seeds from the property harness
+// (property.hpp), so `scripts/check.sh props` runs it deeper.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <filesystem>
 #include <string>
-#include <vector>
 
 #include "broker/chaos.hpp"
+#include "property.hpp"
 #include "sim/chaos_gen.hpp"
 
 using namespace gmmcs;
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 0) : fallback;
-}
 
 std::string describe(const broker::ChaosOutcome& outcome) {
   std::string out;
@@ -37,14 +28,14 @@ std::string describe(const broker::ChaosOutcome& outcome) {
 }  // namespace
 
 TEST(ChaosSpec, SerializationRoundTrips) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+  prop::for_each_seed(25, [](std::uint64_t seed) {
     const sim::ChaosSpec spec = sim::ChaosGen::generate(seed);
     const std::string text = spec.serialize();
     const auto back = sim::ChaosSpec::parse(text);
     ASSERT_TRUE(back.has_value()) << text;
     EXPECT_EQ(back->serialize(), text);
     EXPECT_EQ(back->hash(), spec.hash());
-  }
+  });
 }
 
 TEST(ChaosSpec, GeneratorIsPureInSeed) {
@@ -61,32 +52,21 @@ TEST(ChaosSpec, GeneratorIsPureInSeed) {
 }
 
 TEST(ChaosProperty, GeneratedPlansSatisfyInvariants) {
-  const std::uint64_t seed = env_u64("GMMCS_CHAOS_SEED", 20260809);
-  const std::uint64_t plans = env_u64("GMMCS_CHAOS_PLANS", 25);
-  sim::ChaosGen gen(seed);
-  for (std::uint64_t i = 0; i < plans; ++i) {
-    const sim::ChaosSpec spec = gen.next();
+  prop::for_each_seed(25, [](std::uint64_t seed) {
+    const sim::ChaosSpec spec = sim::ChaosGen::generate(seed);
     const broker::ChaosOutcome outcome = broker::run_chaos(spec);
-    if (!outcome.ok()) {
-      // Shrink before reporting: the failure message is a minimal,
-      // committable reproducer (drop it into tests/chaos_seeds/).
-      const sim::ChaosSpec shrunk = broker::shrink_chaos(spec);
-      FAIL() << "plan " << i << " (seed " << spec.seed << ") violated:\n"
-             << describe(outcome) << "minimal reproducer:\n"
-             << shrunk.serialize();
-    }
-  }
+    if (outcome.ok()) return;
+    // Shrink before reporting: the failure message is a minimal,
+    // committable reproducer (drop it into tests/chaos_seeds/).
+    ADD_FAILURE() << "plan violated:\n"
+                  << describe(outcome) << "minimal reproducer:\n"
+                  << broker::shrink_chaos(spec).serialize();
+  });
 }
 
 TEST(ChaosProperty, SeedCorpusReplays) {
-  const std::filesystem::path dir(GMMCS_CHAOS_SEED_DIR);
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".spec") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty()) << "no .spec files under " << dir;
+  const auto files = prop::corpus(GMMCS_CHAOS_SEED_DIR, ".spec");
+  ASSERT_FALSE(files.empty()) << "no .spec files under " << GMMCS_CHAOS_SEED_DIR;
   for (const auto& path : files) {
     const auto spec = sim::read_spec_file(path.string());
     ASSERT_TRUE(spec.has_value()) << path;

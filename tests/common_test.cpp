@@ -1,9 +1,13 @@
 // Tests for the common substrate: bytes, time, rng, stats, strings, ids,
 // the ring queue.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
+#include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -13,6 +17,7 @@
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/time.hpp"
+#include "property.hpp"
 
 namespace gmmcs {
 namespace {
@@ -156,7 +161,7 @@ TEST(RingProperty, MatchesDequeReference) {
   int wrapped_growths = 0;
   int wrapped_clears = 0;
   int front_edits = 0;
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+  const prop::Cases cases = prop::for_each_seed(200, [&](std::uint64_t seed) {
     Rng rng(seed);
     Ring<Rec> ring;
     std::deque<Rec> ref;
@@ -193,23 +198,64 @@ TEST(RingProperty, MatchesDequeReference) {
           ring.clear();
           ref.clear();
           head = 0;
-          ASSERT_EQ(ring.capacity(), cap) << "seed " << seed;  // keeps its buffer
+          ASSERT_EQ(ring.capacity(), cap);  // keeps its buffer
         }
-        ASSERT_EQ(ring.size(), ref.size()) << "seed " << seed;
+        ASSERT_EQ(ring.size(), ref.size());
         ASSERT_EQ(ring.empty(), ref.empty());
         ASSERT_GE(ring.capacity(), cap);  // never shrinks
         ASSERT_EQ(ring.capacity() & (ring.capacity() - 1), 0u);
         for (std::size_t i = 0; i < ref.size(); ++i) {
-          ASSERT_EQ(ring[i].id, ref[i].id) << "seed " << seed << ", index " << i;
+          ASSERT_EQ(ring[i].id, ref[i].id) << "index " << i;
           ASSERT_EQ(ring[i].items, ref[i].items);
         }
       }
     }
-  }
+  });
   // The scripts reach the corners the property is about.
-  EXPECT_GT(wrapped_growths, 100);
-  EXPECT_GT(wrapped_clears, 50);
-  EXPECT_GT(front_edits, 5000);
+  cases.expect_more(wrapped_growths, 100, "wrapped_growths");
+  cases.expect_more(wrapped_clears, 50, "wrapped_clears");
+  cases.expect_more(front_edits, 5000, "front_edits");
+}
+
+// The harness the seeded properties share (property.hpp): its two knobs
+// take whole non-negative numbers only, the scale multiplies the default
+// count and its coverage floors, and scale 0 runs exactly the named case.
+TEST(PropertyHarness, ParsesScalesAndReplays) {
+  EXPECT_EQ(prop::parse_whole("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "x", "5OO", "-1", "+1", " 1", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(prop::parse_whole(bad).has_value()) << "'" << bad << "'";
+  }
+  // The knobs this binary was run with (unset reads as the default), put
+  // back at the end.
+  const std::string given_seed = std::to_string(prop::knob("GMMCS_PROP_SEED", 1).value_or(1));
+  const std::string given_scale = std::to_string(prop::knob("GMMCS_PROP_SCALE", 1).value_or(1));
+  std::vector<std::uint64_t> seeds;
+  const auto run = [&](const char* first, const char* scale, std::uint64_t default_count) {
+    seeds.clear();
+    ::setenv("GMMCS_PROP_SEED", first, 1);
+    ::setenv("GMMCS_PROP_SCALE", scale, 1);
+    return prop::for_each_seed(default_count, [&](std::uint64_t seed) { seeds.push_back(seed); });
+  };
+  EXPECT_NONFATAL_FAILURE(run("1", "x", 25),
+                          "GMMCS_PROP_SCALE='x' is not a whole non-negative number");
+  EXPECT_NONFATAL_FAILURE(run("5OO", "1", 25),
+                          "GMMCS_PROP_SEED='5OO' is not a whole non-negative number");
+  EXPECT_NONFATAL_FAILURE(run("1", "18446744073709551615", 2), "overflows the case count");
+  EXPECT_EQ(seeds, std::vector<std::uint64_t>{});
+
+  EXPECT_EQ(run("5", "2", 3).scale, 2u);
+  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{5, 6, 7, 8, 9, 10}));
+  // A floor of 250 per 25 cases asks for more than 25,000 at scale 100.
+  const prop::Cases deep = run("1", "100", 25);
+  EXPECT_EQ(seeds.size(), 2500u);
+  EXPECT_NONFATAL_FAILURE(deep.expect_more(25'000, 250, "corner"), "corner at scale 100");
+  deep.expect_more(25'001, 250, "corner");
+
+  const prop::Cases replay = run("1234", "0", 2000);
+  EXPECT_EQ(seeds, std::vector<std::uint64_t>{1234});
+  replay.expect_more(0, 250, "skipped by a replay");
+  ::setenv("GMMCS_PROP_SEED", given_seed.c_str(), 1);
+  ::setenv("GMMCS_PROP_SCALE", given_scale.c_str(), 1);
 }
 
 TEST(Stats, RunningStatsBasics) {

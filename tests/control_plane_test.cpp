@@ -19,6 +19,7 @@
 #include "broker/route_tables.hpp"
 #include "broker/topic.hpp"
 #include "common/random.hpp"
+#include "property.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 
@@ -214,8 +215,8 @@ std::string next_hop_error(const broker::RouteTables& routes, BrokerId from, Bro
 }  // namespace
 
 TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
-  gmmcs::Rng rng(20031117);
-  for (int trial = 0; trial < 24; ++trial) {
+  prop::for_each_seed(24, [](std::uint64_t seed) {
+    gmmcs::Rng rng(seed);
     sim::EventLoop loop;
     sim::Network net(loop);
     broker::BrokerNetwork fabric(net);
@@ -238,8 +239,7 @@ TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
     fabric.finalize();
     std::map<BrokerId, std::set<Link>> shared;
     for (BrokerId i = 0; i < n; ++i) shared[i];
-    const std::string where = "trial " + std::to_string(trial);
-    expect_routes_match(fabric.routes(), adj, shared, where);
+    expect_routes_match(fabric.routes(), adj, shared, "built");
 
     // Shared-table repair: links go down (and one comes back) one report
     // at a time; the tables must match the reference after each.
@@ -249,21 +249,21 @@ TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
       fabric.report_link(l.first, l.second, /*up=*/false);
       down.insert(l);
       for (auto& [row, set] : shared) set = down;
-      expect_routes_match(fabric.routes(), adj, shared, where + " down");
+      expect_routes_match(fabric.routes(), adj, shared, "down");
     }
     if (!down.empty()) {
       const Link back = *down.begin();
       fabric.report_link(back.first, back.second, /*up=*/true);
       down.erase(back);
       for (auto& [row, set] : shared) set = down;
-      expect_routes_match(fabric.routes(), adj, shared, where + " up");
+      expect_routes_match(fabric.routes(), adj, shared, "up");
     }
-  }
+  });
 }
 
 TEST(DenseRoutes, MatchMapBfsWithGossipPerBrokerViews) {
-  gmmcs::Rng rng(4711);
-  for (int trial = 0; trial < 16; ++trial) {
+  prop::for_each_seed(16, [](std::uint64_t seed) {
+    gmmcs::Rng rng(seed);
     sim::EventLoop loop;
     sim::Network net(loop);
     broker::BrokerNetwork fabric(net);
@@ -295,7 +295,6 @@ TEST(DenseRoutes, MatchMapBfsWithGossipPerBrokerViews) {
     fabric.finalize();
     std::map<BrokerId, std::set<Link>> views;
     for (BrokerId i = 0; i < n; ++i) views[i];
-    const std::string where = "gossip trial " + std::to_string(trial);
     // Each step changes one broker's private view only: a detector report
     // at one end of a link, or a received advertisement anywhere.
     for (int step = 0; step < 8; ++step) {
@@ -315,10 +314,9 @@ TEST(DenseRoutes, MatchMapBfsWithGossipPerBrokerViews) {
       } else {
         views[at].insert(l);
       }
-      expect_routes_match(fabric.routes(), adj, views,
-                          where + " step " + std::to_string(step));
+      expect_routes_match(fabric.routes(), adj, views, "step " + std::to_string(step));
     }
-  }
+  });
 }
 
 TEST(DenseRoutes, EdgeCasesKeepTheMapTablesBehaviour) {

@@ -17,10 +17,9 @@
 //
 // Failures shrink greedily to a minimal reproducer, printed as hex to
 // commit under tests/fuzz_seeds/ (replayed by the first test here; the
-// corpus is named <family>-<what>.hex). GMMCS_FUZZ_SEED and
-// GMMCS_FUZZ_ITERS override the batch — CI derives the seed from the
-// commit SHA so every push explores new mutations while any failure
-// stays reproducible.
+// corpus is named <family>-<what>.hex). Each family's cases take their
+// seeds from the property harness (property.hpp), so
+// `scripts/check.sh props` runs them deeper from a commit-derived seed.
 //
 // Own binary because it replaces global new/delete (like
 // zero_copy_cert_test).
@@ -35,16 +34,23 @@
 #include <string>
 #include <vector>
 
+#include "broker/broker_node.hpp"
+#include "broker/client.hpp"
 #include "broker/event.hpp"
 #include "common/bytes.hpp"
 #include "common/random.hpp"
 #include "h323/messages.hpp"
+#include "property.hpp"
 #include "rtp/packet.hpp"
 #include "rtp/rtcp.hpp"
+#include "sim/event_loop.hpp"
+#include "sim/network.hpp"
 #include "sip/message.hpp"
 #include "sip/sdp.hpp"
 #include "soap/soap.hpp"
 #include "streaming/rtsp.hpp"
+#include "transport/stream.hpp"
+#include "wire_gen.hpp"
 #include "xgsp/messages.hpp"
 
 namespace {
@@ -52,6 +58,9 @@ namespace {
 using gmmcs::Bytes;
 using gmmcs::ByteWriter;
 using gmmcs::Rng;
+using gmmcs::to_string;
+namespace prop = gmmcs::prop;
+using namespace gmmcs::gen;
 
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 
@@ -76,15 +85,6 @@ namespace {
 constexpr std::uint64_t kAllocFactor = 128;
 constexpr std::uint64_t kAllocSlack = 8192;
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 0) : fallback;
-}
-
-std::string to_text(const Bytes& b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-}
-
 // --- family registry ------------------------------------------------------
 
 struct Family {
@@ -94,127 +94,15 @@ struct Family {
   Bytes (*seed)(Rng&);
 };
 
-std::string rand_token(Rng& rng, std::size_t max_len = 12) {
-  static const char kAlpha[] = "abcdefghijklmnopqrstuvwxyz0123456789-.";
-  auto len = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(max_len)));
-  std::string s;
-  for (std::size_t i = 0; i < len; ++i) {
-    s.push_back(kAlpha[rng.uniform_int(0, sizeof(kAlpha) - 2)]);
-  }
-  return s;
-}
-
-Bytes rand_payload(Rng& rng, std::size_t max_len = 32) {
-  auto len = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(max_len)));
-  Bytes b;
-  for (std::size_t i = 0; i < len; ++i) {
-    b.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
-  }
-  return b;
-}
-
-gmmcs::Payload seed_broker_frame(Rng& rng) {
-  gmmcs::broker::Event ev;
-  ev.topic = rand_token(rng);
-  ev.payload = rand_payload(rng);
-  ev.seq = static_cast<std::uint32_t>(rng.next());
-  ev.publisher = static_cast<std::uint32_t>(rng.next());
-  switch (rng.uniform_int(0, 4)) {
-    case 0:
-      return encode(gmmcs::broker::HelloMessage{
-          rand_token(rng), static_cast<std::uint16_t>(rng.next())});
-    case 1:
-      return encode(gmmcs::broker::SubscribeMessage{rand_token(rng), rng.chance(0.5)});
-    case 2:
-      return encode(ev);
-    case 3: {
-      gmmcs::broker::PeerEventMessage m;
-      m.event = ev;
-      auto n = rng.uniform_int(0, 4);
-      for (std::int64_t k = 0; k < n; ++k) {
-        m.targets.push_back(static_cast<std::uint32_t>(rng.next()));
-      }
-      return encode(m);
-    }
-    default:
-      return encode(gmmcs::broker::LinkStateMessage{
-          static_cast<std::uint32_t>(rng.next()), static_cast<std::uint32_t>(rng.next()),
-          static_cast<std::uint32_t>(rng.next()), static_cast<std::uint32_t>(rng.next()),
-          rng.chance(0.5)});
-  }
-}
-
-/// A broker frame as mutable bytes (the encoders build Payload frames).
+// The valid images the cases mutate: the round trips' (wire_gen.hpp) for
+// the binary families, hand-written ones for the text families.
 Bytes seed_broker(Rng& rng) {
-  return seed_broker_frame(rng).to_bytes();
+  const auto kind = static_cast<int>(rng.uniform_int(0, kBrokerFrameKinds - 1));
+  return rand_broker_frame(rng, kind).to_bytes();  // mutable bytes of a Payload frame
 }
-
-Bytes seed_ras(Rng& rng) {
-  gmmcs::h323::RasMessage m;
-  m.type = static_cast<gmmcs::h323::RasType>(rng.uniform_int(1, 14));
-  m.seq = static_cast<std::uint32_t>(rng.next());
-  m.endpoint_alias = rand_token(rng);
-  m.gatekeeper_id = rand_token(rng);
-  m.bandwidth = static_cast<std::uint32_t>(rng.next());
-  return m.encode();
-}
-
-Bytes seed_q931(Rng& rng) {
-  gmmcs::h323::Q931Message m;
-  m.type = gmmcs::h323::Q931Type::kSetup;
-  m.call_reference = static_cast<std::uint16_t>(rng.next());
-  m.calling_party = rand_token(rng);
-  m.called_party = rand_token(rng);
-  return m.encode();
-}
-
-Bytes seed_h245(Rng& rng) {
-  gmmcs::h323::H245Message m;
-  m.type = static_cast<gmmcs::h323::H245Type>(rng.uniform_int(1, 10));
-  m.seq = static_cast<std::uint32_t>(rng.next());
-  auto n = rng.uniform_int(0, 6);
-  for (std::int64_t i = 0; i < n; ++i) {
-    m.capabilities.push_back(static_cast<std::uint8_t>(rng.next()));
-  }
-  m.media_kind = rand_token(rng);
-  return m.encode();
-}
-
-Bytes seed_rtp(Rng& rng) {
-  gmmcs::rtp::RtpPacket p;
-  p.payload_type = static_cast<std::uint8_t>(rng.uniform_int(0, 127));
-  p.sequence = static_cast<std::uint16_t>(rng.next());
-  p.timestamp = static_cast<std::uint32_t>(rng.next());
-  p.ssrc = static_cast<std::uint32_t>(rng.next());
-  auto n = rng.uniform_int(0, 4);
-  for (std::int64_t i = 0; i < n; ++i) {
-    p.csrcs.push_back(static_cast<std::uint32_t>(rng.next()));
-  }
-  p.payload = rand_payload(rng);
-  return p.serialize();
-}
-
 Bytes seed_rtcp(Rng& rng) {
-  auto rand_block = [&] {
-    gmmcs::rtp::ReportBlock b;
-    b.ssrc = static_cast<std::uint32_t>(rng.next());
-    b.highest_seq = static_cast<std::uint32_t>(rng.next());
-    b.jitter = static_cast<std::uint32_t>(rng.next());
-    return b;
-  };
-  if (rng.chance(0.5)) {
-    gmmcs::rtp::SenderReport sr;
-    sr.ssrc = static_cast<std::uint32_t>(rng.next());
-    sr.ntp_timestamp = rng.next();
-    auto n = rng.uniform_int(0, 3);
-    for (std::int64_t i = 0; i < n; ++i) sr.blocks.push_back(rand_block());
-    return serialize(sr);
-  }
-  gmmcs::rtp::ReceiverReport rr;
-  rr.ssrc = static_cast<std::uint32_t>(rng.next());
-  auto n = rng.uniform_int(0, 3);
-  for (std::int64_t i = 0; i < n; ++i) rr.blocks.push_back(rand_block());
-  return serialize(rr);
+  if (rng.chance(0.5)) return serialize(rand_sender_report(rng));
+  return serialize(rand_receiver_report(rng));
 }
 
 Bytes from_text(const std::string& s) {
@@ -267,18 +155,18 @@ void decode_q931(const Bytes& b) { (void)gmmcs::h323::Q931Message::decode(b); }
 void decode_h245(const Bytes& b) { (void)gmmcs::h323::H245Message::decode(b); }
 void decode_rtp(const Bytes& b) { (void)gmmcs::rtp::RtpPacket::parse(gmmcs::Payload{Bytes(b)}); }
 void decode_rtcp(const Bytes& b) { (void)gmmcs::rtp::parse_rtcp(b); }
-void decode_sip(const Bytes& b) { (void)gmmcs::sip::SipMessage::parse(to_text(b)); }
-void decode_sdp(const Bytes& b) { (void)gmmcs::sip::Sdp::parse(to_text(b)); }
-void decode_rtsp(const Bytes& b) { (void)gmmcs::streaming::RtspMessage::parse(to_text(b)); }
-void decode_xgsp(const Bytes& b) { (void)gmmcs::xgsp::Message::parse(to_text(b)); }
-void decode_http(const Bytes& b) { (void)gmmcs::soap::parse_http_response(to_text(b)); }
+void decode_sip(const Bytes& b) { (void)gmmcs::sip::SipMessage::parse(to_string(b)); }
+void decode_sdp(const Bytes& b) { (void)gmmcs::sip::Sdp::parse(to_string(b)); }
+void decode_rtsp(const Bytes& b) { (void)gmmcs::streaming::RtspMessage::parse(to_string(b)); }
+void decode_xgsp(const Bytes& b) { (void)gmmcs::xgsp::Message::parse(to_string(b)); }
+void decode_http(const Bytes& b) { (void)gmmcs::soap::parse_http_response(to_string(b)); }
 
 constexpr Family kFamilies[] = {
     {"broker", false, decode_broker, seed_broker},
-    {"ras", false, decode_ras, seed_ras},
-    {"q931", false, decode_q931, seed_q931},
-    {"h245", false, decode_h245, seed_h245},
-    {"rtp", false, decode_rtp, seed_rtp},
+    {"ras", false, decode_ras, [](Rng& rng) { return rand_ras(rng).encode(); }},
+    {"q931", false, decode_q931, [](Rng& rng) { return rand_q931(rng).encode(); }},
+    {"h245", false, decode_h245, [](Rng& rng) { return rand_h245(rng).encode(); }},
+    {"rtp", false, decode_rtp, [](Rng& rng) { return rand_rtp(rng).serialize(); }},
     {"rtcp", false, decode_rtcp, seed_rtcp},
     {"sip", true, decode_sip, seed_sip},
     {"sdp", true, decode_sdp, seed_sdp},
@@ -397,69 +285,84 @@ std::string hex_dump(const Bytes& b) {
   return out;
 }
 
-Bytes parse_hex(const std::string& text) {
+/// The bytes a corpus file spells in hex; anything but a hex digit is
+/// skipped.
+Bytes read_hex_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::string hex;
+  for (char c; in >> c;) {
+    if (std::isxdigit(static_cast<unsigned char>(c)) != 0) hex.push_back(c);
+  }
   Bytes out;
-  int hi = -1;
-  for (char c : text) {
-    int nibble;
-    if (c >= '0' && c <= '9') nibble = c - '0';
-    else if (c >= 'a' && c <= 'f') nibble = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') nibble = c - 'A' + 10;
-    else continue;  // whitespace / newlines
-    if (hi < 0) {
-      hi = nibble;
-    } else {
-      out.push_back(static_cast<std::uint8_t>((hi << 4) | nibble));
-      hi = -1;
-    }
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
   }
   return out;
 }
 
-Bytes read_hex_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  return parse_hex(
-      std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
-}
+/// Fuzz cases per family at the harness's default scale.
+constexpr std::uint64_t kFuzzCases = 500;
 
-std::uint64_t fuzz_seed() {
-  return env_u64("GMMCS_FUZZ_SEED", 20260809);
-}
-
-/// Calls fn(i, input) for each of the family's fuzz cases, in order,
-/// until fn returns false.
-template <class Fn>
-void for_each_case(const Family& fam, Fn&& fn) {
-  const std::uint64_t iters = env_u64("GMMCS_FUZZ_ITERS", 500);
-  Rng rng(fuzz_seed() ^ std::hash<std::string>{}(fam.name));
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    if (!fn(i, mutate(rng, fam, fam.seed(rng)))) return;
-  }
+/// The family's fuzz case `seed`: one of its valid images, mutated.
+Bytes fuzz_case(const Family& fam, std::uint64_t seed) {
+  Rng rng(seed ^ std::hash<std::string_view>{}(fam.name));
+  return mutate(rng, fam, fam.seed(rng));
 }
 
 void fuzz_family(const Family& fam) {
-  const std::uint64_t seed = fuzz_seed();
-  for_each_case(fam, [&](std::uint64_t i, const Bytes& input) {
-    Verdict v = run_decode(fam, input);
-    if (!v.violated(input.size())) return true;
+  prop::for_each_seed(kFuzzCases, [&](std::uint64_t seed) {
+    const Bytes input = fuzz_case(fam, seed);
+    if (!run_decode(fam, input).violated(input.size())) return;
     const Bytes minimal = shrink(fam, input);
     const Verdict mv = run_decode(fam, minimal);
-    ADD_FAILURE() << fam.name << " decode invariant violated (seed=" << seed << " iter=" << i
-                  << "): "
+    ADD_FAILURE() << fam.name << " decode invariant violated: "
                   << (mv.threw ? "threw '" + mv.what + "'"
                                : "allocated " + std::to_string(mv.allocated) + " bytes for a " +
                                      std::to_string(minimal.size()) + "-byte input")
                   << "\nshrunk reproducer (commit as tests/fuzz_seeds/" << fam.name
                   << "-<what>.hex):\n"
                   << hex_dump(minimal);
-    return false;
   });
 }
 
-// --- the in-place kEvent decoder ------------------------------------------
+// --- the in-place decoders ------------------------------------------------
+
+using gmmcs::broker::BrokerId;
+using gmmcs::broker::Event;
+using gmmcs::broker::MessageType;
+
+/// One of the receive path's second entries to the broker body decoder:
+/// kEvent at a client, kPeerEvent on the broker-to-broker hop. `decode`
+/// fills an event and its target ids (none for kEvent); `encode` is the
+/// frame its writer makes of them.
+struct InPlace {
+  MessageType type;
+  bool (*decode)(const gmmcs::Payload&, Event&, std::vector<BrokerId>&);
+  gmmcs::Payload (*encode)(const Event&, const std::vector<BrokerId>&);
+};
+
+const InPlace kEventDecoder{
+    MessageType::kEvent,
+    [](const gmmcs::Payload& f, Event& ev, std::vector<BrokerId>&) {
+      return gmmcs::broker::decode_event_into(f, ev);
+    },
+    [](const Event& ev, const std::vector<BrokerId>&) { return gmmcs::broker::encode(ev); }};
+
+const InPlace kPeerEventDecoder{
+    MessageType::kPeerEvent,
+    [](const gmmcs::Payload& f, Event& ev, std::vector<BrokerId>& ids) {
+      gmmcs::broker::PeerTargets targets;
+      if (!gmmcs::broker::decode_peer_event_into(f, ev, targets)) return false;
+      ids.clear();
+      for (std::size_t i = 0; i < targets.size(); ++i) ids.push_back(targets[i]);
+      return true;
+    },
+    [](const Event& ev, const std::vector<BrokerId>& ids) {
+      return gmmcs::broker::encode_peer_event(ev, ids);
+    }};
 
 /// Empty when the two decoded events carry identical fields.
-std::string event_difference(const gmmcs::broker::Event& got, const gmmcs::broker::Event& e) {
+std::string event_difference(const Event& got, const Event& e) {
   if (got.topic != e.topic) return "topic differs";
   if (gmmcs::to_string(got.payload.view()) != gmmcs::to_string(e.payload.view())) {
     return "payload differs";
@@ -471,90 +374,72 @@ std::string event_difference(const gmmcs::broker::Event& got, const gmmcs::broke
   return {};
 }
 
-/// Empty when decode_event_into() agrees with decode() on `input`: it
-/// accepts exactly the frames decode() returns as kEvent, with identical
-/// fields. Otherwise, what differed.
-std::string in_place_disagreement(const Bytes& input) {
+/// Empty when `in` agrees with decode() on `input`: it accepts exactly the
+/// frames decode() returns as its type, with identical event fields and
+/// targets. Otherwise, what differed.
+std::string in_place_disagreement(const InPlace& in, const Bytes& input) {
   const gmmcs::Payload frame{Bytes(input)};
   const auto full = gmmcs::broker::decode(frame);
-  const bool want = full.ok() && full.value().type == gmmcs::broker::MessageType::kEvent;
-  gmmcs::broker::Event got;
+  const bool want = full.ok() && full.value().type == in.type;
+  Event got;
   got.topic = "stale topic from an earlier event";
   got.payload = gmmcs::to_bytes("stale payload");
-  if (gmmcs::broker::decode_event_into(frame, got) != want) {
-    return want ? "in-place decoder rejected a kEvent frame decode() accepts"
-                : "in-place decoder accepted a frame decode() does not return as kEvent";
+  std::vector<BrokerId> ids;
+  if (in.decode(frame, got, ids) != want) {
+    return want ? "in-place decoder rejected a frame decode() accepts"
+                : "in-place decoder accepted a frame decode() does not return as its type";
   }
   if (!want) return {};
-  return event_difference(got, full.value().event);
+  if (in.type == MessageType::kEvent) return event_difference(got, full.value().event);
+  if (ids != full.value().peer_event.targets) return "targets differ";
+  return event_difference(got, full.value().peer_event.event);
 }
 
-/// Empty when every strict prefix of the kEvent frame `input` is rejected
-/// by the in-place decoder. Vacuous unless `input` is exactly a kEvent
-/// frame as encode() writes it: decode() ignores trailing bytes, so a
-/// mutated frame with a tail may legitimately have accepted prefixes.
-std::string accepted_prefix(const Bytes& input) {
-  gmmcs::broker::Event scratch;
-  if (!gmmcs::broker::decode_event_into(gmmcs::Payload{Bytes(input)}, scratch) ||
-      gmmcs::broker::encode(scratch) != input) {
+/// Empty when `in` rejects every strict prefix of `input`. Vacuous unless
+/// `input` is exactly a frame as its writer makes it: decode() ignores
+/// trailing bytes, so a mutated frame with a tail may legitimately have
+/// accepted prefixes.
+std::string accepted_prefix(const InPlace& in, const Bytes& input) {
+  Event scratch;
+  std::vector<BrokerId> ids;
+  if (!in.decode(gmmcs::Payload{Bytes(input)}, scratch, ids) || in.encode(scratch, ids) != input) {
     return {};
   }
   for (std::size_t n = 0; n < input.size(); ++n) {
     const Bytes prefix(input.begin(), input.begin() + static_cast<std::ptrdiff_t>(n));
-    if (gmmcs::broker::decode_event_into(gmmcs::Payload{Bytes(prefix)}, scratch)) {
+    if (in.decode(gmmcs::Payload{Bytes(prefix)}, scratch, ids)) {
       return "accepted the " + std::to_string(n) + "-byte prefix of a " +
-             std::to_string(input.size()) + "-byte kEvent frame";
+             std::to_string(input.size()) + "-byte frame";
     }
   }
   return {};
 }
 
-// --- the in-place kPeerEvent decoder --------------------------------------
+/// Holds `in` to both checks over the committed corpus (every family's
+/// inputs, as stray bytes reaching it) and the Broker family's frames,
+/// unmutated and as fuzz cases.
+void expect_in_place_agrees(const InPlace& in) {
+  const auto check = [&in](const Bytes& input, const std::string& what) {
+    EXPECT_EQ(in_place_disagreement(in, input), "") << what;
+    EXPECT_EQ(accepted_prefix(in, input), "") << what;
+  };
+  const auto files = prop::corpus(GMMCS_FUZZ_SEED_DIR, ".hex");
+  EXPECT_GE(files.size(), 6u);
+  for (const auto& path : files) check(read_hex_file(path), path.stem().string());
 
-/// Empty when decode_peer_event_into() agrees with decode() on `input`: it
-/// accepts exactly the frames decode() returns as kPeerEvent, with
-/// identical event fields and targets. Otherwise, what differed.
-std::string peer_in_place_disagreement(const Bytes& input) {
-  const gmmcs::Payload frame{Bytes(input)};
-  const auto full = gmmcs::broker::decode(frame);
-  const bool want = full.ok() && full.value().type == gmmcs::broker::MessageType::kPeerEvent;
-  gmmcs::broker::Event got;
-  got.topic = "stale topic from an earlier event";
-  got.payload = gmmcs::to_bytes("stale payload");
-  gmmcs::broker::PeerTargets targets;
-  if (gmmcs::broker::decode_peer_event_into(frame, got, targets) != want) {
-    return want ? "in-place peer decoder rejected a kPeerEvent frame decode() accepts"
-                : "in-place peer decoder accepted a frame decode() does not return as kPeerEvent";
-  }
-  if (!want) return {};
-  const gmmcs::broker::PeerEventMessage& m = full.value().peer_event;
-  std::vector<gmmcs::broker::BrokerId> ids;
-  for (std::size_t i = 0; i < targets.size(); ++i) ids.push_back(targets[i]);
-  if (ids != m.targets) return "targets differ";
-  return event_difference(got, m.event);
-}
-
-/// Empty when every strict prefix of the kPeerEvent frame `input` is
-/// rejected by the in-place peer decoder. Vacuous unless `input` is
-/// exactly a kPeerEvent frame as encode_peer_event() writes it (see
-/// accepted_prefix for why).
-std::string peer_accepted_prefix(const Bytes& input) {
-  gmmcs::broker::Event scratch;
-  gmmcs::broker::PeerTargets targets;
-  if (!gmmcs::broker::decode_peer_event_into(gmmcs::Payload{Bytes(input)}, scratch, targets)) {
-    return {};
-  }
-  std::vector<gmmcs::broker::BrokerId> ids;
-  for (std::size_t i = 0; i < targets.size(); ++i) ids.push_back(targets[i]);
-  if (gmmcs::broker::encode_peer_event(scratch, ids) != input) return {};
-  for (std::size_t n = 0; n < input.size(); ++n) {
-    const Bytes prefix(input.begin(), input.begin() + static_cast<std::ptrdiff_t>(n));
-    if (gmmcs::broker::decode_peer_event_into(gmmcs::Payload{Bytes(prefix)}, scratch, targets)) {
-      return "accepted the " + std::to_string(n) + "-byte prefix of a " +
-             std::to_string(input.size()) + "-byte kPeerEvent frame";
-    }
-  }
-  return {};
+  const Family& broker = kFamilies[0];
+  int of_type = 0;
+  const prop::Cases frames = prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
+    const Bytes input = broker.seed(rng);
+    check(input, hex_dump(input));
+    of_type += !input.empty() && input[0] == static_cast<std::uint8_t>(in.type) ? 1 : 0;
+  });
+  frames.expect_more(of_type, 0, "unmutated frames of the decoder's type");
+  prop::for_each_seed(kFuzzCases, [&](std::uint64_t seed) {
+    const Bytes input = fuzz_case(broker, seed);
+    check(input, hex_dump(input));
+  });
 }
 
 // --- tests ----------------------------------------------------------------
@@ -563,104 +448,108 @@ std::string peer_accepted_prefix(const Bytes& input) {
 // replays clean against the hardened decoders. File name prefix (up to
 // the first '-') selects the family.
 TEST(DecodeFuzz, CommittedSeedCorpusReplaysClean) {
-  const std::filesystem::path dir(GMMCS_FUZZ_SEED_DIR);
-  ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
-  int replayed = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".hex") continue;
-    const std::string stem = entry.path().stem().string();
+  const auto files = prop::corpus(GMMCS_FUZZ_SEED_DIR, ".hex");
+  ASSERT_GE(files.size(), 6u) << "seed corpus went missing from " << GMMCS_FUZZ_SEED_DIR;
+  for (const auto& path : files) {
+    const std::string stem = path.stem().string();
     const std::string fam_name = stem.substr(0, stem.find('-'));
     const Family* fam = nullptr;
     for (const Family& f : kFamilies) {
       if (fam_name == f.name) fam = &f;
     }
     ASSERT_NE(fam, nullptr) << "unknown family in seed name: " << stem;
-    const Bytes input = read_hex_file(entry.path());
+    const Bytes input = read_hex_file(path);
     const Verdict v = run_decode(*fam, input);
     EXPECT_FALSE(v.violated(input.size()))
         << stem << ": " << (v.threw ? "threw '" + v.what + "'"
                                     : "allocated " + std::to_string(v.allocated) + " bytes");
-    ++replayed;
   }
-  EXPECT_GE(replayed, 6) << "seed corpus went missing from " << dir;
 }
 
-// The receive hot path's in-place kEvent decoder is a second entry to the
-// broker body decoder: over the committed corpus (every family's inputs,
-// as stray bytes reaching a client) and every Broker-family fuzz case,
-// unmutated or mutated, it must accept exactly what decode() accepts as
-// kEvent, with identical fields, and reject every strict prefix.
-TEST(DecodeFuzz, InPlaceEventDecoderAgreesWithDecode) {
-  int corpus = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(GMMCS_FUZZ_SEED_DIR)) {
-    if (entry.path().extension() != ".hex") continue;
-    const Bytes input = read_hex_file(entry.path());
-    EXPECT_EQ(in_place_disagreement(input), "") << entry.path().stem().string();
-    EXPECT_EQ(accepted_prefix(input), "") << entry.path().stem().string();
-    ++corpus;
-  }
-  EXPECT_GE(corpus, 6);
-
-  const Family& broker = kFamilies[0];
-  const auto kEvent = static_cast<std::uint8_t>(gmmcs::broker::MessageType::kEvent);
-  Rng rng(fuzz_seed());
-  int events = 0;
-  for (int i = 0; i < 200; ++i) {
-    const Bytes input = broker.seed(rng);
-    EXPECT_EQ(in_place_disagreement(input), "") << hex_dump(input);
-    EXPECT_EQ(accepted_prefix(input), "") << hex_dump(input);
-    if (!input.empty() && input[0] == kEvent) ++events;
-  }
-  EXPECT_GT(events, 0) << "no unmutated kEvent frames generated";
-  for_each_case(broker, [&](std::uint64_t i, const Bytes& input) {
-    const std::string diff = in_place_disagreement(input);
-    const std::string prefix = accepted_prefix(input);
-    EXPECT_EQ(diff, "") << "iter " << i << ": " << hex_dump(input);
-    EXPECT_EQ(prefix, "") << "iter " << i << ": " << hex_dump(input);
-    return diff.empty() && prefix.empty();
-  });
-}
+// The receive hot path's in-place kEvent decoder must accept exactly what
+// decode() accepts as kEvent, with identical fields, and reject every
+// strict prefix.
+TEST(DecodeFuzz, InPlaceEventDecoderAgreesWithDecode) { expect_in_place_agrees(kEventDecoder); }
 
 // The broker-to-broker hop's in-place kPeerEvent decoder, held to the same
-// bar over the same inputs: exact agreement with decode() (event fields
-// and targets), every strict prefix rejected.
+// bar: exact agreement with decode() (event fields and targets), every
+// strict prefix rejected.
 TEST(DecodeFuzz, InPlacePeerEventDecoderAgreesWithDecode) {
-  int corpus = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(GMMCS_FUZZ_SEED_DIR)) {
-    if (entry.path().extension() != ".hex") continue;
-    const Bytes input = read_hex_file(entry.path());
-    EXPECT_EQ(peer_in_place_disagreement(input), "") << entry.path().stem().string();
-    EXPECT_EQ(peer_accepted_prefix(input), "") << entry.path().stem().string();
-    ++corpus;
-  }
-  EXPECT_GE(corpus, 6);
-
   // The count-claim frame of MalformedBroker.PeerEventCountClaimOnTruncatedFrame:
   // three bytes claiming 65535 targets.
   const Bytes count_claim = {0x06, 0xFF, 0xFF};
-  gmmcs::broker::Event scratch;
-  gmmcs::broker::PeerTargets targets;
-  EXPECT_FALSE(gmmcs::broker::decode_peer_event_into(gmmcs::Payload{Bytes(count_claim)}, scratch,
-                                                     targets));
-  EXPECT_EQ(peer_in_place_disagreement(count_claim), "");
+  Event scratch;
+  std::vector<BrokerId> ids;
+  EXPECT_FALSE(kPeerEventDecoder.decode(gmmcs::Payload{Bytes(count_claim)}, scratch, ids));
+  EXPECT_EQ(in_place_disagreement(kPeerEventDecoder, count_claim), "");
+  expect_in_place_agrees(kPeerEventDecoder);
+}
 
-  const Family& broker = kFamilies[0];
-  const auto kPeerEvent = static_cast<std::uint8_t>(gmmcs::broker::MessageType::kPeerEvent);
-  Rng rng(fuzz_seed());
-  int peer_events = 0;
-  for (int i = 0; i < 200; ++i) {
-    const Bytes input = broker.seed(rng);
-    EXPECT_EQ(peer_in_place_disagreement(input), "") << hex_dump(input);
-    EXPECT_EQ(peer_accepted_prefix(input), "") << hex_dump(input);
-    if (!input.empty() && input[0] == kPeerEvent) ++peer_events;
+// --- hostile frames on a live stream ---------------------------------------
+
+constexpr const char* kProbeTopic = "/probe";
+constexpr const char* kProbeBody = "well-formed probe";
+
+/// Writes case `seed`'s hostile frames onto `stream` (mutated images of
+/// every family, broker frames half the time), then one well-formed
+/// kEvent: the probe that must still get through.
+void send_hostile_then_probe(gmmcs::transport::StreamConnection& stream, std::uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < 20; ++i) {
+    const Family& fam =
+        kFamilies[rng.chance(0.5) ? 0 : rng.uniform_int(0, std::size(kFamilies) - 1)];
+    stream.send(gmmcs::Payload{mutate(rng, fam, fam.seed(rng))});
   }
-  EXPECT_GT(peer_events, 0) << "no unmutated kPeerEvent frames generated";
-  for_each_case(broker, [&](std::uint64_t i, const Bytes& input) {
-    const std::string diff = peer_in_place_disagreement(input);
-    const std::string prefix = peer_accepted_prefix(input);
-    EXPECT_EQ(diff, "") << "iter " << i << ": " << hex_dump(input);
-    EXPECT_EQ(prefix, "") << "iter " << i << ": " << hex_dump(input);
-    return diff.empty() && prefix.empty();
+  Event probe;
+  probe.topic = kProbeTopic;
+  probe.payload = gmmcs::to_bytes(kProbeBody);
+  stream.send(encode(probe));
+}
+
+bool is_probe(const Event& e) {
+  return e.topic == kProbeTopic && gmmcs::to_string(e.payload.view()) == kProbeBody;
+}
+
+// The decoders' callers hold too: mutated frames written onto an
+// identified client's stream into a live broker throw nothing out of the
+// event loop, and the probe published after them on the same stream still
+// reaches a subscriber.
+TEST(DecodeFuzz, LiveBrokerDropsHostileStreamFrames) {
+  prop::for_each_seed(100, [](std::uint64_t seed) {
+    gmmcs::sim::EventLoop loop;
+    gmmcs::sim::Network net(loop, seed);
+    gmmcs::broker::BrokerNode broker(net.add_host("broker"), 0);
+    gmmcs::broker::BrokerClient sub(net.add_host("sub"), broker.stream_endpoint());
+    sub.subscribe(kProbeTopic);
+    int probes = 0;
+    sub.on_event([&](const Event& e) { probes += is_probe(e) ? 1 : 0; });
+    const auto hostile = gmmcs::transport::StreamConnection::connect(net.add_host("hostile"),
+                                                                     broker.stream_endpoint());
+    hostile->send(encode(gmmcs::broker::HelloMessage{"hostile", 0}));
+    send_hostile_then_probe(*hostile, seed);
+    ASSERT_NO_THROW(loop.run());
+    EXPECT_EQ(probes, 1);
+  });
+}
+
+// The same frames from the broker's end of the stream into a live client,
+// after its HelloAck: nothing escapes, and the probe after them arrives.
+TEST(DecodeFuzz, LiveClientDropsHostileStreamFrames) {
+  prop::for_each_seed(100, [](std::uint64_t seed) {
+    gmmcs::sim::EventLoop loop;
+    gmmcs::sim::Network net(loop, seed);
+    gmmcs::transport::StreamListener listener(net.add_host("hostile"), 9000);
+    gmmcs::transport::StreamConnectionPtr conn;
+    listener.on_accept([&](gmmcs::transport::StreamConnectionPtr c) {
+      conn = std::move(c);
+      conn->send(encode(gmmcs::broker::HelloAckMessage{1, 9001}));
+      send_hostile_then_probe(*conn, seed);
+    });
+    gmmcs::broker::BrokerClient client(net.add_host("client"), listener.local());
+    int probes = 0;
+    client.on_event([&](const Event& e) { probes += is_probe(e) ? 1 : 0; });
+    ASSERT_NO_THROW(loop.run());
+    EXPECT_EQ(probes, 1);
   });
 }
 

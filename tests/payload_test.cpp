@@ -23,6 +23,8 @@
 
 #include "common/payload.hpp"
 #include "common/random.hpp"
+#include "property.hpp"
+#include "wire_gen.hpp"
 
 namespace {
 std::int64_t g_live = 0;
@@ -110,14 +112,8 @@ struct Model {
   }
 };
 
-Bytes random_bytes(Rng& rng, std::size_t n) {
-  Bytes b(n);
-  for (auto& x : b) x = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-  return b;
-}
-
 TEST(PayloadProperty, HandlesAndBlocksMatchTheReferenceModel) {
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+  prop::for_each_seed(300, [&](std::uint64_t seed) {
     Rng rng(seed);
     Model model;
     std::array<Payload, kSlots> slots{};
@@ -139,7 +135,7 @@ TEST(PayloadProperty, HandlesAndBlocksMatchTheReferenceModel) {
       const double roll = rng.uniform();
       if (roll < 0.12) {
         // A FrameWriter-built frame: one inline block.
-        const Bytes src = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(0, 40)));
+        const Bytes src = gmmcs::gen::rand_bytes(rng, 40);
         measured([&] {
           FrameWriter w(src.size());
           w.raw(src);
@@ -151,7 +147,7 @@ TEST(PayloadProperty, HandlesAndBlocksMatchTheReferenceModel) {
         model.assign(j, ModelView{model.add_block(b), 0, src.size()});
       } else if (roll < 0.20) {
         // An adopted vector: the block holds the moved-in buffer.
-        Bytes src = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(0, 40)));
+        Bytes src = gmmcs::gen::rand_bytes(rng, 40);
         const Bytes copy = src;
         const bool has_buffer = src.capacity() > 0;
         measured([&] { slots[sj] = Payload(std::move(src)); });
@@ -163,7 +159,7 @@ TEST(PayloadProperty, HandlesAndBlocksMatchTheReferenceModel) {
         model.live += 1;
         model.assign(j, ModelView{model.add_block(b), 0, copy.size()});
       } else if (roll < 0.26) {
-        const Bytes src = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(0, 40)));
+        const Bytes src = gmmcs::gen::rand_bytes(rng, 40);
         measured([&] { slots[sj] = Payload::copy_of(src); });
         model.live += 1;
         ++model.copies;
@@ -245,21 +241,21 @@ TEST(PayloadProperty, HandlesAndBlocksMatchTheReferenceModel) {
       for (int k = 0; k < kSlots; ++k) {
         const auto sk = static_cast<std::size_t>(k);
         const Bytes want = model.bytes(model.views[sk]);
-        ASSERT_EQ(slots[sk].size(), want.size()) << "seed " << seed << " step " << step;
-        ASSERT_TRUE(slots[sk] == want) << "seed " << seed << " step " << step << " slot " << k;
+        ASSERT_EQ(slots[sk].size(), want.size()) << "step " << step;
+        ASSERT_TRUE(slots[sk] == want) << "step " << step << " slot " << k;
       }
-      ASSERT_EQ(payload_copy_count() - copies0, model.copies) << "seed " << seed;
-      ASSERT_EQ(payload_bytes_copied() - copied0, model.copied_bytes) << "seed " << seed;
+      ASSERT_EQ(payload_copy_count() - copies0, model.copies);
+      ASSERT_EQ(payload_bytes_copied() - copied0, model.copied_bytes);
       // A block is freed exactly when its last handle goes.
-      ASSERT_EQ(live, model.live) << "seed " << seed << " step " << step;
+      ASSERT_EQ(live, model.live) << "step " << step;
     }
     measured([&] {
       for (auto& slot : slots) slot = Payload{};
     });
     for (int k = 0; k < kSlots; ++k) model.assign(k, ModelView{});
-    ASSERT_EQ(live, model.live) << "seed " << seed;
-    ASSERT_EQ(model.blocks_alive, 0) << "seed " << seed;
-  }
+    ASSERT_EQ(live, model.live);
+    ASSERT_EQ(model.blocks_alive, 0);
+  });
 }
 
 // The headroom holds one value for good: a second, different byte in

@@ -18,6 +18,7 @@
 #include "broker/topic.hpp"
 #include "common/random.hpp"
 #include "h323/messages.hpp"
+#include "property.hpp"
 #include "rtp/packet.hpp"
 #include "rtp/playout.hpp"
 #include "rtp/receiver_stats.hpp"
@@ -26,6 +27,7 @@
 #include "sim/service_center.hpp"
 #include "sip/message.hpp"
 #include "transport/stream.hpp"
+#include "wire_gen.hpp"
 #include "xgsp/messages.hpp"
 #include "xml/xml.hpp"
 
@@ -45,25 +47,12 @@ class WireRoundTrip : public ::testing::TestWithParam<std::uint64_t> {
                                   "audio", "session", "h261",   "x",     "long-token-name"};
     return words[rng.uniform_int(0, 9)];
   }
-  Bytes random_bytes(std::size_t max) {
-    Bytes out(static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(max))));
-    for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
-    return out;
-  }
 };
 
 TEST_P(WireRoundTrip, RtpPacket) {
   for (int i = 0; i < 50; ++i) {
-    rtp::RtpPacket p;
-    p.marker = rng.chance(0.5);
-    p.payload_type = static_cast<std::uint8_t>(rng.uniform_int(0, 127));
-    p.sequence = static_cast<std::uint16_t>(rng.next());
-    p.timestamp = static_cast<std::uint32_t>(rng.next());
-    p.ssrc = static_cast<std::uint32_t>(rng.next());
-    for (int c = rng.uniform_int(0, 4); c > 0; --c) {
-      p.csrcs.push_back(static_cast<std::uint32_t>(rng.next()));
-    }
-    p.payload = random_bytes(1400);
+    rtp::RtpPacket p = gen::rand_rtp(rng);
+    p.payload = gen::rand_bytes(rng, 1400);
     auto r = rtp::RtpPacket::parse(p.serialize());
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().marker, p.marker);
@@ -78,13 +67,10 @@ TEST_P(WireRoundTrip, RtpPacket) {
 
 TEST_P(WireRoundTrip, BrokerEvent) {
   for (int i = 0; i < 50; ++i) {
-    broker::Event e;
+    broker::Event e = gen::rand_event(rng);
     e.topic = "/" + random_token() + "/" + random_token();
-    e.payload = random_bytes(2000);
-    e.qos = rng.chance(0.5) ? broker::QoS::kReliable : broker::QoS::kBestEffort;
+    e.payload = gen::rand_bytes(rng, 2000);
     e.origin = SimTime{static_cast<std::int64_t>(rng.next() >> 1)};
-    e.seq = static_cast<std::uint32_t>(rng.next());
-    e.hops = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     auto f = broker::decode(broker::encode(e));
     ASSERT_TRUE(f.ok());
     EXPECT_EQ(f.value().event.topic, e.topic);
@@ -98,26 +84,14 @@ TEST_P(WireRoundTrip, BrokerEvent) {
 
 TEST_P(WireRoundTrip, H323Messages) {
   for (int i = 0; i < 50; ++i) {
-    h323::RasMessage ras;
-    ras.type = static_cast<h323::RasType>(rng.uniform_int(1, 11));
-    ras.seq = static_cast<std::uint32_t>(rng.next());
-    ras.endpoint_alias = random_token();
-    ras.bandwidth = static_cast<std::uint32_t>(rng.uniform_int(0, 100000));
-    ras.call_signal_address = {static_cast<sim::NodeId>(rng.uniform_int(0, 1000)),
-                               static_cast<std::uint16_t>(rng.uniform_int(1, 65535))};
+    const h323::RasMessage ras = gen::rand_ras(rng);
     auto r = h323::RasMessage::decode(ras.encode());
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().type, ras.type);
     EXPECT_EQ(r.value().endpoint_alias, ras.endpoint_alias);
     EXPECT_EQ(r.value().call_signal_address, ras.call_signal_address);
 
-    h323::H245Message h245;
-    h245.type = static_cast<h323::H245Type>(rng.uniform_int(1, 10));
-    h245.channel = static_cast<std::uint16_t>(rng.next());
-    h245.media_kind = rng.chance(0.5) ? "audio" : "video";
-    for (int c = rng.uniform_int(0, 6); c > 0; --c) {
-      h245.capabilities.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 127)));
-    }
+    const h323::H245Message h245 = gen::rand_h245(rng);
     auto r2 = h323::H245Message::decode(h245.encode());
     ASSERT_TRUE(r2.ok());
     EXPECT_EQ(r2.value().type, h245.type);
@@ -128,7 +102,7 @@ TEST_P(WireRoundTrip, H323Messages) {
 
 TEST_P(WireRoundTrip, ParsersNeverCrashOnGarbage) {
   for (int i = 0; i < 200; ++i) {
-    Bytes garbage = random_bytes(200);
+    Bytes garbage = gen::rand_bytes(rng, 200);
     std::string text(garbage.begin(), garbage.end());
     const Payload frame{std::move(garbage)};
     (void)rtp::RtpPacket::parse(frame);
@@ -499,32 +473,31 @@ TwinRun run_twin(const BatchScript& s, bool batched) {
 }
 
 TEST(BatchEquivalence, BatchIsExactlyNSubmits) {
-  constexpr std::uint64_t kCases = 2500;
   int nested = 0;
   int with_rejections = 0;
   int gated = 0;
-  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+  const prop::Cases cases = prop::for_each_seed(2500, [&](std::uint64_t seed) {
     Rng rng(seed);
     const BatchScript script = random_batch_script(rng);
     const TwinRun batch = run_twin(script, /*batched=*/true);
     const TwinRun each = run_twin(script, /*batched=*/false);
     for (std::size_t j = 0; j < std::min(batch.log.size(), each.log.size()); ++j) {
-      ASSERT_EQ(batch.log[j], each.log[j]) << "seed " << seed << ", observation " << j;
+      ASSERT_EQ(batch.log[j], each.log[j]) << "observation " << j;
     }
-    ASSERT_EQ(batch.log.size(), each.log.size()) << "seed " << seed;
-    ASSERT_EQ(batch.accepted, each.accepted) << "seed " << seed;
-    ASSERT_EQ(batch.completed, each.completed) << "seed " << seed;
-    ASSERT_EQ(batch.rejected, each.rejected) << "seed " << seed;
-    ASSERT_EQ(batch.queue_length, each.queue_length) << "seed " << seed;
-    ASSERT_EQ(batch.total_wait, each.total_wait) << "seed " << seed;
+    ASSERT_EQ(batch.log.size(), each.log.size());
+    ASSERT_EQ(batch.accepted, each.accepted);
+    ASSERT_EQ(batch.completed, each.completed);
+    ASSERT_EQ(batch.rejected, each.rejected);
+    ASSERT_EQ(batch.queue_length, each.queue_length);
+    ASSERT_EQ(batch.total_wait, each.total_wait);
     nested += batch.nested > 0 ? 1 : 0;
     with_rejections += batch.rejected > 0 ? 1 : 0;
     gated += script.gated ? 1 : 0;
-  }
+  });
   // The generator reaches the corners the property is about.
-  EXPECT_GT(nested, 250);
-  EXPECT_GT(with_rejections, 250);
-  EXPECT_GT(gated, 250);
+  cases.expect_more(nested, 250, "nested");
+  cases.expect_more(with_rejections, 250, "with_rejections");
+  cases.expect_more(gated, 250, "gated");
 }
 
 // ---------------------------------------------------------------------------
@@ -808,31 +781,30 @@ OrderRun run_order_script(std::uint64_t seed) {
 }
 
 TEST(EventLoopOrder, MatchesSortedReference) {
-  constexpr std::uint64_t kCases = 2000;
   int compacted = 0;
   int nested = 0;
   int self_cancels = 0;
   int across = 0;
   int passed = 0;
-  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+  const prop::Cases cases = prop::for_each_seed(2000, [&](std::uint64_t seed) {
     const OrderRun real = run_order_script<RealLoop>(seed);
     const OrderRun ref = run_order_script<RefLoop>(seed);
     for (std::size_t j = 0; j < std::min(real.log.size(), ref.log.size()); ++j) {
-      ASSERT_EQ(real.log[j], ref.log[j]) << "seed " << seed << ", observation " << j;
+      ASSERT_EQ(real.log[j], ref.log[j]) << "observation " << j;
     }
-    ASSERT_EQ(real.log.size(), ref.log.size()) << "seed " << seed;
+    ASSERT_EQ(real.log.size(), ref.log.size());
     compacted += real.compactions > 0 ? 1 : 0;
     nested += real.nested > 0 ? 1 : 0;
     self_cancels += real.self_cancels > 0 ? 1 : 0;
     across += real.reserved_across_events > 0 ? 1 : 0;
     passed += real.reservations_passed > 0 ? 1 : 0;
-  }
+  });
   // The generator reaches the corners the property is about.
-  EXPECT_GT(compacted, 500);
-  EXPECT_GT(nested, 1000);
-  EXPECT_GT(self_cancels, 500);
-  EXPECT_GT(across, 500);
-  EXPECT_GT(passed, 800);
+  cases.expect_more(compacted, 500, "compacted");
+  cases.expect_more(nested, 1000, "nested");
+  cases.expect_more(self_cancels, 500, "self_cancels");
+  cases.expect_more(across, 500, "reserved across events");
+  cases.expect_more(passed, 800, "reservations passed");
 }
 
 // ---------------------------------------------------------------------------
@@ -1021,25 +993,22 @@ void run_arrival_script(std::uint64_t seed, ArrivalCoverage& cov) {
 }
 
 TEST(NetworkArrivalOrder, LinkFifoKeepsReservedOrder) {
-  constexpr std::uint64_t kScripts = 1200;
-  ArrivalCoverage total;
   std::map<std::string, int> scripts_with;
-  for (std::uint64_t seed = 1; seed <= kScripts; ++seed) {
+  const prop::Cases cases = prop::for_each_seed(1200, [&](std::uint64_t seed) {
     ArrivalCoverage cov;
     run_arrival_script(seed, cov);
-    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
     scripts_with["queued"] += cov.queued > 0 ? 1 : 0;
     scripts_with["overtakes"] += cov.overtakes > 0 ? 1 : 0;
     scripts_with["loopbacks"] += cov.loopbacks > 0 ? 1 : 0;
     scripts_with["multicasts"] += cov.multicasts > 0 ? 1 : 0;
     scripts_with["crashes_in_flight"] += cov.crashes_in_flight > 0 ? 1 : 0;
-  }
+  });
   // The generator reaches the corners the property is about.
-  EXPECT_GT(scripts_with["queued"], 1000);
-  EXPECT_GT(scripts_with["overtakes"], 300);
-  EXPECT_GT(scripts_with["loopbacks"], 1000);
-  EXPECT_GT(scripts_with["multicasts"], 900);
-  EXPECT_GT(scripts_with["crashes_in_flight"], 500);
+  cases.expect_more(scripts_with["queued"], 1000, "queued");
+  cases.expect_more(scripts_with["overtakes"], 300, "overtakes");
+  cases.expect_more(scripts_with["loopbacks"], 1000, "loopbacks");
+  cases.expect_more(scripts_with["multicasts"], 900, "multicasts");
+  cases.expect_more(scripts_with["crashes_in_flight"], 500, "crashes_in_flight");
 }
 
 // ---------------------------------------------------------------------------
@@ -1135,12 +1104,11 @@ broker::TopicFilter random_filter(Rng& rng) {
 }
 
 TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
-  constexpr std::uint64_t kCases = 2000;
   constexpr int kFloodTopics = 4200;  // > the index's 4,096 cache lines
   int stale_reads = 0;  // answer changed since the topic's previous read
   int removes = 0;
   int drops = 0;  // unsubscribes that dropped an entry's last reference
-  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+  const prop::Cases cases = prop::for_each_seed(2000, [&](std::uint64_t seed) {
     Rng rng(seed);
     broker::SubscriptionIndex index;
     NaiveIndex ref;
@@ -1148,13 +1116,12 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
     auto random_id = [&] { return static_cast<std::uint32_t>(rng.uniform_int(0, 7)); };
     auto read = [&](const std::string& topic, int step) {
       const std::vector<std::uint32_t> want = ref.matches(topic);
-      ASSERT_EQ(index.matches(topic), want) << "seed " << seed << ", step " << step << ", "
-                                            << topic;
+      ASSERT_EQ(index.matches(topic), want) << "step " << step << ", " << topic;
       const auto exclude = random_id();
       std::vector<std::uint32_t> want_excl = want;
       std::erase(want_excl, exclude);
       ASSERT_EQ(index.matches(topic, exclude), want_excl)
-          << "seed " << seed << ", step " << step << ", " << topic << " excl " << exclude;
+          << "step " << step << ", " << topic << " excl " << exclude;
       auto [it, fresh] = last_seen.try_emplace(topic, want);
       if (!fresh && it->second != want) ++stale_reads;
       it->second = want;
@@ -1188,9 +1155,9 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
         read(random_topic(rng), step);
       }
       if (HasFatalFailure()) return;
-      ASSERT_EQ(index.entry_count(), ref.entries.size()) << "seed " << seed << ", step " << step;
+      ASSERT_EQ(index.entry_count(), ref.entries.size()) << "step " << step;
     }
-    if (seed % 50 != 0) continue;
+    if (seed % 50 != 0) return;
     // Distinct topics past the cache cap, under "/a" so "/a/*" and "/a/#"
     // filters match them, with a mutation every 700 reads.
     for (int k = 0; k < kFloodTopics; ++k) {
@@ -1207,11 +1174,11 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
       read(random_topic(rng), steps + kFloodTopics + k);
       if (HasFatalFailure()) return;
     }
-  }
+  });
   // The scripts reach the corners the property is about.
-  EXPECT_GT(stale_reads, 5000);
-  EXPECT_GT(removes, 5000);
-  EXPECT_GT(drops, 5000);
+  cases.expect_more(stale_reads, 5000, "stale_reads");
+  cases.expect_more(removes, 5000, "removes");
+  cases.expect_more(drops, 5000, "drops");
 }
 
 // ---------------------------------------------------------------------------

@@ -16,65 +16,23 @@
 
 #include "broker/event.hpp"
 #include "common/random.hpp"
-#include "h323/messages.hpp"
+#include "property.hpp"
 #include "rtp/packet.hpp"
 #include "rtp/rtcp.hpp"
 #include "sip/message.hpp"
 #include "sip/sdp.hpp"
 #include "streaming/rtsp.hpp"
+#include "wire_gen.hpp"
 #include "xgsp/messages.hpp"
 
 namespace {
 
 using gmmcs::Bytes;
 using gmmcs::Rng;
-using gmmcs::SimTime;
-
-constexpr int kRounds = 200;
-
-std::string rand_token(Rng& rng, std::size_t max_len = 24) {
-  static const char kAlpha[] =
-      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.";
-  auto len = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(max_len)));
-  std::string s;
-  s.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    s.push_back(kAlpha[rng.uniform_int(0, sizeof(kAlpha) - 2)]);
-  }
-  return s;
-}
-
-Bytes rand_bytes(Rng& rng, std::size_t max_len = 64) {
-  auto len = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(max_len)));
-  Bytes b;
-  b.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    b.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
-  }
-  return b;
-}
-
-std::uint32_t rand_u32(Rng& rng) { return static_cast<std::uint32_t>(rng.next()); }
-std::uint16_t rand_u16(Rng& rng) { return static_cast<std::uint16_t>(rng.next()); }
-std::uint8_t rand_u8(Rng& rng) { return static_cast<std::uint8_t>(rng.next()); }
-
-gmmcs::sim::Endpoint rand_endpoint(Rng& rng) {
-  return {rand_u32(rng), rand_u16(rng)};
-}
+namespace prop = gmmcs::prop;
+using namespace gmmcs::gen;
 
 // --- broker frames -------------------------------------------------------
-
-gmmcs::broker::Event rand_event(Rng& rng) {
-  gmmcs::broker::Event ev;
-  ev.topic = rand_token(rng);
-  ev.payload = rand_bytes(rng);
-  ev.qos = rng.chance(0.5) ? gmmcs::broker::QoS::kReliable : gmmcs::broker::QoS::kBestEffort;
-  ev.origin = SimTime{rng.uniform_int(0, 1'000'000'000)};
-  ev.seq = rand_u32(rng);
-  ev.hops = rand_u8(rng);
-  ev.publisher = rand_u32(rng);
-  return ev;
-}
 
 gmmcs::Payload reencode(const gmmcs::broker::Frame& f) {
   using gmmcs::broker::MessageType;
@@ -109,46 +67,20 @@ void expect_broker_roundtrip(const gmmcs::Payload& frame) {
 }
 
 TEST(RoundtripBroker, AllFrameTypesSurviveReencoding) {
-  Rng rng(0xB40CE12ull);
-  for (int i = 0; i < kRounds; ++i) {
-    {
-      gmmcs::broker::HelloMessage m{rand_token(rng), rand_u16(rng)};
-      expect_broker_roundtrip(encode(m));
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
+    for (int kind = 0; kind < kBrokerFrameKinds; ++kind) {
+      expect_broker_roundtrip(rand_broker_frame(rng, kind));
     }
-    {
-      gmmcs::broker::HelloAckMessage m{rand_u32(rng), rand_u16(rng)};
-      expect_broker_roundtrip(encode(m));
-    }
-    {
-      gmmcs::broker::SubscribeMessage m{rand_token(rng), rng.chance(0.5)};
-      expect_broker_roundtrip(encode(m));
-    }
-    expect_broker_roundtrip(encode(rand_event(rng)));
-    {
-      gmmcs::broker::PeerEventMessage m;
-      m.event = rand_event(rng);
-      auto n = rng.uniform_int(0, 6);
-      for (std::int64_t k = 0; k < n; ++k) m.targets.push_back(rand_u32(rng));
-      expect_broker_roundtrip(encode(m));
-      // The copy-avoiding framing helper must produce the same wire image.
-      EXPECT_EQ(gmmcs::broker::encode_peer_event(m.event, m.targets), encode(m));
-    }
-    {
-      gmmcs::broker::PingMessage m{rand_u32(rng), SimTime{rng.uniform_int(0, 1'000'000'000)}};
-      expect_broker_roundtrip(encode(m, /*pong=*/false));
-      expect_broker_roundtrip(encode(m, /*pong=*/true));
-    }
-    {
-      gmmcs::broker::LinkStateMessage m{rand_u32(rng), rand_u32(rng), rand_u32(rng),
-                                        rand_u32(rng), rng.chance(0.5)};
-      expect_broker_roundtrip(encode(m));
-    }
-  }
+    // The copy-avoiding framing helper must produce the same wire image.
+    const gmmcs::broker::PeerEventMessage m = rand_peer_event(rng);
+    EXPECT_EQ(gmmcs::broker::encode_peer_event(m.event, m.targets), encode(m));
+  });
 }
 
 TEST(RoundtripBroker, PayloadBackedEventDecodeIsZeroCopyAndByteIdentical) {
-  Rng rng(0xFACEull);
-  for (int i = 0; i < kRounds; ++i) {
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
     auto ev = rand_event(rng);
     const gmmcs::Payload reference = encode(ev);
     const gmmcs::Payload frame = encode(ev);
@@ -162,7 +94,7 @@ TEST(RoundtripBroker, PayloadBackedEventDecodeIsZeroCopyAndByteIdentical) {
       EXPECT_GE(decoded.payload.data(), frame.data());
       EXPECT_LE(decoded.payload.data() + decoded.payload.size(), frame.data() + frame.size());
     }
-  }
+  });
 }
 
 TEST(RoundtripBroker, EveryStrictPrefixOfEveryFrameKindIsRejected) {
@@ -173,26 +105,8 @@ TEST(RoundtripBroker, EveryStrictPrefixOfEveryFrameKindIsRejected) {
   // payload is the trailing byte run, so prefixes are legitimate
   // shorter packets.)
   Rng rng(0x7E1Full);
-  std::vector<gmmcs::Payload> wires;
-  wires.push_back(encode(gmmcs::broker::HelloMessage{rand_token(rng), rand_u16(rng)}));
-  wires.push_back(encode(gmmcs::broker::HelloAckMessage{rand_u32(rng), rand_u16(rng)}));
-  wires.push_back(encode(gmmcs::broker::SubscribeMessage{rand_token(rng), true}));
-  wires.push_back(encode(gmmcs::broker::SubscribeMessage{rand_token(rng), false}));
-  wires.push_back(encode(rand_event(rng)));
-  {
-    gmmcs::broker::PeerEventMessage m;
-    m.event = rand_event(rng);
-    for (int k = 0; k < 3; ++k) m.targets.push_back(rand_u32(rng));
-    wires.push_back(encode(m));
-  }
-  {
-    gmmcs::broker::PingMessage m{rand_u32(rng), SimTime{12345}};
-    wires.push_back(encode(m, /*pong=*/false));
-    wires.push_back(encode(m, /*pong=*/true));
-  }
-  wires.push_back(encode(gmmcs::broker::LinkStateMessage{
-      rand_u32(rng), rand_u32(rng), rand_u32(rng), rand_u32(rng), true}));
-  for (const gmmcs::Payload& wire : wires) {
+  for (int kind = 0; kind < kBrokerFrameKinds; ++kind) {
+    const gmmcs::Payload wire = rand_broker_frame(rng, kind);
     ASSERT_TRUE(gmmcs::broker::decode(wire).ok());
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
       const gmmcs::Payload prefix = wire.slice(0, cut);
@@ -206,84 +120,42 @@ TEST(RoundtripBroker, EveryStrictPrefixOfEveryFrameKindIsRejected) {
 
 // --- H.323: RAS / Q.931 / H.245 ------------------------------------------
 
+/// Decoding `m`'s wire image and re-encoding it gives back the same bytes.
+template <class Msg>
+void expect_h323_roundtrip(const Msg& m) {
+  const Bytes wire = m.encode();
+  auto back = Msg::decode(wire);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value().encode(), wire);
+}
+
 TEST(RoundtripH323, RasMessages) {
-  Rng rng(0x4A51ull);
-  const gmmcs::h323::RasType types[] = {
-      gmmcs::h323::RasType::kGatekeeperRequest, gmmcs::h323::RasType::kRegistrationRequest,
-      gmmcs::h323::RasType::kAdmissionRequest, gmmcs::h323::RasType::kAdmissionConfirm,
-      gmmcs::h323::RasType::kBandwidthRequest, gmmcs::h323::RasType::kDisengageConfirm};
-  for (int i = 0; i < kRounds; ++i) {
-    gmmcs::h323::RasMessage m;
-    m.type = types[rng.uniform_int(0, 5)];
-    m.seq = rand_u32(rng);
-    m.endpoint_alias = rand_token(rng);
-    m.gatekeeper_id = rand_token(rng);
-    m.call_signal_address = rand_endpoint(rng);
-    m.bandwidth = rand_u32(rng);
-    m.destination_alias = rand_token(rng);
-    m.reject_reason = rand_token(rng);
-    Bytes wire = m.encode();
-    auto back = gmmcs::h323::RasMessage::decode(wire);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().encode(), wire);
-  }
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
+    expect_h323_roundtrip(rand_ras(rng));
+  });
 }
 
 TEST(RoundtripH323, Q931Messages) {
-  Rng rng(0x0931ull);
-  const gmmcs::h323::Q931Type types[] = {
-      gmmcs::h323::Q931Type::kSetup, gmmcs::h323::Q931Type::kCallProceeding,
-      gmmcs::h323::Q931Type::kAlerting, gmmcs::h323::Q931Type::kConnect,
-      gmmcs::h323::Q931Type::kReleaseComplete};
-  for (int i = 0; i < kRounds; ++i) {
-    gmmcs::h323::Q931Message m;
-    m.type = types[rng.uniform_int(0, 4)];
-    m.call_reference = rand_u16(rng);
-    m.calling_party = rand_token(rng);
-    m.called_party = rand_token(rng);
-    m.h245_address = rand_endpoint(rng);
-    m.release_reason = rand_token(rng);
-    Bytes wire = m.encode();
-    auto back = gmmcs::h323::Q931Message::decode(wire);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().encode(), wire);
-  }
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
+    expect_h323_roundtrip(rand_q931(rng));
+  });
 }
 
 TEST(RoundtripH323, H245Messages) {
-  Rng rng(0x0245ull);
-  for (int i = 0; i < kRounds; ++i) {
-    gmmcs::h323::H245Message m;
-    m.type = static_cast<gmmcs::h323::H245Type>(rng.uniform_int(1, 10));
-    m.seq = rand_u32(rng);
-    auto caps = rng.uniform_int(0, 8);
-    for (std::int64_t k = 0; k < caps; ++k) m.capabilities.push_back(rand_u8(rng));
-    m.channel = rand_u16(rng);
-    m.media_kind = rng.chance(0.5) ? "audio" : "video";
-    m.payload_type = rand_u8(rng);
-    m.media_address = rand_endpoint(rng);
-    m.reject_reason = rand_token(rng);
-    Bytes wire = m.encode();
-    auto back = gmmcs::h323::H245Message::decode(wire);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().encode(), wire);
-  }
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
+    expect_h323_roundtrip(rand_h245(rng));
+  });
 }
 
 // --- RTP / RTCP -----------------------------------------------------------
 
 TEST(RoundtripRtp, Packets) {
-  Rng rng(0x4274ull);
-  for (int i = 0; i < kRounds; ++i) {
-    gmmcs::rtp::RtpPacket p;
-    p.marker = rng.chance(0.5);
-    p.payload_type = static_cast<std::uint8_t>(rng.uniform_int(0, 127));  // 7-bit field
-    p.sequence = rand_u16(rng);
-    p.timestamp = rand_u32(rng);
-    p.ssrc = rand_u32(rng);
-    auto cc = rng.uniform_int(0, 15);  // 4-bit CSRC count
-    for (std::int64_t k = 0; k < cc; ++k) p.csrcs.push_back(rand_u32(rng));
-    p.payload = rand_bytes(rng, 256);
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
+    const gmmcs::rtp::RtpPacket p = rand_rtp(rng);
     const Bytes reference = p.serialize();
     const gmmcs::Payload frame{p.serialize()};
     auto back = gmmcs::rtp::RtpPacket::parse(frame);
@@ -295,59 +167,31 @@ TEST(RoundtripRtp, Packets) {
       EXPECT_GE(q.payload.data(), frame.data());
       EXPECT_LE(q.payload.data() + q.payload.size(), frame.data() + frame.size());
     }
-  }
+  });
 }
 
-gmmcs::rtp::ReportBlock rand_block(Rng& rng) {
-  gmmcs::rtp::ReportBlock b;
-  b.ssrc = rand_u32(rng);
-  b.fraction_lost = rand_u8(rng);
-  b.cumulative_lost = rand_u32(rng) & 0xFFFFFFu;  // 24 bits on the wire
-  b.highest_seq = rand_u32(rng);
-  b.jitter = rand_u32(rng);
-  b.lsr = rand_u32(rng);
-  b.dlsr = rand_u32(rng);
-  return b;
+/// Parsing `wire` gives an RTCP packet of `type` whose `part`, serialized
+/// again, is `wire`.
+template <class Part>
+void expect_rtcp_roundtrip(const Bytes& wire, std::uint8_t type,
+                           Part gmmcs::rtp::RtcpPacket::*part) {
+  auto back = gmmcs::rtp::parse_rtcp(wire);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  ASSERT_EQ(back.value().type, type);
+  EXPECT_EQ(serialize(back.value().*part), wire);
 }
 
 TEST(RoundtripRtcp, SenderReceiverAndBye) {
-  Rng rng(0x47C9ull);
-  for (int i = 0; i < kRounds; ++i) {
-    {
-      gmmcs::rtp::SenderReport sr;
-      sr.ssrc = rand_u32(rng);
-      sr.ntp_timestamp = rng.next();
-      sr.rtp_timestamp = rand_u32(rng);
-      sr.packet_count = rand_u32(rng);
-      sr.octet_count = rand_u32(rng);
-      auto n = rng.uniform_int(0, 4);
-      for (std::int64_t k = 0; k < n; ++k) sr.blocks.push_back(rand_block(rng));
-      Bytes wire = serialize(sr);
-      auto back = gmmcs::rtp::parse_rtcp(wire);
-      ASSERT_TRUE(back.ok()) << back.error().message;
-      ASSERT_EQ(back.value().type, gmmcs::rtp::kRtcpSenderReport);
-      EXPECT_EQ(serialize(back.value().sr), wire);
-    }
-    {
-      gmmcs::rtp::ReceiverReport rr;
-      rr.ssrc = rand_u32(rng);
-      auto n = rng.uniform_int(0, 4);
-      for (std::int64_t k = 0; k < n; ++k) rr.blocks.push_back(rand_block(rng));
-      Bytes wire = serialize(rr);
-      auto back = gmmcs::rtp::parse_rtcp(wire);
-      ASSERT_TRUE(back.ok()) << back.error().message;
-      ASSERT_EQ(back.value().type, gmmcs::rtp::kRtcpReceiverReport);
-      EXPECT_EQ(serialize(back.value().rr), wire);
-    }
-    {
-      gmmcs::rtp::Bye bye{rand_u32(rng)};
-      Bytes wire = serialize(bye);
-      auto back = gmmcs::rtp::parse_rtcp(wire);
-      ASSERT_TRUE(back.ok()) << back.error().message;
-      ASSERT_EQ(back.value().type, gmmcs::rtp::kRtcpBye);
-      EXPECT_EQ(serialize(back.value().bye), wire);
-    }
-  }
+  using gmmcs::rtp::RtcpPacket;
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
+    const Bytes sr = serialize(rand_sender_report(rng));
+    expect_rtcp_roundtrip(sr, gmmcs::rtp::kRtcpSenderReport, &RtcpPacket::sr);
+    const Bytes rr = serialize(rand_receiver_report(rng));
+    expect_rtcp_roundtrip(rr, gmmcs::rtp::kRtcpReceiverReport, &RtcpPacket::rr);
+    const Bytes bye = serialize(gmmcs::rtp::Bye{rand_u32(rng)});
+    expect_rtcp_roundtrip(bye, gmmcs::rtp::kRtcpBye, &RtcpPacket::bye);
+  });
 }
 
 // --- Text codecs: SIP, SDP, RTSP, XGSP ------------------------------------
@@ -356,33 +200,34 @@ TEST(RoundtripRtcp, SenderReceiverAndBye) {
 // serialize(parse(s)) == s. Random field values are drawn from the token
 // alphabet (text protocols do not carry arbitrary bytes in headers).
 
+template <class Msg>
+void expect_text_roundtrip(const std::string& text) {
+  auto back = Msg::parse(text);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value().serialize(), text);
+}
+
 TEST(RoundtripSip, RequestsAndResponses) {
-  Rng rng(0x51Bull);
   const char* methods[] = {"INVITE", "ACK", "BYE", "REGISTER", "MESSAGE"};
-  for (int i = 0; i < kRounds; ++i) {
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
     auto req = gmmcs::sip::SipMessage::request(
         methods[rng.uniform_int(0, 4)], "sip:" + rand_token(rng, 10) + "@gmmcs",
         "sip:" + rand_token(rng, 10) + "@gmmcs", "sip:" + rand_token(rng, 10) + "@gmmcs",
         rand_token(rng, 12), rand_u32(rng) % 10000);
     req.add_header("X-Prop", rand_token(rng));
     if (rng.chance(0.5)) req.body = rand_token(rng, 40);
-    std::string s1 = req.serialize();
-    auto back = gmmcs::sip::SipMessage::parse(s1);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().serialize(), s1);
+    expect_text_roundtrip<gmmcs::sip::SipMessage>(req.serialize());
 
     auto resp = gmmcs::sip::SipMessage::response(req, 200, "OK");
     if (rng.chance(0.5)) resp.body = rand_token(rng, 40);
-    std::string s2 = resp.serialize();
-    auto back2 = gmmcs::sip::SipMessage::parse(s2);
-    ASSERT_TRUE(back2.ok()) << back2.error().message;
-    EXPECT_EQ(back2.value().serialize(), s2);
-  }
+    expect_text_roundtrip<gmmcs::sip::SipMessage>(resp.serialize());
+  });
 }
 
 TEST(RoundtripSdp, OfferAnswer) {
-  Rng rng(0x5D9ull);
-  for (int i = 0; i < kRounds; ++i) {
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
     gmmcs::sip::Sdp sdp;
     sdp.origin_user = rand_token(rng, 8);
     if (sdp.origin_user.empty()) sdp.origin_user = "-";
@@ -398,33 +243,24 @@ TEST(RoundtripSdp, OfferAnswer) {
       m.codec = rand_token(rng, 6) + "/8000";
       sdp.media.push_back(m);
     }
-    std::string s1 = sdp.serialize();
-    auto back = gmmcs::sip::Sdp::parse(s1);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().serialize(), s1);
-  }
+    expect_text_roundtrip<gmmcs::sip::Sdp>(sdp.serialize());
+  });
 }
 
 TEST(RoundtripRtsp, RequestsAndResponses) {
-  Rng rng(0x4754ull);
   const char* methods[] = {"OPTIONS", "DESCRIBE", "SETUP", "PLAY", "PAUSE", "TEARDOWN"};
-  for (int i = 0; i < kRounds; ++i) {
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
     auto req = gmmcs::streaming::RtspMessage::request(
         methods[rng.uniform_int(0, 5)], "rtsp://helix/" + rand_token(rng, 10),
         static_cast<int>(rng.uniform_int(1, 9999)));
     req.set_header("X-Prop", rand_token(rng));
     if (rng.chance(0.5)) req.body = rand_token(rng, 40);
-    std::string s1 = req.serialize();
-    auto back = gmmcs::streaming::RtspMessage::parse(s1);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().serialize(), s1);
+    expect_text_roundtrip<gmmcs::streaming::RtspMessage>(req.serialize());
 
     auto resp = gmmcs::streaming::RtspMessage::response(req, 200, "OK");
-    std::string s2 = resp.serialize();
-    auto back2 = gmmcs::streaming::RtspMessage::parse(s2);
-    ASSERT_TRUE(back2.ok()) << back2.error().message;
-    EXPECT_EQ(back2.value().serialize(), s2);
-  }
+    expect_text_roundtrip<gmmcs::streaming::RtspMessage>(resp.serialize());
+  });
 }
 
 gmmcs::xgsp::Message rand_xgsp_request(Rng& rng) {
@@ -450,21 +286,18 @@ gmmcs::xgsp::Message rand_xgsp_request(Rng& rng) {
 }
 
 TEST(RoundtripXgsp, RequestsAndReplies) {
-  Rng rng(0x9357ull);
-  for (int i = 0; i < kRounds; ++i) {
+  prop::for_each_seed(200, [&](std::uint64_t seed) {
+    Rng rng(seed);
     auto m = rand_xgsp_request(rng);
     m.seq = rand_u32(rng) % 100000;
     m.reply_to = rand_token(rng, 12);
-    std::string s1 = m.serialize();
-    auto back = gmmcs::xgsp::Message::parse(s1);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().serialize(), s1);
-  }
+    expect_text_roundtrip<gmmcs::xgsp::Message>(m.serialize());
+  });
 }
 
 TEST(RoundtripXgsp, SessionInfoWithLiveState) {
-  Rng rng(0x5E55ull);
-  for (int i = 0; i < 50; ++i) {
+  prop::for_each_seed(50, [&](std::uint64_t seed) {
+    Rng rng(seed);
     gmmcs::xgsp::Session s("conf-" + std::to_string(rng.uniform_int(1, 99)),
                            rand_token(rng, 10), rand_token(rng, 8),
                            gmmcs::xgsp::SessionMode::kAdHoc);
@@ -478,11 +311,8 @@ TEST(RoundtripXgsp, SessionInfoWithLiveState) {
     m.sessions.push_back(s);
     m.floor_holder = rand_token(rng, 8);
     m.floor_queue.push_back(rand_token(rng, 8));
-    std::string s1 = m.serialize();
-    auto back = gmmcs::xgsp::Message::parse(s1);
-    ASSERT_TRUE(back.ok()) << back.error().message;
-    EXPECT_EQ(back.value().serialize(), s1);
-  }
+    expect_text_roundtrip<gmmcs::xgsp::Message>(m.serialize());
+  });
 }
 
 }  // namespace
