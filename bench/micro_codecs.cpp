@@ -190,6 +190,40 @@ void BM_EventLoopSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopSteadyState)->Arg(24)->Arg(108)->Arg(5600);
 
+// The same steady state on direct events: each one fires a target that
+// schedules its successor on the same target, with the delay index as its
+// arg, so an iteration is one pop, one call through the target's function
+// pointer and one push, with no parked callable. Beside
+// BM_EventLoopSteadyState at the same depths, it prices what parking
+// costs an event.
+struct SteadyTarget : sim::EventTarget {
+  sim::EventLoop* loop;
+  const std::vector<std::int64_t>* delays;
+  SteadyTarget(sim::EventLoop& l, const std::vector<std::int64_t>& d)
+      : EventTarget{&SteadyTarget::fire_next}, loop(&l), delays(&d) {}
+  static void fire_next(sim::EventTarget& target, std::uint64_t next) {
+    auto& self = static_cast<SteadyTarget&>(target);
+    const std::int64_t d = (*self.delays)[next % self.delays->size()];
+    self.loop->schedule_at(self.loop->now() + SimDuration{d}, self, next + 1);
+  }
+};
+
+void BM_EventLoopTarget(benchmark::State& state) {
+  sim::EventLoop loop;
+  Rng rng(2003);
+  std::vector<std::int64_t> delays(4096);
+  for (std::int64_t& d : delays) d = rng.uniform_int(1, 2'000'000);  // 1 ns .. 2 ms
+  SteadyTarget target(loop, delays);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    SteadyTarget::fire_next(target, static_cast<std::uint64_t>(i) * 97);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.step());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventLoopTarget)->Arg(24)->Arg(108);
+
 // The wire's steady state: one sender keeps N datagrams between
 // Host::send and delivery, round-robin to 12 receivers, and each delivery
 // sends the next one. Every iteration is one arrival run to delivery plus

@@ -103,6 +103,13 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
   // recycled RoutedEvent: no Frame, no topic string, no target vector;
   // the route job reads a hop's targets straight from `data`.
   if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent)) {
+    // Only a peer broker's stream carries the broker-to-broker hop. From
+    // an identified client it would skip the publisher stamp and let the
+    // client address brokers directly.
+    if (in.client != 0) {
+      ++client_peer_events_dropped_;
+      return;
+    }
     RoutedRef routed = acquire_routed();
     Event& ev = routed.entry().ev.refill();
     PeerTargets targets;

@@ -109,6 +109,11 @@ class BrokerNode {
   /// Events addressed to an interested broker we have no route to
   /// (fabric partition); counted per unreachable target.
   [[nodiscard]] std::uint64_t unroutable_events() const { return unroutable_events_; }
+  /// Broker-to-broker (kPeerEvent) frames dropped because they came on an
+  /// identified client's stream.
+  [[nodiscard]] std::uint64_t client_peer_events_dropped() const {
+    return client_peer_events_dropped_;
+  }
   [[nodiscard]] const sim::ServiceCenter& dispatch() const { return dispatch_; }
   [[nodiscard]] std::size_t client_count() const { return client_count_; }
   [[nodiscard]] std::size_t subscription_count() const;
@@ -338,6 +343,7 @@ class BrokerNode {
   std::uint64_t copies_nic_dropped_ = 0;
   std::uint64_t peer_forwards_ = 0;
   std::uint64_t unroutable_events_ = 0;
+  std::uint64_t client_peer_events_dropped_ = 0;
   /// Targets we already warned about being unreachable — at media rates an
   /// unconditional per-event warning floods the log during a partition.
   std::set<BrokerId> warned_unroutable_;

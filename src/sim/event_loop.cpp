@@ -11,23 +11,24 @@ constexpr std::size_t kArity = 4;
 
 TaskId EventLoop::enqueue(SimTime when, std::uint32_t slot, CbSlot& s) {
   if (when < now_) when = now_;  // never schedule into the past
-  return push(when, next_seq_++, slot, s);
+  const std::uint64_t seq = next_seq_++;
+  s.seq = seq;
+  push(when, seq, &parked_, slot);
+  return make_id(slot, seq);
 }
 
-TaskId EventLoop::push(SimTime when, std::uint64_t seq, std::uint32_t slot, CbSlot& s) {
-  s.seq = seq;
+void EventLoop::push(SimTime when, std::uint64_t seq, EventTarget* target, std::uint64_t arg) {
   ++live_;
-  const Entry e{when, seq, slot};
+  const Entry e{when, seq, target, arg};
   if (hole_) {
-    // The running event's entry still holds the root: the first event its
-    // callback schedules takes that place, a pop and a push in one descent.
+    // The running event's entry still holds the root: the first event it
+    // schedules takes that place, a pop and a push in one descent.
     hole_ = false;
     sink_from_root(e);
   } else {
     heap_.push_back(e);
     sift_up(heap_.size() - 1);
   }
-  return make_id(slot, seq);
 }
 
 void EventLoop::cancel(TaskId id) {
@@ -64,9 +65,15 @@ void EventLoop::maybe_compact() {
   // array is a valid heap of any arity.
   constexpr std::size_t kCompactMin = 64;
   if (heap_.size() < kCompactMin || heap_.size() <= 2 * live_) return;
+  if (hole_) {
+    // The running event's spent entry goes too: a direct event's entry
+    // would otherwise look live and run again.
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    hole_ = false;
+  }
   std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
   std::sort(heap_.begin(), heap_.end());
-  hole_ = false;  // a running event's entry is not live: it went too
 }
 
 void EventLoop::pop_top() {
@@ -101,51 +108,58 @@ void EventLoop::sink_from_root(const Entry& e) {
   sift_up(i);
 }
 
-EventLoop::CbSlot* EventLoop::live_top() {
-  while (!heap_.empty()) {
-    CbSlot& s = slots_[heap_.front().slot];
-    if (s.seq == heap_.front().seq) return &s;
-    pop_top();
-  }
-  return nullptr;
-}
-
-void EventLoop::run_top(CbSlot& s) {
-  const Entry e = heap_.front();
-  // The entry stays at the root while the callback runs: the first push
-  // takes its place (see push), and if nothing does it is popped below.
-  hole_ = true;
-  s.seq = 0;  // no longer pending: cancelling its own id is a no-op
-  --live_;
-
-  now_ = e.when;
-  current_seq_ = e.seq;
-  ++executed_;
-  if (trace_) trace_(e.when, e.seq);
-  // In place: the slot stays off the free list until the callback has
-  // returned, so what it schedules lands in other slots, and the pool
-  // never moves this one.
-  s.cb();
-  s.cb.reset();
-  slots_.release(e.slot);
+bool EventLoop::run_next(SimTime deadline) {
+  // A step() nested in a running event first pops that event's spent
+  // entry: a direct event's entry cannot be told from a pending one.
   if (hole_) pop_top();
+  for (;;) {
+    if (heap_.empty()) return false;
+    const Entry e = heap_.front();
+    CbSlot* parked = nullptr;
+    if (e.target == &parked_) {
+      parked = &slots_[static_cast<std::uint32_t>(e.arg)];
+      if (parked->seq != e.seq) {  // cancelled
+        pop_top();
+        continue;
+      }
+    }
+    if (e.when > deadline) return false;
+    // The entry stays at the root while the event runs: the first push
+    // takes its place (see push), and if nothing does it is popped below.
+    hole_ = true;
+    --live_;
+    now_ = e.when;
+    current_seq_ = e.seq;
+    ++executed_;
+    if (trace_) trace_(e.when, e.seq);
+    if (parked == nullptr) {
+      e.target->fire(*e.target, e.arg);
+    } else {
+      parked->seq = 0;  // no longer pending: cancelling its own id is a no-op
+      // In place: the slot stays off the free list until the callback has
+      // returned, so what it schedules lands in other slots, and the pool
+      // never moves this one.
+      parked->cb();
+      parked->cb.reset();
+      slots_.release(static_cast<std::uint32_t>(e.arg));
+    }
+    if (hole_) pop_top();
+    return true;
+  }
 }
 
 bool EventLoop::step() {
-  CbSlot* s = live_top();
-  if (s == nullptr) return false;
-  run_top(*s);
-  return true;
+  return run_next(SimTime::infinity());
 }
 
 void EventLoop::run() {
-  while (CbSlot* s = live_top()) run_top(*s);
+  while (run_next(SimTime::infinity())) {
+  }
   current_seq_ = next_seq_ - 1;
 }
 
 void EventLoop::run_until(SimTime deadline) {
-  for (CbSlot* s = live_top(); s != nullptr && heap_.front().when <= deadline; s = live_top()) {
-    run_top(*s);
+  while (run_next(deadline)) {
   }
   if (now_ <= deadline) {
     // Every event at or before the deadline has run.

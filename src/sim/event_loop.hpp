@@ -25,14 +25,25 @@ namespace gmmcs::sim {
 /// Handle for cancelling a scheduled event.
 using TaskId = std::uint64_t;
 
+/// The handler of direct loop events: when an event scheduled on it
+/// comes up, the loop calls fire(*target, arg). A hot-path model owns one
+/// target for all its events (Network's link arrivals, a ServiceCenter's
+/// job completions) and packs what identifies the event into `arg`, so
+/// the event needs no parked callable. The owner must outlive every event
+/// scheduled on its target and never move: the loop holds the target's
+/// address.
+struct EventTarget {
+  void (*fire)(EventTarget& target, std::uint64_t arg);
+};
+
 class EventLoop {
  public:
-  /// Scheduled-event callback: a SmallFn (64-byte inline buffer, move-only
-  /// captures allowed). schedule_at() builds the callable straight into
-  /// its parked slot and step() runs it there, so an event relocates no
-  /// callable. Captures over 64 bytes still spill to the heap, so hot-path
-  /// schedulers (Network arrivals, ServiceCenter completions) park their
-  /// own state in a SlotPool and capture only {this, slot}.
+  /// A scheduled callable: a SmallFn (64-byte inline buffer, move-only
+  /// captures allowed). schedule_at() builds it straight into a parked
+  /// slot and the loop runs it there, so an event relocates no callable.
+  /// Captures over 64 bytes still spill to the heap. Parking costs a slot
+  /// and a call and destroy through a vtable; hot-path models schedule
+  /// direct events on an EventTarget instead, which need neither.
   using Callback = SmallFn;
 
   EventLoop() = default;
@@ -50,30 +61,34 @@ class EventLoop {
     CbSlot& s = park(std::forward<F>(fn), slot);
     return enqueue(when, slot, s);
   }
+  /// Schedules a direct event at an absolute time (clamped to now()),
+  /// under the next seq as a callable would be: target.fire(target, arg)
+  /// runs then. A direct event cannot be cancelled.
+  void schedule_at(SimTime when, EventTarget& target, std::uint64_t arg) {
+    push(std::max(when, now_), next_seq_++, &target, arg);
+  }
   /// Takes the sequence number the next schedule_at() would have taken,
   /// without scheduling anything: the caller keeps the key (when, seq)
   /// and schedules it later with schedule_reserved(). The event then runs
   /// exactly where a schedule_at() at the reservation would have put it.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
-  /// Schedules a callable under a key whose seq came from reserve_seq()
-  /// and was not scheduled before. The key must not have passed (see
-  /// passed()); throws std::logic_error otherwise (or for a seq never
-  /// reserved).
-  template <class F>
-  TaskId schedule_reserved(SimTime when, std::uint64_t seq, F&& fn) {
+  /// Schedules a direct event under a key whose seq came from
+  /// reserve_seq() and was not scheduled before. The key must not have
+  /// passed (see passed()); throws std::logic_error otherwise (or for a
+  /// seq never reserved).
+  void schedule_reserved(SimTime when, std::uint64_t seq, EventTarget& target,
+                         std::uint64_t arg) {
     if (seq >= next_seq_ || passed(when, seq)) {
       throw std::logic_error("EventLoop: reserved key already passed or never reserved");
     }
-    std::uint32_t slot = 0;
-    CbSlot& s = park(std::forward<F>(fn), slot);
-    return push(when, seq, slot, s);
+    push(when, seq, &target, arg);
   }
   /// Schedules a callable after a relative delay (a negative one counts as 0).
   template <class F>
   TaskId schedule_after(SimDuration delay, F&& fn) {
     return schedule_at(now_ + std::max(delay, SimDuration{0}), std::forward<F>(fn));
   }
-  /// Cancels a pending event; cancelling an already-run, running or
+  /// Cancels a pending callable; cancelling an already-run, running or
   /// unknown id is a no-op.
   void cancel(TaskId id);
 
@@ -119,12 +134,16 @@ class EventLoop {
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
-  /// A 24-byte heap entry. The callback lives in slots_[slot]; the entry
-  /// is live iff that slot still serves `seq` (see is_live).
+  /// A 32-byte heap entry: run target->fire(*target, arg) at (when, seq).
+  /// A parked callable's entry names the loop's own parked_ target with
+  /// its slot as `arg`; run_next runs it inline, and the entry is live iff
+  /// that slot still serves `seq` (see is_live). A direct event is always
+  /// live: it cannot be cancelled.
   struct Entry {
     SimTime when;
     std::uint64_t seq;
-    std::uint32_t slot;
+    EventTarget* target;
+    std::uint64_t arg;
     /// (when, seq) is a strict total order: no two events share a seq.
     /// Compared as one 128-bit key (`when` is never negative: it is
     /// clamped to now() >= 0), so a heap sift's coin-flip comparisons
@@ -135,9 +154,9 @@ class EventLoop {
              e.seq;
     }
   };
-  static_assert(sizeof(Entry) == 24);
+  static_assert(sizeof(Entry) == 32);
 
-  /// Callback storage for one scheduled event. `seq` is the sequence
+  /// Callback storage for one scheduled callable. `seq` is the sequence
   /// number of the event the slot serves, 0 once it has started running
   /// or was cancelled. A slot is released only after its callback has
   /// returned, so a running callback is never overwritten or moved.
@@ -173,22 +192,23 @@ class EventLoop {
     }
     return s;
   }
-  /// Schedules the event parked in `slot` (`s`) at `when` (clamped to
+  /// Schedules the callable parked in `slot` (`s`) at `when` (clamped to
   /// now()) under the next seq; returns its id.
   TaskId enqueue(SimTime when, std::uint32_t slot, CbSlot& s);
-  /// Pushes the event parked in `slot` (`s`) onto the heap under
-  /// (when, seq); returns its id.
-  TaskId push(SimTime when, std::uint64_t seq, std::uint32_t slot, CbSlot& s);
-  /// True iff the heap entry's slot still serves it (not cancelled/run).
-  [[nodiscard]] bool is_live(const Entry& e) const { return slots_[e.slot].seq == e.seq; }
+  /// Pushes the event (when, seq) -> target(arg) onto the heap.
+  void push(SimTime when, std::uint64_t seq, EventTarget* target, std::uint64_t arg);
+  /// True iff the heap entry is a direct event or its slot still serves
+  /// it (not cancelled/run).
+  [[nodiscard]] bool is_live(const Entry& e) const {
+    return e.target != &parked_ || slots_[static_cast<std::uint32_t>(e.arg)].seq == e.seq;
+  }
   /// Drops stale (cancelled) heap entries once they outnumber live ones.
   void maybe_compact();
-  /// Pops cancelled entries off the heap top; returns the live top's
-  /// slot, or nullptr once the heap is empty.
-  CbSlot* live_top();
-  /// Runs the live top entry's callback, `s`, in place, and pops the
-  /// entry unless a push during the callback took its place.
-  void run_top(CbSlot& s);
+  /// Pops the running event's spent entry (a nested step) and cancelled
+  /// entries off the heap top, then runs the live top event if it is due
+  /// by `deadline`, and pops its entry unless a push during the event
+  /// took its place; false if none ran.
+  bool run_next(SimTime deadline);
   void pop_top();
   /// Places `e` in the hole at the root of heap_.
   void sink_from_root(const Entry& e);
@@ -199,16 +219,19 @@ class EventLoop {
   std::uint64_t current_seq_ = 0;
   std::uint64_t executed_ = 0;
   /// Min-heap over (when, seq) with four children per node: half the
-  /// depth of a binary heap, and a node's children share a cache line
-  /// or two. (when, seq) is a strict total order, so the pop order is
-  /// the sorted order whatever the heap's shape.
+  /// depth of a binary heap, and a node's children fill two cache lines.
+  /// (when, seq) is a strict total order, so the pop order is the sorted
+  /// order whatever the heap's shape.
   std::vector<Entry> heap_;
   /// True while the root is the running event's spent entry, a hole the
   /// next push fills. Cleared by that push, by a pop of the root and by
   /// compaction, which drops the entry as not live.
   bool hole_ = false;
-  /// Parked callbacks; Entry::slot indexes it. Slots never move, so a
-  /// callback is built and run in place, and a warm loop schedules
+  /// The target of parked callables' entries. Its fire is never called:
+  /// run_next recognises the address and runs the slot inline.
+  EventTarget parked_{nullptr};
+  /// Parked callbacks; a parked entry's arg indexes it. Slots never move,
+  /// so a callback is built and run in place, and a warm loop schedules
   /// without allocating.
   SlotPool<CbSlot> slots_;
   std::size_t live_ = 0;

@@ -183,7 +183,8 @@ void Host::deliver(const Datagram& d) {
   running_ = kNoSlot;
 }
 
-Network::Network(EventLoop& loop, std::uint64_t seed) : loop_(&loop), rng_(seed) {}
+Network::Network(EventLoop& loop, std::uint64_t seed)
+    : EventTarget{&Network::fire_arrival}, loop_(&loop), rng_(seed) {}
 
 Host& Network::add_host(std::string name, NicConfig cfg) {
   auto id = static_cast<NodeId>(hosts_.size());
@@ -408,7 +409,7 @@ void Network::schedule_arrival(std::uint32_t link, Datagram&& d, SimTime depart,
 
 void Network::post(std::uint32_t slot) {
   const InFlight& f = inflight_[slot];
-  loop_->schedule_reserved(f.when, f.seq, [this, slot] { arrive(slot); });
+  loop_->schedule_reserved(f.when, f.seq, *this, slot);
 }
 
 void Network::arrive(std::uint32_t slot) {

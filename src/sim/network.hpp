@@ -229,9 +229,13 @@ class Host {
 };
 
 /// The simulated network fabric: owns hosts, paths and multicast groups.
-class Network {
+/// It is the EventTarget of its link arrivals (arg = in-flight slot), so
+/// it neither copies nor moves: the loop holds its address.
+class Network : private EventTarget {
  public:
   Network(EventLoop& loop, std::uint64_t seed = 1);
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   Host& add_host(std::string name, NicConfig cfg = {});
   [[nodiscard]] Host& host(NodeId id);
@@ -356,6 +360,10 @@ class Network {
   /// delivers the parked datagram in place unless the source's NIC was
   /// wiped while it sat there, then frees the slot.
   void arrive(std::uint32_t slot);
+  /// EventTarget::fire of the arrival events: arrive(slot).
+  static void fire_arrival(EventTarget& target, std::uint64_t slot) {
+    static_cast<Network&>(target).arrive(static_cast<std::uint32_t>(slot));
+  }
   void transmit_multicast(Host& from, GroupId group, const Datagram& d, SimTime depart);
   /// Applies a loss model (Bernoulli, or Gilbert–Elliott on `in_burst`);
   /// true = drop.
@@ -388,11 +396,9 @@ class Network {
   /// Stacked gray-failure degrades per host: (token, loss, burst_length).
   std::map<NodeId, std::vector<std::tuple<OverrideToken, double, double>>> host_degrade_;
   OverrideToken next_override_token_ = 1;
-  /// In-flight datagrams, parked so each arrival closure captures only
-  /// {this, slot} and stays inside SmallFn's inline buffer (a Datagram
-  /// plus routing state would spill it: one heap cell per packet). The
-  /// pool's slots never move, so arrive() delivers a datagram by
-  /// reference from its slot.
+  /// In-flight datagrams, parked so an arrival event carries only its
+  /// slot. The pool's slots never move, so arrive() delivers a datagram
+  /// by reference from its slot.
   SlotPool<InFlight> inflight_;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;

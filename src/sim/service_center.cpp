@@ -8,7 +8,10 @@
 namespace gmmcs::sim {
 
 ServiceCenter::ServiceCenter(EventLoop& loop, int servers, std::size_t queue_limit)
-    : loop_(loop), servers_(servers), queue_limit_(queue_limit) {
+    : EventTarget{&ServiceCenter::fire_completion},
+      loop_(loop),
+      servers_(servers),
+      queue_limit_(queue_limit) {
   if (servers <= 0) throw std::invalid_argument("ServiceCenter: need at least one server");
 }
 
@@ -43,6 +46,7 @@ std::uint32_t ServiceCenter::park_batch(BatchFn done, std::size_t items) {
 
 std::size_t ServiceCenter::submit_batch(std::size_t n, SimDuration service_time, BatchFn done,
                                         const NicGate& gate) {
+  if (n >= kPlainJob) throw std::length_error("ServiceCenter: batch of 2^32 - 1 jobs or more");
   // Admission item by item, as n submit() calls decide it: free servers
   // take the leading items, the rest queue until the limit fills.
   const std::size_t free_servers =
@@ -57,7 +61,7 @@ std::size_t ServiceCenter::submit_batch(std::size_t n, SimDuration service_time,
   if (accepted == 0) return 0;
   Job job{loop_.now(), service_time, gate, park_batch(std::move(done), accepted)};
   job.batch = true;
-  job.end = accepted;
+  job.end = static_cast<std::uint32_t>(accepted);
   for (; job.next < run; ++job.next) start(job, job.next);
   if (queued > 0) {
     queue_.push_back(job);
@@ -80,17 +84,17 @@ SimTime ServiceCenter::gate_completion(SimTime cpu_done, const NicGate& gate) {
   return SimTime{static_cast<std::int64_t>(std::llround(c))};
 }
 
-void ServiceCenter::start(const Job& job, std::size_t item) {
+void ServiceCenter::start(const Job& job, std::uint32_t item) {
   ++busy_;
   const SimTime now = loop_.now();
   total_wait_ += now - job.enqueued;
-  // The completion captures {this, slot, item}; the callable itself stays
-  // parked in inflight_ or batches_.
-  loop_.schedule_at(gate_completion(now + job.service, job.gate),
-                    [this, slot = job.slot, item] { complete(slot, item); });
+  // The completion is a direct event carrying {slot, item}; the callable
+  // itself stays parked in inflight_ or batches_.
+  loop_.schedule_at(gate_completion(now + job.service, job.gate), *this,
+                    job.slot | (std::uint64_t{item} << 32));
 }
 
-void ServiceCenter::complete(std::uint32_t slot, std::size_t item) {
+void ServiceCenter::complete(std::uint32_t slot, std::uint32_t item) {
   --busy_;
   ++completed_;
   // Both callables run in place. Their slot stays taken while they run, so
@@ -116,7 +120,7 @@ void ServiceCenter::drain() {
   while (busy_ < servers_ && !queue_.empty()) {
     Job& front = queue_.front();
     const Job job = front;
-    const std::size_t item = job.batch ? front.next++ : kPlainJob;
+    const std::uint32_t item = job.batch ? front.next++ : kPlainJob;
     // A batch's Job stays at the queue front until its last item starts.
     if (!job.batch || front.next == front.end) queue_.pop_front();
     --queued_logical_;

@@ -34,11 +34,15 @@ struct NicGate {
   std::size_t nic_slack = 0;
 };
 
-class ServiceCenter {
+/// It is the EventTarget of its job completions (arg = slot | item << 32),
+/// so it neither copies nor moves: the loop holds its address.
+class ServiceCenter : private EventTarget {
  public:
   /// servers: number of parallel workers; queue_limit: max queued jobs
   /// (0 = unbounded). Jobs arriving at a full queue are rejected.
   ServiceCenter(EventLoop& loop, int servers, std::size_t queue_limit = 0);
+  ServiceCenter(const ServiceCenter&) = delete;
+  ServiceCenter& operator=(const ServiceCenter&) = delete;
 
   /// Submits a job; `done` runs when its service time (and `gate`) has
   /// elapsed. A free server takes the job at once, even ahead of queued
@@ -62,7 +66,9 @@ class ServiceCenter {
   /// tests/property_test.cpp). The batch rides the queue as one record
   /// whose items peel off one at a time, and its state is recycled, so a
   /// warmed batch whose `done` fits std::function's inline buffer costs
-  /// no heap allocation.
+  /// no heap allocation. Throws std::length_error, admitting nothing, if
+  /// `n` does not fit in 32 bits (a completion event carries the item
+  /// index in the high half of its arg).
   std::size_t submit_batch(std::size_t n, SimDuration service_time, BatchFn done,
                            const NicGate& gate = {});
 
@@ -76,8 +82,9 @@ class ServiceCenter {
   [[nodiscard]] SimDuration mean_wait() const;
 
  private:
-  /// Item index a plain submit() job completes with.
-  static constexpr std::size_t kPlainJob = static_cast<std::size_t>(-1);
+  /// Item index a plain submit() job completes with; batch items are
+  /// indexed below it.
+  static constexpr std::uint32_t kPlainJob = UINT32_MAX;
 
   /// One batch's completion callable and its accepted items not yet
   /// completed; recycled through free_batches_ after the last completes.
@@ -96,8 +103,8 @@ class ServiceCenter {
     NicGate gate;
     std::uint32_t slot = 0;
     bool batch = false;
-    std::size_t next = 0;
-    std::size_t end = 0;
+    std::uint32_t next = 0;
+    std::uint32_t end = 0;
   };
 
   /// Parks a completion callable in a free inflight_ slot.
@@ -105,8 +112,13 @@ class ServiceCenter {
   /// Parks a batch's callable in a free batches_ slot.
   std::uint32_t park_batch(BatchFn done, std::size_t items);
   /// Starts `job` (item `item` of a batch, or kPlainJob) on a free server.
-  void start(const Job& job, std::size_t item);
-  void complete(std::uint32_t slot, std::size_t item);
+  void start(const Job& job, std::uint32_t item);
+  void complete(std::uint32_t slot, std::uint32_t item);
+  /// EventTarget::fire of the completion events: complete(slot, item).
+  static void fire_completion(EventTarget& target, std::uint64_t arg) {
+    static_cast<ServiceCenter&>(target).complete(static_cast<std::uint32_t>(arg),
+                                                 static_cast<std::uint32_t>(arg >> 32));
+  }
   void drain();
   /// Applies the virtual-NIC admission gate to a job completing its CPU
   /// service at `cpu_done`; returns the (possibly later) gated completion
@@ -129,8 +141,8 @@ class ServiceCenter {
   /// copies), for gate_completion's admission model.
   double nic_free_v_ = 0;
   // Completion callables of queued and running plain jobs, parked here
-  // from submit() on so the EventLoop closure only captures {this, slot},
-  // and run in place by complete().
+  // from submit() on so the completion event carries only the slot, and
+  // run in place by complete().
   SlotPool<SmallFn> inflight_;
   // Batches with items queued or running.
   SlotPool<BatchCtrl> batches_;

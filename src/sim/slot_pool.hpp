@@ -1,7 +1,7 @@
 // SlotPool: recycled storage whose slots never move.
 //
-// The simulator parks per-event state in slots and lets a loop closure
-// capture only the slot index: the EventLoop's callbacks, Network's
+// The simulator parks per-event state in slots and lets a loop event
+// carry only the slot index: the EventLoop's callbacks, Network's
 // in-flight datagrams and ServiceCenter's job callables. Each of them
 // runs or delivers the parked object in place, and that code may
 // schedule, send or submit more, which acquires more slots. So the

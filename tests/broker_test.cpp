@@ -707,6 +707,40 @@ TEST_F(BrokerNetTest, TwoBrokerRouting) {
   EXPECT_EQ(b0.peer_forwards(), 1u);
 }
 
+// A broker-to-broker frame belongs on a peer's stream only. A well-formed
+// kPeerEvent naming both brokers, written by an identified client, is
+// dropped and counted: no subscriber at either broker gets it, and it is
+// not forwarded.
+TEST_F(BrokerNetTest, ClientSentPeerEventIsDroppedNotRoutedOrForwarded) {
+  BrokerNetwork fabric(net);
+  BrokerNode& b0 = fabric.add_broker(net.add_host("b0"));
+  BrokerNode& b1 = fabric.add_broker(net.add_host("b1"));
+  fabric.link(0, 1);
+  fabric.finalize();
+  BrokerClient near(net.add_host("near"), b0.stream_endpoint());
+  BrokerClient far(net.add_host("far"), b1.stream_endpoint());
+  int got = 0;
+  for (BrokerClient* c : {&near, &far}) {
+    c->subscribe("/conf/video");
+    c->on_event([&](const Event&) { ++got; });
+  }
+  loop.run();
+  const auto rogue =
+      transport::StreamConnection::connect(net.add_host("rogue"), b0.stream_endpoint());
+  rogue->send(encode(HelloMessage{"rogue", 0}));
+  PeerEventMessage m;
+  m.event.topic = "/conf/video";
+  m.event.payload = to_bytes("forged");
+  m.targets = {0, 1};
+  rogue->send(encode(m));
+  loop.run();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(b0.client_peer_events_dropped(), 1u);
+  EXPECT_EQ(b0.peer_forwards(), 0u);
+  EXPECT_EQ(b0.events_in(), 0u);
+  EXPECT_EQ(b1.events_in(), 0u);
+}
+
 TEST_F(BrokerNetTest, ChainRoutingMultiHop) {
   BrokerNetwork fabric(net);
   for (int i = 0; i < 4; ++i) fabric.add_broker(net.add_host("b" + std::to_string(i)));

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "broker/broker_network.hpp"
 #include "broker/broker_node.hpp"
 #include "broker/client.hpp"
 #include "broker/event.hpp"
@@ -530,6 +531,36 @@ TEST(DecodeFuzz, LiveBrokerDropsHostileStreamFrames) {
     ASSERT_NO_THROW(loop.run());
     EXPECT_EQ(probes, 1);
   });
+}
+
+// The same hostile client on a two-broker fabric, its subscriber on the
+// far broker: nothing escapes either broker, the client's kPeerEvent
+// frames are dropped rather than routed, and its probe crosses the hop.
+TEST(DecodeFuzz, LiveFabricBrokerDropsHostileStreamFrames) {
+  std::uint64_t dropped = 0;
+  const prop::Cases cases = prop::for_each_seed(100, [&](std::uint64_t seed) {
+    gmmcs::sim::EventLoop loop;
+    gmmcs::sim::Network net(loop, seed);
+    gmmcs::broker::BrokerNetwork fabric(net);
+    gmmcs::broker::BrokerNode& b0 = fabric.add_broker(net.add_host("b0"));
+    gmmcs::broker::BrokerNode& b1 = fabric.add_broker(net.add_host("b1"));
+    fabric.link(0, 1);
+    fabric.finalize();
+    gmmcs::broker::BrokerClient sub(net.add_host("sub"), b1.stream_endpoint());
+    sub.subscribe(kProbeTopic);
+    int probes = 0;
+    sub.on_event([&](const Event& e) { probes += is_probe(e) ? 1 : 0; });
+    loop.run();
+    const auto hostile = gmmcs::transport::StreamConnection::connect(net.add_host("hostile"),
+                                                                     b0.stream_endpoint());
+    hostile->send(encode(gmmcs::broker::HelloMessage{"hostile", 0}));
+    send_hostile_then_probe(*hostile, seed);
+    ASSERT_NO_THROW(loop.run());
+    EXPECT_EQ(probes, 1);
+    EXPECT_EQ(b1.client_peer_events_dropped(), 0u);
+    dropped += b0.client_peer_events_dropped();
+  });
+  cases.expect_more(dropped, 60, "client kPeerEvent frames dropped");
 }
 
 // The same frames from the broker's end of the stream into a live client,

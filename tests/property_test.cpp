@@ -507,17 +507,19 @@ TEST(BatchEquivalence, BatchIsExactlyNSubmits) {
 // side machinery; the one thing every sim result depends on is that
 // events run in (when, seq) order with seq assigned at scheduling or
 // reservation. Each seeded case drives the real loop and a reference (a
-// (when, seq)-sorted std::map) through the same script: schedules at
-// past, equal and future times; schedule_after with negative delays;
-// cancels of pending, already run and never-minted ids, from outside and
-// from inside callbacks (a callback may cancel its own id); events
-// scheduled from callbacks; keys reserved with reserve_seq() and
-// scheduled later, often from a later callback, or refused once their
-// key has passed; run_until with deadlines before and after now(); single
-// steps; and cancel storms that trigger the loop's compaction. The
-// executed (when, seq, tag) sequence, every reserved schedule's outcome
-// and pending/executed/current_seq/now after every top-level op must
-// match.
+// (when, seq)-sorted std::map) through the same script: parked callables
+// and direct (EventTarget) events mixed, at past, equal and future times;
+// schedule_after with negative delays; cancels of pending, already run
+// and never-minted ids, from outside and from inside callbacks (a
+// callback may cancel its own id; a direct event has no id, so its tag's
+// cancel is a no-op); events scheduled from callbacks; keys reserved with
+// reserve_seq() and scheduled later as direct events, often from a later
+// callback, or refused once their key has passed; run_until with
+// deadlines before and after now(); single steps, also nested in a
+// running event; and cancel storms that trigger the loop's compaction,
+// often over pending direct events. The executed (when, seq, tag)
+// sequence, every reserved schedule's outcome and
+// pending/executed/current_seq/now after every top-level op must match.
 // ---------------------------------------------------------------------------
 
 /// The reference loop: pending events in a map ordered by (when, seq).
@@ -541,6 +543,10 @@ struct RefLoop {
     pending_events.emplace(key, tag);
     key_of.emplace(tag, key);
   }
+  /// A direct event: ordered like schedule_at, but no cancel reaches it.
+  void schedule_direct(SimTime when, int tag) {
+    pending_events.emplace(Key{std::max(when, now_).ns(), next_seq_++}, tag);
+  }
   void schedule_after(SimDuration d, int tag) {
     schedule_at(now_ + std::max(d, SimDuration{0}), tag);
   }
@@ -549,9 +555,7 @@ struct RefLoop {
   /// event.
   bool schedule_reserved(SimTime when, std::uint64_t seq, int tag) {
     if (when < now_ || (when == now_ && seq <= current_seq_)) return false;
-    const Key key{when.ns(), seq};
-    pending_events.emplace(key, tag);
-    key_of.emplace(tag, key);
+    pending_events.emplace(Key{when.ns(), seq}, tag);
     return true;
   }
   void cancel(int tag) {
@@ -586,12 +590,18 @@ struct RefLoop {
   }
 };
 
-/// The real loop behind the same interface; tags map to TaskIds.
-struct RealLoop {
+/// The real loop behind the same interface; tags map to TaskIds. It is
+/// also the target of its direct events, whose arg is the tag.
+struct RealLoop : sim::EventTarget {
   sim::EventLoop loop;
   std::map<int, sim::TaskId> ids;
   std::function<void(int)> on_run;
   std::size_t compactions = 0;
+
+  RealLoop()
+      : EventTarget{[](EventTarget& t, std::uint64_t tag) {
+          static_cast<RealLoop&>(t).on_run(static_cast<int>(tag));
+        }} {}
 
   [[nodiscard]] SimTime now() const { return loop.now(); }
   [[nodiscard]] std::size_t pending() const { return loop.pending(); }
@@ -600,15 +610,19 @@ struct RealLoop {
   void schedule_at(SimTime when, int tag) {
     ids[tag] = loop.schedule_at(when, [this, tag] { on_run(tag); });
   }
+  void schedule_direct(SimTime when, int tag) {
+    loop.schedule_at(when, *this, static_cast<std::uint64_t>(tag));
+    ids[tag] = 0;  // no id: cancelling the tag is a no-op
+  }
   void schedule_after(SimDuration d, int tag) {
     ids[tag] = loop.schedule_after(d, [this, tag] { on_run(tag); });
   }
   std::uint64_t reserve_seq() { return loop.reserve_seq(); }
   bool schedule_reserved(SimTime when, std::uint64_t seq, int tag) {
+    ids[tag] = 0;  // a direct event, or none: cancelling the tag is a no-op
     try {
-      ids[tag] = loop.schedule_reserved(when, seq, [this, tag] { on_run(tag); });
+      loop.schedule_reserved(when, seq, *this, static_cast<std::uint64_t>(tag));
     } catch (const std::logic_error&) {
-      ids[tag] = 0;  // never minted: cancelling the tag is a no-op
       return false;
     }
     return true;
@@ -647,6 +661,9 @@ struct OrderRun {
   int self_cancels = 0;
   int reserved_across_events = 0;  // reserved in one event, scheduled in a later one
   int reservations_passed = 0;     // scheduled too late, and refused
+  int direct_runs = 0;             // direct events run, reserved ones included
+  int compacted_over_direct = 0;   // compactions with a direct event pending
+  int nested_steps = 0;            // step() called from inside an event
 };
 
 /// Runs one seeded script on `L`. Every decision draws from one Rng in
@@ -663,13 +680,25 @@ OrderRun run_order_script(std::uint64_t seed) {
   const auto random_time = [&] {
     return SimTime{l.now().ns() + unit(rng.uniform_int(-3, 30)).ns()};
   };
+  // Direct events scheduled and not run yet.
+  std::set<int> direct_pending;
+  int step_depth = 0;  // steps nested in the running events
   const auto schedule_one = [&] {
     const int tag = next_tag++;
-    if (rng.chance(0.5)) {
+    const double r = rng.uniform();
+    if (r < 0.35) {
       l.schedule_at(random_time(), tag);
-    } else {
+    } else if (r < 0.7) {
       l.schedule_after(unit(rng.uniform_int(-3, 30)), tag);
+    } else {
+      l.schedule_direct(random_time(), tag);
+      direct_pending.insert(tag);
     }
+  };
+  const auto cancel_tag = [&](int tag) {
+    const std::size_t before = l.compactions;
+    l.cancel(tag);
+    if (l.compactions > before && !direct_pending.empty()) ++out.compacted_over_direct;
   };
   const auto cancel_one = [&](int self) {
     const double r = rng.uniform();
@@ -683,10 +712,10 @@ OrderRun run_order_script(std::uint64_t seed) {
                                        0xFFFF'FFFFu};
       l.cancel_unknown(ids[rng.uniform_int(0, 2)]);
     } else if (self >= 0 && r < 0.3) {
-      l.cancel(self);
+      cancel_tag(self);
       ++out.self_cancels;
     } else if (next_tag > 0) {
-      l.cancel(static_cast<int>(rng.uniform_int(0, next_tag - 1)));  // pending or already run
+      cancel_tag(static_cast<int>(rng.uniform_int(0, next_tag - 1)));  // pending or already run
     }
   };
   const auto storm = [&] {
@@ -698,7 +727,7 @@ OrderRun run_order_script(std::uint64_t seed) {
       l.schedule_at(SimTime{l.now().ns() + unit(rng.uniform_int(100, 400)).ns()}, next_tag++);
     }
     for (int i = 0; i < n; ++i) {
-      if (!rng.chance(0.05)) l.cancel(first + i);
+      if (!rng.chance(0.05)) cancel_tag(first + i);
     }
   };
   // Reserved keys not scheduled yet, with the executed() count at their
@@ -723,11 +752,13 @@ OrderRun run_order_script(std::uint64_t seed) {
     const int tag = next_tag++;
     const bool ok = l.schedule_reserved(res.when, res.seq, tag);
     out.log.push_back({res.when.ns(), res.seq, ok ? -2 : -3, 0, 0});
+    if (ok) direct_pending.insert(tag);
     if (!ok) ++out.reservations_passed;
     if (ok && in_event && l.executed() != res.reserved_at) ++out.reserved_across_events;
   };
   l.on_run = [&](int tag) {
     out.log.push_back({l.now().ns(), l.current_seq(), tag, 0, 0});
+    out.direct_runs += static_cast<int>(direct_pending.erase(tag));
     const int actions = static_cast<int>(rng.uniform_int(0, 3));
     for (int a = 0; a < actions; ++a) {
       const double r = rng.uniform();
@@ -745,6 +776,12 @@ OrderRun run_order_script(std::uint64_t seed) {
       } else if (r < 0.92 && depth_budget > 0) {
         depth_budget -= 40;
         storm();
+      } else if (r < 0.95 && step_depth < 2) {
+        // A step nested in this event runs the next one, never this one.
+        ++step_depth;
+        ++out.nested_steps;
+        l.step();
+        --step_depth;
       }
     }
   };
@@ -786,6 +823,9 @@ TEST(EventLoopOrder, MatchesSortedReference) {
   int self_cancels = 0;
   int across = 0;
   int passed = 0;
+  int direct = 0;
+  int compacted_over_direct = 0;
+  int nested_steps = 0;
   const prop::Cases cases = prop::for_each_seed(2000, [&](std::uint64_t seed) {
     const OrderRun real = run_order_script<RealLoop>(seed);
     const OrderRun ref = run_order_script<RefLoop>(seed);
@@ -798,6 +838,9 @@ TEST(EventLoopOrder, MatchesSortedReference) {
     self_cancels += real.self_cancels > 0 ? 1 : 0;
     across += real.reserved_across_events > 0 ? 1 : 0;
     passed += real.reservations_passed > 0 ? 1 : 0;
+    direct += real.direct_runs > 0 ? 1 : 0;
+    compacted_over_direct += real.compacted_over_direct > 0 ? 1 : 0;
+    nested_steps += real.nested_steps > 0 ? 1 : 0;
   });
   // The generator reaches the corners the property is about.
   cases.expect_more(compacted, 500, "compacted");
@@ -805,6 +848,9 @@ TEST(EventLoopOrder, MatchesSortedReference) {
   cases.expect_more(self_cancels, 500, "self_cancels");
   cases.expect_more(across, 500, "reserved across events");
   cases.expect_more(passed, 800, "reservations passed");
+  cases.expect_more(direct, 1800, "direct events run");
+  cases.expect_more(compacted_over_direct, 1100, "compacted with a direct event pending");
+  cases.expect_more(nested_steps, 1500, "steps nested in an event");
 }
 
 // ---------------------------------------------------------------------------

@@ -132,6 +132,37 @@ TEST(EventLoop, CancelFromInsideEvent) {
   EXPECT_EQ(loop.pending(), 0u);
 }
 
+/// A direct-event target that hands each fired arg to `on_fire`.
+struct FnTarget : EventTarget {
+  std::function<void(std::uint64_t)> on_fire;
+  explicit FnTarget(std::function<void(std::uint64_t)> fn)
+      : EventTarget{[](EventTarget& t, std::uint64_t arg) { static_cast<FnTarget&>(t).on_fire(arg); }},
+        on_fire(std::move(fn)) {}
+};
+
+// A direct event takes its seq where a callable would, and runs among
+// callables in (when, seq) order, with its own arg.
+TEST(EventLoop, DirectEventsRunInSeqOrderAmongCallables) {
+  EventLoop loop;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> order;  // (seq, tag)
+  FnTarget target([&](std::uint64_t arg) { order.emplace_back(loop.current_seq(), arg); });
+  const SimTime t{duration_ms(1).ns()};
+  loop.schedule_at(t, [&] { order.emplace_back(loop.current_seq(), 0); });
+  loop.schedule_at(t, target, 1);
+  loop.schedule_at(SimTime{0}, target, 2);  // earlier time: runs first
+  loop.schedule_at(t, [&] {
+    order.emplace_back(loop.current_seq(), 3);
+    loop.schedule_at(SimTime{0}, target, 4);  // clamped to now(): runs next
+  });
+  EXPECT_EQ(loop.pending(), 4u);
+  loop.run();
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {3, 2}, {1, 0}, {2, 1}, {4, 3}, {5, 4}};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(loop.executed(), 5u);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
 // reserve_seq() takes the number the next schedule_at() would have
 // taken, and an event scheduled later under that key runs exactly where
 // a schedule_at() at the reservation would have put it.
@@ -148,6 +179,8 @@ TEST(EventLoop, ReserveSeqConsumesTheNumberScheduleAtWould) {
   }
   {
     EventLoop loop;
+    FnTarget target(
+        [&](std::uint64_t tag) { lazy.emplace_back(static_cast<int>(tag), loop.current_seq()); });
     loop.schedule_at(t, [&] { lazy.emplace_back(0, loop.current_seq()); });
     const std::uint64_t before = loop.next_seq();
     const std::uint64_t seq = loop.reserve_seq();
@@ -155,7 +188,7 @@ TEST(EventLoop, ReserveSeqConsumesTheNumberScheduleAtWould) {
     EXPECT_EQ(loop.next_seq(), before + 1);
     EXPECT_EQ(loop.pending(), 1u);  // a reservation is not an event
     loop.schedule_at(t, [&] { lazy.emplace_back(2, loop.current_seq()); });
-    loop.schedule_reserved(t, seq, [&] { lazy.emplace_back(1, loop.current_seq()); });
+    loop.schedule_reserved(t, seq, target, 1);
     EXPECT_EQ(loop.pending(), 3u);
     loop.run();
   }
@@ -166,19 +199,20 @@ TEST(EventLoop, ScheduleReservedRejectsPassedOrUnreservedKeys) {
   EventLoop loop;
   const std::uint64_t early = loop.reserve_seq();
   const std::uint64_t late = loop.reserve_seq();
-  bool ran = false;
+  std::vector<std::uint64_t> fired;
+  FnTarget target([&](std::uint64_t arg) { fired.push_back(arg); });
   loop.schedule_at(SimTime{10}, [&] {
     // (10, early) and (5, late) are behind the running event (10, 3);
     // (10, late) is not, nor is any later time.
-    EXPECT_THROW(loop.schedule_reserved(SimTime{10}, early, [] {}), std::logic_error);
-    EXPECT_THROW(loop.schedule_reserved(SimTime{5}, late, [] {}), std::logic_error);
-    loop.schedule_reserved(SimTime{20}, early, [&] { ran = true; });
+    EXPECT_THROW(loop.schedule_reserved(SimTime{10}, early, target, 1), std::logic_error);
+    EXPECT_THROW(loop.schedule_reserved(SimTime{5}, late, target, 2), std::logic_error);
+    loop.schedule_reserved(SimTime{20}, early, target, 3);
   });
-  EXPECT_THROW(loop.schedule_reserved(SimTime{10}, loop.next_seq(), [] {}), std::logic_error);
+  EXPECT_THROW(loop.schedule_reserved(SimTime{10}, loop.next_seq(), target, 4), std::logic_error);
   loop.run();
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(fired, std::vector<std::uint64_t>{3});
   // Drained up to now(): every key at now() has passed.
-  EXPECT_THROW(loop.schedule_reserved(loop.now(), late, [] {}), std::logic_error);
+  EXPECT_THROW(loop.schedule_reserved(loop.now(), late, target, 5), std::logic_error);
   EXPECT_EQ(loop.pending(), 0u);
 }
 
@@ -209,6 +243,47 @@ TEST(EventLoopCompaction, CancelHeavyChurnKeepsHeapBounded) {
 // runs it there, so a running callback's captures must survive whatever
 // it schedules, and every capture must be destroyed exactly once.
 // ---------------------------------------------------------------------------
+
+// A direct event whose cancels trigger compaction while its own spent
+// entry still holds the heap root runs once: compaction drops that entry
+// (a direct event's entry cannot be told from a pending one).
+TEST(EventLoopCompaction, CompactionDuringADirectEventDropsItsSpentEntry) {
+  EventLoop loop;
+  std::vector<TaskId> ids;
+  for (int i = 0; i < 100; ++i) ids.push_back(loop.schedule_at(SimTime{1000}, [] {}));
+  int fired = 0;
+  FnTarget target([&](std::uint64_t) {
+    ++fired;
+    const std::size_t before = loop.heap_entries();
+    for (const TaskId id : ids) loop.cancel(id);
+    EXPECT_LT(loop.heap_entries(), before);  // compacted
+  });
+  loop.schedule_at(SimTime{10}, target, 0);
+  loop.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.executed(), 1u);
+  EXPECT_EQ(loop.heap_entries(), 0u);
+}
+
+// A step() nested in a direct event runs the next event, not the running
+// one again, and the outer event's spent entry is gone afterwards.
+TEST(EventLoop, StepNestedInADirectEventRunsTheNextEvent) {
+  EventLoop loop;
+  std::vector<std::uint64_t> fired;
+  FnTarget target([&](std::uint64_t arg) {
+    fired.push_back(arg);
+    if (arg == 1) {
+      EXPECT_TRUE(loop.step());
+    }
+  });
+  loop.schedule_at(SimTime{10}, target, 1);
+  loop.schedule_at(SimTime{20}, target, 2);
+  loop.schedule_at(SimTime{30}, target, 3);
+  loop.run();
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(loop.executed(), 3u);
+  EXPECT_EQ(loop.heap_entries(), 0u);
+}
 
 TEST(EventLoopInPlace, RunningCallbackSurvivesSlotGrowth) {
   EventLoop loop;
@@ -441,6 +516,18 @@ TEST(ServiceCenter, MeanWaitAccounting) {
   for (int i = 0; i < 3; ++i) sc.submit(duration_ms(10), [] {});
   loop.run();
   EXPECT_EQ(sc.mean_wait().ms(), 10);
+}
+
+// A completion event carries its batch item index in 32 bits, so a batch
+// too large for that is refused whole.
+TEST(ServiceCenter, BatchBeyondThirtyTwoBitItemsIsRefused) {
+  EventLoop loop;
+  ServiceCenter sc(loop, 2);
+  EXPECT_THROW(sc.submit_batch(std::size_t{UINT32_MAX}, duration_ms(1), [](std::size_t) {}),
+               std::length_error);
+  EXPECT_EQ(sc.busy_servers(), 0);
+  EXPECT_EQ(sc.rejected(), 0u);
+  EXPECT_EQ(loop.pending(), 0u);
 }
 
 class NetworkTest : public ::testing::Test {

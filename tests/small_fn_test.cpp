@@ -1,6 +1,7 @@
 // SmallFn: inline-storage guarantees, move semantics, heap fallback, and
 // the ServiceCenter property the type exists for — a copy job's completion
-// closure costs zero heap allocations once the center is warmed up.
+// closure costs zero heap allocations once the center is warmed up — and
+// the same bar for the loop's direct events, which park no closure at all.
 
 #include "common/small_fn.hpp"
 
@@ -15,8 +16,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/payload.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/network.hpp"
 #include "sim/service_center.hpp"
 
 namespace {
@@ -190,12 +193,12 @@ TEST(SmallFn, EmplaceThatThrowsLeavesItEmpty) {
 }
 
 // The end-to-end property: after warm-up (ServiceCenter slot table,
-// EventLoop callback slot table, event heap and queue at steady-state
-// capacity), a copy job with a realistic capture (shared_ptr + ids,
-// > std::function's 16-byte SBO) costs ZERO heap allocations end to end.
-// EventLoop scheduling recycles a callback slot (no map node) and
-// Callback is a SmallFn (64-byte inline buffer), so neither the EventLoop
-// bookkeeping nor the completion closure allocates. Before the slot table
+// event heap and queue at steady-state capacity), a copy job with a
+// realistic capture (shared_ptr + ids, > std::function's 16-byte SBO)
+// costs ZERO heap allocations end to end. The job's callable is a SmallFn
+// (64-byte inline buffer) parked in a recycled slot, and its completion
+// is a direct loop event, so neither the EventLoop bookkeeping nor the
+// completion closure allocates. Before the slot table
 // + SmallFn migration the same job cost >= 3 allocations (callbacks_ map
 // node + the std::function wrapping the capture + the outer completion
 // closure), so the zero bound below certifies the improvement: both old
@@ -220,6 +223,42 @@ TEST(ServiceCenterSmallFn, WarmedCopyJobsDoNotAllocate) {
   EXPECT_EQ(g_allocs.load() - before, 0u);
   EXPECT_EQ(*payload, 16 * 6);
   EXPECT_EQ(sc.completed(), 16u);
+}
+
+// A copy's two loop events, its dispatch completion and its datagram's
+// arrival, are direct events on the ServiceCenter's and the Network's
+// targets. Once the heap, the job and in-flight slot tables and the NIC
+// ring are warm, a burst of copies runs with zero allocations and exactly
+// two loop events each.
+TEST(DirectLoopEvents, WarmedArrivalsAndCompletionsDoNotAllocate) {
+  gmmcs::sim::EventLoop loop;
+  gmmcs::sim::Network net(loop);
+  gmmcs::sim::Host& broker = net.add_host("broker");
+  gmmcs::sim::Host& rx = net.add_host("rx");
+  gmmcs::sim::ServiceCenter dispatch(loop, /*servers=*/2);
+  int received = 0;
+  rx.bind(5000, [&](const gmmcs::sim::Datagram&) { ++received; });
+  const gmmcs::Payload frame{gmmcs::Bytes(600, 0x5a)};
+  int sent = 0;
+  const auto fan_out = [&](int copies) {
+    for (int i = 0; i < copies; ++i) {
+      const bool ok = dispatch.submit(gmmcs::duration_us(20), [&] {
+        sent += broker.send({rx.id(), 5000}, 4000, frame) ? 1 : 0;
+      });
+      ASSERT_TRUE(ok);
+    }
+  };
+  fan_out(64);  // warm every table to the burst's depth
+  loop.run();
+
+  const std::uint64_t before = g_allocs.load();
+  const std::uint64_t events = loop.executed();
+  fan_out(64);
+  loop.run();
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(loop.executed() - events, 2u * 64u);
+  EXPECT_EQ(sent, 128);
+  EXPECT_EQ(received, 128);
 }
 
 }  // namespace
