@@ -19,6 +19,7 @@ BrokerNode& BrokerNetwork::add_broker(sim::Host& host, BrokerNode::Config cfg) {
   BrokerNode& node = *brokers_.back();
   node.network_ = this;
   adjacency_[id];
+  view_down_.emplace_back();
   return node;
 }
 
@@ -33,6 +34,9 @@ void BrokerNetwork::link(BrokerId a, BrokerId b) {
   // One stream connection in each direction (send paths are independent).
   auto ab = transport::StreamConnection::connect(na.host(), nb.stream_endpoint());
   auto ba = transport::StreamConnection::connect(nb.host(), na.stream_endpoint());
+  // Each broker takes broker-to-broker frames only from its peers' links.
+  nb.peer_streams_.insert(ab->local());
+  na.peer_streams_.insert(ba->local());
   na.add_peer_link(b, std::move(ab));
   nb.add_peer_link(a, std::move(ba));
   adjacency_[a].insert(b);
@@ -69,11 +73,10 @@ void BrokerNetwork::grow_routes() {
 }
 
 void BrokerNetwork::rebuild_route_row(BrokerId src) {
-  // BFS from one broker (links are uniform cost), skipping links the
-  // broker believes down: the shared detector table normally, its own
-  // gossip-fed view in gossip mode.
+  // BFS from one broker (links are uniform cost), skipping the links in
+  // that broker's own view.
   grow_routes();
-  const auto& down = gossip_ ? view_down_[src] : down_links_;
+  const auto& down = view_down_[src];
   const std::size_t row = std::size_t{src} * routes_.n;
   std::uint32_t* hops = routes_.first_hop.data() + row;
   int* dist = routes_.hop_count.data() + row;
@@ -101,33 +104,18 @@ void BrokerNetwork::report_link(BrokerId a, BrokerId b, bool up) {
   // Both endpoints' detectors report each transition; only the first
   // report of a genuine state change fires the repair listener.
   const bool changed = up ? down_links_.erase(key) > 0 : down_links_.insert(key).second;
-  if (gossip_) {
-    // Gossip mode: the reporting broker updates only its own view (and
-    // row) here; everyone else learns from the flooded advertisement,
-    // paying real propagation latency.
-    auto& view = view_down_[a];
-    const bool view_changed = up ? view.erase(key) > 0 : view.insert(key).second;
-    if (view_changed) {
-      rebuild_route_row(a);
-      ++route_recomputes_;
-      ++epoch_;
-    }
-  } else if (changed) {
-    rebuild_routes();
-    ++route_recomputes_;
-    ++epoch_;
-  }
+  // The reporter updates only its own view (and row) here; every other
+  // broker learns from the flooded advertisement, paying real propagation
+  // latency.
+  apply_link_state(a, a, b, up);
   if (changed && route_listener_) {
     route_listener_(key.first, key.second, up, net_->loop().now());
   }
 }
 
 void BrokerNetwork::apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool up) {
-  // No repair-listener fire (the transition was already announced at its
-  // origin) and no shared-table touch.
-  if (!gossip_) return;
+  auto& view = view_down_.at(at);
   const auto key = std::minmax(a, b);
-  auto& view = view_down_[at];
   const bool changed = up ? view.erase(key) > 0 : view.insert(key).second;
   if (!changed) return;
   rebuild_route_row(at);

@@ -9,10 +9,12 @@
 //
 // Modelling note (see DESIGN.md §2): the *data plane* — every forwarded
 // event — is fully message-accurate, paying dispatch CPU, NIC and link
-// costs per hop. The *control plane* (interest advertisements and route
-// computation) is applied instantaneously through this coordinator object,
-// standing in for NaradaBrokering's gossip of subscription tables. The
-// experiments measure data-plane behaviour only.
+// costs per hop. Link state is too: each broker routes from its own view
+// of down links, which changes only when its own detector fires or a
+// flooded kLinkState advertisement reaches it over the peer links.
+// Interest advertisements are applied instantaneously through this
+// coordinator object, standing in for NaradaBrokering's gossip of
+// subscription tables.
 #pragma once
 
 #include <algorithm>
@@ -61,39 +63,35 @@ class BrokerNetwork {
   /// in each direction). Call finalize() after all links are in place.
   void link(BrokerId a, BrokerId b);
   /// Computes shortest-path routing tables over the current topology.
-  /// Not one-shot: report_link() recomputes the same tables around failed
-  /// links at runtime, so routes self-heal as detectors fire.
+  /// Not one-shot: report_link() and apply_link_state() rebuild single
+  /// rows around failed links at runtime, so routes self-heal as
+  /// detectors fire and their advertisements spread.
   void finalize();
 
-  // --- Self-healing control plane ---
-  /// A broker's failure detector reporting the (a,b) link down or back up.
-  /// Both ends report independently; duplicate reports are deduplicated and
-  /// only genuine transitions trigger a route recompute (and the
-  /// on_route_repair callback). Link identity is undirected.
+  // --- Self-healing control plane (DESIGN.md §8, §13) ---
+  /// Broker `a`'s failure detector reporting the (a,b) link down or back
+  /// up. Updates the detectors' table (link_considered_up, the
+  /// on_route_repair listener) and `a`'s own routing view and row; the
+  /// other brokers learn from `a`'s flooded kLinkState. Both ends report
+  /// independently; only the first report of a genuine transition fires
+  /// the listener. Link identity is undirected.
   void report_link(BrokerId a, BrokerId b, bool up);
   [[nodiscard]] bool link_considered_up(BrokerId a, BrokerId b) const {
     return !down_links_.contains(std::minmax(a, b));
   }
   /// Observer for repair instrumentation: (a, b, up, at) on each genuine
-  /// link-state transition, after routes have been rebuilt.
+  /// link-state transition, after the reporter's row has been rebuilt.
   void on_route_repair(
       std::function<void(BrokerId, BrokerId, bool, SimTime)> cb) {
     route_listener_ = std::move(cb);
   }
-  /// Times the routing tables were rebuilt by report_link transitions.
+  /// Routing rows rebuilt by report_link() / apply_link_state(): one per
+  /// change to one broker's view.
   [[nodiscard]] std::uint64_t route_recomputes() const { return route_recomputes_; }
-
-  // --- Gossiped link-state (DESIGN.md §13) ---
-  /// Switches route repair from the instantaneous shared-table shortcut to
-  /// gossip: each broker keeps its *own* view of down links, learns about
-  /// remote failures only from kLinkState advertisements flooded over the
-  /// (simulated, latency-paying) peer links, and routes its row from that
-  /// view. Off by default — fault-free runs carry no gossip traffic and
-  /// existing outputs stay byte-identical. Set before the run starts.
-  void set_gossip(bool enabled) { gossip_ = enabled; }
-  [[nodiscard]] bool gossip_enabled() const { return gossip_; }
-  /// A broker applying a received link-state advertisement to its own
-  /// routing view (gossip mode only).
+  /// Broker `at` applying a link-state change to its own routing view
+  /// (its detector's report, or a received advertisement); rebuilds that
+  /// broker's row if the view changed. Fires no listener: the transition
+  /// was announced where it was detected.
   void apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool up);
 
   /// Optional hierarchical address labels; set_address also implies
@@ -136,18 +134,17 @@ class BrokerNetwork {
   [[nodiscard]] const RouteTables& routes() const { return routes_; }
   [[nodiscard]] const SubscriptionIndex& interest() const { return interest_; }
   /// Control-plane changes so far: one per finalize(), advertise() and
-  /// routing-table rebuild by report_link() / apply_link_state().
+  /// routing-row rebuild by report_link() / apply_link_state().
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Benchmark-facing only: perfbench reads the tables through
   /// `snapshot()->…`. New code calls routes(), interest() and epoch().
   [[nodiscard]] ControlSnapshotPtr snapshot() const { return this; }
 
  private:
-  /// BFS over adjacency_ minus down_links_; shared by finalize() and
-  /// report_link().
+  /// Every broker's row, each over its own view (finalize()).
   void rebuild_routes();
-  /// Rebuilds one broker's routing row from the down-set it believes in:
-  /// the shared down_links_ normally, its gossip view in gossip mode.
+  /// Rebuilds one broker's routing row: BFS over adjacency_ minus the
+  /// links in view_down_[src].
   void rebuild_route_row(BrokerId src);
   /// Widens routes_ to the current broker count, keeping built rows (a
   /// broker added after finalize() gets an unbuilt row and column).
@@ -159,10 +156,9 @@ class BrokerNetwork {
   /// Links currently declared down by some broker's failure detector,
   /// keyed undirected (min id, max id).
   std::set<std::pair<BrokerId, BrokerId>> down_links_;
-  bool gossip_ = false;
-  /// Gossip mode: each broker's private view of down links, fed by the
-  /// kLinkState advertisements that actually reached it.
-  std::map<BrokerId, std::set<std::pair<BrokerId, BrokerId>>> view_down_;
+  /// Each broker's private view of down links (indexed by BrokerId), fed
+  /// by its own detector and the kLinkState advertisements that reached it.
+  std::vector<std::set<std::pair<BrokerId, BrokerId>>> view_down_;
   std::function<void(BrokerId, BrokerId, bool, SimTime)> route_listener_;
   std::uint64_t route_recomputes_ = 0;
   /// The routing matrices, rebuilt in place by the BFS and read in place

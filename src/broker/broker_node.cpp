@@ -90,6 +90,7 @@ transport::StreamConnectionPtr BrokerNode::drop_client(ClientRec& rec) {
 void BrokerNode::accept(transport::StreamConnectionPtr conn) {
   const std::uint32_t slot = inbound_.acquire();
   inbound_[slot].conn = conn;
+  inbound_[slot].peer = peer_streams_.contains(conn->remote());
   // The connection's client identity is established by its Hello frame.
   conn->on_message([this, slot](const Payload& data) { handle_stream_frame(slot, data); });
   conn->on_close([this, slot] { close_inbound(slot); });
@@ -99,17 +100,20 @@ void BrokerNode::handle_stream_frame(std::uint32_t slot, const Payload& data) {
   // The slot stays ours while this runs: a stream's handler never runs
   // after its close, and no frame closes its own stream.
   Inbound& in = inbound_[slot];
+  // Only a peer broker's stream carries broker-to-broker frames. From any
+  // other stream, with or without a Hello, the peer hop would skip the
+  // publisher stamp and let the sender address brokers directly, and
+  // link state would rewrite every broker's routing view.
+  if (!in.peer && !data.empty() &&
+      (data[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent) ||
+       data[0] == static_cast<std::uint8_t>(MessageType::kLinkState))) {
+    ++client_peer_frames_dropped_;
+    return;
+  }
   // The broker-to-broker hop and client events decode in place into a
   // recycled RoutedEvent: no Frame, no topic string, no target vector;
   // the route job reads a hop's targets straight from `data`.
   if (!data.empty() && data[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent)) {
-    // Only a peer broker's stream carries the broker-to-broker hop. From
-    // an identified client it would skip the publisher stamp and let the
-    // client address brokers directly.
-    if (in.client != 0) {
-      ++client_peer_events_dropped_;
-      return;
-    }
     RoutedRef routed = acquire_routed();
     Event& ev = routed.entry().ev.refill();
     PeerTargets targets;
@@ -290,7 +294,15 @@ void BrokerNode::ingress_peer_event(RoutedRef routed, PeerTargets targets) {
     if (local) fan_out_local(routed, /*exclude=*/0);
     // A standalone broker has no fabric to forward into; only a hostile or
     // broken sender names other brokers to it.
-    if (!peer_rest_.empty() && network_ != nullptr) route_remote(*routed, peer_rest_);
+    if (peer_rest_.empty() || network_ == nullptr) return;
+    // A path that visits no broker twice is shorter than the broker count,
+    // so an event that long is circling between brokers whose link-state
+    // views disagree: it goes no further.
+    if (routed->event().hops >= std::min<std::size_t>(network_->broker_count(), UINT8_MAX)) {
+      ++hop_limited_events_;
+      return;
+    }
+    route_remote(*routed, peer_rest_);
   });
 }
 
@@ -443,11 +455,11 @@ void BrokerNode::peer_liveness(BrokerId peer, bool alive) {
   }
   if (network_ == nullptr) return;
   network_->report_link(id_, peer, alive);
-  if (network_->gossip_enabled()) originate_link_state(peer, alive);
+  originate_link_state(peer, alive);
 }
 
 void BrokerNode::gossip_refresh() {
-  if (network_ == nullptr || !network_->gossip_enabled()) return;
+  if (network_ == nullptr) return;
   for (BrokerId peer = 0; peer < peer_links_.size(); ++peer) {
     if (peer_links_[peer]) originate_link_state(peer, !peer_down_.contains(peer));
   }
@@ -473,7 +485,12 @@ void BrokerNode::handle_link_state(const LinkStateMessage& m) {
     if (m.seq <= it->second) return;  // stale or already forwarded
     it->second = m.seq;
   }
-  if (network_ != nullptr) network_->apply_link_state(id_, m.a, m.b, m.up);
+  // Our own detector alone decides a link of ours it watches; the far
+  // end's word on it is still passed on.
+  const BrokerId other = m.a == id_ ? m.b : m.a;
+  const bool watched =
+      (m.a == id_ || m.b == id_) && peer_link(other) != nullptr && cfg_.idle.interval.ns() > 0;
+  if (network_ != nullptr && !watched) network_->apply_link_state(id_, m.a, m.b, m.up);
   // Forward once to every peer (including back toward the sender — the
   // dedup above terminates the flood).
   flood_link_state(m);

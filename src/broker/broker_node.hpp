@@ -76,9 +76,10 @@ class BrokerNode {
     /// The idle detector on each outgoing peer link (the self-healing
     /// fabric's sensor): dead reports the link down to the BrokerNetwork,
     /// which repairs the routing tables, and the next answer reports it
-    /// up; the link itself is never closed. In gossip mode the broker
-    /// also re-floods its links' state every misses x interval. Off by
-    /// default: a fault-free run carries no probes.
+    /// up; the link itself is never closed. The broker floods each
+    /// transition as a kLinkState advertisement and re-floods its links'
+    /// state every misses x interval. Off by default: a fault-free run
+    /// carries no probes and no link state.
     transport::IdleConfig idle;
     /// The idle detector on each identified client's stream: dead evicts
     /// the record (counted in clients_reaped), and closing the stream
@@ -109,10 +110,13 @@ class BrokerNode {
   /// Events addressed to an interested broker we have no route to
   /// (fabric partition); counted per unreachable target.
   [[nodiscard]] std::uint64_t unroutable_events() const { return unroutable_events_; }
-  /// Broker-to-broker (kPeerEvent) frames dropped because they came on an
-  /// identified client's stream.
-  [[nodiscard]] std::uint64_t client_peer_events_dropped() const {
-    return client_peer_events_dropped_;
+  /// Peer events not forwarded: their hop count reached the broker count.
+  [[nodiscard]] std::uint64_t hop_limited_events() const { return hop_limited_events_; }
+  /// Broker-to-broker frames (kPeerEvent, kLinkState) dropped because
+  /// they came on a stream that is not a peer broker's link (a client's,
+  /// identified or not).
+  [[nodiscard]] std::uint64_t client_peer_frames_dropped() const {
+    return client_peer_frames_dropped_;
   }
   [[nodiscard]] const sim::ServiceCenter& dispatch() const { return dispatch_; }
   [[nodiscard]] std::size_t client_count() const { return client_count_; }
@@ -227,11 +231,12 @@ class BrokerNode {
   /// view; the periodic re-flood converges them once connectivity returns
   /// (classic link-state protocol refresh).
   void gossip_refresh();
-  /// Detector transition in gossip mode: flood a fresh advertisement for
-  /// the (id_, peer) link so remote brokers learn at propagation speed.
+  /// Detector transition: flood a fresh advertisement for the (id_, peer)
+  /// link so remote brokers learn at propagation speed.
   void originate_link_state(BrokerId peer, bool up);
   /// A kLinkState frame arriving from a peer: dedup by (origin, link, seq),
-  /// apply to our routing view and re-flood once.
+  /// apply to our routing view (unless it names a link of ours our own
+  /// detector watches) and re-flood once.
   void handle_link_state(const LinkStateMessage& m);
   void flood_link_state(const LinkStateMessage& m);
 
@@ -299,6 +304,8 @@ class BrokerNode {
   OpenIndex udp_index_;
   /// Outgoing peer links, indexed by BrokerId (null: no link).
   std::vector<transport::StreamConnectionPtr> peer_links_;
+  /// Source endpoints of the peers' links into us (BrokerNetwork::link).
+  std::set<sim::Endpoint> peer_streams_;
   /// Local fan-outs with copies still in the dispatch pool: the event and
   /// its recipients, copied from the match line at routing time (the line
   /// may change before the last copy leaves). The batch's callback
@@ -336,6 +343,7 @@ class BrokerNode {
   struct Inbound {
     transport::StreamConnectionPtr conn;
     ClientId client = 0;
+    bool peer = false;  ///< from a peer's link: broker frames are taken
   };
   sim::SlotPool<Inbound> inbound_;
   std::uint64_t events_in_ = 0;
@@ -343,7 +351,8 @@ class BrokerNode {
   std::uint64_t copies_nic_dropped_ = 0;
   std::uint64_t peer_forwards_ = 0;
   std::uint64_t unroutable_events_ = 0;
-  std::uint64_t client_peer_events_dropped_ = 0;
+  std::uint64_t client_peer_frames_dropped_ = 0;
+  std::uint64_t hop_limited_events_ = 0;
   /// Targets we already warned about being unreachable — at media rates an
   /// unconditional per-event warning floods the log during a partition.
   std::set<BrokerId> warned_unroutable_;

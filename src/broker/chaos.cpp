@@ -89,7 +89,6 @@ ChaosOutcome run_chaos(const sim::ChaosSpec& spec, const ChaosOptions& opts) {
     fabric.add_broker(h, bcfg);
   }
   for (const auto& [a, b] : spec.links) fabric.link(a, b);
-  fabric.set_gossip(spec.gossip);
   fabric.finalize();
 
   // --- Reliable pipeline, pinned to broker 0 (never crashed) ---

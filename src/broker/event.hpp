@@ -90,7 +90,7 @@ struct PingMessage {
   SimTime sent;
 };
 
-/// Gossiped link-state advertisement (gossip routing mode, DESIGN.md §13):
+/// Gossiped link-state advertisement (DESIGN.md §8, §13):
 /// `origin` observed link (a, b) transition to `up` and floods the news
 /// over its peer links; `seq` is a per-origin sequence number brokers use
 /// to forward each advertisement at most once.

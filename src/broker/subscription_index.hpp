@@ -5,8 +5,8 @@
 // the per-packet overhead the paper's broker optimization removed. This
 // index splits the subscription table the way 2003-era brokers did:
 //
-//  * concrete filters (no wildcards) live in an exact-topic hash map, so a
-//    published topic finds them with one lookup;
+//  * concrete filters (no wildcards) live in an exact-topic ordered map,
+//    so a published topic finds them with one lookup;
 //  * wildcard filters ("*"/"#") live in a short side list that is scanned
 //    only when present;
 //  * results are memoized per topic in a match cache stamped with a
@@ -26,10 +26,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,15 +90,12 @@ class SubscriptionIndex {
 
   void bump_generation();
 
-  /// Lets the pattern tables be probed with a topic's view.
-  struct PatternHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
-  };
-  using PatternMap = std::unordered_map<std::string, RefMap, PatternHash, std::equal_to<>>;
+  /// Transparent comparator: the pattern tables are probed with a topic's
+  /// view.
+  using PatternMap = std::map<std::string, RefMap, std::less<>>;
 
-  /// Concrete filter pattern -> subscriber refcounts (one hash probe per
-  /// published topic).
+  /// Concrete filter pattern -> subscriber refcounts (one lookup per
+  /// match-cache miss).
   PatternMap exact_;
   /// Filters containing '*' or a trailing '#' (scanned per cache miss).
   std::vector<WildcardEntry> wildcards_;

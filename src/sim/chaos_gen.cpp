@@ -105,7 +105,6 @@ std::string ChaosSpec::serialize() const {
   out += "seed " + std::to_string(seed) + "\n";
   out += "topology " + std::string(topology_token(topology)) + "\n";
   out += "brokers " + std::to_string(brokers) + "\n";
-  out += "gossip " + std::string(gossip ? "1" : "0") + "\n";
   out += "horizon " + std::to_string(horizon.ns()) + "\n";
   out += "settle " + std::to_string(settle.ns()) + "\n";
   out += "reliable " + std::to_string(reliable_events) + " " +
@@ -174,10 +173,6 @@ std::optional<ChaosSpec> ChaosSpec::parse(const std::string& text) {
       }
     } else if (key == "brokers") {
       ls >> s.brokers;
-    } else if (key == "gossip") {
-      int v = 0;
-      ls >> v;
-      s.gossip = v != 0;
     } else if (key == "horizon") {
       std::int64_t ns = 0;
       ls >> ns;
@@ -298,7 +293,6 @@ ChaosSpec ChaosGen::generate(std::uint64_t seed) {
       }
       break;
   }
-  s.gossip = rng.chance(0.5);
 
   // --- Schedules ---
   const std::int64_t horizon_ms = rng.uniform_int(3000, 4500);

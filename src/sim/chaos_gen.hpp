@@ -72,8 +72,6 @@ struct ChaosSpec {
   Topology topology = Topology::kRing;
   int brokers = 3;
   std::vector<std::pair<int, int>> links;  // broker index pairs
-  /// Run the fabric with gossiped link-state (BrokerNetwork::set_gossip).
-  bool gossip = false;
   std::vector<ChaosClient> clients;
   /// Reliable pipeline schedule (publisher/recovery/subscriber pinned to
   /// broker 0 by the harness).

@@ -22,7 +22,6 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -385,7 +384,7 @@ class Network : private EventTarget {
   std::vector<Link> links_;
   OpenIndex link_index_;
   GroupId next_group_ = 1;
-  std::unordered_map<GroupId, std::vector<Endpoint>> groups_;
+  std::map<GroupId, std::vector<Endpoint>> groups_;
   /// Administratively-down host pairs (link flaps, partitions), keyed minmax.
   std::set<std::pair<NodeId, NodeId>> down_links_;
   /// Directed one-way cuts: (src, dst) pairs whose src → dst direction drops.

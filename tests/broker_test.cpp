@@ -735,10 +735,115 @@ TEST_F(BrokerNetTest, ClientSentPeerEventIsDroppedNotRoutedOrForwarded) {
   rogue->send(encode(m));
   loop.run();
   EXPECT_EQ(got, 0);
-  EXPECT_EQ(b0.client_peer_events_dropped(), 1u);
+  EXPECT_EQ(b0.client_peer_frames_dropped(), 1u);
   EXPECT_EQ(b0.peer_forwards(), 0u);
   EXPECT_EQ(b0.events_in(), 0u);
   EXPECT_EQ(b1.events_in(), 0u);
+}
+
+// Link state is broker-to-broker too: a kLinkState an identified client
+// writes is dropped and counted, so it neither floods nor rewrites any
+// broker's routing view.
+TEST_F(BrokerNetTest, ClientSentLinkStateIsDroppedNotAppliedOrFlooded) {
+  BrokerNetwork fabric(net);
+  BrokerNode& b0 = fabric.add_broker(net.add_host("b0"));
+  BrokerNode& b1 = fabric.add_broker(net.add_host("b1"));
+  fabric.link(0, 1);
+  fabric.finalize();
+  loop.run();
+  const auto rogue =
+      transport::StreamConnection::connect(net.add_host("rogue"), b0.stream_endpoint());
+  rogue->send(encode(HelloMessage{"rogue", 0}));
+  LinkStateMessage m;
+  m.origin = 1;
+  m.seq = 99;
+  m.a = 0;
+  m.b = 1;
+  m.up = false;
+  rogue->send(encode(m));
+  loop.run();
+  EXPECT_EQ(b0.client_peer_frames_dropped(), 1u);
+  EXPECT_EQ(b0.link_states_flooded(), 0u);
+  EXPECT_EQ(b1.link_states_flooded(), 0u);
+  EXPECT_EQ(fabric.distance(0, 1), 1);
+  EXPECT_EQ(fabric.distance(1, 0), 1);
+}
+
+// A stream that never sends a Hello is no peer either: a peer's link is
+// known to the broker it connects to, not told apart by a missing Hello.
+// The forged advertisement (origin 1, the highest seq, link 0-1 down) and
+// a forged hop are dropped and counted before any decode: neither floods
+// nor routes, and no seq is recorded that would make broker 1's own later
+// advertisements look stale.
+TEST_F(BrokerNetTest, HellolessStreamBrokerFramesAreDropped) {
+  BrokerNetwork fabric(net);
+  BrokerNode& b0 = fabric.add_broker(net.add_host("b0"));
+  BrokerNode& b1 = fabric.add_broker(net.add_host("b1"));
+  fabric.link(0, 1);
+  fabric.finalize();
+  BrokerClient far(net.add_host("far"), b1.stream_endpoint());
+  int got = 0;
+  far.subscribe("/conf/video");
+  far.on_event([&](const Event&) { ++got; });
+  loop.run();
+  const auto rogue =
+      transport::StreamConnection::connect(net.add_host("rogue"), b0.stream_endpoint());
+  LinkStateMessage ls;
+  ls.origin = 1;
+  ls.seq = UINT32_MAX;
+  ls.a = 0;
+  ls.b = 1;
+  ls.up = false;
+  rogue->send(encode(ls));
+  PeerEventMessage pe;
+  pe.event.topic = "/conf/video";
+  pe.event.payload = to_bytes("forged");
+  pe.targets = {0, 1};
+  rogue->send(encode(pe));
+  loop.run();
+  EXPECT_EQ(b0.client_peer_frames_dropped(), 2u);
+  EXPECT_EQ(b0.link_states_flooded(), 0u);
+  EXPECT_EQ(b1.link_states_flooded(), 0u);
+  EXPECT_EQ(fabric.distance(0, 1), 1);
+  EXPECT_EQ(fabric.distance(1, 0), 1);
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(b0.peer_forwards(), 0u);
+}
+
+// Brokers whose link-state views disagree can pass an event back and
+// forth: on triangle 0-1-2, broker 0 believes 0-2 down and routes to 2 via
+// 1, and broker 1 believes 1-2 down and routes to 2 via 0. The hop limit
+// (the broker count) stops each event after three forwards; none reaches
+// broker 2 and the loop drains.
+TEST_F(BrokerNetTest, EventLoopingBetweenDisagreeingViewsIsHopLimited) {
+  BrokerNetwork fabric(net);
+  BrokerNode& b0 = fabric.add_broker(net.add_host("b0"));
+  BrokerNode& b1 = fabric.add_broker(net.add_host("b1"));
+  BrokerNode& b2 = fabric.add_broker(net.add_host("b2"));
+  fabric.link(0, 1);
+  fabric.link(1, 2);
+  fabric.link(0, 2);
+  fabric.finalize();
+  BrokerClient pub(net.add_host("pub"), b0.stream_endpoint());
+  BrokerClient sub(net.add_host("sub"), b2.stream_endpoint());
+  int got = 0;
+  sub.subscribe("/conf/video");
+  sub.on_event([&](const Event&) { ++got; });
+  loop.run();
+  fabric.apply_link_state(0, 0, 2, /*up=*/false);
+  fabric.apply_link_state(1, 1, 2, /*up=*/false);
+  ASSERT_EQ(fabric.next_hop(0, 2), 1u);
+  ASSERT_EQ(fabric.next_hop(1, 2), 0u);
+  for (int i = 0; i < 5; ++i) pub.publish("/conf/video", to_bytes("x"));
+  loop.run_for(duration_s(5));
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(got, 0);
+  // 0 -> 1 (hops 1) -> 0 (hops 2) -> 1 (hops 3 = broker count): dropped.
+  EXPECT_EQ(b0.peer_forwards(), 10u);
+  EXPECT_EQ(b1.peer_forwards(), 5u);
+  EXPECT_EQ(b1.hop_limited_events(), 5u);
+  EXPECT_EQ(b0.hop_limited_events(), 0u);
+  EXPECT_EQ(b2.events_in(), 0u);
 }
 
 TEST_F(BrokerNetTest, ChainRoutingMultiHop) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,7 @@
 #include "common/random.hpp"
 #include "property.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/fault.hpp"
 #include "sim/network.hpp"
 
 using namespace gmmcs;
@@ -58,6 +60,18 @@ void expect_routes_complete(const broker::RouteTables& routes, BrokerId n) {
   }
 }
 
+/// Every broker's own row still reaches every other broker. It reads one
+/// row at a time, so unlike expect_routes_complete it holds while the
+/// brokers' views disagree (a walk across rows can then circle).
+void expect_every_row_reaches_all(const broker::RouteTables& routes, BrokerId n) {
+  for (BrokerId from = 0; from < n; ++from) {
+    for (BrokerId to = 0; to < n; ++to) {
+      if (from == to) continue;
+      EXPECT_GT(routes.distance(from, to), 0) << from << "->" << to;
+    }
+  }
+}
+
 }  // namespace
 
 TEST(ControlPlane, UnfinalizedFabricHasNoRoutesOrInterest) {
@@ -77,20 +91,168 @@ TEST(ControlPlane, RepairRoutesAroundTheDeadLink) {
   ASSERT_EQ(routes.distance(0, 1), 1);
   const std::uint64_t epoch0 = f.fabric.epoch();
 
-  // Route repair rebuilds the one table in place: 0 -> 3 -> 2 -> 1.
+  // A report rebuilds the reporter's row only: 0 -> 3 -> 2 -> 1. Broker 1
+  // and broker 3 still route over the link until they learn of it.
   f.fabric.report_link(0, 1, /*up=*/false);
   EXPECT_EQ(f.fabric.epoch(), epoch0 + 1);
+  EXPECT_EQ(f.fabric.route_recomputes(), 1u);
+  EXPECT_FALSE(f.fabric.link_considered_up(0, 1));
   EXPECT_EQ(routes.distance(0, 1), 3);
   EXPECT_EQ(routes.next_hop(0, 1), 3u);
-  expect_routes_complete(routes, 4);
-  // A duplicate report from the other end is no change.
+  EXPECT_EQ(routes.distance(1, 0), 1);
+  EXPECT_EQ(routes.next_hop(3, 1), 0u);
+  expect_every_row_reaches_all(routes, 4);
+  // The duplicate report from the other end rebuilds that broker's row.
   f.fabric.report_link(1, 0, /*up=*/false);
-  EXPECT_EQ(f.fabric.epoch(), epoch0 + 1);
+  EXPECT_EQ(f.fabric.epoch(), epoch0 + 2);
+  EXPECT_EQ(f.fabric.route_recomputes(), 2u);
+  EXPECT_EQ(routes.distance(1, 0), 3);
+  EXPECT_EQ(routes.next_hop(1, 0), 2u);
+  EXPECT_EQ(routes.next_hop(3, 1), 0u);
+  expect_every_row_reaches_all(routes, 4);
+  // A repeat from the same end changes no view.
+  f.fabric.report_link(0, 1, /*up=*/false);
+  EXPECT_EQ(f.fabric.epoch(), epoch0 + 2);
 
   f.fabric.report_link(0, 1, /*up=*/true);
+  EXPECT_TRUE(f.fabric.link_considered_up(0, 1));
   EXPECT_EQ(routes.distance(0, 1), 1);
   EXPECT_EQ(routes.next_hop(0, 1), 1u);
+  EXPECT_EQ(routes.distance(1, 0), 3);
+  expect_every_row_reaches_all(routes, 4);
+  f.fabric.report_link(1, 0, /*up=*/true);
+  EXPECT_EQ(routes.distance(1, 0), 1);
+  EXPECT_EQ(f.fabric.route_recomputes(), 4u);
   expect_routes_complete(routes, 4);
+}
+
+// Before the flood reaches it, a remote broker routes on what it last
+// heard: only broker 1 runs a detector on chain 0-1-2, and when it reports
+// the 1-2 link down, broker 0's row changes when 1's advertisement arrives,
+// one link latency later, not at the report's instant.
+TEST(ControlPlane, RemoteRowChangesWhenTheAdvertisementArrives) {
+  sim::EventLoop loop;
+  sim::Network net(loop);
+  broker::BrokerNetwork fabric(net);
+  sim::Host& b0 = net.add_host("b0");
+  sim::Host& b1 = net.add_host("b1");
+  sim::Host& b2 = net.add_host("b2");
+  const SimDuration latency = duration_ms(20);
+  net.set_path(b0.id(), b1.id(), {.latency = latency});
+  broker::BrokerNode::Config watched;
+  watched.idle = {duration_ms(50), 3};
+  fabric.add_broker(b0);
+  fabric.add_broker(b1, watched);
+  fabric.add_broker(b2);
+  fabric.link(0, 1);
+  fabric.link(1, 2);
+  fabric.finalize();
+  loop.run_for(duration_ms(300));
+  ASSERT_EQ(fabric.distance(0, 2), 2);
+
+  // Broker 0's row read at the report's instant, just before the
+  // advertisement can have crossed the 0-1 link, and just after.
+  std::vector<int> remote;
+  fabric.on_route_repair([&](BrokerId, BrokerId, bool up, SimTime at) {
+    if (up) return;
+    remote.push_back(fabric.distance(0, 2));
+    for (const SimTime t : {at + latency - SimDuration{1}, at + latency + duration_us(10)}) {
+      loop.schedule_at(t, [&] { remote.push_back(fabric.distance(0, 2)); });
+    }
+  });
+  sim::FaultPlan plan;
+  plan.partition({b1.id()}, {b2.id()}, loop.now());
+  plan.install(net);
+  loop.run_for(duration_ms(400));
+  EXPECT_EQ(fabric.distance(1, 2), -1);
+  EXPECT_EQ(remote, (std::vector<int>{2, 2, -1}));
+  EXPECT_GT(fabric.broker(0).link_states_flooded(), 0u);
+}
+
+// A broker's own detector is the only word on its own links. A one-way
+// cut 0 -> 1 loses broker 0's probes, so 0's fast detector (3 x 50 ms)
+// declares 0-1 down; broker 1's slow one (20 x 50 ms) has not fired yet,
+// and its periodic refresh floods the link "up" across the working 1 -> 0
+// direction at 1.05 s. Broker 0 forwards that advertisement but keeps its
+// row down; once the cut heals both detectors bring the link back.
+TEST(ControlPlane, OwnDetectorOutranksTheFarEndsRefresh) {
+  sim::EventLoop loop;
+  sim::Network net(loop);
+  broker::BrokerNetwork fabric(net);
+  sim::Host& h0 = net.add_host("b0");
+  sim::Host& h1 = net.add_host("b1");
+  broker::BrokerNode::Config fast;
+  fast.idle = {duration_ms(50), 3};
+  broker::BrokerNode::Config slow;
+  slow.idle = {duration_ms(50), 20};
+  broker::BrokerNode& b0 = fabric.add_broker(h0, fast);
+  broker::BrokerNode& b1 = fabric.add_broker(h1, slow);
+  fabric.link(0, 1);
+  fabric.finalize();
+  sim::FaultPlan plan;
+  plan.cut_oneway(h0.id(), h1.id(), SimTime{duration_ms(300).ns()},
+                  SimTime{duration_ms(1600).ns()});
+  plan.install(net);
+
+  loop.run_until(SimTime{duration_ms(600).ns()});
+  ASSERT_TRUE(b0.peer_considered_down(1));
+  ASSERT_EQ(fabric.distance(0, 1), -1);
+  const std::uint64_t b1_flooded = b1.link_states_flooded();
+  const std::uint64_t b0_flooded = b0.link_states_flooded();
+  // Until broker 1's detector fires (~1.3 s), its refresh is the only
+  // advertisement broker 0 receives; sample 0's row every 10 ms.
+  std::vector<int> row0;
+  for (int ms = 610; ms <= 1250; ms += 10) {
+    loop.schedule_at(SimTime{duration_ms(ms).ns()},
+                     [&] { row0.push_back(fabric.distance(0, 1)); });
+  }
+  loop.run_until(SimTime{duration_ms(1250).ns()});
+  EXPECT_FALSE(b1.peer_considered_down(0));
+  EXPECT_EQ(b1.link_states_flooded(), b1_flooded + 1);  // the 1.05 s refresh
+  // Broker 0 passed it on: five refreshes of its own (0.65 to 1.25 s)
+  // and that one forward.
+  EXPECT_EQ(b0.link_states_flooded(), b0_flooded + 6);
+  EXPECT_EQ(row0, std::vector<int>(row0.size(), -1));
+
+  loop.run_until(SimTime{duration_s(3).ns()});
+  EXPECT_FALSE(b0.peer_considered_down(1));
+  EXPECT_FALSE(b1.peer_considered_down(0));
+  EXPECT_EQ(fabric.distance(0, 1), 1);
+  EXPECT_EQ(fabric.distance(1, 0), 1);
+}
+
+// What keeps fault-free runs (perfbench, fig3, the capacity sweep) as they
+// were: with both detectors off, a multi-broker fabric carrying traffic
+// arms no refresh task and no probe, floods no link state, rebuilds no
+// row after finalize(), and its loop drains.
+TEST(ControlPlane, FaultFreeFabricCarriesNoLinkState) {
+  sim::EventLoop loop;
+  sim::Network net(loop);
+  broker::BrokerNetwork fabric(net);
+  for (int i = 0; i < 4; ++i) fabric.add_broker(net.add_host("b" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) fabric.link(i, (i + 1) % 4);
+  fabric.link(0, 2);
+  fabric.finalize();
+  std::vector<std::unique_ptr<broker::BrokerClient>> subs;
+  int got = 0;
+  for (BrokerId b = 0; b < 4; ++b) {
+    subs.push_back(std::make_unique<broker::BrokerClient>(
+        net.add_host("sub" + std::to_string(b)), fabric.broker(b).stream_endpoint()));
+    subs.back()->subscribe("/conf/x");
+    subs.back()->on_event([&](const broker::Event&) { ++got; });
+  }
+  broker::BrokerClient pub(net.add_host("pub"), fabric.broker(1).stream_endpoint());
+  for (int i = 0; i < 10; ++i) {
+    loop.schedule_at(SimTime{duration_ms(100 + 10 * i).ns()},
+                     [&] { pub.publish("/conf/x", Bytes(64, 1)); });
+  }
+  loop.run_for(duration_s(10));
+  EXPECT_EQ(got, 40);
+  EXPECT_EQ(loop.pending(), 0u);  // nothing periodic was armed
+  EXPECT_EQ(fabric.route_recomputes(), 0u);
+  for (BrokerId b = 0; b < 4; ++b) {
+    EXPECT_EQ(fabric.broker(b).link_states_flooded(), 0u) << b;
+  }
 }
 
 TEST(ControlPlane, MutationInsideAnEventIsVisibleToTheNextRead) {
@@ -214,22 +376,31 @@ std::string next_hop_error(const broker::RouteTables& routes, BrokerId from, Bro
 
 }  // namespace
 
-TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
-  prop::for_each_seed(24, [](std::uint64_t seed) {
-    gmmcs::Rng rng(seed);
-    sim::EventLoop loop;
-    sim::Network net(loop);
-    broker::BrokerNetwork fabric(net);
-    const auto n = static_cast<BrokerId>(rng.uniform_int(2, 9));
-    std::map<BrokerId, std::set<BrokerId>> adj;
+namespace {
+
+/// A random fabric of 2..9 brokers: half the cases a ring with chords,
+/// which keeps most views connected and gives BFS ties to break; the rest
+/// a sparse random graph, often disconnected. Finalized, every view empty.
+struct RandomFabric {
+  sim::EventLoop loop;
+  sim::Network net{loop};
+  broker::BrokerNetwork fabric{net};
+  BrokerId n = 0;
+  std::map<BrokerId, std::set<BrokerId>> adj;
+  std::vector<Link> links;
+  std::map<BrokerId, std::set<Link>> views;
+
+  explicit RandomFabric(gmmcs::Rng& rng) : n(static_cast<BrokerId>(rng.uniform_int(2, 9))) {
     for (BrokerId i = 0; i < n; ++i) {
       fabric.add_broker(net.add_host("b" + std::to_string(i)));
       adj[i];
+      views[i];
     }
-    std::vector<Link> links;
+    const bool ring = rng.chance(0.5);
     for (BrokerId a = 0; a < n; ++a) {
       for (BrokerId b = a + 1; b < n; ++b) {
-        if (!rng.chance(0.35)) continue;
+        const bool ring_link = b == a + 1 || (a == 0 && b == n - 1);
+        if (!(ring ? ring_link || rng.chance(0.15) : rng.chance(0.35))) continue;
         fabric.link(a, b);
         adj[a].insert(b);
         adj[b].insert(a);
@@ -237,84 +408,80 @@ TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
       }
     }
     fabric.finalize();
-    std::map<BrokerId, std::set<Link>> shared;
-    for (BrokerId i = 0; i < n; ++i) shared[i];
-    expect_routes_match(fabric.routes(), adj, shared, "built");
+  }
 
-    // Shared-table repair: links go down (and one comes back) one report
-    // at a time; the tables must match the reference after each.
+  /// Records `l` as down (or up again) in broker `at`'s view.
+  void note(BrokerId at, const Link& l, bool up) {
+    if (up) {
+      views[at].erase(l);
+    } else {
+      views[at].insert(l);
+    }
+  }
+};
+
+}  // namespace
+
+TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
+  prop::for_each_seed(24, [](std::uint64_t seed) {
+    gmmcs::Rng rng(seed);
+    RandomFabric f(rng);
+    expect_routes_match(f.fabric.routes(), f.adj, f.views, "built");
+
+    // Converged repair: both ends of a link report it and its
+    // advertisement reaches every other broker, so every view holds the
+    // same down-set and each transition rebuilds every row once. Links go
+    // down (and one comes back) one transition at a time; the tables must
+    // match the reference after each.
+    auto converge = [&](const Link& l, bool up) {
+      const std::uint64_t before = f.fabric.route_recomputes();
+      for (BrokerId at = 0; at < f.n; ++at) {
+        if (at == l.first || at == l.second) {
+          f.fabric.report_link(at, at == l.first ? l.second : l.first, up);
+        } else {
+          f.fabric.apply_link_state(at, l.first, l.second, up);
+        }
+        f.note(at, l, up);
+      }
+      EXPECT_EQ(f.fabric.route_recomputes(), before + f.n);
+      EXPECT_EQ(f.fabric.link_considered_up(l.first, l.second), up);
+    };
     std::set<Link> down;
-    for (const Link& l : links) {
+    for (const Link& l : f.links) {
       if (!rng.chance(0.4)) continue;
-      fabric.report_link(l.first, l.second, /*up=*/false);
+      converge(l, /*up=*/false);
       down.insert(l);
-      for (auto& [row, set] : shared) set = down;
-      expect_routes_match(fabric.routes(), adj, shared, "down");
+      expect_routes_match(f.fabric.routes(), f.adj, f.views, "down");
     }
     if (!down.empty()) {
-      const Link back = *down.begin();
-      fabric.report_link(back.first, back.second, /*up=*/true);
-      down.erase(back);
-      for (auto& [row, set] : shared) set = down;
-      expect_routes_match(fabric.routes(), adj, shared, "up");
+      converge(*down.begin(), /*up=*/true);
+      expect_routes_match(f.fabric.routes(), f.adj, f.views, "up");
     }
   });
 }
 
 TEST(DenseRoutes, MatchMapBfsWithGossipPerBrokerViews) {
-  prop::for_each_seed(16, [](std::uint64_t seed) {
+  prop::for_each_seed(24, [](std::uint64_t seed) {
     gmmcs::Rng rng(seed);
-    sim::EventLoop loop;
-    sim::Network net(loop);
-    broker::BrokerNetwork fabric(net);
-    fabric.set_gossip(true);
-    const auto n = static_cast<BrokerId>(rng.uniform_int(3, 8));
-    std::map<BrokerId, std::set<BrokerId>> adj;
-    std::vector<Link> links;
-    for (BrokerId i = 0; i < n; ++i) {
-      fabric.add_broker(net.add_host("b" + std::to_string(i)));
-      adj[i];
-    }
-    // A ring keeps most views connected; chords give BFS ties to break.
-    for (BrokerId a = 0; a < n; ++a) {
-      const BrokerId b = (a + 1) % n;
-      fabric.link(a, b);
-      adj[a].insert(b);
-      adj[b].insert(a);
-      links.push_back(std::minmax(a, b));
-    }
-    for (int c = 0; c < 2; ++c) {
-      const auto a = static_cast<BrokerId>(rng.uniform_int(0, n - 1));
-      const auto b = static_cast<BrokerId>(rng.uniform_int(0, n - 1));
-      if (a == b || adj[a].contains(b)) continue;
-      fabric.link(a, b);
-      adj[a].insert(b);
-      adj[b].insert(a);
-      links.push_back(std::minmax(a, b));
-    }
-    fabric.finalize();
-    std::map<BrokerId, std::set<Link>> views;
-    for (BrokerId i = 0; i < n; ++i) views[i];
-    // Each step changes one broker's private view only: a detector report
-    // at one end of a link, or a received advertisement anywhere.
+    RandomFabric f(rng);
+    if (f.links.empty()) return;
+    // Divergent views: each step changes one broker's private view only,
+    // by a detector report at one end of a link or a received
+    // advertisement anywhere.
     for (int step = 0; step < 8; ++step) {
-      const Link l = links[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(links.size()) - 1))];
+      const Link l = f.links[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(f.links.size()) - 1))];
       const bool up = rng.chance(0.3);
       BrokerId at;
       if (rng.chance(0.5)) {
         at = rng.chance(0.5) ? l.first : l.second;
-        fabric.report_link(at, at == l.first ? l.second : l.first, up);
+        f.fabric.report_link(at, at == l.first ? l.second : l.first, up);
       } else {
-        at = static_cast<BrokerId>(rng.uniform_int(0, n - 1));
-        fabric.apply_link_state(at, l.first, l.second, up);
+        at = static_cast<BrokerId>(rng.uniform_int(0, f.n - 1));
+        f.fabric.apply_link_state(at, l.first, l.second, up);
       }
-      if (up) {
-        views[at].erase(l);
-      } else {
-        views[at].insert(l);
-      }
-      expect_routes_match(fabric.routes(), adj, views, "step " + std::to_string(step));
+      f.note(at, l, up);
+      expect_routes_match(f.fabric.routes(), f.adj, f.views, "step " + std::to_string(step));
     }
   });
 }
@@ -368,7 +535,6 @@ TEST(DenseRoutes, GossipRowRebuildWidensForALateBroker) {
   sim::EventLoop loop;
   sim::Network net(loop);
   broker::BrokerNetwork fabric(net);
-  fabric.set_gossip(true);
   for (int i = 0; i < 3; ++i) fabric.add_broker(net.add_host("b" + std::to_string(i)));
   fabric.link(0, 1);
   fabric.link(1, 2);

@@ -491,20 +491,37 @@ TEST(DecodeFuzz, InPlacePeerEventDecoderAgreesWithDecode) {
 constexpr const char* kProbeTopic = "/probe";
 constexpr const char* kProbeBody = "well-formed probe";
 
+/// The broker-to-broker frames among a hostile batch, by type byte (a
+/// broker drops them from a client before decoding).
+struct PeerFrames {
+  std::uint64_t peer_events = 0;
+  std::uint64_t link_states = 0;
+};
+
 /// Writes case `seed`'s hostile frames onto `stream` (mutated images of
 /// every family, broker frames half the time), then one well-formed
 /// kEvent: the probe that must still get through.
-void send_hostile_then_probe(gmmcs::transport::StreamConnection& stream, std::uint64_t seed) {
+PeerFrames send_hostile_then_probe(gmmcs::transport::StreamConnection& stream,
+                                   std::uint64_t seed) {
   Rng rng(seed);
+  PeerFrames sent;
   for (int i = 0; i < 20; ++i) {
     const Family& fam =
         kFamilies[rng.chance(0.5) ? 0 : rng.uniform_int(0, std::size(kFamilies) - 1)];
-    stream.send(gmmcs::Payload{mutate(rng, fam, fam.seed(rng))});
+    const gmmcs::Payload frame{mutate(rng, fam, fam.seed(rng))};
+    if (!frame.empty() && frame[0] == static_cast<std::uint8_t>(MessageType::kPeerEvent)) {
+      ++sent.peer_events;
+    }
+    if (!frame.empty() && frame[0] == static_cast<std::uint8_t>(MessageType::kLinkState)) {
+      ++sent.link_states;
+    }
+    stream.send(frame);
   }
   Event probe;
   probe.topic = kProbeTopic;
   probe.payload = gmmcs::to_bytes(kProbeBody);
   stream.send(encode(probe));
+  return sent;
 }
 
 bool is_probe(const Event& e) {
@@ -534,10 +551,11 @@ TEST(DecodeFuzz, LiveBrokerDropsHostileStreamFrames) {
 }
 
 // The same hostile client on a two-broker fabric, its subscriber on the
-// far broker: nothing escapes either broker, the client's kPeerEvent
-// frames are dropped rather than routed, and its probe crosses the hop.
+// far broker, sending a Hello first in half the cases: nothing escapes
+// either broker, the client's kPeerEvent and kLinkState frames are dropped
+// rather than routed or flooded, and its probe crosses the hop.
 TEST(DecodeFuzz, LiveFabricBrokerDropsHostileStreamFrames) {
-  std::uint64_t dropped = 0;
+  PeerFrames dropped;
   const prop::Cases cases = prop::for_each_seed(100, [&](std::uint64_t seed) {
     gmmcs::sim::EventLoop loop;
     gmmcs::sim::Network net(loop, seed);
@@ -553,14 +571,22 @@ TEST(DecodeFuzz, LiveFabricBrokerDropsHostileStreamFrames) {
     loop.run();
     const auto hostile = gmmcs::transport::StreamConnection::connect(net.add_host("hostile"),
                                                                      b0.stream_endpoint());
-    hostile->send(encode(gmmcs::broker::HelloMessage{"hostile", 0}));
-    send_hostile_then_probe(*hostile, seed);
+    if (seed % 2 == 0) hostile->send(encode(gmmcs::broker::HelloMessage{"hostile", 0}));
+    const PeerFrames sent = send_hostile_then_probe(*hostile, seed);
     ASSERT_NO_THROW(loop.run());
     EXPECT_EQ(probes, 1);
-    EXPECT_EQ(b1.client_peer_events_dropped(), 0u);
-    dropped += b0.client_peer_events_dropped();
+    EXPECT_EQ(b0.client_peer_frames_dropped(), sent.peer_events + sent.link_states);
+    EXPECT_EQ(b1.client_peer_frames_dropped(), 0u);
+    // No detector runs, so any flood would be the client's.
+    EXPECT_EQ(b0.link_states_flooded(), 0u);
+    EXPECT_EQ(b1.link_states_flooded(), 0u);
+    EXPECT_EQ(fabric.distance(0, 1), 1);
+    EXPECT_EQ(fabric.distance(1, 0), 1);
+    dropped.peer_events += sent.peer_events;
+    dropped.link_states += sent.link_states;
   });
-  cases.expect_more(dropped, 60, "client kPeerEvent frames dropped");
+  cases.expect_more(dropped.peer_events, 60, "client kPeerEvent frames dropped");
+  cases.expect_more(dropped.link_states, 80, "client kLinkState frames dropped");
 }
 
 // The same frames from the broker's end of the stream into a live client,

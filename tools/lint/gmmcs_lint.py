@@ -32,7 +32,7 @@ sanitized chaos tests (DESIGN.md §14-§16), not here.
                    §9), so src/ may not read the wall clock, draw ambient
                    randomness outside common/random.*, format a pointer,
                    touch a threading primitive (this rule ignores
-                   suppressions) or range-for over an unordered container
+                   suppressions) or name an unordered container
                    (details at the pass).
 
 Suppressions: a line (or the line directly above it) containing
@@ -268,11 +268,10 @@ def pass_result(sources):
 #                        is one serial event loop, so src/ creates no threads
 #                        and takes no locks. No allowed home, and no
 #                        suppression waives it.
-#   unordered-iteration  range-for over a std::unordered_{map,set}: hash
-#                        order differs across libstdc++ versions. An
-#                        order-independent loop (a sum, a key harvest that
-#                        is sorted next) carries a suppression with that
-#                        reason.
+#   unordered-iteration  any std::unordered_* container or <unordered_...>
+#                        header: hash iteration order differs across
+#                        libstdc++ versions, so src/ keeps ordered maps (or
+#                        an OpenIndex, whose order nothing reads).
 
 DETERMINISM_RULES = {
     "wall-clock": [
@@ -309,6 +308,10 @@ DETERMINISM_RULES = {
         r"\bpthread_[a-z_]+\s*\(",
         r"#\s*include\s*<(thread|mutex|shared_mutex|condition_variable|future)>",
     ],
+    "unordered-iteration": [
+        r"\bstd::unordered_\w+",
+        r"#\s*include\s*<unordered_\w+>",
+    ],
 }
 DETERMINISM_RES = {rule: re.compile("|".join(pats))
                    for rule, pats in DETERMINISM_RULES.items()}
@@ -323,40 +326,14 @@ DETERMINISM_MESSAGES = {
     "ambient-random": "ambient randomness (use the seeded gmmcs::Rng, common/random.hpp)",
     "pointer-format": "formats a pointer value (nondeterministic under ASLR)",
     "raw-threading": "threading primitive in src/ (the simulator is serial: no threads, no locks)",
-    "unordered-iteration": (
-        "range-for over unordered container '%s' (hash order is not deterministic; "
-        "suppress only if the loop body is order-independent)"
-    ),
+    "unordered-iteration": "unordered container in src/ (hash order is not deterministic; "
+                           "use std::map / std::set)",
 }
-
-UNORDERED_DECL_RE = re.compile(
-    r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<.*>\s+([A-Za-z_]\w*)\s*[;{=]"
-)
-RANGE_FOR_RE = re.compile(r"\bfor\s*\(.*:\s*(?:\w+(?:->|\.))?([A-Za-z_]\w*)\s*\)")
-
-
-def _unordered_names(sources):
-    """Per-file sets of identifiers declared as unordered containers, in
-    the file itself or in src/ headers it directly includes (the class
-    header of a .cpp). Scoped per file so a std::map member that happens
-    to share a name with another class's unordered member elsewhere does
-    not false-positive."""
-    own = {}
-    includes = {}
-    for src in sources:
-        own[src.rel] = {m.group(1) for line in src.code
-                        for m in UNORDERED_DECL_RE.finditer(line)}
-        includes[src.rel] = ["src/" + m.group(1) for line in src.code
-                             for m in INCLUDE_RE.finditer(line)]
-    return {rel: names.union(*(own.get(inc, set()) for inc in includes[rel]))
-            for rel, names in own.items()}
 
 
 def pass_determinism(sources):
     findings = []
-    scoped_names = _unordered_names(sources)
     for src in sources:
-        names = scoped_names[src.rel]
         for idx, line in enumerate(src.code):
             lineno = idx + 1
             for rule, pat in DETERMINISM_RES.items():
@@ -367,13 +344,6 @@ def pass_determinism(sources):
                         or not src.suppressed(lineno, rule)):
                     findings.append((src.rel, lineno, rule,
                                      DETERMINISM_MESSAGES[rule]))
-            for m in RANGE_FOR_RE.finditer(line):
-                if m.group(1) in names and \
-                        not src.suppressed(lineno, "unordered-iteration"):
-                    findings.append(
-                        (src.rel, lineno, "unordered-iteration",
-                         DETERMINISM_MESSAGES["unordered-iteration"]
-                         % m.group(1)))
     return findings
 
 
