@@ -224,6 +224,39 @@ void BM_EventLoopTarget(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopTarget)->Arg(24)->Arg(108);
 
+// The fabric's heap shape: 48 parked periodic timers, one per audio
+// source's 20 ms packet clock, spread over the period, beside a chain of N
+// direct events that each schedule a successor 1-100 µs later (a link
+// arrival, a dispatch completion). Almost every step runs a chain event,
+// whose successor belongs near the root above the timers; the uniform
+// delays of BM_EventLoopSteadyState and BM_EventLoopTarget land their
+// successors at the leaves instead. fabric_audio_churn holds about 62
+// entries at a push, 48 of them timers: N = 14.
+struct ParkedTimer {
+  sim::EventLoop* loop;
+  void operator()() const { loop->schedule_after(duration_ms(20), *this); }
+};
+
+void BM_EventLoopTimerMix(benchmark::State& state) {
+  constexpr int kTimers = 48;
+  sim::EventLoop loop;
+  Rng rng(2003);
+  std::vector<std::int64_t> delays(4096);
+  for (std::int64_t& d : delays) d = rng.uniform_int(1'000, 100'000);  // 1 .. 100 µs
+  for (int t = 0; t < kTimers; ++t) {
+    loop.schedule_after(SimDuration{rng.uniform_int(0, 20'000'000)}, ParkedTimer{&loop});
+  }
+  SteadyTarget chain(loop, delays);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    SteadyTarget::fire_next(chain, static_cast<std::uint64_t>(i) * 97);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.step());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventLoopTimerMix)->Arg(1)->Arg(14);
+
 // The wire's steady state: one sender keeps N datagrams between
 // Host::send and delivery, round-robin to 12 receivers, and each delivery
 // sends the next one. Every iteration is one arrival run to delivery plus

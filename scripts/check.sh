@@ -41,10 +41,12 @@
 #                     small hot functions are not inflated, and a static
 #                     libc is sampled too), runs it untraced, and maps the
 #                     gmon.out PC histogram to source lines with
-#                     addr2line -i (tools/profile/gmon_lines.py): the top
-#                     lines and each layer's share (src/sim, src/broker,
-#                     src/transport, src/common, libc malloc/free, libc
-#                     memcpy, perfbench)
+#                     addr2line -f -i (tools/profile/gmon_lines.py): each
+#                     layer's share (src/sim, src/broker, src/transport,
+#                     src/common, libc malloc/free, libc memcpy,
+#                     perfbench), the top functions (each sample folded
+#                     into its innermost repository function) and the top
+#                     lines
 #   <list>            any raw comma-separated -fsanitize= list; each
 #                     sanitizer set gets its own build tree
 set -euo pipefail

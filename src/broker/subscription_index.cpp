@@ -39,11 +39,15 @@ int drop_ref(Refs& refs, std::uint32_t id) {
 }  // namespace
 
 void SubscriptionIndex::subscribe(SubscriberId id, const TopicFilter& filter) {
-  // A refcount that becomes 1 is a new (subscriber, filter) entry.
+  // A refcount that becomes 1 is a new (subscriber, filter) entry, and only
+  // a new entry changes what a topic matches.
   if (!filter.valid()) {
     if (add_ref(invalid_[filter.pattern()], id)) ++entries_;
-  } else if (filter.exact()) {
-    if (add_ref(exact_[filter.pattern()], id)) ++entries_;
+    return;  // an invalid filter matches nothing: no cached line changes
+  }
+  bool added = false;
+  if (filter.exact()) {
+    added = add_ref(exact_[filter.pattern()], id);
   } else {
     auto it = std::find_if(wildcards_.begin(), wildcards_.end(),
                            [&](const WildcardEntry& e) { return e.filter == filter; });
@@ -51,34 +55,39 @@ void SubscriptionIndex::subscribe(SubscriberId id, const TopicFilter& filter) {
       wildcards_.push_back(WildcardEntry{filter, {}});
       it = std::prev(wildcards_.end());
     }
-    if (add_ref(it->refs, id)) ++entries_;
+    added = add_ref(it->refs, id);
   }
-  bump_generation();
+  if (added) {
+    ++entries_;
+    invalidate(filter);
+  }
 }
 
 void SubscriptionIndex::unsubscribe(SubscriberId id, const TopicFilter& filter) {
-  auto drop_from = [&](auto& table) {
+  // True if that removed an entry (its last reference).
+  auto drop_from = [&](PatternMap& table) {
     auto it = table.find(filter.pattern());
-    if (it == table.end()) return;
-    const int dropped = drop_ref(it->second, id);
-    if (dropped == 0) return;
-    if (dropped == 2) --entries_;
+    if (it == table.end() || drop_ref(it->second, id) != 2) return false;
     if (it->second.empty()) table.erase(it);
-    bump_generation();
+    return true;
   };
   if (!filter.valid()) {
-    drop_from(invalid_);
-  } else if (filter.exact()) {
-    drop_from(exact_);
+    if (drop_from(invalid_)) --entries_;
+    return;
+  }
+  bool removed = false;
+  if (filter.exact()) {
+    removed = drop_from(exact_);
   } else {
     auto it = std::find_if(wildcards_.begin(), wildcards_.end(),
                            [&](const WildcardEntry& e) { return e.filter == filter; });
-    if (it == wildcards_.end()) return;
-    const int dropped = drop_ref(it->refs, id);
-    if (dropped == 0) return;
-    if (dropped == 2) --entries_;
+    if (it == wildcards_.end() || drop_ref(it->refs, id) != 2) return;
     if (it->refs.empty()) wildcards_.erase(it);
-    bump_generation();
+    removed = true;
+  }
+  if (removed) {
+    --entries_;
+    invalidate(filter);
   }
 }
 
@@ -86,6 +95,7 @@ const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
     std::string_view topic) const {
   if (cache_.size() > kMaxCacheLines) {
     cache_.clear();
+    stray_lines_.clear();
     lines_used_ = 0;
   }
   const std::uint64_t hash = std::hash<std::string_view>{}(topic);
@@ -98,6 +108,7 @@ const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
     // masquerade as current.
     lines_[at]->generation = 0;
     cache_.insert(hash, at);
+    if (!is_normalized_topic(topic)) stray_lines_.push_back(at);
   }
   CacheLine& line = *lines_[at];
   if (line.generation == generation_) {
@@ -136,8 +147,19 @@ const std::vector<SubscriptionIndex::SubscriberId>& SubscriptionIndex::matches(
   return excluded_;
 }
 
-void SubscriptionIndex::bump_generation() {
-  ++generation_;
+void SubscriptionIndex::invalidate(const TopicFilter& filter) {
+  if (!filter.exact()) {
+    ++generation_;
+    return;
+  }
+  // An exact filter changes the line of one normalized topic, its pattern,
+  // which one probe finds; a stray spelling of that topic has a line of
+  // its own that no probe by pattern finds, so every stray line goes too.
+  const std::string& topic = filter.pattern();
+  const std::uint32_t at = cache_.find(std::hash<std::string_view>{}(topic),
+                                       [&](std::uint32_t l) { return lines_[l]->topic == topic; });
+  if (at != OpenIndex::kNone) lines_[at]->generation = 0;
+  for (std::uint32_t l : stray_lines_) lines_[l]->generation = 0;
 }
 
 }  // namespace gmmcs::broker

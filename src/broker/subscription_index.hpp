@@ -9,11 +9,16 @@
 //    so a published topic finds them with one lookup;
 //  * wildcard filters ("*"/"#") live in a short side list that is scanned
 //    only when present;
-//  * results are memoized per topic in a match cache stamped with a
-//    subscription generation counter, so steady-state media traffic (many
-//    events, few distinct topics, rare churn) pays one hash probe per
-//    event. Any subscribe/unsubscribe/disconnect bumps the generation and
-//    lazily invalidates every cached line.
+//  * results are memoized per topic in a match cache, so steady-state
+//    media traffic (many events, few distinct topics) pays one hash probe
+//    per event. A mutation invalidates only the lines it can change, and
+//    only when it adds or removes an entry (not a refcount step): an exact
+//    filter's line is its pattern, found by one probe and reset, so a
+//    zapper joining one session leaves every other session's line warm;
+//    a wildcard filter bumps a generation that every line is stamped
+//    with; a stray (unnormalized) spelling's line, which no probe by
+//    pattern can find, is reset by every exact mutation; and an invalid
+//    filter, which matches nothing, invalidates nothing.
 //
 // The index is shared by BrokerNode (subscriber = ClientId) and
 // BrokerNetwork (subscriber = BrokerId); entries are refcounted so the
@@ -64,9 +69,6 @@ class SubscriptionIndex {
   [[nodiscard]] std::size_t entry_count() const { return entries_; }
   [[nodiscard]] std::size_t exact_topic_count() const { return exact_.size(); }
   [[nodiscard]] std::size_t wildcard_filter_count() const { return wildcards_.size(); }
-  /// Bumped by every table mutation; cached match lines from older
-  /// generations are recomputed on next use.
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
   [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
   [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
 
@@ -84,11 +86,15 @@ class SubscriptionIndex {
 
   struct CacheLine {
     std::string topic;
+    /// The generation_ the line was computed at; 0 once an exact mutation
+    /// of its topic (or, for a stray spelling, of any topic) reset it.
     std::uint64_t generation = 0;
     std::vector<SubscriberId> ids;
   };
 
-  void bump_generation();
+  /// Marks stale the cached lines that a new or removed entry of `filter`
+  /// (a valid one) can change.
+  void invalidate(const TopicFilter& filter);
 
   /// Transparent comparator: the pattern tables are probed with a topic's
   /// view.
@@ -104,15 +110,20 @@ class SubscriptionIndex {
   /// Entries across exact_, wildcards_ and invalid_, kept by every
   /// mutation (see entry_count()).
   std::size_t entries_ = 0;
+  /// Bumped by each wildcard entry added or removed.
   std::uint64_t generation_ = 1;
 
   /// topic (as published) -> match result: an OpenIndex from the topic's
   /// hash to its line, so a hit hashes the topic's view and compares it
-  /// once. Lines are lazily invalidated by generation mismatch; the cache
-  /// is reset if it ever grows past the cap, and a reset reuses the lines
-  /// (a line never moves, so a returned reference outlives a reset).
+  /// once. A line from an older generation, or reset, is recomputed on
+  /// use; the cache is reset if it ever grows past the cap, and a reset
+  /// reuses the lines (a line never moves, so a returned reference
+  /// outlives a reset).
   mutable std::vector<std::unique_ptr<CacheLine>> lines_;
   mutable std::size_t lines_used_ = 0;
+  /// Lines whose topic is a stray (unnormalized) spelling: rare, since
+  /// publishers normalize, and reset by every exact mutation.
+  mutable std::vector<std::uint32_t> stray_lines_;
   mutable OpenIndex cache_;
   /// matches(topic, exclude)'s reused result.
   mutable std::vector<SubscriberId> excluded_;

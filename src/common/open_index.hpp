@@ -2,11 +2,12 @@
 //
 // Maps keys to 32-bit values — slot numbers, ids, line numbers of a table
 // the caller owns. An entry is 8 bytes: the value and a 32-bit tag, the
-// key times 2^32/φ with its high word folded in. The table is a power of
-// two kept at most half full; an entry's home is the top bits of its tag,
-// collisions probe linearly, and erase shifts the probe chain back so no
-// tombstone is ever left. A lookup is a multiply and, at half load, about
-// 1.5 entry reads on average, with no allocation and no node per entry.
+// key's low word plus an even multiple of its high word, times 2^32/φ.
+// The table is a power of two kept at most half full; an entry's home is
+// the top bits of its tag, collisions probe linearly, and erase shifts the
+// probe chain back so no tombstone is ever left. A lookup is a multiply
+// and, at half load, about 1.5 entry reads on average, with no allocation
+// and no node per entry.
 //
 // A key of at most 32 bits (a port) is its own tag, since the multiply
 // is a bijection: look it up by the key alone. A wider key (a host pair,
@@ -99,7 +100,14 @@ class OpenIndex {
   };
 
   static std::uint32_t tag(std::uint64_t key) {
-    return static_cast<std::uint32_t>(key ^ (key >> 32)) * 0x9E3779B9u;
+    // The high half is scaled before it joins the low one, so a host pair
+    // (a, b) and its reverse (b, a), or two pairs with equal a ^ b, keep
+    // apart: lo + hi * K equals hi + lo * K only if (lo - hi)(1 - K) is 0
+    // mod 2^32, and with K even, 1 - K is odd, so only if lo == hi. A key
+    // of at most 32 bits has hi = 0 and stays its own bijective tag.
+    const auto lo = static_cast<std::uint32_t>(key);
+    const auto hi = static_cast<std::uint32_t>(key >> 32);
+    return (lo + hi * 0x85EBCA6Cu) * 0x9E3779B9u;
   }
   [[nodiscard]] std::size_t home(std::uint32_t t) const { return t >> shift_; }
 

@@ -24,7 +24,7 @@ void EventLoop::push(SimTime when, std::uint64_t seq, EventTarget* target, std::
     // The running event's entry still holds the root: the first event it
     // schedules takes that place, a pop and a push in one descent.
     hole_ = false;
-    sink_from_root(e);
+    fill_root(e);
   } else {
     heap_.push_back(e);
     sift_up(heap_.size() - 1);
@@ -83,24 +83,44 @@ void EventLoop::pop_top() {
   if (!heap_.empty()) sink_from_root(last);
 }
 
-void EventLoop::sink_from_root(const Entry& e) {
-  // Floyd's descent: walk the root's hole down to a leaf along the
-  // smallest children, then sift `e` up from there. It is usually among
-  // the latest entries, so it rarely climbs, and the descent skips a
-  // comparison per level.
+void EventLoop::fill_root(const Entry& e) {
+  // A plain sift-down that stops at the first level where `e` is smaller
+  // than the smallest child. What the running event schedules is usually
+  // soon (a link arrival, a completion), so it settles within a level or
+  // two of the root, above the periodic timers parked further out; a walk
+  // to a leaf would move every entry on the way and climb back.
   const std::size_t n = heap_.size();
   std::size_t i = 0;
   for (;;) {
-    const std::size_t first = i * kArity + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    if (first + kArity <= n) {
-      const std::size_t a = heap_[first + 1] < heap_[first] ? first + 1 : first;
-      const std::size_t b = heap_[first + 3] < heap_[first + 2] ? first + 3 : first + 2;
-      best = heap_[b] < heap_[a] ? b : a;
-    } else {
-      for (std::size_t c = first + 1; c < n; ++c) best = heap_[c] < heap_[best] ? c : best;
-    }
+    const std::size_t best = smallest_child(i, n);
+    if (best == 0 || e < heap_[best]) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = e;
+}
+
+std::size_t EventLoop::smallest_child(std::size_t i, std::size_t n) const {
+  const std::size_t first = i * kArity + 1;
+  if (first >= n) return 0;
+  if (first + kArity <= n) {
+    const std::size_t a = heap_[first + 1] < heap_[first] ? first + 1 : first;
+    const std::size_t b = heap_[first + 3] < heap_[first + 2] ? first + 3 : first + 2;
+    return heap_[b] < heap_[a] ? b : a;
+  }
+  std::size_t best = first;
+  for (std::size_t c = first + 1; c < n; ++c) best = heap_[c] < heap_[best] ? c : best;
+  return best;
+}
+
+void EventLoop::sink_from_root(const Entry& e) {
+  // Floyd's descent, for a pop: `e` is the heap's last entry, a leaf's,
+  // so it belongs near the bottom. Walk the root's hole down to a leaf
+  // along the smallest children, then sift `e` up from there; it rarely
+  // climbs, and the descent skips the comparison with `e` at every level.
+  const std::size_t n = heap_.size();
+  std::size_t i = 0;
+  for (std::size_t best = smallest_child(i, n); best != 0; best = smallest_child(i, n)) {
     heap_[i] = heap_[best];
     i = best;
   }

@@ -210,8 +210,13 @@ class EventLoop {
   /// took its place; false if none ran.
   bool run_next(SimTime deadline);
   void pop_top();
-  /// Places `e` in the hole at the root of heap_.
+  /// Places a newly scheduled `e` in the hole at the root of heap_.
+  void fill_root(const Entry& e);
+  /// Places the heap's former last entry `e` in the hole at the root.
   void sink_from_root(const Entry& e);
+  /// Index of node i's smallest child in a heap of n entries; 0 if it
+  /// has none.
+  [[nodiscard]] std::size_t smallest_child(std::size_t i, std::size_t n) const;
   void sift_up(std::size_t i);
 
   SimTime now_;

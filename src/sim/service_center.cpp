@@ -21,7 +21,7 @@ bool ServiceCenter::submit(SimDuration service_time, SmallFn done, const NicGate
     ++rejected_;
     return false;
   }
-  const Job job{loop_.now(), service_time, gate, park(std::move(done))};
+  const Job job{loop_.now(), service_time, cost_of(gate), park(std::move(done))};
   if (idle_server) {
     start(job, kPlainJob);
   } else {
@@ -59,7 +59,7 @@ std::size_t ServiceCenter::submit_batch(std::size_t n, SimDuration service_time,
   rejected_ += n - run - queued;
   const std::size_t accepted = run + queued;
   if (accepted == 0) return 0;
-  Job job{loop_.now(), service_time, gate, park_batch(std::move(done), accepted)};
+  Job job{loop_.now(), service_time, cost_of(gate), park_batch(std::move(done), accepted)};
   job.batch = true;
   job.end = static_cast<std::uint32_t>(accepted);
   for (; job.next < run; ++job.next) start(job, job.next);
@@ -70,17 +70,21 @@ std::size_t ServiceCenter::submit_batch(std::size_t n, SimDuration service_time,
   return accepted;
 }
 
-SimTime ServiceCenter::gate_completion(SimTime cpu_done, const NicGate& gate) {
-  if (gate.wire_bytes == 0 || gate.nic_bps <= 0 || gate.nic_cap == 0) return cpu_done;
+ServiceCenter::GateCost ServiceCenter::cost_of(const NicGate& gate) {
+  if (gate.wire_bytes == 0 || gate.nic_bps <= 0 || gate.nic_cap == 0) return {};
   const double rate = gate.nic_bps / 8e9;  // bytes per simulated ns
   const double wire = static_cast<double>(gate.wire_bytes);
   // Admit once the virtual queue (backlog drains at `rate`) has headroom
   // for this copy plus the slack target.
-  const double headroom_ns =
-      (static_cast<double>(gate.nic_cap) - static_cast<double>(gate.nic_slack) - wire) / rate;
+  return {(static_cast<double>(gate.nic_cap) - static_cast<double>(gate.nic_slack) - wire) / rate,
+          wire / rate, true};
+}
+
+SimTime ServiceCenter::gate_completion(SimTime cpu_done, const GateCost& gate) {
+  if (!gate.on) return cpu_done;
   double c = static_cast<double>(cpu_done.ns());
-  c = std::max(c, nic_free_v_ - headroom_ns);
-  nic_free_v_ = std::max(nic_free_v_, c) + wire / rate;
+  c = std::max(c, nic_free_v_ - gate.headroom_ns);
+  nic_free_v_ = std::max(nic_free_v_, c) + gate.serial_ns;
   return SimTime{static_cast<std::int64_t>(std::llround(c))};
 }
 

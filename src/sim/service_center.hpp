@@ -93,6 +93,18 @@ class ServiceCenter : private EventTarget {
     std::size_t outstanding = 0;
   };
 
+  /// A job's NicGate reduced, once at submit, to the two constants
+  /// gate_completion reads: the drain time (ns) the queue must leave for
+  /// the copy and the slack, and the copy's serialization time (ns). Both
+  /// are the same doubles for every item of a job, so computing them once
+  /// moves no completion time.
+  struct GateCost {
+    double headroom_ns = 0;
+    double serial_ns = 0;
+    bool on = false;
+  };
+  static GateCost cost_of(const NicGate& gate);
+
   /// A queued job, or the queued run of one batch's items (`batch`; items
   /// `next`..`end`-1, peeled off one at a time as servers free up). The
   /// callable stays parked in inflight_[slot] (plain job) or
@@ -100,7 +112,7 @@ class ServiceCenter : private EventTarget {
   struct Job {
     SimTime enqueued;
     SimDuration service;
-    NicGate gate;
+    GateCost gate;
     std::uint32_t slot = 0;
     bool batch = false;
     std::uint32_t next = 0;
@@ -123,7 +135,7 @@ class ServiceCenter : private EventTarget {
   /// Applies the virtual-NIC admission gate to a job completing its CPU
   /// service at `cpu_done`; returns the (possibly later) gated completion
   /// and accounts the copy's serialization in nic_free_v_.
-  SimTime gate_completion(SimTime cpu_done, const NicGate& gate);
+  SimTime gate_completion(SimTime cpu_done, const GateCost& gate);
 
   EventLoop& loop_;
   int servers_;

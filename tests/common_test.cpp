@@ -11,6 +11,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "common/open_index.hpp"
 #include "common/random.hpp"
 #include "common/result.hpp"
 #include "common/ring.hpp"
@@ -146,6 +147,37 @@ TEST(Rng, ForkIndependence) {
   Rng a(99);
   Rng b = a.fork();
   EXPECT_NE(a.next(), b.next());
+}
+
+// A wide key's predicate is asked only about entries that share its tag.
+// Network::link_id keys a link by its host pair: a pair and its reverse
+// (or any two pairs with equal a ^ b) must not share a tag, or both
+// directions of every link share one probe chain and each lookup reads
+// the other's record.
+TEST(OpenIndex, ReversedHostPairsGetDistinctTags) {
+  auto key = [](std::uint32_t a, std::uint32_t b) { return (std::uint64_t{a} << 32) | b; };
+  OpenIndex index;
+  std::vector<std::uint64_t> keys;
+  for (std::uint32_t a = 0; a < 16; ++a) {
+    for (std::uint32_t b = 0; b < 16; ++b) {
+      if (a == b) continue;
+      index.insert(key(a, b), static_cast<std::uint32_t>(keys.size()));
+      keys.push_back(key(a, b));
+    }
+  }
+  int foreign = 0;  // predicate calls about another key's entry
+  for (std::uint32_t v = 0; v < keys.size(); ++v) {
+    const std::uint32_t found = index.find(keys[v], [&](std::uint32_t cand) {
+      if (cand != v) ++foreign;
+      return keys[cand] == keys[v];
+    });
+    EXPECT_EQ(found, v);
+  }
+  EXPECT_EQ(foreign, 0);
+  // A key of at most 32 bits is still its own tag: found by the key alone.
+  OpenIndex ports;
+  for (std::uint16_t p = 0; p < 1000; ++p) ports.insert(p, p + 7u);
+  for (std::uint16_t p = 0; p < 1000; ++p) EXPECT_EQ(ports.find(p), p + 7u);
 }
 
 // Ring against a std::deque. Seeded scripts of pushes, pops, in-place

@@ -1149,9 +1149,22 @@ broker::TopicFilter random_filter(Rng& rng) {
   return broker::TopicFilter(p);
 }
 
+/// `topic` under a stray spelling of its normalized form: "/a/b" is read
+/// as "a//b/", which the match cache keeps as a line of its own.
+std::string respell(const std::string& topic) {
+  std::string out;
+  for (const std::string& seg : broker::topic_segments(broker::normalize_topic(topic))) {
+    out += out.empty() ? seg : "//" + seg;
+  }
+  return out + "/";
+}
+
 TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
   constexpr int kFloodTopics = 4200;  // > the index's 4,096 cache lines
   int stale_reads = 0;  // answer changed since the topic's previous read
+  int stray_stale_reads = 0;  // the same, read under a stray spelling
+  int exact_edits = 0;  // exact-filter entries added or removed
+  int wildcard_edits = 0;  // wildcard-filter entries added or removed
   int removes = 0;
   int drops = 0;  // unsubscribes that dropped an entry's last reference
   const prop::Cases cases = prop::for_each_seed(2000, [&](std::uint64_t seed) {
@@ -1169,8 +1182,16 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
       ASSERT_EQ(index.matches(topic, exclude), want_excl)
           << "step " << step << ", " << topic << " excl " << exclude;
       auto [it, fresh] = last_seen.try_emplace(topic, want);
-      if (!fresh && it->second != want) ++stale_reads;
+      if (!fresh && it->second != want) {
+        ++stale_reads;
+        if (!broker::is_normalized_topic(topic)) ++stray_stale_reads;
+      }
       it->second = want;
+    };
+    // Counts a mutation that added or removed an entry, by filter kind.
+    auto count_edit = [&](const broker::TopicFilter& f, std::size_t before) {
+      if (ref.entries.size() == before || !f.valid()) return;
+      ++(f.exact() ? exact_edits : wildcard_edits);
     };
     const int steps = static_cast<int>(rng.uniform_int(20, 120));
     for (int step = 0; step < steps; ++step) {
@@ -1179,10 +1200,12 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
         const broker::TopicFilter f = random_filter(rng);
         const std::uint32_t id = random_id();
         const int times = rng.chance(0.2) ? 2 : 1;
+        const std::size_t before = ref.entries.size();
         for (int k = 0; k < times; ++k) {
           index.subscribe(id, f);
           ref.subscribe(id, f);
         }
+        count_edit(f, before);
       } else if (roll < 0.45) {
         // Usually an entry that is held; otherwise most likely an absent one.
         const bool held = !ref.entries.empty() && rng.chance(0.7);
@@ -1194,11 +1217,16 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
         index.unsubscribe(e.id, e.filter);
         ref.unsubscribe(e.id, e.filter);
         if (ref.entries.size() < before) ++drops;
+        count_edit(e.filter, before);
       } else if (roll < 0.52) {
         ref.remove_subscriber(random_id(), index);
         ++removes;
       } else {
-        read(random_topic(rng), step);
+        // Half the reads also read the topic under a stray spelling, so an
+        // exact mutation of a topic is seen by both of its lines.
+        const std::string topic = random_topic(rng);
+        read(topic, step);
+        if (!HasFatalFailure() && rng.chance(0.5)) read(respell(topic), step);
       }
       if (HasFatalFailure()) return;
       ASSERT_EQ(index.entry_count(), ref.entries.size()) << "step " << step;
@@ -1223,6 +1251,9 @@ TEST(InterestMatch, CachedIndexEqualsNaiveScan) {
   });
   // The scripts reach the corners the property is about.
   cases.expect_more(stale_reads, 5000, "stale_reads");
+  cases.expect_more(stray_stale_reads, 1500, "stray_stale_reads");
+  cases.expect_more(exact_edits, 4000, "exact_edits");
+  cases.expect_more(wildcard_edits, 10000, "wildcard_edits");
   cases.expect_more(removes, 5000, "removes");
   cases.expect_more(drops, 5000, "drops");
 }

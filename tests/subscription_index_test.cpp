@@ -96,10 +96,92 @@ TEST(SubscriptionIndex, CacheInvalidatedOnSubscribe) {
   SubscriptionIndex idx;
   idx.subscribe(1, TopicFilter("/t"));
   EXPECT_EQ(idx.matches("/t"), (Ids{1}));
-  auto gen = idx.generation();
+  const auto misses = idx.cache_misses();
+  const auto hits = idx.cache_hits();
   idx.subscribe(2, TopicFilter("/t"));
-  EXPECT_GT(idx.generation(), gen);
+  // The next read recomputes the line (one miss), and the one after hits.
   EXPECT_EQ(idx.matches("/t"), (Ids{1, 2}));
+  EXPECT_EQ(idx.cache_misses(), misses + 1);
+  EXPECT_EQ(idx.matches("/t"), (Ids{1, 2}));
+  EXPECT_EQ(idx.cache_hits(), hits + 1);
+}
+
+namespace {
+/// 48 session topics, as the fabric workload's audio sessions publish.
+std::string session_topic(int k) {
+  return "/xgsp/session/" + std::to_string(k) + "/audio";
+}
+}  // namespace
+
+TEST(SubscriptionIndex, ExactMutationMissesOnlyItsOwnTopic) {
+  constexpr int kTopics = 48;
+  SubscriptionIndex idx;
+  for (int k = 0; k < kTopics; ++k) idx.subscribe(100 + k, TopicFilter(session_topic(k)));
+  for (int k = 0; k < kTopics; ++k) (void)idx.matches(session_topic(k));
+  auto expect_one_miss_at = [&](int changed, const Ids& want) {
+    const auto misses = idx.cache_misses();
+    const auto hits = idx.cache_hits();
+    for (int k = 0; k < kTopics; ++k) {
+      const Ids got = idx.matches(session_topic(k));
+      EXPECT_EQ(got, k == changed ? want : Ids{static_cast<std::uint32_t>(100 + k)}) << k;
+      // The changed topic misses on this, its next read, and no other does.
+      EXPECT_EQ(idx.cache_misses(), misses + (k >= changed ? 1 : 0)) << k;
+    }
+    EXPECT_EQ(idx.cache_hits(), hits + kTopics - 1);
+  };
+  // A zapper joins session 7 and leaves it again.
+  idx.subscribe(3, TopicFilter(session_topic(7)));
+  expect_one_miss_at(7, Ids{3, 107});
+  idx.unsubscribe(3, TopicFilter(session_topic(7)));
+  expect_one_miss_at(7, Ids{107});
+  // Spelled un-normalized, the filter is the same topic's.
+  idx.subscribe(4, TopicFilter("xgsp//session/30/audio/"));
+  expect_one_miss_at(30, Ids{4, 130});
+  // A refcount step adds or removes no entry: every line stays warm.
+  idx.subscribe(130, TopicFilter(session_topic(30)));
+  idx.unsubscribe(130, TopicFilter(session_topic(30)));
+  const auto misses = idx.cache_misses();
+  for (int k = 0; k < kTopics; ++k) (void)idx.matches(session_topic(k));
+  EXPECT_EQ(idx.cache_misses(), misses);
+}
+
+TEST(SubscriptionIndex, WildcardMutationRecomputesTheLinesItMatches) {
+  constexpr int kTopics = 48;
+  SubscriptionIndex idx;
+  for (int k = 0; k < kTopics; ++k) idx.subscribe(100 + k, TopicFilter(session_topic(k)));
+  for (int k = 0; k < kTopics; ++k) (void)idx.matches(session_topic(k));
+  idx.subscribe(5, TopicFilter("/xgsp/session/*/audio"));
+  auto misses = idx.cache_misses();
+  for (int k = 0; k < kTopics; ++k) {
+    EXPECT_EQ(idx.matches(session_topic(k)), (Ids{5, static_cast<std::uint32_t>(100 + k)}));
+  }
+  EXPECT_EQ(idx.cache_misses(), misses + kTopics);
+  idx.unsubscribe(5, TopicFilter("/xgsp/session/*/audio"));
+  for (int k = 0; k < kTopics; ++k) {
+    EXPECT_EQ(idx.matches(session_topic(k)), (Ids{static_cast<std::uint32_t>(100 + k)}));
+  }
+  // An invalid filter matches nothing, so it recomputes nothing.
+  misses = idx.cache_misses();
+  idx.subscribe(6, TopicFilter("/xgsp/#/audio"));
+  for (int k = 0; k < kTopics; ++k) (void)idx.matches(session_topic(k));
+  EXPECT_EQ(idx.cache_misses(), misses);
+}
+
+TEST(SubscriptionIndex, StraySpellingSeesExactMutationOfItsTopic) {
+  SubscriptionIndex idx;
+  idx.subscribe(1, TopicFilter("/s/1/audio"));
+  // Cached under its own spelling, which no probe by pattern finds.
+  EXPECT_EQ(idx.matches("s//1/audio/"), (Ids{1}));
+  EXPECT_EQ(idx.matches("/s/1/audio"), (Ids{1}));
+  idx.subscribe(2, TopicFilter("/s/1/audio"));
+  EXPECT_EQ(idx.matches("s//1/audio/"), (Ids{1, 2}));
+  idx.unsubscribe(1, TopicFilter("/s/1/audio"));
+  EXPECT_EQ(idx.matches("s//1/audio/"), (Ids{2}));
+  EXPECT_EQ(idx.matches("/s/1/audio"), (Ids{2}));
+  // A mutation of another topic also makes the stray line recompute, with
+  // the same answer.
+  idx.subscribe(3, TopicFilter("/s/2/audio"));
+  EXPECT_EQ(idx.matches("s//1/audio/"), (Ids{2}));
 }
 
 TEST(SubscriptionIndex, CacheInvalidatedOnUnsubscribe) {

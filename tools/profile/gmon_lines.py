@@ -4,11 +4,14 @@
 Reads the histogram record of a gmon.out written by a binary linked with
 `-pg -static` (its code compiled with `-g` but without `-pg`, so no mcount
 call inflates small functions), maps every sampled bin to its source line
-with `addr2line -i`, and prints the hottest lines and each layer's share of
-all samples. A bin's line is its innermost frame inside the repository (an
-inlined std:: helper is charged to the repository line that inlined it); a
-bin with no repository frame is charged by function name to libc
-malloc/free or libc memcpy, or to "other".
+with `addr2line -f -i`, and prints each layer's share of all samples, the
+hottest functions and the hottest lines. A bin's line is its innermost
+frame inside the repository (an inlined std:: helper is charged to the
+repository line that inlined it), and its function is that frame's
+function, so the lines of one function (a heap sift's loop, spread over
+half a dozen lines) add up to one row. A bin with no repository frame is
+charged by function name to libc malloc/free or libc memcpy, or to
+"other", and keeps that function's name.
 
 Usage: gmon_lines.py <binary> <gmon.out> <repo root> [--top N]
 """
@@ -110,6 +113,7 @@ def main():
         sys.exit("no samples in the histogram")
     chains = symbolize(args.binary, [pc for pc, _ in bins])
     lines = Counter()
+    funcs = Counter()
     layers = Counter()
     for pc, count in bins:
         chain = chains.get(pc, [])
@@ -129,11 +133,15 @@ def main():
                 layer = "other"
             hit = (layer, func[:70], func)
         layers[hit[0]] += count
+        funcs[hit[2]] += count
         lines[(hit[1], hit[2])] += count
     print(f"{total} samples at {rate} Hz ({total / max(rate, 1):.1f} s of CPU)")
     print("\nshare by layer:")
     for layer, c in layers.most_common():
         print(f"  {100.0 * c / total:6.2f}%  {layer}")
+    print(f"\ntop {args.top} functions:")
+    for func, c in funcs.most_common(args.top):
+        print(f"  {100.0 * c / total:6.2f}%  {func[:110]}")
     print(f"\ntop {args.top} lines:")
     for (where, func), c in lines.most_common(args.top):
         print(f"  {100.0 * c / total:6.2f}%  {where}  [{func[:70]}]")
