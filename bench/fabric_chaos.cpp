@@ -93,6 +93,8 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
     total.clients_reaped += m.clients_reaped;
     total.client_reconnects += m.client_reconnects;
     total.link_states_flooded += m.link_states_flooded;
+    total.hop_limited_events += m.hop_limited_events;
+    total.unroutable_events += m.unroutable_events;
     if (json != nullptr) {
       std::fprintf(json,
                    "    {\"seed\": %llu, \"plan_hash\": \"%016llx\", \"ok\": %s, "
@@ -126,7 +128,8 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
                  "  \"totals\": {\"reliable_delivered\": %llu, \"reliable_recovered\": %llu, "
                  "\"reliable_lost\": %llu, \"events_in\": %llu, \"copies_delivered\": %llu, "
                  "\"route_recomputes\": %llu, \"clients_reaped\": %llu, "
-                 "\"client_reconnects\": %llu, \"link_states_flooded\": %llu}\n}\n",
+                 "\"client_reconnects\": %llu, \"link_states_flooded\": %llu, "
+                 "\"hop_limited_events\": %llu, \"unroutable_events\": %llu}\n}\n",
                  static_cast<unsigned long long>(total.reliable_delivered),
                  static_cast<unsigned long long>(total.reliable_recovered),
                  static_cast<unsigned long long>(total.reliable_lost),
@@ -135,7 +138,9 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
                  static_cast<unsigned long long>(total.route_recomputes),
                  static_cast<unsigned long long>(total.clients_reaped),
                  static_cast<unsigned long long>(total.client_reconnects),
-                 static_cast<unsigned long long>(total.link_states_flooded));
+                 static_cast<unsigned long long>(total.link_states_flooded),
+                 static_cast<unsigned long long>(total.hop_limited_events),
+                 static_cast<unsigned long long>(total.unroutable_events));
     std::fclose(json);
   }
   std::printf("\n%llu/%llu plans passed the oracle (%llu violations)\n",
@@ -143,14 +148,16 @@ int run_generated(std::uint64_t seed, std::uint64_t plans) {
               static_cast<unsigned long long>(violations));
   std::printf("totals: reliable %llu delivered / %llu recovered / %llu lost, "
               "%llu route recomputes, %llu clients reaped, %llu client reconnects, "
-              "%llu LSAs\n",
+              "%llu LSAs, %llu hop-limited, %llu unroutable\n",
               static_cast<unsigned long long>(total.reliable_delivered),
               static_cast<unsigned long long>(total.reliable_recovered),
               static_cast<unsigned long long>(total.reliable_lost),
               static_cast<unsigned long long>(total.route_recomputes),
               static_cast<unsigned long long>(total.clients_reaped),
               static_cast<unsigned long long>(total.client_reconnects),
-              static_cast<unsigned long long>(total.link_states_flooded));
+              static_cast<unsigned long long>(total.link_states_flooded),
+              static_cast<unsigned long long>(total.hop_limited_events),
+              static_cast<unsigned long long>(total.unroutable_events));
   if (json != nullptr) std::printf("wrote BENCH_fabric_chaos_generated.json\n");
   return passed == plans ? 0 : 1;
 }

@@ -19,7 +19,6 @@ BrokerNode& BrokerNetwork::add_broker(sim::Host& host, BrokerNode::Config cfg) {
   BrokerNode& node = *brokers_.back();
   node.network_ = this;
   adjacency_[id];
-  view_down_.emplace_back();
   return node;
 }
 
@@ -76,7 +75,8 @@ void BrokerNetwork::rebuild_route_row(BrokerId src) {
   // BFS from one broker (links are uniform cost), skipping the links in
   // that broker's own view.
   grow_routes();
-  const auto& down = view_down_[src];
+  const auto& table = brokers_[src]->link_table_;
+  const bool any_down = brokers_[src]->links_down_ != 0;
   const std::size_t row = std::size_t{src} * routes_.n;
   std::uint32_t* hops = routes_.first_hop.data() + row;
   int* dist = routes_.hop_count.data() + row;
@@ -89,7 +89,10 @@ void BrokerNetwork::rebuild_route_row(BrokerId src) {
     queue.pop_front();
     for (BrokerId nb : adjacency_.at(cur)) {
       if (dist[nb] >= 0) continue;
-      if (!down.empty() && down.contains(std::minmax(cur, nb))) continue;
+      if (any_down) {
+        const auto it = table.find(std::minmax(cur, nb));
+        if (it != table.end() && it->second.down()) continue;
+      }
       dist[nb] = dist[cur] + 1;
       // First hop on the path: neighbor itself if cur==src, else
       // inherit cur's first hop.
@@ -99,28 +102,27 @@ void BrokerNetwork::rebuild_route_row(BrokerId src) {
   }
 }
 
-void BrokerNetwork::report_link(BrokerId a, BrokerId b, bool up) {
-  const auto key = std::minmax(a, b);
-  // Both endpoints' detectors report each transition; only the first
-  // report of a genuine state change fires the repair listener.
-  const bool changed = up ? down_links_.erase(key) > 0 : down_links_.insert(key).second;
-  // The reporter updates only its own view (and row) here; every other
-  // broker learns from the flooded advertisement, paying real propagation
-  // latency.
-  apply_link_state(a, a, b, up);
-  if (changed && route_listener_) {
-    route_listener_(key.first, key.second, up, net_->loop().now());
+bool BrokerNetwork::apply_report(BrokerId at, const LinkStateMessage& m) {
+  BrokerNode& view = broker(at);
+  const auto key = std::minmax(m.a, m.b);
+  BrokerNode::LinkEntry& entry = view.link_table_[key];
+  BrokerNode::LinkReport& report = entry.ends[m.origin == key.first ? 0 : 1];
+  if (m.seq <= report.seq) return false;
+  // Only the broker's own detector moves link_considered_up.
+  const bool own = m.origin == at;
+  const bool was_up = own && link_considered_up(m.a, m.b);
+  const bool was_down = entry.down();
+  report = {m.seq, m.up};
+  if (entry.down() != was_down) {
+    view.links_down_ = was_down ? view.links_down_ - 1 : view.links_down_ + 1;
+    rebuild_route_row(at);
+    ++route_recomputes_;
+    ++epoch_;
   }
-}
-
-void BrokerNetwork::apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool up) {
-  auto& view = view_down_.at(at);
-  const auto key = std::minmax(a, b);
-  const bool changed = up ? view.erase(key) > 0 : view.insert(key).second;
-  if (!changed) return;
-  rebuild_route_row(at);
-  ++route_recomputes_;
-  ++epoch_;
+  if (own && route_listener_ && link_considered_up(m.a, m.b) != was_up) {
+    route_listener_(key.first, key.second, !was_up, net_->loop().now());
+  }
+  return true;
 }
 
 void BrokerNetwork::set_address(BrokerId id, ClusterAddress addr) {

@@ -9,15 +9,16 @@
 //
 // Modelling note (see DESIGN.md §2): the *data plane* — every forwarded
 // event — is fully message-accurate, paying dispatch CPU, NIC and link
-// costs per hop. Link state is too: each broker routes from its own view
-// of down links, which changes only when its own detector fires or a
-// flooded kLinkState advertisement reaches it over the peer links.
-// Interest advertisements are applied instantaneously through this
-// coordinator object, standing in for NaradaBrokering's gossip of
-// subscription tables.
+// costs per hop. Link state is too: each broker routes from its own
+// link-state table (BrokerNode), where a link is down if either
+// endpoint's latest report says so. It changes only when the broker's own
+// detector reports, or a flooded kLinkState newer than its origin's last
+// reaches it over the peer links. This object keeps the adjacency and
+// rebuilds broker src's row from broker src's table. Interest
+// advertisements are applied instantaneously through this coordinator
+// object, standing in for NaradaBrokering's gossip of subscription tables.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -63,36 +64,32 @@ class BrokerNetwork {
   /// in each direction). Call finalize() after all links are in place.
   void link(BrokerId a, BrokerId b);
   /// Computes shortest-path routing tables over the current topology.
-  /// Not one-shot: report_link() and apply_link_state() rebuild single
-  /// rows around failed links at runtime, so routes self-heal as
-  /// detectors fire and their advertisements spread.
+  /// Not one-shot: apply_report() rebuilds single rows around failed
+  /// links at runtime, so routes self-heal as detectors fire and their
+  /// advertisements spread.
   void finalize();
 
   // --- Self-healing control plane (DESIGN.md §8, §13) ---
-  /// Broker `a`'s failure detector reporting the (a,b) link down or back
-  /// up. Updates the detectors' table (link_considered_up, the
-  /// on_route_repair listener) and `a`'s own routing view and row; the
-  /// other brokers learn from `a`'s flooded kLinkState. Both ends report
-  /// independently; only the first report of a genuine transition fires
-  /// the listener. Link identity is undirected.
-  void report_link(BrokerId a, BrokerId b, bool up);
+  /// Broker `at` taking endpoint `m.origin`'s report, numbered `m.seq`,
+  /// that link (m.a, m.b) is up or down: kept only if newer than that
+  /// origin's last on that link (else false, and nothing changes), and
+  /// `at`'s row rebuilt if the link's state in its view changed. A
+  /// detector transition is a report whose origin is `at`.
+  [[nodiscard]] bool apply_report(BrokerId at, const LinkStateMessage& m);
+  /// Neither endpoint's own detector last reported the link down.
   [[nodiscard]] bool link_considered_up(BrokerId a, BrokerId b) const {
-    return !down_links_.contains(std::minmax(a, b));
+    return !brokers_.at(a)->peer_considered_down(b) && !brokers_.at(b)->peer_considered_down(a);
   }
-  /// Observer for repair instrumentation: (a, b, up, at) on each genuine
-  /// link-state transition, after the reporter's row has been rebuilt.
+  /// Observer for repair instrumentation: (a, b, up, at) whenever
+  /// link_considered_up(a, b) changes (down at the first end's "down", up
+  /// at the second end's "up"), after the reporter's row is rebuilt.
   void on_route_repair(
       std::function<void(BrokerId, BrokerId, bool, SimTime)> cb) {
     route_listener_ = std::move(cb);
   }
-  /// Routing rows rebuilt by report_link() / apply_link_state(): one per
-  /// change to one broker's view.
+  /// Routing rows rebuilt by apply_report(): one per change to one
+  /// broker's view.
   [[nodiscard]] std::uint64_t route_recomputes() const { return route_recomputes_; }
-  /// Broker `at` applying a link-state change to its own routing view
-  /// (its detector's report, or a received advertisement); rebuilds that
-  /// broker's row if the view changed. Fires no listener: the transition
-  /// was announced where it was detected.
-  void apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool up);
 
   /// Optional hierarchical address labels; set_address also implies
   /// nothing topologically — use link_hierarchy to wire by address.
@@ -119,8 +116,8 @@ class BrokerNetwork {
 
   // --- Routing queries ---
   /// First hop from `from` toward `to`, read from routes_ in place: the
-  /// next query after finalize(), report_link() or apply_link_state() sees
-  /// the rebuilt routes. Throws like RouteTables::next_hop.
+  /// next query after finalize() or apply_report() sees the rebuilt
+  /// routes. Throws like RouteTables::next_hop.
   [[nodiscard]] BrokerId next_hop(BrokerId from, BrokerId to) const {
     return routes_.next_hop(from, to);
   }
@@ -134,7 +131,7 @@ class BrokerNetwork {
   [[nodiscard]] const RouteTables& routes() const { return routes_; }
   [[nodiscard]] const SubscriptionIndex& interest() const { return interest_; }
   /// Control-plane changes so far: one per finalize(), advertise() and
-  /// routing-row rebuild by report_link() / apply_link_state().
+  /// routing-row rebuild by apply_report().
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Benchmark-facing only: perfbench reads the tables through
   /// `snapshot()->…`. New code calls routes(), interest() and epoch().
@@ -144,7 +141,7 @@ class BrokerNetwork {
   /// Every broker's row, each over its own view (finalize()).
   void rebuild_routes();
   /// Rebuilds one broker's routing row: BFS over adjacency_ minus the
-  /// links in view_down_[src].
+  /// links down in broker src's link-state table.
   void rebuild_route_row(BrokerId src);
   /// Widens routes_ to the current broker count, keeping built rows (a
   /// broker added after finalize() gets an unbuilt row and column).
@@ -153,12 +150,6 @@ class BrokerNetwork {
   sim::Network* net_;
   std::vector<std::unique_ptr<BrokerNode>> brokers_;
   std::map<BrokerId, std::set<BrokerId>> adjacency_;
-  /// Links currently declared down by some broker's failure detector,
-  /// keyed undirected (min id, max id).
-  std::set<std::pair<BrokerId, BrokerId>> down_links_;
-  /// Each broker's private view of down links (indexed by BrokerId), fed
-  /// by its own detector and the kLinkState advertisements that reached it.
-  std::vector<std::set<std::pair<BrokerId, BrokerId>>> view_down_;
   std::function<void(BrokerId, BrokerId, bool, SimTime)> route_listener_;
   std::uint64_t route_recomputes_ = 0;
   /// The routing matrices, rebuilt in place by the BFS and read in place

@@ -435,7 +435,7 @@ void BrokerNode::add_peer_link(BrokerId peer, transport::StreamConnectionPtr con
     }
     if (cb) cb(rtt);
   });
-  conn->watch(cfg_.idle, [this, peer](bool alive) { peer_liveness(peer, alive); });
+  conn->watch(cfg_.idle, [this, peer](bool alive) { originate_link_state(peer, alive); });
   if (peer >= peer_links_.size()) peer_links_.resize(peer + 1);
   peer_links_[peer] = std::move(conn);
   if (!gossip_refresh_task_ && cfg_.idle.interval.ns() > 0) {
@@ -447,21 +447,18 @@ void BrokerNode::add_peer_link(BrokerId peer, transport::StreamConnectionPtr con
   }
 }
 
-void BrokerNode::peer_liveness(BrokerId peer, bool alive) {
-  if (alive) {
-    peer_down_.erase(peer);
-  } else {
-    peer_down_.insert(peer);
-  }
-  if (network_ == nullptr) return;
-  network_->report_link(id_, peer, alive);
-  originate_link_state(peer, alive);
+bool BrokerNode::peer_considered_down(BrokerId peer) const {
+  const auto it = link_table_.find(std::minmax(id_, peer));
+  return it != link_table_.end() && !it->second.ends[id_ < peer ? 0 : 1].up;
 }
 
 void BrokerNode::gossip_refresh() {
-  if (network_ == nullptr) return;
-  for (BrokerId peer = 0; peer < peer_links_.size(); ++peer) {
-    if (peer_links_[peer]) originate_link_state(peer, !peer_down_.contains(peer));
+  for (const auto& [link, entry] : link_table_) {
+    if (link.first != id_ && link.second != id_) continue;
+    const bool low = link.first == id_;
+    const LinkReport& own = entry.ends[low ? 0 : 1];
+    // Applying the fresh report rewrites this entry in place.
+    if (own.seq != 0) originate_link_state(low ? link.second : link.first, own.up);
   }
 }
 
@@ -472,28 +469,18 @@ void BrokerNode::originate_link_state(BrokerId peer, bool up) {
   m.a = id_;
   m.b = peer;
   m.up = up;
-  // Record our own advertisement so the flood echoing back is dropped.
-  const auto [lo, hi] = std::minmax(m.a, m.b);
-  lsa_seen_[{m.origin, lo, hi}] = m.seq;
+  // A fresh seq is always newer; the flood's echo of it is not.
+  (void)network_->apply_report(id_, m);
   flood_link_state(m);
 }
 
 void BrokerNode::handle_link_state(const LinkStateMessage& m) {
-  const auto [lo, hi] = std::minmax(m.a, m.b);
-  auto [it, inserted] = lsa_seen_.try_emplace({m.origin, lo, hi}, m.seq);
-  if (!inserted) {
-    if (m.seq <= it->second) return;  // stale or already forwarded
-    it->second = m.seq;
-  }
-  // Our own detector alone decides a link of ours it watches; the far
-  // end's word on it is still passed on.
-  const BrokerId other = m.a == id_ ? m.b : m.a;
-  const bool watched =
-      (m.a == id_ || m.b == id_) && peer_link(other) != nullptr && cfg_.idle.interval.ns() > 0;
-  if (network_ != nullptr && !watched) network_->apply_link_state(id_, m.a, m.b, m.up);
-  // Forward once to every peer (including back toward the sender — the
-  // dedup above terminates the flood).
-  flood_link_state(m);
+  // A peer's frame is outside input: a report speaks for one end of its
+  // link, and only this broker's detector writes this broker's reports.
+  if ((m.origin != m.a && m.origin != m.b) || m.origin == id_) return;
+  // Forward a newer report once to every peer, back toward the sender
+  // too: the seq rule ends the flood.
+  if (network_->apply_report(id_, m)) flood_link_state(m);
 }
 
 void BrokerNode::flood_link_state(const LinkStateMessage& m) {

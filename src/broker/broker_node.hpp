@@ -14,13 +14,13 @@
 // 80 ms-vs-229 ms delay gap of Figure 3.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -74,11 +74,11 @@ class BrokerNode {
     std::uint16_t dgram_port = 9001;
     DispatchConfig dispatch = DispatchConfig::optimized();
     /// The idle detector on each outgoing peer link (the self-healing
-    /// fabric's sensor): dead reports the link down to the BrokerNetwork,
-    /// which repairs the routing tables, and the next answer reports it
-    /// up; the link itself is never closed. The broker floods each
-    /// transition as a kLinkState advertisement and re-floods its links'
-    /// state every misses x interval. Off by default: a fault-free run
+    /// fabric's sensor): dead is this broker's report that the link is
+    /// down, which its routing row takes at once, and the next answer
+    /// reports it up; the link itself is never closed. The broker floods
+    /// each report as a kLinkState advertisement and re-floods its own
+    /// reports every misses x interval. Off by default: a fault-free run
     /// carries no probes and no link state.
     transport::IdleConfig idle;
     /// The idle detector on each identified client's stream: dead evicts
@@ -133,7 +133,8 @@ class BrokerNode {
   [[nodiscard]] const std::map<BrokerId, SimDuration>& link_rtts() const { return srtt_; }
 
   // --- Failure detection (see Config::idle and client_idle) ---
-  [[nodiscard]] bool peer_considered_down(BrokerId peer) const { return peer_down_.contains(peer); }
+  /// This broker's own latest report on its link to `peer` says down.
+  [[nodiscard]] bool peer_considered_down(BrokerId peer) const;
   /// Client records evicted by their stream's idle detector.
   [[nodiscard]] std::uint64_t clients_reaped() const { return clients_reaped_; }
   /// kLinkState advertisements this broker originated or forwarded.
@@ -223,20 +224,19 @@ class BrokerNode {
   /// Drops a client record and its subscriptions/advertisements. Used when
   /// a reconnecting client's fresh Hello supersedes its ghost record.
   void evict_client(ClientId cid);
-  /// The idle detector on the link to `peer` changed its verdict.
-  void peer_liveness(BrokerId peer, bool alive);
-  /// Gossip refresh: re-advertises the current state of every adjacent
-  /// link with a fresh sequence number. Event-driven floods alone leave
-  /// brokers that were partitioned *during* a transition with a stale
-  /// view; the periodic re-flood converges them once connectivity returns
-  /// (classic link-state protocol refresh).
+  /// Gossip refresh: re-floods each of this broker's own reports in the
+  /// table with a fresh sequence number. A flood segment can be lost (a
+  /// full NIC refuses it, or it meets a cut shorter than a detector
+  /// period), and nothing sends it again; the periodic re-flood converges
+  /// the views it missed (classic link-state protocol refresh).
   void gossip_refresh();
-  /// Detector transition: flood a fresh advertisement for the (id_, peer)
-  /// link so remote brokers learn at propagation speed.
+  /// This broker's report on its link to `peer` (a detector transition or
+  /// a refresh): applied to its own table under a fresh sequence number,
+  /// then flooded so remote brokers learn at propagation speed.
   void originate_link_state(BrokerId peer, bool up);
-  /// A kLinkState frame arriving from a peer: dedup by (origin, link, seq),
-  /// apply to our routing view (unless it names a link of ours our own
-  /// detector watches) and re-flood once.
+  /// A kLinkState frame arriving from a peer: dropped unless it is the
+  /// report of one of its link's endpoints other than this broker, then
+  /// applied, and re-flooded once if it was newer.
   void handle_link_state(const LinkStateMessage& m);
   void flood_link_state(const LinkStateMessage& m);
 
@@ -324,13 +324,28 @@ class BrokerNode {
   std::vector<BrokerId> peer_rest_;
   std::vector<std::pair<BrokerId, std::uint32_t>> hop_groups_;
   std::vector<BrokerId> hop_targets_;
-  /// Peers whose link's idle detector last reported dead.
-  std::set<BrokerId> peer_down_;
+  /// One endpoint's latest report on a link: its sequence number (0: none
+  /// heard) and its verdict.
+  struct LinkReport {
+    std::uint32_t seq = 0;
+    bool up = true;
+  };
+  /// Each endpoint's latest report, the lower id's first. The link is down
+  /// in this broker's view if either says so.
+  struct LinkEntry {
+    std::array<LinkReport, 2> ends;
+    [[nodiscard]] bool down() const { return !ends[0].up || !ends[1].up; }
+  };
+  /// The link-state table, keyed (min id, max id): this broker's routing
+  /// view and its flood dedup at once. A report is taken only if newer
+  /// than its origin's last (OSPF's LSA rule), so the far end's word never
+  /// undoes this end's, and an echo is stale.
+  std::map<std::pair<BrokerId, BrokerId>, LinkEntry> link_table_;
+  /// Entries that are down: at 0, a row rebuild looks up no link.
+  std::size_t links_down_ = 0;
   std::unique_ptr<sim::PeriodicTask> gossip_refresh_task_;
   std::uint64_t clients_reaped_ = 0;
-  /// Gossip state: per-origin flood dedup — highest seq already forwarded
-  /// for (origin, link min, link max) — and our own origination counter.
-  std::map<std::tuple<BrokerId, BrokerId, BrokerId>, std::uint32_t> lsa_seen_;
+  /// This broker's report counter.
   std::uint32_t lsa_next_seq_ = 0;
   std::uint64_t link_states_flooded_ = 0;
   std::uint32_t next_probe_token_ = 1;

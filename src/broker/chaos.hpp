@@ -7,8 +7,8 @@
 //   1. Reliable eventual delivery: the NAK-repair subscriber delivered
 //      every published reliable event; nothing was given up as lost.
 //   2. Route convergence: with every fault healed, each broker's routing
-//      row matches BFS over the full topology and no peer or link is
-//      still considered down.
+//      row matches BFS over the full topology and no link is still
+//      considered down by either endpoint's detector.
 //   3. No ghost client records: each broker's client table holds exactly
 //      the clients that are genuinely attached (crashed-forever clients
 //      reaped, returning clients counted once).
@@ -49,6 +49,9 @@ struct ChaosMetrics {
   std::uint64_t route_recomputes = 0;
   std::uint64_t clients_reaped = 0;
   std::uint64_t link_states_flooded = 0;
+  /// Counted drops (BrokerNode::hop_limited_events, unroutable_events).
+  std::uint64_t hop_limited_events = 0;
+  std::uint64_t unroutable_events = 0;
   std::uint64_t client_events_received = 0;
   /// Re-handshakes of the generated clients (BrokerClient::reconnects).
   std::uint64_t client_reconnects = 0;

@@ -290,9 +290,9 @@ void Network::set_link_up(NodeId a, NodeId b, bool up) {
   require_host(a);
   require_host(b);
   if (up) {
-    down_links_.erase(std::minmax(a, b));
+    cut_links_.erase(std::minmax(a, b));
   } else {
-    down_links_.insert(std::minmax(a, b));
+    cut_links_.insert(std::minmax(a, b));
   }
 }
 

@@ -257,7 +257,7 @@ class Network : private EventTarget {
   /// dropped. Used by FaultPlan link flaps and partitions.
   void set_link_up(NodeId a, NodeId b, bool up);
   [[nodiscard]] bool link_up(NodeId a, NodeId b) const {
-    return down_links_.empty() || !down_links_.contains(std::minmax(a, b));
+    return cut_links_.empty() || !cut_links_.contains(std::minmax(a, b));
   }
 
   /// Asymmetric cut: drops datagrams traveling src → dst only; the reverse
@@ -386,7 +386,7 @@ class Network : private EventTarget {
   GroupId next_group_ = 1;
   std::map<GroupId, std::vector<Endpoint>> groups_;
   /// Administratively-down host pairs (link flaps, partitions), keyed minmax.
-  std::set<std::pair<NodeId, NodeId>> down_links_;
+  std::set<std::pair<NodeId, NodeId>> cut_links_;
   /// Directed one-way cuts: (src, dst) pairs whose src → dst direction drops.
   std::set<std::pair<NodeId, NodeId>> down_oneway_;
   /// Stacked path overrides per minmax pair; the back entry is effective.

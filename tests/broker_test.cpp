@@ -830,8 +830,9 @@ TEST_F(BrokerNetTest, EventLoopingBetweenDisagreeingViewsIsHopLimited) {
   sub.subscribe("/conf/video");
   sub.on_event([&](const Event&) { ++got; });
   loop.run();
-  fabric.apply_link_state(0, 0, 2, /*up=*/false);
-  fabric.apply_link_state(1, 1, 2, /*up=*/false);
+  // Each broker's own detector report, which no flood carries here.
+  ASSERT_TRUE(fabric.apply_report(0, {.origin = 0, .seq = 1, .a = 0, .b = 2, .up = false}));
+  ASSERT_TRUE(fabric.apply_report(1, {.origin = 1, .seq = 1, .a = 1, .b = 2, .up = false}));
   ASSERT_EQ(fabric.next_hop(0, 2), 1u);
   ASSERT_EQ(fabric.next_hop(1, 2), 0u);
   for (int i = 0; i < 5; ++i) pub.publish("/conf/video", to_bytes("x"));

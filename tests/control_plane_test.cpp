@@ -4,6 +4,7 @@
 // replaced.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -72,6 +73,11 @@ void expect_every_row_reaches_all(const broker::RouteTables& routes, BrokerId n)
   }
 }
 
+/// `origin`'s report, numbered `seq`, that its link to `peer` is up or down.
+broker::LinkStateMessage report(BrokerId origin, BrokerId peer, std::uint32_t seq, bool up) {
+  return {.origin = origin, .seq = seq, .a = origin, .b = peer, .up = up};
+}
+
 }  // namespace
 
 TEST(ControlPlane, UnfinalizedFabricHasNoRoutesOrInterest) {
@@ -91,9 +97,9 @@ TEST(ControlPlane, RepairRoutesAroundTheDeadLink) {
   ASSERT_EQ(routes.distance(0, 1), 1);
   const std::uint64_t epoch0 = f.fabric.epoch();
 
-  // A report rebuilds the reporter's row only: 0 -> 3 -> 2 -> 1. Broker 1
-  // and broker 3 still route over the link until they learn of it.
-  f.fabric.report_link(0, 1, /*up=*/false);
+  // A detector's report rebuilds the reporter's row only: 0 -> 3 -> 2 -> 1.
+  // Broker 1 and broker 3 still route over the link until they learn of it.
+  ASSERT_TRUE(f.fabric.apply_report(0, report(0, 1, 1, /*up=*/false)));
   EXPECT_EQ(f.fabric.epoch(), epoch0 + 1);
   EXPECT_EQ(f.fabric.route_recomputes(), 1u);
   EXPECT_FALSE(f.fabric.link_considered_up(0, 1));
@@ -102,27 +108,39 @@ TEST(ControlPlane, RepairRoutesAroundTheDeadLink) {
   EXPECT_EQ(routes.distance(1, 0), 1);
   EXPECT_EQ(routes.next_hop(3, 1), 0u);
   expect_every_row_reaches_all(routes, 4);
-  // The duplicate report from the other end rebuilds that broker's row.
-  f.fabric.report_link(1, 0, /*up=*/false);
+  // The other end's detector report rebuilds that broker's row.
+  ASSERT_TRUE(f.fabric.apply_report(1, report(1, 0, 1, /*up=*/false)));
   EXPECT_EQ(f.fabric.epoch(), epoch0 + 2);
   EXPECT_EQ(f.fabric.route_recomputes(), 2u);
   EXPECT_EQ(routes.distance(1, 0), 3);
   EXPECT_EQ(routes.next_hop(1, 0), 2u);
   EXPECT_EQ(routes.next_hop(3, 1), 0u);
   expect_every_row_reaches_all(routes, 4);
-  // A repeat from the same end changes no view.
-  f.fabric.report_link(0, 1, /*up=*/false);
+  // A report no newer than its origin's last is refused and changes nothing.
+  EXPECT_FALSE(f.fabric.apply_report(0, report(0, 1, 1, /*up=*/true)));
   EXPECT_EQ(f.fabric.epoch(), epoch0 + 2);
 
-  f.fabric.report_link(0, 1, /*up=*/true);
-  EXPECT_TRUE(f.fabric.link_considered_up(0, 1));
+  // Broker 0's "up" brings the link back in its own view, which holds
+  // only its own report; broker 1's detector still says down.
+  ASSERT_TRUE(f.fabric.apply_report(0, report(0, 1, 2, /*up=*/true)));
+  EXPECT_FALSE(f.fabric.link_considered_up(0, 1));
   EXPECT_EQ(routes.distance(0, 1), 1);
   EXPECT_EQ(routes.next_hop(0, 1), 1u);
   EXPECT_EQ(routes.distance(1, 0), 3);
   expect_every_row_reaches_all(routes, 4);
-  f.fabric.report_link(1, 0, /*up=*/true);
+  // Broker 1's "down" reaching broker 0 puts the link down there again:
+  // either endpoint's latest report says down.
+  ASSERT_TRUE(f.fabric.apply_report(0, report(1, 0, 1, /*up=*/false)));
+  EXPECT_EQ(routes.distance(0, 1), 3);
+  // Once both ends report up, the link is up at both detectors and in
+  // every view that heard both.
+  ASSERT_TRUE(f.fabric.apply_report(1, report(1, 0, 2, /*up=*/true)));
+  EXPECT_TRUE(f.fabric.link_considered_up(0, 1));
   EXPECT_EQ(routes.distance(1, 0), 1);
-  EXPECT_EQ(f.fabric.route_recomputes(), 4u);
+  EXPECT_EQ(routes.distance(0, 1), 3);
+  ASSERT_TRUE(f.fabric.apply_report(0, report(1, 0, 2, /*up=*/true)));
+  EXPECT_EQ(routes.distance(0, 1), 1);
+  EXPECT_EQ(f.fabric.route_recomputes(), 6u);
   expect_routes_complete(routes, 4);
 }
 
@@ -169,12 +187,15 @@ TEST(ControlPlane, RemoteRowChangesWhenTheAdvertisementArrives) {
   EXPECT_GT(fabric.broker(0).link_states_flooded(), 0u);
 }
 
-// A broker's own detector is the only word on its own links. A one-way
-// cut 0 -> 1 loses broker 0's probes, so 0's fast detector (3 x 50 ms)
-// declares 0-1 down; broker 1's slow one (20 x 50 ms) has not fired yet,
-// and its periodic refresh floods the link "up" across the working 1 -> 0
-// direction at 1.05 s. Broker 0 forwards that advertisement but keeps its
-// row down; once the cut heals both detectors bring the link back.
+// A broker's own detector is the only word on its own links, and the far
+// end's word cannot undo it anywhere. On chain 2-0-1, a flap of 0-1 first
+// leaves both ends holding a report of their own (down, then up). Then a
+// one-way cut 0 -> 1 loses broker 0's probes, so 0's fast detector
+// (3 x 50 ms) reports 0-1 down; broker 1's slow one (20 x 50 ms) has not
+// fired yet, and its periodic refresh floods its "up" across the working
+// 1 -> 0 direction at 3.05 s. Broker 0 passes it on to broker 2, but both
+// rows keep the link down: broker 0's report still says so. Once the cut
+// heals both detectors bring the link back.
 TEST(ControlPlane, OwnDetectorOutranksTheFarEndsRefresh) {
   sim::EventLoop loop;
   sim::Network net(loop);
@@ -187,38 +208,97 @@ TEST(ControlPlane, OwnDetectorOutranksTheFarEndsRefresh) {
   slow.idle = {duration_ms(50), 20};
   broker::BrokerNode& b0 = fabric.add_broker(h0, fast);
   broker::BrokerNode& b1 = fabric.add_broker(h1, slow);
+  fabric.add_broker(net.add_host("b2"), fast);
   fabric.link(0, 1);
+  fabric.link(0, 2);
   fabric.finalize();
   sim::FaultPlan plan;
-  plan.cut_oneway(h0.id(), h1.id(), SimTime{duration_ms(300).ns()},
-                  SimTime{duration_ms(1600).ns()});
+  plan.flap_link(h0.id(), h1.id(), SimTime{duration_ms(300).ns()},
+                 SimTime{duration_ms(1600).ns()});
+  plan.cut_oneway(h0.id(), h1.id(), SimTime{duration_ms(2500).ns()},
+                  SimTime{duration_ms(4000).ns()});
   plan.install(net);
 
-  loop.run_until(SimTime{duration_ms(600).ns()});
+  loop.run_until(SimTime{duration_ms(2200).ns()});
+  ASSERT_TRUE(fabric.link_considered_up(0, 1));
+  loop.run_until(SimTime{duration_ms(2700).ns()});
   ASSERT_TRUE(b0.peer_considered_down(1));
+  ASSERT_FALSE(fabric.link_considered_up(0, 1));
   ASSERT_EQ(fabric.distance(0, 1), -1);
+  ASSERT_EQ(fabric.distance(2, 1), -1);
   const std::uint64_t b1_flooded = b1.link_states_flooded();
   const std::uint64_t b0_flooded = b0.link_states_flooded();
-  // Until broker 1's detector fires (~1.3 s), its refresh is the only
-  // advertisement broker 0 receives; sample 0's row every 10 ms.
+  // Until broker 1's detector fires (3.5 s), its refresh is the only
+  // report of its own that broker 0 receives; sample both rows every 10 ms.
   std::vector<int> row0;
-  for (int ms = 610; ms <= 1250; ms += 10) {
-    loop.schedule_at(SimTime{duration_ms(ms).ns()},
-                     [&] { row0.push_back(fabric.distance(0, 1)); });
+  std::vector<int> row2;
+  for (int ms = 2710; ms <= 3300; ms += 10) {
+    loop.schedule_at(SimTime{duration_ms(ms).ns()}, [&] {
+      row0.push_back(fabric.distance(0, 1));
+      row2.push_back(fabric.distance(2, 1));
+    });
   }
-  loop.run_until(SimTime{duration_ms(1250).ns()});
+  loop.run_until(SimTime{duration_ms(3300).ns()});
   EXPECT_FALSE(b1.peer_considered_down(0));
-  EXPECT_EQ(b1.link_states_flooded(), b1_flooded + 1);  // the 1.05 s refresh
-  // Broker 0 passed it on: five refreshes of its own (0.65 to 1.25 s)
-  // and that one forward.
-  EXPECT_EQ(b0.link_states_flooded(), b0_flooded + 6);
+  EXPECT_EQ(b1.link_states_flooded(), b1_flooded + 1);  // the 3.05 s refresh
+  // Broker 0 sent to both peers: its own down report at each refresh
+  // (2.75 to 3.2 s) and broker 1's refresh once.
+  EXPECT_EQ(b0.link_states_flooded(), b0_flooded + 2 * 4 + 2);
   EXPECT_EQ(row0, std::vector<int>(row0.size(), -1));
+  EXPECT_EQ(row2, std::vector<int>(row2.size(), -1));
 
-  loop.run_until(SimTime{duration_s(3).ns()});
-  EXPECT_FALSE(b0.peer_considered_down(1));
-  EXPECT_FALSE(b1.peer_considered_down(0));
+  loop.run_until(SimTime{duration_s(5).ns()});
+  EXPECT_TRUE(fabric.link_considered_up(0, 1));
   EXPECT_EQ(fabric.distance(0, 1), 1);
   EXPECT_EQ(fabric.distance(1, 0), 1);
+  EXPECT_EQ(fabric.distance(2, 1), 2);
+}
+
+// The race of a detector and the far end's refresh at one instant. On ring
+// 0-1-2-3, a first flap of 1-2 leaves both ends holding a report of their
+// own. The second flap starts at 5.0 s: both detectors (3 x 50 ms) fire at
+// 5.15 s, the instant both brokers' refresh tasks run (every 150 ms from
+// 50 ms). A refresh floods its broker's last report, "up", beside the
+// detector's "down"; neither may flip a remote view back. Each of the four
+// rows is rebuilt exactly once for the outage and once for the repair.
+TEST(ControlPlane, DetectorAndFarEndRefreshAtOneInstantRebuildEachRowOnce) {
+  sim::EventLoop loop;
+  sim::Network net(loop);
+  broker::BrokerNetwork fabric(net);
+  broker::BrokerNode::Config cfg;
+  cfg.idle = {duration_ms(50), 3};
+  std::vector<sim::Host*> hosts;
+  for (int i = 0; i < 4; ++i) {
+    hosts.push_back(&net.add_host("b" + std::to_string(i)));
+    fabric.add_broker(*hosts.back(), cfg);
+  }
+  for (int i = 0; i < 4; ++i) fabric.link(i, (i + 1) % 4);
+  fabric.finalize();
+  sim::FaultPlan plan;
+  plan.flap_link(hosts[1]->id(), hosts[2]->id(), SimTime{duration_ms(1000).ns()},
+                 SimTime{duration_ms(1500).ns()});
+  plan.flap_link(hosts[1]->id(), hosts[2]->id(), SimTime{duration_ms(5000).ns()},
+                 SimTime{duration_ms(5800).ns()});
+  plan.install(net);
+  std::vector<std::pair<bool, SimTime>> repairs;
+  fabric.on_route_repair(
+      [&](BrokerId, BrokerId, bool up, SimTime at) { repairs.emplace_back(up, at); });
+
+  loop.run_until(SimTime{duration_ms(4900).ns()});
+  ASSERT_EQ(repairs.size(), 2u);
+  ASSERT_TRUE(fabric.link_considered_up(1, 2));
+  const std::uint64_t before = fabric.route_recomputes();
+  loop.run_until(SimTime{duration_ms(5600).ns()});
+  ASSERT_EQ(repairs.size(), 3u);
+  EXPECT_EQ(repairs.back(), std::make_pair(false, SimTime{duration_ms(5150).ns()}));
+  EXPECT_EQ(fabric.route_recomputes(), before + 4);
+  EXPECT_EQ(fabric.distance(0, 2), 2);
+  EXPECT_EQ(fabric.next_hop(0, 2), 3u);
+  EXPECT_EQ(fabric.next_hop(3, 1), 0u);
+  loop.run_until(SimTime{duration_s(7).ns()});
+  EXPECT_EQ(fabric.route_recomputes(), before + 8);
+  EXPECT_TRUE(fabric.link_considered_up(1, 2));
+  expect_routes_complete(fabric.routes(), 4);
 }
 
 // What keeps fault-free runs (perfbench, fig3, the capacity sweep) as they
@@ -266,7 +346,7 @@ TEST(ControlPlane, MutationInsideAnEventIsVisibleToTheNextRead) {
     f.loop.schedule_at(t, [&] { seen_queued = f.fabric.interested_brokers("/conf/x", 0); });
     f.fabric.advertise(broker::TopicFilter("/conf/x"), /*origin=*/3, /*add=*/true);
     seen_same_event = f.fabric.interested_brokers("/conf/x", 0);
-    f.fabric.report_link(0, 1, /*up=*/false);
+    EXPECT_TRUE(f.fabric.apply_report(0, report(0, 1, 1, /*up=*/false)));
     distance_same_event = f.fabric.distance(0, 1);
   });
   f.loop.run();
@@ -380,21 +460,30 @@ namespace {
 
 /// A random fabric of 2..9 brokers: half the cases a ring with chords,
 /// which keeps most views connected and gives BFS ties to break; the rest
-/// a sparse random graph, often disconnected. Finalized, every view empty.
+/// a sparse random graph, often disconnected. Finalized, every table empty.
+/// It applies each report to the fabric and to a reference copy of every
+/// broker's table.
 struct RandomFabric {
+  /// One endpoint's latest report, as the reference keeps it.
+  struct RefReport {
+    std::uint32_t seq = 0;
+    bool up = true;
+  };
+  using RefEntry = std::array<RefReport, 2>;  // the lower id's first
+
   sim::EventLoop loop;
   sim::Network net{loop};
   broker::BrokerNetwork fabric{net};
   BrokerId n = 0;
   std::map<BrokerId, std::set<BrokerId>> adj;
   std::vector<Link> links;
-  std::map<BrokerId, std::set<Link>> views;
+  std::map<BrokerId, std::map<Link, RefEntry>> tables;
 
   explicit RandomFabric(gmmcs::Rng& rng) : n(static_cast<BrokerId>(rng.uniform_int(2, 9))) {
     for (BrokerId i = 0; i < n; ++i) {
       fabric.add_broker(net.add_host("b" + std::to_string(i)));
       adj[i];
-      views[i];
+      tables[i];
     }
     const bool ring = rng.chance(0.5);
     for (BrokerId a = 0; a < n; ++a) {
@@ -410,12 +499,43 @@ struct RandomFabric {
     fabric.finalize();
   }
 
-  /// Records `l` as down (or up again) in broker `at`'s view.
-  void note(BrokerId at, const Link& l, bool up) {
-    if (up) {
-      views[at].erase(l);
-    } else {
-      views[at].insert(l);
+  /// Whether `l` is down in the reference copy of broker `at`'s table.
+  bool down(BrokerId at, const Link& l) {
+    const RefEntry& e = tables[at][l];
+    return !e[0].up || !e[1].up;
+  }
+
+  /// Broker `at` takes endpoint `origin`'s report numbered `seq` on `l`.
+  /// The fabric must keep it exactly when the reference's LSA rule does,
+  /// and rebuild `at`'s row exactly when the link's state there moved.
+  void apply(BrokerId at, const Link& l, BrokerId origin, std::uint32_t seq, bool up) {
+    const bool was_down = down(at, l);
+    RefReport& r = tables[at][l][origin == l.first ? 0 : 1];
+    const bool newer = seq > r.seq;
+    if (newer) r = {seq, up};
+    const std::uint64_t before = fabric.route_recomputes();
+    const BrokerId peer = origin == l.first ? l.second : l.first;
+    EXPECT_EQ(fabric.apply_report(at, report(origin, peer, seq, up)), newer);
+    EXPECT_EQ(fabric.route_recomputes() - before, down(at, l) != was_down ? 1u : 0u);
+  }
+
+  /// Each broker's down-set in the reference.
+  std::map<BrokerId, std::set<Link>> views() {
+    std::map<BrokerId, std::set<Link>> out;
+    for (BrokerId at = 0; at < n; ++at) {
+      out[at];
+      for (const Link& l : links) {
+        if (down(at, l)) out[at].insert(l);
+      }
+    }
+    return out;
+  }
+
+  /// link_considered_up reads each endpoint's own report in its own table.
+  void expect_detectors_match() {
+    for (const Link& l : links) {
+      const bool up = tables[l.first][l][0].up && tables[l.second][l][1].up;
+      EXPECT_EQ(fabric.link_considered_up(l.first, l.second), up) << l.first << "-" << l.second;
     }
   }
 };
@@ -426,22 +546,20 @@ TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
   prop::for_each_seed(24, [](std::uint64_t seed) {
     gmmcs::Rng rng(seed);
     RandomFabric f(rng);
-    expect_routes_match(f.fabric.routes(), f.adj, f.views, "built");
+    expect_routes_match(f.fabric.routes(), f.adj, f.views(), "built");
 
-    // Converged repair: both ends of a link report it and its
-    // advertisement reaches every other broker, so every view holds the
-    // same down-set and each transition rebuilds every row once. Links go
-    // down (and one comes back) one transition at a time; the tables must
-    // match the reference after each.
+    // Converged repair: both ends of a link report it and both reports
+    // reach every broker, so every view holds the same down-set and each
+    // transition rebuilds every row once (on the first "down", or on the
+    // second "up"). Links go down (and one comes back) one transition at
+    // a time; the tables must match the reference after each.
+    std::uint32_t seq = 0;
     auto converge = [&](const Link& l, bool up) {
       const std::uint64_t before = f.fabric.route_recomputes();
+      ++seq;
       for (BrokerId at = 0; at < f.n; ++at) {
-        if (at == l.first || at == l.second) {
-          f.fabric.report_link(at, at == l.first ? l.second : l.first, up);
-        } else {
-          f.fabric.apply_link_state(at, l.first, l.second, up);
-        }
-        f.note(at, l, up);
+        f.apply(at, l, l.first, seq, up);
+        f.apply(at, l, l.second, seq, up);
       }
       EXPECT_EQ(f.fabric.route_recomputes(), before + f.n);
       EXPECT_EQ(f.fabric.link_considered_up(l.first, l.second), up);
@@ -451,11 +569,11 @@ TEST(DenseRoutes, MatchMapBfsOnRandomTopologiesWithLinksDown) {
       if (!rng.chance(0.4)) continue;
       converge(l, /*up=*/false);
       down.insert(l);
-      expect_routes_match(f.fabric.routes(), f.adj, f.views, "down");
+      expect_routes_match(f.fabric.routes(), f.adj, f.views(), "down");
     }
     if (!down.empty()) {
       converge(*down.begin(), /*up=*/true);
-      expect_routes_match(f.fabric.routes(), f.adj, f.views, "up");
+      expect_routes_match(f.fabric.routes(), f.adj, f.views(), "up");
     }
   });
 }
@@ -465,23 +583,19 @@ TEST(DenseRoutes, MatchMapBfsWithGossipPerBrokerViews) {
     gmmcs::Rng rng(seed);
     RandomFabric f(rng);
     if (f.links.empty()) return;
-    // Divergent views: each step changes one broker's private view only,
-    // by a detector report at one end of a link or a received
-    // advertisement anywhere.
-    for (int step = 0; step < 8; ++step) {
+    // Divergent views: each step gives one broker one endpoint's report,
+    // its own detector's or one heard by flood, with a seq drawn from a
+    // small range so that reports arrive stale, repeated and out of order.
+    for (int step = 0; step < 12; ++step) {
       const Link l = f.links[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(f.links.size()) - 1))];
-      const bool up = rng.chance(0.3);
-      BrokerId at;
-      if (rng.chance(0.5)) {
-        at = rng.chance(0.5) ? l.first : l.second;
-        f.fabric.report_link(at, at == l.first ? l.second : l.first, up);
-      } else {
-        at = static_cast<BrokerId>(rng.uniform_int(0, f.n - 1));
-        f.fabric.apply_link_state(at, l.first, l.second, up);
-      }
-      f.note(at, l, up);
-      expect_routes_match(f.fabric.routes(), f.adj, f.views, "step " + std::to_string(step));
+      const BrokerId origin = rng.chance(0.5) ? l.first : l.second;
+      const BrokerId at =
+          rng.chance(0.3) ? origin : static_cast<BrokerId>(rng.uniform_int(0, f.n - 1));
+      const auto seq = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
+      f.apply(at, l, origin, seq, /*up=*/rng.chance(0.3));
+      expect_routes_match(f.fabric.routes(), f.adj, f.views(), "step " + std::to_string(step));
+      f.expect_detectors_match();
     }
   });
 }
@@ -541,7 +655,8 @@ TEST(DenseRoutes, GossipRowRebuildWidensForALateBroker) {
   fabric.finalize();
   fabric.add_broker(net.add_host("late"));
   fabric.link(2, 3);
-  fabric.report_link(1, 0, /*up=*/false);  // rebuilds broker 1's row only
+  // Rebuilds broker 1's row only.
+  ASSERT_TRUE(fabric.apply_report(1, report(1, 0, 1, /*up=*/false)));
   EXPECT_EQ(fabric.distance(1, 3), 2);
   EXPECT_EQ(fabric.next_hop(1, 3), 2u);
   EXPECT_EQ(fabric.distance(1, 0), -1);

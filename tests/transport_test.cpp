@@ -179,7 +179,86 @@ TEST_F(TransportTest, StreamCloseNotifiesPeer) {
   EXPECT_TRUE(conn->closed());
 }
 
+/// Counts the egress segments of one kind (the stream's first byte: SYN 1,
+/// FIN 4, probe 5) that `host` sends, with the sim time of each.
+void count_segments(sim::Host& host, std::uint8_t kind, std::vector<SimTime>& out,
+                    const sim::EventLoop& loop) {
+  host.set_egress_observer([&out, &loop, kind](const sim::Datagram& d) {
+    if (d.payload.size() == 1 && d.payload[0] == kind) out.push_back(loop.now());
+  });
+}
+
+constexpr std::uint8_t kFinSegment = 4;
+constexpr std::uint8_t kProbeSegment = 5;
+
+// A FIN is sent once per connection, by the end that closes an open
+// stream: the end answering a peer's FIN sends none back, and a stream
+// closed while still connecting has no peer to tell.
+TEST_F(TransportTest, OnlyTheClosingEndOfAnOpenStreamSendsAFin) {
+  sim::Host& server = net.add_host("server");
+  sim::Host& client = net.add_host("client");
+  StreamListener listener(server, 80);
+  StreamConnectionPtr sc;
+  listener.on_accept([&](StreamConnectionPtr c) { sc = std::move(c); });
+  std::vector<SimTime> client_fins, server_fins;
+  count_segments(client, kFinSegment, client_fins, loop);
+  count_segments(server, kFinSegment, server_fins, loop);
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  loop.run();
+  ASSERT_TRUE(sc->established());
+  conn->close();
+  loop.run();
+  ASSERT_TRUE(sc->closed());
+  EXPECT_EQ(client_fins.size(), 1u);
+  EXPECT_EQ(server_fins.size(), 0u);
+
+  // The SYN is lost, so the connector is still connecting when it closes.
+  net.set_link_up_oneway(client.id(), server.id(), false);
+  auto connecting = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  loop.run();
+  ASSERT_FALSE(connecting->established());
+  connecting->close();
+  loop.run();
+  EXPECT_TRUE(connecting->closed());
+  EXPECT_EQ(client_fins.size(), 1u);
+  EXPECT_EQ(listener.accepted(), 1u);
+}
+
 // --- The idle detector (StreamConnection::watch) ---
+
+// A second watch() on one connection replaces the first detector: its
+// timer is cancelled, the first handler never hears of the connection
+// again, and probes follow the second config's interval.
+TEST_F(TransportTest, SecondWatchReplacesTheFirstDetector) {
+  sim::Host& server = net.add_host("server");
+  sim::Host& client = net.add_host("client");
+  StreamListener listener(server, 80);
+  StreamConnectionPtr sc;
+  listener.on_accept([&](StreamConnectionPtr c) { sc = std::move(c); });
+  auto conn = StreamConnection::connect(client, sim::Endpoint{server.id(), 80});
+  int first = 0;
+  std::vector<bool> second;
+  conn->watch({duration_ms(50), 3}, [&](bool) { ++first; });
+  loop.run_for(duration_ms(120));
+  ASSERT_TRUE(conn->established());
+  std::vector<SimTime> probes;
+  count_segments(client, kProbeSegment, probes, loop);
+  conn->watch({duration_ms(200), 2}, [&](bool alive) { second.push_back(alive); });
+  // Silent for 1 s: a probe every 200 ms, each answered.
+  loop.run_for(duration_s(1));
+  ASSERT_EQ(probes.size(), 5u);
+  for (std::size_t i = 1; i < probes.size(); ++i) {
+    EXPECT_EQ(probes[i] - probes[i - 1], duration_ms(200)) << i;
+  }
+  // Cut both ways: only the second handler hears the connection go dead,
+  // after its own 2 misses, and come back.
+  net.set_link_up(client.id(), server.id(), false);
+  loop.run_for(duration_s(1));
+  net.set_link_up(client.id(), server.id(), true);
+  loop.run_for(duration_s(1));
+  EXPECT_EQ(second, (std::vector<bool>{false, true}));
+  EXPECT_EQ(first, 0);
+}
 
 TEST_F(TransportTest, UnwatchedStreamSchedulesNothingAndItsLoopDrains) {
   sim::Host& server = net.add_host("server");

@@ -11,7 +11,11 @@ repository line that inlined it), and its function is that frame's
 function, so the lines of one function (a heap sift's loop, spread over
 half a dozen lines) add up to one row. A bin with no repository frame is
 charged by function name to libc malloc/free or libc memcpy, or to
-"other", and keeps that function's name.
+"other", and keeps that function's name. addr2line names an inlined
+lambda body only `operator()`, so such a frame is charged to
+`operator() [file:line]` of its sample, one row per lambda line instead
+of one row for every lambda; outside the repository it takes the nearest
+named function in its chain.
 
 Usage: gmon_lines.py <binary> <gmon.out> <repo root> [--top N]
 """
@@ -99,6 +103,24 @@ def layer_of(path, root):
     return None
 
 
+def fold(chain, root):
+    """Charges one sample's inline chain: returns (layer, file:line, function)."""
+    for func, file, num in chain:
+        layer = layer_of(os.path.realpath(file), root) if file.startswith("/") else None
+        if layer is not None:
+            where = f"{os.path.relpath(os.path.realpath(file), root)}:{num}"
+            return layer, where, f"operator() [{where}]" if func == "operator()" else func
+    named = [func for func, _, _ in chain if func != "operator()"]
+    func = named[0] if named else (chain[0][0] if chain else "??")
+    if func.startswith(MALLOC) or "malloc" in func or func.startswith("_int_"):
+        layer = "libc malloc/free"
+    elif func.startswith(MEMCPY) or "memcpy" in func or "memmove" in func:
+        layer = "libc memcpy"
+    else:
+        layer = "other"
+    return layer, func[:70], func
+
+
 def main():
     p = argparse.ArgumentParser()
     p.add_argument("binary")
@@ -116,22 +138,7 @@ def main():
     funcs = Counter()
     layers = Counter()
     for pc, count in bins:
-        chain = chains.get(pc, [])
-        hit = None
-        for func, file, num in chain:
-            layer = layer_of(os.path.realpath(file), root) if file.startswith("/") else None
-            if layer is not None:
-                hit = (layer, f"{os.path.relpath(os.path.realpath(file), root)}:{num}", func)
-                break
-        if hit is None:
-            func = chain[0][0] if chain else "??"
-            if func.startswith(MALLOC) or "malloc" in func or func.startswith("_int_"):
-                layer = "libc malloc/free"
-            elif func.startswith(MEMCPY) or "memcpy" in func or "memmove" in func:
-                layer = "libc memcpy"
-            else:
-                layer = "other"
-            hit = (layer, func[:70], func)
+        hit = fold(chains.get(pc, []), root)
         layers[hit[0]] += count
         funcs[hit[2]] += count
         lines[(hit[1], hit[2])] += count
